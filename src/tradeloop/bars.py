@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
@@ -99,22 +100,22 @@ class BarSeries:
         return [float(b.close) for b in self.bars]
 
     def bar_on(self, session: date) -> Bar | None:
-        lo, hi = 0, len(self.bars) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            d = self.bars[mid].session_date
-            if d == session:
-                return self.bars[mid]
-            if d < session:
-                lo = mid + 1
-            else:
-                hi = mid - 1
+        i = bisect_left(self.bars, session, key=_session_date)
+        if i < len(self.bars) and self.bars[i].session_date == session:
+            return self.bars[i]
         return None
+
+    def index_after(self, as_of: date) -> int:
+        """Index of the first bar dated after as_of: the number of bars dated ≤ as_of."""
+        return bisect_right(self.bars, as_of, key=_session_date)
 
     def up_to(self, as_of: date) -> "BarSeries":
         """Sub-series of bars dated ≤ as_of."""
-        kept = tuple(b for b in self.bars if b.session_date <= as_of)
-        return replace(self, bars=kept)
+        return replace(self, bars=self.bars[: self.index_after(as_of)])
+
+
+def _session_date(bar: Bar) -> date:
+    return bar.session_date
 
 
 @dataclass(frozen=True)
@@ -454,6 +455,5 @@ def window_slice(series: BarSeries, lookback: Lookback, as_of: date) -> BarSerie
         raise BarDataError("empty input")
     if as_of < series.bars[0].session_date:
         raise BarDataError(f"as_of {as_of.isoformat()} before first bar")
-    start = lookback.before(as_of)
-    kept = tuple(b for b in series.bars if start < b.session_date <= as_of)
-    return replace(series, bars=kept)
+    start = series.index_after(lookback.before(as_of))
+    return replace(series, bars=series.bars[start : series.index_after(as_of)])

@@ -307,32 +307,52 @@ def _fmt_bar_line(b) -> str:
 
 
 def multi_timeframe_text(series: BarSeries, as_of: date) -> str:
-    """Monthly bars over 2y, weekly over 6m, daily over 3m, ending at as_of."""
-    history = series.up_to(as_of)
+    """Monthly bars over 2y, weekly over 6m, daily over 3m, ending at as_of.
+    Reads only the bars of the 2-year window."""
+    two_years = window_slice(series, Lookback(years=2), as_of)
     sections = []
-    monthly = resample(window_slice(history, Lookback(years=2), as_of), Resolution.MONTHLY)
-    weekly = resample(window_slice(history, Lookback(months=6), as_of), Resolution.WEEKLY)
-    daily = window_slice(history, Lookback(months=3), as_of)
+    monthly = resample(two_years, Resolution.MONTHLY)
+    weekly = resample(window_slice(two_years, Lookback(months=6), as_of), Resolution.WEEKLY)
+    daily = window_slice(two_years, Lookback(months=3), as_of)
     for label, sub, cap in (("Monthly (2y)", monthly, 24), ("Weekly (6m)", weekly, 26), ("Daily (3m)", daily, 63)):
         lines = [_fmt_bar_line(b) for b in sub.bars[-cap:]]
         sections.append(f"{label}:\n" + ("\n".join(lines) if lines else "no data"))
     return "\n\n".join(sections)
 
 
-def market_context(config: ExperimentConfig, series: BarSeries, session: date) -> dict:
-    history = series.up_to(session)
-    bar = history.bars[-1]
-    snapshot = indicators.snapshot(history)
-    parts = [indicators.format_for_prompt(snapshot)]
-    if len(history) >= 5:
-        parts.append(indicators.format_levels(indicators.detect_levels(history)))
+class MarketTimeline:
+    """The technical context of every session of a run, computed once.
+
+    Each indicator series and the local extrema are computed in one pass over
+    the bars up to the last session. Only the indicator values at the
+    sessions' bars are kept; session k's levels cluster the extrema found up
+    to its bar. Both equal what the history that ends at session k's bar
+    gives, so the cost per session does not grow with the history.
+    """
+
+    def __init__(self, series: BarSeries, sessions: list[date]):
+        self.series = series
+        self.cursor = [series.index_after(d) - 1 for d in sessions]  # each session's bar index
+        history = series.up_to(sessions[-1])
+        self.snapshots = indicators.snapshots(history, self.cursor)
+        self.extrema = indicators.local_extrema(history)
+
+
+def market_context(config: ExperimentConfig, timeline: MarketTimeline, k: int) -> dict:
+    """The market analyst's context for session k of `timeline`."""
+    i = timeline.cursor[k]
+    bar = timeline.series.bars[i]
+    session = bar.session_date
+    parts = [indicators.format_for_prompt(timeline.snapshots[k])]
+    if i >= 4:  # levels need five bars of history
+        parts.append(indicators.format_levels(indicators.levels_at(timeline.series, timeline.extrema, i)))
     return {
         "instrument": config.instrument,
         "session_start": config.window_start.isoformat(),
         "session_end": config.window_end.isoformat(),
         "current_time": session.isoformat(),
         "action_interval": config.action_interval,
-        "extended_intervals_analysis": multi_timeframe_text(series, session),
+        "extended_intervals_analysis": multi_timeframe_text(timeline.series, session),
         "open_price": agents.fmt_price(bar.open),
         "high_price": agents.fmt_price(bar.high),
         "low_price": agents.fmt_price(bar.low),
@@ -431,6 +451,8 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     )
     cta = agents.CentralAgent(gateway)
     reflection_template = tpl("reflection")
+    timeline = MarketTimeline(series, sessions) if market is not None else None
+    news_dates = [date.fromisoformat(item.ts[:10]) for item in data.news] if news is not None else []
 
     event_dates = set()
     for snap in data.fundamentals:
@@ -484,14 +506,10 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
 
         tags = (("step", str(step)), ("session", session.isoformat()))
         if market is not None:
-            reports["market"] = market.report(market_context(config, series, session), session, tags).text
+            reports["market"] = market.report(market_context(config, timeline, i), session, tags).text
         if news is not None:
             lower = session - timedelta(days=3) if i == 0 else sessions[i - 1]
-            batch = [
-                item
-                for item in data.news
-                if lower < date.fromisoformat(item.ts[:10]) <= session
-            ]
+            batch = [item for item, day in zip(data.news, news_dates) if lower < day <= session]
             if batch:
                 ctx = {
                     "instrument": config.instrument,

@@ -1,15 +1,23 @@
-"""Technical indicators over bar series, computed incrementally.
+"""Technical indicators over bar series.
 
 Each indicator returns one value per bar, flagged unavailable until enough
-history exists for its parameters. All of these feed the market analyst's
-prompt context; unavailable values render as the literal text "n/a".
+history exists for its parameters. Every series, and the local-extrema test
+behind the support/resistance levels, reads only past bars, so its value at
+bar i equals the value computed on the bars up to i. `snapshots` and
+`levels_at` use this to give the indicator set and the levels at many bars
+from one pass over the series: the harness computes them once per run and
+reads each session's context incrementally. All of these feed the market
+analyst's prompt context; unavailable values render as the literal text "n/a".
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import date
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .bars import BarSeries
@@ -72,10 +80,6 @@ def sma_series(series: BarSeries, n: int) -> list[IndicatorValue]:
     return out
 
 
-def sma(series: BarSeries, n: int) -> IndicatorValue:
-    return sma_series(series, n)[-1]
-
-
 def ema_series(series: BarSeries, n: int) -> list[IndicatorValue]:
     """EMA_t = a*P_t + (1-a)*EMA_{t-1} with a = 2/(n+1), seeded by the SMA of
     the first n closes (value at the seed bar is the seed itself)."""
@@ -96,10 +100,6 @@ def ema_series(series: BarSeries, n: int) -> list[IndicatorValue]:
             ema = alpha * closes[i] + (1.0 - alpha) * ema
             out.append(IndicatorValue(bar.session_date, "ema", params, ema, True))
     return out
-
-
-def ema(series: BarSeries, n: int) -> IndicatorValue:
-    return ema_series(series, n)[-1]
 
 
 def rsi_series(series: BarSeries, n: int = 14) -> list[IndicatorValue]:
@@ -143,10 +143,6 @@ def rsi_series(series: BarSeries, n: int = 14) -> list[IndicatorValue]:
     return out
 
 
-def rsi(series: BarSeries, n: int = 14) -> IndicatorValue:
-    return rsi_series(series, n)[-1]
-
-
 def macd_series(
     series: BarSeries, fast: int = 12, slow: int = 26, signal: int = 9
 ) -> list[IndicatorValue]:
@@ -188,10 +184,6 @@ def macd_series(
     return out
 
 
-def macd(series: BarSeries, fast: int = 12, slow: int = 26, signal: int = 9) -> IndicatorValue:
-    return macd_series(series, fast, slow, signal)[-1]
-
-
 def true_ranges(series: BarSeries) -> list[float]:
     """TR = max(H-L, |H-C_prev|, |L-C_prev|); the first bar's TR is H-L."""
     out: list[float] = []
@@ -227,10 +219,6 @@ def atr_series(series: BarSeries, n: int = 14) -> list[IndicatorValue]:
     return out
 
 
-def atr(series: BarSeries, n: int = 14) -> IndicatorValue:
-    return atr_series(series, n)[-1]
-
-
 def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[IndicatorValue]:
     """middle = SMA_n, upper/lower = middle ± k*sigma with population sigma
     over the last n closes."""
@@ -257,10 +245,6 @@ def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[Ind
             )
         )
     return out
-
-
-def bollinger(series: BarSeries, n: int = 20, k: float = 2.0) -> IndicatorValue:
-    return bollinger_series(series, n, k)[-1]
 
 
 def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) -> IndicatorValue:
@@ -323,88 +307,132 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) 
     )
 
 
+Extremum = tuple[int, float, int]  # (bar index, price, volume)
+
+
+def local_extrema(series: BarSeries) -> tuple[list[Extremum], list[Extremum]]:
+    """Local highs and lows of `series`, in bar order.
+
+    A bar is a local high (low) when its high (low) is the max (min) of its
+    ±2-bar neighborhood and some neighbor is strictly lower (higher); the two
+    bars at each end are excluded. The test at bar j reads bars j-2..j+2
+    only, so on the bars up to index i the extrema are those with j <= i - 2.
+    """
+    bars = series.bars
+    highs = [float(b.high) for b in bars]
+    lows = [float(b.low) for b in bars]
+    local_highs: list[Extremum] = []
+    local_lows: list[Extremum] = []
+    for j in range(2, len(bars) - 2):
+        nb_high = highs[j - 2 : j + 3]
+        if highs[j] >= max(nb_high) and any(h < highs[j] for h in nb_high):
+            local_highs.append((j, highs[j], bars[j].volume))
+        nb_low = lows[j - 2 : j + 3]
+        if lows[j] <= min(nb_low) and any(low > lows[j] for low in nb_low):
+            local_lows.append((j, lows[j], bars[j].volume))
+    return local_highs, local_lows
+
+
+def cluster_levels(points: Iterable[tuple[float, int]], tolerance_pct: float, min_touches: int) -> tuple[Level, ...]:
+    """Cluster (price, volume) extrema into horizontal bands.
+
+    Extrema within tolerance_pct of a cluster's mean price join it; clusters
+    reaching min_touches become levels with strength = touch-count x volume
+    weight, normalized to (0, 1].
+    """
+    points = sorted(points)
+    if not points:
+        return ()
+    prices: list[list[float]] = [[points[0][0]]]  # per cluster
+    volumes: list[list[int]] = [[points[0][1]]]
+    for price, vol in points[1:]:
+        mean = sum(prices[-1]) / len(prices[-1])
+        if mean > 0 and abs(price - mean) / mean * 100.0 <= tolerance_pct:
+            prices[-1].append(price)
+            volumes[-1].append(vol)
+        else:
+            prices.append([price])
+            volumes.append([vol])
+    raw = [(sum(ps) / len(ps), len(ps), sum(vs)) for ps, vs in zip(prices, volumes) if len(ps) >= min_touches]
+    if not raw:
+        return ()
+    max_weight = max(t * max(v, 1) for _, t, v in raw)
+    return tuple(
+        Level(price=price, strength=(t * max(v, 1)) / max_weight, touches=t)
+        for price, t, v in raw
+    )
+
+
+def levels_at(
+    series: BarSeries,
+    extrema: tuple[list[Extremum], list[Extremum]],
+    i: int,
+    tolerance_pct: float = 0.5,
+    min_touches: int = 2,
+) -> LevelSet:
+    """The support/resistance levels of the bars up to index i, given the
+    `local_extrema` of `series` (or of any longer series it begins)."""
+    cutoff = i - 2
+
+    def known(points: list[Extremum]) -> list[tuple[float, int]]:
+        return [(price, vol) for _, price, vol in points[: bisect_right(points, cutoff, key=itemgetter(0))]]
+
+    highs, lows = extrema
+    return LevelSet(
+        as_of=series.bars[i].session_date,
+        support=cluster_levels(known(lows), tolerance_pct, min_touches),
+        resistance=cluster_levels(known(highs), tolerance_pct, min_touches),
+    )
+
+
 def detect_levels(
     series: BarSeries, tolerance_pct: float = 0.5, min_touches: int = 2
 ) -> LevelSet:
-    """Cluster local extrema into horizontal support/resistance bands.
-
-    A bar is a local high (low) when its high (low) is the max (min) of its
-    ±2-bar neighborhood; series edges are excluded. Extrema within
-    tolerance_pct of a cluster's mean price join it; clusters reaching
-    min_touches become levels with strength = touch-count x volume weight,
-    normalized to (0, 1].
-    """
+    """Support/resistance levels at the last bar of `series`: its local
+    extrema, clustered."""
     if len(series.bars) < 3:
         raise IndicatorError("need at least 3 bars")
-    as_of = series.bars[-1].session_date
-    bars = series.bars
-    n = len(bars)
-
-    highs: list[tuple[float, int]] = []  # (price, volume)
-    lows: list[tuple[float, int]] = []
-    for i in range(2, n - 2):
-        nb = bars[i - 2 : i + 3]
-        if float(bars[i].high) >= max(float(b.high) for b in nb) and any(
-            float(b.high) < float(bars[i].high) for b in nb
-        ):
-            highs.append((float(bars[i].high), bars[i].volume))
-        if float(bars[i].low) <= min(float(b.low) for b in nb) and any(
-            float(b.low) > float(bars[i].low) for b in nb
-        ):
-            lows.append((float(bars[i].low), bars[i].volume))
-
-    def cluster(points: list[tuple[float, int]]) -> list[Level]:
-        if not points:
-            return []
-        points = sorted(points)
-        groups: list[list[tuple[float, int]]] = [[points[0]]]
-        for price, vol in points[1:]:
-            mean = sum(p for p, _ in groups[-1]) / len(groups[-1])
-            if mean > 0 and abs(price - mean) / mean * 100.0 <= tolerance_pct:
-                groups[-1].append((price, vol))
-            else:
-                groups.append([(price, vol)])
-        kept = [g for g in groups if len(g) >= min_touches]
-        if not kept:
-            return []
-        raw = [
-            (sum(p for p, _ in g) / len(g), len(g), sum(v for _, v in g))
-            for g in kept
-        ]
-        max_weight = max(t * max(v, 1) for _, t, v in raw)
-        return [
-            Level(price=price, strength=(t * max(v, 1)) / max_weight, touches=t)
-            for price, t, v in raw
-        ]
-
-    return LevelSet(as_of=as_of, support=tuple(cluster(lows)), resistance=tuple(cluster(highs)))
+    return levels_at(series, local_extrema(series), len(series.bars) - 1, tolerance_pct, min_touches)
 
 
 DEFAULT_SMA_WINDOWS = (20, 50, 100, 200)
 DEFAULT_EMA_WINDOWS = (12, 26)
+_STANDARD_SERIES = (
+    *(partial(sma_series, n=n) for n in DEFAULT_SMA_WINDOWS),
+    *(partial(ema_series, n=n) for n in DEFAULT_EMA_WINDOWS),
+    rsi_series,
+    macd_series,
+    atr_series,
+    bollinger_series,
+)
+
+
+def snapshots(series: BarSeries, indices: Sequence[int], profile_window: int = 63) -> list[list[IndicatorValue]]:
+    """The standard indicator set at each bar index in `indices`: SMA
+    20/50/100/200, EMA 12/26, RSI 14, MACD 12/26/9, ATR 14, Bollinger 20/2,
+    and a volume profile over the trailing `profile_window` bars.
+
+    Every indicator reads only past bars, so the set at index i equals the
+    set at the last bar of the bars up to i. Each full series is computed
+    once and dropped as soon as its values at `indices` are taken.
+    """
+    rows: list[list[IndicatorValue]] = [[] for _ in indices]
+    for compute in _STANDARD_SERIES:
+        values = compute(series)
+        for row, i in zip(rows, indices):
+            row.append(values[i])
+    for row, i in zip(rows, indices):
+        tail = replace(series, bars=series.bars[max(0, i + 1 - profile_window) : i + 1])
+        try:
+            row.append(volume_profile(tail))
+        except IndicatorError:
+            row.append(_unavailable(series.bars[i].session_date, "volume_profile", _params(n_bins=24, coverage=0.70)))
+    return rows
 
 
 def snapshot(series: BarSeries, profile_window: int = 63) -> list[IndicatorValue]:
-    """The standard indicator set at the last bar of `series`: SMA 20/50/100/200,
-    EMA 12/26, RSI 14, MACD 12/26/9, ATR 14, Bollinger 20/2, and a volume
-    profile over the trailing `profile_window` bars."""
-    values: list[IndicatorValue] = []
-    for n in DEFAULT_SMA_WINDOWS:
-        values.append(sma(series, n))
-    for n in DEFAULT_EMA_WINDOWS:
-        values.append(ema(series, n))
-    values.append(rsi(series))
-    values.append(macd(series))
-    values.append(atr(series))
-    values.append(bollinger(series))
-    tail = replace(series, bars=series.bars[-profile_window:])
-    try:
-        values.append(volume_profile(tail))
-    except IndicatorError:
-        values.append(
-            _unavailable(series.bars[-1].session_date, "volume_profile", _params(n_bins=24, coverage=0.70))
-        )
-    return values
+    """The standard indicator set at the last bar of `series`."""
+    return snapshots(series, [len(series.bars) - 1], profile_window)[0]
 
 
 def _fmt(value: float) -> str:

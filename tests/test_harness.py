@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from datetime import date
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from tradeloop.bars import serialize_bars
+from tradeloop import agents, indicators
+from tradeloop.bars import BarSeries, Lookback, Resolution, resample, serialize_bars
 from tradeloop.harness import (
     ConfigError,
     DataError,
     ExperimentConfig,
+    MarketTimeline,
     ReplayMismatch,
+    _fmt_bar_line,
     aggregate_and_report,
     load_data,
+    market_context,
     replay_run,
     run_experiment,
 )
@@ -58,10 +64,12 @@ def build_workspace(
     runs: int = 1,
     ablations: dict | None = None,
     seed: int = 21,
+    history_bars: int = HISTORY_BARS,
 ) -> ExperimentConfig:
-    """Bars, news, fundamentals, and scripted providers for a 42-session run."""
+    """Bars, news, fundamentals, and scripted providers for a 42-session run
+    at the end of `history_bars` bars."""
     tmp_path.mkdir(parents=True, exist_ok=True)
-    series = synthetic_daily(HISTORY_BARS, seed=seed)
+    series = synthetic_daily(history_bars, seed=seed)
     dates = series.dates()
     window = dates[-WINDOW_SESSIONS:]
     bars_path = tmp_path / "bars.csv"
@@ -358,6 +366,107 @@ class TestDeterminism:
             a = (arts_a[0].run_dir / name).read_bytes()
             b = (arts_b[0].run_dir / name).read_bytes()
             assert a == b, name
+
+
+# SHA-256 of the compared artifacts of one scripted adaptive_opro_with_reflection
+# run over the last 42 of 300 bars (2024-12-27 to 2025-02-24), where SMA 200,
+# the levels and all three timeframes have values. Any change to prompt text,
+# indicator values, fills or artifact formats changes them. Computed on
+# CPython 3.11; from 3.12 on, sum() of floats is compensated, which can move
+# the last digit of an indicator and so these digests.
+GOLDEN_BARS = 300
+GOLDEN_DIGESTS = {
+    "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
+    "gateway.jsonl": "03a38f87b02f52a8b8dc46a7bf60ab30f79ec35ab0c1dd70063d39e4f6cda30a",
+    "opro.jsonl": "593e21fa9de4584d3c9c33e2f4e4a96a2ce92eaa07e9b3561d16c14753f006e7",
+    "metrics.json": "68b85a0dec261ce07128a020752b98f8fde3aa4196a27cbbc09143e5c7470436",
+}
+
+
+class TestGoldenDigests:
+    def test_scripted_run_matches_pinned_digests(self, tmp_path):
+        config = build_workspace(tmp_path, mode="adaptive_opro_with_reflection", history_bars=GOLDEN_BARS)
+        artifacts, _ = run_experiment(config)
+        run_dir = artifacts[0].run_dir
+        got = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+        assert got == GOLDEN_DIGESTS
+
+
+def reference_multi_timeframe_text(series: BarSeries, as_of: date) -> str:
+    """The multi-timeframe text from plain date filters over the history."""
+    history = [b for b in series.bars if b.session_date <= as_of]
+
+    def since(lookback: Lookback) -> BarSeries:
+        start = lookback.before(as_of)
+        return BarSeries(series.symbol, series.resolution, tuple(b for b in history if b.session_date > start))
+
+    monthly = resample(since(Lookback(years=2)), Resolution.MONTHLY)
+    weekly = resample(since(Lookback(months=6)), Resolution.WEEKLY)
+    daily = since(Lookback(months=3))
+    sections = []
+    for label, sub, cap in (("Monthly (2y)", monthly, 24), ("Weekly (6m)", weekly, 26), ("Daily (3m)", daily, 63)):
+        lines = [_fmt_bar_line(b) for b in sub.bars[-cap:]]
+        sections.append(f"{label}:\n" + ("\n".join(lines) if lines else "no data"))
+    return "\n\n".join(sections)
+
+
+def reference_market_context(config: ExperimentConfig, series: BarSeries, session: date) -> dict:
+    """The market context rebuilt from scratch on the history up to `session`."""
+    history = series.up_to(session)
+    bar = history.bars[-1]
+    parts = [indicators.format_for_prompt(indicators.snapshot(history))]
+    if len(history) >= 5:
+        parts.append(indicators.format_levels(indicators.detect_levels(history)))
+    return {
+        "instrument": config.instrument,
+        "session_start": config.window_start.isoformat(),
+        "session_end": config.window_end.isoformat(),
+        "current_time": session.isoformat(),
+        "action_interval": config.action_interval,
+        "extended_intervals_analysis": reference_multi_timeframe_text(series, session),
+        "open_price": agents.fmt_price(bar.open),
+        "high_price": agents.fmt_price(bar.high),
+        "low_price": agents.fmt_price(bar.low),
+        "close_price": agents.fmt_price(bar.close),
+        "volume": str(bar.volume),
+        "vwap_str": agents.fmt_price(bar.vwap) if bar.vwap is not None else "n/a",
+        "transactions": str(bar.transactions) if bar.transactions is not None else "n/a",
+        "formatted_indicators": "\n".join(parts),
+    }
+
+
+class TestMarketTimeline:
+    """Each session's context from the once-per-run timeline equals the one
+    rebuilt from that session's history."""
+
+    def assert_contexts_match(self, series: BarSeries, sessions: list[date]) -> None:
+        config = ExperimentConfig(instrument="SYNTH", window_start=sessions[0], window_end=sessions[-1])
+        timeline = MarketTimeline(series, sessions)
+        for k, session in enumerate(sessions):
+            assert market_context(config, timeline, k) == reference_market_context(config, series, session), session
+
+    def test_histories_of_one_to_six_bars(self):
+        # 1-2 bars: no levels at all; 3-4 bars: extrema need 5; 5-6 bars: levels render.
+        series = synthetic_daily(6, seed=4)
+        self.assert_contexts_match(series, series.dates())
+
+    def test_month_and_iso_year_boundaries_short_history(self):
+        # Nov 2024 to Jan 2025: SMA 200 is n/a throughout, 2024-12-30 opens ISO
+        # week 1 of 2025, and the last two sessions are the series' last bars.
+        series = synthetic_daily(60, seed=5, start=date(2024, 11, 1))
+        assert series.dates()[-1] == date(2025, 1, 23)
+        self.assert_contexts_match(series, series.dates())
+
+    def test_feb_29_as_of_clamps_lookbacks(self):
+        # Three years of history; the sessions stop before the series does.
+        series = synthetic_daily(800, seed=6, start=date(2021, 3, 1))
+        sessions = [d for d in series.dates() if date(2024, 2, 26) <= d <= date(2024, 3, 5)]
+        assert date(2024, 2, 29) in sessions and sessions[-1] < series.dates()[-1]
+        self.assert_contexts_match(series, sessions)
+
+    def test_last_two_bars_of_long_series(self):
+        series = synthetic_daily(260, seed=8)
+        self.assert_contexts_match(series, series.dates()[-2:])
 
 
 class TestReplay:

@@ -16,18 +16,17 @@ from tradeloop.bars import BarSeries, Resolution
 from tradeloop.indicators import (
     IndicatorError,
     atr_series,
-    bollinger,
     bollinger_series,
     detect_levels,
     ema_series,
     format_for_prompt,
-    macd,
+    levels_at,
+    local_extrema,
     macd_series,
-    rsi,
     rsi_series,
-    sma,
     sma_series,
     snapshot,
+    snapshots,
     to_jsonl,
     true_ranges,
     volume_profile,
@@ -129,11 +128,11 @@ def bollinger_oracle(closes: list[float], n: int, k: float, i: int):
 class TestSMA:
     def test_constant_series(self):
         series = series_from_closes([7.0] * 25)
-        assert sma(series, 20).value == pytest.approx(7.0)
+        assert sma_series(series, 20)[-1].value == pytest.approx(7.0)
 
     def test_tiny_mean(self):
         series = series_from_closes([1.0, 2.0, 3.0])
-        assert sma(series, 3).value == pytest.approx(2.0)
+        assert sma_series(series, 3)[-1].value == pytest.approx(2.0)
 
     def test_unavailable_before_window(self):
         series = series_from_closes([1.0, 2.0])
@@ -142,7 +141,7 @@ class TestSMA:
 
     def test_zero_window_rejected(self):
         with pytest.raises(IndicatorError):
-            sma(series_from_closes([1.0]), 0)
+            sma_series(series_from_closes([1.0]), 0)[-1]
 
     def test_matches_oracle(self, random_series):
         closes = random_series.closes()
@@ -188,11 +187,11 @@ class TestEMA:
 class TestRSI:
     def test_strictly_increasing_is_100(self):
         series = series_from_closes([float(i) + 1 for i in range(30)])
-        assert rsi(series).value == pytest.approx(100.0)
+        assert rsi_series(series)[-1].value == pytest.approx(100.0)
 
     def test_strictly_decreasing_is_0(self):
         series = series_from_closes([100.0 - i for i in range(30)])
-        assert rsi(series).value == pytest.approx(0.0)
+        assert rsi_series(series)[-1].value == pytest.approx(0.0)
 
     def test_alternating_is_50(self):
         # 14 alternating +1/-1 changes: 7 gains, 7 losses -> RS = 1 -> RSI 50.
@@ -202,7 +201,7 @@ class TestRSI:
             closes.append(x)
             x += 1.0 if i % 2 == 0 else -1.0
         series = series_from_closes(closes)
-        assert rsi(series).value == pytest.approx(50.0)
+        assert rsi_series(series)[-1].value == pytest.approx(50.0)
 
     def test_alternating_oscillates_near_50(self):
         closes = []
@@ -231,14 +230,14 @@ class TestRSI:
 class TestMACD:
     def test_constant_series_is_zero(self):
         series = series_from_closes([50.0] * 60)
-        value = macd(series).value
+        value = macd_series(series)[-1].value
         assert value["macd"] == pytest.approx(0.0)
         assert value["signal"] == pytest.approx(0.0)
         assert value["histogram"] == pytest.approx(0.0)
 
     def test_linear_ramp_positive(self):
         series = series_from_closes([100.0 + i for i in range(60)])
-        assert macd(series).value["macd"] > 0
+        assert macd_series(series)[-1].value["macd"] > 0
 
     def test_histogram_identity(self, random_series):
         for v in macd_series(random_series):
@@ -296,14 +295,14 @@ class TestATR:
 class TestBollinger:
     def test_constant_collapses(self):
         series = series_from_closes([9.0] * 25)
-        value = bollinger(series).value
+        value = bollinger_series(series)[-1].value
         assert value["upper"] == pytest.approx(value["middle"])
         assert value["lower"] == pytest.approx(value["middle"])
 
     def test_two_point_by_hand(self):
         # closes [1,3], n=2, k=2: middle 2, sigma 1, bands (4, 0).
         series = series_from_closes([1.0, 3.0])
-        value = bollinger(series, n=2, k=2.0).value
+        value = bollinger_series(series, n=2, k=2.0)[-1].value
         assert value["middle"] == pytest.approx(2.0)
         assert value["upper"] == pytest.approx(4.0)
         assert value["lower"] == pytest.approx(0.0)
@@ -322,7 +321,7 @@ class TestBollinger:
 
     def test_n_below_2_rejected(self):
         with pytest.raises(IndicatorError):
-            bollinger(series_from_closes([1.0, 2.0]), n=1)
+            bollinger_series(series_from_closes([1.0, 2.0]), n=1)[-1]
 
     def test_matches_oracle(self, random_series):
         closes = random_series.closes()
@@ -499,6 +498,29 @@ class TestDetectLevels:
     def test_needs_three_bars(self):
         with pytest.raises(IndicatorError):
             detect_levels(series_from_closes([1.0, 2.0]))
+
+
+class TestPerBarSets:
+    """Values at every bar from one pass equal those on each prefix."""
+
+    def test_snapshots_equal_prefix_snapshots(self, random_series):
+        bars = random_series.bars
+        rows = snapshots(random_series, range(len(bars)))
+        for i, row in enumerate(rows):
+            assert row == snapshot(BarSeries("SYNTH", Resolution.DAILY, bars[: i + 1])), i
+
+    def test_levels_at_equal_prefix_levels(self, random_series):
+        bars = random_series.bars
+        extrema = local_extrema(random_series)
+        for i in range(2, len(bars)):
+            prefix = BarSeries("SYNTH", Resolution.DAILY, bars[: i + 1])
+            assert levels_at(random_series, extrema, i) == detect_levels(prefix), i
+
+    def test_extrema_need_two_bars_after(self):
+        series = series_from_closes([1.0, 2.0, 5.0, 2.0, 1.0])
+        highs, lows = local_extrema(series)
+        assert highs == [(2, 5.0, 1000)] and lows == []
+        assert local_extrema(series_from_closes([1.0, 5.0, 1.0, 1.0])) == ([], [])
 
 
 class TestSnapshotRendering:
