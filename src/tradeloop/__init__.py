@@ -3,7 +3,7 @@ windowed prompt optimization."""
 
 from .bars import Bar, BarSeries, CorporateAction, Lookback, Resolution, SessionCalendar
 from .engine import Action, ExecutionEngine, Fill, Order, OrderType, PortfolioState
-from .metrics import MetricReport, TradeFill
+from .metrics import MetricReport
 from .opro import window_score
 from .templates import PromptTemplate, extract_placeholders
 
@@ -24,7 +24,6 @@ __all__ = [
     "PromptTemplate",
     "Resolution",
     "SessionCalendar",
-    "TradeFill",
     "extract_placeholders",
     "window_score",
     "__version__",

@@ -1,11 +1,11 @@
-"""Analyst agents, decision context assembly, and strict order parsing.
+"""Conversational agents, decision context assembly, and strict order parsing.
 
-The market/news/fundamental analysts are conversational: the first call
-renders the initial asset, later calls the follow-up asset, and responses
-accumulate as assistant turns. The central agent consumes their texts plus
-portfolio state and must answer with a bare JSON array of orders — anything
-off-schema is rejected field-by-field, re-asked a bounded number of times,
-and finally treated as "no action".
+Every agent is one role's conversation: the first call renders the initial
+asset, later calls the follow-up asset, and responses accumulate as assistant
+turns. The market/news/fundamental analysts just ask; the central agent
+consumes their texts plus portfolio state and must answer with a bare JSON
+array of orders — anything off-schema is rejected field-by-field, re-asked a
+bounded number of times, and finally treated as "no action".
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .templates import PromptTemplate
 ORDER_FIELDS = ("action", "orderType", "price", "quantity", "explanation")
 ACTIONS = tuple(a.value for a in Action)
 ORDER_TYPES = tuple(t.value for t in OrderType)
-NEWS_SECTIONS = ("Sentiment Assessment", "Key Developments", "Market Relevance", "Source Analysis")
+MAX_REASKS = 2
 
 FORMAT_REMINDER = (
     "Your previous reply could not be parsed as an order list. "
@@ -34,18 +34,6 @@ FORMAT_REMINDER = (
     "null for MARKET orders and a positive number otherwise; quantity must be a "
     "positive integer. No extra text."
 )
-
-WEB_SEARCH_NOT_AVAILABLE = "web_search tool: NOT_AVAILABLE in this environment"
-
-
-def web_search(query: str) -> str:
-    """Stub for the news analyst's article-retrieval tool.
-
-    The prompt advertises the tool to keep the shipped assets faithful; the
-    endpoint itself is out of scope and always reports unavailability.
-    """
-    return WEB_SEARCH_NOT_AVAILABLE
-
 
 class OrderParseError(ValueError):
     """Raised on any deviation from the strict order grammar."""
@@ -63,14 +51,6 @@ class OrderSpec:
     price: Decimal | None
     quantity: int
     explanation: str
-
-
-@dataclass(frozen=True)
-class AnalystReport:
-    author: str  # market | news | fundamental | reflection
-    as_of: date
-    text: str
-    sections: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -119,7 +99,7 @@ def recent_activity_text(fills: Sequence, limit: int = 5) -> str:
     if not tail:
         return "None"
     lines = [
-        f"{f.executed_at.isoformat()} {f.action.value} {f.quantity} @ {fmt_price(f.price)}"
+        f"{f.executed_at.isoformat()} {f.action.value} {f.quantity} @ {fmt_price(f.fill_price)}"
         for f in tail
     ]
     return "\n".join(lines)
@@ -177,20 +157,26 @@ class DecisionContext:
 
 
 def load_news_jsonl(text: str) -> list[NewsItem]:
+    """One item per non-blank line; ValueError names the first line that is
+    not a JSON object with a `title` and a `ts` that starts with an ISO date."""
     items: list[NewsItem] = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        items.append(
-            NewsItem(
-                ts=obj["ts"],
-                title=obj["title"],
-                url=obj.get("url", ""),
-                summary=obj.get("summary", ""),
-                keywords=tuple(obj.get("keywords", ())),
+        try:
+            obj = json.loads(line)
+            date.fromisoformat(obj["ts"][:10])
+            items.append(
+                NewsItem(
+                    ts=obj["ts"],
+                    title=obj["title"],
+                    url=obj.get("url", ""),
+                    summary=obj.get("summary", ""),
+                    keywords=tuple(obj.get("keywords", ())),
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"line {n}: {exc!r}") from None
     return items
 
 
@@ -220,21 +206,6 @@ def render_news_batch(items: Sequence[NewsItem]) -> str:
             lines.append("Keywords: " + ", ".join(it.keywords))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
-
-
-def parse_news_sections(text: str) -> tuple[tuple[str, str], ...]:
-    """Pull the four structured sections out of a news report when present."""
-    found: list[tuple[str, int, int]] = []
-    for name in NEWS_SECTIONS:
-        m = re.search(rf"\*{{0,2}}{re.escape(name)}\*{{0,2}}\s*:?", text)
-        if m:
-            found.append((name, m.start(), m.end()))
-    found.sort(key=lambda t: t[1])
-    out: list[tuple[str, str]] = []
-    for i, (name, _, body_start) in enumerate(found):
-        body_end = found[i + 1][1] if i + 1 < len(found) else len(text)
-        out.append((name, text[body_start:body_end].strip()))
-    return tuple(out)
 
 
 # -- fundamentals ------------------------------------------------------------
@@ -319,82 +290,41 @@ def render_fundamental_data(snapshots: Sequence[FundamentalSnapshot]) -> str:
 
 
 class ConversationalAgent:
-    """Initial-then-follow-up prompting with a growing message history."""
+    """One role's conversation with a growing message history: the first call
+    renders `initial`, later calls `followup`."""
 
-    def __init__(
-        self,
-        role: str,
-        gateway: Gateway,
-        initial: PromptTemplate,
-        followup: PromptTemplate,
-        model_id: str = "",
-        params: tuple[tuple[str, object], ...] = (),
-    ):
+    def __init__(self, role: str, gateway: Gateway, initial: PromptTemplate, followup: PromptTemplate):
         self.role = role
         self.gateway = gateway
         self.initial = initial
         self.followup = followup
-        self.model_id = model_id
-        self.params = params
         self.system_text = ""
         self.messages: list[ChatMessage] = []
-        self.calls = 0
 
     @property
     def first_call(self) -> bool:
-        return self.calls == 0
-
-    def ask(self, context: dict, tags: tuple[tuple[str, str], ...]) -> str:
-        template = self.initial if self.first_call else self.followup
-        rendered = template.render(context)
-        if self.first_call and rendered.system_text:
-            self.system_text = rendered.system_text
-        self.messages.append(ChatMessage(role="user", text=rendered.user_text))
-        request = ChatRequest(
-            system_text=self.system_text,
-            messages=tuple(self.messages),
-            model_id=self.model_id,
-            params=self.params,
-            tags=tags + (("role", self.role),),
-        )
-        response = self.gateway.complete(request)
-        self.messages.append(ChatMessage(role="assistant", text=response.text))
-        self.calls += 1
-        return response.text
+        return not self.messages
 
     def reset(self) -> None:
+        """Drop the conversation so the next call re-renders `initial`."""
         self.system_text = ""
         self.messages.clear()
-        self.calls = 0
 
+    def ask(self, context: dict, tags: tuple[tuple[str, str], ...] = ()) -> str:
+        return self._send(self._render(context), tuple(tags) + (("role", self.role),))
 
-class MarketAnalyst(ConversationalAgent):
-    def __init__(self, gateway, initial, followup, **kw):
-        super().__init__("market", gateway, initial, followup, **kw)
+    def _render(self, context: dict) -> str:
+        rendered = (self.initial if self.first_call else self.followup).render(context)
+        if self.first_call and rendered.system_text:
+            self.system_text = rendered.system_text
+        return rendered.user_text
 
-    def report(self, context: dict, as_of: date, tags=()) -> AnalystReport:
-        text = self.ask(context, tuple(tags))
-        return AnalystReport(author="market", as_of=as_of, text=text)
-
-
-class NewsAnalyst(ConversationalAgent):
-    def __init__(self, gateway, initial, followup, **kw):
-        super().__init__("news", gateway, initial, followup, **kw)
-
-    def report(self, context: dict, as_of: date, tags=()) -> AnalystReport:
-        text = self.ask(context, tuple(tags))
-        return AnalystReport(
-            author="news", as_of=as_of, text=text, sections=parse_news_sections(text)
-        )
-
-
-class FundamentalAnalyst(ConversationalAgent):
-    def __init__(self, gateway, initial, followup, **kw):
-        super().__init__("fundamental", gateway, initial, followup, **kw)
-
-    def report(self, context: dict, as_of: date, tags=()) -> AnalystReport:
-        text = self.ask(context, tuple(tags))
-        return AnalystReport(author="fundamental", as_of=as_of, text=text)
+    def _send(self, user_text: str, tags: tuple[tuple[str, str], ...]) -> str:
+        self.messages.append(ChatMessage(role="user", text=user_text))
+        request = ChatRequest(system_text=self.system_text, messages=tuple(self.messages), tags=tags)
+        response = self.gateway.complete(request)
+        self.messages.append(ChatMessage(role="assistant", text=response.text))
+        return response.text
 
 
 # -- order parsing -----------------------------------------------------------
@@ -499,70 +429,23 @@ def orders_from_specs(specs: Sequence[OrderSpec], submitted_at: date, id_prefix:
 @dataclass
 class DecisionOutcome:
     specs: list[OrderSpec]
-    raw_text: str
     attempts: int
-    gave_up: bool  # parse failures exhausted the retry budget -> treated as []
+    gave_up: bool  # parse failures exhausted the re-asks -> treated as []
 
 
-class CentralAgent:
-    """The decision maker: renders the template the harness hands it (live
-    initial on the first call of a conversation, follow-up after), parses
-    orders strictly, re-asks on malformed output, then falls back to []."""
+class CentralAgent(ConversationalAgent):
+    """The decision maker: parses orders strictly, re-asks on malformed output
+    up to MAX_REASKS times, then falls back to []."""
 
-    def __init__(
-        self,
-        gateway: Gateway,
-        model_id: str = "",
-        params: tuple[tuple[str, object], ...] = (),
-        max_retries: int = 2,
-    ):
-        self.role = "cta"
-        self.gateway = gateway
-        self.model_id = model_id
-        self.params = params
-        self.max_retries = max_retries
-        self.system_text = ""
-        self.messages: list[ChatMessage] = []
-        self.calls = 0
-
-    @property
-    def first_call(self) -> bool:
-        return self.calls == 0
-
-    def reset(self) -> None:
-        """Drop the conversation so the next decision re-renders the live
-        initial template (used after prompt-optimizer updates)."""
-        self.system_text = ""
-        self.messages.clear()
-        self.calls = 0
-
-    def decide(self, template: PromptTemplate, ctx: DecisionContext, tags=()) -> DecisionOutcome:
-        rendered = template.render(ctx.to_render_context())
-        if self.first_call and rendered.system_text:
-            self.system_text = rendered.system_text
-        user_text = rendered.user_text
+    def decide(self, ctx: DecisionContext, tags=()) -> DecisionOutcome:
+        user_text = self._render(ctx.to_render_context())
         attempts = 0
         while True:
             attempts += 1
-            self.messages.append(ChatMessage(role="user", text=user_text))
-            request = ChatRequest(
-                system_text=self.system_text,
-                messages=tuple(self.messages),
-                model_id=self.model_id,
-                params=self.params,
-                tags=tuple(tags) + (("role", self.role), ("attempt", str(attempts))),
-            )
-            response = self.gateway.complete(request)
-            self.messages.append(ChatMessage(role="assistant", text=response.text))
-            self.calls += 1
+            reply = self._send(user_text, tuple(tags) + (("role", self.role), ("attempt", str(attempts))))
             try:
-                specs = parse_orders(response.text)
-                return DecisionOutcome(
-                    specs=specs, raw_text=response.text, attempts=attempts, gave_up=False
-                )
+                return DecisionOutcome(specs=parse_orders(reply), attempts=attempts, gave_up=False)
             except OrderParseError as exc:
-                if attempts > self.max_retries:
-                    return DecisionOutcome(
-                        specs=[], raw_text=response.text, attempts=attempts, gave_up=True
-                    )
+                if attempts > MAX_REASKS:
+                    return DecisionOutcome(specs=[], attempts=attempts, gave_up=True)
                 user_text = f"{FORMAT_REMINDER}\n(parse error: {exc})"

@@ -147,9 +147,6 @@ class SessionCalendar:
     def from_series(cls, series: BarSeries) -> "SessionCalendar":
         return cls(tuple(series.dates()))
 
-    def __contains__(self, d: date) -> bool:
-        return d in set(self.trading_dates)
-
     def sessions_between(self, start: date, end: date) -> list[date]:
         return [d for d in self.trading_dates if start <= d <= end]
 

@@ -1,6 +1,9 @@
 """Command-line entry points: run, backtest, report, replay, validate-data.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 provider error.
+Exit codes: 0 success, 2 config error (a bad config file or value, or a
+malformed prompt template in `prompt_dir`), 3 data error (a missing or
+malformed bars, actions, calendar, news or fundamentals file), 4 provider
+error (including a replay that diverges).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .harness import (
 )
 from .metrics import MetricReport, aggregate_runs, render_table
 from .strategies import StrategyConfig, StrategyKind, run_strategy
+from .templates import TemplateError
 
 
 def _cmd_run(args) -> int:
@@ -177,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, TemplateError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, BarDataError, FileNotFoundError) as exc:

@@ -16,6 +16,7 @@ cancel at session close.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from datetime import date
@@ -78,11 +79,16 @@ class Order:
 
 @dataclass(frozen=True)
 class Fill:
+    """One executed order. A window-end forced cover is `forced`: it closes a
+    round trip but is not an executed order for trade counting."""
+
     order_id: str
+    action: Action
     executed_at: date
     fill_price: Decimal
     quantity: int
     clamped_from: int | None = None
+    forced: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,31 +127,32 @@ def portfolio_value(portfolio: PortfolioState, close: Decimal) -> Decimal:
 
 
 class AuditLog:
-    """Append-only JSONL event stream with stable field ordering."""
+    """Append-only JSONL stream, one compact JSON object per line.
 
-    def __init__(self, sink: IO[str] | Path | str | None = None):
-        self.lines: list[str] = []
-        self._fh: IO[str] | None = None
-        if sink is not None:
-            if isinstance(sink, (str, Path)):
-                self._fh = open(sink, "w", encoding="utf-8")
-            else:
-                self._fh = sink
+    Keys keep insertion order, or are sorted with `sort_keys`. Every line goes
+    straight to the sink (a path opens a new file, no sink means memory) and
+    nothing else is kept: `text()` reads back what was written to a path or
+    to memory.
+    """
+
+    def __init__(self, sink: IO[str] | Path | str | None = None, sort_keys: bool = False):
+        self.path = Path(sink) if isinstance(sink, (str, Path)) else None
+        if self.path is not None:
+            sink = open(self.path, "w", encoding="utf-8")
+        self._fh = io.StringIO() if sink is None else sink
+        self.sort_keys = sort_keys
 
     def append(self, event: dict) -> None:
-        line = json.dumps(event, separators=(",", ":"), default=str)
-        self.lines.append(line)
-        if self._fh is not None:
-            self._fh.write(line + "\n")
-            self._fh.flush()
+        self._fh.write(json.dumps(event, separators=(",", ":"), sort_keys=self.sort_keys, default=str) + "\n")
+        self._fh.flush()
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
 
     def text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+        if self.path is None:
+            return self._fh.getvalue()
+        return self.path.read_text(encoding="utf-8")
 
 
 def _order_payload(order: Order) -> dict:
@@ -323,6 +330,7 @@ class ExecutionEngine:
 
             fill = Fill(
                 order_id=order.id,
+                action=order.action,
                 executed_at=bar.session_date,
                 fill_price=price,
                 quantity=qty,
@@ -400,9 +408,11 @@ class ExecutionEngine:
             self._short = 0
             fill = Fill(
                 order_id=f"forced-cover-{bar.session_date.isoformat()}",
+                action=Action.SHORT_COVER,
                 executed_at=bar.session_date,
                 fill_price=price,
                 quantity=qty,
+                forced=True,
             )
             fills.append(fill)
             self.audit.append(
@@ -452,11 +462,26 @@ def fill_price(order: Order, bar) -> Decimal | None:
     return None
 
 
-def executed_trades(audit: AuditLog) -> list[dict]:
-    """FILL and FORCED_COVER events parsed back from an audit log."""
-    out = []
-    for line in audit.lines:
+def trades_from_audit(audit: AuditLog) -> list[Fill]:
+    """The fills an engine audit records, from its FILL and FORCED_COVER events."""
+    fills = []
+    for line in audit.text().splitlines():
         obj = json.loads(line)
-        if obj["type"] in ("FILL", "FORCED_COVER"):
-            out.append(obj)
-    return out
+        if obj["type"] == "FILL":
+            action, forced = Action(obj["action"]), False
+        elif obj["type"] == "FORCED_COVER":
+            action, forced = Action.SHORT_COVER, True
+        else:
+            continue
+        fills.append(
+            Fill(
+                order_id=obj["order_id"],
+                action=action,
+                executed_at=date.fromisoformat(obj["date"]),
+                fill_price=Decimal(obj["price"]),
+                quantity=obj["quantity"],
+                clamped_from=obj.get("clamped_from"),
+                forced=forced,
+            )
+        )
+    return fills

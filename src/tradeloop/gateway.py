@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Protocol
 
+from .engine import AuditLog
+
 DEFAULT_BACKOFF_S = (1.0, 4.0, 16.0)
 RETRYABLE = ("TIMEOUT", "RATE_LIMITED")
 
@@ -59,7 +61,6 @@ class ChatResponse:
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
     latency_s: float = 0.0
-    provider_meta: tuple[tuple[str, object], ...] = ()
 
 
 def request_payload(request: ChatRequest) -> dict:
@@ -249,19 +250,11 @@ class Gateway:
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.sleep = sleep
-        self.audit_lines: list[str] = []
+        self.audit = AuditLog(audit_sink, sort_keys=True)
         self._counter = 0
-        self._fh: IO[str] | None = None
-        if audit_sink is not None:
-            if isinstance(audit_sink, (str, Path)):
-                self._fh = open(audit_sink, "w", encoding="utf-8")
-            else:
-                self._fh = audit_sink
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self.audit.close()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if not request.messages:
@@ -283,15 +276,12 @@ class Gateway:
 
     def _audit(self, request: ChatRequest, response: ChatResponse) -> None:
         self._counter += 1
-        record = {
-            "ts": f"{self._counter:06d}",
-            "tags": dict(request.tags),
-            "request_hash": request_hash(request),
-            "request": request_payload(request),
-            "response": {"text": response.text},
-        }
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        self.audit_lines.append(line)
-        if self._fh is not None:
-            self._fh.write(line + "\n")
-            self._fh.flush()
+        self.audit.append(
+            {
+                "ts": f"{self._counter:06d}",
+                "tags": dict(request.tags),
+                "request_hash": request_hash(request),
+                "request": request_payload(request),
+                "response": {"text": response.text},
+            }
+        )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
-import shutil
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal
@@ -21,10 +21,9 @@ from pathlib import Path
 
 from . import agents, indicators, metrics, opro
 from .bars import BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, parse_bars, adjust_for_actions, resample, window_slice
-from .engine import Action, AuditLog, ExecutionEngine, Rejection
+from .engine import AuditLog, ExecutionEngine, Fill, Rejection, trades_from_audit
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
-from .metrics import MetricReport, TradeFill, aggregate_runs, compute_report, render_csv, render_table
-from .strategies import trades_from_audit
+from .metrics import MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import load_asset_text, load_template
 
 PROMPTING_MODES = ("baseline", "reflection", "adaptive_opro", "adaptive_opro_with_reflection")
@@ -79,7 +78,6 @@ class ProviderConfig:
     default_response: str = ""
     script: list = field(default_factory=list)
     replay_path: str = ""
-    params: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ProviderConfig":
@@ -193,26 +191,39 @@ def load_data(config: ExperimentConfig) -> LoadedData:
         series = adjust_for_actions(series, actions)
 
     if paths.get("calendar"):
-        dates = [
-            date.fromisoformat(line.strip())
-            for line in Path(paths["calendar"]).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        try:
+            dates = [
+                date.fromisoformat(line.strip())
+                for line in Path(paths["calendar"]).read_text(encoding="utf-8").splitlines()
+                if line.strip()
+            ]
+        except ValueError as exc:
+            raise DataError(f"bad calendar file {paths['calendar']}: {exc}") from None
         calendar = SessionCalendar(tuple(dates))
     else:
         calendar = SessionCalendar.from_series(series)
 
     news = []
     if paths.get("news"):
-        news = agents.load_news_jsonl(Path(paths["news"]).read_text(encoding="utf-8"))
+        try:
+            news = agents.load_news_jsonl(Path(paths["news"]).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise DataError(f"bad news file {paths['news']}: {exc}") from None
 
     fundamentals = []
     if paths.get("fundamentals"):
-        raw = json.loads(Path(paths["fundamentals"]).read_text(encoding="utf-8"))
-        for obj in raw:
+        # A list of objects, each with an ISO filing_date; other fields are optional.
+        try:
+            raw = json.loads(Path(paths["fundamentals"]).read_text(encoding="utf-8"))
+            if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
+                raise ValueError("expected a list of objects")
+            filing_dates = [date.fromisoformat(obj["filing_date"]) for obj in raw]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"bad fundamentals file {paths['fundamentals']}: {exc!r}") from None
+        for obj, filing_date in zip(raw, filing_dates):
             fundamentals.append(
                 agents.FundamentalSnapshot(
-                    filing_date=date.fromisoformat(obj["filing_date"]),
+                    filing_date=filing_date,
                     period_label=obj.get("period_label", ""),
                     revenue=obj.get("revenue"),
                     cogs=obj.get("cogs"),
@@ -240,7 +251,7 @@ def load_data(config: ExperimentConfig) -> LoadedData:
     return LoadedData(bars=series, calendar=calendar, news=news, fundamentals=fundamentals, actions=actions)
 
 
-def build_provider(pconf: ProviderConfig, run_dir: Path | None = None):
+def build_provider(pconf: ProviderConfig):
     if pconf.kind == "scripted":
         entries = [
             ScriptEntry(
@@ -264,7 +275,7 @@ def build_provider(pconf: ProviderConfig, run_dir: Path | None = None):
     raise ConfigError(f"unknown provider kind {pconf.kind!r}")
 
 
-def build_router(config: ExperimentConfig, run_dir: Path):
+def build_router(config: ExperimentConfig):
     """Per-role providers with a single shared default instance.
 
     Roles without their own config all route to the one default provider, so
@@ -276,8 +287,8 @@ def build_router(config: ExperimentConfig, run_dir: Path):
     providers = {}
     for role in roles:
         if role in raw:
-            providers[role] = build_provider(ProviderConfig.from_dict(raw[role]), run_dir)
-    default = build_provider(ProviderConfig.from_dict(default_conf), run_dir) if default_conf else None
+            providers[role] = build_provider(ProviderConfig.from_dict(raw[role]))
+    default = build_provider(ProviderConfig.from_dict(default_conf)) if default_conf else None
     if not providers and default is None:
         raise ConfigError("no providers configured")
     return RouterProvider(providers, default=default)
@@ -368,14 +379,17 @@ def market_context(config: ExperimentConfig, timeline: MarketTimeline, k: int) -
 class _StepTrace:
     session: date
     step: int
-    raw_decision: str
     orders: list = field(default_factory=list)
-    rejections: list = field(default_factory=list)
-    fills: list = field(default_factory=list)
     value: Decimal = Decimal(0)
 
 
-def _period_summary(steps: list[_StepTrace], inception: Decimal) -> str:
+def _step_fills(step: _StepTrace, fills: list[Fill]) -> list[Fill]:
+    """The fills of the orders `step` placed."""
+    placed = {o.id for o in step.orders}
+    return [f for f in fills if f.order_id in placed]
+
+
+def _period_summary(steps: list[_StepTrace], fills: list[Fill], inception: Decimal) -> str:
     if not steps:
         return "No completed decisions this period."
     v_start = steps[0].value
@@ -383,7 +397,7 @@ def _period_summary(steps: list[_StepTrace], inception: Decimal) -> str:
     base = float(v_start) if v_start else float(inception)
     roi_pct = (float(v_end) - base) / base * 100.0 if base else 0.0
     n_orders = sum(len(s.orders) for s in steps)
-    n_fills = sum(len(s.fills) for s in steps)
+    n_fills = sum(len(_step_fills(s, fills)) for s in steps)
     return (
         f"Sessions {steps[0].session.isoformat()} -> {steps[-1].session.isoformat()} | "
         f"portfolio value {agents.fmt_price(v_start)} -> {agents.fmt_price(v_end)} "
@@ -391,7 +405,7 @@ def _period_summary(steps: list[_StepTrace], inception: Decimal) -> str:
     )
 
 
-def _complete_history(steps: list[_StepTrace]) -> str:
+def _complete_history(steps: list[_StepTrace], fills: list[Fill]) -> str:
     lines = []
     for s in steps:
         orders = "; ".join(
@@ -399,17 +413,19 @@ def _complete_history(steps: list[_StepTrace]) -> str:
             + (f" @ {agents.fmt_price(o.price)}" if o.price is not None else "")
             for o in s.orders
         ) or "no orders"
-        fills = "; ".join(
-            f"{f['action']} {f['quantity']} @ {f['price']}" for f in s.fills
+        filled = "; ".join(
+            f"{f.action.value} {f.quantity} @ {f.fill_price}" for f in _step_fills(s, fills)
         ) or "no fills"
         lines.append(
-            f"{s.session.isoformat()} (step {s.step}): decided [{orders}] | filled [{fills}]"
+            f"{s.session.isoformat()} (step {s.step}): decided [{orders}] | filled [{filled}]"
             f" | value {agents.fmt_price(s.value)}"
         )
     return "\n".join(lines)
 
 
 def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir: Path) -> RunArtifact:
+    """One run into `run_dir`. Its logs stream to disk and are closed on every
+    exit, so an aborted run leaves the exchanges it completed."""
     run_dir.mkdir(parents=True, exist_ok=True)
     engine_log_path = run_dir / "engine.jsonl"
     gateway_log_path = run_dir / "gateway.jsonl"
@@ -419,174 +435,155 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     total_steps = len(sessions)
     series = data.bars
 
-    audit = AuditLog(engine_log_path)
-    engine = ExecutionEngine(initial_cash=Decimal(config.initial_cash), audit=audit)
-    router = build_router(config, run_dir)
-    default_conf = (config.providers or {}).get("default", {})
-    gateway = Gateway(
-        router,
-        audit_sink=gateway_log_path,
-        max_attempts=default_conf.get("max_attempts", 3),
-    )
-
     prompt_dir = config.prompt_dir or None
     tpl = lambda name: load_template(name, override_dir=prompt_dir)
-    cta_initial = tpl("cta_initial")
-    cta_followup = tpl("cta_followup")
+    # Built before any log opens: a replay provider reads its whole recording here.
+    router = build_router(config)
 
-    optimizer = opro.AdaptiveOpro(
-        initial_template=cta_initial,
-        gateway=gateway if config.uses_opro else None,
-        optimizer_asset=load_asset_text("optimizer", override_dir=prompt_dir),
-        k=config.opro_k,
-        roi_mode=config.roi_mode,
-        log_sink=opro_log_path,
-    )
+    with ExitStack() as logs:
+        audit = logs.enter_context(closing(AuditLog(engine_log_path)))
+        engine = ExecutionEngine(initial_cash=Decimal(config.initial_cash), audit=audit)
+        default_conf = (config.providers or {}).get("default", {})
+        gateway = logs.enter_context(
+            closing(Gateway(router, audit_sink=gateway_log_path, max_attempts=default_conf.get("max_attempts", 3)))
+        )
+        optimizer = opro.AdaptiveOpro(
+            initial_template=tpl("cta_initial"),
+            gateway=gateway if config.uses_opro else None,
+            optimizer_asset=load_asset_text("optimizer", override_dir=prompt_dir),
+            k=config.opro_k,
+            roi_mode=config.roi_mode,
+            log_sink=opro_log_path,
+        )
+        logs.enter_context(closing(optimizer.log))
 
-    ab = config.ablations or {}
-    market = None if ab.get("no_market") else agents.MarketAnalyst(gateway, tpl("market_initial"), tpl("market_followup"))
-    news = None if ab.get("no_news") else agents.NewsAnalyst(gateway, tpl("news_initial"), tpl("news_followup"))
-    fundamental = (
-        None if ab.get("no_fundamental") else agents.FundamentalAnalyst(gateway, tpl("fundamental_initial"), tpl("fundamental_followup"))
-    )
-    cta = agents.CentralAgent(gateway)
-    reflection_template = tpl("reflection")
-    timeline = MarketTimeline(series, sessions) if market is not None else None
-    news_dates = [date.fromisoformat(item.ts[:10]) for item in data.news] if news is not None else []
+        ab = config.ablations or {}
 
-    event_dates = set()
-    for snap in data.fundamentals:
-        event_dates.add(snap.filing_date)
-    for action in data.actions:
-        event_dates.add(action.effective_date)
+        def analyst(role: str) -> agents.ConversationalAgent | None:
+            if ab.get(f"no_{role}"):
+                return None
+            return agents.ConversationalAgent(role, gateway, tpl(f"{role}_initial"), tpl(f"{role}_followup"))
 
-    inception = Decimal(config.initial_cash)
-    equity_dates: list[date] = []
-    equity_values: list[Decimal] = []
-    exposures: list[float] = []
-    decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
-    all_fill_lines: list = []  # TradeFill-shaped entries for recent-activity text
-    order_actions: dict[str, Action] = {}
-    steps: list[_StepTrace] = []
-    reports: dict[str, str | None] = {"market": None, "news": None, "fundamental": None, "reflection": None}
-    delivered_fundamentals = 0
+        market, news, fundamental = analyst("market"), analyst("news"), analyst("fundamental")
+        cta = agents.CentralAgent("cta", gateway, optimizer.live_template, tpl("cta_followup"))
+        reflection_template = tpl("reflection")
+        timeline = MarketTimeline(series, sessions) if market is not None else None
+        news_dates = [date.fromisoformat(item.ts[:10]) for item in data.news] if news is not None else []
 
-    for i, session in enumerate(sessions):
-        bar = series.bar_on(session)
-        step = i + 1
-        result = engine.step_session(bar)
-        for fill in result.fills:
-            action = order_actions.get(fill.order_id, Action.BUY)
-            entry = TradeFill(executed_at=fill.executed_at, action=action, quantity=fill.quantity, price=fill.fill_price)
-            all_fill_lines.append(entry)
-            if steps:
-                steps[-1].fills.append(
-                    {"action": action.value, "quantity": fill.quantity, "price": str(fill.fill_price)}
-                )
-        equity_dates.append(session)
-        equity_values.append(result.portfolio_value)
-        state = result.portfolio
-        exposures.append(float((state.shares_long + state.shares_short) * bar.close))
+        event_dates = set()
+        for snap in data.fundamentals:
+            event_dates.add(snap.filing_date)
+        for action in data.actions:
+            event_dates.add(action.effective_date)
 
-        # Reflection happens between decisions, looking back over the period.
-        if config.uses_reflection and i > 0 and i % config.reflection_interval == 0:
-            period = steps[-config.reflection_interval:]
-            context = {
-                "instrument": config.instrument,
-                "reflection_interval": str(config.reflection_interval),
-                "current_time": session.isoformat(),
-                "action_interval": config.action_interval,
-                "period_summary": _period_summary(period, inception),
-                "complete_history": _complete_history(period),
-            }
-            report = opro.reflect(
-                gateway, reflection_template, context, session, tags=(("step", str(step)),)
-            )
-            reports["reflection"] = report.text
+        inception = Decimal(config.initial_cash)
+        equity_dates: list[date] = []
+        equity_values: list[Decimal] = []
+        exposures: list[float] = []
+        decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
+        fills: list[Fill] = []
+        steps: list[_StepTrace] = []
+        reports: dict[str, str | None] = {"market": None, "news": None, "fundamental": None, "reflection": None}
+        delivered_fundamentals = 0
 
-        tags = (("step", str(step)), ("session", session.isoformat()))
-        if market is not None:
-            reports["market"] = market.report(market_context(config, timeline, i), session, tags).text
-        if news is not None:
-            lower = session - timedelta(days=3) if i == 0 else sessions[i - 1]
-            batch = [item for item, day in zip(data.news, news_dates) if lower < day <= session]
-            if batch:
+        for i, session in enumerate(sessions):
+            bar = series.bar_on(session)
+            step = i + 1
+            result = engine.step_session(bar)
+            fills.extend(result.fills)
+            equity_dates.append(session)
+            equity_values.append(result.portfolio_value)
+            state = result.portfolio
+            exposures.append(float((state.shares_long + state.shares_short) * bar.close))
+
+            # Reflection happens between decisions, looking back over the period.
+            if config.uses_reflection and i > 0 and i % config.reflection_interval == 0:
+                period = steps[-config.reflection_interval:]
+                context = {
+                    "instrument": config.instrument,
+                    "reflection_interval": str(config.reflection_interval),
+                    "current_time": session.isoformat(),
+                    "action_interval": config.action_interval,
+                    "period_summary": _period_summary(period, fills, inception),
+                    "complete_history": _complete_history(period, fills),
+                }
+                reports["reflection"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
+
+            tags = (("step", str(step)), ("session", session.isoformat()))
+            if market is not None:
+                reports["market"] = market.ask(market_context(config, timeline, i), tags)
+            if news is not None:
+                lower = session - timedelta(days=3) if i == 0 else sessions[i - 1]
+                batch = [item for item, day in zip(data.news, news_dates) if lower < day <= session]
+                if batch:
+                    ctx = {
+                        "instrument": config.instrument,
+                        "session_start": config.window_start.isoformat(),
+                        "session_end": config.window_end.isoformat(),
+                        "current_time": session.isoformat(),
+                        "joined_news": agents.render_news_batch(batch),
+                    }
+                    reports["news"] = news.ask(ctx, tags)
+            if fundamental is not None and session in event_dates:
+                available = [s for s in data.fundamentals if s.filing_date <= session]
+                fresh = available[delivered_fundamentals:]
                 ctx = {
                     "instrument": config.instrument,
                     "session_start": config.window_start.isoformat(),
                     "session_end": config.window_end.isoformat(),
                     "current_time": session.isoformat(),
-                    "joined_news": agents.render_news_batch(batch),
+                    "action_interval": config.action_interval,
+                    "fundamental_data": agents.render_fundamental_data(fresh or available),
                 }
-                reports["news"] = news.report(ctx, session, tags).text
-        if fundamental is not None and session in event_dates:
-            available = [s for s in data.fundamentals if s.filing_date <= session]
-            fresh = available[delivered_fundamentals:]
-            ctx = {
-                "instrument": config.instrument,
-                "session_start": config.window_start.isoformat(),
-                "session_end": config.window_end.isoformat(),
-                "current_time": session.isoformat(),
-                "action_interval": config.action_interval,
-                "fundamental_data": agents.render_fundamental_data(fresh or available),
-            }
-            reports["fundamental"] = fundamental.report(ctx, session, tags).text
-            delivered_fundamentals = len(available)
+                reports["fundamental"] = fundamental.ask(ctx, tags)
+                delivered_fundamentals = len(available)
 
-        ctx = agents.DecisionContext(
-            instrument=config.instrument,
-            window_start=config.window_start,
-            window_end=config.window_end,
-            now=session,
-            action_interval=config.action_interval,
-            has_bar=True,
-            open=bar.open,
-            high=bar.high,
-            low=bar.low,
-            close=bar.close,
-            volume=bar.volume,
-            market_analysis=reports["market"],
-            news_analysis=reports["news"],
-            fund_analysis=reports["fundamental"],
-            reflection_analysis=reports["reflection"],
-            shares_long=state.shares_long,
-            shares_short=state.shares_short,
-            portfolio_cash=state.cash,
-            executed_orders=agents.recent_activity_text(all_fill_lines),
-        )
-        template = optimizer.live_template if cta.first_call else cta_followup
-        outcome = cta.decide(template, ctx, tags=tags)
-        if outcome.gave_up:
-            decision_fallbacks += 1
-        trace = _StepTrace(session=session, step=step, raw_decision=outcome.raw_text, value=result.portfolio_value)
-        orders = agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}")
-        for order in orders:
-            placed = engine.validate_and_queue(order, last_close=bar.close)
-            if isinstance(placed, Rejection):
-                trace.rejections.append(placed)
-            else:
-                order_actions[placed.id] = placed.action
-                trace.orders.append(placed)
-        steps.append(trace)
+            ctx = agents.DecisionContext(
+                instrument=config.instrument,
+                window_start=config.window_start,
+                window_end=config.window_end,
+                now=session,
+                action_interval=config.action_interval,
+                has_bar=True,
+                open=bar.open,
+                high=bar.high,
+                low=bar.low,
+                close=bar.close,
+                volume=bar.volume,
+                market_analysis=reports["market"],
+                news_analysis=reports["news"],
+                fund_analysis=reports["fundamental"],
+                reflection_analysis=reports["reflection"],
+                shares_long=state.shares_long,
+                shares_short=state.shares_short,
+                portfolio_cash=state.cash,
+                executed_orders=agents.recent_activity_text(fills),
+            )
+            outcome = cta.decide(ctx, tags=tags)
+            if outcome.gave_up:
+                decision_fallbacks += 1
+            trace = _StepTrace(session=session, step=step, value=result.portfolio_value)
+            orders = agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}")
+            for order in orders:
+                placed = engine.validate_and_queue(order, last_close=bar.close)
+                if not isinstance(placed, Rejection):
+                    trace.orders.append(placed)
+            steps.append(trace)
 
-        if config.uses_opro and optimizer.is_boundary(step):
-            optimizer.close_window(step, float(inception), float(result.portfolio_value))
-            if step < total_steps:
-                optimizer.propose_update(tags=tags)
-                cta.reset()
+            if config.uses_opro and optimizer.is_boundary(step):
+                optimizer.close_window(step, float(inception), float(result.portfolio_value))
+                if step < total_steps:
+                    optimizer.propose_update(tags=tags)
+                    cta.initial = optimizer.live_template
+                    cta.reset()
 
-    # Final partial (or boundary-coincident) window closes without an update.
-    if config.uses_opro and not optimizer.is_boundary(total_steps):
-        optimizer.close_window(total_steps, float(inception), float(equity_values[-1]))
+        # Final partial (or boundary-coincident) window closes without an update.
+        if config.uses_opro and not optimizer.is_boundary(total_steps):
+            optimizer.close_window(total_steps, float(inception), float(equity_values[-1]))
 
-    final_bar = series.bar_on(sessions[-1])
-    cover_result = engine.force_cover(final_bar)
-    for fill in cover_result.fills:
-        all_fill_lines.append(
-            TradeFill(executed_at=fill.executed_at, action=Action.SHORT_COVER, quantity=fill.quantity, price=fill.fill_price, forced=True)
-        )
+        engine.force_cover(series.bar_on(sessions[-1]))
+        trades = trades_from_audit(audit)
 
-    trades = trades_from_audit(audit)
     report = compute_report(
         [float(v) for v in equity_values], trades, exposures=exposures
     )
@@ -616,9 +613,6 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         json.dumps({"config": json.loads(config.canonical_json()), "hash": config.config_hash()}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    audit.close()
-    gateway.close()
-    optimizer.log.close()
 
     return RunArtifact(
         run_id=run_id,
@@ -678,9 +672,7 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
     if config.config_hash() != lock["hash"]:
         raise ReplayMismatch("config.lock hash does not match its config payload")
 
-    replay_source = run_dir / "gateway.jsonl.replay-src"
-    shutil.copyfile(run_dir / "gateway.jsonl", replay_source)
-    config.providers = {"default": {"kind": "replay", "replay_path": str(replay_source)}}
+    config.providers = {"default": {"kind": "replay", "replay_path": str(run_dir / "gateway.jsonl")}}
 
     data = load_data(config)
     scratch = Path(scratch_dir) if scratch_dir else run_dir.parent / f"{run_dir.name}.replay"
@@ -695,7 +687,6 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
         got = (scratch / name).read_bytes()
         if want != got:
             mismatched.append(name)
-    replay_source.unlink(missing_ok=True)
     if mismatched:
         raise ReplayMismatch(f"replay artifacts differ: {', '.join(mismatched)}")
     return artifact

@@ -13,28 +13,13 @@ from dataclasses import dataclass, fields
 from datetime import date
 from typing import Iterable, Sequence
 
-from .engine import Action
+from .engine import Action, Fill
 
 TRADING_DAYS_PER_YEAR = 252
 
 
 class MetricsError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TradeFill:
-    """One executed order, as metrics sees it.
-
-    A window-end forced cover participates in round-trip matching but is not
-    an executed order for trade counting.
-    """
-
-    executed_at: date
-    action: Action
-    quantity: int
-    price: object  # Decimal or float; arithmetic stays in the caller's type
-    forced: bool = False
 
 
 @dataclass(frozen=True)
@@ -173,7 +158,7 @@ def max_drawdown(values: Sequence[float]) -> float:
     return worst * 100.0
 
 
-def match_round_trips(trades: Iterable[TradeFill]) -> list[RoundTrip]:
+def match_round_trips(trades: Iterable[Fill]) -> list[RoundTrip]:
     """FIFO lot matching per direction; each closing fill yields one trip.
 
     Residual open lots are excluded (query them with `residual_lots`).
@@ -182,20 +167,20 @@ def match_round_trips(trades: Iterable[TradeFill]) -> list[RoundTrip]:
     return trips
 
 
-def residual_lots(trades: Iterable[TradeFill]) -> list[OpenLot]:
+def residual_lots(trades: Iterable[Fill]) -> list[OpenLot]:
     _, lots = _match(trades)
     return lots
 
 
-def _match(trades: Iterable[TradeFill]) -> tuple[list[RoundTrip], list[OpenLot]]:
+def _match(trades: Iterable[Fill]) -> tuple[list[RoundTrip], list[OpenLot]]:
     long_lots: list[list] = []  # [opened_at, qty, price]
     short_lots: list[list] = []
     trips: list[RoundTrip] = []
     for t in trades:
         if t.action == Action.BUY:
-            long_lots.append([t.executed_at, t.quantity, t.price])
+            long_lots.append([t.executed_at, t.quantity, t.fill_price])
         elif t.action == Action.SHORT:
-            short_lots.append([t.executed_at, t.quantity, t.price])
+            short_lots.append([t.executed_at, t.quantity, t.fill_price])
         elif t.action == Action.SELL:
             trips.extend(_close(long_lots, t, "long"))
         else:  # SHORT_COVER
@@ -206,7 +191,7 @@ def _match(trades: Iterable[TradeFill]) -> tuple[list[RoundTrip], list[OpenLot]]
     return trips, lots
 
 
-def _close(lots: list[list], t: TradeFill, direction: str) -> list[RoundTrip]:
+def _close(lots: list[list], t: Fill, direction: str) -> list[RoundTrip]:
     remaining = t.quantity
     entry_cost = None
     opened_at = None
@@ -233,7 +218,7 @@ def _close(lots: list[list], t: TradeFill, direction: str) -> list[RoundTrip]:
             closed_at=t.executed_at,
             quantity=matched,
             entry_cost=entry_cost,
-            exit_proceeds=t.price * matched,
+            exit_proceeds=t.fill_price * matched,
         )
     ]
 
@@ -263,7 +248,7 @@ def profit_per_trade(trips: Sequence[RoundTrip]) -> float | None:
     return float(sum(float(t.realized_pnl) for t in trips)) / len(trips)
 
 
-def num_trades(trades: Iterable[TradeFill]) -> int:
+def num_trades(trades: Iterable[Fill]) -> int:
     """Executed orders (orders with at least one fill); forced covers excluded."""
     return sum(1 for t in trades if not t.forced)
 
@@ -285,7 +270,7 @@ def roic(values: Sequence[float], exposures: Sequence[float]) -> float | None:
 
 def compute_report(
     values: Sequence[float],
-    trades: Sequence[TradeFill],
+    trades: Sequence[Fill],
     exposures: Sequence[float] | None = None,
     initial: float | None = None,
 ) -> MetricReport:

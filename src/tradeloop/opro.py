@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
-from .agents import AnalystReport
+from .engine import AuditLog
 from .gateway import ChatMessage, ChatRequest, Gateway
 from .templates import PromptTemplate, TemplateError
 
@@ -154,31 +154,6 @@ def template_sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class EvolutionLog:
-    """Append-only JSONL prompt-evolution trail."""
-
-    def __init__(self, sink: IO[str] | Path | str | None = None):
-        self.lines: list[str] = []
-        self._fh: IO[str] | None = None
-        if sink is not None:
-            if isinstance(sink, (str, Path)):
-                self._fh = open(sink, "w", encoding="utf-8")
-            else:
-                self._fh = sink
-
-    def append(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        self.lines.append(line)
-        if self._fh is not None:
-            self._fh.write(line + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 class AdaptiveOpro:
     """One optimizer loop per run, strictly sequential with the decision loop.
 
@@ -195,8 +170,6 @@ class AdaptiveOpro:
         roi_mode: str = "cumulative",
         max_retries: int = 2,
         log_sink: IO[str] | Path | str | None = None,
-        model_id: str = "",
-        params: tuple[tuple[str, object], ...] = (),
     ):
         if k < 1:
             raise ValueError("K must be >= 1")
@@ -207,15 +180,13 @@ class AdaptiveOpro:
         self.max_retries = max_retries
         self.gateway = gateway
         self.optimizer_asset = optimizer_asset
-        self.model_id = model_id
-        self.params = params
         self.live_template = initial_template
         self.records: list[PromptRecord] = [
             PromptRecord(iteration=1, template_text=initial_template.body)
         ]
         self.windows: list[ScoringWindow] = []
         self.optimizer_calls = 0
-        self.log = EvolutionLog(log_sink)
+        self.log = AuditLog(log_sink, sort_keys=True)
         self.log.append(self._record_line(self.records[0], score=None))
 
     def _record_line(self, record: PromptRecord, score: float | None) -> dict:
@@ -289,8 +260,6 @@ class AdaptiveOpro:
             request = ChatRequest(
                 system_text="",
                 messages=tuple(messages),
-                model_id=self.model_id,
-                params=self.params,
                 tags=tuple(tags) + (("role", "optimizer"), ("attempt", str(attempt + 1))),
             )
             response = self.gateway.complete(request)
@@ -332,15 +301,7 @@ class AdaptiveOpro:
         return False
 
 
-def reflect(
-    gateway: Gateway,
-    template: PromptTemplate,
-    context: dict,
-    as_of,
-    model_id: str = "",
-    params: tuple[tuple[str, object], ...] = (),
-    tags=(),
-) -> AnalystReport:
+def reflect(gateway: Gateway, template: PromptTemplate, context: dict, tags=()) -> str:
     """One advisory review paragraph over the period's decision history.
 
     Reflection never touches templates; its text is injected into the next
@@ -350,9 +311,6 @@ def reflect(
     request = ChatRequest(
         system_text=rendered.system_text,
         messages=(ChatMessage(role="user", text=rendered.user_text),),
-        model_id=model_id,
-        params=params,
         tags=tuple(tags) + (("role", "reflection"),),
     )
-    response = gateway.complete(request)
-    return AnalystReport(author="reflection", as_of=as_of, text=response.text)
+    return gateway.complete(request).text

@@ -16,9 +16,9 @@ from decimal import Decimal
 from enum import Enum
 
 from .bars import BarSeries
-from .engine import Action, AuditLog, ExecutionEngine, Order, OrderType, Rejection
+from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection, trades_from_audit
 from .indicators import bollinger_series, macd_series, sma_series
-from .metrics import MetricReport, TradeFill, compute_report
+from .metrics import MetricReport, compute_report
 
 
 class StrategyError(ValueError):
@@ -150,7 +150,7 @@ class StrategyRunResult:
     report: MetricReport
     curve_dates: list[date] = field(default_factory=list)
     curve_values: list[Decimal] = field(default_factory=list)
-    trades: list[TradeFill] = field(default_factory=list)
+    trades: list[Fill] = field(default_factory=list)
     signals: list[Signal] = field(default_factory=list)
     audit: AuditLog | None = None
 
@@ -199,7 +199,6 @@ def run_strategy(
 
     curve_dates: list[date] = []
     curve_values: list[Decimal] = []
-    trades: list[TradeFill] = []
     exposures: list[Decimal] = []
 
     for i, bar in enumerate(series.bars):
@@ -239,32 +238,3 @@ def run_strategy(
         signals=signals,
         audit=audit,
     )
-
-
-def trades_from_audit(audit: AuditLog) -> list[TradeFill]:
-    """Reconstruct the metrics trade log from engine FILL/FORCED_COVER events."""
-    import json as _json
-
-    out: list[TradeFill] = []
-    for line in audit.lines:
-        obj = _json.loads(line)
-        if obj["type"] == "FILL":
-            out.append(
-                TradeFill(
-                    executed_at=date.fromisoformat(obj["date"]),
-                    action=Action(obj["action"]),
-                    quantity=obj["quantity"],
-                    price=Decimal(obj["price"]),
-                )
-            )
-        elif obj["type"] == "FORCED_COVER":
-            out.append(
-                TradeFill(
-                    executed_at=date.fromisoformat(obj["date"]),
-                    action=Action.SHORT_COVER,
-                    quantity=obj["quantity"],
-                    price=Decimal(obj["price"]),
-                    forced=True,
-                )
-            )
-    return out

@@ -55,7 +55,6 @@ class _Conditional:
 class RenderedPrompt:
     system_text: str
     user_text: str
-    full_text: str
 
 
 def _parse(body: str) -> tuple:
@@ -163,14 +162,14 @@ class PromptTemplate:
 
         Every placeholder reached needs a context key (MISSING_KEY otherwise);
         the default filter fires on missing, None, or empty-string values.
-        Conditionals test truthiness of their (required) key. Any leftover
-        '{{' in the output is a hard failure.
+        Conditionals test truthiness of their (required) key. Values are
+        inserted verbatim: the parser already split the template text at
+        every '{{' and '{%', so braces in the output can only come from
+        values, such as model or news text.
         """
         out: list[str] = []
         self._render_nodes(self.nodes, context, out)
         text = "".join(out)
-        if "{{" in text:
-            raise TemplateError("UNRENDERED_PLACEHOLDER", "output still contains '{{'")
         m = _SYSTEM_BLOCK.search(text)
         if m:
             system_text = m.group(1).strip()
@@ -178,7 +177,7 @@ class PromptTemplate:
         else:
             system_text = ""
             user_text = text
-        return RenderedPrompt(system_text=system_text, user_text=user_text, full_text=text)
+        return RenderedPrompt(system_text=system_text, user_text=user_text)
 
     def _render_nodes(self, nodes: tuple, context: Mapping[str, object], out: list[str]) -> None:
         for node in nodes:
@@ -211,15 +210,12 @@ _PROMPT_DIR = Path(__file__).parent / "prompts"
 
 
 def load_template(name: str, override_dir: Path | str | None = None) -> PromptTemplate:
-    """Load a shipped prompt asset (or an override) by stem name."""
-    base = Path(override_dir) if override_dir else _PROMPT_DIR
-    path = base / f"{name}.txt"
-    if not path.exists() and override_dir:
-        path = _PROMPT_DIR / f"{name}.txt"
-    return PromptTemplate.parse(name, path.read_text(encoding="utf-8"))
+    return PromptTemplate.parse(name, load_asset_text(name, override_dir))
 
 
 def load_asset_text(name: str, override_dir: Path | str | None = None) -> str:
+    """A shipped prompt asset's text by stem name; a file of that name in
+    `override_dir` replaces it."""
     base = Path(override_dir) if override_dir else _PROMPT_DIR
     path = base / f"{name}.txt"
     if not path.exists() and override_dir:

@@ -1,4 +1,4 @@
-"""Analyst pipeline, decision context, fundamental ratios, order parsing."""
+"""Conversational agents, decision context, fundamental ratios, order parsing."""
 
 from __future__ import annotations
 
@@ -13,30 +13,39 @@ from hypothesis import strategies as st
 
 from tradeloop.agents import (
     CentralAgent,
+    ConversationalAgent,
     DecisionContext,
     FundamentalSnapshot,
-    MarketAnalyst,
-    NewsAnalyst,
     NewsItem,
     OrderParseError,
     compute_ratios,
     dedupe_news,
     orders_from_specs,
-    parse_news_sections,
     parse_orders,
     recent_activity_text,
     render_fundamental_data,
     render_news_batch,
     strip_fences,
 )
-from tradeloop.engine import Action, OrderType
+from tradeloop.engine import Action, Fill, OrderType
 from tradeloop.gateway import Gateway, ScriptEntry, ScriptedProvider
-from tradeloop.metrics import TradeFill
 from tradeloop.templates import load_template
 
 
 def make_gateway(script):
     return Gateway(ScriptedProvider(script), sleep=lambda _s: None)
+
+
+def first_record(gateway: Gateway) -> dict:
+    return json.loads(gateway.audit.text().splitlines()[0])
+
+
+def make_analyst(gateway: Gateway) -> ConversationalAgent:
+    return ConversationalAgent("market", gateway, load_template("market_initial"), load_template("market_followup"))
+
+
+def make_cta(gateway: Gateway) -> CentralAgent:
+    return CentralAgent("cta", gateway, load_template("cta_initial"), load_template("cta_followup"))
 
 
 VALID_ORDER = {
@@ -428,23 +437,6 @@ class TestNewsPlumbing:
         assert text.index("Newer") < text.index("Older")
         assert text.count("Older") == 1
 
-    def test_section_parsing(self):
-        text = (
-            "**Sentiment Assessment** Tone is cautious.\n"
-            "**Key Developments** Earnings this week.\n"
-            "**Market Relevance** Higher volatility likely.\n"
-            "**Source Analysis** Single retail outlet.\n"
-        )
-        sections = dict(parse_news_sections(text))
-        assert set(sections) == {
-            "Sentiment Assessment",
-            "Key Developments",
-            "Market Relevance",
-            "Source Analysis",
-        }
-        assert "cautious" in sections["Sentiment Assessment"]
-        assert "Earnings" not in sections["Sentiment Assessment"]
-
 
 class TestAnalystCadence:
     def _market_context(self):
@@ -472,40 +464,19 @@ class TestAnalystCadence:
                 ScriptEntry(response="second analysis", match="MARKET UPDATE"),
             ]
         )
-        analyst = MarketAnalyst(gateway, load_template("market_initial"), load_template("market_followup"))
-        r1 = analyst.report(self._market_context(), date(2025, 4, 28))
-        r2 = analyst.report(self._market_context(), date(2025, 4, 29))
-        assert r1.text == "first analysis"
-        assert r2.text == "second analysis"
+        analyst = make_analyst(gateway)
+        assert analyst.ask(self._market_context()) == "first analysis"
+        assert analyst.ask(self._market_context()) == "second analysis"
 
     def test_scripted_text_passes_through(self):
         gateway = make_gateway([ScriptEntry(response="TEXT", times=None)])
-        analyst = MarketAnalyst(gateway, load_template("market_initial"), load_template("market_followup"))
-        assert analyst.report(self._market_context(), date(2025, 4, 28)).text == "TEXT"
+        assert make_analyst(gateway).ask(self._market_context()) == "TEXT"
 
     def test_na_rendering_reaches_prompt(self):
         gateway = make_gateway([ScriptEntry(response="ok", times=None)])
-        analyst = MarketAnalyst(gateway, load_template("market_initial"), load_template("market_followup"))
-        analyst.report(self._market_context(), date(2025, 4, 28))
-        sent = json.loads(gateway.audit_lines[0])["request"]["messages"][0]["text"]
+        make_analyst(gateway).ask(self._market_context())
+        sent = first_record(gateway)["request"]["messages"][0]["text"]
         assert "SMA(20): n/a" in sent
-
-    def test_news_report_parses_sections(self):
-        text = (
-            "**Sentiment Assessment** Mixed.\n**Key Developments** None.\n"
-            "**Market Relevance** Low.\n**Source Analysis** Single outlet.\n"
-        )
-        gateway = make_gateway([ScriptEntry(response=text, times=None)])
-        analyst = NewsAnalyst(gateway, load_template("news_initial"), load_template("news_followup"))
-        ctx = {
-            "instrument": "SYNTH",
-            "session_start": "2025-04-28",
-            "session_end": "2025-06-27",
-            "current_time": "2025-04-28",
-            "joined_news": "[ts] headline",
-        }
-        report = analyst.report(ctx, date(2025, 4, 28))
-        assert dict(report.sections)["Sentiment Assessment"] == "Mixed."
 
 
 def make_decision_context(**overrides) -> DecisionContext:
@@ -533,27 +504,27 @@ def make_decision_context(**overrides) -> DecisionContext:
 class TestCentralAgent:
     def test_empty_array_response(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
-        agent = CentralAgent(gateway)
-        outcome = agent.decide(load_template("cta_initial"), make_decision_context())
+        agent = make_cta(gateway)
+        outcome = agent.decide(make_decision_context())
         assert outcome.specs == [] and not outcome.gave_up
 
     def test_valid_order_parsed(self):
         gateway = make_gateway([ScriptEntry(response=order_json(), times=None)])
-        agent = CentralAgent(gateway)
-        outcome = agent.decide(load_template("cta_initial"), make_decision_context())
+        agent = make_cta(gateway)
+        outcome = agent.decide(make_decision_context())
         assert len(outcome.specs) == 1
         assert outcome.specs[0].price is None
 
     def test_fenced_response_accepted(self):
         gateway = make_gateway([ScriptEntry(response=f"```json\n{order_json()}\n```", times=None)])
-        agent = CentralAgent(gateway)
-        outcome = agent.decide(load_template("cta_initial"), make_decision_context())
+        agent = make_cta(gateway)
+        outcome = agent.decide(make_decision_context())
         assert len(outcome.specs) == 1
 
     def test_retry_then_give_up_yields_empty(self):
         gateway = make_gateway([ScriptEntry(response="sorry, no JSON here", times=None)])
-        agent = CentralAgent(gateway, max_retries=2)
-        outcome = agent.decide(load_template("cta_initial"), make_decision_context())
+        agent = make_cta(gateway)
+        outcome = agent.decide(make_decision_context())
         assert outcome.specs == []
         assert outcome.gave_up
         assert outcome.attempts == 3
@@ -562,24 +533,24 @@ class TestCentralAgent:
         gateway = make_gateway(
             [ScriptEntry(response="garbage", step=1), ScriptEntry(response="[]", step=2)]
         )
-        agent = CentralAgent(gateway)
-        outcome = agent.decide(load_template("cta_initial"), make_decision_context())
+        agent = make_cta(gateway)
+        outcome = agent.decide(make_decision_context())
         assert outcome.attempts == 2 and not outcome.gave_up
 
     def test_system_role_extracted_once(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
-        agent = CentralAgent(gateway)
-        agent.decide(load_template("cta_initial"), make_decision_context())
-        record = json.loads(gateway.audit_lines[0])
+        agent = make_cta(gateway)
+        agent.decide(make_decision_context())
+        record = first_record(gateway)
         assert "elite proprietary trader" in record["request"]["system"]
         assert "elite proprietary trader" not in record["request"]["messages"][0]["text"]
 
     def test_number_formatting_in_rendered_prompt(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
-        agent = CentralAgent(gateway)
+        agent = make_cta(gateway)
         ctx = make_decision_context(portfolio_cash=Decimal("98989.5"), shares_long=12)
-        agent.decide(load_template("cta_initial"), ctx)
-        sent = json.loads(gateway.audit_lines[0])["request"]["messages"][0]["text"]
+        agent.decide(ctx)
+        sent = first_record(gateway)["request"]["messages"][0]["text"]
         assert "$98989.50" in sent  # cash rendered with 2 decimals
         assert "Long 12 |" in sent
         assert "C 100.50" in sent
@@ -588,12 +559,12 @@ class TestCentralAgent:
         import hashlib
 
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
-        agent = CentralAgent(gateway)
+        agent = make_cta(gateway)
         ctx = make_decision_context()
         template = load_template("cta_initial")
         rendered = template.render(ctx.to_render_context())
-        agent.decide(template, ctx)
-        record = json.loads(gateway.audit_lines[0])
+        agent.decide(ctx)
+        record = first_record(gateway)
         sent_user = record["request"]["messages"][0]["text"]
         sent_system = record["request"]["system"]
         assert hashlib.sha256(sent_user.encode()).hexdigest() == hashlib.sha256(
@@ -602,20 +573,13 @@ class TestCentralAgent:
         assert sent_system == rendered.system_text
 
 
-class TestWebSearchStub:
-    def test_always_reports_unavailable(self):
-        from tradeloop.agents import WEB_SEARCH_NOT_AVAILABLE, web_search
-
-        assert web_search("anything at all") == WEB_SEARCH_NOT_AVAILABLE
-
-
 class TestRecentActivity:
     def test_none_when_empty(self):
         assert recent_activity_text([]) == "None"
 
     def test_last_five_formatted(self):
         fills = [
-            TradeFill(date(2025, 5, d), Action.BUY, d, Decimal("100.5")) for d in range(1, 8)
+            Fill(f"o{d}", Action.BUY, date(2025, 5, d), Decimal("100.5"), d) for d in range(1, 8)
         ]
         text = recent_activity_text(fills)
         lines = text.splitlines()

@@ -303,7 +303,7 @@ class TestSessionCalendar:
         series = synthetic_daily(10)
         cal = SessionCalendar.from_series(series)
         dates = series.dates()
-        assert dates[3] in cal
+        assert dates[3] in cal.trading_dates
         assert cal.sessions_between(dates[2], dates[5]) == dates[2:6]
 
     def test_non_increasing_rejected(self):

@@ -110,3 +110,37 @@ class TestRunReportReplay:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--runs", str(empty)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "key, text, code",
+    [
+        ("news", "{not json\n", EXIT_DATA),
+        ("news", '{"title": "no timestamp"}\n', EXIT_DATA),
+        ("news", '{"ts": "2025-01-02T09:00:00+00:00"}\n', EXIT_DATA),
+        ("news", '{"ts": "yesterday", "title": "t"}\n', EXIT_DATA),
+        ("news", '["ts", "title"]\n', EXIT_DATA),
+        ("fundamentals", '{"filing_date": "2025-01-02"}', EXIT_DATA),
+        ("fundamentals", "[1]", EXIT_DATA),
+        ("fundamentals", '[{"period_label": "Q1"}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "2025-13-40"}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": 20250102}]', EXIT_DATA),
+        ("calendar", "2025-01-02\nnot a date\n", EXIT_DATA),
+        ("prompt_dir", "{{ unclosed", EXIT_CONFIG),
+        ("prompt_dir", "{% for x %}", EXIT_CONFIG),
+    ],
+)
+def test_bad_input_file_exit_code(tmp_path, key, text, code):
+    build_workspace(tmp_path, mode="baseline")
+    config_path = tmp_path / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    bad = tmp_path / "bad"
+    if key == "prompt_dir":
+        bad.mkdir()
+        (bad / "market_initial.txt").write_text(text, encoding="utf-8")
+        config["prompt_dir"] = str(bad)
+    else:
+        bad.write_text(text, encoding="utf-8")
+        config["paths"][key] = str(bad)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == code

@@ -20,6 +20,7 @@ from tradeloop.engine import (
     RejectReason,
     Rejection,
     portfolio_value,
+    trades_from_audit,
 )
 
 from conftest import make_bar
@@ -232,7 +233,7 @@ class TestSessionAccounting:
         result = engine.step_session(bar_on(NEXT_DAY, 120, 125, 118, 121))
         assert result.fills == ()
         assert result.cancelled == ("o1",)
-        audit_events = [json.loads(line) for line in engine.audit.lines]
+        audit_events = [json.loads(line) for line in engine.audit.text().splitlines()]
         reasons = [e.get("reason") for e in audit_events if e["type"] == "CANCEL"]
         assert reasons == [RejectReason.GAP_REJECT.value]
         assert engine.portfolio().cash == D(1000)
@@ -346,9 +347,10 @@ class TestDeterminism:
         assert self._run() == self._run()
 
 
-def random_session_sequence(seed: int, orders_per_session: int = 5, sessions: int = 10):
-    """One randomized engine run; returns (engine, order_count). Per-session
-    price moves are bounded so the documented caps keep cash non-negative."""
+def random_session_sequence(seed: int, orders_per_session: int = 5, sessions: int = 10, fills: list | None = None):
+    """One randomized engine run; returns (engine, order_count) and extends
+    `fills` with every session's fills. Per-session price moves are bounded
+    so the documented caps keep cash non-negative."""
     rng = random.Random(seed)
     engine = ExecutionEngine(initial_cash=D(100_000))
     day = date(2025, 1, 6)
@@ -374,6 +376,8 @@ def random_session_sequence(seed: int, orders_per_session: int = 5, sessions: in
         day = day + timedelta(days=1)
         bar = bar_on(day, f"{o:.2f}", f"{h:.2f}", f"{l:.2f}", f"{c:.2f}")
         result = engine.step_session(bar)
+        if fills is not None:
+            fills.extend(result.fills)
         state = engine.portfolio()
         assert state.cash >= 0
         assert state.shares_long >= 0 and state.shares_short >= 0
@@ -388,3 +392,19 @@ class TestRandomizedInvariants:
         # The full 1e5-case sweep lives in the acceptance suite.
         for seed in range(200):
             random_session_sequence(seed, orders_per_session=5, sessions=4)
+
+
+class TestTradesFromAudit:
+    def test_reads_back_the_fills_step_session_returned(self):
+        for seed in range(100):
+            fills: list = []
+            engine, _ = random_session_sequence(seed, fills=fills)
+            assert trades_from_audit(engine.audit) == fills, seed
+
+    def test_reads_back_the_forced_cover(self):
+        engine = ExecutionEngine(initial_cash=D(1000))
+        engine.validate_and_queue(mk_order(Action.SHORT, 10), last_close=D(100))
+        fills = list(engine.step_session(bar_on(NEXT_DAY, 100, 100, 100, 100)).fills)
+        fills += engine.force_cover(bar_on(NEXT_DAY + timedelta(days=1), 90, 90, 90, 90)).fills
+        assert trades_from_audit(engine.audit) == fills
+        assert [(f.action, f.forced) for f in fills] == [(Action.SHORT, False), (Action.SHORT_COVER, True)]

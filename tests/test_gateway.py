@@ -72,8 +72,9 @@ class TestGatewayAudit:
         gateway = Gateway(provider)
         for i in range(3):
             gateway.complete(req(f"call {i}", tags=(("role", "cta"),)))
-        assert len(gateway.audit_lines) == 3
-        records = [json.loads(line) for line in gateway.audit_lines]
+        lines = gateway.audit.text().splitlines()
+        assert len(lines) == 3
+        records = [json.loads(line) for line in lines]
         assert [r["ts"] for r in records] == ["000001", "000002", "000003"]
         assert [r["response"]["text"] for r in records] == ["r0", "r1", "r2"]
 
@@ -83,7 +84,7 @@ class TestGatewayAudit:
         request = req("precious prompt bytes → untouched")
         before = request_hash(request)
         gateway.complete(request)
-        record = json.loads(gateway.audit_lines[0])
+        record = json.loads(gateway.audit.text())
         assert record["request_hash"] == before
         assert record["request"]["messages"][0]["text"] == "precious prompt bytes → untouched"
 
@@ -126,7 +127,7 @@ class TestRetry:
         with pytest.raises(GatewayError):
             gateway.complete(req("x"))
         assert provider.calls == 3
-        assert gateway.audit_lines == []  # failed exchanges are not replayable
+        assert gateway.audit.text() == ""  # failed exchanges are not replayable
 
     def test_non_retryable_raises_immediately(self):
         provider = self.Flaky(failures=5, code="PROVIDER_ERROR")

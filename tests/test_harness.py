@@ -349,6 +349,19 @@ class TestRunExperiment:
         # identical scripts -> identical metrics; the aggregate has zero std
         assert bundle["aggregate"]["roi_pct"].std == pytest.approx(0.0)
 
+    def test_braces_in_model_text_pass_through_verbatim(self, tmp_path):
+        config = build_workspace(tmp_path, mode="baseline")
+        reply = "Range-bound; watch {{ resistance }}"
+        config.providers["market"] = {"kind": "scripted", "script": [{"match": "", "response": reply, "times": None}]}
+        artifacts, _ = run_experiment(config)
+        records = [
+            json.loads(line)
+            for line in (artifacts[0].run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert all(r["response"]["text"] == reply for r in records if r["tags"]["role"] == "market")
+        cta_prompts = [r["request"]["messages"][-1]["text"] for r in records if r["tags"]["role"] == "cta"]
+        assert len(cta_prompts) == WINDOW_SESSIONS and all(reply in p for p in cta_prompts)
+
     def test_run_dir_layout(self, tmp_path):
         config = build_workspace(tmp_path)
         artifacts, _ = run_experiment(config)
@@ -383,13 +396,28 @@ GOLDEN_DIGESTS = {
 }
 
 
+# The same inputs in `reflection` mode, where the trading agent's conversation
+# is never reset, so every decision request carries the whole run so far.
+GOLDEN_REFLECTION_DIGESTS = {
+    "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
+    "gateway.jsonl": "cdee567afdfb0ebc52ad3c19a7b75037caf6bc52866405d451c4aaa07b4ac771",
+    "opro.jsonl": "b8b23e2f720bb1d494cdbd9372ee697e8166691e45be114741c067169148e663",
+    "metrics.json": "bf5f121ae40ad7fedc3dc5acb9f652ce4ec0bcb652715e290fba0ad634a39445",
+}
+
+
 class TestGoldenDigests:
-    def test_scripted_run_matches_pinned_digests(self, tmp_path):
-        config = build_workspace(tmp_path, mode="adaptive_opro_with_reflection", history_bars=GOLDEN_BARS)
+    def digests(self, tmp_path: Path, mode: str) -> dict[str, str]:
+        config = build_workspace(tmp_path, mode=mode, history_bars=GOLDEN_BARS)
         artifacts, _ = run_experiment(config)
         run_dir = artifacts[0].run_dir
-        got = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
-        assert got == GOLDEN_DIGESTS
+        return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+
+    def test_scripted_run_matches_pinned_digests(self, tmp_path):
+        assert self.digests(tmp_path, "adaptive_opro_with_reflection") == GOLDEN_DIGESTS
+
+    def test_reflection_run_matches_pinned_digests(self, tmp_path):
+        assert self.digests(tmp_path, "reflection") == GOLDEN_REFLECTION_DIGESTS
 
 
 def reference_multi_timeframe_text(series: BarSeries, as_of: date) -> str:
@@ -479,14 +507,17 @@ class TestReplay:
     def test_tampered_request_hash_mismatch(self, tmp_path):
         config = build_workspace(tmp_path)
         artifacts, _ = run_experiment(config)
-        gw = artifacts[0].run_dir / "gateway.jsonl"
+        run_dir = artifacts[0].run_dir
+        gw = run_dir / "gateway.jsonl"
         lines = gw.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[0])
         record["request_hash"] = "0" * 64
         lines[0] = json.dumps(record, separators=(",", ":"), sort_keys=True)
         gw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        recorded = sorted(p.name for p in run_dir.iterdir())
         with pytest.raises(ReplayMismatch):
-            replay_run(artifacts[0].run_dir)
+            replay_run(run_dir)
+        assert sorted(p.name for p in run_dir.iterdir()) == recorded
 
     def test_tampered_config_lock(self, tmp_path):
         config = build_workspace(tmp_path)
@@ -532,6 +563,19 @@ class TestProviderFailure:
         partial = (run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(partial) > 0  # completed exchanges survive the abort
         assert (run_dir / "engine.jsonl").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_aborted_run_closes_its_logs(self, tmp_path):
+        from tradeloop.gateway import GatewayError
+
+        config = build_workspace(tmp_path, mode="adaptive_opro")
+        config.providers["cta"] = {"kind": "scripted", "script": [{"match": "", "response": "[]", "times": 12}]}
+        before = len(list(Path("/proc/self/fd").iterdir()))
+        with pytest.raises(GatewayError) as aborted:
+            run_experiment(config)
+        # Counted while the traceback still holds the run's frames, so logs
+        # left to the garbage collector would still be open.
+        assert len(list(Path("/proc/self/fd").iterdir())) == before, aborted.value
 
 
 class TestConfigValidation:

@@ -9,12 +9,11 @@ from decimal import Decimal
 
 import pytest
 
-from tradeloop.engine import Action
+from tradeloop.engine import Action, Fill
 from tradeloop.metrics import (
     MetricReport,
     MetricsError,
     RoundTrip,
-    TradeFill,
     aggregate_runs,
     compute_report,
     daily_returns,
@@ -48,9 +47,14 @@ def brute_force_drawdown(values: list[float]) -> float:
     return worst * 100.0
 
 
-def tf(day: int, action: Action, qty: int, price, forced: bool = False) -> TradeFill:
-    return TradeFill(
-        executed_at=date(2025, 1, day), action=action, quantity=qty, price=price, forced=forced
+def tf(day: int, action: Action, qty: int, price, forced: bool = False) -> Fill:
+    return Fill(
+        order_id=f"o{day}",
+        action=action,
+        executed_at=date(2025, 1, day),
+        fill_price=price,
+        quantity=qty,
+        forced=forced,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from datetime import date
 from decimal import Decimal
 
@@ -256,7 +257,7 @@ class TestRunStrategy:
     def test_buy_hold_fills_at_first_open(self):
         series = synthetic_daily(10, seed=1)
         result = run_strategy(StrategyConfig(kind=StrategyKind.BUY_HOLD), series)
-        assert result.trades[0].price == series.bars[0].open
+        assert result.trades[0].fill_price == series.bars[0].open
         assert result.trades[0].executed_at == series.bars[0].session_date
 
     def test_crossover_fills_next_open(self):
@@ -264,7 +265,7 @@ class TestRunStrategy:
         result = run_strategy(StrategyConfig(kind=StrategyKind.SMA, sma_n=5), series)
         # enter signal at index 11 -> fill at index 12's open.
         assert result.trades[0].executed_at == series.bars[12].session_date
-        assert result.trades[0].price == series.bars[12].open
+        assert result.trades[0].fill_price == series.bars[12].open
         # exit at index 22 -> fill at index 23's open.
         assert result.trades[1].executed_at == series.bars[23].session_date
 
@@ -284,7 +285,7 @@ class TestRunStrategy:
 
         long = 0
         cash = D(100_000)
-        for line in result.audit.lines:
+        for line in result.audit.text().splitlines():
             obj = json.loads(line)
             if obj["type"] == "FILL":
                 qty, price = obj["quantity"], D(obj["price"])
@@ -304,3 +305,38 @@ class TestRunStrategy:
         a = run_strategy(config, series).audit.text()
         b = run_strategy(config, series).audit.text()
         assert a == b
+
+
+# SHA-256 of each baseline's engine audit text and report JSON over
+# synthetic_daily(300, seed=17). Any change to fills, audit formats or metrics
+# changes them.
+PINNED_BASELINES = {
+    StrategyKind.BUY_HOLD: (
+        "64125bb22ab019173915cbec90fc1ab032b64a1bd0b134d35727e6e0a9ee08a1",
+        "bcdf972da1572dee2691b03958dc21bb2c85acf68a4a8b97f8b93713428ceac5",
+    ),
+    StrategyKind.SMA: (
+        "1fb47c215f3b82e213ed57bca13ece36b4f8c1bd0f7eba9a464dcdea10d31d07",
+        "3c40fea59ac63100019b078456184bbd89feead5da0e1918169f519d83977aee",
+    ),
+    StrategyKind.SLMA: (
+        "e4a47bb87b0f5a5b2a4d135c3048d89a8e99ca47e735ef99af4af71fad32bb8b",
+        "dd69ec8a248c956d8dd80e65803f0076a675cc4612ceadfe02fb554ec4268b9e",
+    ),
+    StrategyKind.MACD: (
+        "3e75aa886946bf2db7b5aa3c2d8a7e82147335218dbbeef079d78a9413a303a9",
+        "6bdc015d5baff759f85287b16116c32daff850336e6d8ee3777d6244fac88c4e",
+    ),
+    StrategyKind.BOLLINGER: (
+        "c578577485ab8fae48876691235e570e064e96e46d68792d95f4a161404e1c2a",
+        "dd784e523bab9c29e83316de61fa78897734e5a294b4a101e31df7513e5b1c41",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_baseline_matches_pinned_digests(kind):
+    result = run_strategy(StrategyConfig(kind=kind), synthetic_daily(300, seed=17))
+    audit = hashlib.sha256(result.audit.text().encode("utf-8")).hexdigest()
+    report = hashlib.sha256(result.report.to_json().encode("utf-8")).hexdigest()
+    assert (audit, report) == PINNED_BASELINES[kind]

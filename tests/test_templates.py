@@ -133,9 +133,10 @@ class TestRender:
         tpl = T("t", "{% if a %}{{ x }}{% endif %}")
         assert tpl.render({"a": False}).user_text == ""
 
-    def test_value_injecting_braces_is_hard_failure(self):
-        with pytest.raises(TemplateError, match="UNRENDERED_PLACEHOLDER"):
-            T("t", "{{ x }}").render({"x": "{{ sneaky }}"})
+    def test_value_with_braces_renders_verbatim(self):
+        # Model and news text are values: template syntax in them is plain text.
+        for value in ("{{ sneaky }}", "watch {{ resistance }}", "{% if x %}", "{{", "}}"):
+            assert T("t", "a {{ x }} b").render({"x": value}).user_text == f"a {value} b"
 
     def test_system_role_split(self):
         tpl = T("t", "head\n<system_role>\nYou are X.\n</system_role>\nbody {{ a }}")
@@ -149,7 +150,7 @@ class TestRender:
         context = {name: "x" for name in tpl.placeholders()}
         context["has_bar"] = True
         rendered = tpl.render(context)
-        assert "{{" not in rendered.full_text
+        assert "{{" not in rendered.system_text + rendered.user_text
         assert rendered.system_text  # the CTA asset carries a system block
 
 
