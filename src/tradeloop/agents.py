@@ -1,11 +1,13 @@
-"""Conversational agents, decision context assembly, and strict order parsing.
+"""Conversational agents and strict order parsing.
 
-Every agent is one role's conversation: the first call renders the initial
-asset, later calls the follow-up asset, and responses accumulate as assistant
-turns. The market/news/fundamental analysts just ask; the central agent
-consumes their texts plus portfolio state and must answer with a bare JSON
-array of orders — anything off-schema is rejected field-by-field, re-asked a
-bounded number of times, and finally treated as "no action".
+Every model call is a turn of one role's conversation: the first call renders
+the initial asset, later calls the follow-up asset, and responses accumulate
+as assistant turns. The market/news/fundamental analysts and the reflection
+baseline just ask; a turn whose reply must parse (the central agent's orders,
+the optimizer's candidate) is re-asked with a reminder a bounded number of
+times. The central agent consumes the analysts' texts plus portfolio state and
+must answer with a bare JSON array of orders — anything off-schema is
+rejected field-by-field, re-asked, and finally treated as "no action".
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, ROUND_HALF_EVEN
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .engine import Action, Order, OrderType
 from .gateway import ChatMessage, ChatRequest, Gateway
@@ -25,6 +27,7 @@ ORDER_FIELDS = ("action", "orderType", "price", "quantity", "explanation")
 ACTIONS = tuple(a.value for a in Action)
 ORDER_TYPES = tuple(t.value for t in OrderType)
 MAX_REASKS = 2
+T = TypeVar("T")
 
 FORMAT_REMINDER = (
     "Your previous reply could not be parsed as an order list. "
@@ -89,10 +92,6 @@ def fmt_price(value) -> str:
     return f"{float(value):.2f}"
 
 
-def fmt_shares(value: int) -> str:
-    return str(int(value))
-
-
 def recent_activity_text(fills: Sequence, limit: int = 5) -> str:
     """Last `limit` fills as "DATE ACTION QTY @ PRICE" lines; "None" if empty."""
     tail = list(fills)[-limit:]
@@ -103,54 +102,6 @@ def recent_activity_text(fills: Sequence, limit: int = 5) -> str:
         for f in tail
     ]
     return "\n".join(lines)
-
-
-@dataclass
-class DecisionContext:
-    instrument: str
-    window_start: date
-    window_end: date
-    now: date
-    action_interval: str
-    has_bar: bool
-    open: Decimal | None = None
-    high: Decimal | None = None
-    low: Decimal | None = None
-    close: Decimal | None = None
-    volume: int | None = None
-    market_analysis: str | None = None
-    news_analysis: str | None = None
-    fund_analysis: str | None = None
-    reflection_analysis: str | None = None
-    shares_long: int = 0
-    shares_short: int = 0
-    portfolio_cash: Decimal = Decimal(0)
-    executed_orders: str = "None"
-
-    def to_render_context(self) -> dict:
-        """Formatted values: prices/cash 2 decimals, shares integers."""
-        return {
-            "instrument": self.instrument,
-            "window_start": self.window_start.isoformat(),
-            "window_end": self.window_end.isoformat(),
-            "now": self.now.isoformat(),
-            "action_interval": self.action_interval,
-            "has_bar": self.has_bar,
-            "open": fmt_price(self.open) if self.open is not None else "n/a",
-            "high": fmt_price(self.high) if self.high is not None else "n/a",
-            "low": fmt_price(self.low) if self.low is not None else "n/a",
-            "close": fmt_price(self.close) if self.close is not None else "n/a",
-            "volume": str(self.volume) if self.volume is not None else "n/a",
-            "market_analysis": self.market_analysis,
-            "news_analysis": self.news_analysis,
-            "fund_analysis": self.fund_analysis,
-            "reflection_analysis": self.reflection_analysis,
-            "shares_long": fmt_shares(self.shares_long),
-            "shares_short": fmt_shares(self.shares_short),
-            "shares_net": fmt_shares(self.shares_long - self.shares_short),
-            "portfolio_cash": fmt_price(self.portfolio_cash),
-            "executed_orders": self.executed_orders,
-        }
 
 
 # -- news ------------------------------------------------------------------
@@ -291,9 +242,16 @@ def render_fundamental_data(snapshots: Sequence[FundamentalSnapshot]) -> str:
 
 class ConversationalAgent:
     """One role's conversation with a growing message history: the first call
-    renders `initial`, later calls `followup`."""
+    renders `initial`, later calls `followup`. A conversation whose text is
+    built elsewhere, such as the optimizer's meta-prompt, has no templates."""
 
-    def __init__(self, role: str, gateway: Gateway, initial: PromptTemplate, followup: PromptTemplate):
+    def __init__(
+        self,
+        role: str,
+        gateway: Gateway,
+        initial: PromptTemplate | None,
+        followup: PromptTemplate | None,
+    ):
         self.role = role
         self.gateway = gateway
         self.initial = initial
@@ -312,6 +270,29 @@ class ConversationalAgent:
 
     def ask(self, context: dict, tags: tuple[tuple[str, str], ...] = ()) -> str:
         return self._send(self._render(context), tuple(tags) + (("role", self.role),))
+
+    def ask_parsed(
+        self,
+        user_text: str,
+        parse: Callable[[str], T],
+        reminder: Callable[[ValueError], str],
+        tags: tuple[tuple[str, str], ...] = (),
+    ) -> tuple[T, int]:
+        """Send `user_text` and return `parse` of the reply and the number of
+        attempts. A reply that `parse` rejects with a ValueError is re-asked
+        with `reminder(error)`, at most MAX_REASKS times; after that the last
+        error propagates."""
+        tags = tuple(tags) + (("role", self.role),)
+        attempt = 1
+        while True:
+            reply = self._send(user_text, tags + (("attempt", str(attempt)),))
+            try:
+                return parse(reply), attempt
+            except ValueError as exc:
+                if attempt > MAX_REASKS:
+                    raise
+                user_text = reminder(exc)
+                attempt += 1
 
     def _render(self, context: dict) -> str:
         rendered = (self.initial if self.first_call else self.followup).render(context)
@@ -437,15 +418,13 @@ class CentralAgent(ConversationalAgent):
     """The decision maker: parses orders strictly, re-asks on malformed output
     up to MAX_REASKS times, then falls back to []."""
 
-    def decide(self, ctx: DecisionContext, tags=()) -> DecisionOutcome:
-        user_text = self._render(ctx.to_render_context())
-        attempts = 0
-        while True:
-            attempts += 1
-            reply = self._send(user_text, tuple(tags) + (("role", self.role), ("attempt", str(attempts))))
-            try:
-                return DecisionOutcome(specs=parse_orders(reply), attempts=attempts, gave_up=False)
-            except OrderParseError as exc:
-                if attempts > MAX_REASKS:
-                    return DecisionOutcome(specs=[], attempts=attempts, gave_up=True)
-                user_text = f"{FORMAT_REMINDER}\n(parse error: {exc})"
+    def decide(self, context: dict, tags=()) -> DecisionOutcome:
+        try:
+            specs, attempts = self.ask_parsed(self._render(context), parse_orders, _order_reminder, tags)
+        except OrderParseError:
+            return DecisionOutcome(specs=[], attempts=1 + MAX_REASKS, gave_up=True)
+        return DecisionOutcome(specs=specs, attempts=attempts, gave_up=False)
+
+
+def _order_reminder(error: ValueError) -> str:
+    return f"{FORMAT_REMINDER}\n(parse error: {error})"

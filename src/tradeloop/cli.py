@@ -97,11 +97,7 @@ def _cmd_report(args) -> int:
             RunArtifact(
                 run_id=run_dir.name,
                 run_dir=run_dir,
-                engine_log=run_dir / "engine.jsonl",
-                gateway_log=run_dir / "gateway.jsonl",
-                opro_log=run_dir / "opro.jsonl",
                 metrics=MetricReport.from_dict(payload["metrics"]),
-                config_hash="",
                 equity_dates=[date.fromisoformat(d) for d in payload["equity"]["dates"]],
                 equity_values=[Decimal(v) for v in payload["equity"]["values"]],
             )

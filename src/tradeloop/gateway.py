@@ -48,12 +48,6 @@ class ChatRequest:
     def tag(self, key: str) -> str | None:
         return dict(self.tags).get(key)
 
-    def last_user_text(self) -> str:
-        for msg in reversed(self.messages):
-            if msg.role == "user":
-                return msg.text
-        return ""
-
 
 @dataclass(frozen=True)
 class ChatResponse:
@@ -134,26 +128,27 @@ class ReplayProvider:
     """
 
     def __init__(self, audit_path: Path | str):
-        self.records: list[dict] = []
+        # Only what replay needs of each record: its request hash and response text.
+        self.records: list[tuple[str, str]] = []
         with open(audit_path, "r", encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
-                    self.records.append(json.loads(line))
+                    record = json.loads(line)
+                    self.records.append((record["request_hash"], record["response"]["text"]))
         self.cursor = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self.cursor >= len(self.records):
             raise GatewayError("SCRIPT_EXHAUSTED", "replay log exhausted")
-        record = self.records[self.cursor]
+        expected, text = self.records[self.cursor]
         self.cursor += 1
-        expected = record["request_hash"]
         actual = request_hash(request)
         if expected != actual:
             raise GatewayError(
                 "REPLAY_MISMATCH",
                 f"call {self.cursor}: request hash {actual[:12]} != recorded {expected[:12]}",
             )
-        return ChatResponse(text=record["response"]["text"])
+        return ChatResponse(text=text)
 
 
 class HttpProvider:

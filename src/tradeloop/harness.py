@@ -10,18 +10,18 @@ given the same config, data, and scripts.
 
 from __future__ import annotations
 
+import filecmp
 import json
-import os
-import re
+import tempfile
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
 
 from . import agents, indicators, metrics, opro
-from .bars import BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, parse_bars, adjust_for_actions, resample, window_slice
-from .engine import AuditLog, ExecutionEngine, Fill, Rejection, trades_from_audit
+from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, parse_bars, adjust_for_actions, resample, window_slice
+from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, Rejection, trades_from_audit
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
 from .metrics import MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import load_asset_text, load_template
@@ -44,26 +44,6 @@ class DataError(ValueError):
 
 class ReplayMismatch(RuntimeError):
     pass
-
-
-_ENV_REF = re.compile(r"^\$\{([A-Za-z_][A-Za-z0-9_]*)\}$")
-
-
-def _interpolate_env(value):
-    """Replace whole-string "${VAR}" values from the environment (secrets only)."""
-    if isinstance(value, str):
-        m = _ENV_REF.match(value)
-        if m:
-            name = m.group(1)
-            if name not in os.environ:
-                raise ConfigError(f"environment variable {name} not set")
-            return os.environ[name]
-        return value
-    if isinstance(value, dict):
-        return {k: _interpolate_env(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_interpolate_env(v) for v in value]
-    return value
 
 
 @dataclass
@@ -121,7 +101,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        obj = _interpolate_env(dict(obj))
+        obj = dict(obj)
         known = {f for f in cls.__dataclass_fields__}
         bad = set(obj) - known
         if bad:
@@ -164,6 +144,12 @@ class ExperimentConfig:
     @property
     def uses_reflection(self) -> bool:
         return self.prompting_mode in ("reflection", "adaptive_opro_with_reflection")
+
+
+FUNDAMENTAL_FIGURES = (
+    "revenue", "cogs", "operating_income", "net_income", "weighted_shares", "ocf", "icf", "fcf_fin",
+    "total_debt", "total_equity", "annual_dividends_per_share", "price",
+)
 
 
 @dataclass
@@ -212,35 +198,28 @@ def load_data(config: ExperimentConfig) -> LoadedData:
 
     fundamentals = []
     if paths.get("fundamentals"):
-        # A list of objects, each with an ISO filing_date; other fields are optional.
+        # A list of objects, each with an ISO filing_date; the figures are
+        # numbers or null, and every field but filing_date is optional.
         try:
             raw = json.loads(Path(paths["fundamentals"]).read_text(encoding="utf-8"))
             if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
                 raise ValueError("expected a list of objects")
-            filing_dates = [date.fromisoformat(obj["filing_date"]) for obj in raw]
+            for obj in raw:
+                figures = {key: obj.get(key) for key in FUNDAMENTAL_FIGURES}
+                for key, value in figures.items():
+                    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                        raise ValueError(f"{key} must be a number or null, got {value!r}")
+                fundamentals.append(
+                    agents.FundamentalSnapshot(
+                        filing_date=date.fromisoformat(obj["filing_date"]),
+                        period_label=obj.get("period_label", ""),
+                        splits=tuple(map(tuple, obj.get("splits", ()))),
+                        dividends=tuple(map(tuple, obj.get("dividends", ()))),
+                        **figures,
+                    )
+                )
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"bad fundamentals file {paths['fundamentals']}: {exc!r}") from None
-        for obj, filing_date in zip(raw, filing_dates):
-            fundamentals.append(
-                agents.FundamentalSnapshot(
-                    filing_date=filing_date,
-                    period_label=obj.get("period_label", ""),
-                    revenue=obj.get("revenue"),
-                    cogs=obj.get("cogs"),
-                    operating_income=obj.get("operating_income"),
-                    net_income=obj.get("net_income"),
-                    weighted_shares=obj.get("weighted_shares"),
-                    ocf=obj.get("ocf"),
-                    icf=obj.get("icf"),
-                    fcf_fin=obj.get("fcf_fin"),
-                    total_debt=obj.get("total_debt"),
-                    total_equity=obj.get("total_equity"),
-                    annual_dividends_per_share=obj.get("annual_dividends_per_share"),
-                    price=obj.get("price"),
-                    splits=tuple(map(tuple, obj.get("splits", ()))),
-                    dividends=tuple(map(tuple, obj.get("dividends", ()))),
-                )
-            )
 
     sessions = calendar.sessions_between(config.window_start, config.window_end)
     if not sessions:
@@ -298,11 +277,7 @@ def build_router(config: ExperimentConfig):
 class RunArtifact:
     run_id: str
     run_dir: Path
-    engine_log: Path
-    gateway_log: Path
-    opro_log: Path
     metrics: MetricReport
-    config_hash: str
     equity_dates: list[date] = field(default_factory=list)
     equity_values: list[Decimal] = field(default_factory=list)
 
@@ -375,6 +350,33 @@ def market_context(config: ExperimentConfig, timeline: MarketTimeline, k: int) -
     }
 
 
+def decision_context(config: ExperimentConfig, bar: Bar, state: PortfolioState, reports: dict, fills: list[Fill]) -> dict:
+    """The trading agent's context for the session of `bar`: prices and cash
+    with 2 decimals, share counts as integers, the last five fills."""
+    return {
+        "instrument": config.instrument,
+        "window_start": config.window_start.isoformat(),
+        "window_end": config.window_end.isoformat(),
+        "now": bar.session_date.isoformat(),
+        "action_interval": config.action_interval,
+        "has_bar": True,
+        "open": agents.fmt_price(bar.open),
+        "high": agents.fmt_price(bar.high),
+        "low": agents.fmt_price(bar.low),
+        "close": agents.fmt_price(bar.close),
+        "volume": str(bar.volume),
+        "market_analysis": reports["market"],
+        "news_analysis": reports["news"],
+        "fund_analysis": reports["fundamental"],
+        "reflection_analysis": reports["reflection"],
+        "shares_long": str(state.shares_long),
+        "shares_short": str(state.shares_short),
+        "shares_net": str(state.shares_long - state.shares_short),
+        "portfolio_cash": agents.fmt_price(state.cash),
+        "executed_orders": agents.recent_activity_text(fills),
+    }
+
+
 @dataclass
 class _StepTrace:
     session: date
@@ -427,9 +429,6 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     """One run into `run_dir`. Its logs stream to disk and are closed on every
     exit, so an aborted run leaves the exchanges it completed."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    engine_log_path = run_dir / "engine.jsonl"
-    gateway_log_path = run_dir / "gateway.jsonl"
-    opro_log_path = run_dir / "opro.jsonl"
 
     sessions = data.calendar.sessions_between(config.window_start, config.window_end)
     total_steps = len(sessions)
@@ -441,11 +440,11 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     router = build_router(config)
 
     with ExitStack() as logs:
-        audit = logs.enter_context(closing(AuditLog(engine_log_path)))
+        audit = logs.enter_context(closing(AuditLog(run_dir / "engine.jsonl")))
         engine = ExecutionEngine(initial_cash=Decimal(config.initial_cash), audit=audit)
         default_conf = (config.providers or {}).get("default", {})
         gateway = logs.enter_context(
-            closing(Gateway(router, audit_sink=gateway_log_path, max_attempts=default_conf.get("max_attempts", 3)))
+            closing(Gateway(router, audit_sink=run_dir / "gateway.jsonl", max_attempts=default_conf.get("max_attempts", 3)))
         )
         optimizer = opro.AdaptiveOpro(
             initial_template=tpl("cta_initial"),
@@ -453,7 +452,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
             optimizer_asset=load_asset_text("optimizer", override_dir=prompt_dir),
             k=config.opro_k,
             roi_mode=config.roi_mode,
-            log_sink=opro_log_path,
+            log_sink=run_dir / "opro.jsonl",
         )
         logs.enter_context(closing(optimizer.log))
 
@@ -538,27 +537,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                 reports["fundamental"] = fundamental.ask(ctx, tags)
                 delivered_fundamentals = len(available)
 
-            ctx = agents.DecisionContext(
-                instrument=config.instrument,
-                window_start=config.window_start,
-                window_end=config.window_end,
-                now=session,
-                action_interval=config.action_interval,
-                has_bar=True,
-                open=bar.open,
-                high=bar.high,
-                low=bar.low,
-                close=bar.close,
-                volume=bar.volume,
-                market_analysis=reports["market"],
-                news_analysis=reports["news"],
-                fund_analysis=reports["fundamental"],
-                reflection_analysis=reports["reflection"],
-                shares_long=state.shares_long,
-                shares_short=state.shares_short,
-                portfolio_cash=state.cash,
-                executed_orders=agents.recent_activity_text(fills),
-            )
+            ctx = decision_context(config, bar, state, reports, fills)
             outcome = cta.decide(ctx, tags=tags)
             if outcome.gave_up:
                 decision_fallbacks += 1
@@ -617,11 +596,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     return RunArtifact(
         run_id=run_id,
         run_dir=run_dir,
-        engine_log=engine_log_path,
-        gateway_log=gateway_log_path,
-        opro_log=opro_log_path,
         metrics=report,
-        config_hash=config.config_hash(),
         equity_dates=equity_dates,
         equity_values=equity_values,
     )
@@ -665,7 +640,10 @@ def aggregate_and_report(artifacts: list[RunArtifact], label: str = "experiment"
 
 def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> RunArtifact:
     """Re-execute a recorded run through the replay provider and require
-    byte-identical artifacts. Raises ReplayMismatch on any divergence."""
+    byte-identical artifacts. Raises ReplayMismatch on any divergence.
+
+    The replay writes into `scratch_dir`, or into a temporary directory that
+    is removed on every exit; the returned artifact names the recorded run."""
     run_dir = Path(run_dir)
     lock = json.loads((run_dir / "config.lock").read_text(encoding="utf-8"))
     config = ExperimentConfig.from_dict(lock["config"])
@@ -675,18 +653,18 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
     config.providers = {"default": {"kind": "replay", "replay_path": str(run_dir / "gateway.jsonl")}}
 
     data = load_data(config)
-    scratch = Path(scratch_dir) if scratch_dir else run_dir.parent / f"{run_dir.name}.replay"
-    try:
-        artifact = run_single(config, data, run_dir.name, scratch)
-    except GatewayError as exc:
-        raise ReplayMismatch(f"replay diverged: {exc}") from exc
-
-    mismatched = []
-    for name in ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json"):
-        want = (run_dir / name).read_bytes()
-        got = (scratch / name).read_bytes()
-        if want != got:
-            mismatched.append(name)
+    with ExitStack() as stack:
+        # Without a scratch_dir the replay leaves nothing behind, whatever its outcome.
+        scratch = Path(scratch_dir) if scratch_dir else Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        try:
+            artifact = run_single(config, data, run_dir.name, scratch)
+        except GatewayError as exc:
+            raise ReplayMismatch(f"replay diverged: {exc}") from exc
+        mismatched = [
+            name
+            for name in ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json")
+            if not filecmp.cmp(run_dir / name, scratch / name, shallow=False)
+        ]
     if mismatched:
         raise ReplayMismatch(f"replay artifacts differ: {', '.join(mismatched)}")
-    return artifact
+    return replace(artifact, run_dir=run_dir)

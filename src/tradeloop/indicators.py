@@ -12,7 +12,6 @@ analyst's prompt context; unavailable values render as the literal text "n/a".
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import date
@@ -34,9 +33,6 @@ class IndicatorValue:
     params: tuple[tuple[str, float], ...]
     value: float | dict | None
     available: bool
-
-    def param(self, key: str) -> float:
-        return dict(self.params)[key]
 
 
 @dataclass(frozen=True)
@@ -486,16 +482,3 @@ def format_levels(levels: LevelSet) -> str:
         parts.append(f"Resistance: {res}")
     return "\n".join(parts) if parts else "No clustered levels detected"
 
-
-def to_jsonl(values: Sequence[IndicatorValue]) -> str:
-    """Snapshot serialization: one {date, name, params, values} object per line."""
-    lines = []
-    for v in values:
-        obj = {
-            "date": v.as_of.isoformat(),
-            "name": v.name,
-            "params": dict(v.params),
-            "values": v.value if v.available else None,
-        }
-        lines.append(json.dumps(obj, separators=(",", ":"), sort_keys=True))
-    return "\n".join(lines) + "\n"

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
+from .agents import ConversationalAgent
 from .engine import AuditLog
-from .gateway import ChatMessage, ChatRequest, Gateway
+from .gateway import Gateway
 from .templates import PromptTemplate, TemplateError
 
 OPTIMIZER_KEYS = ("performance_analysis", "optimized_prompt", "key_improvements", "expected_impact")
@@ -168,7 +169,6 @@ class AdaptiveOpro:
         optimizer_asset: str,
         k: int = 5,
         roi_mode: str = "cumulative",
-        max_retries: int = 2,
         log_sink: IO[str] | Path | str | None = None,
     ):
         if k < 1:
@@ -177,7 +177,6 @@ class AdaptiveOpro:
             raise ValueError(f"bad roi_mode {roi_mode!r}")
         self.k = k
         self.roi_mode = roi_mode
-        self.max_retries = max_retries
         self.gateway = gateway
         self.optimizer_asset = optimizer_asset
         self.live_template = initial_template
@@ -242,75 +241,55 @@ class AdaptiveOpro:
     # -- meta-prompted update --------------------------------------------------
 
     def propose_update(self, tags=()) -> bool:
-        """Ask the optimizer for a candidate; swap it in when valid.
-
-        Re-asks up to `max_retries` times on parse or validation failure, then
-        keeps the current template. Returns True when the live template changed.
-        """
+        """One optimizer turn over the meta-prompt; the candidate goes live
+        when it parses and keeps the placeholder set. A reply that does not
+        is re-asked as any turn is; after the last re-ask the current template
+        stays. Returns True when the live template changed."""
         if self.gateway is None:
             raise RuntimeError("optimizer gateway not configured")
         self.optimizer_calls += 1
-        meta = build_meta_prompt(self.records, self.optimizer_asset)
         live_score = self._live_record().score
-        next_iteration = self.records[-1].iteration + 1
-        messages = [ChatMessage(role="user", text=meta)]
-        failure: tuple[str, str] | None = None
+        iteration = self.records[-1].iteration + 1
         last_candidate = ""
-        for attempt in range(1 + self.max_retries):
-            request = ChatRequest(
-                system_text="",
-                messages=tuple(messages),
-                tags=tuple(tags) + (("role", "optimizer"), ("attempt", str(attempt + 1))),
-            )
-            response = self.gateway.complete(request)
-            messages.append(ChatMessage(role="assistant", text=response.text))
+
+        def parse(reply: str) -> OptimizerOutput:
+            """The reply's valid candidate; the error's text is the reject reason."""
+            nonlocal last_candidate
             try:
-                output = parse_optimizer_response(response.text)
+                output = parse_optimizer_response(reply)
             except OptimizerParseError as exc:
-                failure = (exc.code, str(exc))
-                messages.append(ChatMessage(role="user", text=OPTIMIZER_FORMAT_REMINDER))
-                continue
+                raise OptimizerParseError(exc.code, str(exc)) from None  # the ledger names the code twice
             last_candidate = output.optimized_prompt
             verdict = validate_candidate(self.live_template, output.optimized_prompt)
             if not verdict.accepted:
-                failure = (verdict.reason or "REJECTED", verdict.detail)
-                messages.append(ChatMessage(role="user", text=OPTIMIZER_FORMAT_REMINDER))
-                continue
+                raise OptimizerParseError(verdict.reason, verdict.detail)
+            return output
+
+        optimizer = ConversationalAgent("optimizer", self.gateway, None, None)
+        meta = build_meta_prompt(self.records, self.optimizer_asset)
+        try:
+            output, _ = optimizer.ask_parsed(meta, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags)
+        except OptimizerParseError as exc:
+            record = PromptRecord(iteration, last_candidate, accepted=False, reject_reason=str(exc))
+        else:
             record = PromptRecord(
-                iteration=next_iteration,
+                iteration=iteration,
                 template_text=output.optimized_prompt,
                 analysis=output.performance_analysis,
                 improvements=output.key_improvements,
                 impact=output.expected_impact,
             )
-            self.records.append(record)
-            self.live_template = PromptTemplate.parse(
-                f"cta_initial@{next_iteration}", output.optimized_prompt
-            )
-            self.log.append(self._record_line(record, score=live_score))
-            return True
-
-        rejected = PromptRecord(
-            iteration=next_iteration,
-            template_text=last_candidate,
-            accepted=False,
-            reject_reason=f"{failure[0]}: {failure[1]}" if failure else "unknown",
-        )
-        self.records.append(rejected)
-        self.log.append(self._record_line(rejected, score=live_score))
-        return False
+            self.live_template = PromptTemplate.parse(f"cta_initial@{iteration}", output.optimized_prompt)
+        self.records.append(record)
+        self.log.append(self._record_line(record, score=live_score))
+        return record.accepted
 
 
 def reflect(gateway: Gateway, template: PromptTemplate, context: dict, tags=()) -> str:
-    """One advisory review paragraph over the period's decision history.
+    """One advisory review paragraph over the period's decision history: a
+    conversation of one turn.
 
     Reflection never touches templates; its text is injected into the next
     decision context as reflection_analysis.
     """
-    rendered = template.render(context)
-    request = ChatRequest(
-        system_text=rendered.system_text,
-        messages=(ChatMessage(role="user", text=rendered.user_text),),
-        tags=tuple(tags) + (("role", "reflection"),),
-    )
-    return gateway.complete(request).text
+    return ConversationalAgent("reflection", gateway, template, template).ask(context, tags)

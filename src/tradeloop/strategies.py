@@ -73,13 +73,8 @@ def _cross_signals(
     dates: list[date],
     fast: list[float | None],
     slow: list[float | None],
-    invert_exit: bool = False,
 ) -> list[Signal]:
-    """Enter when fast crosses above slow, exit when it crosses below.
-
-    `invert_exit` swaps the roles for the exit leg (used by Bollinger where
-    entry and exit compare against different bands).
-    """
+    """Enter when fast crosses above slow, exit when it crosses below."""
     signals: list[Signal] = []
     in_position = False
     for i in range(1, len(dates)):

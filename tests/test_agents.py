@@ -1,4 +1,4 @@
-"""Conversational agents, decision context, fundamental ratios, order parsing."""
+"""Conversational agents, the decision context, fundamental ratios, order parsing."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tradeloop.agents import (
     CentralAgent,
     ConversationalAgent,
-    DecisionContext,
+    MAX_REASKS,
     FundamentalSnapshot,
     NewsItem,
     OrderParseError,
@@ -27,8 +27,10 @@ from tradeloop.agents import (
     render_news_batch,
     strip_fences,
 )
-from tradeloop.engine import Action, Fill, OrderType
+from tradeloop.bars import Bar
+from tradeloop.engine import Action, Fill, OrderType, PortfolioState
 from tradeloop.gateway import Gateway, ScriptEntry, ScriptedProvider
+from tradeloop.harness import ExperimentConfig, decision_context
 from tradeloop.templates import load_template
 
 
@@ -479,26 +481,37 @@ class TestAnalystCadence:
         assert "SMA(20): n/a" in sent
 
 
-def make_decision_context(**overrides) -> DecisionContext:
-    base = dict(
-        instrument="SYNTH",
-        window_start=date(2025, 4, 28),
-        window_end=date(2025, 6, 27),
-        now=date(2025, 4, 28),
-        action_interval="1 day",
-        has_bar=True,
-        open=Decimal("100"),
-        high=Decimal("101"),
-        low=Decimal("99"),
-        close=Decimal("100.5"),
-        volume=1000,
-        shares_long=0,
-        shares_short=0,
-        portfolio_cash=Decimal("100000"),
-        executed_orders="None",
-    )
-    base.update(overrides)
-    return DecisionContext(**base)
+class TestAskParsed:
+    def test_reasks_with_reminder_then_raises_last_error(self):
+        gateway = make_gateway([ScriptEntry(response=f"no {n}", step=n) for n in range(1, 4)])
+        agent = make_analyst(gateway)
+
+        def parse(reply: str) -> int:
+            raise ValueError(f"cannot parse {reply!r}")
+
+        with pytest.raises(ValueError, match="cannot parse 'no 3'"):
+            agent.ask_parsed("question", parse, lambda exc: f"again: {exc}", (("step", "1"),))
+        records = [json.loads(line) for line in gateway.audit.text().splitlines()]
+        assert len(records) == 1 + MAX_REASKS
+        assert [r["tags"] for r in records] == [
+            {"step": "1", "role": "market", "attempt": str(n)} for n in range(1, 4)
+        ]
+        assert [m["text"] for m in records[-1]["request"]["messages"]] == [
+            "question", "no 1", "again: cannot parse 'no 1'", "no 2", "again: cannot parse 'no 2'"
+        ]
+
+    def test_returns_parsed_value_and_attempts(self):
+        gateway = make_gateway([ScriptEntry(response="x", step=1), ScriptEntry(response="7", step=2)])
+        value, attempts = make_analyst(gateway).ask_parsed("question", int, lambda exc: "digits only")
+        assert (value, attempts) == (7, 2)
+
+
+def make_decision_context(cash: str = "100000", shares_long: int = 0) -> dict:
+    config = ExperimentConfig(instrument="SYNTH", window_start=date(2025, 4, 28), window_end=date(2025, 6, 27))
+    bar = Bar(date(2025, 4, 28), Decimal("100"), Decimal("101"), Decimal("99"), Decimal("100.5"), 1000)
+    state = PortfolioState(cash=Decimal(cash), shares_long=shares_long, shares_short=0, as_of=None)
+    reports = {"market": None, "news": None, "fundamental": None, "reflection": None}
+    return decision_context(config, bar, state, reports, [])
 
 
 class TestCentralAgent:
@@ -548,7 +561,7 @@ class TestCentralAgent:
     def test_number_formatting_in_rendered_prompt(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
         agent = make_cta(gateway)
-        ctx = make_decision_context(portfolio_cash=Decimal("98989.5"), shares_long=12)
+        ctx = make_decision_context(cash="98989.5", shares_long=12)
         agent.decide(ctx)
         sent = first_record(gateway)["request"]["messages"][0]["text"]
         assert "$98989.50" in sent  # cash rendered with 2 decimals
@@ -562,7 +575,7 @@ class TestCentralAgent:
         agent = make_cta(gateway)
         ctx = make_decision_context()
         template = load_template("cta_initial")
-        rendered = template.render(ctx.to_render_context())
+        rendered = template.render(ctx)
         agent.decide(ctx)
         record = first_record(gateway)
         sent_user = record["request"]["messages"][0]["text"]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from tradeloop.bars import serialize_bars
+from tradeloop import cli
 from tradeloop.cli import main
 from tradeloop.harness import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
 
@@ -76,6 +77,22 @@ class TestRunReportReplay:
         assert main(["replay", "--run", str(exp_dir / "run-1")]) == EXIT_OK
         assert "byte-identical" in capsys.readouterr().out
 
+    def test_report_after_replay_counts_recorded_runs_only(self, tmp_path, capsys, monkeypatch):
+        build_workspace(tmp_path, mode="baseline", runs=2)
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_OK
+        exp_dir = tmp_path / "runs" / "exp-baseline"
+        assert main(["replay", "--run", str(exp_dir / "run-1")]) == EXIT_OK
+        reported = []
+        aggregate = cli.aggregate_and_report
+
+        def spy(artifacts, label):
+            reported.append([a.run_id for a in artifacts])
+            return aggregate(artifacts, label=label)
+
+        monkeypatch.setattr(cli, "aggregate_and_report", spy)
+        assert main(["report", "--runs", str(exp_dir)]) == EXIT_OK
+        assert reported == [["run-1", "run-2"]]
+
     def test_bad_config_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -125,6 +142,8 @@ class TestRunReportReplay:
         ("fundamentals", '[{"period_label": "Q1"}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "2025-13-40"}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": 20250102}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "2025-01-02", "revenue": "1.0e9"}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "2025-01-02", "net_income": true}]', EXIT_DATA),
         ("calendar", "2025-01-02\nnot a date\n", EXIT_DATA),
         ("prompt_dir", "{{ unclosed", EXIT_CONFIG),
         ("prompt_dir", "{% for x %}", EXIT_CONFIG),

@@ -167,8 +167,9 @@ class TestReplayProvider:
         replay = ReplayProvider(audit)
         replay.complete(req("first"))
         replay.complete(req("second"))
-        with pytest.raises(GatewayError):
+        with pytest.raises(GatewayError) as err:
             replay.complete(req("third"))
+        assert err.value.code == "SCRIPT_EXHAUSTED"
 
     def test_replayed_session_is_bit_reproducible(self, tmp_path):
         audit = self._record_session(tmp_path)

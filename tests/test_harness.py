@@ -172,7 +172,7 @@ class TestRunExperiment:
     def test_baseline_mode_single_template_record(self, tmp_path):
         config = build_workspace(tmp_path, mode="baseline")
         artifacts, _ = run_experiment(config)
-        opro_lines = artifacts[0].opro_log.read_text(encoding="utf-8").splitlines()
+        opro_lines = (artifacts[0].run_dir / "opro.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(opro_lines) == 1
         record = json.loads(opro_lines[0])
         assert record["iteration"] == 1 and record["accepted"]
@@ -188,7 +188,7 @@ class TestRunExperiment:
         ends = [w["end_step"] for w in payload["windows"]]
         assert ends == [5, 10, 15, 20, 25, 30, 35, 40, 42]
         # 9 opro ledger lines: inception + 8 accepted updates
-        opro_lines = artifacts[0].opro_log.read_text(encoding="utf-8").splitlines()
+        opro_lines = (artifacts[0].run_dir / "opro.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(opro_lines) == 9
 
     def test_equity_curve_one_value_per_session(self, tmp_path):
@@ -406,18 +406,85 @@ GOLDEN_REFLECTION_DIGESTS = {
 }
 
 
+# The adaptive_opro_with_reflection inputs with replies that take every re-ask
+# and rejection path: an unparseable optimizer reply and then a candidate
+# accepted at the second attempt; a candidate that adds a placeholder, three
+# times; three unparseable replies; a candidate that drops a placeholder and
+# then two unparseable replies (the record keeps that candidate); and a
+# trading-agent decision that gives up after three malformed replies.
+GOLDEN_REJECTION_DIGESTS = {
+    "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
+    "gateway.jsonl": "ca5332790c8298a742fccbbb3ef49b2aa7dcff786fd3df7bd5f61adf343ff6bc",
+    "opro.jsonl": "c6aab6da829ad18ff44d8e3145d44c371206ac4daa15dd66ba46984767050a8c",
+    "metrics.json": "c768b3c56aaf7c10a922c3e26e6975c00ccd3a8ae79ab464b0f7c485563ff0a6",
+}
+
+
+def rejection_providers(config: ExperimentConfig) -> dict:
+    base = load_template("cta_initial").body
+    improved = base + "\nScripted refinement: stay selective."
+    optimizer_replies = [
+        "I would rather not use a fence.",
+        optimizer_payload(improved),
+        optimizer_payload(improved + "\nWatch {{ sneaky_new_var }}."),
+        optimizer_payload(improved + "\nWatch {{ sneaky_new_var }}."),
+        optimizer_payload(improved + "\nWatch {{ sneaky_new_var }}."),
+        "```json\n" + json.dumps({"performance_analysis": "a", "optimized_prompt": "p"}) + "\n```",
+        "```json\n[1, 2]\n```",
+        "no fence at all",
+        optimizer_payload(improved.replace("${{ portfolio_cash }}", "$CASH")),
+        "```json\n{not json}\n```",
+        "still no fence",
+    ]
+    sessions = load_data(config).calendar.sessions_between(config.window_start, config.window_end)
+    giveup = f"**Current:** {sessions[12].isoformat()}"
+    providers = dict(config.providers)
+    providers["optimizer"] = {
+        "kind": "scripted",
+        "script": [{"step": n, "response": reply} for n, reply in enumerate(optimizer_replies, start=1)]
+        + [{"match": "", "response": optimizer_payload(base + "\nScripted refinement: be patient."), "times": None}],
+    }
+    cta = providers["cta"]["script"]
+    malformed = ["no json today", '{"action": "BUY"}', '[{"action": "buy"}]']
+    providers["cta"] = {
+        "kind": "scripted",
+        "script": cta[:2] + [{"match": giveup, "response": r, "times": 1} for r in malformed] + cta[2:],
+    }
+    return providers
+
+
 class TestGoldenDigests:
-    def digests(self, tmp_path: Path, mode: str) -> dict[str, str]:
+    def run_dir(self, tmp_path: Path, mode: str, rejections: bool = False) -> Path:
         config = build_workspace(tmp_path, mode=mode, history_bars=GOLDEN_BARS)
+        if rejections:
+            config.providers = rejection_providers(config)
         artifacts, _ = run_experiment(config)
-        run_dir = artifacts[0].run_dir
+        return artifacts[0].run_dir
+
+    def digests(self, run_dir: Path) -> dict[str, str]:
         return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
 
     def test_scripted_run_matches_pinned_digests(self, tmp_path):
-        assert self.digests(tmp_path, "adaptive_opro_with_reflection") == GOLDEN_DIGESTS
+        assert self.digests(self.run_dir(tmp_path, "adaptive_opro_with_reflection")) == GOLDEN_DIGESTS
 
     def test_reflection_run_matches_pinned_digests(self, tmp_path):
-        assert self.digests(tmp_path, "reflection") == GOLDEN_REFLECTION_DIGESTS
+        assert self.digests(self.run_dir(tmp_path, "reflection")) == GOLDEN_REFLECTION_DIGESTS
+
+    def test_rejection_paths_match_pinned_digests(self, tmp_path):
+        run_dir = self.run_dir(tmp_path, "adaptive_opro_with_reflection", rejections=True)
+        records = [json.loads(line) for line in (run_dir / "opro.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(r["accepted"], r["reject_reason"]) for r in records[1:5]] == [
+            (True, None),
+            (False, "EXTRA_PLACEHOLDER: sneaky_new_var"),
+            (False, "BAD_FENCE: BAD_FENCE: no ```json fenced block found"),
+            (False, "BAD_FENCE: BAD_FENCE: no ```json fenced block found"),
+        ]
+        assert "{{ sneaky_new_var }}" in records[2]["template_text"]
+        assert records[3]["template_text"] == ""
+        assert "$CASH" in records[4]["template_text"]
+        payload = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
+        assert payload["decision_fallbacks"] == 1
+        assert self.digests(run_dir) == GOLDEN_REJECTION_DIGESTS
 
 
 def reference_multi_timeframe_text(series: BarSeries, as_of: date) -> str:
@@ -501,8 +568,12 @@ class TestReplay:
     def test_replay_byte_identical(self, tmp_path):
         config = build_workspace(tmp_path)
         artifacts, _ = run_experiment(config)
+        exp_dir = artifacts[0].run_dir.parent
+        listing = sorted(p.relative_to(exp_dir) for p in exp_dir.rglob("*"))
         replayed = replay_run(artifacts[0].run_dir)
         assert replayed.metrics == artifacts[0].metrics
+        assert replayed.run_dir == artifacts[0].run_dir
+        assert sorted(p.relative_to(exp_dir) for p in exp_dir.rglob("*")) == listing
 
     def test_tampered_request_hash_mismatch(self, tmp_path):
         config = build_workspace(tmp_path)
@@ -514,10 +585,11 @@ class TestReplay:
         record["request_hash"] = "0" * 64
         lines[0] = json.dumps(record, separators=(",", ":"), sort_keys=True)
         gw.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        recorded = sorted(p.name for p in run_dir.iterdir())
+        exp_dir = run_dir.parent
+        listing = sorted(p.relative_to(exp_dir) for p in exp_dir.rglob("*"))
         with pytest.raises(ReplayMismatch):
             replay_run(run_dir)
-        assert sorted(p.name for p in run_dir.iterdir()) == recorded
+        assert sorted(p.relative_to(exp_dir) for p in exp_dir.rglob("*")) == listing
 
     def test_tampered_config_lock(self, tmp_path):
         config = build_workspace(tmp_path)
@@ -612,28 +684,14 @@ class TestConfigValidation:
                 }
             )
 
-    def test_env_interpolation_for_secrets(self, monkeypatch):
-        monkeypatch.setenv("FAKE_KEY", "resolved-secret")
-        config = ExperimentConfig.from_dict(
-            {
-                "instrument": "X",
-                "window_start": "2025-04-28",
-                "window_end": "2025-06-27",
-                "providers": {"default": {"kind": "http", "api_key_env": "${FAKE_KEY}"}},
-            }
-        )
-        assert config.providers["default"]["api_key_env"] == "resolved-secret"
-
-    def test_missing_env_var_is_config_error(self):
-        with pytest.raises(ConfigError, match="MISSING_VAR"):
-            ExperimentConfig.from_dict(
-                {
-                    "instrument": "X",
-                    "window_start": "2025-04-28",
-                    "window_end": "2025-06-27",
-                    "providers": {"default": {"kind": "http", "api_key_env": "${MISSING_VAR}"}},
-                }
-            )
+    def test_env_reference_reaches_config_lock_literally(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FAKE_KEY", "sk-live-not-a-secret")
+        build_workspace(tmp_path, mode="baseline")
+        obj = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+        obj["providers"]["market"]["script"][0]["response"] = "${FAKE_KEY}"
+        artifacts, _ = run_experiment(ExperimentConfig.from_dict(obj))
+        lock = (artifacts[0].run_dir / "config.lock").read_text(encoding="utf-8")
+        assert "${FAKE_KEY}" in lock and "sk-live" not in lock
 
 
 class TestDataValidation:

@@ -27,7 +27,6 @@ from tradeloop.indicators import (
     sma_series,
     snapshot,
     snapshots,
-    to_jsonl,
     true_ranges,
     volume_profile,
 )
@@ -535,12 +534,3 @@ class TestSnapshotRendering:
         text = format_for_prompt(snapshot(series))
         assert "SMA(200):" in text and "n/a" not in text.split("SMA(200):")[1].splitlines()[0]
         assert "MACD(12,26,9): macd " in text
-
-    def test_jsonl_schema(self):
-        series = series_from_closes([10.0] * 30)
-        lines = to_jsonl(snapshot(series)).strip().splitlines()
-        import json
-
-        for line in lines:
-            obj = json.loads(line)
-            assert set(obj) == {"date", "name", "params", "values"}
