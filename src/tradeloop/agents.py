@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import date
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .engine import Action, Order, OrderType
@@ -322,8 +322,8 @@ def parse_orders(text: str) -> list[OrderSpec]:
     """Strictly validate an order array (possibly inside a ```json fence).
 
     Exact enum casing; MARKET orders carry price null; LIMIT/STOP need a
-    positive numeric price; quantity is a positive JSON integer; exactly the
-    five schema fields, nothing else.
+    finite numeric price that is positive at 4 decimals; quantity is a
+    positive JSON integer; exactly the five schema fields, nothing else.
     """
     payload = strip_fences(text).strip()
     try:
@@ -367,7 +367,14 @@ def parse_orders(text: str) -> list[OrderSpec]:
                 )
             if price <= 0:
                 raise OrderParseError("SCHEMA_VIOLATION", f"{path}.price", "price must be > 0")
-            price_dec = Decimal(repr(price)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN)
+            try:
+                price_dec = Decimal(repr(price)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN)
+            except InvalidOperation:  # infinite, or too many digits for 4 decimals
+                price_dec = Decimal("NaN")
+            if not price_dec.is_finite() or price_dec <= 0:
+                raise OrderParseError(
+                    "SCHEMA_VIOLATION", f"{path}.price", "price must be finite and > 0 at 4 decimals"
+                )
         quantity = obj["quantity"]
         if isinstance(quantity, bool) or not isinstance(quantity, int):
             raise OrderParseError(

@@ -46,21 +46,53 @@ class ReplayMismatch(RuntimeError):
     pass
 
 
+PROVIDER_KINDS = ("scripted", "http", "replay")
+PROVIDER_ROLES = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
+ABLATIONS = ("no_news", "no_market", "no_fundamental")
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_script_entry(entry) -> bool:
+    """A dict with a string `response`, and optionally a string `match`, a
+    positive integer `step` and a positive integer or null `times`."""
+    return (
+        isinstance(entry, dict)
+        and entry.keys() <= {"response", "match", "step", "times"}
+        and isinstance(entry.get("response"), str)
+        and (entry.get("match") is None or isinstance(entry["match"], str))
+        and (entry.get("step") is None or _is_positive_int(entry["step"]))
+        and (entry.get("times") is None or _is_positive_int(entry["times"]))
+    )
+
+
 @dataclass
 class ProviderConfig:
-    kind: str = "scripted"  # scripted | http | replay
+    kind: str = "scripted"  # one of PROVIDER_KINDS
     base_url: str = ""
     model_id: str = ""
     timeout_s: float = 60.0
-    max_attempts: int = 3
     api_key_env: str = "LLM_API_KEY"
     strict: bool = True
     default_response: str = ""
     script: list = field(default_factory=list)
     replay_path: str = ""
 
+    def __post_init__(self) -> None:
+        if self.kind not in PROVIDER_KINDS:
+            raise ConfigError(f"unknown provider kind {self.kind!r}")
+        if not isinstance(self.script, list):
+            raise ConfigError(f"script must be a list, got {self.script!r}")
+        for n, entry in enumerate(self.script):
+            if not _is_script_entry(entry):
+                raise ConfigError(f"bad script entry {n}: {entry!r}")
+
     @classmethod
     def from_dict(cls, obj: dict) -> "ProviderConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a provider config must be an object, got {obj!r}")
         known = {f for f in cls.__dataclass_fields__}
         bad = set(obj) - known
         if bad:
@@ -82,7 +114,7 @@ class ExperimentConfig:
     runs: int = 3
     seed: int = 0
     initial_cash: str = "100000"
-    ablations: dict = field(default_factory=lambda: {"no_news": False, "no_market": False, "no_fundamental": False})
+    ablations: dict = field(default_factory=lambda: dict.fromkeys(ABLATIONS, False))
     providers: dict = field(default_factory=dict)
     paths: dict = field(default_factory=dict)
     prompt_dir: str = ""  # template override directory
@@ -90,14 +122,26 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.window_start >= self.window_end:
             raise ConfigError("window_start must precede window_end")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.opro_k < 1:
-            raise ConfigError("opro_k must be >= 1")
-        if self.reflection_interval < 1:
-            raise ConfigError("reflection_interval must be >= 1")
+        for name in ("runs", "opro_k", "reflection_interval"):
+            if not _is_positive_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if self.prompting_mode not in PROMPTING_MODES:
             raise ConfigError(f"prompting_mode must be one of {PROMPTING_MODES}")
+        if self.roi_mode not in opro.ROI_MODES:
+            raise ConfigError(f"roi_mode must be one of {opro.ROI_MODES}")
+        try:
+            cash = Decimal(self.initial_cash)
+        except (ArithmeticError, TypeError, ValueError):
+            cash = Decimal("NaN")
+        if isinstance(self.initial_cash, bool) or not cash.is_finite() or cash <= 0:
+            raise ConfigError(f"initial_cash must be a positive number, got {self.initial_cash!r}")
+        ab = self.ablations
+        if not isinstance(ab, dict) or not set(ab) <= set(ABLATIONS) or not all(isinstance(v, bool) for v in ab.values()):
+            raise ConfigError(f"ablations must map some of {ABLATIONS} to true or false, got {ab!r}")
+        if not isinstance(self.providers, dict) or not set(self.providers) <= {"default", *PROVIDER_ROLES}:
+            raise ConfigError(f"providers must map some of {('default', *PROVIDER_ROLES)} to provider configs")
+        for conf in self.providers.values():
+            ProviderConfig.from_dict(conf)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -111,7 +155,7 @@ class ExperimentConfig:
             obj["window_end"] = date.fromisoformat(obj["window_end"])
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         if "instrument" not in obj:
             raise ConfigError("missing config key: 'instrument'")
@@ -161,28 +205,29 @@ class LoadedData:
     actions: list = field(default_factory=list)
 
 
+def _read_input(paths: dict, key: str) -> str:
+    try:
+        return Path(paths[key]).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{key} file not found or unreadable: {exc}") from None
+
+
 def load_data(config: ExperimentConfig) -> LoadedData:
     paths = config.paths
     if "bars" not in paths:
         raise DataError("config.paths.bars is required")
-    bars_path = Path(paths["bars"])
-    if not bars_path.exists():
-        raise DataError(f"bars file not found: {bars_path}")
-    fmt = "jsonl" if bars_path.suffix == ".jsonl" else "csv"
-    series = parse_bars(bars_path.read_text(encoding="utf-8"), format=fmt, symbol=config.instrument)
+    fmt = "jsonl" if Path(paths["bars"]).suffix == ".jsonl" else "csv"
+    series = parse_bars(_read_input(paths, "bars"), format=fmt, symbol=config.instrument)
 
     actions = []
     if paths.get("actions"):
-        actions = parse_actions_csv(Path(paths["actions"]).read_text(encoding="utf-8"))
+        actions = parse_actions_csv(_read_input(paths, "actions"))
         series = adjust_for_actions(series, actions)
 
     if paths.get("calendar"):
+        text = _read_input(paths, "calendar")
         try:
-            dates = [
-                date.fromisoformat(line.strip())
-                for line in Path(paths["calendar"]).read_text(encoding="utf-8").splitlines()
-                if line.strip()
-            ]
+            dates = [date.fromisoformat(line.strip()) for line in text.splitlines() if line.strip()]
         except ValueError as exc:
             raise DataError(f"bad calendar file {paths['calendar']}: {exc}") from None
         calendar = SessionCalendar(tuple(dates))
@@ -191,17 +236,20 @@ def load_data(config: ExperimentConfig) -> LoadedData:
 
     news = []
     if paths.get("news"):
+        text = _read_input(paths, "news")
         try:
-            news = agents.load_news_jsonl(Path(paths["news"]).read_text(encoding="utf-8"))
+            news = agents.load_news_jsonl(text)
         except ValueError as exc:
             raise DataError(f"bad news file {paths['news']}: {exc}") from None
 
     fundamentals = []
     if paths.get("fundamentals"):
         # A list of objects, each with an ISO filing_date; the figures are
-        # numbers or null, and every field but filing_date is optional.
+        # numbers or null, splits and dividends lists of [date, value] pairs,
+        # and every field but filing_date is optional.
+        text = _read_input(paths, "fundamentals")
         try:
-            raw = json.loads(Path(paths["fundamentals"]).read_text(encoding="utf-8"))
+            raw = json.loads(text)
             if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
                 raise ValueError("expected a list of objects")
             for obj in raw:
@@ -209,12 +257,16 @@ def load_data(config: ExperimentConfig) -> LoadedData:
                 for key, value in figures.items():
                     if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
                         raise ValueError(f"{key} must be a number or null, got {value!r}")
+                events = {key: obj.get(key, []) for key in ("splits", "dividends")}
+                for key, entries in events.items():
+                    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
+                        raise ValueError(f"{key} must be a list of [date, value] pairs, got {entries!r}")
                 fundamentals.append(
                     agents.FundamentalSnapshot(
                         filing_date=date.fromisoformat(obj["filing_date"]),
                         period_label=obj.get("period_label", ""),
-                        splits=tuple(map(tuple, obj.get("splits", ()))),
-                        dividends=tuple(map(tuple, obj.get("dividends", ()))),
+                        splits=tuple(map(tuple, events["splits"])),
+                        dividends=tuple(map(tuple, events["dividends"])),
                         **figures,
                     )
                 )
@@ -249,9 +301,7 @@ def build_provider(pconf: ProviderConfig):
             timeout_s=pconf.timeout_s,
             api_key_env=pconf.api_key_env,
         )
-    if pconf.kind == "replay":
-        return ReplayProvider(pconf.replay_path)
-    raise ConfigError(f"unknown provider kind {pconf.kind!r}")
+    return ReplayProvider(pconf.replay_path)
 
 
 def build_router(config: ExperimentConfig):
@@ -260,11 +310,10 @@ def build_router(config: ExperimentConfig):
     Roles without their own config all route to the one default provider, so
     sequential kinds (replay, step-matched scripts) keep a global call order.
     """
-    roles = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
     raw = config.providers or {}
     default_conf = raw.get("default")
     providers = {}
-    for role in roles:
+    for role in PROVIDER_ROLES:
         if role in raw:
             providers[role] = build_provider(ProviderConfig.from_dict(raw[role]))
     default = build_provider(ProviderConfig.from_dict(default_conf)) if default_conf else None
@@ -428,8 +477,6 @@ def _complete_history(steps: list[_StepTrace], fills: list[Fill]) -> str:
 def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir: Path) -> RunArtifact:
     """One run into `run_dir`. Its logs stream to disk and are closed on every
     exit, so an aborted run leaves the exchanges it completed."""
-    run_dir.mkdir(parents=True, exist_ok=True)
-
     sessions = data.calendar.sessions_between(config.window_start, config.window_end)
     total_steps = len(sessions)
     series = data.bars
@@ -438,14 +485,12 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     tpl = lambda name: load_template(name, override_dir=prompt_dir)
     # Built before any log opens: a replay provider reads its whole recording here.
     router = build_router(config)
+    run_dir.mkdir(parents=True, exist_ok=True)
 
     with ExitStack() as logs:
         audit = logs.enter_context(closing(AuditLog(run_dir / "engine.jsonl")))
         engine = ExecutionEngine(initial_cash=Decimal(config.initial_cash), audit=audit)
-        default_conf = (config.providers or {}).get("default", {})
-        gateway = logs.enter_context(
-            closing(Gateway(router, audit_sink=run_dir / "gateway.jsonl", max_attempts=default_conf.get("max_attempts", 3)))
-        )
+        gateway = logs.enter_context(closing(Gateway(router, audit_sink=run_dir / "gateway.jsonl")))
         optimizer = opro.AdaptiveOpro(
             initial_template=tpl("cta_initial"),
             gateway=gateway if config.uses_opro else None,
@@ -456,10 +501,8 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         )
         logs.enter_context(closing(optimizer.log))
 
-        ab = config.ablations or {}
-
         def analyst(role: str) -> agents.ConversationalAgent | None:
-            if ab.get(f"no_{role}"):
+            if config.ablations.get(f"no_{role}"):
                 return None
             return agents.ConversationalAgent(role, gateway, tpl(f"{role}_initial"), tpl(f"{role}_followup"))
 

@@ -1,13 +1,14 @@
 """Technical indicators over bar series.
 
-Each indicator returns one value per bar, flagged unavailable until enough
-history exists for its parameters. Every series, and the local-extrema test
-behind the support/resistance levels, reads only past bars, so its value at
-bar i equals the value computed on the bars up to i. `snapshots` and
-`levels_at` use this to give the indicator set and the levels at many bars
-from one pass over the series: the harness computes them once per run and
-reads each session's context incrementally. All of these feed the market
-analyst's prompt context; unavailable values render as the literal text "n/a".
+Each indicator returns one value per bar: a float, or a dict of named lines
+for MACD and Bollinger, and None until enough history exists for its
+parameters. Every series, and the local-extrema test behind the
+support/resistance levels, reads only past bars, so its value at bar i equals
+the value computed on the bars up to i. `snapshots` and `levels_at` use this
+to give the indicator set and the levels at many bars from one pass over the
+series: the harness computes them once per run and reads each session's
+context incrementally. All of these feed the market analyst's prompt context;
+None renders as the literal text "n/a".
 """
 
 from __future__ import annotations
@@ -27,15 +28,6 @@ class IndicatorError(ValueError):
 
 
 @dataclass(frozen=True)
-class IndicatorValue:
-    as_of: date
-    name: str
-    params: tuple[tuple[str, float], ...]
-    value: float | dict | None
-    available: bool
-
-
-@dataclass(frozen=True)
 class Level:
     price: float
     strength: float  # in [0, 1]
@@ -49,134 +41,94 @@ class LevelSet:
     resistance: tuple[Level, ...]
 
 
-def _params(**kwargs: float) -> tuple[tuple[str, float], ...]:
-    return tuple(sorted(kwargs.items()))
-
-
-def _unavailable(as_of: date, name: str, params) -> IndicatorValue:
-    return IndicatorValue(as_of=as_of, name=name, params=params, value=None, available=False)
-
-
-def sma_series(series: BarSeries, n: int) -> list[IndicatorValue]:
+def sma_series(series: BarSeries, n: int) -> list[float | None]:
     """Arithmetic mean of the last n closes."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    params = _params(n=n)
     closes = series.closes()
-    out: list[IndicatorValue] = []
+    out: list[float | None] = []
     window_sum = 0.0
-    for i, bar in enumerate(series.bars):
-        window_sum += closes[i]
+    for i, close in enumerate(closes):
+        window_sum += close
         if i >= n:
             window_sum -= closes[i - n]
-        if i >= n - 1:
-            out.append(IndicatorValue(bar.session_date, "sma", params, window_sum / n, True))
-        else:
-            out.append(_unavailable(bar.session_date, "sma", params))
+        out.append(window_sum / n if i >= n - 1 else None)
     return out
 
 
-def ema_series(series: BarSeries, n: int) -> list[IndicatorValue]:
+def ema_series(series: BarSeries, n: int) -> list[float | None]:
     """EMA_t = a*P_t + (1-a)*EMA_{t-1} with a = 2/(n+1), seeded by the SMA of
     the first n closes (value at the seed bar is the seed itself)."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    params = _params(n=n)
     closes = series.closes()
     alpha = 2.0 / (n + 1)
-    out: list[IndicatorValue] = []
-    ema = 0.0
-    for i, bar in enumerate(series.bars):
-        if i < n - 1:
-            out.append(_unavailable(bar.session_date, "ema", params))
-        elif i == n - 1:
-            ema = sum(closes[:n]) / n
-            out.append(IndicatorValue(bar.session_date, "ema", params, ema, True))
-        else:
-            ema = alpha * closes[i] + (1.0 - alpha) * ema
-            out.append(IndicatorValue(bar.session_date, "ema", params, ema, True))
+    out: list[float | None] = [None] * min(n - 1, len(closes))
+    if len(closes) >= n:
+        ema = sum(closes[:n]) / n
+        out.append(ema)
+        for close in closes[n:]:
+            ema = alpha * close + (1.0 - alpha) * ema
+            out.append(ema)
     return out
 
 
-def rsi_series(series: BarSeries, n: int = 14) -> list[IndicatorValue]:
+def rsi_series(series: BarSeries, n: int = 14) -> list[float | None]:
     """Wilder RSI: 100 - 100/(1+RS), first averages are simple means of the
     first n gains/losses, then G_t = ((n-1)*G_{t-1} + g_t)/n and likewise for
     losses. Zero average loss maps to 100, zero average gain to 0."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    params = _params(n=n)
     closes = series.closes()
-    out: list[IndicatorValue] = []
+    out: list[float | None] = [None] * min(n, len(closes))
     avg_gain = avg_loss = 0.0
     gain_sum = loss_sum = 0.0
-    for i, bar in enumerate(series.bars):
-        if i == 0:
-            out.append(_unavailable(bar.session_date, "rsi", params))
-            continue
+    for i in range(1, len(closes)):
         change = closes[i] - closes[i - 1]
         gain = change if change > 0 else 0.0
         loss = -change if change < 0 else 0.0
-        if i < n:
+        if i <= n:
             gain_sum += gain
             loss_sum += loss
-            out.append(_unavailable(bar.session_date, "rsi", params))
-            continue
-        if i == n:
-            gain_sum += gain
-            loss_sum += loss
+            if i < n:
+                continue
             avg_gain = gain_sum / n
             avg_loss = loss_sum / n
         else:
             avg_gain = ((n - 1) * avg_gain + gain) / n
             avg_loss = ((n - 1) * avg_loss + loss) / n
         if avg_loss == 0.0:
-            value = 100.0
+            out.append(100.0)
         elif avg_gain == 0.0:
-            value = 0.0
+            out.append(0.0)
         else:
-            value = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
-        out.append(IndicatorValue(bar.session_date, "rsi", params, value, True))
+            out.append(100.0 - 100.0 / (1.0 + avg_gain / avg_loss))
     return out
 
 
 def macd_series(
     series: BarSeries, fast: int = 12, slow: int = 26, signal: int = 9
-) -> list[IndicatorValue]:
+) -> list[dict | None]:
     """MACD = EMA_fast - EMA_slow; signal = EMA_signal of the MACD line;
     histogram = MACD - signal. Available once all three components exist."""
-    params = _params(fast=fast, slow=slow, signal=signal)
-    fast_vals = ema_series(series, fast)
-    slow_vals = ema_series(series, slow)
     alpha = 2.0 / (signal + 1)
-    out: list[IndicatorValue] = []
+    out: list[dict | None] = []
     macd_history: list[float] = []
     signal_val: float | None = None
-    for i, bar in enumerate(series.bars):
-        if not slow_vals[i].available:
-            out.append(_unavailable(bar.session_date, "macd", params))
+    for fast_val, slow_val in zip(ema_series(series, fast), ema_series(series, slow)):
+        if slow_val is None:
+            out.append(None)
             continue
-        macd_line = fast_vals[i].value - slow_vals[i].value
+        macd_line = fast_val - slow_val
         macd_history.append(macd_line)
         if len(macd_history) < signal:
-            out.append(_unavailable(bar.session_date, "macd", params))
+            out.append(None)
             continue
         if len(macd_history) == signal:
             signal_val = sum(macd_history) / signal
         else:
             signal_val = alpha * macd_line + (1.0 - alpha) * signal_val
-        out.append(
-            IndicatorValue(
-                bar.session_date,
-                "macd",
-                params,
-                {
-                    "macd": macd_line,
-                    "signal": signal_val,
-                    "histogram": macd_line - signal_val,
-                },
-                True,
-            )
-        )
+        out.append({"macd": macd_line, "signal": signal_val, "histogram": macd_line - signal_val})
     return out
 
 
@@ -194,56 +146,39 @@ def true_ranges(series: BarSeries) -> list[float]:
     return out
 
 
-def atr_series(series: BarSeries, n: int = 14) -> list[IndicatorValue]:
+def atr_series(series: BarSeries, n: int = 14) -> list[float | None]:
     """Simple n-mean of true ranges. Needs at least two bars regardless of n."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    params = _params(n=n)
     trs = true_ranges(series)
-    out: list[IndicatorValue] = []
+    out: list[float | None] = []
     window_sum = 0.0
     min_idx = max(n - 1, 1)
-    for i, bar in enumerate(series.bars):
-        window_sum += trs[i]
+    for i, tr in enumerate(trs):
+        window_sum += tr
         if i >= n:
             window_sum -= trs[i - n]
-        if i >= min_idx:
-            width = min(n, i + 1)
-            out.append(IndicatorValue(bar.session_date, "atr", params, window_sum / width, True))
-        else:
-            out.append(_unavailable(bar.session_date, "atr", params))
+        out.append(window_sum / min(n, i + 1) if i >= min_idx else None)
     return out
 
 
-def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[IndicatorValue]:
+def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[dict | None]:
     """middle = SMA_n, upper/lower = middle ± k*sigma with population sigma
     over the last n closes."""
     if n < 2:
         raise IndicatorError("n must be >= 2")
-    params = _params(n=n, k=k)
     closes = series.closes()
-    out: list[IndicatorValue] = []
-    for i, bar in enumerate(series.bars):
-        if i < n - 1:
-            out.append(_unavailable(bar.session_date, "bollinger", params))
-            continue
+    out: list[dict | None] = [None] * min(n - 1, len(closes))
+    for i in range(n - 1, len(closes)):
         window = closes[i - n + 1 : i + 1]
         mean = sum(window) / n
         var = sum((x - mean) ** 2 for x in window) / n
         sigma = var**0.5
-        out.append(
-            IndicatorValue(
-                bar.session_date,
-                "bollinger",
-                params,
-                {"middle": mean, "upper": mean + k * sigma, "lower": mean - k * sigma},
-                True,
-            )
-        )
+        out.append({"middle": mean, "upper": mean + k * sigma, "lower": mean - k * sigma})
     return out
 
 
-def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) -> IndicatorValue:
+def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) -> dict:
     """Volume histogram over [min low, max high], each bar's volume binned by
     its close. POC is the center of the heaviest bin (ties break toward the
     lower price). The value area expands symmetrically around the POC until it
@@ -257,18 +192,11 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) 
     total_volume = sum(b.volume for b in series.bars)
     if total_volume == 0:
         raise IndicatorError("zero total volume")
-    as_of = series.bars[-1].session_date
-    params = _params(n_bins=n_bins, coverage=coverage)
 
     lo = min(float(b.low) for b in series.bars)
     hi = max(float(b.high) for b in series.bars)
     if hi == lo:
-        node = [lo, float(total_volume)]
-        return IndicatorValue(
-            as_of, "volume_profile", params,
-            {"poc": lo, "value_area_low": lo, "value_area_high": lo, "nodes": [node]},
-            True,
-        )
+        return {"poc": lo, "value_area_low": lo, "value_area_high": lo, "nodes": [[lo, float(total_volume)]]}
 
     width = (hi - lo) / n_bins
     volumes = [0.0] * n_bins
@@ -289,18 +217,12 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) 
     va_start, va_end = (min(nonzero), max(nonzero)) if nonzero else (poc_idx, poc_idx)
 
     centers = [lo + (i + 0.5) * width for i in range(n_bins)]
-    return IndicatorValue(
-        as_of,
-        "volume_profile",
-        params,
-        {
-            "poc": centers[poc_idx],
-            "value_area_low": lo + va_start * width,
-            "value_area_high": lo + (va_end + 1) * width,
-            "nodes": [[centers[i], volumes[i]] for i in range(n_bins)],
-        },
-        True,
-    )
+    return {
+        "poc": centers[poc_idx],
+        "value_area_low": lo + va_start * width,
+        "value_area_high": lo + (va_end + 1) * width,
+        "nodes": [[centers[i], volumes[i]] for i in range(n_bins)],
+    }
 
 
 Extremum = tuple[int, float, int]  # (bar index, price, volume)
@@ -391,29 +313,41 @@ def detect_levels(
     return levels_at(series, local_extrema(series), len(series.bars) - 1, tolerance_pct, min_touches)
 
 
-DEFAULT_SMA_WINDOWS = (20, 50, 100, 200)
-DEFAULT_EMA_WINDOWS = (12, 26)
-_STANDARD_SERIES = (
-    *(partial(sma_series, n=n) for n in DEFAULT_SMA_WINDOWS),
-    *(partial(ema_series, n=n) for n in DEFAULT_EMA_WINDOWS),
-    rsi_series,
-    macd_series,
-    atr_series,
-    bollinger_series,
+def _fmt(value: float) -> str:
+    return f"{value:.2f}"
+
+
+def _macd_text(v: dict) -> str:
+    return f"macd {_fmt(v['macd'])} | signal {_fmt(v['signal'])} | histogram {_fmt(v['histogram'])}"
+
+
+def _bands_text(v: dict) -> str:
+    return f"lower {_fmt(v['lower'])} | middle {_fmt(v['middle'])} | upper {_fmt(v['upper'])}"
+
+
+# The standard indicator set, as (prompt label, series, value text).
+_STANDARD_SET = (
+    *((f"SMA({n})", partial(sma_series, n=n), _fmt) for n in (20, 50, 100, 200)),
+    *((f"EMA({n})", partial(ema_series, n=n), _fmt) for n in (12, 26)),
+    ("RSI(14)", rsi_series, _fmt),
+    ("MACD(12,26,9)", macd_series, _macd_text),
+    ("ATR(14)", atr_series, _fmt),
+    ("BOLLINGER(20,2)", bollinger_series, _bands_text),
 )
 
 
-def snapshots(series: BarSeries, indices: Sequence[int], profile_window: int = 63) -> list[list[IndicatorValue]]:
+def snapshots(series: BarSeries, indices: Sequence[int], profile_window: int = 63) -> list[list[float | dict | None]]:
     """The standard indicator set at each bar index in `indices`: SMA
     20/50/100/200, EMA 12/26, RSI 14, MACD 12/26/9, ATR 14, Bollinger 20/2,
-    and a volume profile over the trailing `profile_window` bars.
+    and a volume profile over the trailing `profile_window` bars (None when
+    that window traded nothing).
 
     Every indicator reads only past bars, so the set at index i equals the
     set at the last bar of the bars up to i. Each full series is computed
     once and dropped as soon as its values at `indices` are taken.
     """
-    rows: list[list[IndicatorValue]] = [[] for _ in indices]
-    for compute in _STANDARD_SERIES:
+    rows: list[list[float | dict | None]] = [[] for _ in indices]
+    for _, compute, _ in _STANDARD_SET:
         values = compute(series)
         for row, i in zip(rows, indices):
             row.append(values[i])
@@ -422,53 +356,30 @@ def snapshots(series: BarSeries, indices: Sequence[int], profile_window: int = 6
         try:
             row.append(volume_profile(tail))
         except IndicatorError:
-            row.append(_unavailable(series.bars[i].session_date, "volume_profile", _params(n_bins=24, coverage=0.70)))
+            row.append(None)
     return rows
 
 
-def snapshot(series: BarSeries, profile_window: int = 63) -> list[IndicatorValue]:
+def snapshot(series: BarSeries, profile_window: int = 63) -> list[float | dict | None]:
     """The standard indicator set at the last bar of `series`."""
     return snapshots(series, [len(series.bars) - 1], profile_window)[0]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
-
-
-def format_for_prompt(values: Iterable[IndicatorValue]) -> str:
-    """Render an indicator snapshot for the analyst prompt; unavailable -> n/a."""
-    lines: list[str] = []
-    for v in values:
-        label = v.name.upper()
-        pm = dict(v.params)
-        if v.name in ("sma", "ema", "rsi", "atr"):
-            label = f"{label}({int(pm['n'])})"
-        elif v.name == "bollinger":
-            label = f"BOLLINGER({int(pm['n'])},{pm['k']:g})"
-        elif v.name == "macd":
-            label = f"MACD({int(pm['fast'])},{int(pm['slow'])},{int(pm['signal'])})"
-        if not v.available:
-            lines.append(f"{label}: n/a")
-        elif isinstance(v.value, dict):
-            if v.name == "macd":
-                lines.append(
-                    f"{label}: macd {_fmt(v.value['macd'])} | signal {_fmt(v.value['signal'])}"
-                    f" | histogram {_fmt(v.value['histogram'])}"
-                )
-            elif v.name == "bollinger":
-                lines.append(
-                    f"{label}: lower {_fmt(v.value['lower'])} | middle {_fmt(v.value['middle'])}"
-                    f" | upper {_fmt(v.value['upper'])}"
-                )
-            elif v.name == "volume_profile":
-                lines.append(
-                    f"VOLUME PROFILE: poc {_fmt(v.value['poc'])} | value area"
-                    f" {_fmt(v.value['value_area_low'])}-{_fmt(v.value['value_area_high'])}"
-                )
-            else:
-                lines.append(f"{label}: {v.value}")
-        else:
-            lines.append(f"{label}: {_fmt(v.value)}")
+def format_for_prompt(values: Sequence[float | dict | None]) -> str:
+    """Render a `snapshot` for the analyst prompt; None -> n/a."""
+    *series_values, profile = values
+    lines = [
+        f"{label}: n/a" if v is None else f"{label}: {text(v)}"
+        for (label, _, text), v in zip(_STANDARD_SET, series_values)
+    ]
+    # Both spellings are in every recorded prompt, and so in its request hash.
+    if profile is None:
+        lines.append("VOLUME_PROFILE: n/a")
+    else:
+        lines.append(
+            f"VOLUME PROFILE: poc {_fmt(profile['poc'])} | value area"
+            f" {_fmt(profile['value_area_low'])}-{_fmt(profile['value_area_high'])}"
+        )
     return "\n".join(lines)
 
 

@@ -155,6 +155,9 @@ def template_sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+ROI_MODES = ("cumulative", "windowed")
+
+
 class AdaptiveOpro:
     """One optimizer loop per run, strictly sequential with the decision loop.
 
@@ -173,7 +176,7 @@ class AdaptiveOpro:
     ):
         if k < 1:
             raise ValueError("K must be >= 1")
-        if roi_mode not in ("cumulative", "windowed"):
+        if roi_mode not in ROI_MODES:
             raise ValueError(f"bad roi_mode {roi_mode!r}")
         self.k = k
         self.roi_mode = roi_mode

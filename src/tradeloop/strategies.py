@@ -69,26 +69,27 @@ class StrategyConfig:
         return self.bollinger_n
 
 
-def _cross_signals(
-    dates: list[date],
-    fast: list[float | None],
-    slow: list[float | None],
-) -> list[Signal]:
-    """Enter when fast crosses above slow, exit when it crosses below."""
+Line = list[float | None]
+
+
+def _cross_signals(dates: list[date], enter: tuple[Line, Line], exit: tuple[Line, Line]) -> list[Signal]:
+    """Enter when the first line of `enter` crosses above the second, exit
+    when the first line of `exit` crosses above the second. A cross needs
+    both lines on the bar and on the bar before."""
     signals: list[Signal] = []
     in_position = False
     for i in range(1, len(dates)):
-        if None in (fast[i], slow[i], fast[i - 1], slow[i - 1]):
+        above, below = exit if in_position else enter
+        if None in (above[i], below[i], above[i - 1], below[i - 1]):
             continue
-        crossed_up = fast[i - 1] <= slow[i - 1] and fast[i] > slow[i]
-        crossed_down = fast[i - 1] >= slow[i - 1] and fast[i] < slow[i]
-        if not in_position and crossed_up:
-            signals.append(Signal(dates[i], Stance.ENTER_LONG))
-            in_position = True
-        elif in_position and crossed_down:
-            signals.append(Signal(dates[i], Stance.EXIT_LONG))
-            in_position = False
+        if above[i - 1] <= below[i - 1] and above[i] > below[i]:
+            signals.append(Signal(dates[i], Stance.EXIT_LONG if in_position else Stance.ENTER_LONG))
+            in_position = not in_position
     return signals
+
+
+def _line(values: list[dict | None], key: str) -> Line:
+    return [None if v is None else v[key] for v in values]
 
 
 def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
@@ -104,39 +105,23 @@ def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
         return [Signal(dates[0], Stance.ENTER_LONG)]
 
     if config.kind == StrategyKind.SMA:
-        ind = [v.value if v.available else None for v in sma_series(series, config.sma_n)]
-        return _cross_signals(dates, list(closes), ind)
+        sma = sma_series(series, config.sma_n)
+        return _cross_signals(dates, (closes, sma), (sma, closes))
 
     if config.kind == StrategyKind.SLMA:
-        short = [v.value if v.available else None for v in sma_series(series, config.slma_short)]
-        long_ = [v.value if v.available else None for v in sma_series(series, config.slma_long)]
-        return _cross_signals(dates, short, long_)
+        short = sma_series(series, config.slma_short)
+        long_ = sma_series(series, config.slma_long)
+        return _cross_signals(dates, (short, long_), (long_, short))
 
     if config.kind == StrategyKind.MACD:
         vals = macd_series(series, config.macd_fast, config.macd_slow, config.macd_signal)
-        macd_line = [v.value["macd"] if v.available else None for v in vals]
-        signal_line = [v.value["signal"] if v.available else None for v in vals]
-        return _cross_signals(dates, macd_line, signal_line)
+        macd_line, signal_line = _line(vals, "macd"), _line(vals, "signal")
+        return _cross_signals(dates, (macd_line, signal_line), (signal_line, macd_line))
 
     # Bollinger: enter on a close crossing below the lower band (oversold),
     # exit on a close crossing above the upper band (overbought).
-    vals = bollinger_series(series, config.bollinger_n, config.bollinger_k)
-    lower = [v.value["lower"] if v.available else None for v in vals]
-    upper = [v.value["upper"] if v.available else None for v in vals]
-    signals: list[Signal] = []
-    in_position = False
-    for i in range(1, len(dates)):
-        if lower[i] is None or lower[i - 1] is None:
-            continue
-        below = closes[i - 1] >= lower[i - 1] and closes[i] < lower[i]
-        above = closes[i - 1] <= upper[i - 1] and closes[i] > upper[i]
-        if not in_position and below:
-            signals.append(Signal(dates[i], Stance.ENTER_LONG))
-            in_position = True
-        elif in_position and above:
-            signals.append(Signal(dates[i], Stance.EXIT_LONG))
-            in_position = False
-    return signals
+    bands = bollinger_series(series, config.bollinger_n, config.bollinger_k)
+    return _cross_signals(dates, (_line(bands, "lower"), closes), (closes, _line(bands, "upper")))
 
 
 @dataclass

@@ -120,34 +120,34 @@ class TestCriterion2IndicatorOracles:
         ):
             for i, v in enumerate(values):
                 want = oracle(i)
-                if (want is None) != (not v.available):
+                if (want is None) != (v is None):
                     failures.append(f"{name}@{i} availability")
                     continue
                 if want is None:
                     continue
-                worst = max(worst, rel(v.value, want))
-                if rel(v.value, want) > tol:
+                worst = max(worst, rel(v, want))
+                if rel(v, want) > tol:
                     failures.append(f"{name}@{i}")
         macd_want = macd_oracle_positions(closes)
         for i, v in enumerate(macd_series(series)):
             want = macd_want[i]
-            if (want is None) != (not v.available):
+            if (want is None) != (v is None):
                 failures.append(f"macd@{i} availability")
                 continue
             if want is None:
                 continue
-            for got, exp in zip((v.value["macd"], v.value["signal"], v.value["histogram"]), want):
+            for got, exp in zip((v["macd"], v["signal"], v["histogram"]), want):
                 worst = max(worst, rel(got, exp))
                 if rel(got, exp) > tol:
                     failures.append(f"macd@{i}")
         for i, v in enumerate(bollinger_series(series, 20, 2.0)):
             want = bollinger_oracle(closes, 20, 2.0, i)
-            if (want is None) != (not v.available):
+            if (want is None) != (v is None):
                 failures.append(f"bollinger@{i} availability")
                 continue
             if want is None:
                 continue
-            for got, exp in zip((v.value["middle"], v.value["upper"], v.value["lower"]), want):
+            for got, exp in zip((v["middle"], v["upper"], v["lower"]), want):
                 worst = max(worst, rel(got, exp))
                 if rel(got, exp) > tol:
                     failures.append(f"bollinger@{i}")

@@ -216,6 +216,11 @@ def golden_invalid_payloads() -> list[tuple[str, str]]:
         add([dict(VALID_ORDER, orderType="LIMIT", price=bad_price)], "[0].price")
         add([dict(VALID_ORDER, orderType="STOP", price=bad_price)], "[0].price")
     add([dict(VALID_ORDER, orderType="LIMIT", price=None)], "[0].price")
+    # json.loads reads the first three as inf, nan and inf; 1e30 has too many
+    # digits for 4 decimals, and 0.00001 rounds to 0 at 4 decimals
+    for bad_price in ("Infinity", "NaN", "1e400", "1e30", "0.00001"):
+        order = f'{{"action": "BUY", "orderType": "LIMIT", "price": {bad_price}, "quantity": 10, "explanation": "x"}}'
+        add(f"[{order}]", "[0].price")
     add([dict(VALID_ORDER, orderType="LIMIT", price="100")], "[0].price")
     add([dict(VALID_ORDER, orderType="STOP", price=True)], "[0].price")
     add([dict(VALID_ORDER, price=100.0)], "[0].price")  # MARKET with price

@@ -144,13 +144,21 @@ class TestRunReportReplay:
         ("fundamentals", '[{"filing_date": 20250102}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "2025-01-02", "revenue": "1.0e9"}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "2025-01-02", "net_income": true}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": ["2024-06-10 1:10"]}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "dividends": [["2024-01-02"]]}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": {"2024-06-10": "1:10"}}]', EXIT_DATA),
+        ("bars", None, EXIT_DATA),
+        ("news", None, EXIT_DATA),
+        ("bars", b"date,open,high,low,close,volume\n\xff\n", EXIT_DATA),
         ("calendar", "2025-01-02\nnot a date\n", EXIT_DATA),
         ("prompt_dir", "{{ unclosed", EXIT_CONFIG),
         ("prompt_dir", "{% for x %}", EXIT_CONFIG),
     ],
 )
 def test_bad_input_file_exit_code(tmp_path, key, text, code):
-    build_workspace(tmp_path, mode="baseline")
+    """`text` None makes the input path a directory; "WINDOW_START" in a
+    text becomes the first session, so the run reaches it."""
+    window_start = build_workspace(tmp_path, mode="baseline").window_start.isoformat()
     config_path = tmp_path / "config.json"
     config = json.loads(config_path.read_text(encoding="utf-8"))
     bad = tmp_path / "bad"
@@ -159,7 +167,53 @@ def test_bad_input_file_exit_code(tmp_path, key, text, code):
         (bad / "market_initial.txt").write_text(text, encoding="utf-8")
         config["prompt_dir"] = str(bad)
     else:
-        bad.write_text(text, encoding="utf-8")
+        if text is None:
+            bad.mkdir()
+        elif isinstance(text, bytes):
+            bad.write_bytes(text)
+        else:
+            bad.write_text(text.replace("WINDOW_START", window_start), encoding="utf-8")
         config["paths"][key] = str(bad)
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["run", "--config", str(config_path)]) == code
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("window_start",), 20250102),
+        (("roi_mode",), "bogus"),
+        (("initial_cash",), "abc"),
+        (("initial_cash",), "NaN"),
+        (("initial_cash",), "-5"),
+        (("initial_cash",), "0"),
+        (("initial_cash",), True),
+        (("runs",), "2"),
+        (("runs",), True),
+        (("reflection_interval",), "2"),
+        (("opro_k",), 1.5),
+        (("ablations",), ["no_news"]),
+        (("ablations",), {"no_nwes": True}),
+        (("ablations",), {"no_news": 1}),
+        (("providers", "cta", "script", 0), {"times": 1}),
+        (("providers", "cta", "script", 0, "times"), "x"),
+        (("providers", "cta", "script", 0, "match"), 5),
+        (("providers", "cta", "max_attempts"), 0),
+        (("providers", "cta", "kind"), "bogus"),
+        (("providers", "markte"), {"kind": "scripted"}),
+        (("providers",), {}),
+    ],
+    ids=repr,
+)
+def test_bad_config_value_exits_2_before_writing(tmp_path, path, value):
+    build_workspace(tmp_path, mode="baseline")
+    config_path = tmp_path / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    *parents, last = path
+    target = config
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    assert not Path(config["paths"]["out_dir"]).exists()

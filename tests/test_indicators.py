@@ -6,6 +6,8 @@ share rolling state with the implementations they check.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -127,16 +129,16 @@ def bollinger_oracle(closes: list[float], n: int, k: float, i: int):
 class TestSMA:
     def test_constant_series(self):
         series = series_from_closes([7.0] * 25)
-        assert sma_series(series, 20)[-1].value == pytest.approx(7.0)
+        assert sma_series(series, 20)[-1] == pytest.approx(7.0)
 
     def test_tiny_mean(self):
         series = series_from_closes([1.0, 2.0, 3.0])
-        assert sma_series(series, 3)[-1].value == pytest.approx(2.0)
+        assert sma_series(series, 3)[-1] == pytest.approx(2.0)
 
     def test_unavailable_before_window(self):
         series = series_from_closes([1.0, 2.0])
         values = sma_series(series, 3)
-        assert not values[0].available and not values[1].available
+        assert values[0] is None and values[1] is None
 
     def test_zero_window_rejected(self):
         with pytest.raises(IndicatorError):
@@ -147,50 +149,50 @@ class TestSMA:
         values = sma_series(random_series, 50)
         for i, v in enumerate(values):
             want = sma_oracle(closes, 50, i)
-            assert v.available == (want is not None)
+            assert (v is None) == (want is None)
             if want is not None:
-                assert rel_err(v.value, want) <= REL_TOL
+                assert rel_err(v, want) <= REL_TOL
 
 
 class TestEMA:
     def test_constant_is_fixed_point(self):
         series = series_from_closes([4.5] * 30)
         for v in ema_series(series, 10):
-            if v.available:
-                assert v.value == pytest.approx(4.5)
+            if v is not None:
+                assert v == pytest.approx(4.5)
 
     def test_n1_equals_closes(self):
         series = series_from_closes([3.0, 5.0, 7.0])
         values = ema_series(series, 1)
-        assert [v.value for v in values] == pytest.approx([3.0, 5.0, 7.0])
+        assert values == pytest.approx([3.0, 5.0, 7.0])
 
     def test_hand_unrolled_recursion(self):
         # closes [10,11,12,13], n=2: seed = 10.5, then 11.5, then 12.5.
         series = series_from_closes([10.0, 11.0, 12.0, 13.0])
         values = ema_series(series, 2)
-        assert not values[0].available
-        assert values[1].value == pytest.approx(10.5)
-        assert values[2].value == pytest.approx(11.5)
-        assert values[3].value == pytest.approx(12.5)
+        assert values[0] is None
+        assert values[1] == pytest.approx(10.5)
+        assert values[2] == pytest.approx(11.5)
+        assert values[3] == pytest.approx(12.5)
 
     def test_matches_oracle(self, random_series):
         closes = random_series.closes()
         values = ema_series(random_series, 12)
         for i, v in enumerate(values):
             want = ema_oracle(closes, 12, i)
-            assert v.available == (want is not None)
+            assert (v is None) == (want is None)
             if want is not None:
-                assert rel_err(v.value, want) <= REL_TOL
+                assert rel_err(v, want) <= REL_TOL
 
 
 class TestRSI:
     def test_strictly_increasing_is_100(self):
         series = series_from_closes([float(i) + 1 for i in range(30)])
-        assert rsi_series(series)[-1].value == pytest.approx(100.0)
+        assert rsi_series(series)[-1] == pytest.approx(100.0)
 
     def test_strictly_decreasing_is_0(self):
         series = series_from_closes([100.0 - i for i in range(30)])
-        assert rsi_series(series)[-1].value == pytest.approx(0.0)
+        assert rsi_series(series)[-1] == pytest.approx(0.0)
 
     def test_alternating_is_50(self):
         # 14 alternating +1/-1 changes: 7 gains, 7 losses -> RS = 1 -> RSI 50.
@@ -200,7 +202,7 @@ class TestRSI:
             closes.append(x)
             x += 1.0 if i % 2 == 0 else -1.0
         series = series_from_closes(closes)
-        assert rsi_series(series)[-1].value == pytest.approx(50.0)
+        assert rsi_series(series)[-1] == pytest.approx(50.0)
 
     def test_alternating_oscillates_near_50(self):
         closes = []
@@ -208,7 +210,7 @@ class TestRSI:
         for i in range(40):
             closes.append(x)
             x += 1.0 if i % 2 == 0 else -1.0
-        values = [v.value for v in rsi_series(series_from_closes(closes)) if v.available]
+        values = [v for v in rsi_series(series_from_closes(closes)) if v is not None]
         assert all(44.0 < v < 56.0 for v in values)
 
     def test_matches_oracle(self, random_series):
@@ -216,57 +218,57 @@ class TestRSI:
         values = rsi_series(random_series, 14)
         for i, v in enumerate(values):
             want = rsi_oracle(closes, 14, i)
-            assert v.available == (want is not None)
+            assert (v is None) == (want is None)
             if want is not None:
-                assert rel_err(v.value, want) <= REL_TOL
+                assert rel_err(v, want) <= REL_TOL
 
     def test_bounded_0_100(self, long_series):
         for v in rsi_series(long_series, 14):
-            if v.available:
-                assert 0.0 <= v.value <= 100.0
+            if v is not None:
+                assert 0.0 <= v <= 100.0
 
 
 class TestMACD:
     def test_constant_series_is_zero(self):
         series = series_from_closes([50.0] * 60)
-        value = macd_series(series)[-1].value
+        value = macd_series(series)[-1]
         assert value["macd"] == pytest.approx(0.0)
         assert value["signal"] == pytest.approx(0.0)
         assert value["histogram"] == pytest.approx(0.0)
 
     def test_linear_ramp_positive(self):
         series = series_from_closes([100.0 + i for i in range(60)])
-        assert macd_series(series)[-1].value["macd"] > 0
+        assert macd_series(series)[-1]["macd"] > 0
 
     def test_histogram_identity(self, random_series):
         for v in macd_series(random_series):
-            if v.available:
-                assert v.value["histogram"] == pytest.approx(v.value["macd"] - v.value["signal"])
+            if v is not None:
+                assert v["histogram"] == pytest.approx(v["macd"] - v["signal"])
 
     def test_matches_oracle(self, random_series):
         closes = random_series.closes()
         values = macd_series(random_series)
         for i, v in enumerate(values):
             want = macd_oracle(closes, i)
-            assert v.available == (want is not None)
+            assert (v is None) == (want is None)
             if want is not None:
                 line, signal, hist = want
-                assert rel_err(v.value["macd"], line) <= REL_TOL
-                assert rel_err(v.value["signal"], signal) <= REL_TOL
-                assert rel_err(v.value["histogram"], hist) <= REL_TOL
+                assert rel_err(v["macd"], line) <= REL_TOL
+                assert rel_err(v["signal"], signal) <= REL_TOL
+                assert rel_err(v["histogram"], hist) <= REL_TOL
 
     def test_availability_needs_both_emas_and_signal(self):
         series = series_from_closes([float(i % 7) + 10 for i in range(33)])
         values = macd_series(series)
-        assert not values[32].available
+        assert values[32] is None
         series = series_from_closes([float(i % 7) + 10 for i in range(34)])
-        assert macd_series(series)[33].available
+        assert macd_series(series)[33] is not None
 
 
 class TestATR:
     def test_flat_bars_zero(self):
         series = series_from_closes([10.0] * 20)
-        assert atr_series(series, 14)[-1].value == pytest.approx(0.0)
+        assert atr_series(series, 14)[-1] == pytest.approx(0.0)
 
     def test_gap_dominates(self):
         bars = (
@@ -275,48 +277,48 @@ class TestATR:
         )
         series = BarSeries("S", Resolution.DAILY, bars)
         assert true_ranges(series)[1] == pytest.approx(20.0)
-        assert atr_series(series, 1)[-1].value == pytest.approx(20.0)
+        assert atr_series(series, 1)[-1] == pytest.approx(20.0)
 
     def test_matches_oracle(self, random_series):
         values = atr_series(random_series, 14)
         for i, v in enumerate(values):
             want = atr_oracle(random_series, 14, i)
-            assert v.available == (want is not None)
+            assert (v is None) == (want is None)
             if want is not None:
-                assert rel_err(v.value, want) <= 1e-12
+                assert rel_err(v, want) <= 1e-12
 
     def test_non_negative(self, long_series):
         for v in atr_series(long_series, 14):
-            if v.available:
-                assert v.value >= 0
+            if v is not None:
+                assert v >= 0
 
 
 class TestBollinger:
     def test_constant_collapses(self):
         series = series_from_closes([9.0] * 25)
-        value = bollinger_series(series)[-1].value
+        value = bollinger_series(series)[-1]
         assert value["upper"] == pytest.approx(value["middle"])
         assert value["lower"] == pytest.approx(value["middle"])
 
     def test_two_point_by_hand(self):
         # closes [1,3], n=2, k=2: middle 2, sigma 1, bands (4, 0).
         series = series_from_closes([1.0, 3.0])
-        value = bollinger_series(series, n=2, k=2.0)[-1].value
+        value = bollinger_series(series, n=2, k=2.0)[-1]
         assert value["middle"] == pytest.approx(2.0)
         assert value["upper"] == pytest.approx(4.0)
         assert value["lower"] == pytest.approx(0.0)
 
     def test_band_width_identity(self, random_series):
         for v in bollinger_series(random_series, 20, 2.0):
-            if v.available:
-                sigma = (v.value["upper"] - v.value["lower"]) / (2 * 2.0)
-                assert v.value["upper"] == pytest.approx(v.value["middle"] + 2 * sigma)
-                assert v.value["lower"] == pytest.approx(v.value["middle"] - 2 * sigma)
+            if v is not None:
+                sigma = (v["upper"] - v["lower"]) / (2 * 2.0)
+                assert v["upper"] == pytest.approx(v["middle"] + 2 * sigma)
+                assert v["lower"] == pytest.approx(v["middle"] - 2 * sigma)
 
     def test_ordering(self, long_series):
         for v in bollinger_series(long_series):
-            if v.available:
-                assert v.value["lower"] <= v.value["middle"] <= v.value["upper"]
+            if v is not None:
+                assert v["lower"] <= v["middle"] <= v["upper"]
 
     def test_n_below_2_rejected(self):
         with pytest.raises(IndicatorError):
@@ -326,12 +328,12 @@ class TestBollinger:
         closes = random_series.closes()
         for i, v in enumerate(bollinger_series(random_series, 20, 2.0)):
             want = bollinger_oracle(closes, 20, 2.0, i)
-            assert v.available == (want is not None)
+            assert (v is None) == (want is None)
             if want is not None:
                 mid, up, lo = want
-                assert rel_err(v.value["middle"], mid) <= REL_TOL
-                assert rel_err(v.value["upper"], up) <= REL_TOL
-                assert rel_err(v.value["lower"], lo) <= REL_TOL
+                assert rel_err(v["middle"], mid) <= REL_TOL
+                assert rel_err(v["upper"], up) <= REL_TOL
+                assert rel_err(v["lower"], lo) <= REL_TOL
 
 
 class TestShiftEquivariance:
@@ -372,11 +374,11 @@ class TestScaling:
             ),
         )
         for a, b in zip(sma_series(random_series, 20), sma_series(scaled, 20)):
-            if a.available:
-                assert rel_err(b.value, 2 * a.value) <= 1e-12
+            if a is not None:
+                assert rel_err(b, 2 * a) <= 1e-12
         for a, b in zip(ema_series(random_series, 12), ema_series(scaled, 12)):
-            if a.available:
-                assert rel_err(b.value, 2 * a.value) <= 1e-12
+            if a is not None:
+                assert rel_err(b, 2 * a) <= 1e-12
 
     def test_rsi_invariant_under_pure_scaling(self, random_series):
         scaled = BarSeries(
@@ -395,23 +397,23 @@ class TestScaling:
             ),
         )
         for a, b in zip(rsi_series(random_series), rsi_series(scaled)):
-            assert a.available == b.available
-            if a.available:
-                assert b.value == a.value
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert b == a
 
     def test_rsi_scaling_exact_equality_small_fixture(self):
         closes = [100.0, 101.0, 99.5, 102.0, 103.0, 101.5] * 5
         base = series_from_closes(closes)
         scaled = series_from_closes([c * 2 for c in closes])
         for a, b in zip(rsi_series(base), rsi_series(scaled)):
-            if a.available:
-                assert a.value == b.value
+            if a is not None:
+                assert a == b
 
 
 class TestVolumeProfile:
     def test_single_bin_degenerate(self):
         series = series_from_closes([10.0] * 5)
-        value = volume_profile(series, n_bins=8).value
+        value = volume_profile(series, n_bins=8)
         assert value["poc"] == pytest.approx(10.0)
         assert value["value_area_low"] == pytest.approx(10.0)
         assert value["value_area_high"] == pytest.approx(10.0)
@@ -433,7 +435,7 @@ class TestVolumeProfile:
             bars.append(make_bar(d, 10, 20, 10, 19.5, v=10))
             d += timedelta(days=1)
         series = BarSeries("S", Resolution.DAILY, tuple(bars))
-        value = volume_profile(series, n_bins=2, coverage=0.70).value
+        value = volume_profile(series, n_bins=2, coverage=0.70)
         assert value["poc"] == pytest.approx(12.5)  # center of [10, 15)
         assert value["value_area_low"] == pytest.approx(10.0)
         assert value["value_area_high"] == pytest.approx(15.0)
@@ -449,7 +451,7 @@ class TestVolumeProfile:
             bars.append(make_bar(d, 10, 20, 10, close, v=vol))
             d += timedelta(days=1)
         series = BarSeries("S", Resolution.DAILY, tuple(bars))
-        value = volume_profile(series, n_bins=10, coverage=1.0).value
+        value = volume_profile(series, n_bins=10, coverage=1.0)
         assert value["value_area_low"] == pytest.approx(10.0)
         assert value["value_area_high"] == pytest.approx(20.0)
 
@@ -460,7 +462,7 @@ class TestVolumeProfile:
             volume_profile(series)
 
     def test_conserves_volume_across_nodes(self, random_series):
-        value = volume_profile(random_series, n_bins=24).value
+        value = volume_profile(random_series, n_bins=24)
         total = sum(v for _, v in value["nodes"])
         assert total == pytest.approx(sum(b.volume for b in random_series.bars))
 
@@ -534,3 +536,20 @@ class TestSnapshotRendering:
         text = format_for_prompt(snapshot(series))
         assert "SMA(200):" in text and "n/a" not in text.split("SMA(200):")[1].splitlines()[0]
         assert "MACD(12,26,9): macd " in text
+
+    def test_warm_up_text_matches_pinned_digest(self):
+        # Each indicator's first value is at bar n-1 for SMA 20/50/100/200,
+        # EMA 12/26 and Bollinger 20, bar 13 for ATR 14, bar 14 for RSI 14
+        # and bar 33 for MACD 12/26/9; render the prefix that ends one bar
+        # before it and the one that ends at it.
+        series = synthetic_daily(201, seed=5)
+        firsts = (19, 49, 99, 199, 11, 25, 19, 13, 14, 33)
+        lengths = sorted({first + extra for first in firsts for extra in (0, 1)})
+        prefixes = [BarSeries("SYNTH", Resolution.DAILY, series.bars[:n]) for n in lengths]
+        # A volume profile over a trailing window that traded nothing is n/a.
+        quiet = series.bars[:37] + tuple(replace(b, volume=0) for b in series.bars[37:100])
+        prefixes.append(BarSeries("SYNTH", Resolution.DAILY, quiet))
+        texts = [format_for_prompt(snapshot(prefix)) for prefix in prefixes]
+        assert texts[-1].endswith("VOLUME_PROFILE: n/a")
+        digest = hashlib.sha256("\n\n".join(texts).encode("utf-8")).hexdigest()
+        assert digest == "7cb658279d9756c0b738f301f3323170c76c14a102f117ef9f09331d4e111e66"
