@@ -14,7 +14,10 @@ from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from pathlib import Path
+from typing import Iterable, Iterator
+
+from .errors import DataError
 
 CSV_COLUMNS = ("date", "open", "high", "low", "close", "volume", "vwap", "transactions")
 ACTIONS_CSV_COLUMNS = ("date", "kind", "ratio", "cash")
@@ -28,7 +31,7 @@ class Resolution(str, Enum):
     MONTHLY = "monthly"
 
 
-class BarDataError(ValueError):
+class BarDataError(DataError):
     """Malformed or invariant-violating bar data. Carries the 1-based data row."""
 
     def __init__(self, message: str, row: int | None = None):
@@ -223,23 +226,12 @@ def _bar_from_fields(fields: dict[str, str], row: int) -> Bar:
         raise
 
 
-def parse_bars(
-    source: bytes | str | IO[str],
-    format: str = "csv",
-    symbol: str = "",
-    resolution: Resolution = Resolution.DAILY,
-) -> BarSeries:
-    """Parse a CSV or JSONL stream into a validated BarSeries.
+def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
+    """Parse CSV or JSONL text into a validated daily BarSeries.
 
     Rows violating bar invariants are rejected with their 1-based data row
     index; duplicate or unordered session dates reject the whole stream.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
     if not text.strip():
         raise BarDataError("empty input")
 
@@ -270,16 +262,17 @@ def parse_bars(
 
     if not bars:
         raise BarDataError("empty input")
-    seen: set[date] = set()
-    prev: date | None = None
-    for row_idx, bar in enumerate(bars, start=1):
-        if bar.session_date in seen:
-            raise BarDataError(f"duplicate session {bar.session_date.isoformat()}", row_idx)
-        if prev is not None and bar.session_date < prev:
-            raise BarDataError(f"unordered dates at {bar.session_date.isoformat()}", row_idx)
-        seen.add(bar.session_date)
-        prev = bar.session_date
-    return BarSeries(symbol=symbol, resolution=resolution, bars=tuple(bars))
+    return BarSeries(symbol=symbol, resolution=Resolution.DAILY, bars=tuple(bars))
+
+
+def read_bars(path: Path | str, symbol: str = "") -> BarSeries:
+    """The bars file at `path`: JSONL if its name ends in `.jsonl`, else CSV."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BarDataError(f"bars file not found or unreadable: {exc}") from None
+    return parse_bars(text, format="jsonl" if path.suffix == ".jsonl" else "csv", symbol=symbol)
 
 
 def _fmt_opt(value) -> str:
@@ -336,14 +329,14 @@ def parse_actions_csv(text: str) -> list[CorporateAction]:
     for row_idx, cells in enumerate(reader, start=1):
         if not cells:
             continue
-        fields = dict(zip(ACTIONS_CSV_COLUMNS, cells))
-        kind = fields["kind"].strip()
-        ratio = fields.get("ratio", "").strip()
-        cash = fields.get("cash", "").strip()
+        if len(cells) != len(ACTIONS_CSV_COLUMNS):
+            raise BarDataError(f"expected {len(ACTIONS_CSV_COLUMNS)} columns, got {len(cells)}", row_idx)
+        day, kind, ratio, cash = cells
+        ratio, cash = ratio.strip(), cash.strip()
         actions.append(
             CorporateAction(
-                effective_date=_parse_date(fields["date"], row_idx),
-                kind=kind,
+                effective_date=_parse_date(day, row_idx),
+                kind=kind.strip(),
                 split_ratio=_parse_price(ratio, "ratio", row_idx) if ratio else None,
                 cash_amount=_parse_price(cash, "cash", row_idx) if cash else None,
             )
@@ -367,9 +360,6 @@ def adjust_for_actions(series: BarSeries, actions: Iterable[CorporateAction]) ->
     splits = sorted(
         (a for a in actions if a.kind == "split"), key=lambda a: a.effective_date
     )
-    for a in splits:
-        if a.split_ratio is None or a.split_ratio <= 0:
-            raise BarDataError("non-positive split_ratio")
     if not splits:
         return series
 

@@ -1,9 +1,7 @@
 """Command-line entry points: run, backtest, report, replay, validate-data.
 
-Exit codes: 0 success, 2 config error (a bad config file or value, or a
-malformed prompt template in `prompt_dir`), 3 data error (a missing or
-malformed bars, actions, calendar, news or fundamentals file), 4 provider
-error (including a replay that diverges).
+Exit codes: 0 on success, else the `exit_code` of the error, as listed in
+`tradeloop.errors`; an unreadable file exits 3.
 """
 
 from __future__ import annotations
@@ -11,70 +9,50 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import date
 from decimal import Decimal
 from pathlib import Path
 
-from .bars import BarDataError, parse_actions_csv, parse_bars, adjust_for_actions
-from .gateway import GatewayError
-from .harness import (
-    EXIT_CONFIG,
-    EXIT_DATA,
-    EXIT_OK,
-    EXIT_PROVIDER,
-    ConfigError,
-    DataError,
-    ExperimentConfig,
-    ReplayMismatch,
-    RunArtifact,
-    aggregate_and_report,
-    replay_run,
-    run_experiment,
-)
+from .bars import adjust_for_actions, parse_actions_csv, read_bars
+from .errors import EXIT_DATA, EXIT_OK, ConfigError, DataError, TradeloopError
+from .harness import ExperimentConfig, RunArtifact, aggregate_and_report, positive_cash, replay_run, run_experiment
 from .metrics import MetricReport, aggregate_runs, render_table
 from .strategies import StrategyConfig, StrategyKind, run_strategy
-from .templates import TemplateError
 
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if args.runs:
-        config.runs = args.runs
-    if args.mode:
-        config.prompting_mode = args.mode
-    if args.instrument:
-        config.instrument = args.instrument
+    overrides = {"runs": args.runs, "prompting_mode": args.mode, "instrument": args.instrument}
     if args.out_dir:
-        config.paths["out_dir"] = args.out_dir
-    config.__post_init__()  # re-validate after overrides
+        overrides["paths"] = {**config.paths, "out_dir": args.out_dir}
+    config = replace(config, **{k: v for k, v in overrides.items() if v})  # re-validates
     artifacts, bundle = run_experiment(config)
     print(bundle["table"], end="")
     print(f"runs: {len(artifacts)} -> {artifacts[0].run_dir.parent}")
     return EXIT_OK
 
 
+# The StrategyConfig field that each backtest flag sets, by strategy.
+_STRATEGY_FLAGS = {
+    "sma": {"window": "sma_n"},
+    "slma": {"window": "slma_short", "long_window": "slma_long"},
+    "bollinger": {"window": "bollinger_n", "k": "bollinger_k"},
+}
+
+
 def _cmd_backtest(args) -> int:
-    text = Path(args.bars).read_text(encoding="utf-8")
-    fmt = "jsonl" if args.bars.endswith(".jsonl") else "csv"
-    series = parse_bars(text, format=fmt, symbol=args.symbol)
+    cash = positive_cash(args.cash, "--cash")
+    for flag, window in (("--window", args.window), ("--long-window", args.long_window)):
+        if window is not None and window < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {window}")
+    series = read_bars(args.bars, symbol=args.symbol)
     if args.actions:
         series = adjust_for_actions(series, parse_actions_csv(Path(args.actions).read_text(encoding="utf-8")))
-    kind = StrategyKind(args.strategy)
-    kwargs = {}
-    if kind == StrategyKind.SMA and args.window:
-        kwargs["sma_n"] = args.window
-    if kind == StrategyKind.SLMA:
-        if args.window:
-            kwargs["slma_short"] = args.window
-        if args.long_window:
-            kwargs["slma_long"] = args.long_window
-    if kind == StrategyKind.BOLLINGER:
-        if args.window:
-            kwargs["bollinger_n"] = args.window
-        if args.k:
-            kwargs["bollinger_k"] = args.k
-    config = StrategyConfig(kind=kind, **kwargs)
-    result = run_strategy(config, series, initial_cash=Decimal(args.cash))
+    flags = _STRATEGY_FLAGS.get(args.strategy, {})
+    kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag)}
+    config = StrategyConfig(kind=StrategyKind(args.strategy), **kwargs)
+    result = run_strategy(config, series, initial_cash=cash)
     print(result.report.to_json())
     aggs = aggregate_runs([result.report])
     print(render_table({args.strategy: aggs}), end="")
@@ -92,16 +70,19 @@ def _cmd_report(args) -> int:
         metrics_path = run_dir / "metrics.json"
         if not metrics_path.exists():
             continue
-        payload = json.loads(metrics_path.read_text(encoding="utf-8"))
-        artifacts.append(
-            RunArtifact(
-                run_id=run_dir.name,
-                run_dir=run_dir,
-                metrics=MetricReport.from_dict(payload["metrics"]),
-                equity_dates=[date.fromisoformat(d) for d in payload["equity"]["dates"]],
-                equity_values=[Decimal(v) for v in payload["equity"]["values"]],
+        try:
+            payload = json.loads(metrics_path.read_text(encoding="utf-8"))
+            artifacts.append(
+                RunArtifact(
+                    run_id=run_dir.name,
+                    run_dir=run_dir,
+                    metrics=MetricReport.from_dict(payload["metrics"]),
+                    equity_dates=[date.fromisoformat(d) for d in payload["equity"]["dates"]],
+                    equity_values=[Decimal(v) for v in payload["equity"]["values"]],
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+            raise DataError(f"bad {metrics_path}: {exc!r}") from None
     if not artifacts:
         raise DataError(f"no run artifacts under {args.runs}")
     bundle = aggregate_and_report(artifacts, label=args.label)
@@ -118,9 +99,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_validate_data(args) -> int:
-    text = Path(args.bars).read_text(encoding="utf-8")
-    fmt = "jsonl" if args.bars.endswith(".jsonl") else "csv"
-    series = parse_bars(text, format=fmt)
+    series = read_bars(args.bars)
     msg = f"{len(series)} bars, {series.bars[0].session_date} -> {series.bars[-1].session_date}"
     if args.actions:
         actions = parse_actions_csv(Path(args.actions).read_text(encoding="utf-8"))
@@ -147,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--bars", required=True)
     p_bt.add_argument("--actions", default="")
     p_bt.add_argument("--symbol", default="")
-    p_bt.add_argument("--window", type=int, default=0)
-    p_bt.add_argument("--long-window", type=int, default=0, dest="long_window")
+    p_bt.add_argument("--window", type=int)
+    p_bt.add_argument("--long-window", type=int, dest="long_window")
     p_bt.add_argument("--k", type=float, default=0.0, help="bollinger band width multiplier")
     p_bt.add_argument("--cash", default="100000")
     p_bt.add_argument("--out", default="")
@@ -177,15 +156,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TemplateError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, BarDataError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except TradeloopError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"{DataError.label}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (GatewayError, ReplayMismatch) as exc:
-        print(f"provider error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
 
 
 if __name__ == "__main__":

@@ -20,12 +20,13 @@ from pathlib import Path
 from typing import IO, Callable, Protocol
 
 from .engine import AuditLog
+from .errors import ProviderError
 
 DEFAULT_BACKOFF_S = (1.0, 4.0, 16.0)
 RETRYABLE = ("TIMEOUT", "RATE_LIMITED")
 
 
-class GatewayError(Exception):
+class GatewayError(ProviderError):
     def __init__(self, code: str, message: str = ""):
         self.code = code
         super().__init__(f"{code}: {message}" if message else code)
@@ -41,8 +42,6 @@ class ChatMessage:
 class ChatRequest:
     system_text: str
     messages: tuple[ChatMessage, ...]
-    model_id: str = ""
-    params: tuple[tuple[str, object], ...] = ()
     tags: tuple[tuple[str, str], ...] = ()
 
     def tag(self, key: str) -> str | None:
@@ -58,11 +57,12 @@ class ChatResponse:
 
 
 def request_payload(request: ChatRequest) -> dict:
+    # The empty "model_id" and "params" keep every recorded request_hash valid.
     return {
         "system": request.system_text,
         "messages": [{"role": m.role, "text": m.text} for m in request.messages],
-        "model_id": request.model_id,
-        "params": dict(request.params),
+        "model_id": "",
+        "params": {},
     }
 
 
@@ -130,11 +130,17 @@ class ReplayProvider:
     def __init__(self, audit_path: Path | str):
         # Only what replay needs of each record: its request hash and response text.
         self.records: list[tuple[str, str]] = []
-        with open(audit_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    record = json.loads(line)
-                    self.records.append((record["request_hash"], record["response"]["text"]))
+        try:
+            with open(audit_path, "r", encoding="utf-8") as fh:
+                for line in fh:
+                    if line.strip():
+                        record = json.loads(line)
+                        pair = (record["request_hash"], record["response"]["text"])
+                        if not all(isinstance(s, str) for s in pair):
+                            raise TypeError(f"request_hash and response text must be strings, got {pair!r}")
+                        self.records.append(pair)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise GatewayError("PROVIDER_ERROR", f"bad record {len(self.records) + 1} in {audit_path}: {exc!r}") from None
         self.cursor = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -179,8 +185,7 @@ class HttpProvider:
             messages.append({"role": "system", "content": request.system_text})
         for m in request.messages:
             messages.append({"role": m.role, "content": m.text})
-        payload = {"model": request.model_id or self.model_id, "messages": messages}
-        payload.update(dict(request.params))
+        payload = {"model": self.model_id, "messages": messages}
         headers = {}
         key = os.environ.get(self.api_key_env, "")
         if key:

@@ -11,48 +11,109 @@ given the same config, data, and scripts.
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import json
+import os
 import tempfile
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
+from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
 from . import agents, indicators, metrics, opro
-from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, parse_bars, adjust_for_actions, resample, window_slice
+from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
 from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, Rejection, trades_from_audit
+from .errors import ConfigError, DataError, ReplayMismatch
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
 from .metrics import MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import load_asset_text, load_template
 
 PROMPTING_MODES = ("baseline", "reflection", "adaptive_opro", "adaptive_opro_with_reflection")
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_PROVIDER = 4
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class DataError(ValueError):
-    pass
-
-
-class ReplayMismatch(RuntimeError):
-    pass
-
-
 PROVIDER_KINDS = ("scripted", "http", "replay")
 PROVIDER_ROLES = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
 ABLATIONS = ("no_news", "no_market", "no_fundamental")
 
+def _is_os_string(text: str) -> bool:
+    """Whether `text` can name a file or an environment variable."""
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:  # an unpaired surrogate
+        return False
+    return "\0" not in text
 
-def _is_positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+OsString = Annotated[str, _is_os_string]
+
+
+def _type_test(hint) -> Callable[[object], bool]:
+    """A test for values of the annotation `hint`: a class, a union of classes,
+    a `dict[K, V]` or an `Annotated[T, check]`. An int passes as a float, and
+    a bool only as a bool."""
+    if get_origin(hint) is Annotated:
+        base, check = get_args(hint)
+        return lambda v, test=_type_test(base): test(v) and check(v)
+    if get_origin(hint) is dict:
+        key, value = map(_type_test, get_args(hint))
+        return lambda v: isinstance(v, dict) and all(key(k) and value(x) for k, x in v.items())
+    classes = get_args(hint) or (hint,)
+    if float in classes:
+        classes += (int,)
+    bool_ok = bool in classes
+    return lambda v: isinstance(v, classes) and (bool_ok or not isinstance(v, bool))
+
+
+_is_int = _type_test(int)
+
+
+def positive_cash(value, name: str = "initial_cash") -> Decimal:
+    """`value`, a number or a numeric string, as a positive amount, finite also as a float."""
+    try:
+        cash = Decimal(value)
+    except (ArithmeticError, TypeError, ValueError):
+        cash = Decimal("NaN")
+    if not cash.is_finite() or not 0 < float(cash) < float("inf"):
+        raise ConfigError(f"{name} must be a positive number, got {value!r}")
+    return cash
+
+
+class _Config:
+    """Base of a config dataclass read from a JSON object. Each field's type
+    test is built from its annotation once, when the class is made."""
+
+    def __init_subclass__(cls, what: str) -> None:
+        hints = get_type_hints(cls, include_extras=True)
+        cls.what = what
+        cls.type_tests = {name: (cls.__annotations__[name], _type_test(hint)) for name, hint in hints.items()}
+        cls.date_fields = [name for name, hint in hints.items() if hint is date]
+
+    def check_types(self) -> None:
+        for name, (annotation, test) in self.type_tests.items():
+            value = getattr(self, name)
+            if not test(value):
+                raise ConfigError(f"{name} must be {annotation}, got {value!r}")
+
+    @classmethod
+    def from_dict(cls, obj):
+        """`cls` from a JSON object that names every required field and no
+        unknown one. A `date` field reads an ISO date string."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a {cls.what} must be an object, got {obj!r}")
+        fields = cls.__dataclass_fields__
+        unknown = obj.keys() - fields
+        if unknown:
+            raise ConfigError(f"unknown {cls.what} keys: {sorted(unknown)}")
+        missing = [n for n, f in fields.items() if f.default is MISSING and f.default_factory is MISSING and n not in obj]
+        if missing:
+            raise ConfigError(f"missing {cls.what} keys: {missing}")
+        kwargs = dict(obj)
+        for name in cls.date_fields:
+            try:
+                kwargs[name] = date.fromisoformat(kwargs[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+        return cls(**kwargs)
 
 
 def _is_script_entry(entry) -> bool:
@@ -63,49 +124,37 @@ def _is_script_entry(entry) -> bool:
         and entry.keys() <= {"response", "match", "step", "times"}
         and isinstance(entry.get("response"), str)
         and (entry.get("match") is None or isinstance(entry["match"], str))
-        and (entry.get("step") is None or _is_positive_int(entry["step"]))
-        and (entry.get("times") is None or _is_positive_int(entry["times"]))
+        and all(entry.get(key) is None or (_is_int(entry[key]) and entry[key] >= 1) for key in ("step", "times"))
     )
 
 
 @dataclass
-class ProviderConfig:
+class ProviderConfig(_Config, what="provider config"):
     kind: str = "scripted"  # one of PROVIDER_KINDS
     base_url: str = ""
     model_id: str = ""
     timeout_s: float = 60.0
-    api_key_env: str = "LLM_API_KEY"
+    api_key_env: OsString = "LLM_API_KEY"
     strict: bool = True
     default_response: str = ""
     script: list = field(default_factory=list)
-    replay_path: str = ""
+    replay_path: OsString = ""
 
     def __post_init__(self) -> None:
+        self.check_types()
         if self.kind not in PROVIDER_KINDS:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
-        if not isinstance(self.script, list):
-            raise ConfigError(f"script must be a list, got {self.script!r}")
         for n, entry in enumerate(self.script):
             if not _is_script_entry(entry):
                 raise ConfigError(f"bad script entry {n}: {entry!r}")
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ProviderConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"a provider config must be an object, got {obj!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
-        if bad:
-            raise ConfigError(f"unknown provider config keys: {sorted(bad)}")
-        return cls(**obj)
-
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Config, what="config"):
     instrument: str
     window_start: date
     window_end: date
-    experiment: str = "experiment"
+    experiment: OsString = "experiment"
     action_interval: str = "1 day"
     prompting_mode: str = "baseline"
     reflection_interval: int = 5
@@ -113,72 +162,43 @@ class ExperimentConfig:
     roi_mode: str = "cumulative"
     runs: int = 3
     seed: int = 0
-    initial_cash: str = "100000"
-    ablations: dict = field(default_factory=lambda: dict.fromkeys(ABLATIONS, False))
+    initial_cash: str | float = "100000"
+    ablations: dict[str, bool] = field(default_factory=lambda: dict.fromkeys(ABLATIONS, False))
     providers: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
-    prompt_dir: str = ""  # template override directory
+    paths: dict[str, OsString] = field(default_factory=dict)
+    prompt_dir: OsString = ""  # template override directory
 
     def __post_init__(self) -> None:
+        self.check_types()
         if self.window_start >= self.window_end:
             raise ConfigError("window_start must precede window_end")
         for name in ("runs", "opro_k", "reflection_interval"):
-            if not _is_positive_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.prompting_mode not in PROMPTING_MODES:
             raise ConfigError(f"prompting_mode must be one of {PROMPTING_MODES}")
         if self.roi_mode not in opro.ROI_MODES:
             raise ConfigError(f"roi_mode must be one of {opro.ROI_MODES}")
-        try:
-            cash = Decimal(self.initial_cash)
-        except (ArithmeticError, TypeError, ValueError):
-            cash = Decimal("NaN")
-        if isinstance(self.initial_cash, bool) or not cash.is_finite() or cash <= 0:
-            raise ConfigError(f"initial_cash must be a positive number, got {self.initial_cash!r}")
-        ab = self.ablations
-        if not isinstance(ab, dict) or not set(ab) <= set(ABLATIONS) or not all(isinstance(v, bool) for v in ab.values()):
-            raise ConfigError(f"ablations must map some of {ABLATIONS} to true or false, got {ab!r}")
-        if not isinstance(self.providers, dict) or not set(self.providers) <= {"default", *PROVIDER_ROLES}:
+        positive_cash(self.initial_cash)
+        if not self.ablations.keys() <= set(ABLATIONS):
+            raise ConfigError(f"ablations must map some of {ABLATIONS} to true or false, got {self.ablations!r}")
+        if not self.providers.keys() <= {"default", *PROVIDER_ROLES}:
             raise ConfigError(f"providers must map some of {('default', *PROVIDER_ROLES)} to provider configs")
         for conf in self.providers.values():
             ProviderConfig.from_dict(conf)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        obj = dict(obj)
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
-        if bad:
-            raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        try:
-            obj["window_start"] = date.fromisoformat(obj["window_start"])
-            obj["window_end"] = date.fromisoformat(obj["window_end"])
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        if "instrument" not in obj:
-            raise ConfigError("missing config key: 'instrument'")
-        return cls(**obj)
-
-    @classmethod
     def from_file(cls, path: Path | str) -> "ExperimentConfig":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_dict(obj)
 
     def canonical_json(self) -> str:
-        obj = {
-            k: (v.isoformat() if isinstance(v, date) else v)
-            for k, v in self.__dict__.items()
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(self.__dict__, indent=2, sort_keys=True, default=date.isoformat)
 
     def config_hash(self) -> str:
-        import hashlib
-
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     @property
@@ -205,73 +225,64 @@ class LoadedData:
     actions: list = field(default_factory=list)
 
 
-def _read_input(paths: dict, key: str) -> str:
+_is_figure = _type_test(float | None)
+
+
+def _parse_calendar(text: str) -> SessionCalendar:
+    """One ISO date per non-blank line."""
+    return SessionCalendar(tuple(date.fromisoformat(line.strip()) for line in text.splitlines() if line.strip()))
+
+
+def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
+    """A JSON list of objects, each with an ISO filing_date; the figures are
+    numbers or null, splits and dividends lists of [date, value] pairs, and
+    every field but filing_date is optional."""
+    raw = json.loads(text)
+    if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
+        raise ValueError("expected a list of objects")
+    snapshots = []
+    for obj in raw:
+        figures = {key: obj.get(key) for key in FUNDAMENTAL_FIGURES}
+        for key, value in figures.items():
+            if not _is_figure(value):
+                raise ValueError(f"{key} must be a number or null, got {value!r}")
+        events = {key: obj.get(key, []) for key in ("splits", "dividends")}
+        for key, entries in events.items():
+            if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
+                raise ValueError(f"{key} must be a list of [date, value] pairs, got {entries!r}")
+        snapshots.append(
+            agents.FundamentalSnapshot(
+                filing_date=date.fromisoformat(obj["filing_date"]),
+                period_label=obj.get("period_label", ""),
+                splits=tuple(map(tuple, events["splits"])),
+                dividends=tuple(map(tuple, events["dividends"])),
+                **figures,
+            )
+        )
+    return snapshots
+
+
+def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty):
+    """`parse` of the text of the input file `paths[key]`, or `empty` when it
+    names none. Any failure is a DataError that names the file."""
+    if not paths.get(key):
+        return empty
     try:
-        return Path(paths[key]).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{key} file not found or unreadable: {exc}") from None
+        return parse(Path(paths[key]).read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"bad {key} file {paths[key]}: {exc!r}") from None
 
 
 def load_data(config: ExperimentConfig) -> LoadedData:
     paths = config.paths
     if "bars" not in paths:
         raise DataError("config.paths.bars is required")
-    fmt = "jsonl" if Path(paths["bars"]).suffix == ".jsonl" else "csv"
-    series = parse_bars(_read_input(paths, "bars"), format=fmt, symbol=config.instrument)
-
-    actions = []
-    if paths.get("actions"):
-        actions = parse_actions_csv(_read_input(paths, "actions"))
-        series = adjust_for_actions(series, actions)
-
-    if paths.get("calendar"):
-        text = _read_input(paths, "calendar")
-        try:
-            dates = [date.fromisoformat(line.strip()) for line in text.splitlines() if line.strip()]
-        except ValueError as exc:
-            raise DataError(f"bad calendar file {paths['calendar']}: {exc}") from None
-        calendar = SessionCalendar(tuple(dates))
-    else:
-        calendar = SessionCalendar.from_series(series)
-
-    news = []
-    if paths.get("news"):
-        text = _read_input(paths, "news")
-        try:
-            news = agents.load_news_jsonl(text)
-        except ValueError as exc:
-            raise DataError(f"bad news file {paths['news']}: {exc}") from None
-
-    fundamentals = []
-    if paths.get("fundamentals"):
-        # A list of objects, each with an ISO filing_date; the figures are
-        # numbers or null, splits and dividends lists of [date, value] pairs,
-        # and every field but filing_date is optional.
-        text = _read_input(paths, "fundamentals")
-        try:
-            raw = json.loads(text)
-            if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
-                raise ValueError("expected a list of objects")
-            for obj in raw:
-                figures = {key: obj.get(key) for key in FUNDAMENTAL_FIGURES}
-                for key, value in figures.items():
-                    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-                        raise ValueError(f"{key} must be a number or null, got {value!r}")
-                events = {key: obj.get(key, []) for key in ("splits", "dividends")}
-                for key, entries in events.items():
-                    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
-                        raise ValueError(f"{key} must be a list of [date, value] pairs, got {entries!r}")
-                fundamentals.append(
-                    agents.FundamentalSnapshot(
-                        filing_date=date.fromisoformat(obj["filing_date"]),
-                        period_label=obj.get("period_label", ""),
-                        splits=tuple(map(tuple, events["splits"])),
-                        dividends=tuple(map(tuple, events["dividends"])),
-                        **figures,
-                    )
-                )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"bad fundamentals file {paths['fundamentals']}: {exc!r}") from None
+    series = read_bars(paths["bars"], symbol=config.instrument)
+    actions = _parse_input(paths, "actions", parse_actions_csv, [])
+    series = adjust_for_actions(series, actions)
+    calendar = _parse_input(paths, "calendar", _parse_calendar, None) or SessionCalendar.from_series(series)
+    news = _parse_input(paths, "news", agents.load_news_jsonl, [])
+    fundamentals = _parse_input(paths, "fundamentals", _parse_fundamentals, [])
 
     sessions = calendar.sessions_between(config.window_start, config.window_end)
     if not sessions:
@@ -284,23 +295,10 @@ def load_data(config: ExperimentConfig) -> LoadedData:
 
 def build_provider(pconf: ProviderConfig):
     if pconf.kind == "scripted":
-        entries = [
-            ScriptEntry(
-                response=e["response"],
-                match=e.get("match"),
-                step=e.get("step"),
-                times=e.get("times", 1),
-            )
-            for e in pconf.script
-        ]
+        entries = [ScriptEntry(**entry) for entry in pconf.script]
         return ScriptedProvider(entries, strict=pconf.strict, default_response=pconf.default_response)
     if pconf.kind == "http":
-        return HttpProvider(
-            base_url=pconf.base_url,
-            model_id=pconf.model_id,
-            timeout_s=pconf.timeout_s,
-            api_key_env=pconf.api_key_env,
-        )
+        return HttpProvider(pconf.base_url, pconf.model_id, timeout_s=pconf.timeout_s, api_key_env=pconf.api_key_env)
     return ReplayProvider(pconf.replay_path)
 
 
@@ -310,13 +308,12 @@ def build_router(config: ExperimentConfig):
     Roles without their own config all route to the one default provider, so
     sequential kinds (replay, step-matched scripts) keep a global call order.
     """
-    raw = config.providers or {}
-    default_conf = raw.get("default")
-    providers = {}
-    for role in PROVIDER_ROLES:
-        if role in raw:
-            providers[role] = build_provider(ProviderConfig.from_dict(raw[role]))
-    default = build_provider(ProviderConfig.from_dict(default_conf)) if default_conf else None
+    providers = {
+        role: build_provider(ProviderConfig.from_dict(conf))
+        for role, conf in config.providers.items()
+        if conf or role != "default"  # an empty default config is no default
+    }
+    default = providers.pop("default", None)
     if not providers and default is None:
         raise ConfigError("no providers configured")
     return RouterProvider(providers, default=default)
@@ -612,17 +609,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
 
     payload = {
         "metrics": report.to_dict(),
-        "windows": [
-            {
-                "start_step": w.start_step,
-                "end_step": w.end_step,
-                "v_start": w.v_start,
-                "v_end": w.v_end,
-                "roi": w.roi,
-                "score": w.score,
-            }
-            for w in optimizer.windows
-        ],
+        "windows": [asdict(w) for w in optimizer.windows],
         "equity": {
             "dates": [d.isoformat() for d in equity_dates],
             "values": [str(v) for v in equity_values],
@@ -645,11 +632,10 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     )
 
 
-def run_experiment(config: ExperimentConfig, out_root: Path | str | None = None):
+def run_experiment(config: ExperimentConfig):
     """The multi-run protocol: `config.runs` isolated runs plus aggregation."""
     data = load_data(config)
-    root = Path(out_root) if out_root else Path(config.paths.get("out_dir", "runs"))
-    exp_dir = root / config.experiment
+    exp_dir = Path(config.paths.get("out_dir", "runs")) / config.experiment
     artifacts: list[RunArtifact] = []
     for idx in range(1, config.runs + 1):
         run_id = f"run-{idx}"
@@ -688,9 +674,13 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
     The replay writes into `scratch_dir`, or into a temporary directory that
     is removed on every exit; the returned artifact names the recorded run."""
     run_dir = Path(run_dir)
-    lock = json.loads((run_dir / "config.lock").read_text(encoding="utf-8"))
-    config = ExperimentConfig.from_dict(lock["config"])
-    if config.config_hash() != lock["hash"]:
+    try:
+        lock = json.loads((run_dir / "config.lock").read_text(encoding="utf-8"))
+        config = ExperimentConfig.from_dict(lock["config"])
+        recorded_hash = lock["hash"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ReplayMismatch(f"cannot read {run_dir / 'config.lock'}: {exc!r}") from None
+    if config.config_hash() != recorded_hash:
         raise ReplayMismatch("config.lock hash does not match its config payload")
 
     config.providers = {"default": {"kind": "replay", "replay_path": str(run_dir / "gateway.jsonl")}}

@@ -21,9 +21,10 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .bars import BarSeries
+from .errors import ConfigError
 
 
-class IndicatorError(ValueError):
+class IndicatorError(ConfigError):
     pass
 
 

@@ -17,11 +17,12 @@ from enum import Enum
 
 from .bars import BarSeries
 from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection, trades_from_audit
+from .errors import DataError
 from .indicators import bollinger_series, macd_series, sma_series
 from .metrics import MetricReport, compute_report
 
 
-class StrategyError(ValueError):
+class StrategyError(DataError):
     pass
 
 

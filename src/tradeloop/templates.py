@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from .errors import ConfigError
+
 _PLACEHOLDER = re.compile(
     r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\|\s*default\(\"([^\"]*)\"\)\s*)?\}\}"
 )
@@ -27,7 +29,7 @@ _SYSTEM_BLOCK = re.compile(r"<system_role>(.*?)</system_role>", re.DOTALL)
 MAX_CONDITIONAL_DEPTH = 2
 
 
-class TemplateError(ValueError):
+class TemplateError(ConfigError):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(f"{code}: {message}")

@@ -185,6 +185,11 @@ class TestAdjustForActions:
         assert actions[0].kind == "split" and actions[0].split_ratio == Decimal(10)
         assert actions[1].kind == "dividend" and actions[1].cash_amount == Decimal("0.01")
 
+    @pytest.mark.parametrize("row", ["2024-06-10", "2024-06-10,split,10,,extra"])
+    def test_actions_row_with_wrong_column_count_rejected(self, row):
+        with pytest.raises(BarDataError, match="expected 4 columns.*at row 1"):
+            parse_actions_csv(f"date,kind,ratio,cash\n{row}\n")
+
 
 class TestResample:
     def test_week_aggregates_ohlcv(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from tradeloop.bars import serialize_bars
 from tradeloop import cli
 from tradeloop.cli import main
-from tradeloop.harness import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
+from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
 
 from conftest import synthetic_daily
 from test_harness import build_workspace
@@ -188,6 +189,7 @@ def test_bad_input_file_exit_code(tmp_path, key, text, code):
         (("initial_cash",), "-5"),
         (("initial_cash",), "0"),
         (("initial_cash",), True),
+        (("initial_cash",), "1e400"),
         (("runs",), "2"),
         (("runs",), True),
         (("reflection_interval",), "2"),
@@ -202,6 +204,11 @@ def test_bad_input_file_exit_code(tmp_path, key, text, code):
         (("providers", "cta", "kind"), "bogus"),
         (("providers", "markte"), {"kind": "scripted"}),
         (("providers",), {}),
+        (("instrument",), 7),
+        (("seed",), "1"),
+        (("providers", "cta", "strict"), "no"),
+        (("providers", "cta", "timeout_s"), "x"),
+        (("providers", "cta", "base_url"), 5),
     ],
     ids=repr,
 )
@@ -217,3 +224,102 @@ def test_bad_config_value_exits_2_before_writing(tmp_path, path, value):
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
     assert not Path(config["paths"]["out_dir"]).exists()
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory) -> Path:
+    """A baseline run recorded by `tradeloop run`; probes tamper with copies."""
+    root = tmp_path_factory.mktemp("recorded")
+    build_workspace(root, mode="baseline")
+    assert main(["run", "--config", str(root / "config.json")]) == EXIT_OK
+    return root / "runs" / "exp-baseline" / "run-1"
+
+
+def _bars_file(tmp_path, n):
+    path = tmp_path / "bars.csv"
+    path.write_text(serialize_bars(synthetic_daily(n, seed=4), "csv"), encoding="utf-8")
+    return str(path)
+
+
+def _backtest(*flags):
+    return lambda tmp_path, run: ["backtest", "--bars", _bars_file(tmp_path, 120), *flags]
+
+
+def _run_with(key, value):
+    """`run` over the recorded workspace's config with `config[key] = value`,
+    or `config["paths"]["bars"] = value` for the key "paths.bars"."""
+
+    def argv(tmp_path, run):
+        config = json.loads((run.parents[2] / "config.json").read_text(encoding="utf-8"))
+        config["paths"]["out_dir"] = str(tmp_path / "out")
+        if key == "paths.bars":
+            config["paths"]["bars"] = value
+        else:
+            config[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return ["run", "--config", str(path)]
+
+    return argv
+
+
+def _tampered(command, name, edit):
+    """`command` over a copy of the recorded run whose file `name` is
+    replaced by `edit` of its text."""
+
+    def argv(tmp_path, run):
+        copy = tmp_path / "exp" / run.name
+        shutil.copytree(run, copy)
+        (copy / name).write_text(edit((copy / name).read_text(encoding="utf-8")), encoding="utf-8")
+        return ["replay", "--run", str(copy)] if command == "replay" else ["report", "--runs", str(copy.parent)]
+
+    return argv
+
+
+def _edit_first_record(edit):
+    def apply(text):
+        first, rest = text.split("\n", 1)
+        record = json.loads(first)
+        edit(record)
+        return json.dumps(record) + "\n" + rest
+
+    return apply
+
+
+def _equity_date_x(text):
+    payload = json.loads(text)
+    payload["equity"]["dates"][0] = "x"
+    return json.dumps(payload)
+
+
+NO_TRACEBACK_PROBES = {
+    "backtest --bars <dir>": (EXIT_DATA, lambda tmp_path, run: ["backtest", "--strategy", "sma", "--bars", str(tmp_path)]),
+    "validate-data --bars <dir>": (EXIT_DATA, lambda tmp_path, run: ["validate-data", "--bars", str(tmp_path)]),
+    "backtest sma over 5 bars": (EXIT_DATA, lambda tmp_path, run: ["backtest", "--strategy", "sma", "--bars", _bars_file(tmp_path, 5)]),
+    "report metrics.json not JSON": (EXIT_DATA, _tampered("report", "metrics.json", lambda text: "{not json")),
+    "report equity date x": (EXIT_DATA, _tampered("report", "metrics.json", _equity_date_x)),
+    "backtest --cash abc": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--cash", "abc")),
+    "backtest --cash -5": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--cash", "-5")),
+    "backtest --cash 0": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--cash", "0")),
+    "backtest sma --window -3": (EXIT_CONFIG, _backtest("--strategy", "sma", "--window", "-3")),
+    "backtest bollinger --window 1": (EXIT_CONFIG, _backtest("--strategy", "bollinger", "--window", "1")),
+    "run experiment 5": (EXIT_CONFIG, _run_with("experiment", 5)),
+    "run prompt_dir 5": (EXIT_CONFIG, _run_with("prompt_dir", 5)),
+    "run paths.bars 5": (EXIT_CONFIG, _run_with("paths.bars", 5)),
+    "replay config.lock not JSON": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: "{not json")),
+    "replay gateway line not JSON": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: "{not json\n" + text)),
+    "replay record without request_hash": (
+        EXIT_PROVIDER,
+        _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.pop("request_hash"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", NO_TRACEBACK_PROBES)
+def test_bad_input_exits_with_its_code(probe, tmp_path, recorded_run, capsys):
+    """Each probe returns its exit code from `main` instead of raising, names
+    its error on stderr and writes no run."""
+    code, argv = NO_TRACEBACK_PROBES[probe]
+    assert main(argv(tmp_path, recorded_run)) == code
+    assert capsys.readouterr().err.startswith(("config error: ", "data error: ", "provider error: "))
+    assert not (tmp_path / "out").exists()

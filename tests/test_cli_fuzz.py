@@ -1,0 +1,124 @@
+"""Seeded fuzzing of `cli.main`: whatever the config, bars or actions file
+or flags, it returns a documented exit code and raises nothing else.
+
+Generated strings hold no "/" or ".", so no generated path leaves the
+temporary directory each example runs in. Flags hold no NUL or unpaired
+surrogate, which a shell cannot pass.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tradeloop.bars import ACTIONS_CSV_COLUMNS, CSV_COLUMNS, serialize_bars
+from tradeloop.cli import main
+from tradeloop.harness import ExperimentConfig, ProviderConfig
+
+from conftest import synthetic_daily
+
+EXIT_CODES = {0, 2, 3, 4}
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+text = st.text(st.characters(blacklist_characters="/.", blacklist_categories=()), max_size=8)
+flag_text = st.text(st.characters(blacklist_characters="/.\0"), max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | text | st.sampled_from(["", "\0", "\ud800", "NaN", "-1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
+    max_leaves=6,
+)
+config_keys = st.sampled_from(
+    [(name,) for name in ExperimentConfig.__dataclass_fields__]
+    + [("paths", name) for name in ("bars", "actions", "calendar", "news", "fundamentals", "out_dir")]
+    + [("providers", "default")]
+    + [("providers", "default", name) for name in ProviderConfig.__dataclass_fields__]
+    + [("ablations", "no_news")]
+)
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory) -> Path:
+    """A three-session baseline config on 30 bars, its bars file and a run
+    recorded from it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    series = synthetic_daily(30, seed=5)
+    (root / "bars.csv").write_text(serialize_bars(series, "csv"), encoding="utf-8")
+    dates = series.dates()
+    config = {
+        "experiment": "exp",
+        "instrument": "SYNTH",
+        "window_start": dates[-3].isoformat(),
+        "window_end": dates[-1].isoformat(),
+        "runs": 1,
+        "ablations": {},
+        "providers": {"default": {"kind": "scripted", "strict": False, "default_response": "[]"}},
+        "paths": {"bars": str(root / "bars.csv"), "out_dir": str(root / "runs")},
+    }
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(root / "config.json")]) == 0
+    return root
+
+
+def _exit_code(argv: list[str]) -> int:
+    """`main(argv)`'s exit code, run in a fresh temporary directory; an
+    argparse exit counts."""
+    with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@FUZZ
+@given(key=config_keys, value=json_values)
+def test_config_value(workspace, key, value):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["paths"]["out_dir"] = "out"
+    *parents, last = key
+    target = config
+    for name in parents:
+        target = target[name]
+    target[last] = value
+    with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", "config.json"]) in EXIT_CODES
+
+
+@FUZZ
+@given(
+    header=st.sampled_from(["", ",".join(CSV_COLUMNS) + "\n", ",".join(ACTIONS_CSV_COLUMNS) + "\n"]),
+    body=st.binary(max_size=300),
+    suffix=st.sampled_from(["csv", "jsonl"]),
+    flag=st.sampled_from(["--bars", "--actions"]),
+    command=st.sampled_from([["validate-data"], ["backtest", "--strategy", "buy_hold"]]),
+)
+def test_input_file_bytes(workspace, tmp_path_factory, header, body, suffix, flag, command):
+    """Random bytes, after an optional header, as the bars or the actions file."""
+    path = tmp_path_factory.mktemp("input") / f"input.{suffix}"
+    path.write_bytes(header.encode() + body)
+    files = {"--bars": str(workspace / "bars.csv"), flag: str(path)}
+    assert _exit_code([*command, *(word for pair in files.items() for word in pair)]) in EXIT_CODES
+
+
+WORDS = [
+    "run", "backtest", "report", "replay", "validate-data", "-h",
+    "--config", "--runs", "--mode", "--instrument", "--out-dir",
+    "--strategy", "--bars", "--actions", "--symbol", "--window", "--long-window", "--k", "--cash", "--out",
+    "--runs", "--label", "--csv", "--run",
+    "buy_hold", "sma", "slma", "macd", "bollinger", "reflection",
+    "-3", "0", "1", "2", "30", "1e400", "1e-9", "nan", "inf", "-inf", "abc",
+]
+
+
+@FUZZ
+@given(data=st.data())
+def test_flags(workspace, data):
+    paths = [str(workspace / name) for name in ("config.json", "bars.csv", "runs", "runs/exp", "runs/exp/run-1")]
+    argv = data.draw(st.lists(st.sampled_from(WORDS + paths) | flag_text, max_size=8))
+    assert _exit_code(argv) in EXIT_CODES

@@ -23,12 +23,7 @@ from tradeloop.gateway import (
 
 
 def req(text: str, system: str = "sys", tags=()) -> ChatRequest:
-    return ChatRequest(
-        system_text=system,
-        messages=(ChatMessage(role="user", text=text),),
-        model_id="test-model",
-        tags=tuple(tags),
-    )
+    return ChatRequest(system_text=system, messages=(ChatMessage(role="user", text=text),), tags=tuple(tags))
 
 
 class TestScriptedProvider:
@@ -91,7 +86,7 @@ class TestGatewayAudit:
     def test_empty_messages_rejected(self):
         gateway = Gateway(ScriptedProvider([ScriptEntry(response="x")]))
         with pytest.raises(GatewayError):
-            gateway.complete(ChatRequest(system_text="", messages=(), model_id="m"))
+            gateway.complete(ChatRequest(system_text="", messages=()))
 
     def test_audit_sink_receives_lines(self):
         sink = io.StringIO()
@@ -224,7 +219,7 @@ class TestHttpProvider:
         monkeypatch.setenv("LLM_API_KEY", "secret")
         response = provider.complete(req("hi", system="be brief"))
         assert response.text == "hello"
-        assert session.seen["json"]["model"] == "test-model"  # request model wins
+        assert session.seen["json"]["model"] == "model-x"
         assert session.seen["json"]["messages"][0] == {"role": "system", "content": "be brief"}
         assert session.seen["headers"]["Authorization"] == "Bearer secret"
 
