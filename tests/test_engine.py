@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from datetime import date, timedelta
@@ -408,3 +409,37 @@ class TestTradesFromAudit:
         fills += engine.force_cover(bar_on(NEXT_DAY + timedelta(days=1), 90, 90, 90, 90)).fills
         assert trades_from_audit(engine.audit) == fills
         assert [(f.action, f.forced) for f in fills] == [(Action.SHORT, False), (Action.SHORT_COVER, True)]
+
+
+class TestAuditBytes:
+    # Hex digest of the audit bytes below, recorded before the engine was
+    # rewritten to state each trading rule once.
+    DIGEST = "49c3f8da61227a79c0fb9aa85fe9c2de8ec682051113b18fcc72a3489b2cfcf5"
+
+    def test_audit_bytes_are_pinned(self):
+        """Every event type and reason: submissions, clamps, the three reject
+        reasons, UNFILLED / EMPTY_AFTER_CLAMP / GAP_REJECT / WINDOW_END
+        cancels, fills at every order type and forced covers. A seed whose
+        forced cover trips the cash assertion hashes a fixed marker, so a fix
+        of that defect changes the digest on purpose."""
+        digest = hashlib.sha256()
+        for seed in range(300):
+            engine, _ = random_session_sequence(seed, orders_per_session=5, sessions=10)
+            close = json.loads(engine.audit.text().splitlines()[-1])["close"]
+            day = engine.portfolio().as_of + timedelta(days=1)
+            digest.update(f"seed {seed}\n".encode())
+            try:
+                engine.force_cover(bar_on(day, close, close, close, close))
+            except AssertionError:
+                digest.update(b"force_cover AssertionError\n")
+            else:
+                digest.update(engine.audit.text().encode())
+
+        engine = ExecutionEngine(initial_cash=D(1000))
+        engine.validate_and_queue(mk_order(Action.BUY, 2, oid="b"), last_close=D(100))
+        engine.validate_and_queue(mk_order(Action.SHORT, 3, OrderType.STOP, price="95", oid="s"), last_close=D(100))
+        result = engine.force_cover(bar_on(NEXT_DAY, 100, 100, 100, 100))
+        assert result.cancelled == ("b", "s")
+        digest.update(b"window end\n" + engine.audit.text().encode())
+
+        assert digest.hexdigest() == self.DIGEST
