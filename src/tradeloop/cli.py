@@ -50,7 +50,7 @@ def _cmd_backtest(args) -> int:
     if args.actions:
         series = adjust_for_actions(series, parse_actions_csv(Path(args.actions).read_text(encoding="utf-8")))
     flags = _STRATEGY_FLAGS.get(args.strategy, {})
-    kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag)}
+    kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag) is not None}
     config = StrategyConfig(kind=StrategyKind(args.strategy), **kwargs)
     result = run_strategy(config, series, initial_cash=cash)
     print(result.report.to_json())
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--symbol", default="")
     p_bt.add_argument("--window", type=int)
     p_bt.add_argument("--long-window", type=int, dest="long_window")
-    p_bt.add_argument("--k", type=float, default=0.0, help="bollinger band width multiplier")
+    p_bt.add_argument("--k", type=float, help="bollinger band width multiplier")
     p_bt.add_argument("--cash", default="100000")
     p_bt.add_argument("--out", default="")
     p_bt.set_defaults(func=_cmd_backtest)

@@ -4,11 +4,9 @@ All-or-nothing fills at bar granularity, Decimal cash accounting, and a
 byte-stable JSONL audit trail. One engine instance per run, single-threaded.
 
 Fill model:
-  MARKET      -> next bar's open.
-  LIMIT buy   -> open if open <= limit, else limit if low reaches it.
-  LIMIT sell  -> open if open >= limit, else limit if high reaches it.
-  STOP buy    -> open if open >= stop, else stop if high reaches it.
-  STOP sell   -> open if open <= stop, else stop if low reaches it.
+  MARKET                 -> next bar's open.
+  LIMIT buy, STOP sell   -> open if open <= level, else level if low reaches it.
+  LIMIT sell, STOP buy   -> open if open >= level, else level if high reaches it.
 
 Buy side = BUY, SHORT_COVER; sell side = SELL, SHORT. Unfilled orders always
 cancel at session close.
@@ -18,12 +16,11 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
-from typing import IO
 
 AUDIT_SCHEMA_VERSION = 1
 
@@ -42,7 +39,13 @@ class OrderType(str, Enum):
 
 
 BUY_SIDE = (Action.BUY, Action.SHORT_COVER)
-SELL_SIDE = (Action.SELL, Action.SHORT)
+# Sign of the change in (cash, long shares, short shares) per unit filled.
+_BOOKING = {
+    Action.BUY: (-1, 1, 0),
+    Action.SELL: (1, -1, 0),
+    Action.SHORT: (1, 0, 1),
+    Action.SHORT_COVER: (-1, 0, -1),
+}
 
 
 class RejectReason(str, Enum):
@@ -130,20 +133,18 @@ class AuditLog:
     """Append-only JSONL stream, one compact JSON object per line.
 
     Keys keep insertion order, or are sorted with `sort_keys`. Every line goes
-    straight to the sink (a path opens a new file, no sink means memory) and
-    nothing else is kept: `text()` reads back what was written to a path or
-    to memory.
+    straight to the sink (a path opens a new file, no path means memory) and
+    nothing else is kept: `text()` reads back what was written. Values JSON
+    lacks are written as `str()`: a Decimal as its digits, a date in ISO form.
     """
 
-    def __init__(self, sink: IO[str] | Path | str | None = None, sort_keys: bool = False):
-        self.path = Path(sink) if isinstance(sink, (str, Path)) else None
-        if self.path is not None:
-            sink = open(self.path, "w", encoding="utf-8")
-        self._fh = io.StringIO() if sink is None else sink
-        self.sort_keys = sort_keys
+    def __init__(self, sink: Path | str | None = None, sort_keys: bool = False):
+        self.path = None if sink is None else Path(sink)
+        self._fh = io.StringIO() if self.path is None else open(self.path, "w", encoding="utf-8")
+        self._encode = json.JSONEncoder(separators=(",", ":"), sort_keys=sort_keys, default=str).encode
 
     def append(self, event: dict) -> None:
-        self._fh.write(json.dumps(event, separators=(",", ":"), sort_keys=self.sort_keys, default=str) + "\n")
+        self._fh.write(self._encode(event) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -153,18 +154,6 @@ class AuditLog:
         if self.path is None:
             return self._fh.getvalue()
         return self.path.read_text(encoding="utf-8")
-
-
-def _order_payload(order: Order) -> dict:
-    return {
-        "id": order.id,
-        "action": order.action.value,
-        "order_type": order.order_type.value,
-        "price": None if order.price is None else str(order.price),
-        "quantity": order.quantity,
-        "explanation": order.explanation,
-        "submitted_at": order.submitted_at.isoformat(),
-    }
 
 
 class ExecutionEngine:
@@ -205,79 +194,55 @@ class ExecutionEngine:
         if last_close <= 0:
             raise EngineError("last_close must be positive")
         ref = order.price if order.order_type == OrderType.LIMIT else last_close
+        self._event("ORDER_SUBMITTED", order=order.__dict__)
+        qty = self._held(order.action, order.quantity)
+        if qty == 0:
+            return self._reject(order, RejectReason.EMPTY_AFTER_CLAMP, "no position to reduce")
+        if order.action == Action.BUY and ref * qty > self._cash:
+            return self._reject(order, RejectReason.INSUFFICIENT_CASH, f"needs {ref * qty} with cash {self._cash}")
+        if order.action == Action.SHORT and (breach := self._short_cap_breach(qty, ref, last_close)):
+            return self._reject(order, RejectReason.SHORT_LIMIT, breach)
+        queued = order
+        if qty != order.quantity:
+            # `from` is a Python keyword, so the two counts go in as a dict.
+            self._event("ORDER_CLAMPED", order_id=order.id, **{"from": order.quantity, "to": qty})
+            queued = replace(order, quantity=qty)
+        self._queue.append((queued, order.quantity))
+        return queued
 
-        outcome: Order | Rejection
-        if order.action == Action.BUY:
-            cost = ref * order.quantity
-            if cost > self._cash:
-                outcome = Rejection(
-                    order.id,
-                    RejectReason.INSUFFICIENT_CASH,
-                    f"needs {cost} with cash {self._cash}",
-                )
-            else:
-                outcome = order
-        elif order.action == Action.SHORT:
-            value = portfolio_value(self.portfolio(), last_close)
-            exposure = self._short * last_close + ref * order.quantity
-            if exposure > value:
-                outcome = Rejection(
-                    order.id,
-                    RejectReason.SHORT_LIMIT,
-                    f"short exposure {exposure} exceeds portfolio value {value}",
-                )
-            else:
-                outcome = order
-        elif order.action == Action.SELL:
-            outcome = self._clamp(order, self._long)
-        else:  # SHORT_COVER
-            outcome = self._clamp(order, self._short)
+    def _reject(self, order: Order, reason: RejectReason, detail: str) -> Rejection:
+        self._event("ORDER_REJECTED", order_id=order.id, reason=reason, detail=detail)
+        return Rejection(order.id, reason, detail)
 
-        self.audit.append(
-            {
-                "v": AUDIT_SCHEMA_VERSION,
-                "type": "ORDER_SUBMITTED",
-                "order": _order_payload(order),
-            }
-        )
-        if isinstance(outcome, Rejection):
-            self.audit.append(
-                {
-                    "v": AUDIT_SCHEMA_VERSION,
-                    "type": "ORDER_REJECTED",
-                    "order_id": outcome.order_id,
-                    "reason": outcome.reason.value,
-                    "detail": outcome.detail,
-                }
-            )
-            return outcome
-        if outcome.quantity != order.quantity:
-            self.audit.append(
-                {
-                    "v": AUDIT_SCHEMA_VERSION,
-                    "type": "ORDER_CLAMPED",
-                    "order_id": order.id,
-                    "from": order.quantity,
-                    "to": outcome.quantity,
-                }
-            )
-        self._queue.append((outcome, order.quantity))
-        return outcome
+    # -- trading rules ------------------------------------------------------
 
-    def _clamp(self, order: Order, held: int) -> Order | Rejection:
-        if held <= 0:
-            return Rejection(order.id, RejectReason.EMPTY_AFTER_CLAMP, "no position to reduce")
-        if order.quantity <= held:
-            return order
-        return Order(
-            id=order.id,
-            action=order.action,
-            order_type=order.order_type,
-            price=order.price,
-            quantity=held,
-            explanation=order.explanation,
-            submitted_at=order.submitted_at,
-        )
+    def _held(self, action: Action, qty: int) -> int:
+        """`qty` reduced to the shares held for a SELL or SHORT_COVER; 0 drops it."""
+        if action == Action.SELL:
+            return min(qty, self._long)
+        if action == Action.SHORT_COVER:
+            return min(qty, self._short)
+        return qty
+
+    def _short_cap_breach(self, qty: int, price: Decimal, mark: Decimal) -> str | None:
+        """Why shorting `qty` more at `price` would take the short exposure past
+        the portfolio value, with the shares already held marked at `mark`;
+        None if it stays within."""
+        exposure = self._short * mark + price * qty
+        value = self._cash + (self._long - self._short) * mark
+        if exposure > value:
+            return f"short exposure {exposure} exceeds portfolio value {value}"
+        return None
+
+    def _apply(self, action: Action, qty: int, price: Decimal) -> None:
+        """Book a fill of `qty` shares at `price` into cash and positions."""
+        cash, long, short = _BOOKING[action]
+        self._cash += cash * price * qty
+        self._long += long * qty
+        self._short += short * qty
+
+    def _event(self, type: str, **fields) -> None:
+        self.audit.append({"v": AUDIT_SCHEMA_VERSION, "type": type, **fields})
 
     # -- session matching ---------------------------------------------------
 
@@ -298,56 +263,35 @@ class ExecutionEngine:
             if price is None:
                 self._cancel(order.id, "UNFILLED", cancelled)
                 continue
-            qty = order.quantity
-            if order.action == Action.SELL:
-                qty = min(qty, self._long)
-            elif order.action == Action.SHORT_COVER:
-                qty = min(qty, self._short)
-            if qty <= 0:
-                self._cancel(order.id, RejectReason.EMPTY_AFTER_CLAMP.value, cancelled)
+            qty = self._held(order.action, order.quantity)
+            if qty == 0:
+                self._cancel(order.id, RejectReason.EMPTY_AFTER_CLAMP, cancelled)
                 continue
-            if order.action in BUY_SIDE and price * qty > self._cash:
-                self._cancel(order.id, RejectReason.GAP_REJECT.value, cancelled)
+            if (order.action in BUY_SIDE and price * qty > self._cash) or (
+                order.action == Action.SHORT and self._short_cap_breach(qty, price, price)
+            ):
+                self._cancel(order.id, RejectReason.GAP_REJECT, cancelled)
                 continue
-            if order.action == Action.SHORT:
-                value = self._cash + (self._long - self._short) * price
-                if (self._short + qty) * price > value:
-                    self._cancel(order.id, RejectReason.GAP_REJECT.value, cancelled)
-                    continue
-
-            if order.action == Action.BUY:
-                self._cash -= price * qty
-                self._long += qty
-            elif order.action == Action.SELL:
-                self._cash += price * qty
-                self._long -= qty
-            elif order.action == Action.SHORT:
-                self._cash += price * qty
-                self._short += qty
-            else:
-                self._cash -= price * qty
-                self._short -= qty
-
-            fill = Fill(
+            self._apply(order.action, qty, price)
+            clamped_from = submitted_qty if qty != submitted_qty else None
+            fills.append(
+                Fill(
+                    order_id=order.id,
+                    action=order.action,
+                    executed_at=bar.session_date,
+                    fill_price=price,
+                    quantity=qty,
+                    clamped_from=clamped_from,
+                )
+            )
+            self._event(
+                "FILL",
                 order_id=order.id,
                 action=order.action,
-                executed_at=bar.session_date,
-                fill_price=price,
+                date=bar.session_date,
+                price=price,
                 quantity=qty,
-                clamped_from=submitted_qty if qty != submitted_qty else None,
-            )
-            fills.append(fill)
-            self.audit.append(
-                {
-                    "v": AUDIT_SCHEMA_VERSION,
-                    "type": "FILL",
-                    "order_id": fill.order_id,
-                    "action": order.action.value,
-                    "date": bar.session_date.isoformat(),
-                    "price": str(price),
-                    "quantity": qty,
-                    "clamped_from": fill.clamped_from,
-                }
+                clamped_from=clamped_from,
             )
             assert self._cash >= 0 and self._long >= 0 and self._short >= 0
 
@@ -357,34 +301,25 @@ class ExecutionEngine:
 
     def _cancel(self, order_id: str, reason: str, cancelled: list[str]) -> None:
         cancelled.append(order_id)
-        self.audit.append(
-            {
-                "v": AUDIT_SCHEMA_VERSION,
-                "type": "CANCEL",
-                "order_id": order_id,
-                "reason": reason,
-            }
-        )
+        self._event("CANCEL", order_id=order_id, reason=reason)
 
     def _summarize(self, bar, fills: list[Fill], cancelled: list[str]) -> SessionResult:
-        value = portfolio_value(self.portfolio(), bar.close)
-        self.audit.append(
-            {
-                "v": AUDIT_SCHEMA_VERSION,
-                "type": "SESSION_SUMMARY",
-                "date": bar.session_date.isoformat(),
-                "cash": str(self._cash),
-                "shares_long": self._long,
-                "shares_short": self._short,
-                "close": str(bar.close),
-                "portfolio_value": str(value),
-            }
+        state = self.portfolio()
+        value = portfolio_value(state, bar.close)
+        self._event(
+            "SESSION_SUMMARY",
+            date=bar.session_date,
+            cash=self._cash,
+            shares_long=self._long,
+            shares_short=self._short,
+            close=bar.close,
+            portfolio_value=value,
         )
         return SessionResult(
             date=bar.session_date,
             fills=tuple(fills),
             cancelled=tuple(cancelled),
-            portfolio=self.portfolio(),
+            portfolio=state,
             portfolio_value=value,
         )
 
@@ -402,63 +337,44 @@ class ExecutionEngine:
 
         fills: list[Fill] = []
         if self._short > 0:
-            price = bar.close
             qty = self._short
-            self._cash -= price * qty
-            self._short = 0
-            fill = Fill(
-                order_id=f"forced-cover-{bar.session_date.isoformat()}",
-                action=Action.SHORT_COVER,
-                executed_at=bar.session_date,
-                fill_price=price,
-                quantity=qty,
-                forced=True,
+            self._apply(Action.SHORT_COVER, qty, bar.close)
+            order_id = f"forced-cover-{bar.session_date.isoformat()}"
+            fills.append(
+                Fill(
+                    order_id=order_id,
+                    action=Action.SHORT_COVER,
+                    executed_at=bar.session_date,
+                    fill_price=bar.close,
+                    quantity=qty,
+                    forced=True,
+                )
             )
-            fills.append(fill)
-            self.audit.append(
-                {
-                    "v": AUDIT_SCHEMA_VERSION,
-                    "type": "FORCED_COVER",
-                    "order_id": fill.order_id,
-                    "date": bar.session_date.isoformat(),
-                    "price": str(price),
-                    "quantity": qty,
-                }
-            )
+            self._event("FORCED_COVER", order_id=order_id, date=bar.session_date, price=bar.close, quantity=qty)
             assert self._cash >= 0, "short proceeds accounting must keep cash non-negative"
         self._as_of = bar.session_date
         return self._summarize(bar, fills, cancelled)
 
 
 def fill_price(order: Order, bar) -> Decimal | None:
-    """Price at which `order` executes within `bar`, or None if untouched."""
+    """Price at which `order` executes within `bar`, or None if untouched.
+
+    A LIMIT buy or a STOP sell waits for the price to fall to its level; a
+    LIMIT sell or a STOP buy waits for it to rise.
+    """
     if order.order_type == OrderType.MARKET:
         return bar.open
-    limit = order.price
-    buying = order.action in BUY_SIDE
-    if order.order_type == OrderType.LIMIT:
-        if buying:
-            if bar.open <= limit:
-                return bar.open
-            if bar.low <= limit:
-                return limit
-        else:
-            if bar.open >= limit:
-                return bar.open
-            if bar.high >= limit:
-                return limit
-        return None
-    # STOP
-    if buying:
-        if bar.open >= limit:
+    level = order.price
+    if (order.order_type == OrderType.LIMIT) == (order.action in BUY_SIDE):
+        if bar.open <= level:
             return bar.open
-        if bar.high >= limit:
-            return limit
+        if bar.low <= level:
+            return level
     else:
-        if bar.open <= limit:
+        if bar.open >= level:
             return bar.open
-        if bar.low <= limit:
-            return limit
+        if bar.high >= level:
+            return level
     return None
 
 

@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Protocol
+from typing import Callable, Protocol
 
 from .engine import AuditLog
 from .errors import ProviderError
@@ -241,7 +241,7 @@ class Gateway:
     def __init__(
         self,
         provider: Provider,
-        audit_sink: IO[str] | Path | str | None = None,
+        audit_sink: Path | str | None = None,
         max_attempts: int = 3,
         backoff_s: tuple[float, ...] = DEFAULT_BACKOFF_S,
         sleep: Callable[[float], None] = time.sleep,

@@ -144,6 +144,8 @@ class ProviderConfig(_Config, what="provider config"):
         self.check_types()
         if self.kind not in PROVIDER_KINDS:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
+        if self.kind == "replay" and not self.replay_path:
+            raise ConfigError("a replay provider needs replay_path")
         for n, entry in enumerate(self.script):
             if not _is_script_entry(entry):
                 raise ConfigError(f"bad script entry {n}: {entry!r}")

@@ -13,6 +13,7 @@ None renders as the literal text "n/a".
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import date
@@ -168,6 +169,8 @@ def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[dic
     over the last n closes."""
     if n < 2:
         raise IndicatorError("n must be >= 2")
+    if not (math.isfinite(k) and k > 0):
+        raise IndicatorError(f"k must be finite and > 0, got {k!r}")
     closes = series.closes()
     out: list[dict | None] = [None] * min(n - 1, len(closes))
     for i in range(n - 1, len(closes)):

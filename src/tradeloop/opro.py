@@ -17,7 +17,6 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
 
 from .agents import ConversationalAgent
 from .engine import AuditLog
@@ -172,7 +171,7 @@ class AdaptiveOpro:
         optimizer_asset: str,
         k: int = 5,
         roi_mode: str = "cumulative",
-        log_sink: IO[str] | Path | str | None = None,
+        log_sink: Path | str | None = None,
     ):
         if k < 1:
             raise ValueError("K must be >= 1")

@@ -209,6 +209,7 @@ def test_bad_input_file_exit_code(tmp_path, key, text, code):
         (("providers", "cta", "strict"), "no"),
         (("providers", "cta", "timeout_s"), "x"),
         (("providers", "cta", "base_url"), 5),
+        (("providers", "cta"), {"kind": "replay"}),
     ],
     ids=repr,
 )
@@ -303,6 +304,9 @@ NO_TRACEBACK_PROBES = {
     "backtest --cash 0": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--cash", "0")),
     "backtest sma --window -3": (EXIT_CONFIG, _backtest("--strategy", "sma", "--window", "-3")),
     "backtest bollinger --window 1": (EXIT_CONFIG, _backtest("--strategy", "bollinger", "--window", "1")),
+    "backtest bollinger --k nan": (EXIT_CONFIG, _backtest("--strategy", "bollinger", "--k", "nan")),
+    "backtest bollinger --k inf": (EXIT_CONFIG, _backtest("--strategy", "bollinger", "--k", "inf")),
+    "backtest bollinger --k -1": (EXIT_CONFIG, _backtest("--strategy", "bollinger", "--k", "-1")),
     "run experiment 5": (EXIT_CONFIG, _run_with("experiment", 5)),
     "run prompt_dir 5": (EXIT_CONFIG, _run_with("prompt_dir", 5)),
     "run paths.bars 5": (EXIT_CONFIG, _run_with("paths.bars", 5)),

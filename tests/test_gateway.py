@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -88,11 +87,12 @@ class TestGatewayAudit:
         with pytest.raises(GatewayError):
             gateway.complete(ChatRequest(system_text="", messages=()))
 
-    def test_audit_sink_receives_lines(self):
-        sink = io.StringIO()
+    def test_audit_sink_receives_lines(self, tmp_path):
+        sink = tmp_path / "gateway.jsonl"
         gateway = Gateway(ScriptedProvider([ScriptEntry(response="x")]), audit_sink=sink)
         gateway.complete(req("a"))
-        assert sink.getvalue().count("\n") == 1
+        assert sink.read_text(encoding="utf-8").count("\n") == 1
+        gateway.close()
 
 
 class TestRetry:
