@@ -20,7 +20,7 @@ from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .engine import Action, Order, OrderType
-from .gateway import ChatMessage, ChatRequest, Gateway
+from .gateway import ChatMessage, Gateway, Transcript
 from .templates import PromptTemplate
 
 ORDER_FIELDS = ("action", "orderType", "price", "quantity", "explanation")
@@ -109,7 +109,8 @@ def recent_activity_text(fills: Sequence, limit: int = 5) -> str:
 
 def load_news_jsonl(text: str) -> list[NewsItem]:
     """One item per non-blank line; ValueError names the first line that is
-    not a JSON object with a `title` and a `ts` that starts with an ISO date."""
+    not a JSON object with a string `title`, a `ts` that starts with an ISO
+    date and, if any, `keywords` that are a list of strings."""
     items: list[NewsItem] = []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -117,13 +118,16 @@ def load_news_jsonl(text: str) -> list[NewsItem]:
         try:
             obj = json.loads(line)
             date.fromisoformat(obj["ts"][:10])
+            keywords = obj.get("keywords", [])
+            if not isinstance(keywords, list) or not all(isinstance(s, str) for s in [obj["title"], *keywords]):
+                raise TypeError("title must be a string and keywords a list of strings")
             items.append(
                 NewsItem(
                     ts=obj["ts"],
                     title=obj["title"],
                     url=obj.get("url", ""),
                     summary=obj.get("summary", ""),
-                    keywords=tuple(obj.get("keywords", ())),
+                    keywords=tuple(keywords),
                 )
             )
         except (ValueError, KeyError, TypeError) as exc:
@@ -256,17 +260,15 @@ class ConversationalAgent:
         self.gateway = gateway
         self.initial = initial
         self.followup = followup
-        self.system_text = ""
-        self.messages: list[ChatMessage] = []
+        self.transcript = Transcript()
 
     @property
     def first_call(self) -> bool:
-        return not self.messages
+        return not self.transcript.messages
 
     def reset(self) -> None:
         """Drop the conversation so the next call re-renders `initial`."""
-        self.system_text = ""
-        self.messages.clear()
+        self.transcript = Transcript()
 
     def ask(self, context: dict, tags: tuple[tuple[str, str], ...] = ()) -> str:
         return self._send(self._render(context), tuple(tags) + (("role", self.role),))
@@ -297,14 +299,13 @@ class ConversationalAgent:
     def _render(self, context: dict) -> str:
         rendered = (self.initial if self.first_call else self.followup).render(context)
         if self.first_call and rendered.system_text:
-            self.system_text = rendered.system_text
+            self.transcript.system_text = rendered.system_text
         return rendered.user_text
 
     def _send(self, user_text: str, tags: tuple[tuple[str, str], ...]) -> str:
-        self.messages.append(ChatMessage(role="user", text=user_text))
-        request = ChatRequest(system_text=self.system_text, messages=tuple(self.messages), tags=tags)
-        response = self.gateway.complete(request)
-        self.messages.append(ChatMessage(role="assistant", text=response.text))
+        self.transcript.append(ChatMessage(role="user", text=user_text))
+        response = self.gateway.complete(self.transcript.request(tags))
+        self.transcript.append(ChatMessage(role="assistant", text=response.text))
         return response.text
 
 

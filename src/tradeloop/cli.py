@@ -33,7 +33,8 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-# The StrategyConfig field that each backtest flag sets, by strategy.
+# The StrategyConfig field that each backtest flag sets, by strategy; any
+# other flag given with the strategy is a config error.
 _STRATEGY_FLAGS = {
     "sma": {"window": "sma_n"},
     "slma": {"window": "slma_short", "long_window": "slma_long"},
@@ -43,13 +44,16 @@ _STRATEGY_FLAGS = {
 
 def _cmd_backtest(args) -> int:
     cash = positive_cash(args.cash, "--cash")
+    flags = _STRATEGY_FLAGS.get(args.strategy, {})
+    for flag in ("window", "long_window", "k"):
+        if getattr(args, flag) is not None and flag not in flags:
+            raise ConfigError(f"--{flag.replace('_', '-')} does not apply to --strategy {args.strategy}")
     for flag, window in (("--window", args.window), ("--long-window", args.long_window)):
         if window is not None and window < 1:
             raise ConfigError(f"{flag} must be >= 1, got {window}")
     series = read_bars(args.bars, symbol=args.symbol)
     if args.actions:
         series = adjust_for_actions(series, parse_actions_csv(Path(args.actions).read_text(encoding="utf-8")))
-    flags = _STRATEGY_FLAGS.get(args.strategy, {})
     kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag) is not None}
     config = StrategyConfig(kind=StrategyKind(args.strategy), **kwargs)
     result = run_strategy(config, series, initial_cash=cash)

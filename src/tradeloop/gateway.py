@@ -7,17 +7,21 @@ failures with exponential backoff, and appends every completed exchange to a
 JSONL audit log before returning.
 
 Audit timestamps are a deterministic call counter, not wall-clock time:
-byte-identical reruns are part of the contract.
+byte-identical reruns are part of the contract. A conversation is a
+`Transcript`, which encodes each message once, so a call's request hash and
+audit line cost what the call added rather than the whole conversation.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .engine import AuditLog
 from .errors import ProviderError
@@ -40,12 +44,29 @@ class ChatMessage:
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """One call's conversation. `digest` is its `request_hash` and `fragments`
+    its messages' canonical JSON, as `Transcript` encodes them; a request
+    built without them gets them from a `Transcript` of its messages."""
+
     system_text: str
     messages: tuple[ChatMessage, ...]
     tags: tuple[tuple[str, str], ...] = ()
+    digest: str = field(default="", compare=False, repr=False)
+    fragments: tuple[str, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.digest:
+            transcript = Transcript(self.system_text, self.messages)
+            object.__setattr__(self, "digest", transcript.digest())
+            object.__setattr__(self, "fragments", tuple(transcript.fragments))
 
     def tag(self, key: str) -> str | None:
         return dict(self.tags).get(key)
+
+    def payload_pieces(self) -> Iterator[str]:
+        """`request_payload(self)` as canonical JSON, in pieces: the encoded
+        messages are written as they are, never joined into one string."""
+        return chain((_HEAD,), self.fragments, (_tail(self.system_text),))
 
 
 @dataclass(frozen=True)
@@ -71,6 +92,51 @@ def request_hash(request: ChatRequest) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# The canonical JSON of `request_payload` puts its keys in sorted order, so
+# "messages" comes first and a conversation's encoding only ever grows at the
+# end of that list, before the fixed tail.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_HEAD = '{"messages":['
+
+
+def _tail(system_text: str) -> str:
+    return '],"model_id":"","params":{},"system":' + _encode(system_text) + "}"
+
+
+class Transcript:
+    """A conversation's system text and messages, each message encoded once.
+
+    Appending a message encodes it as canonical JSON (preceded by a comma
+    after the first) and feeds it to a running SHA-256 of the payload so far,
+    so `request` gives each call's `request_hash` and audit pieces at the cost
+    of what the call adds, not of the whole conversation.
+    """
+
+    def __init__(self, system_text: str = "", messages: Iterable[ChatMessage] = ()):
+        self.system_text = system_text
+        self.messages: list[ChatMessage] = []
+        self.fragments: list[str] = []
+        self._sha = hashlib.sha256(_HEAD.encode())
+        for message in messages:
+            self.append(message)
+
+    def append(self, message: ChatMessage) -> None:
+        fragment = _encode({"role": message.role, "text": message.text})
+        if self.fragments:
+            fragment = "," + fragment
+        self._sha.update(fragment.encode("utf-8"))
+        self.messages.append(message)
+        self.fragments.append(fragment)
+
+    def digest(self) -> str:
+        sha = self._sha.copy()
+        sha.update(_tail(self.system_text).encode("utf-8"))
+        return sha.hexdigest()
+
+    def request(self, tags: tuple[tuple[str, str], ...]) -> ChatRequest:
+        return ChatRequest(self.system_text, tuple(self.messages), tags, self.digest(), tuple(self.fragments))
+
+
 class Provider(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
 
@@ -89,14 +155,17 @@ class ScriptEntry:
     times: int | None = 1
     _used: int = field(default=0, repr=False)
 
-    def matches(self, request: ChatRequest, step: int) -> bool:
-        if self.times is not None and self._used >= self.times:
+    @property
+    def spent(self) -> bool:
+        return self.times is not None and self._used >= self.times
+
+    def matches(self, step: int, haystack: Callable[[], str]) -> bool:
+        if self.spent:
             return False
         if self.step is not None:
             return self.step == step
         if self.match is not None:
-            haystack = request.system_text + "\n" + "\n".join(m.text for m in request.messages)
-            return self.match in haystack
+            return self.match in haystack()
         return True
 
 
@@ -108,11 +177,17 @@ class ScriptedProvider:
         self.strict = strict
         self.default_response = default_response
         self.calls = 0
+        self._live = 0  # entries before this index are spent and never match again
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         self.calls += 1
-        for entry in self.script:
-            if entry.matches(request, self.calls):
+        while self._live < len(self.script) and self.script[self._live].spent:
+            self._live += 1
+        haystack = functools.cache(
+            lambda: request.system_text + "\n" + "\n".join(m.text for m in request.messages)
+        )
+        for entry in islice(self.script, self._live, None):
+            if entry.matches(self.calls, haystack):
                 entry._used += 1
                 return ChatResponse(text=entry.response)
         if self.strict:
@@ -148,7 +223,7 @@ class ReplayProvider:
             raise GatewayError("SCRIPT_EXHAUSTED", "replay log exhausted")
         expected, text = self.records[self.cursor]
         self.cursor += 1
-        actual = request_hash(request)
+        actual = request.digest
         if expected != actual:
             raise GatewayError(
                 "REPLAY_MISMATCH",
@@ -276,12 +351,12 @@ class Gateway:
 
     def _audit(self, request: ChatRequest, response: ChatResponse) -> None:
         self._counter += 1
-        self.audit.append(
+        self.audit.append_encoded(
             {
                 "ts": f"{self._counter:06d}",
                 "tags": dict(request.tags),
-                "request_hash": request_hash(request),
-                "request": request_payload(request),
+                "request_hash": request.digest,
                 "response": {"text": response.text},
-            }
+            },
+            {"request": request.payload_pieces()},
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import filecmp
 import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import ExitStack, closing
@@ -227,7 +228,19 @@ class LoadedData:
     actions: list = field(default_factory=list)
 
 
-_is_figure = _type_test(float | None)
+_is_number = _type_test(float)
+
+
+def _figure(key: str, value) -> float | None:
+    """A fundamentals figure: null, or a number that is finite as a float."""
+    if value is None:
+        return None
+    try:
+        if _is_number(value) and math.isfinite(number := float(value)):
+            return number
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{key} must be a finite number or null, got {value!r}")
 
 
 def _parse_calendar(text: str) -> SessionCalendar:
@@ -237,17 +250,14 @@ def _parse_calendar(text: str) -> SessionCalendar:
 
 def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
     """A JSON list of objects, each with an ISO filing_date; the figures are
-    numbers or null, splits and dividends lists of [date, value] pairs, and
-    every field but filing_date is optional."""
+    null or numbers finite as floats, read as floats, splits and dividends
+    lists of [date, value] pairs, and every field but filing_date is optional."""
     raw = json.loads(text)
     if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
         raise ValueError("expected a list of objects")
     snapshots = []
     for obj in raw:
-        figures = {key: obj.get(key) for key in FUNDAMENTAL_FIGURES}
-        for key, value in figures.items():
-            if not _is_figure(value):
-                raise ValueError(f"{key} must be a number or null, got {value!r}")
+        figures = {key: _figure(key, obj.get(key)) for key in FUNDAMENTAL_FIGURES}
         events = {key: obj.get(key, []) for key in ("splits", "dividends")}
         for key, entries in events.items():
             if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):

@@ -138,6 +138,8 @@ class TestRunReportReplay:
         ("news", '{"ts": "2025-01-02T09:00:00+00:00"}\n', EXIT_DATA),
         ("news", '{"ts": "yesterday", "title": "t"}\n', EXIT_DATA),
         ("news", '["ts", "title"]\n', EXIT_DATA),
+        ("news", '{"ts": "WINDOW_START", "title": ["t"]}\n', EXIT_DATA),
+        ("news", '{"ts": "WINDOW_START", "title": "t", "keywords": [1]}\n', EXIT_DATA),
         ("fundamentals", '{"filing_date": "2025-01-02"}', EXIT_DATA),
         ("fundamentals", "[1]", EXIT_DATA),
         ("fundamentals", '[{"period_label": "Q1"}]', EXIT_DATA),
@@ -145,6 +147,15 @@ class TestRunReportReplay:
         ("fundamentals", '[{"filing_date": 20250102}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "2025-01-02", "revenue": "1.0e9"}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "2025-01-02", "net_income": true}]', EXIT_DATA),
+        pytest.param(
+            "fundamentals", '[{"filing_date": "WINDOW_START", "revenue": 1%s}]' % ("0" * 400), EXIT_DATA,
+            id="fundamentals-revenue-10**400",
+        ),
+        pytest.param(  # each figure is finite as a float, their sum is not
+            "fundamentals", '[{"filing_date": "WINDOW_START", "ocf": 1%s, "icf": 1%s, "fcf_fin": 1%s}]' % (("0" * 308,) * 3), EXIT_OK,
+            id="fundamentals-cash-flows-3x10**308",
+        ),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "revenue": NaN}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": ["2024-06-10 1:10"]}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "WINDOW_START", "dividends": [["2024-01-02"]]}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": {"2024-06-10": "1:10"}}]', EXIT_DATA),
@@ -307,6 +318,9 @@ NO_TRACEBACK_PROBES = {
     "backtest bollinger --k nan": (EXIT_CONFIG, _backtest("--strategy", "bollinger", "--k", "nan")),
     "backtest bollinger --k inf": (EXIT_CONFIG, _backtest("--strategy", "bollinger", "--k", "inf")),
     "backtest bollinger --k -1": (EXIT_CONFIG, _backtest("--strategy", "bollinger", "--k", "-1")),
+    "backtest sma --k nan": (EXIT_CONFIG, _backtest("--strategy", "sma", "--k", "nan")),
+    "backtest macd --long-window 3": (EXIT_CONFIG, _backtest("--strategy", "macd", "--long-window", "3")),
+    "backtest buy_hold --window 5": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--window", "5")),
     "run experiment 5": (EXIT_CONFIG, _run_with("experiment", 5)),
     "run prompt_dir 5": (EXIT_CONFIG, _run_with("prompt_dir", 5)),
     "run paths.bars 5": (EXIT_CONFIG, _run_with("paths.bars", 5)),

@@ -1,5 +1,5 @@
-"""Seeded fuzzing of `cli.main`: whatever the config, bars or actions file
-or flags, it returns a documented exit code and raises nothing else.
+"""Seeded fuzzing of `cli.main`: whatever the config, input files or flags,
+it returns a documented exit code and raises nothing else.
 
 Generated strings hold no "/" or ".", so no generated path leaves the
 temporary directory each example runs in. Flags hold no NUL or unpaired
@@ -29,7 +29,8 @@ FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 text = st.text(st.characters(blacklist_characters="/.", blacklist_categories=()), max_size=8)
 flag_text = st.text(st.characters(blacklist_characters="/.\0"), max_size=8)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | text | st.sampled_from(["", "\0", "\ud800", "NaN", "-1"]),
+    st.none() | st.booleans() | st.integers() | st.floats() | text
+    | st.sampled_from(["", "\0", "\ud800", "NaN", "-1", 10**400, -(10**308)]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
     max_leaves=6,
 )
@@ -42,14 +43,27 @@ config_keys = st.sampled_from(
 )
 
 
+SERIES = synthetic_daily(30, seed=5)
+SESSIONS = [d.isoformat() for d in SERIES.dates()[-3:]]
+# A valid start of each optional input of a run; the news item and the
+# filing fall on the second session, so the run renders them.
+NEWS_ITEM = {"ts": f"{SESSIONS[1]}T09:00:00+00:00", "title": "t", "url": "u", "summary": "s", "keywords": ["k"]}
+FILING = {"filing_date": SESSIONS[1], "period_label": "Q1", "revenue": 1.0e9, "cogs": 4.0e8, "splits": [], "dividends": []}
+RUN_INPUT_HEADERS = {
+    "actions": ",".join(ACTIONS_CSV_COLUMNS) + "\n",
+    "news": json.dumps(NEWS_ITEM) + "\n",
+    "fundamentals": "[" + json.dumps(FILING) + ",",
+    "calendar": "\n".join(SESSIONS) + "\n",
+}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory) -> Path:
     """A three-session baseline config on 30 bars, its bars file and a run
     recorded from it."""
     root = tmp_path_factory.mktemp("fuzz")
-    series = synthetic_daily(30, seed=5)
-    (root / "bars.csv").write_text(serialize_bars(series, "csv"), encoding="utf-8")
-    dates = series.dates()
+    (root / "bars.csv").write_text(serialize_bars(SERIES, "csv"), encoding="utf-8")
+    dates = SERIES.dates()
     config = {
         "experiment": "exp",
         "instrument": "SYNTH",
@@ -104,6 +118,40 @@ def test_input_file_bytes(workspace, tmp_path_factory, header, body, suffix, fla
     path.write_bytes(header.encode() + body)
     files = {"--bars": str(workspace / "bars.csv"), flag: str(path)}
     assert _exit_code([*command, *(word for pair in files.items() for word in pair)]) in EXIT_CODES
+
+
+def _run_with_input(workspace: Path, key: str, content: bytes) -> int:
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["paths"].update({key: "input", "out_dir": "out"})
+    with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
+        Path("input").write_bytes(content)
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        return main(["run", "--config", "config.json"])
+
+
+@FUZZ
+@given(key=st.sampled_from(sorted(RUN_INPUT_HEADERS)), header=st.booleans(), body=st.binary(max_size=300))
+def test_run_input_file_bytes(workspace, key, header, body):
+    """Random bytes, after an optional valid start, as the actions, news,
+    fundamentals or calendar file of a run."""
+    start = RUN_INPUT_HEADERS[key] if header else ""
+    assert _run_with_input(workspace, key, start.encode() + body) in EXIT_CODES
+
+
+@FUZZ
+@given(
+    record=st.sampled_from([("news", name) for name in NEWS_ITEM] + [("fundamentals", name) for name in FILING]),
+    value=json_values,
+)
+def test_run_input_field(workspace, record, value):
+    """A random JSON value in one field of the news item or the filing of a
+    run; the other fields stay valid."""
+    key, name = record
+    if key == "news":
+        content = json.dumps({**NEWS_ITEM, name: value}) + "\n"
+    else:
+        content = json.dumps([{**FILING, name: value}])
+    assert _run_with_input(workspace, key, content.encode()) in EXIT_CODES
 
 
 WORDS = [

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tradeloop.agents import ConversationalAgent
 from tradeloop.gateway import (
     ChatMessage,
     ChatRequest,
@@ -18,7 +21,9 @@ from tradeloop.gateway import (
     ScriptEntry,
     ScriptedProvider,
     request_hash,
+    request_payload,
 )
+from tradeloop.templates import PromptTemplate
 
 
 def req(text: str, system: str = "sys", tags=()) -> ChatRequest:
@@ -48,6 +53,20 @@ class TestScriptedProvider:
         assert provider.complete(req("## MARKET UPDATE - X")).text == "market text"
         assert provider.complete(req("# TRADING UPDATE - X")).text == "[]"
         assert provider.complete(req("## MARKET UPDATE - X")).text == "market text"
+
+    def test_builds_the_match_text_once_per_call(self):
+        class CountedMessages(tuple):
+            iterations = 0
+
+            def __iter__(self):
+                CountedMessages.iterations += 1
+                return super().__iter__()
+
+        request = ChatRequest("sys", CountedMessages((ChatMessage("user", "x"),)))
+        CountedMessages.iterations = 0
+        provider = ScriptedProvider([ScriptEntry(response=str(n), match=f"absent {n}") for n in range(3)], strict=False)
+        provider.complete(request)
+        assert CountedMessages.iterations == 1
 
     def test_non_strict_falls_back_to_default(self):
         provider = ScriptedProvider([], strict=False, default_response="[]")
@@ -93,6 +112,89 @@ class TestGatewayAudit:
         gateway.complete(req("a"))
         assert sink.read_text(encoding="utf-8").count("\n") == 1
         gateway.close()
+
+
+# Text that JSON escapes: non-ASCII, quotes, backslashes, braces, control
+# characters, U+2028 and lone surrogates.
+conversation_text = st.text(
+    st.sampled_from(["é", "€", "😀", '"', "\\", "{", "}", "\n", "\x00", "\u2028", "\ud800", "\udfff"])
+    | st.characters(),
+    max_size=12,
+)
+turns = st.lists(
+    st.tuples(st.just("reset"))
+    | st.tuples(st.just("ask"), conversation_text, conversation_text, conversation_text)
+    | st.tuples(st.just("ask_parsed"), conversation_text, st.lists(st.tuples(st.booleans(), conversation_text), min_size=3, max_size=3)),
+    max_size=12,
+)
+
+
+class Recorder:
+    """Serves queued replies and keeps every (request, reply)."""
+
+    def __init__(self):
+        self.replies: list[str] = []
+        self.exchanges: list[tuple[ChatRequest, str]] = []
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        reply = self.replies.pop(0)
+        self.exchanges.append((request, reply))
+        return ChatResponse(text=reply)
+
+
+def _accept_ok(reply: str) -> str:
+    if not reply.startswith("ok "):
+        raise ValueError(f"rejected {reply!r}")
+    return reply
+
+
+class TestTranscript:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(turns=turns)
+    def test_incremental_encoding_matches_request_hash_and_audit_record(self, turns):
+        """Every request a conversation sends carries its `request_hash`, and
+        every audit line is the sorted, compact `json.dumps` of its record,
+        through resets and re-asks; a request built by hand from the same
+        content gives the same line."""
+        provider = Recorder()
+        gateway = Gateway(provider)
+        initial = PromptTemplate.parse("initial", "<system_role>{{system}}</system_role>{{text}}")
+        agent = ConversationalAgent("market", gateway, initial, PromptTemplate.parse("followup", "{{text}}"))
+        for kind, *args in turns:
+            if kind == "reset":
+                agent.reset()
+            elif kind == "ask":
+                system, text, reply = args
+                provider.replies.append(reply)
+                assert agent.ask({"system": system, "text": text}) == reply
+            else:
+                text, replies = args
+                provider.replies = [("ok " if ok else "no ") + reply for ok, reply in replies]
+                try:
+                    agent.ask_parsed(text, _accept_ok, lambda exc: f"again: {exc}")
+                except ValueError:
+                    pass  # three rejected replies: the conversation goes on
+                provider.replies = []
+
+        lines = gateway.audit.text().splitlines()
+        assert len(lines) == len(provider.exchanges)
+        for n, ((request, reply), line) in enumerate(zip(provider.exchanges, lines), start=1):
+            assert request.digest == request_hash(request)
+            record = {
+                "ts": f"{n:06d}",
+                "tags": dict(request.tags),
+                "request_hash": request_hash(request),
+                "request": request_payload(request),
+                "response": {"text": reply},
+            }
+            assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+        twin = Recorder()
+        twin.replies = [reply for _, reply in provider.exchanges]
+        by_hand = Gateway(twin)
+        for request, _ in provider.exchanges:
+            by_hand.complete(ChatRequest(request.system_text, request.messages, request.tags))
+        assert by_hand.audit.text() == gateway.audit.text()
 
 
 class TestRetry:
