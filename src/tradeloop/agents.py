@@ -27,6 +27,7 @@ ORDER_FIELDS = ("action", "orderType", "price", "quantity", "explanation")
 ACTIONS = tuple(a.value for a in Action)
 ORDER_TYPES = tuple(t.value for t in OrderType)
 MAX_REASKS = 2
+RECENT_FILLS = 5  # the fills a decision prompt names
 T = TypeVar("T")
 
 FORMAT_REMINDER = (
@@ -92,9 +93,10 @@ def fmt_price(value) -> str:
     return f"{float(value):.2f}"
 
 
-def recent_activity_text(fills: Sequence, limit: int = 5) -> str:
-    """Last `limit` fills as "DATE ACTION QTY @ PRICE" lines; "None" if empty."""
-    tail = list(fills)[-limit:]
+def recent_activity_text(fills: Sequence) -> str:
+    """The last RECENT_FILLS fills as "DATE ACTION QTY @ PRICE" lines; "None"
+    if empty."""
+    tail = list(fills)[-RECENT_FILLS:]
     if not tail:
         return "None"
     lines = [
@@ -110,7 +112,8 @@ def recent_activity_text(fills: Sequence, limit: int = 5) -> str:
 def load_news_jsonl(text: str) -> list[NewsItem]:
     """One item per non-blank line; ValueError names the first line that is
     not a JSON object with a string `title`, a `ts` that starts with an ISO
-    date and, if any, `keywords` that are a list of strings."""
+    date and, if any, a string `url` and `summary` and `keywords` that are a
+    list of strings."""
     items: list[NewsItem] = []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -118,18 +121,10 @@ def load_news_jsonl(text: str) -> list[NewsItem]:
         try:
             obj = json.loads(line)
             date.fromisoformat(obj["ts"][:10])
-            keywords = obj.get("keywords", [])
-            if not isinstance(keywords, list) or not all(isinstance(s, str) for s in [obj["title"], *keywords]):
-                raise TypeError("title must be a string and keywords a list of strings")
-            items.append(
-                NewsItem(
-                    ts=obj["ts"],
-                    title=obj["title"],
-                    url=obj.get("url", ""),
-                    summary=obj.get("summary", ""),
-                    keywords=tuple(keywords),
-                )
-            )
+            url, summary, keywords = obj.get("url", ""), obj.get("summary", ""), obj.get("keywords", [])
+            if not isinstance(keywords, list) or not all(isinstance(s, str) for s in [obj["title"], url, summary, *keywords]):
+                raise TypeError("title, url and summary must be strings and keywords a list of strings")
+            items.append(NewsItem(ts=obj["ts"], title=obj["title"], url=url, summary=summary, keywords=tuple(keywords)))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"line {n}: {exc!r}") from None
     return items
@@ -296,8 +291,13 @@ class ConversationalAgent:
                 user_text = reminder(exc)
                 attempt += 1
 
+    @property
+    def next_template(self) -> PromptTemplate | None:
+        """The template the next `ask` renders."""
+        return self.initial if self.first_call else self.followup
+
     def _render(self, context: dict) -> str:
-        rendered = (self.initial if self.first_call else self.followup).render(context)
+        rendered = self.next_template.render(context)
         if self.first_call and rendered.system_text:
             self.transcript.system_text = rendered.system_text
         return rendered.user_text

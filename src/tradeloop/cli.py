@@ -76,13 +76,13 @@ def _cmd_report(args) -> int:
             continue
         try:
             payload = json.loads(metrics_path.read_text(encoding="utf-8"))
+            equity = zip(payload["equity"]["dates"], payload["equity"]["values"], strict=True)
             artifacts.append(
                 RunArtifact(
                     run_id=run_dir.name,
                     run_dir=run_dir,
                     metrics=MetricReport.from_dict(payload["metrics"]),
-                    equity_dates=[date.fromisoformat(d) for d in payload["equity"]["dates"]],
-                    equity_values=[Decimal(v) for v in payload["equity"]["values"]],
+                    equity=[(date.fromisoformat(d), Decimal(v)) for d, v in equity],
                 )
             )
         except (ValueError, KeyError, TypeError, ArithmeticError) as exc:

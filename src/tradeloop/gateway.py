@@ -318,12 +318,10 @@ class Gateway:
         provider: Provider,
         audit_sink: Path | str | None = None,
         max_attempts: int = 3,
-        backoff_s: tuple[float, ...] = DEFAULT_BACKOFF_S,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.provider = provider
         self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
         self.sleep = sleep
         self.audit = AuditLog(audit_sink, sort_keys=True)
         self._counter = 0
@@ -342,8 +340,7 @@ class Gateway:
                 break
             except GatewayError as exc:
                 if exc.code in RETRYABLE and attempt < self.max_attempts:
-                    delay = self.backoff_s[min(attempt - 1, len(self.backoff_s) - 1)]
-                    self.sleep(delay)
+                    self.sleep(DEFAULT_BACKOFF_S[min(attempt - 1, len(DEFAULT_BACKOFF_S) - 1)])
                     continue
                 raise
         self._audit(request, response)

@@ -1,11 +1,12 @@
 """Experiment orchestration: config, the session loop, persistence, replay.
 
-Wiring per session: analysts refresh per cadence and ablation flags, the
-decision context renders into the live template, the central agent's orders
-queue, and the next session's bar matches them. Scoring windows close per the
-prompting mode; the window end force-covers shorts. Everything an experiment
-produces is a file under runs/<experiment>/<run_id>/ and is byte-reproducible
-given the same config, data, and scripts.
+Wiring per session: one session context is built, analysts refresh per
+cadence and ablation flags, the context and their reports render into the
+live template, the central agent's orders queue, and the next session's bar
+matches them. Scoring windows close per the prompting mode; the window end
+force-covers shorts. Everything an experiment produces is a file under
+runs/<experiment>/<run_id>/ and is byte-reproducible given the same config,
+data, and scripts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
 from . import agents, indicators, metrics, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
-from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, Rejection, trades_from_audit
+from .engine import AuditLog, ExecutionEngine, Fill, Order, PortfolioState, Rejection, SessionResult, trades_from_audit
 from .errors import ConfigError, DataError, ReplayMismatch
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
 from .metrics import MetricReport, aggregate_runs, compute_report, render_csv, render_table
@@ -164,7 +165,6 @@ class ExperimentConfig(_Config, what="config"):
     opro_k: int = 5
     roi_mode: str = "cumulative"
     runs: int = 3
-    seed: int = 0
     initial_cash: str | float = "100000"
     ablations: dict[str, bool] = field(default_factory=lambda: dict.fromkeys(ABLATIONS, False))
     providers: dict = field(default_factory=dict)
@@ -197,12 +197,6 @@ class ExperimentConfig(_Config, what="config"):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_dict(obj)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True, default=date.isoformat)
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     @property
     def uses_opro(self) -> bool:
@@ -249,15 +243,19 @@ def _parse_calendar(text: str) -> SessionCalendar:
 
 
 def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
-    """A JSON list of objects, each with an ISO filing_date; the figures are
-    null or numbers finite as floats, read as floats, splits and dividends
-    lists of [date, value] pairs, and every field but filing_date is optional."""
+    """A JSON list of objects, each with an ISO filing_date; period_label is
+    a string, the figures are null or numbers finite as floats, read as
+    floats, splits and dividends lists of [date, value] pairs, and every
+    field but filing_date is optional."""
     raw = json.loads(text)
     if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
         raise ValueError("expected a list of objects")
     snapshots = []
     for obj in raw:
         figures = {key: _figure(key, obj.get(key)) for key in FUNDAMENTAL_FIGURES}
+        period_label = obj.get("period_label", "")
+        if not isinstance(period_label, str):
+            raise ValueError(f"period_label must be a string, got {period_label!r}")
         events = {key: obj.get(key, []) for key in ("splits", "dividends")}
         for key, entries in events.items():
             if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
@@ -265,7 +263,7 @@ def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
         snapshots.append(
             agents.FundamentalSnapshot(
                 filing_date=date.fromisoformat(obj["filing_date"]),
-                period_label=obj.get("period_label", ""),
+                period_label=period_label,
                 splits=tuple(map(tuple, events["splits"])),
                 dividends=tuple(map(tuple, events["dividends"])),
                 **figures,
@@ -305,6 +303,12 @@ def load_data(config: ExperimentConfig) -> LoadedData:
     return LoadedData(bars=series, calendar=calendar, news=news, fundamentals=fundamentals, actions=actions)
 
 
+def _lock_hash(config_json) -> str:
+    """The hash a config.lock records: SHA-256 of its config object as sorted
+    JSON indented by 2."""
+    return hashlib.sha256(json.dumps(config_json, indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def build_provider(pconf: ProviderConfig):
     if pconf.kind == "scripted":
         entries = [ScriptEntry(**entry) for entry in pconf.script]
@@ -336,8 +340,7 @@ class RunArtifact:
     run_id: str
     run_dir: Path
     metrics: MetricReport
-    equity_dates: list[date] = field(default_factory=list)
-    equity_values: list[Decimal] = field(default_factory=list)
+    equity: list[tuple[date, Decimal]] = field(default_factory=list)  # (session, portfolio value)
 
 
 # -- per-session context builders -------------------------------------------
@@ -382,112 +385,102 @@ class MarketTimeline:
         self.extrema = indicators.local_extrema(history)
 
 
-def market_context(config: ExperimentConfig, timeline: MarketTimeline, k: int) -> dict:
-    """The market analyst's context for session k of `timeline`."""
+def market_context(timeline: MarketTimeline, k: int, names: frozenset[str]) -> dict:
+    """What the market analyst adds to session k's context: the indicator and
+    levels text, and the multi-timeframe text only when `names`, the
+    placeholders of the template its turn renders, include it."""
     i = timeline.cursor[k]
-    bar = timeline.series.bars[i]
-    session = bar.session_date
     parts = [indicators.format_for_prompt(timeline.snapshots[k])]
     if i >= 4:  # levels need five bars of history
         parts.append(indicators.format_levels(indicators.levels_at(timeline.series, timeline.extrema, i)))
+    context = {"formatted_indicators": "\n".join(parts)}
+    if "extended_intervals_analysis" in names:
+        context["extended_intervals_analysis"] = multi_timeframe_text(timeline.series, timeline.series.bars[i].session_date)
+    return context
+
+
+def session_context(config: ExperimentConfig, bar: Bar, state: PortfolioState, fills: list[Fill]) -> dict:
+    """Every value a prompt of the session of `bar` may name, before any
+    report: prices and cash with 2 decimals, share counts as integers, the
+    last fills. The analysts' assets name the window, the session and the
+    bar's prices `session_start`, `current_time`, `open_price`, ..., the
+    trading agent's `window_start`, `now`, `open`, ...; both are given."""
+    start, end, now = config.window_start.isoformat(), config.window_end.isoformat(), bar.session_date.isoformat()
+    prices = {name: agents.fmt_price(getattr(bar, name)) for name in ("open", "high", "low", "close")}
     return {
         "instrument": config.instrument,
-        "session_start": config.window_start.isoformat(),
-        "session_end": config.window_end.isoformat(),
-        "current_time": session.isoformat(),
         "action_interval": config.action_interval,
-        "extended_intervals_analysis": multi_timeframe_text(timeline.series, session),
-        "open_price": agents.fmt_price(bar.open),
-        "high_price": agents.fmt_price(bar.high),
-        "low_price": agents.fmt_price(bar.low),
-        "close_price": agents.fmt_price(bar.close),
+        "session_start": start,
+        "window_start": start,
+        "session_end": end,
+        "window_end": end,
+        "current_time": now,
+        "now": now,
+        "has_bar": True,
+        **prices,
+        **{f"{name}_price": text for name, text in prices.items()},
         "volume": str(bar.volume),
         "vwap_str": agents.fmt_price(bar.vwap) if bar.vwap is not None else "n/a",
         "transactions": str(bar.transactions) if bar.transactions is not None else "n/a",
-        "formatted_indicators": "\n".join(parts),
-    }
-
-
-def decision_context(config: ExperimentConfig, bar: Bar, state: PortfolioState, reports: dict, fills: list[Fill]) -> dict:
-    """The trading agent's context for the session of `bar`: prices and cash
-    with 2 decimals, share counts as integers, the last five fills."""
-    return {
-        "instrument": config.instrument,
-        "window_start": config.window_start.isoformat(),
-        "window_end": config.window_end.isoformat(),
-        "now": bar.session_date.isoformat(),
-        "action_interval": config.action_interval,
-        "has_bar": True,
-        "open": agents.fmt_price(bar.open),
-        "high": agents.fmt_price(bar.high),
-        "low": agents.fmt_price(bar.low),
-        "close": agents.fmt_price(bar.close),
-        "volume": str(bar.volume),
-        "market_analysis": reports["market"],
-        "news_analysis": reports["news"],
-        "fund_analysis": reports["fundamental"],
-        "reflection_analysis": reports["reflection"],
         "shares_long": str(state.shares_long),
         "shares_short": str(state.shares_short),
         "shares_net": str(state.shares_long - state.shares_short),
         "portfolio_cash": agents.fmt_price(state.cash),
-        "executed_orders": agents.recent_activity_text(fills),
+        "executed_orders": agents.recent_activity_text(fills) if fills else None,
     }
 
 
 @dataclass
-class _StepTrace:
-    session: date
-    step: int
-    orders: list = field(default_factory=list)
-    value: Decimal = Decimal(0)
+class _Step:
+    """One session's decision: its bar, the engine's result at that bar, the
+    orders it placed, and their fills, which the next session's result holds
+    because the engine matches its whole queue against each bar."""
+
+    bar: Bar
+    result: SessionResult
+    orders: list[Order] = field(default_factory=list)
+    fills: tuple[Fill, ...] = ()
 
 
-def _step_fills(step: _StepTrace, fills: list[Fill]) -> list[Fill]:
-    """The fills of the orders `step` placed."""
-    placed = {o.id for o in step.orders}
-    return [f for f in fills if f.order_id in placed]
-
-
-def _period_summary(steps: list[_StepTrace], fills: list[Fill], inception: Decimal) -> str:
-    if not steps:
-        return "No completed decisions this period."
-    v_start = steps[0].value
-    v_end = steps[-1].value
+def _period_summary(steps: list[_Step], inception: Decimal) -> str:
+    v_start = steps[0].result.portfolio_value
+    v_end = steps[-1].result.portfolio_value
     base = float(v_start) if v_start else float(inception)
     roi_pct = (float(v_end) - base) / base * 100.0 if base else 0.0
     n_orders = sum(len(s.orders) for s in steps)
-    n_fills = sum(len(_step_fills(s, fills)) for s in steps)
+    n_fills = sum(len(s.fills) for s in steps)
     return (
-        f"Sessions {steps[0].session.isoformat()} -> {steps[-1].session.isoformat()} | "
+        f"Sessions {steps[0].bar.session_date.isoformat()} -> {steps[-1].bar.session_date.isoformat()} | "
         f"portfolio value {agents.fmt_price(v_start)} -> {agents.fmt_price(v_end)} "
         f"({roi_pct:+.2f}%) | orders submitted {n_orders} | fills {n_fills}"
     )
 
 
-def _complete_history(steps: list[_StepTrace], fills: list[Fill]) -> str:
+def _complete_history(steps: list[_Step], first: int) -> str:
+    """One line per step; `first` is the number of the first step."""
     lines = []
-    for s in steps:
+    for number, s in enumerate(steps, start=first):
         orders = "; ".join(
             f"{o.action.value} {o.quantity} {o.order_type.value}"
             + (f" @ {agents.fmt_price(o.price)}" if o.price is not None else "")
             for o in s.orders
         ) or "no orders"
-        filled = "; ".join(
-            f"{f.action.value} {f.quantity} @ {f.fill_price}" for f in _step_fills(s, fills)
-        ) or "no fills"
+        filled = "; ".join(f"{f.action.value} {f.quantity} @ {f.fill_price}" for f in s.fills) or "no fills"
         lines.append(
-            f"{s.session.isoformat()} (step {s.step}): decided [{orders}] | filled [{filled}]"
-            f" | value {agents.fmt_price(s.value)}"
+            f"{s.bar.session_date.isoformat()} (step {number}): decided [{orders}] | filled [{filled}]"
+            f" | value {agents.fmt_price(s.result.portfolio_value)}"
         )
     return "\n".join(lines)
 
 
 def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir: Path) -> RunArtifact:
     """One run into `run_dir`. Its logs stream to disk and are closed on every
-    exit, so an aborted run leaves the exchanges it completed."""
+    exit, so an aborted run leaves the exchanges it completed.
+
+    Each session's context is built once, before any report: the analysts
+    and the reflection read it with their own values added, and only the
+    trading agent reads it with the reports."""
     sessions = data.calendar.sessions_between(config.window_start, config.window_end)
-    total_steps = len(sessions)
     series = data.bars
 
     prompt_dir = config.prompt_dir or None
@@ -520,128 +513,92 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         reflection_template = tpl("reflection")
         timeline = MarketTimeline(series, sessions) if market is not None else None
         news_dates = [date.fromisoformat(item.ts[:10]) for item in data.news] if news is not None else []
-
-        event_dates = set()
-        for snap in data.fundamentals:
-            event_dates.add(snap.filing_date)
-        for action in data.actions:
-            event_dates.add(action.effective_date)
+        event_dates = {snap.filing_date for snap in data.fundamentals} | {a.effective_date for a in data.actions}
 
         inception = Decimal(config.initial_cash)
-        equity_dates: list[date] = []
-        equity_values: list[Decimal] = []
-        exposures: list[float] = []
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
-        fills: list[Fill] = []
-        steps: list[_StepTrace] = []
-        reports: dict[str, str | None] = {"market": None, "news": None, "fundamental": None, "reflection": None}
+        fills: list[Fill] = []  # every fill so far, the last of which the prompts name
+        steps: list[_Step] = []
+        reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
         delivered_fundamentals = 0
 
         for i, session in enumerate(sessions):
             bar = series.bar_on(session)
             step = i + 1
             result = engine.step_session(bar)
+            if steps:
+                steps[-1].fills = result.fills
             fills.extend(result.fills)
-            equity_dates.append(session)
-            equity_values.append(result.portfolio_value)
-            state = result.portfolio
-            exposures.append(float((state.shares_long + state.shares_short) * bar.close))
+            ctx = session_context(config, bar, result.portfolio, fills)
+            tags = (("step", str(step)), ("session", session.isoformat()))
 
             # Reflection happens between decisions, looking back over the period.
             if config.uses_reflection and i > 0 and i % config.reflection_interval == 0:
                 period = steps[-config.reflection_interval:]
-                context = {
-                    "instrument": config.instrument,
+                context = ctx | {
                     "reflection_interval": str(config.reflection_interval),
-                    "current_time": session.isoformat(),
-                    "action_interval": config.action_interval,
-                    "period_summary": _period_summary(period, fills, inception),
-                    "complete_history": _complete_history(period, fills),
+                    "period_summary": _period_summary(period, inception),
+                    "complete_history": _complete_history(period, step - len(period)),
                 }
-                reports["reflection"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
+                reports["reflection_analysis"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
 
-            tags = (("step", str(step)), ("session", session.isoformat()))
             if market is not None:
-                reports["market"] = market.ask(market_context(config, timeline, i), tags)
+                context = ctx | market_context(timeline, i, market.next_template.placeholders())
+                reports["market_analysis"] = market.ask(context, tags)
             if news is not None:
                 lower = session - timedelta(days=3) if i == 0 else sessions[i - 1]
                 batch = [item for item, day in zip(data.news, news_dates) if lower < day <= session]
                 if batch:
-                    ctx = {
-                        "instrument": config.instrument,
-                        "session_start": config.window_start.isoformat(),
-                        "session_end": config.window_end.isoformat(),
-                        "current_time": session.isoformat(),
-                        "joined_news": agents.render_news_batch(batch),
-                    }
-                    reports["news"] = news.ask(ctx, tags)
+                    reports["news_analysis"] = news.ask(ctx | {"joined_news": agents.render_news_batch(batch)}, tags)
             if fundamental is not None and session in event_dates:
                 available = [s for s in data.fundamentals if s.filing_date <= session]
                 fresh = available[delivered_fundamentals:]
-                ctx = {
-                    "instrument": config.instrument,
-                    "session_start": config.window_start.isoformat(),
-                    "session_end": config.window_end.isoformat(),
-                    "current_time": session.isoformat(),
-                    "action_interval": config.action_interval,
-                    "fundamental_data": agents.render_fundamental_data(fresh or available),
-                }
-                reports["fundamental"] = fundamental.ask(ctx, tags)
+                context = ctx | {"fundamental_data": agents.render_fundamental_data(fresh or available)}
+                reports["fund_analysis"] = fundamental.ask(context, tags)
                 delivered_fundamentals = len(available)
 
-            ctx = decision_context(config, bar, state, reports, fills)
-            outcome = cta.decide(ctx, tags=tags)
-            if outcome.gave_up:
-                decision_fallbacks += 1
-            trace = _StepTrace(session=session, step=step, value=result.portfolio_value)
-            orders = agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}")
-            for order in orders:
+            outcome = cta.decide(ctx | reports, tags=tags)
+            decision_fallbacks += outcome.gave_up
+            steps.append(_Step(bar, result))
+            for order in agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}"):
                 placed = engine.validate_and_queue(order, last_close=bar.close)
                 if not isinstance(placed, Rejection):
-                    trace.orders.append(placed)
-            steps.append(trace)
+                    steps[-1].orders.append(placed)
 
             if config.uses_opro and optimizer.is_boundary(step):
                 optimizer.close_window(step, float(inception), float(result.portfolio_value))
-                if step < total_steps:
+                if step < len(sessions):
                     optimizer.propose_update(tags=tags)
                     cta.initial = optimizer.live_template
                     cta.reset()
 
         # Final partial (or boundary-coincident) window closes without an update.
-        if config.uses_opro and not optimizer.is_boundary(total_steps):
-            optimizer.close_window(total_steps, float(inception), float(equity_values[-1]))
+        last = steps[-1]
+        if config.uses_opro and not optimizer.is_boundary(len(steps)):
+            optimizer.close_window(len(steps), float(inception), float(last.result.portfolio_value))
 
-        engine.force_cover(series.bar_on(sessions[-1]))
+        engine.force_cover(last.bar)
         trades = trades_from_audit(audit)
 
+    equity = [(s.bar.session_date, s.result.portfolio_value) for s in steps]
     report = compute_report(
-        [float(v) for v in equity_values], trades, exposures=exposures
+        [float(v) for _, v in equity],
+        trades,
+        exposures=[float((s.result.portfolio.shares_long + s.result.portfolio.shares_short) * s.bar.close) for s in steps],
     )
 
     payload = {
         "metrics": report.to_dict(),
         "windows": [asdict(w) for w in optimizer.windows],
-        "equity": {
-            "dates": [d.isoformat() for d in equity_dates],
-            "values": [str(v) for v in equity_values],
-        },
+        "equity": {"dates": [d.isoformat() for d, _ in equity], "values": [str(v) for _, v in equity]},
         "optimizer_calls": optimizer.optimizer_calls,
         "decision_fallbacks": decision_fallbacks,
     }
     (run_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (run_dir / "config.lock").write_text(
-        json.dumps({"config": json.loads(config.canonical_json()), "hash": config.config_hash()}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-    return RunArtifact(
-        run_id=run_id,
-        run_dir=run_dir,
-        metrics=report,
-        equity_dates=equity_dates,
-        equity_values=equity_values,
-    )
+    config_json = json.loads(json.dumps(config.__dict__, default=date.isoformat))
+    lock = {"config": config_json, "hash": _lock_hash(config_json)}
+    (run_dir / "config.lock").write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return RunArtifact(run_id=run_id, run_dir=run_dir, metrics=report, equity=equity)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -668,7 +625,7 @@ def aggregate_and_report(artifacts: list[RunArtifact], label: str = "experiment"
     equity_csvs = {}
     for artifact in artifacts:
         lines = ["date,portfolio_value"]
-        for d, v in zip(artifact.equity_dates, artifact.equity_values):
+        for d, v in artifact.equity:
             lines.append(f"{d.isoformat()},{v}")
         equity_csvs[artifact.run_id] = "\n".join(lines) + "\n"
     return {
@@ -688,12 +645,14 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
     run_dir = Path(run_dir)
     try:
         lock = json.loads((run_dir / "config.lock").read_text(encoding="utf-8"))
-        config = ExperimentConfig.from_dict(lock["config"])
-        recorded_hash = lock["hash"]
+        recorded = lock["config"]
+        if _lock_hash(recorded) != lock["hash"]:
+            raise ReplayMismatch("config.lock hash does not match its config payload")
+        if isinstance(recorded, dict):
+            recorded.pop("seed", None)  # written by earlier versions; nothing read it
+        config = ExperimentConfig.from_dict(recorded)
     except (ValueError, KeyError, TypeError) as exc:
         raise ReplayMismatch(f"cannot read {run_dir / 'config.lock'}: {exc!r}") from None
-    if config.config_hash() != recorded_hash:
-        raise ReplayMismatch("config.lock hash does not match its config payload")
 
     config.providers = {"default": {"kind": "replay", "replay_path": str(run_dir / "gateway.jsonl")}}
 

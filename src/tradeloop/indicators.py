@@ -329,6 +329,8 @@ def _bands_text(v: dict) -> str:
     return f"lower {_fmt(v['lower'])} | middle {_fmt(v['middle'])} | upper {_fmt(v['upper'])}"
 
 
+PROFILE_WINDOW = 63  # bars of the volume profile
+
 # The standard indicator set, as (prompt label, series, value text).
 _STANDARD_SET = (
     *((f"SMA({n})", partial(sma_series, n=n), _fmt) for n in (20, 50, 100, 200)),
@@ -340,10 +342,10 @@ _STANDARD_SET = (
 )
 
 
-def snapshots(series: BarSeries, indices: Sequence[int], profile_window: int = 63) -> list[list[float | dict | None]]:
+def snapshots(series: BarSeries, indices: Sequence[int]) -> list[list[float | dict | None]]:
     """The standard indicator set at each bar index in `indices`: SMA
     20/50/100/200, EMA 12/26, RSI 14, MACD 12/26/9, ATR 14, Bollinger 20/2,
-    and a volume profile over the trailing `profile_window` bars (None when
+    and a volume profile over the trailing PROFILE_WINDOW bars (None when
     that window traded nothing).
 
     Every indicator reads only past bars, so the set at index i equals the
@@ -356,7 +358,7 @@ def snapshots(series: BarSeries, indices: Sequence[int], profile_window: int = 6
         for row, i in zip(rows, indices):
             row.append(values[i])
     for row, i in zip(rows, indices):
-        tail = replace(series, bars=series.bars[max(0, i + 1 - profile_window) : i + 1])
+        tail = replace(series, bars=series.bars[max(0, i + 1 - PROFILE_WINDOW) : i + 1])
         try:
             row.append(volume_profile(tail))
         except IndicatorError:
@@ -364,9 +366,9 @@ def snapshots(series: BarSeries, indices: Sequence[int], profile_window: int = 6
     return rows
 
 
-def snapshot(series: BarSeries, profile_window: int = 63) -> list[float | dict | None]:
+def snapshot(series: BarSeries) -> list[float | dict | None]:
     """The standard indicator set at the last bar of `series`."""
-    return snapshots(series, [len(series.bars) - 1], profile_window)[0]
+    return snapshots(series, [len(series.bars) - 1])[0]
 
 
 def format_for_prompt(values: Sequence[float | dict | None]) -> str:

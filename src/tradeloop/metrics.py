@@ -111,21 +111,23 @@ def roi(values: Sequence[float], initial: float | None = None) -> float:
     return (float(values[-1]) - v0) / v0 * 100.0
 
 
-def sharpe(values: Sequence[float], risk_free: float = 0.0) -> tuple[float | None, float | None]:
-    """(daily, annualized) Sharpe: mean excess daily return over its sample
-    stdev; annualized = daily * sqrt(252). Zero variance -> (None, None)."""
+def sharpe(values: Sequence[float]) -> tuple[float | None, float | None]:
+    """(daily, annualized) Sharpe at a risk-free rate of 0: mean daily return
+    over its sample stdev; annualized = daily * sqrt(252). Zero variance ->
+    (None, None)."""
     if len(values) < 3:
         return None, None
     rets = daily_returns([float(v) for v in values])
     sd = _sample_std(rets)
     if sd is None or sd == 0.0:
         return None, None
-    daily = (_mean(rets) - risk_free) / sd
+    daily = _mean(rets) / sd
     return daily, daily * math.sqrt(TRADING_DAYS_PER_YEAR)
 
 
-def sortino(values: Sequence[float], risk_free: float = 0.0) -> float | None:
-    """Mean daily return over the sample stdev of negative returns only.
+def sortino(values: Sequence[float]) -> float | None:
+    """Mean daily return over the sample stdev of negative returns only, at a
+    risk-free rate of 0.
 
     Undefined when there are no negative returns or their dispersion is zero
     (e.g. a single negative return, or identical ones).
@@ -139,7 +141,7 @@ def sortino(values: Sequence[float], risk_free: float = 0.0) -> float | None:
     sd = _sample_std(downside)
     if sd is None or sd == 0.0:
         return None
-    return (_mean(rets) - risk_free) / sd
+    return _mean(rets) / sd
 
 
 def max_drawdown(values: Sequence[float]) -> float:

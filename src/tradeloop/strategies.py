@@ -129,7 +129,6 @@ def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
 class StrategyRunResult:
     config: StrategyConfig
     report: MetricReport
-    curve_dates: list[date] = field(default_factory=list)
     curve_values: list[Decimal] = field(default_factory=list)
     trades: list[Fill] = field(default_factory=list)
     signals: list[Signal] = field(default_factory=list)
@@ -178,13 +177,11 @@ def run_strategy(
             # Sized and validated against the first open it will fill at.
             submit(Action.BUY, qty, first.session_date - timedelta(days=1), first.open)
 
-    curve_dates: list[date] = []
     curve_values: list[Decimal] = []
     exposures: list[Decimal] = []
 
     for i, bar in enumerate(series.bars):
         result = engine.step_session(bar)
-        curve_dates.append(bar.session_date)
         curve_values.append(result.portfolio_value)
         state = result.portfolio
         exposures.append((state.shares_long + state.shares_short) * bar.close)
@@ -213,7 +210,6 @@ def run_strategy(
     return StrategyRunResult(
         config=config,
         report=report,
-        curve_dates=curve_dates,
         curve_values=curve_values,
         trades=trades,
         signals=signals,

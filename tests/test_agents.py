@@ -30,7 +30,7 @@ from tradeloop.agents import (
 from tradeloop.bars import Bar
 from tradeloop.engine import Action, Fill, OrderType, PortfolioState
 from tradeloop.gateway import Gateway, ScriptEntry, ScriptedProvider
-from tradeloop.harness import ExperimentConfig, decision_context
+from tradeloop.harness import ExperimentConfig, session_context
 from tradeloop.templates import load_template
 
 
@@ -475,6 +475,12 @@ class TestAnalystCadence:
         assert analyst.ask(self._market_context()) == "first analysis"
         assert analyst.ask(self._market_context()) == "second analysis"
 
+    def test_next_template_is_initial_then_followup(self):
+        analyst = make_analyst(make_gateway([ScriptEntry(response="ok", times=None)]))
+        assert analyst.next_template is analyst.initial
+        analyst.ask(self._market_context())
+        assert analyst.next_template is analyst.followup
+
     def test_scripted_text_passes_through(self):
         gateway = make_gateway([ScriptEntry(response="TEXT", times=None)])
         assert make_analyst(gateway).ask(self._market_context()) == "TEXT"
@@ -515,8 +521,8 @@ def make_decision_context(cash: str = "100000", shares_long: int = 0) -> dict:
     config = ExperimentConfig(instrument="SYNTH", window_start=date(2025, 4, 28), window_end=date(2025, 6, 27))
     bar = Bar(date(2025, 4, 28), Decimal("100"), Decimal("101"), Decimal("99"), Decimal("100.5"), 1000)
     state = PortfolioState(cash=Decimal(cash), shares_long=shares_long, shares_short=0, as_of=None)
-    reports = {"market": None, "news": None, "fundamental": None, "reflection": None}
-    return decision_context(config, bar, state, reports, [])
+    reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
+    return session_context(config, bar, state, []) | reports
 
 
 class TestCentralAgent:

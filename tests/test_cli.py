@@ -165,6 +165,9 @@ class TestRunReportReplay:
         ("calendar", "2025-01-02\nnot a date\n", EXIT_DATA),
         ("prompt_dir", "{{ unclosed", EXIT_CONFIG),
         ("prompt_dir", "{% for x %}", EXIT_CONFIG),
+        ("news", '{"ts": "WINDOW_START", "title": "t", "url": [1]}\n', EXIT_DATA),
+        ("news", '{"ts": "WINDOW_START", "title": "t", "summary": {"text": "s"}}\n', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "period_label": [1]}]', EXIT_DATA),
     ],
 )
 def test_bad_input_file_exit_code(tmp_path, key, text, code):

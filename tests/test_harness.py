@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from tradeloop import agents, indicators
-from tradeloop.bars import BarSeries, Lookback, Resolution, resample, serialize_bars
+from tradeloop import harness, indicators
+from tradeloop.bars import Bar, BarSeries, Lookback, Resolution, resample, serialize_bars
+from tradeloop.cli import main
+from tradeloop.engine import Action, Fill, PortfolioState
 from tradeloop.harness import (
     ConfigError,
     DataError,
@@ -24,8 +26,9 @@ from tradeloop.harness import (
     market_context,
     replay_run,
     run_experiment,
+    session_context,
 )
-from tradeloop.templates import load_template
+from tradeloop.templates import load_asset_text, load_template
 
 from conftest import synthetic_daily
 
@@ -505,40 +508,27 @@ def reference_multi_timeframe_text(series: BarSeries, as_of: date) -> str:
     return "\n\n".join(sections)
 
 
-def reference_market_context(config: ExperimentConfig, series: BarSeries, session: date) -> dict:
-    """The market context rebuilt from scratch on the history up to `session`."""
+def reference_market_context(series: BarSeries, session: date) -> dict:
+    """The market analyst's values rebuilt from scratch on the history up to `session`."""
     history = series.up_to(session)
-    bar = history.bars[-1]
     parts = [indicators.format_for_prompt(indicators.snapshot(history))]
     if len(history) >= 5:
         parts.append(indicators.format_levels(indicators.detect_levels(history)))
     return {
-        "instrument": config.instrument,
-        "session_start": config.window_start.isoformat(),
-        "session_end": config.window_end.isoformat(),
-        "current_time": session.isoformat(),
-        "action_interval": config.action_interval,
         "extended_intervals_analysis": reference_multi_timeframe_text(series, session),
-        "open_price": agents.fmt_price(bar.open),
-        "high_price": agents.fmt_price(bar.high),
-        "low_price": agents.fmt_price(bar.low),
-        "close_price": agents.fmt_price(bar.close),
-        "volume": str(bar.volume),
-        "vwap_str": agents.fmt_price(bar.vwap) if bar.vwap is not None else "n/a",
-        "transactions": str(bar.transactions) if bar.transactions is not None else "n/a",
         "formatted_indicators": "\n".join(parts),
     }
 
 
 class TestMarketTimeline:
-    """Each session's context from the once-per-run timeline equals the one
-    rebuilt from that session's history."""
+    """Each session's market values from the once-per-run timeline equal the
+    ones rebuilt from that session's history."""
 
     def assert_contexts_match(self, series: BarSeries, sessions: list[date]) -> None:
-        config = ExperimentConfig(instrument="SYNTH", window_start=sessions[0], window_end=sessions[-1])
         timeline = MarketTimeline(series, sessions)
+        names = frozenset({"extended_intervals_analysis", "formatted_indicators"})
         for k, session in enumerate(sessions):
-            assert market_context(config, timeline, k) == reference_market_context(config, series, session), session
+            assert market_context(timeline, k, names) == reference_market_context(series, session), session
 
     def test_histories_of_one_to_six_bars(self):
         # 1-2 bars: no levels at all; 3-4 bars: extrema need 5; 5-6 bars: levels render.
@@ -562,6 +552,96 @@ class TestMarketTimeline:
     def test_last_two_bars_of_long_series(self):
         series = synthetic_daily(260, seed=8)
         self.assert_contexts_match(series, series.dates()[-2:])
+
+
+class TestSessionContext:
+    """One context per session: the values every prompt of the session may
+    name, under the analysts' names and the trading agent's."""
+
+    TWINS = {
+        "session_start": "window_start",
+        "session_end": "window_end",
+        "current_time": "now",
+        "open_price": "open",
+        "high_price": "high",
+        "low_price": "low",
+        "close_price": "close",
+    }
+
+    def context(self, fills: list[Fill]) -> dict:
+        config = ExperimentConfig(instrument="SYNTH", window_start=date(2025, 4, 28), window_end=date(2025, 6, 27))
+        bar = Bar(date(2025, 5, 2), Decimal("100"), Decimal("101.5"), Decimal("99.25"), Decimal("100.5"), 1000)
+        state = PortfolioState(cash=Decimal("98989.5"), shares_long=12, shares_short=3, as_of=None)
+        return session_context(config, bar, state, fills)
+
+    def test_analyst_names_equal_their_trading_agent_twins(self):
+        ctx = self.context([])
+        for analyst_name, cta_name in self.TWINS.items():
+            assert ctx[analyst_name] == ctx[cta_name], analyst_name
+        assert [ctx[name] for name in self.TWINS] == [
+            "2025-04-28", "2025-06-27", "2025-05-02", "100.00", "101.50", "99.25", "100.50"
+        ]
+        assert (ctx["portfolio_cash"], ctx["shares_net"]) == ("98989.50", "9")
+
+    def test_bar_without_vwap_or_transactions_reads_na(self):
+        ctx = self.context([])
+        assert ctx["vwap_str"] == ctx["transactions"] == "n/a"
+
+    def test_executed_orders_none_without_fills(self):
+        assert self.context([])["executed_orders"] is None
+        fills = [Fill(f"d{d}-1", Action.BUY, date(2025, 5, d), Decimal("100.5"), d) for d in (1, 2)]
+        assert self.context(fills)["executed_orders"] == "2025-05-01 BUY 1 @ 100.50\n2025-05-02 BUY 2 @ 100.50"
+
+
+def with_prompt(tmp_path: Path, name: str, text: str) -> ExperimentConfig:
+    """A baseline workspace whose prompt_dir replaces the asset `name` with `text`."""
+    build_workspace(tmp_path, mode="baseline")
+    prompt_dir = tmp_path / "prompts"
+    prompt_dir.mkdir()
+    (prompt_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    obj = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps(obj | {"prompt_dir": str(prompt_dir)}), encoding="utf-8")
+    return ExperimentConfig.from_file(config_path)
+
+
+def role_records(run_dir: Path, role: str) -> list[dict]:
+    lines = (run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
+    return [record for record in map(json.loads, lines) if record["tags"]["role"] == role]
+
+
+class TestSessionPrompts:
+    def test_multi_timeframe_text_only_for_the_first_market_turn(self, tmp_path, monkeypatch):
+        calls = []
+        original = harness.multi_timeframe_text
+        monkeypatch.setattr(harness, "multi_timeframe_text", lambda *args: calls.append(args) or original(*args))
+        artifacts, _ = run_experiment(build_workspace(tmp_path))
+        assert len(role_records(artifacts[0].run_dir, "market")) == WINDOW_SESSIONS
+        assert len(calls) == 1
+
+    def test_followup_naming_extended_intervals_gets_it_every_session(self, tmp_path):
+        text = load_asset_text("market_followup") + "\n{{ extended_intervals_analysis }}\n"
+        config = with_prompt(tmp_path, "market_followup", text)
+        artifacts, _ = run_experiment(config)
+        series = load_data(config).bars
+        records = role_records(artifacts[0].run_dir, "market")
+        assert len(records) == WINDOW_SESSIONS
+        for record in records:
+            session = date.fromisoformat(record["tags"]["session"])
+            assert reference_multi_timeframe_text(series, session) in record["request"]["messages"][-1]["text"]
+
+    def test_analyst_template_may_name_session_values(self, tmp_path):
+        config = with_prompt(tmp_path, "market_initial", "Cash {{ portfolio_cash }} on {{ now }}")
+        artifacts, _ = run_experiment(config)
+        first = role_records(artifacts[0].run_dir, "market")[0]
+        assert first["request"]["messages"][0]["text"] == f"Cash 100000.00 on {config.window_start.isoformat()}"
+
+    @pytest.mark.parametrize("name, report", [("market_initial", "news_analysis"), ("news_initial", "market_analysis")])
+    def test_analyst_template_naming_a_report_is_missing_key(self, tmp_path, capsys, name, report):
+        """No analyst sees a report, not even one made earlier in its session."""
+        with_prompt(tmp_path, name, "{{ %s }}" % report)
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+        assert capsys.readouterr().err == f"config error: MISSING_KEY: {report}\n"
 
 
 class TestReplay:
@@ -600,6 +680,24 @@ class TestReplay:
         lock_path.write_text(json.dumps(lock, indent=2, sort_keys=True), encoding="utf-8")
         with pytest.raises(ReplayMismatch, match="config.lock"):
             replay_run(artifacts[0].run_dir)
+
+    def test_recording_with_a_seed_replays(self, tmp_path):
+        """A config.lock written before `seed` was deleted carries it, hashed
+        as SHA-256 of its config as sorted JSON indented by 2."""
+        artifacts, _ = run_experiment(build_workspace(tmp_path))
+        run_dir = artifacts[0].run_dir
+        lock_path = run_dir / "config.lock"
+        lock = json.loads(lock_path.read_text(encoding="utf-8"))
+        assert "seed" not in lock["config"]
+        lock["config"]["seed"] = 0
+        lock["hash"] = hashlib.sha256(json.dumps(lock["config"], indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+        lock_path.write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        assert main(["replay", "--run", str(run_dir)]) == 0
+
+        lock["config"]["seed"] = 1  # edited after hashing
+        lock_path.write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with pytest.raises(ReplayMismatch, match="hash does not match"):
+            replay_run(run_dir)
 
     def test_tampered_response_surfaces_artifact_diff(self, tmp_path):
         config = build_workspace(tmp_path)
