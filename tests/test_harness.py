@@ -423,10 +423,12 @@ GOLDEN_REJECTION_DIGESTS = {
 }
 
 
-def rejection_providers(config: ExperimentConfig) -> dict:
+def rejection_providers(config: ExperimentConfig, lead: tuple[str, ...] = ()) -> dict:
+    """The rejection replies; the optimizer's first replies are `lead`."""
     base = load_template("cta_initial").body
     improved = base + "\nScripted refinement: stay selective."
     optimizer_replies = [
+        *lead,
         "I would rather not use a fence.",
         optimizer_payload(improved),
         optimizer_payload(improved + "\nWatch {{ sneaky_new_var }}."),
@@ -456,11 +458,26 @@ def rejection_providers(config: ExperimentConfig) -> dict:
     return providers
 
 
+# The rejection inputs with `roi_mode` "windowed", where the optimizer's first
+# proposal gets three candidates that do not parse as templates, so its ledger
+# line records the PARSE_ERROR of the last one and keeps that candidate.
+GOLDEN_WINDOWED_PARSE_ERROR_DIGESTS = {
+    "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
+    "gateway.jsonl": "c8de1d453967b8135a87aa75029714d0958b6f6f6f47e16ee5374ff9583623a5",
+    "opro.jsonl": "2b378e5f475504f8d0a6af4fce34aa03ed7ddc7a7ded1215f25da0738c0f3da9",
+    "metrics.json": "52faf9797cb69b039a2f76bea49aabc4a543cedd80860747037102c6ffaf1a7f",
+}
+UNPARSEABLE_CANDIDATE = load_template("cta_initial").body + "\n{% if broken %}"
+
+
 class TestGoldenDigests:
-    def run_dir(self, tmp_path: Path, mode: str, rejections: bool = False) -> Path:
+    def run_dir(
+        self, tmp_path: Path, mode: str, rejections: bool = False, lead: tuple[str, ...] = (), roi_mode: str = "cumulative"
+    ) -> Path:
         config = build_workspace(tmp_path, mode=mode, history_bars=GOLDEN_BARS)
+        config.roi_mode = roi_mode
         if rejections:
-            config.providers = rejection_providers(config)
+            config.providers = rejection_providers(config, lead)
         artifacts, _ = run_experiment(config)
         return artifacts[0].run_dir
 
@@ -488,6 +505,19 @@ class TestGoldenDigests:
         payload = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
         assert payload["decision_fallbacks"] == 1
         assert self.digests(run_dir) == GOLDEN_REJECTION_DIGESTS
+
+    def test_windowed_parse_error_matches_pinned_digests(self, tmp_path):
+        lead = (optimizer_payload(UNPARSEABLE_CANDIDATE),) * 3
+        run_dir = self.run_dir(tmp_path, "adaptive_opro_with_reflection", rejections=True, lead=lead, roi_mode="windowed")
+        records = [json.loads(line) for line in (run_dir / "opro.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert (records[1]["accepted"], records[1]["reject_reason"]) == (
+            False,
+            "PARSE_ERROR: UNBALANCED_CONDITIONAL: unclosed {% if %}",
+        )
+        assert records[1]["template_text"] == UNPARSEABLE_CANDIDATE
+        windows = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))["windows"]
+        assert all(w["v_start"] == prev["v_end"] for prev, w in zip(windows, windows[1:]))
+        assert self.digests(run_dir) == GOLDEN_WINDOWED_PARSE_ERROR_DIGESTS
 
 
 def reference_multi_timeframe_text(series: BarSeries, as_of: date) -> str:
