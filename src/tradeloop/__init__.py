@@ -5,7 +5,7 @@ from .bars import Bar, BarSeries, CorporateAction, Lookback, Resolution, Session
 from .engine import Action, ExecutionEngine, Fill, Order, OrderType, PortfolioState
 from .metrics import MetricReport
 from .opro import window_score
-from .templates import PromptTemplate, extract_placeholders
+from .templates import PromptTemplate
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "PromptTemplate",
     "Resolution",
     "SessionCalendar",
-    "extract_placeholders",
     "window_score",
     "__version__",
 ]

@@ -331,6 +331,8 @@ def parse_orders(text: str) -> list[OrderSpec]:
         data = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise OrderParseError("NOT_JSON_ARRAY", "$", f"not parseable JSON: {exc.msg}") from None
+    except RecursionError:
+        raise OrderParseError("NOT_JSON_ARRAY", "$", "not parseable JSON: nested too deeply") from None
     if not isinstance(data, list):
         raise OrderParseError("NOT_JSON_ARRAY", "$", f"expected array, got {type(data).__name__}")
 

@@ -253,6 +253,8 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise BarDataError(f"bad json: {exc.msg}", row_idx) from None
+            except RecursionError:
+                raise BarDataError("bad json: nested too deeply", row_idx) from None
             if not isinstance(obj, dict):
                 raise BarDataError("expected object", row_idx)
             fields = {k: ("" if obj.get(k) is None else str(obj.get(k, ""))) for k in CSV_COLUMNS}

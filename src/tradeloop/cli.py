@@ -85,7 +85,7 @@ def _cmd_report(args) -> int:
                     equity=[(date.fromisoformat(d), Decimal(v)) for d, v in equity],
                 )
             )
-        except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+        except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
             raise DataError(f"bad {metrics_path}: {exc!r}") from None
     if not artifacts:
         raise DataError(f"no run artifacts under {args.runs}")

@@ -214,7 +214,7 @@ class ReplayProvider:
                         if not all(isinstance(s, str) for s in pair):
                             raise TypeError(f"request_hash and response text must be strings, got {pair!r}")
                         self.records.append(pair)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise GatewayError("PROVIDER_ERROR", f"bad record {len(self.records) + 1} in {audit_path}: {exc!r}") from None
         self.cursor = 0
 
@@ -281,18 +281,16 @@ class HttpProvider:
             raise GatewayError("RATE_LIMITED", "429")
         if resp.status_code >= 400:
             raise GatewayError("PROVIDER_ERROR", f"status {resp.status_code}")
-        body = resp.json()
-        try:
+        try:  # a body that is not JSON, or not of this shape, is the provider's fault
+            body = resp.json()
             text = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise GatewayError("PROVIDER_ERROR", f"unexpected response shape: {exc}") from exc
-        usage = body.get("usage", {}) or {}
-        return ChatResponse(
-            text=text,
-            prompt_tokens=usage.get("prompt_tokens"),
-            completion_tokens=usage.get("completion_tokens"),
-            latency_s=time.monotonic() - started,
-        )
+            if not isinstance(text, str):
+                raise TypeError(f"content must be a string, got {text!r}")
+            usage = body.get("usage") or {}
+            tokens = usage.get("prompt_tokens"), usage.get("completion_tokens")
+        except (ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:
+            raise GatewayError("PROVIDER_ERROR", f"unexpected response body: {exc!r}") from None
+        return ChatResponse(text, *tokens, latency_s=time.monotonic() - started)
 
 
 class RouterProvider:

@@ -17,12 +17,13 @@ import json
 import math
 import os
 import tempfile
+from collections import deque
 from contextlib import ExitStack, closing
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
-from typing import Annotated, Callable, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, Sequence, get_args, get_origin, get_type_hints
 
 from . import agents, indicators, metrics, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
@@ -194,7 +195,7 @@ class ExperimentConfig(_Config, what="config"):
     def from_file(cls, path: Path | str) -> "ExperimentConfig":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_dict(obj)
 
@@ -207,10 +208,7 @@ class ExperimentConfig(_Config, what="config"):
         return self.prompting_mode in ("reflection", "adaptive_opro_with_reflection")
 
 
-FUNDAMENTAL_FIGURES = (
-    "revenue", "cogs", "operating_income", "net_income", "weighted_shares", "ocf", "icf", "fcf_fin",
-    "total_debt", "total_equity", "annual_dividends_per_share", "price",
-)
+FUNDAMENTAL_FIGURES = tuple(n for n, hint in get_type_hints(agents.FundamentalSnapshot).items() if hint == float | None)
 
 
 @dataclass
@@ -279,7 +277,7 @@ def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty):
         return empty
     try:
         return parse(Path(paths[key]).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"bad {key} file {paths[key]}: {exc!r}") from None
 
 
@@ -399,7 +397,7 @@ def market_context(timeline: MarketTimeline, k: int, names: frozenset[str]) -> d
     return context
 
 
-def session_context(config: ExperimentConfig, bar: Bar, state: PortfolioState, fills: list[Fill]) -> dict:
+def session_context(config: ExperimentConfig, bar: Bar, state: PortfolioState, fills: Sequence[Fill]) -> dict:
     """Every value a prompt of the session of `bar` may name, before any
     report: prices and cash with 2 decimals, share counts as integers, the
     last fills. The analysts' assets name the window, the session and the
@@ -517,7 +515,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
 
         inception = Decimal(config.initial_cash)
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
-        fills: list[Fill] = []  # every fill so far, the last of which the prompts name
+        fills: deque[Fill] = deque(maxlen=agents.RECENT_FILLS)  # the last fills, which the prompts name
         steps: list[_Step] = []
         reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
         delivered_fundamentals = 0
@@ -565,19 +563,15 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                 if not isinstance(placed, Rejection):
                     steps[-1].orders.append(placed)
 
-            if config.uses_opro and optimizer.is_boundary(step):
+            # The last window, which may be partial, closes without an update.
+            if config.uses_opro and (optimizer.is_boundary(step) or step == len(sessions)):
                 optimizer.close_window(step, float(inception), float(result.portfolio_value))
                 if step < len(sessions):
                     optimizer.propose_update(tags=tags)
                     cta.initial = optimizer.live_template
                     cta.reset()
 
-        # Final partial (or boundary-coincident) window closes without an update.
-        last = steps[-1]
-        if config.uses_opro and not optimizer.is_boundary(len(steps)):
-            optimizer.close_window(len(steps), float(inception), float(last.result.portfolio_value))
-
-        engine.force_cover(last.bar)
+        engine.force_cover(steps[-1].bar)
         trades = trades_from_audit(audit)
 
     equity = [(s.bar.session_date, s.result.portfolio_value) for s in steps]
@@ -591,7 +585,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         "metrics": report.to_dict(),
         "windows": [asdict(w) for w in optimizer.windows],
         "equity": {"dates": [d.isoformat() for d, _ in equity], "values": [str(v) for _, v in equity]},
-        "optimizer_calls": optimizer.optimizer_calls,
+        "optimizer_calls": optimizer.iteration - 1,
         "decision_fallbacks": decision_fallbacks,
     }
     (run_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -651,7 +645,7 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
         if isinstance(recorded, dict):
             recorded.pop("seed", None)  # written by earlier versions; nothing read it
         config = ExperimentConfig.from_dict(recorded)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ReplayMismatch(f"cannot read {run_dir / 'config.lock'}: {exc!r}") from None
 
     config.providers = {"default": {"kind": "replay", "replay_path": str(run_dir / "gateway.jsonl")}}

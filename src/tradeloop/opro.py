@@ -57,14 +57,12 @@ class ScoringWindow:
 
 @dataclass
 class PromptRecord:
+    """A template that went live, and the score of the last window it was
+    live for (1 decimal place)."""
+
     iteration: int
     template_text: str
-    score: float | None = None  # latest observed while live; 1 decimal place
-    analysis: str | None = None
-    improvements: str | None = None
-    impact: str | None = None
-    accepted: bool = True
-    reject_reason: str | None = None
+    score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,8 @@ def parse_optimizer_response(text: str) -> OptimizerOutput:
         obj = json.loads(m.group(1))
     except json.JSONDecodeError as exc:
         raise OptimizerParseError("NOT_OBJECT", f"fenced payload is not valid JSON: {exc.msg}")
+    except RecursionError:
+        raise OptimizerParseError("NOT_OBJECT", "fenced payload is nested too deeply") from None
     if not isinstance(obj, dict):
         raise OptimizerParseError("NOT_OBJECT", f"expected object, got {type(obj).__name__}")
     for key in OPTIMIZER_KEYS:
@@ -103,37 +103,24 @@ def parse_optimizer_response(text: str) -> OptimizerOutput:
     return OptimizerOutput(**{k: obj[k] for k in OPTIMIZER_KEYS})
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
-    accepted: bool
-    reason: str | None = None  # MISSING_PLACEHOLDER | EXTRA_PLACEHOLDER | PARSE_ERROR
-    detail: str = ""
-
-
-def validate_candidate(current: PromptTemplate, candidate_text: str) -> CandidateVerdict:
-    """Accept iff the candidate parses and its placeholder set is unchanged."""
+def validate_candidate(current: PromptTemplate, candidate_text: str) -> PromptTemplate:
+    """The candidate as a template named as `current` when it parses and keeps
+    `current`'s placeholder set; otherwise raises the OptimizerParseError that
+    rejects it: PARSE_ERROR, MISSING_PLACEHOLDER or EXTRA_PLACEHOLDER."""
     try:
-        candidate = PromptTemplate.parse("candidate", candidate_text)
+        candidate = PromptTemplate.parse(current.name, candidate_text)
     except TemplateError as exc:
-        return CandidateVerdict(accepted=False, reason="PARSE_ERROR", detail=str(exc))
-    want = current.placeholders()
-    got = candidate.placeholders()
-    missing = want - got
-    if missing:
-        return CandidateVerdict(
-            accepted=False, reason="MISSING_PLACEHOLDER", detail=",".join(sorted(missing))
-        )
-    extra = got - want
-    if extra:
-        return CandidateVerdict(
-            accepted=False, reason="EXTRA_PLACEHOLDER", detail=",".join(sorted(extra))
-        )
-    return CandidateVerdict(accepted=True)
+        raise OptimizerParseError("PARSE_ERROR", str(exc)) from None
+    want, got = current.placeholders(), candidate.placeholders()
+    for code, names in (("MISSING_PLACEHOLDER", want - got), ("EXTRA_PLACEHOLDER", got - want)):
+        if names:
+            raise OptimizerParseError(code, ",".join(sorted(names)))
+    return candidate
 
 
 def build_history_text(records: list[PromptRecord]) -> str:
-    """Scored accepted templates, ascending by score (ties by iteration)."""
-    scored = [r for r in records if r.accepted and r.score is not None]
+    """The scored templates, ascending by score (ties by iteration)."""
+    scored = [r for r in records if r.score is not None]
     scored.sort(key=lambda r: (r.score, r.iteration))
     blocks = []
     for r in scored:
@@ -151,7 +138,9 @@ def build_meta_prompt(records: list[PromptRecord], optimizer_asset: str) -> str:
 
 
 def template_sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """SHA-256 of `text` as UTF-8; an unpaired surrogate, which model text
+    may carry, encodes as its three bytes instead of failing."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 ROI_MODES = ("cumulative", "windowed")
@@ -160,6 +149,8 @@ ROI_MODES = ("cumulative", "windowed")
 class AdaptiveOpro:
     """One optimizer loop per run, strictly sequential with the decision loop.
 
+    `history` holds the templates that went live, the live one last;
+    `iteration` numbers the proposals, the initial template being the first.
     `roi_mode` picks the window signal: "cumulative" (since inception,
     default) or "windowed" (window-local).
     """
@@ -182,26 +173,31 @@ class AdaptiveOpro:
         self.gateway = gateway
         self.optimizer_asset = optimizer_asset
         self.live_template = initial_template
-        self.records: list[PromptRecord] = [
-            PromptRecord(iteration=1, template_text=initial_template.body)
-        ]
+        self.iteration = 1
+        self.history = [PromptRecord(self.iteration, initial_template.body)]
         self.windows: list[ScoringWindow] = []
-        self.optimizer_calls = 0
         self.log = AuditLog(log_sink, sort_keys=True)
-        self.log.append(self._record_line(self.records[0], score=None))
+        self._log(None, initial_template.body)
 
-    def _record_line(self, record: PromptRecord, score: float | None) -> dict:
-        return {
-            "iteration": record.iteration,
-            "score": score,
-            "accepted": record.accepted,
-            "reject_reason": record.reject_reason,
-            "analysis": record.analysis,
-            "improvements": record.improvements,
-            "impact": record.impact,
-            "template_sha": template_sha(record.template_text),
-            "template_text": record.template_text,
-        }
+    def _log(
+        self, score: float | None, template_text: str, output: OptimizerOutput | None = None, error: Exception | None = None
+    ) -> None:
+        """Append the ledger line of proposal `iteration`: the initial
+        template, a reply's accepted `output`, or the `error` that rejected
+        the proposal, with its last candidate as `template_text`."""
+        self.log.append(
+            {
+                "iteration": self.iteration,
+                "score": score,
+                "accepted": error is None,
+                "reject_reason": error and str(error),
+                "analysis": output and output.performance_analysis,
+                "improvements": output and output.key_improvements,
+                "impact": output and output.expected_impact,
+                "template_sha": template_sha(template_text),
+                "template_text": template_text,
+            }
+        )
 
     # -- scoring -------------------------------------------------------------
 
@@ -210,14 +206,9 @@ class AdaptiveOpro:
 
     def close_window(self, step: int, inception_value: float, current_value: float) -> ScoringWindow:
         """Score the window ending at decision step `step` (1-based)."""
-        if self.windows:
-            start_step = self.windows[-1].end_step
-        else:
-            start_step = 0
-        if self.roi_mode == "cumulative":
-            base = inception_value
-        else:
-            base = self.windows[-1].v_end if self.windows else inception_value
+        last = self.windows[-1] if self.windows else None
+        start_step = last.end_step if last else 0
+        base = last.v_end if last and self.roi_mode == "windowed" else inception_value
         if base <= 0:
             raise ValueError("window base value must be positive")
         roi = (current_value - base) / base
@@ -230,15 +221,8 @@ class AdaptiveOpro:
             score=window_score(roi),
         )
         self.windows.append(window)
-        live = self._live_record()
-        live.score = round(window.score, 1)
+        self.history[-1].score = round(window.score, 1)
         return window
-
-    def _live_record(self) -> PromptRecord:
-        for record in reversed(self.records):
-            if record.accepted:
-                return record
-        raise RuntimeError("no accepted record")
 
     # -- meta-prompted update --------------------------------------------------
 
@@ -246,45 +230,35 @@ class AdaptiveOpro:
         """One optimizer turn over the meta-prompt; the candidate goes live
         when it parses and keeps the placeholder set. A reply that does not
         is re-asked as any turn is; after the last re-ask the current template
-        stays. Returns True when the live template changed."""
+        stays and the ledger keeps the last candidate seen. Returns True when
+        the live template changed."""
         if self.gateway is None:
             raise RuntimeError("optimizer gateway not configured")
-        self.optimizer_calls += 1
-        live_score = self._live_record().score
-        iteration = self.records[-1].iteration + 1
+        live_score = self.history[-1].score
+        self.iteration += 1
         last_candidate = ""
 
-        def parse(reply: str) -> OptimizerOutput:
-            """The reply's valid candidate; the error's text is the reject reason."""
+        def parse(reply: str) -> tuple[OptimizerOutput, PromptTemplate]:
+            """The reply and its valid candidate; the error's text is the reject reason."""
             nonlocal last_candidate
             try:
                 output = parse_optimizer_response(reply)
             except OptimizerParseError as exc:
                 raise OptimizerParseError(exc.code, str(exc)) from None  # the ledger names the code twice
             last_candidate = output.optimized_prompt
-            verdict = validate_candidate(self.live_template, output.optimized_prompt)
-            if not verdict.accepted:
-                raise OptimizerParseError(verdict.reason, verdict.detail)
-            return output
+            return output, validate_candidate(self.live_template, last_candidate)
 
         optimizer = ConversationalAgent("optimizer", self.gateway, None, None)
-        meta = build_meta_prompt(self.records, self.optimizer_asset)
+        meta = build_meta_prompt(self.history, self.optimizer_asset)
         try:
-            output, _ = optimizer.ask_parsed(meta, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags)
+            (output, candidate), _ = optimizer.ask_parsed(meta, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags)
         except OptimizerParseError as exc:
-            record = PromptRecord(iteration, last_candidate, accepted=False, reject_reason=str(exc))
-        else:
-            record = PromptRecord(
-                iteration=iteration,
-                template_text=output.optimized_prompt,
-                analysis=output.performance_analysis,
-                improvements=output.key_improvements,
-                impact=output.expected_impact,
-            )
-            self.live_template = PromptTemplate.parse(f"cta_initial@{iteration}", output.optimized_prompt)
-        self.records.append(record)
-        self.log.append(self._record_line(record, score=live_score))
-        return record.accepted
+            self._log(live_score, last_candidate, error=exc)
+            return False
+        self.live_template = candidate
+        self.history.append(PromptRecord(self.iteration, candidate.body))
+        self._log(live_score, candidate.body, output=output)
+        return True
 
 
 def reflect(gateway: Gateway, template: PromptTemplate, context: dict, tags=()) -> str:

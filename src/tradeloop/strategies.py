@@ -29,7 +29,6 @@ class StrategyError(DataError):
 class Stance(str, Enum):
     ENTER_LONG = "enter_long"
     EXIT_LONG = "exit_long"
-    HOLD = "hold"
 
 
 class StrategyKind(str, Enum):
@@ -127,11 +126,9 @@ def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
 
 @dataclass
 class StrategyRunResult:
-    config: StrategyConfig
     report: MetricReport
     curve_values: list[Decimal] = field(default_factory=list)
     trades: list[Fill] = field(default_factory=list)
-    signals: list[Signal] = field(default_factory=list)
     audit: AuditLog | None = None
 
 
@@ -147,8 +144,7 @@ def run_strategy(
     first bar's open (its decision needs no market data), every other signal
     detected at a close executes at the next session's open.
     """
-    signals = generate_signals(config, series)
-    sig_by_date = {s.date: s.stance for s in signals}
+    sig_by_date = {s.date: s.stance for s in generate_signals(config, series)}
     audit = audit if audit is not None else AuditLog()
     engine = ExecutionEngine(initial_cash=Decimal(initial_cash), audit=audit)
 
@@ -207,11 +203,4 @@ def run_strategy(
         exposures=[float(e) for e in exposures],
         initial=float(initial_cash),
     )
-    return StrategyRunResult(
-        config=config,
-        report=report,
-        curve_values=curve_values,
-        trades=trades,
-        signals=signals,
-        audit=audit,
-    )
+    return StrategyRunResult(report=report, curve_values=curve_values, trades=trades, audit=audit)

@@ -59,10 +59,12 @@ class RenderedPrompt:
     user_text: str
 
 
-def _parse(body: str) -> tuple:
-    """Tokenize and build the node tree; raises TemplateError on anything
-    outside the frozen grammar."""
+def _parse(body: str) -> tuple[tuple, frozenset[str]]:
+    """Tokenize and build the node tree; also the set of every `{{ }}` and
+    `{% if %}` name. Raises TemplateError on anything outside the frozen
+    grammar."""
     tokens: list = []
+    names: set[str] = set()
     pos = 0
     while True:
         next_ph = body.find("{{", pos)
@@ -80,6 +82,7 @@ def _parse(body: str) -> tuple:
                 snippet = body[cut : cut + 30].splitlines()[0]
                 raise TemplateError("MALFORMED_PLACEHOLDER", f"at {snippet!r}")
             tokens.append(_Placeholder(name=m.group(1), default=m.group(2)))
+            names.add(m.group(1))
             pos = m.end()
         else:
             m = _TAG.match(body, cut)
@@ -89,6 +92,7 @@ def _parse(body: str) -> tuple:
             kind = m.group(1)
             if kind.startswith("if"):
                 tokens.append(("if", m.group(2)))
+                names.add(m.group(2))
             elif kind == "else":
                 tokens.append(("else", None))
             else:
@@ -131,17 +135,7 @@ def _parse(body: str) -> tuple:
         return tuple(nodes), idx, False
 
     nodes, _, _ = build(0, 0)
-    return nodes
-
-
-def _collect_names(nodes: tuple, out: set[str]) -> None:
-    for node in nodes:
-        if isinstance(node, _Placeholder):
-            out.add(node.name)
-        elif isinstance(node, _Conditional):
-            out.add(node.name)
-            _collect_names(node.then, out)
-            _collect_names(node.otherwise, out)
+    return nodes, frozenset(names)
 
 
 @dataclass(frozen=True)
@@ -149,15 +143,14 @@ class PromptTemplate:
     name: str
     body: str
     nodes: tuple
+    names: frozenset[str]  # every `{{ }}` and `{% if %}` name
 
     @classmethod
     def parse(cls, name: str, body: str) -> "PromptTemplate":
-        return cls(name=name, body=body, nodes=_parse(body))
+        return cls(name, body, *_parse(body))
 
     def placeholders(self) -> frozenset[str]:
-        names: set[str] = set()
-        _collect_names(self.nodes, names)
-        return frozenset(names)
+        return self.names
 
     def render(self, context: Mapping[str, object]) -> RenderedPrompt:
         """Substitute and split into (system, user) texts.
@@ -199,13 +192,6 @@ class PromptTemplate:
                     raise TemplateError("MISSING_KEY", node.name)
                 branch = node.then if context[node.name] else node.otherwise
                 self._render_nodes(branch, context, out)
-
-
-def extract_placeholders(template: PromptTemplate | str) -> frozenset[str]:
-    """All `{{ }}` names plus all `{% if %}` condition names."""
-    if isinstance(template, str):
-        template = PromptTemplate.parse("<anonymous>", template)
-    return template.placeholders()
 
 
 _PROMPT_DIR = Path(__file__).parent / "prompts"

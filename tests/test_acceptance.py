@@ -28,7 +28,7 @@ from tradeloop.indicators import (
     sma_series,
 )
 from tradeloop.metrics import max_drawdown
-from tradeloop.opro import validate_candidate, window_score
+from tradeloop.opro import window_score
 from tradeloop.strategies import StrategyConfig, StrategyKind, generate_signals, run_strategy
 from tradeloop.templates import load_template
 
@@ -379,7 +379,7 @@ class TestCriterion6BaselineSignals:
 class TestCriterion7TemplateSafety:
     def test_fuzz_candidates(self):
         started = time.perf_counter()
-        from test_opro import TestValidateCandidate
+        from test_opro import TestValidateCandidate, accepts
 
         current = load_template("cta_initial")
         body = current.body
@@ -398,7 +398,7 @@ class TestCriterion7TemplateSafety:
                 mutated = body + f"\n{{{{ acceptance_var_{i} }}}}"
             else:
                 mutated = substitute(body, name, f"acceptance_renamed_{i}")
-            if not validate_candidate(current, mutated).accepted:
+            if not accepts(current, mutated):
                 rejected += 1
 
         accepted = 0
@@ -410,7 +410,7 @@ class TestCriterion7TemplateSafety:
                 mutated = f"NOTE {i}\n" + body
             else:
                 mutated = body + f"\nTrailer {i}"
-            if validate_candidate(current, mutated).accepted:
+            if accepts(current, mutated):
                 accepted += 1
         verdict(
             7,

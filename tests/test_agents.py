@@ -561,6 +561,16 @@ class TestCentralAgent:
         outcome = agent.decide(make_decision_context())
         assert outcome.attempts == 2 and not outcome.gave_up
 
+    def test_deeply_nested_reply_is_reasked(self):
+        """A reply nested beyond the JSON decoder's depth is a malformed
+        reply like any other, not a RecursionError."""
+        nested = "[" * 100_000 + "]" * 100_000
+        gateway = make_gateway([ScriptEntry(response=nested, step=1), ScriptEntry(response=order_json(), step=2)])
+        outcome = make_cta(gateway).decide(make_decision_context())
+        assert (len(outcome.specs), outcome.attempts) == (1, 2)
+        reminder = json.loads(gateway.audit.text().splitlines()[-1])["request"]["messages"][-1]["text"]
+        assert reminder.endswith("(parse error: NOT_JSON_ARRAY at $: not parseable JSON: nested too deeply)")
+
     def test_system_role_extracted_once(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
         agent = make_cta(gateway)

@@ -16,6 +16,9 @@ from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
 from conftest import synthetic_daily
 from test_harness import build_workspace
 
+# JSON nested beyond the decoder's depth, which raises RecursionError.
+NESTED = "[" * 100_000 + "]" * 100_000
+
 
 @pytest.fixture
 def bars_csv(tmp_path) -> Path:
@@ -168,6 +171,8 @@ class TestRunReportReplay:
         ("news", '{"ts": "WINDOW_START", "title": "t", "url": [1]}\n', EXIT_DATA),
         ("news", '{"ts": "WINDOW_START", "title": "t", "summary": {"text": "s"}}\n', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "WINDOW_START", "period_label": [1]}]', EXIT_DATA),
+        pytest.param("news", '{"ts": "WINDOW_START", "title": "t", "url": %s}\n' % NESTED, EXIT_DATA, id="news-url-nested"),
+        pytest.param("fundamentals", NESTED, EXIT_DATA, id="fundamentals-nested"),
     ],
 )
 def test_bad_input_file_exit_code(tmp_path, key, text, code):
@@ -278,6 +283,13 @@ def _run_with(key, value):
     return argv
 
 
+def _file(tmp_path, name, text):
+    """The path of a new file `name` in `tmp_path` holding `text`."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def _tampered(command, name, edit):
     """`command` over a copy of the recorded run whose file `name` is
     replaced by `edit` of its text."""
@@ -329,6 +341,13 @@ NO_TRACEBACK_PROBES = {
     "run paths.bars 5": (EXIT_CONFIG, _run_with("paths.bars", 5)),
     "replay config.lock not JSON": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: "{not json")),
     "replay gateway line not JSON": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: "{not json\n" + text)),
+    "validate-data --bars nested.jsonl": (
+        EXIT_DATA, lambda tmp_path, run: ["validate-data", "--bars", _file(tmp_path, "bars.jsonl", NESTED + "\n")]
+    ),
+    "run --config nested": (EXIT_CONFIG, lambda tmp_path, run: ["run", "--config", _file(tmp_path, "config.json", NESTED)]),
+    "report metrics.json nested": (EXIT_DATA, _tampered("report", "metrics.json", lambda text: NESTED)),
+    "replay config.lock nested": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: NESTED)),
+    "replay gateway line nested": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: NESTED + "\n" + text)),
     "replay record without request_hash": (
         EXIT_PROVIDER,
         _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.pop("request_hash"))),

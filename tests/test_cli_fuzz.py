@@ -1,5 +1,6 @@
 """Seeded fuzzing of `cli.main`: whatever the config, input files or flags,
-it returns a documented exit code and raises nothing else.
+it returns a documented exit code and raises nothing else; whatever a model
+replies, a run completes and replays.
 
 Generated strings hold no "/" or ".", so no generated path leaves the
 temporary directory each example runs in. Flags hold no NUL or unpaired
@@ -14,14 +15,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradeloop.bars import ACTIONS_CSV_COLUMNS, CSV_COLUMNS, serialize_bars
 from tradeloop.cli import main
-from tradeloop.harness import ExperimentConfig, ProviderConfig
+from tradeloop.harness import PROVIDER_ROLES, ExperimentConfig, ProviderConfig
+from tradeloop.templates import load_template
 
 from conftest import synthetic_daily
+from test_cli import NESTED
+from test_harness import optimizer_payload
 
 EXIT_CODES = {0, 2, 3, 4}
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -152,6 +156,50 @@ def test_run_input_field(workspace, record, value):
     else:
         content = json.dumps([{**FILING, name: value}])
     assert _run_with_input(workspace, key, content.encode()) in EXIT_CODES
+
+
+def order_reply(price: str, quantity: str) -> str:
+    return f'[{{"action": "BUY", "orderType": "LIMIT", "price": {price}, "quantity": {quantity}, "explanation": ""}}]'
+
+
+CTA_INITIAL = load_template("cta_initial").body
+HOSTILE_REPLIES = [
+    NESTED,
+    "```json\n" + NESTED + "\n```",
+    optimizer_payload(CTA_INITIAL + "\nEdge \ud800 case."),
+    optimizer_payload(CTA_INITIAL + "\n{ braces } stay literal"),
+    optimizer_payload(CTA_INITIAL + "\n{{ x }}"),
+    "{ braces } {{ x }} {% if y %}",
+    "\0",
+    "\ud800",
+    order_reply("NaN", "1"),
+    order_reply("1e999", "1"),
+    order_reply("100", "1" + "0" * 400),
+]
+
+
+@FUZZ
+@example(role="cta", reply=NESTED)
+@example(role="optimizer", reply="```json\n" + NESTED + "\n```")
+@example(role="optimizer", reply=HOSTILE_REPLIES[2])
+@given(
+    role=st.sampled_from(PROVIDER_ROLES),
+    reply=st.sampled_from(HOSTILE_REPLIES) | st.text() | st.text().map(optimizer_payload),
+)
+def test_model_reply(workspace, role, reply):
+    """One role answers every call with `reply` in a run where every role
+    speaks: the run completes and replays."""
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config.update(prompting_mode="adaptive_opro_with_reflection", opro_k=2, reflection_interval=2)
+    config["paths"].update(news="news.jsonl", fundamentals="fundamentals.json", out_dir="out")
+    config["providers"][role] = {"kind": "scripted", "strict": False, "default_response": reply}
+    with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
+        Path("news.jsonl").write_text(json.dumps(NEWS_ITEM) + "\n", encoding="utf-8")
+        Path("fundamentals.json").write_text(json.dumps([FILING]), encoding="utf-8")
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", "config.json"]) == 0
+        assert Path("out/exp/run-1/metrics.json").exists()
+        assert main(["replay", "--run", "out/exp/run-1"]) == 0
 
 
 WORDS = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -333,6 +334,31 @@ class TestHttpProvider:
 
     def test_server_error_maps_to_provider_error(self):
         provider = HttpProvider("https://api.example.com", "m", session=self.FakeSession(status=500))
+        with pytest.raises(GatewayError) as err:
+            provider.complete(req("x"))
+        assert err.value.code == "PROVIDER_ERROR"
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"<html>bad gateway</html>",
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"choices": [{"message": {"content": null}}]}',
+            b'{"choices": [{"message": {"content": "hi"}}], "usage": [1]}',
+        ],
+        ids=["not-json", "nested", "null-content", "usage-not-object"],
+    )
+    def test_malformed_200_body_is_provider_error(self, content):
+        """A 200 response whose body is not the expected JSON is the
+        provider's fault, whatever the decoder raises."""
+
+        class RawSession:
+            def post(self, url, **kwargs):
+                resp = requests.Response()
+                resp.status_code, resp._content = 200, content
+                return resp
+
+        provider = HttpProvider("https://api.example.com", "m", session=RawSession())
         with pytest.raises(GatewayError) as err:
             provider.complete(req("x"))
         assert err.value.code == "PROVIDER_ERROR"

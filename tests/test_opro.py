@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -37,6 +38,22 @@ def optimizer_reply(template_text: str) -> str:
         "expected_impact": "impact",
     }
     return "```json\n" + json.dumps(payload) + "\n```"
+
+
+def accepts(current, candidate_text: str) -> bool:
+    """Whether `validate_candidate` lets the candidate go live."""
+    try:
+        validate_candidate(current, candidate_text)
+    except OptimizerParseError:
+        return False
+    return True
+
+
+def rejection(current, candidate_text: str) -> OptimizerParseError:
+    """The error `validate_candidate` rejects the candidate with."""
+    with pytest.raises(OptimizerParseError) as err:
+        validate_candidate(current, candidate_text)
+    return err.value
 
 
 class TestWindowScore:
@@ -117,7 +134,7 @@ class TestCloseWindow:
     def test_score_rounded_to_one_decimal_on_record(self):
         opro = self._opro()
         opro.close_window(5, 100_000.0, 101_234.0)  # roi 0.01234 -> 53.085
-        assert opro.records[0].score == pytest.approx(53.1)
+        assert opro.history[0].score == pytest.approx(53.1)
 
 
 class TestHistoryText:
@@ -156,10 +173,18 @@ class TestHistoryText:
         records = [
             PromptRecord(iteration=1, template_text="T1", score=50.0),
             PromptRecord(iteration=2, template_text="T2", score=None),
-            PromptRecord(iteration=3, template_text="T3", score=60.0, accepted=False),
         ]
-        text = build_history_text(records)
-        assert "T2" not in text and "T3" not in text
+        assert "T2" not in build_history_text(records)
+        # A rejected candidate never enters the history the meta-prompt lists.
+        current = load_template("cta_initial")
+        rejected = current.body + "\nWatch {{ sneaky_new_var }}."
+        gateway = make_gateway([ScriptEntry(response=optimizer_reply(rejected), times=None)])
+        opro = AdaptiveOpro(current, gateway, "{{ history_text }}")
+        opro.close_window(5, 100_000.0, 101_000.0)
+        assert opro.propose_update() is False
+        opro.close_window(10, 100_000.0, 101_000.0)
+        assert [r.iteration for r in opro.history] == [1]
+        assert "sneaky_new_var" not in build_meta_prompt(opro.history, "{{ history_text }}")
 
     def test_meta_prompt_substitutes_only_history(self):
         records = [PromptRecord(iteration=1, template_text="BODY", score=50.0)]
@@ -214,34 +239,29 @@ class TestParseOptimizerResponse:
 class TestValidateCandidate:
     def test_identity_accepts(self):
         current = load_template("cta_initial")
-        assert validate_candidate(current, current.body).accepted
+        assert validate_candidate(current, current.body).placeholders() == current.placeholders()
 
     def test_text_only_edit_accepts(self):
         current = load_template("cta_initial")
         candidate = current.body.replace("STRATEGIC TRADER", "PATIENT OPERATOR")
-        assert validate_candidate(current, candidate).accepted
+        assert validate_candidate(current, candidate).body == candidate
 
     def test_dropping_placeholder_rejects(self):
         current = load_template("cta_initial")
         candidate = current.body.replace("${{ portfolio_cash }}", "$CASH")
-        verdict = validate_candidate(current, candidate)
-        assert not verdict.accepted
-        assert verdict.reason == "MISSING_PLACEHOLDER"
-        assert "portfolio_cash" in verdict.detail
+        error = rejection(current, candidate)
+        assert (error.code, str(error)) == ("MISSING_PLACEHOLDER", "MISSING_PLACEHOLDER: portfolio_cash")
 
     def test_adding_placeholder_rejects(self):
         current = load_template("cta_initial")
         candidate = current.body + "\nNew context: {{ new_var }}"
-        verdict = validate_candidate(current, candidate)
-        assert not verdict.accepted
-        assert verdict.reason == "EXTRA_PLACEHOLDER"
-        assert "new_var" in verdict.detail
+        error = rejection(current, candidate)
+        assert (error.code, str(error)) == ("EXTRA_PLACEHOLDER", "EXTRA_PLACEHOLDER: new_var")
 
     def test_unparseable_candidate_rejects(self):
         current = load_template("cta_initial")
-        verdict = validate_candidate(current, current.body + "\n{% if broken %}")
-        assert not verdict.accepted
-        assert verdict.reason == "PARSE_ERROR"
+        error = rejection(current, current.body + "\n{% if broken %}")
+        assert str(error) == "PARSE_ERROR: UNBALANCED_CONDITIONAL: unclosed {% if %}"
 
     @staticmethod
     def _substitute_name(body: str, name: str, replacement: str) -> str:
@@ -271,8 +291,7 @@ class TestValidateCandidate:
             else:  # rename a placeholder: one name leaves, one arrives
                 mutated = self._substitute_name(body, name, f"renamed_{i}")
             assert mutated != body
-            verdict = validate_candidate(current, mutated)
-            if not verdict.accepted:
+            if not accepts(current, mutated):
                 rejected += 1
         assert rejected == 1000
 
@@ -285,7 +304,7 @@ class TestValidateCandidate:
                 mutated = f"PREFIX NOTE {i}: stay {words[i % 5]}.\n" + body
             else:
                 mutated = body + f"\nFooter guidance {i}: prioritize {words[i % 5]}."
-            if validate_candidate(current, mutated).accepted:
+            if accepts(current, mutated):
                 accepted += 1
         assert accepted == 1000
 
@@ -307,8 +326,7 @@ class TestProposeUpdate:
         opro.close_window(5, 100_000.0, 101_000.0)
         assert opro.propose_update() is True
         assert opro.live_template.body == improved
-        assert opro.records[-1].iteration == 2
-        assert opro.records[-1].accepted
+        assert [(r.iteration, r.template_text) for r in opro.history] == [(1, current.body), (2, improved)]
 
     def test_rejected_candidate_keeps_current_after_retries(self):
         current = load_template("cta_initial")
@@ -318,8 +336,11 @@ class TestProposeUpdate:
         opro.close_window(5, 100_000.0, 101_000.0)
         assert opro.propose_update() is False
         assert opro.live_template.body == current.body
-        assert opro.records[-1].accepted is False
-        assert "EXTRA_PLACEHOLDER" in opro.records[-1].reject_reason
+        assert [r.iteration for r in opro.history] == [1]
+        last = json.loads(opro.log.text().splitlines()[-1])
+        assert (last["iteration"], last["accepted"]) == (2, False)
+        assert last["reject_reason"] == "EXTRA_PLACEHOLDER: sneaky_new_var"
+        assert last["template_text"] == bad
         # 1 initial ask + 2 re-asks
         assert gateway.provider.calls == 3
 
@@ -336,6 +357,39 @@ class TestProposeUpdate:
         opro.close_window(5, 100_000.0, 101_000.0)
         assert opro.propose_update() is True
         assert opro.live_template.body == improved
+
+    def test_deeply_nested_reply_is_reasked(self):
+        current = load_template("cta_initial")
+        improved = current.body + "\nStay disciplined."
+        nested = "```json\n" + "[" * 100_000 + "]" * 100_000 + "\n```"
+        gateway = make_gateway([ScriptEntry(response=nested, step=1), ScriptEntry(response=optimizer_reply(improved), step=2)])
+        opro = self._opro(gateway)
+        opro.close_window(5, 100_000.0, 101_000.0)
+        assert opro.propose_update() is True
+        assert opro.live_template.body == improved
+        with pytest.raises(OptimizerParseError, match="NOT_OBJECT: fenced payload is nested too deeply"):
+            parse_optimizer_response(nested)
+
+    def test_candidate_with_unpaired_surrogate_is_logged(self):
+        """A candidate may carry the JSON escape of an unpaired surrogate; its
+        ledger line is written, accepted or not."""
+        current = load_template("cta_initial")
+        odd = current.body + "\nEdge \ud800 case."
+        gateway = make_gateway(
+            [
+                ScriptEntry(response=optimizer_reply(odd), step=1),
+                ScriptEntry(response=optimizer_reply(odd + " {{ extra }}"), times=None),
+            ]
+        )
+        opro = self._opro(gateway)
+        opro.close_window(5, 100_000.0, 101_000.0)
+        assert opro.propose_update() is True
+        opro.close_window(10, 100_000.0, 101_000.0)
+        assert opro.propose_update() is False
+        lines = [json.loads(line) for line in opro.log.text().splitlines()]
+        assert [(line["accepted"], line["template_text"]) for line in lines[1:]] == [(True, odd), (False, odd + " {{ extra }}")]
+        assert lines[1]["template_sha"] == hashlib.sha256(odd.encode("utf-8", "surrogatepass")).hexdigest()
+        assert lines[0]["template_sha"] == hashlib.sha256(current.body.encode("utf-8")).hexdigest()
 
     def test_ledger_lines_append_only_with_shas(self):
         current = load_template("cta_initial")
@@ -366,9 +420,9 @@ class TestProposeUpdate:
         assert opro.propose_update() is True
         opro.close_window(10, 100_000.0, 102_000.0)
         assert opro.propose_update() is False
-        assert opro.live_template.body == good
-        accepted = [r for r in opro.records if r.accepted]
-        assert opro.live_template.body == accepted[-1].template_text
+        assert opro.live_template.body == good == opro.history[-1].template_text
+        assert [r.iteration for r in opro.history] == [1, 2]
+        assert opro.iteration == 3
 
 
 class TestReflect:
@@ -396,4 +450,4 @@ class TestReflect:
         before = opro.live_template.body
         reflect(gateway, load_template("reflection"), self._context())
         assert opro.live_template.body == before
-        assert len(opro.records) == 1
+        assert len(opro.history) == 1 and opro.iteration == 1

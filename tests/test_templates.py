@@ -7,26 +7,57 @@ import pytest
 from tradeloop.templates import (
     PromptTemplate,
     TemplateError,
-    extract_placeholders,
+    _Conditional,
+    _Placeholder,
     load_template,
 )
 
 T = PromptTemplate.parse
+SHIPPED_TEMPLATES = [
+    "cta_initial",
+    "cta_followup",
+    "market_initial",
+    "market_followup",
+    "news_initial",
+    "news_followup",
+    "fundamental_initial",
+    "fundamental_followup",
+    "reflection",
+]
+
+
+def tree_names(nodes: tuple) -> set[str]:
+    """Every placeholder and condition name in a node tree."""
+    names: set[str] = set()
+    for node in nodes:
+        if isinstance(node, _Placeholder):
+            names.add(node.name)
+        elif isinstance(node, _Conditional):
+            names |= {node.name} | tree_names(node.then) | tree_names(node.otherwise)
+    return names
 
 
 class TestExtractPlaceholders:
     def test_direct_scan(self):
-        assert extract_placeholders("Hello {{ a }} {% if b %}x{% endif %}") == {"a", "b"}
+        assert T("t", "Hello {{ a }} {% if b %}x{% endif %}").placeholders() == {"a", "b"}
 
     def test_no_placeholders(self):
-        assert extract_placeholders("plain text, no constructs") == frozenset()
+        assert T("t", "plain text, no constructs").placeholders() == frozenset()
 
     def test_condition_names_included(self):
         tpl = "{% if flag %}{{ x }}{% else %}{{ y }}{% endif %}"
-        assert extract_placeholders(tpl) == {"flag", "x", "y"}
+        assert T("t", tpl).placeholders() == {"flag", "x", "y"}
 
     def test_default_filter_names_the_placeholder(self):
-        assert extract_placeholders('{{ executed_orders | default("None") }}') == {"executed_orders"}
+        assert T("t", '{{ executed_orders | default("None") }}').placeholders() == {"executed_orders"}
+
+    def test_parsed_set_equals_node_tree_names(self):
+        """The set fixed at parse names what the node tree names."""
+        for name in SHIPPED_TEMPLATES:
+            tpl = load_template(name)
+            assert tpl.placeholders() == tree_names(tpl.nodes), name
+        nested = T("t", "{% if a %}{% if b %}{{ c }}{% else %}{{ d }}{% endif %}{% endif %}{{ e }}")
+        assert nested.placeholders() == tree_names(nested.nodes) == {"a", "b", "c", "d", "e"}
 
     def test_stable_across_reparsing(self):
         tpl = load_template("cta_initial")
@@ -211,20 +242,7 @@ class TestGoldenRender:
 
 
 class TestShippedAssets:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "cta_initial",
-            "cta_followup",
-            "market_initial",
-            "market_followup",
-            "news_initial",
-            "news_followup",
-            "fundamental_initial",
-            "fundamental_followup",
-            "reflection",
-        ],
-    )
+    @pytest.mark.parametrize("name", SHIPPED_TEMPLATES)
     def test_all_assets_parse(self, name):
         tpl = load_template(name)
         assert tpl.placeholders()
