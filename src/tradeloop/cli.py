@@ -7,17 +7,14 @@ Exit codes: 0 on success, else the `exit_code` of the error, as listed in
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
-from datetime import date
-from decimal import Decimal
 from pathlib import Path
 
 from .bars import adjust_for_actions, parse_actions_csv, read_bars
 from .errors import EXIT_DATA, EXIT_OK, ConfigError, DataError, TradeloopError
-from .harness import ExperimentConfig, RunArtifact, aggregate_and_report, positive_cash, replay_run, run_experiment
-from .metrics import MetricReport, aggregate_runs, render_table
+from .harness import ExperimentConfig, aggregate_and_report, positive_cash, read_run, replay_run, run_experiment
+from .metrics import aggregate_runs, render_table
 from .strategies import StrategyConfig, StrategyKind, run_strategy
 
 
@@ -69,24 +66,8 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    artifacts = []
-    for run_dir in sorted(Path(args.runs).iterdir()):
-        metrics_path = run_dir / "metrics.json"
-        if not metrics_path.exists():
-            continue
-        try:
-            payload = json.loads(metrics_path.read_text(encoding="utf-8"))
-            equity = zip(payload["equity"]["dates"], payload["equity"]["values"], strict=True)
-            artifacts.append(
-                RunArtifact(
-                    run_id=run_dir.name,
-                    run_dir=run_dir,
-                    metrics=MetricReport.from_dict(payload["metrics"]),
-                    equity=[(date.fromisoformat(d), Decimal(v)) for d, v in equity],
-                )
-            )
-        except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
-            raise DataError(f"bad {metrics_path}: {exc!r}") from None
+    run_dirs = [run_dir for run_dir in sorted(Path(args.runs).iterdir()) if (run_dir / "metrics.json").exists()]
+    artifacts = [read_run(run_dir) for run_dir in run_dirs]
     if not artifacts:
         raise DataError(f"no run artifacts under {args.runs}")
     bundle = aggregate_and_report(artifacts, label=args.label)

@@ -116,7 +116,6 @@ class Rejection:
 
 @dataclass(frozen=True)
 class SessionResult:
-    date: date
     fills: tuple[Fill, ...]
     cancelled: tuple[str, ...]
     portfolio: PortfolioState
@@ -190,10 +189,6 @@ class ExecutionEngine:
         return PortfolioState(
             cash=self._cash, shares_long=self._long, shares_short=self._short, as_of=self._as_of
         )
-
-    @property
-    def pending(self) -> list[Order]:
-        return [o for o, _ in self._queue]
 
     # -- order intake -----------------------------------------------------
 
@@ -331,7 +326,6 @@ class ExecutionEngine:
             portfolio_value=value,
         )
         return SessionResult(
-            date=bar.session_date,
             fills=tuple(fills),
             cancelled=tuple(cancelled),
             portfolio=state,

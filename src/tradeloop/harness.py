@@ -27,10 +27,11 @@ from typing import Annotated, Callable, Sequence, get_args, get_origin, get_type
 
 from . import agents, indicators, metrics, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
-from .engine import AuditLog, ExecutionEngine, Fill, Order, PortfolioState, Rejection, SessionResult, trades_from_audit
+from .engine import AuditLog, ExecutionEngine, Fill, Order, PortfolioState, Rejection, SessionResult
+from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError, ReplayMismatch
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
-from .metrics import MetricReport, aggregate_runs, compute_report, render_csv, render_table
+from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import load_asset_text, load_template
 
 PROMPTING_MODES = ("baseline", "reflection", "adaptive_opro", "adaptive_opro_with_reflection")
@@ -571,9 +572,9 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                     cta.initial = optimizer.live_template
                     cta.reset()
 
-        engine.force_cover(steps[-1].bar)
-        trades = trades_from_audit(audit)
+        cover = engine.force_cover(steps[-1].bar)
 
+    trades = [fill for s in steps for fill in s.result.fills] + list(cover.fills)
     equity = [(s.bar.session_date, s.result.portfolio_value) for s in steps]
     report = compute_report(
         [float(v) for _, v in equity],
@@ -593,6 +594,35 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     lock = {"config": config_json, "hash": _lock_hash(config_json)}
     (run_dir / "config.lock").write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return RunArtifact(run_id=run_id, run_dir=run_dir, metrics=report, equity=equity)
+
+
+def read_run(run_dir: Path) -> RunArtifact:
+    """The run recorded in `run_dir`, read from the `metrics.json` that
+    `run_single` writes. Each metric is null or a number finite as a float,
+    `num_trades` an integer, and an absent metric is null; the equity curve
+    pairs ISO dates one to one with finite decimal strings. Anything else is
+    a DataError that names the file."""
+    path = run_dir / "metrics.json"
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected an object, got {type(payload).__name__}")
+        metrics, equity = payload["metrics"], payload["equity"]
+        if not isinstance(metrics, dict):
+            raise ValueError(f"metrics must be an object, got {metrics!r}")
+        for name in METRIC_FIELDS:
+            _figure(f"metrics.{name}", metrics.get(name))
+        if not (metrics.get("num_trades") is None or _is_int(metrics["num_trades"])):
+            raise ValueError(f"metrics.num_trades must be an integer or null, got {metrics['num_trades']!r}")
+        dates, values = equity["dates"], equity["values"]
+        if not (isinstance(dates, list) and isinstance(values, list) and all(isinstance(v, str) for v in values)):
+            raise ValueError("equity must hold a list of dates and a list of decimal strings")
+        curve = [(date.fromisoformat(d), Decimal(v)) for d, v in zip(dates, values, strict=True)]
+        if not all(value.is_finite() for _, value in curve):
+            raise ValueError("equity values must be finite")
+    except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
+        raise DataError(f"bad {path}: {exc!r}") from None
+    return RunArtifact(run_id=run_dir.name, run_dir=run_dir, metrics=MetricReport.from_dict(metrics), equity=curve)
 
 
 def run_experiment(config: ExperimentConfig):

@@ -16,7 +16,8 @@ from decimal import Decimal
 from enum import Enum
 
 from .bars import BarSeries
-from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection, trades_from_audit
+from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection
+from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import DataError
 from .indicators import bollinger_series, macd_series, sma_series
 from .metrics import MetricReport, compute_report
@@ -145,7 +146,6 @@ def run_strategy(
     detected at a close executes at the next session's open.
     """
     sig_by_date = {s.date: s.stance for s in generate_signals(config, series)}
-    audit = audit if audit is not None else AuditLog()
     engine = ExecutionEngine(initial_cash=Decimal(initial_cash), audit=audit)
 
     order_seq = 0
@@ -175,9 +175,11 @@ def run_strategy(
 
     curve_values: list[Decimal] = []
     exposures: list[Decimal] = []
+    trades: list[Fill] = []
 
     for i, bar in enumerate(series.bars):
         result = engine.step_session(bar)
+        trades.extend(result.fills)
         curve_values.append(result.portfolio_value)
         state = result.portfolio
         exposures.append((state.shares_long + state.shares_short) * bar.close)
@@ -188,7 +190,6 @@ def run_strategy(
         nxt = series.bars[i + 1] if i + 1 < len(series.bars) else None
         if nxt is None:
             continue
-        state = engine.portfolio()
         if stance == Stance.ENTER_LONG and state.shares_long == 0:
             qty = int(state.cash / nxt.open)
             if qty >= 1:
@@ -196,11 +197,10 @@ def run_strategy(
         elif stance == Stance.EXIT_LONG and state.shares_long > 0:
             submit(Action.SELL, state.shares_long, bar.session_date, bar.close)
 
-    trades = trades_from_audit(audit)
     report = compute_report(
         [float(v) for v in curve_values],
         trades,
         exposures=[float(e) for e in exposures],
         initial=float(initial_cash),
     )
-    return StrategyRunResult(report=report, curve_values=curve_values, trades=trades, audit=audit)
+    return StrategyRunResult(report=report, curve_values=curve_values, trades=trades, audit=engine.audit)

@@ -313,10 +313,23 @@ def _edit_first_record(edit):
     return apply
 
 
-def _equity_date_x(text):
-    payload = json.loads(text)
-    payload["equity"]["dates"][0] = "x"
-    return json.dumps(payload)
+def _set(path, value):
+    """An edit of a JSON text that sets the item at the keys `path` to `value`."""
+
+    def apply(text):
+        payload = json.loads(text)
+        *parents, last = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return json.dumps(payload)
+
+    return apply
+
+
+def _bad_metrics(path, value):
+    return EXIT_DATA, _tampered("report", "metrics.json", _set(path, value))
 
 
 NO_TRACEBACK_PROBES = {
@@ -324,7 +337,14 @@ NO_TRACEBACK_PROBES = {
     "validate-data --bars <dir>": (EXIT_DATA, lambda tmp_path, run: ["validate-data", "--bars", str(tmp_path)]),
     "backtest sma over 5 bars": (EXIT_DATA, lambda tmp_path, run: ["backtest", "--strategy", "sma", "--bars", _bars_file(tmp_path, 5)]),
     "report metrics.json not JSON": (EXIT_DATA, _tampered("report", "metrics.json", lambda text: "{not json")),
-    "report equity date x": (EXIT_DATA, _tampered("report", "metrics.json", _equity_date_x)),
+    "report equity date x": _bad_metrics(("equity", "dates", 0), "x"),
+    "report equity value NaN": _bad_metrics(("equity", "values", 0), "NaN"),
+    "report metrics null": _bad_metrics(("metrics",), None),
+    "report metrics []": _bad_metrics(("metrics",), []),
+    "report roi_pct x": _bad_metrics(("metrics", "roi_pct"), "x"),
+    "report roi_pct [1]": _bad_metrics(("metrics", "roi_pct"), [1]),
+    "report roi_pct true": _bad_metrics(("metrics", "roi_pct"), True),
+    "report num_trades 1.5": _bad_metrics(("metrics", "num_trades"), 1.5),
     "backtest --cash abc": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--cash", "abc")),
     "backtest --cash -5": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--cash", "-5")),
     "backtest --cash 0": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--cash", "0")),

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from tradeloop.bars import ACTIONS_CSV_COLUMNS, CSV_COLUMNS, serialize_bars
 from tradeloop.cli import main
 from tradeloop.harness import PROVIDER_ROLES, ExperimentConfig, ProviderConfig
+from tradeloop.metrics import METRIC_FIELDS
 from tradeloop.templates import load_template
 
 from conftest import synthetic_daily
@@ -200,6 +201,23 @@ def test_model_reply(workspace, role, reply):
         assert main(["run", "--config", "config.json"]) == 0
         assert Path("out/exp/run-1/metrics.json").exists()
         assert main(["replay", "--run", "out/exp/run-1"]) == 0
+
+
+@FUZZ
+@example(key=("metrics", "num_trades"), value=10**400)
+@given(
+    key=st.sampled_from([("metrics", name) for name in METRIC_FIELDS] + [("equity", "dates"), ("equity", "values")]),
+    value=json_values,
+)
+def test_report_metrics_field(workspace, key, value):
+    """A random JSON value in one field of a recorded run's metrics.json."""
+    payload = json.loads((workspace / "runs" / "exp" / "run-1" / "metrics.json").read_text(encoding="utf-8"))
+    section, name = key
+    payload[section][name] = value
+    with tempfile.TemporaryDirectory() as runs:
+        (Path(runs) / "run-1").mkdir()
+        (Path(runs) / "run-1" / "metrics.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert _exit_code(["report", "--runs", runs]) in {0, 3}
 
 
 WORDS = [

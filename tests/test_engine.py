@@ -225,7 +225,9 @@ class TestSessionAccounting:
         )
         result = engine.step_session(bar_on(NEXT_DAY, 100, 101, 99, 100))
         assert result.cancelled == ("o1",)
-        assert engine.pending == []
+        # The cancelled order is gone: a bar that would fill it matches nothing.
+        after = engine.step_session(bar_on(NEXT_DAY + timedelta(days=1), 1, 1, 1, 1))
+        assert (after.fills, after.cancelled) == ((), ())
 
     def test_gap_reject_on_execution_cash_breach(self):
         engine = ExecutionEngine(initial_cash=D(1000))

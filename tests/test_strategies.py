@@ -9,6 +9,7 @@ from decimal import Decimal
 import pytest
 
 from tradeloop.bars import BarSeries, Resolution
+from tradeloop.engine import trades_from_audit
 from tradeloop.strategies import (
     Signal,
     Stance,
@@ -340,3 +341,11 @@ def test_baseline_matches_pinned_digests(kind):
     audit = hashlib.sha256(result.audit.text().encode("utf-8")).hexdigest()
     report = hashlib.sha256(result.report.to_json().encode("utf-8")).hexdigest()
     assert (audit, report) == PINNED_BASELINES[kind]
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_fills_are_the_fills_the_audit_records(kind):
+    """The fills the metrics count are the fills the audit records."""
+    result = run_strategy(StrategyConfig(kind=kind), synthetic_daily(300, seed=17))
+    assert result.trades == trades_from_audit(result.audit)
+    assert result.trades
