@@ -21,7 +21,6 @@ from datetime import date
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 AUDIT_SCHEMA_VERSION = 1
 
@@ -142,23 +141,9 @@ class AuditLog:
         self.path = None if sink is None else Path(sink)
         self._fh = io.StringIO() if self.path is None else open(self.path, "w", encoding="utf-8")
         self._encode = json.JSONEncoder(separators=(",", ":"), sort_keys=sort_keys, default=str).encode
-        self._sort_keys = sort_keys
 
     def append(self, event: dict) -> None:
         self._fh.write(self._encode(event) + "\n")
-        self._fh.flush()
-
-    def append_encoded(self, event: dict, encoded: dict[str, Iterable[str]]) -> None:
-        """Append `event` plus the values of `encoded`, which are JSON already,
-        each given as pieces that are written in turn and never joined. The
-        line is the one `append` writes for the same values."""
-        values = {key: (self._encode(value),) for key, value in event.items()} | encoded
-        write = self._fh.write
-        write("{")
-        for i, key in enumerate(sorted(values) if self._sort_keys else values):
-            write(("," if i else "") + self._encode(key) + ":")
-            self._fh.writelines(values[key])
-        write("}\n")
         self._fh.flush()
 
     def close(self) -> None:

@@ -7,9 +7,11 @@ failures with exponential backoff, and appends every completed exchange to a
 JSONL audit log before returning.
 
 Audit timestamps are a deterministic call counter, not wall-clock time:
-byte-identical reruns are part of the contract. A conversation is a
-`Transcript`, which encodes each message once, so a call's request hash and
-audit line cost what the call added rather than the whole conversation.
+byte-identical reruns are part of the contract. A call's audit record holds
+only what the call added to its conversation (one conversation per role tag
+at a time), and a `Transcript` hashes each message once, so a call's
+request hash and audit line cost what the call added rather than the whole
+conversation.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Protocol
 
 from .engine import AuditLog
 from .errors import ProviderError
 
+AUDIT_VERSION = 2  # the `v` of every gateway.jsonl record
 DEFAULT_BACKOFF_S = (1.0, 4.0, 16.0)
 RETRYABLE = ("TIMEOUT", "RATE_LIMITED")
 
@@ -44,29 +47,21 @@ class ChatMessage:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One call's conversation. `digest` is its `request_hash` and `fragments`
-    its messages' canonical JSON, as `Transcript` encodes them; a request
-    built without them gets them from a `Transcript` of its messages."""
+    """One call's conversation. `digest` is its `request_hash`, as a
+    `Transcript` computes it; a request built without one gets it from a
+    `Transcript` of its messages."""
 
     system_text: str
     messages: tuple[ChatMessage, ...]
     tags: tuple[tuple[str, str], ...] = ()
     digest: str = field(default="", compare=False, repr=False)
-    fragments: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.digest:
-            transcript = Transcript(self.system_text, self.messages)
-            object.__setattr__(self, "digest", transcript.digest())
-            object.__setattr__(self, "fragments", tuple(transcript.fragments))
+            object.__setattr__(self, "digest", Transcript(self.system_text, self.messages).digest())
 
     def tag(self, key: str) -> str | None:
         return dict(self.tags).get(key)
-
-    def payload_pieces(self) -> Iterator[str]:
-        """`request_payload(self)` as canonical JSON, in pieces: the encoded
-        messages are written as they are, never joined into one string."""
-        return chain((_HEAD,), self.fragments, (_tail(self.system_text),))
 
 
 @dataclass(frozen=True)
@@ -104,29 +99,25 @@ def _tail(system_text: str) -> str:
 
 
 class Transcript:
-    """A conversation's system text and messages, each message encoded once.
+    """A conversation's system text and messages, each message hashed once.
 
     Appending a message encodes it as canonical JSON (preceded by a comma
     after the first) and feeds it to a running SHA-256 of the payload so far,
-    so `request` gives each call's `request_hash` and audit pieces at the cost
-    of what the call adds, not of the whole conversation.
+    so `request` gives each call's `request_hash` at the cost of what the call
+    adds, as the gateway's audit record of the call does.
     """
 
     def __init__(self, system_text: str = "", messages: Iterable[ChatMessage] = ()):
         self.system_text = system_text
         self.messages: list[ChatMessage] = []
-        self.fragments: list[str] = []
         self._sha = hashlib.sha256(_HEAD.encode())
         for message in messages:
             self.append(message)
 
     def append(self, message: ChatMessage) -> None:
         fragment = _encode({"role": message.role, "text": message.text})
-        if self.fragments:
-            fragment = "," + fragment
-        self._sha.update(fragment.encode("utf-8"))
+        self._sha.update(("," + fragment if self.messages else fragment).encode("utf-8"))
         self.messages.append(message)
-        self.fragments.append(fragment)
 
     def digest(self) -> str:
         sha = self._sha.copy()
@@ -134,7 +125,7 @@ class Transcript:
         return sha.hexdigest()
 
     def request(self, tags: tuple[tuple[str, str], ...]) -> ChatRequest:
-        return ChatRequest(self.system_text, tuple(self.messages), tags, self.digest(), tuple(self.fragments))
+        return ChatRequest(self.system_text, tuple(self.messages), tags, self.digest())
 
 
 class Provider(Protocol):
@@ -199,7 +190,8 @@ class ReplayProvider:
     """Re-serves a recorded gateway audit log in call order.
 
     Each replayed call must hash-match the recorded request; any divergence
-    (edited prompts, reordered calls, tampered log) fails loudly.
+    (edited prompts, reordered calls, tampered log, a record of another audit
+    version) fails loudly.
     """
 
     def __init__(self, audit_path: Path | str):
@@ -210,11 +202,17 @@ class ReplayProvider:
                 for line in fh:
                     if line.strip():
                         record = json.loads(line)
+                        if (version := record.get("v", 1)) != AUDIT_VERSION:
+                            raise GatewayError(
+                                "PROVIDER_ERROR",
+                                f"record {len(self.records) + 1} in {audit_path} is gateway audit version "
+                                f"{version!r}; this build replays version {AUDIT_VERSION}",
+                            )
                         pair = (record["request_hash"], record["response"]["text"])
                         if not all(isinstance(s, str) for s in pair):
                             raise TypeError(f"request_hash and response text must be strings, got {pair!r}")
                         self.records.append(pair)
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise GatewayError("PROVIDER_ERROR", f"bad record {len(self.records) + 1} in {audit_path}: {exc!r}") from None
         self.cursor = 0
 
@@ -309,7 +307,13 @@ class RouterProvider:
 
 
 class Gateway:
-    """Retry/timeout/audit wrapper shared by every agent in a run."""
+    """Retry/timeout/audit wrapper shared by every agent in a run.
+
+    Each audit record states what its call added to its role's conversation:
+    `prior` counts the messages that earlier records hold (the last request
+    of that role tag plus its reply), `messages` holds the rest, and a record
+    with `prior` 0 starts a conversation and holds its `system` text.
+    """
 
     def __init__(
         self,
@@ -323,6 +327,8 @@ class Gateway:
         self.sleep = sleep
         self.audit = AuditLog(audit_sink, sort_keys=True)
         self._counter = 0
+        # Per role tag: the system text and messages its audit records hold.
+        self._recorded: dict[str | None, tuple[str, tuple[ChatMessage, ...]]] = {}
 
     def close(self) -> None:
         self.audit.close()
@@ -346,12 +352,19 @@ class Gateway:
 
     def _audit(self, request: ChatRequest, response: ChatResponse) -> None:
         self._counter += 1
-        self.audit.append_encoded(
-            {
-                "ts": f"{self._counter:06d}",
-                "tags": dict(request.tags),
-                "request_hash": request.digest,
-                "response": {"text": response.text},
-            },
-            {"request": request.payload_pieces()},
-        )
+        role = request.tag("role")
+        system, recorded = self._recorded.get(role, ("", ()))
+        prior = len(recorded) if system == request.system_text and request.messages[: len(recorded)] == recorded else 0
+        record = {
+            "v": AUDIT_VERSION,
+            "ts": f"{self._counter:06d}",
+            "tags": dict(request.tags),
+            "request_hash": request.digest,
+            "prior": prior,
+            "messages": [{"role": m.role, "text": m.text} for m in request.messages[prior:]],
+            "response": {"text": response.text},
+        }
+        if not prior:
+            record["system"] = request.system_text
+        self.audit.append(record)
+        self._recorded[role] = (request.system_text, (*request.messages, ChatMessage("assistant", response.text)))

@@ -245,7 +245,8 @@ def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
     """A JSON list of objects, each with an ISO filing_date; period_label is
     a string, the figures are null or numbers finite as floats, read as
     floats, splits and dividends lists of [date, value] pairs, and every
-    field but filing_date is optional."""
+    field but filing_date is optional. The snapshots come in filing_date
+    order, equal dates in file order."""
     raw = json.loads(text)
     if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
         raise ValueError("expected a list of objects")
@@ -268,7 +269,7 @@ def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
                 **figures,
             )
         )
-    return snapshots
+    return sorted(snapshots, key=lambda snap: snap.filing_date)
 
 
 def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty):
@@ -494,7 +495,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         gateway = logs.enter_context(closing(Gateway(router, audit_sink=run_dir / "gateway.jsonl")))
         optimizer = opro.AdaptiveOpro(
             initial_template=tpl("cta_initial"),
-            gateway=gateway if config.uses_opro else None,
+            gateway=gateway,
             optimizer_asset=load_asset_text("optimizer", override_dir=prompt_dir),
             k=config.opro_k,
             roi_mode=config.roi_mode,

@@ -38,14 +38,6 @@ class RoundTrip:
         return self.entry_cost - self.exit_proceeds
 
 
-@dataclass(frozen=True)
-class OpenLot:
-    direction: str
-    opened_at: date
-    quantity: int
-    price: object
-
-
 @dataclass
 class MetricReport:
     roi_pct: float | None = None
@@ -162,19 +154,7 @@ def max_drawdown(values: Sequence[float]) -> float:
 
 def match_round_trips(trades: Iterable[Fill]) -> list[RoundTrip]:
     """FIFO lot matching per direction; each closing fill yields one trip.
-
-    Residual open lots are excluded (query them with `residual_lots`).
-    """
-    trips, _ = _match(trades)
-    return trips
-
-
-def residual_lots(trades: Iterable[Fill]) -> list[OpenLot]:
-    _, lots = _match(trades)
-    return lots
-
-
-def _match(trades: Iterable[Fill]) -> tuple[list[RoundTrip], list[OpenLot]]:
+    Residual open lots are excluded."""
     long_lots: list[list] = []  # [opened_at, qty, price]
     short_lots: list[list] = []
     trips: list[RoundTrip] = []
@@ -187,10 +167,7 @@ def _match(trades: Iterable[Fill]) -> tuple[list[RoundTrip], list[OpenLot]]:
             trips.extend(_close(long_lots, t, "long"))
         else:  # SHORT_COVER
             trips.extend(_close(short_lots, t, "short"))
-    lots = [OpenLot("long", d, q, p) for d, q, p in long_lots] + [
-        OpenLot("short", d, q, p) for d, q, p in short_lots
-    ]
-    return trips, lots
+    return trips
 
 
 def _close(lots: list[list], t: Fill, direction: str) -> list[RoundTrip]:
@@ -223,17 +200,6 @@ def _close(lots: list[list], t: Fill, direction: str) -> list[RoundTrip]:
             exit_proceeds=t.fill_price * matched,
         )
     ]
-
-
-def unrealized_pnl(lots: Iterable[OpenLot], close):
-    """Mark residual lots to `close`; type follows the lot prices."""
-    total = None
-    for lot in lots:
-        pnl = (close - lot.price) * lot.quantity
-        if lot.direction == "short":
-            pnl = -pnl
-        total = pnl if total is None else total + pnl
-    return 0 if total is None else total
 
 
 def win_rate(trips: Sequence[RoundTrip]) -> float:

@@ -158,7 +158,7 @@ class AdaptiveOpro:
     def __init__(
         self,
         initial_template: PromptTemplate,
-        gateway: Gateway | None,
+        gateway: Gateway,
         optimizer_asset: str,
         k: int = 5,
         roi_mode: str = "cumulative",
@@ -232,8 +232,6 @@ class AdaptiveOpro:
         is re-asked as any turn is; after the last re-ask the current template
         stays and the ledger keeps the last candidate seen. Returns True when
         the live template changed."""
-        if self.gateway is None:
-            raise RuntimeError("optimizer gateway not configured")
         live_score = self.history[-1].score
         self.iteration += 1
         last_candidate = ""

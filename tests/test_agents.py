@@ -29,17 +29,19 @@ from tradeloop.agents import (
 )
 from tradeloop.bars import Bar
 from tradeloop.engine import Action, Fill, OrderType, PortfolioState
-from tradeloop.gateway import Gateway, ScriptEntry, ScriptedProvider
+from tradeloop.gateway import ChatRequest, Gateway, ScriptEntry, ScriptedProvider
 from tradeloop.harness import ExperimentConfig, session_context
 from tradeloop.templates import load_template
+
+from conftest import rebuilt_requests
 
 
 def make_gateway(script):
     return Gateway(ScriptedProvider(script), sleep=lambda _s: None)
 
 
-def first_record(gateway: Gateway) -> dict:
-    return json.loads(gateway.audit.text().splitlines()[0])
+def sent_requests(gateway: Gateway) -> list[ChatRequest]:
+    return [request for _, request in rebuilt_requests(gateway.audit.text())]
 
 
 def make_analyst(gateway: Gateway) -> ConversationalAgent:
@@ -488,7 +490,7 @@ class TestAnalystCadence:
     def test_na_rendering_reaches_prompt(self):
         gateway = make_gateway([ScriptEntry(response="ok", times=None)])
         make_analyst(gateway).ask(self._market_context())
-        sent = first_record(gateway)["request"]["messages"][0]["text"]
+        sent = sent_requests(gateway)[0].messages[0].text
         assert "SMA(20): n/a" in sent
 
 
@@ -507,7 +509,7 @@ class TestAskParsed:
         assert [r["tags"] for r in records] == [
             {"step": "1", "role": "market", "attempt": str(n)} for n in range(1, 4)
         ]
-        assert [m["text"] for m in records[-1]["request"]["messages"]] == [
+        assert [m.text for m in sent_requests(gateway)[-1].messages] == [
             "question", "no 1", "again: cannot parse 'no 1'", "no 2", "again: cannot parse 'no 2'"
         ]
 
@@ -568,23 +570,23 @@ class TestCentralAgent:
         gateway = make_gateway([ScriptEntry(response=nested, step=1), ScriptEntry(response=order_json(), step=2)])
         outcome = make_cta(gateway).decide(make_decision_context())
         assert (len(outcome.specs), outcome.attempts) == (1, 2)
-        reminder = json.loads(gateway.audit.text().splitlines()[-1])["request"]["messages"][-1]["text"]
+        reminder = sent_requests(gateway)[-1].messages[-1].text
         assert reminder.endswith("(parse error: NOT_JSON_ARRAY at $: not parseable JSON: nested too deeply)")
 
     def test_system_role_extracted_once(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
         agent = make_cta(gateway)
         agent.decide(make_decision_context())
-        record = first_record(gateway)
-        assert "elite proprietary trader" in record["request"]["system"]
-        assert "elite proprietary trader" not in record["request"]["messages"][0]["text"]
+        request = sent_requests(gateway)[0]
+        assert "elite proprietary trader" in request.system_text
+        assert "elite proprietary trader" not in request.messages[0].text
 
     def test_number_formatting_in_rendered_prompt(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
         agent = make_cta(gateway)
         ctx = make_decision_context(cash="98989.5", shares_long=12)
         agent.decide(ctx)
-        sent = first_record(gateway)["request"]["messages"][0]["text"]
+        sent = sent_requests(gateway)[0].messages[0].text
         assert "$98989.50" in sent  # cash rendered with 2 decimals
         assert "Long 12 |" in sent
         assert "C 100.50" in sent
@@ -598,9 +600,9 @@ class TestCentralAgent:
         template = load_template("cta_initial")
         rendered = template.render(ctx)
         agent.decide(ctx)
-        record = first_record(gateway)
-        sent_user = record["request"]["messages"][0]["text"]
-        sent_system = record["request"]["system"]
+        request = sent_requests(gateway)[0]
+        sent_user = request.messages[0].text
+        sent_system = request.system_text
         assert hashlib.sha256(sent_user.encode()).hexdigest() == hashlib.sha256(
             rendered.user_text.encode()
         ).hexdigest()

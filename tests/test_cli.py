@@ -372,7 +372,14 @@ NO_TRACEBACK_PROBES = {
         EXIT_PROVIDER,
         _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.pop("request_hash"))),
     ),
+    "replay gateway line []": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: "[]\n" + text)),
+    "replay gateway v1 record": (
+        EXIT_PROVIDER,
+        _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.pop("v"))),
+    ),
 }
+# What a probe's error message must say, beyond its label.
+PROBE_MESSAGES = {"replay gateway v1 record": "is gateway audit version 1; this build replays version 2"}
 
 
 @pytest.mark.parametrize("probe", NO_TRACEBACK_PROBES)
@@ -381,5 +388,7 @@ def test_bad_input_exits_with_its_code(probe, tmp_path, recorded_run, capsys):
     its error on stderr and writes no run."""
     code, argv = NO_TRACEBACK_PROBES[probe]
     assert main(argv(tmp_path, recorded_run)) == code
-    assert capsys.readouterr().err.startswith(("config error: ", "data error: ", "provider error: "))
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: ", "data error: ", "provider error: "))
+    assert PROBE_MESSAGES.get(probe, "") in err
     assert not (tmp_path / "out").exists()

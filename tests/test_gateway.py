@@ -26,6 +26,8 @@ from tradeloop.gateway import (
 )
 from tradeloop.templates import PromptTemplate
 
+from conftest import rebuilt_requests
+
 
 def req(text: str, system: str = "sys", tags=()) -> ChatRequest:
     return ChatRequest(system_text=system, messages=(ChatMessage(role="user", text=text),), tags=tuple(tags))
@@ -98,9 +100,31 @@ class TestGatewayAudit:
         request = req("precious prompt bytes → untouched")
         before = request_hash(request)
         gateway.complete(request)
-        record = json.loads(gateway.audit.text())
+        [(record, sent)] = rebuilt_requests(gateway.audit.text())
         assert record["request_hash"] == before
-        assert record["request"]["messages"][0]["text"] == "precious prompt bytes → untouched"
+        assert sent.messages[0].text == "precious prompt bytes → untouched"
+
+    def test_record_holds_what_the_call_added_to_its_role_conversation(self):
+        """A record continues its role tag's last request and reply only when
+        the request extends them under the same system text; any other
+        request starts a conversation. Every request rebuilds."""
+        gateway = Gateway(ScriptedProvider([ScriptEntry(response=f"r{n}", step=n) for n in range(1, 7)]))
+        u, a = (lambda text: ChatMessage("user", text)), (lambda text: ChatMessage("assistant", text))
+        sent = [
+            ChatRequest("s", (u("q1"),), (("role", "x"),)),
+            ChatRequest("t", (u("p1"),), (("role", "y"),)),
+            ChatRequest("s", (u("q1"), a("r1"), u("q2")), (("role", "x"),)),
+            ChatRequest("s2", (u("q1"), a("r1"), u("q2"), a("r3"), u("q3")), (("role", "x"),)),
+            ChatRequest("t", (u("p1"), a("other"), u("p2")), (("role", "y"),)),
+            ChatRequest("s2", (u("q1"), a("r1"), u("q2"), a("r3"), u("q3"), a("r4"), u("q4")), (("role", "x"),)),
+        ]
+        for request in sent:
+            gateway.complete(request)
+        pairs = rebuilt_requests(gateway.audit.text())
+        assert [rebuilt for _, rebuilt in pairs] == sent
+        assert [(r["prior"], len(r["messages"]), r.get("system")) for r, _ in pairs] == [
+            (0, 1, "s"), (0, 1, "t"), (2, 1, None), (0, 5, "s2"), (0, 3, "t"), (6, 1, None)
+        ]
 
     def test_empty_messages_rejected(self):
         gateway = Gateway(ScriptedProvider([ScriptEntry(response="x")]))
@@ -143,6 +167,13 @@ class Recorder:
         return ChatResponse(text=reply)
 
 
+def logged(value):
+    """`value` as the audit log gives it back. JSON reads a lone high surrogate
+    followed by a lone low one as the one character they pair to, which it
+    writes, and so hashes, alike."""
+    return json.loads(json.dumps(value))
+
+
 def _accept_ok(reply: str) -> str:
     if not reply.startswith("ok "):
         raise ValueError(f"rejected {reply!r}")
@@ -153,10 +184,11 @@ class TestTranscript:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(turns=turns)
     def test_incremental_encoding_matches_request_hash_and_audit_record(self, turns):
-        """Every request a conversation sends carries its `request_hash`, and
-        every audit line is the sorted, compact `json.dumps` of its record,
-        through resets and re-asks; a request built by hand from the same
-        content gives the same line."""
+        """Every request a conversation sends carries its `request_hash` and
+        is rebuilt from the audit log, through resets and re-asks, although
+        the log states each user message and each reply in exactly one
+        record; requests built by hand from the same content give the same
+        log."""
         provider = Recorder()
         gateway = Gateway(provider)
         initial = PromptTemplate.parse("initial", "<system_role>{{system}}</system_role>{{text}}")
@@ -177,24 +209,22 @@ class TestTranscript:
                     pass  # three rejected replies: the conversation goes on
                 provider.replies = []
 
-        lines = gateway.audit.text().splitlines()
-        assert len(lines) == len(provider.exchanges)
-        for n, ((request, reply), line) in enumerate(zip(provider.exchanges, lines), start=1):
-            assert request.digest == request_hash(request)
-            record = {
-                "ts": f"{n:06d}",
-                "tags": dict(request.tags),
-                "request_hash": request_hash(request),
-                "request": request_payload(request),
-                "response": {"text": reply},
-            }
-            assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+        pairs = rebuilt_requests(gateway.audit.text())
+        assert len(pairs) == len(provider.exchanges)
+        for (record, rebuilt), (request, reply) in zip(pairs, provider.exchanges):
+            assert request_payload(rebuilt) == logged(request_payload(request))
+            assert rebuilt.tags == tuple(sorted(request.tags))
+            assert rebuilt.digest == request.digest == request_hash(request) == record["request_hash"]
+            # The one user message each call adds is its record's only message; its reply is only the response.
+            assert record["messages"] == logged([{"role": "user", "text": request.messages[-1].text}])
+            assert record["response"] == logged({"text": reply})
 
         twin = Recorder()
         twin.replies = [reply for _, reply in provider.exchanges]
         by_hand = Gateway(twin)
         for request, _ in provider.exchanges:
             by_hand.complete(ChatRequest(request.system_text, request.messages, request.tags))
+        assert [rebuilt for _, rebuilt in rebuilt_requests(by_hand.audit.text())] == [rebuilt for _, rebuilt in pairs]
         assert by_hand.audit.text() == gateway.audit.text()
 
 

@@ -14,6 +14,7 @@ from tradeloop import harness, indicators
 from tradeloop.bars import Bar, BarSeries, Lookback, Resolution, resample, serialize_bars
 from tradeloop.cli import main
 from tradeloop.engine import Action, Fill, PortfolioState
+from tradeloop.gateway import ChatRequest
 from tradeloop.harness import (
     ConfigError,
     DataError,
@@ -30,7 +31,7 @@ from tradeloop.harness import (
 )
 from tradeloop.templates import load_asset_text, load_template
 
-from conftest import synthetic_daily
+from conftest import rebuilt_requests, synthetic_daily
 
 WINDOW_SESSIONS = 42
 HISTORY_BARS = 160
@@ -171,6 +172,11 @@ def gateway_roles(run_dir: Path) -> list[str]:
     return roles
 
 
+def role_records(run_dir: Path, role: str) -> list[tuple[dict, ChatRequest]]:
+    """The audit records of `role`, each with the request it rebuilds to."""
+    return [pair for pair in rebuilt_requests(run_dir / "gateway.jsonl") if pair[0]["tags"]["role"] == role]
+
+
 class TestRunExperiment:
     def test_baseline_mode_single_template_record(self, tmp_path):
         config = build_workspace(tmp_path, mode="baseline")
@@ -244,16 +250,12 @@ class TestRunExperiment:
     def test_reflection_text_reaches_next_prompt(self, tmp_path):
         config = build_workspace(tmp_path, mode="reflection")
         artifacts, _ = run_experiment(config)
-        lines = (artifacts[0].run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
-        records = [json.loads(line) for line in lines]
         cta_after_reflection = [
-            r
-            for r in records
-            if r["tags"]["role"] == "cta" and int(r["tags"]["step"]) > 5
+            request for r, request in role_records(artifacts[0].run_dir, "cta") if int(r["tags"]["step"]) > 5
         ]
         assert any(
-            "Scripted reflection paragraph." in r["request"]["messages"][-1]["text"]
-            for r in cta_after_reflection
+            "Scripted reflection paragraph." in request.messages[-1].text
+            for request in cta_after_reflection
         )
 
     def test_malformed_decision_falls_back_to_no_action(self, tmp_path):
@@ -320,11 +322,7 @@ class TestRunExperiment:
         artifacts, _ = run_experiment(config)
         roles = gateway_roles(artifacts[0].run_dir)
         assert roles.count("news") == 0
-        records = [
-            json.loads(line)
-            for line in (artifacts[0].run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
-        ]
-        cta_prompts = [r["request"]["messages"][-1]["text"] for r in records if r["tags"]["role"] == "cta"]
+        cta_prompts = [request.messages[-1].text for _, request in role_records(artifacts[0].run_dir, "cta")]
         assert all("### News Analysis" not in p for p in cta_prompts)
 
     def test_no_market_ablation(self, tmp_path):
@@ -335,13 +333,7 @@ class TestRunExperiment:
     def test_template_swap_renders_updated_instructions(self, tmp_path):
         config = build_workspace(tmp_path, mode="adaptive_opro")
         artifacts, _ = run_experiment(config)
-        records = [
-            json.loads(line)
-            for line in (artifacts[0].run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
-        ]
-        cta_first_messages = [
-            r["request"]["messages"][0]["text"] for r in records if r["tags"]["role"] == "cta"
-        ]
+        cta_first_messages = [request.messages[0].text for _, request in role_records(artifacts[0].run_dir, "cta")]
         assert any("Scripted refinement: stay selective." in m for m in cta_first_messages)
 
     def test_three_run_protocol_produces_isolated_dirs(self, tmp_path):
@@ -362,7 +354,7 @@ class TestRunExperiment:
             for line in (artifacts[0].run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
         ]
         assert all(r["response"]["text"] == reply for r in records if r["tags"]["role"] == "market")
-        cta_prompts = [r["request"]["messages"][-1]["text"] for r in records if r["tags"]["role"] == "cta"]
+        cta_prompts = [request.messages[-1].text for _, request in role_records(artifacts[0].run_dir, "cta")]
         assert len(cta_prompts) == WINDOW_SESSIONS and all(reply in p for p in cta_prompts)
 
     def test_run_dir_layout(self, tmp_path):
@@ -393,7 +385,7 @@ class TestDeterminism:
 GOLDEN_BARS = 300
 GOLDEN_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "03a38f87b02f52a8b8dc46a7bf60ab30f79ec35ab0c1dd70063d39e4f6cda30a",
+    "gateway.jsonl": "4485a9150947f422dcd36d01a10353dfbf683ef454e133d400081d1bdbb74263",
     "opro.jsonl": "593e21fa9de4584d3c9c33e2f4e4a96a2ce92eaa07e9b3561d16c14753f006e7",
     "metrics.json": "68b85a0dec261ce07128a020752b98f8fde3aa4196a27cbbc09143e5c7470436",
 }
@@ -403,7 +395,7 @@ GOLDEN_DIGESTS = {
 # is never reset, so every decision request carries the whole run so far.
 GOLDEN_REFLECTION_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "cdee567afdfb0ebc52ad3c19a7b75037caf6bc52866405d451c4aaa07b4ac771",
+    "gateway.jsonl": "3e6bca1e030d0d10acafbd2ce57ee8386102ec75a5ddd4fc6a86aec4cfd46245",
     "opro.jsonl": "b8b23e2f720bb1d494cdbd9372ee697e8166691e45be114741c067169148e663",
     "metrics.json": "bf5f121ae40ad7fedc3dc5acb9f652ce4ec0bcb652715e290fba0ad634a39445",
 }
@@ -417,7 +409,7 @@ GOLDEN_REFLECTION_DIGESTS = {
 # trading-agent decision that gives up after three malformed replies.
 GOLDEN_REJECTION_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "ca5332790c8298a742fccbbb3ef49b2aa7dcff786fd3df7bd5f61adf343ff6bc",
+    "gateway.jsonl": "cf7e3161a26fb45b2b06e37d81477af0193aa4df2d1569d7935bf8a07bcceb17",
     "opro.jsonl": "c6aab6da829ad18ff44d8e3145d44c371206ac4daa15dd66ba46984767050a8c",
     "metrics.json": "c768b3c56aaf7c10a922c3e26e6975c00ccd3a8ae79ab464b0f7c485563ff0a6",
 }
@@ -463,7 +455,7 @@ def rejection_providers(config: ExperimentConfig, lead: tuple[str, ...] = ()) ->
 # line records the PARSE_ERROR of the last one and keeps that candidate.
 GOLDEN_WINDOWED_PARSE_ERROR_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "c8de1d453967b8135a87aa75029714d0958b6f6f6f47e16ee5374ff9583623a5",
+    "gateway.jsonl": "98310ad36858dfcb3e186321f62b53182b9725f5d4bc423ab6b6674079748147",
     "opro.jsonl": "2b378e5f475504f8d0a6af4fce34aa03ed7ddc7a7ded1215f25da0738c0f3da9",
     "metrics.json": "52faf9797cb69b039a2f76bea49aabc4a543cedd80860747037102c6ffaf1a7f",
 }
@@ -635,11 +627,6 @@ def with_prompt(tmp_path: Path, name: str, text: str) -> ExperimentConfig:
     return ExperimentConfig.from_file(config_path)
 
 
-def role_records(run_dir: Path, role: str) -> list[dict]:
-    lines = (run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
-    return [record for record in map(json.loads, lines) if record["tags"]["role"] == role]
-
-
 class TestSessionPrompts:
     def test_multi_timeframe_text_only_for_the_first_market_turn(self, tmp_path, monkeypatch):
         calls = []
@@ -656,15 +643,29 @@ class TestSessionPrompts:
         series = load_data(config).bars
         records = role_records(artifacts[0].run_dir, "market")
         assert len(records) == WINDOW_SESSIONS
-        for record in records:
+        for record, request in records:
             session = date.fromisoformat(record["tags"]["session"])
-            assert reference_multi_timeframe_text(series, session) in record["request"]["messages"][-1]["text"]
+            assert reference_multi_timeframe_text(series, session) in request.messages[-1].text
 
     def test_analyst_template_may_name_session_values(self, tmp_path):
         config = with_prompt(tmp_path, "market_initial", "Cash {{ portfolio_cash }} on {{ now }}")
         artifacts, _ = run_experiment(config)
-        first = role_records(artifacts[0].run_dir, "market")[0]
-        assert first["request"]["messages"][0]["text"] == f"Cash 100000.00 on {config.window_start.isoformat()}"
+        _, first = role_records(artifacts[0].run_dir, "market")[0]
+        assert first.messages[0].text == f"Cash 100000.00 on {config.window_start.isoformat()}"
+
+    def test_fundamentals_file_out_of_filing_order(self, tmp_path):
+        """Each filing reaches the fundamental analyst once, at its filing
+        date, in whatever order the file lists them."""
+        in_order = build_workspace(tmp_path / "in_order", mode="baseline")
+        reversed_ = build_workspace(tmp_path / "reversed", mode="baseline")
+        path = Path(reversed_.paths["fundamentals"])
+        path.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8"))[::-1]), encoding="utf-8")
+        sent = [
+            [request for _, request in role_records(run_experiment(config)[0][0].run_dir, "fundamental")]
+            for config in (in_order, reversed_)
+        ]
+        assert sent[1] == sent[0]
+        assert ["Q2 (Filed" in request.messages[-1].text for request in sent[0]] == [False, True]
 
     @pytest.mark.parametrize("name, report", [("market_initial", "news_analysis"), ("news_initial", "market_analysis")])
     def test_analyst_template_naming_a_report_is_missing_key(self, tmp_path, capsys, name, report):

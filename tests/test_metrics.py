@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, replace
 from datetime import date
 from decimal import Decimal
 
@@ -24,12 +25,10 @@ from tradeloop.metrics import (
     profit_per_trade,
     render_csv,
     render_table,
-    residual_lots,
     roi,
     roic,
     sharpe,
     sortino,
-    unrealized_pnl,
     win_rate,
 )
 
@@ -45,6 +44,37 @@ def brute_force_drawdown(values: list[float]) -> float:
             if frac > worst:
                 worst = frac
     return worst * 100.0
+
+
+@dataclass(frozen=True)
+class OpenLot:
+    direction: str
+    opened_at: date
+    quantity: int
+    price: object
+
+
+def residual_lots(trades: list[Fill]) -> list[OpenLot]:
+    """Oracle: the lots still open after FIFO matching, long ones first."""
+    lots: dict[str, list[OpenLot]] = {"long": [], "short": []}
+    for t in trades:
+        side = "long" if t.action in (Action.BUY, Action.SELL) else "short"
+        if t.action in (Action.BUY, Action.SHORT):
+            lots[side].append(OpenLot(side, t.executed_at, t.quantity, t.fill_price))
+            continue
+        remaining = t.quantity
+        while remaining:
+            lot = lots[side].pop(0)
+            take = min(remaining, lot.quantity)
+            remaining -= take
+            if take < lot.quantity:
+                lots[side].insert(0, replace(lot, quantity=lot.quantity - take))
+    return lots["long"] + lots["short"]
+
+
+def unrealized_pnl(lots: list[OpenLot], close):
+    """Oracle: the residual lots marked to `close`."""
+    return sum(((close - lot.price) * lot.quantity * (1 if lot.direction == "long" else -1) for lot in lots), 0)
 
 
 def tf(day: int, action: Action, qty: int, price, forced: bool = False) -> Fill:

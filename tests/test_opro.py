@@ -89,7 +89,7 @@ class TestCloseWindow:
     def _opro(self, roi_mode="cumulative", k=5):
         return AdaptiveOpro(
             initial_template=load_template("cta_initial"),
-            gateway=None,
+            gateway=Gateway(ScriptedProvider([])),
             optimizer_asset=load_asset_text("optimizer"),
             k=k,
             roi_mode=roi_mode,
