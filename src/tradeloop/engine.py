@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from datetime import date
 from decimal import Decimal
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 AUDIT_SCHEMA_VERSION = 1
@@ -133,8 +134,13 @@ class AuditLog:
 
     Keys keep insertion order, or are sorted with `sort_keys`. Every line goes
     straight to the sink (a path opens a new file, no path means memory) and
-    nothing else is kept: `text()` reads back what was written. Values JSON
-    lacks are written as `str()`: a Decimal as its digits, a date in ISO form.
+    is flushed; nothing else is kept: `text()` reads back what was written.
+    Values JSON lacks are written as `str()`: a Decimal as its digits, a date
+    in ISO form.
+
+    An event arrives as a dict, which is encoded here, or as a line already
+    formatted (without its newline). A pre-formatted line must be exactly the
+    bytes this log's encoder gives for the event's dict.
     """
 
     def __init__(self, sink: Path | str | None = None, sort_keys: bool = False):
@@ -142,8 +148,8 @@ class AuditLog:
         self._fh = io.StringIO() if self.path is None else open(self.path, "w", encoding="utf-8")
         self._encode = json.JSONEncoder(separators=(",", ":"), sort_keys=sort_keys, default=str).encode
 
-    def append(self, event: dict) -> None:
-        self._fh.write(self._encode(event) + "\n")
+    def append(self, event: dict | str) -> None:
+        self._fh.write((event if isinstance(event, str) else self._encode(event)) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -268,26 +274,16 @@ class ExecutionEngine:
                 self._cancel(order.id, RejectReason.GAP_REJECT, cancelled)
                 continue
             self._apply(order.action, qty, price)
-            clamped_from = submitted_qty if qty != submitted_qty else None
-            fills.append(
-                Fill(
-                    order_id=order.id,
-                    action=order.action,
-                    executed_at=bar.session_date,
-                    fill_price=price,
-                    quantity=qty,
-                    clamped_from=clamped_from,
-                )
-            )
-            self._event(
-                "FILL",
+            fill = Fill(
                 order_id=order.id,
                 action=order.action,
-                date=bar.session_date,
-                price=price,
+                executed_at=bar.session_date,
+                fill_price=price,
                 quantity=qty,
-                clamped_from=clamped_from,
+                clamped_from=submitted_qty if qty != submitted_qty else None,
             )
+            fills.append(fill)
+            self.audit.append(fill_line(fill))
             assert self._cash >= 0 and self._long >= 0 and self._short >= 0
 
         self._queue.clear()
@@ -301,15 +297,7 @@ class ExecutionEngine:
     def _summarize(self, bar, fills: list[Fill], cancelled: list[str]) -> SessionResult:
         state = self.portfolio()
         value = portfolio_value(state, bar.close)
-        self._event(
-            "SESSION_SUMMARY",
-            date=bar.session_date,
-            cash=self._cash,
-            shares_long=self._long,
-            shares_short=self._short,
-            close=bar.close,
-            portfolio_value=value,
-        )
+        self.audit.append(summary_line(bar.session_date, self._cash, self._long, self._short, bar.close, value))
         return SessionResult(
             fills=tuple(fills),
             cancelled=tuple(cancelled),
@@ -348,6 +336,33 @@ class ExecutionEngine:
             assert self._cash >= 0, "short proceeds accounting must keep cash non-negative"
         self._as_of = bar.session_date
         return self._summarize(bar, fills, cancelled)
+
+
+# The two events written every session skip the generic encoder: each is one
+# f-string with the bytes `AuditLog` would give its dict. Decimals and dates go
+# through str(), as the encoder's `default=str` does; the order id gets the
+# encoder's own string escaping.
+
+
+def fill_line(fill: Fill) -> str:
+    """The FILL audit line of an executed (not forced) fill."""
+    clamped_from = "null" if fill.clamped_from is None else fill.clamped_from
+    return (
+        f'{{"v":{AUDIT_SCHEMA_VERSION},"type":"FILL","order_id":{encode_basestring_ascii(fill.order_id)},'
+        f'"action":"{fill.action.value}","date":"{fill.executed_at!s}","price":"{fill.fill_price!s}",'
+        f'"quantity":{fill.quantity},"clamped_from":{clamped_from}}}'
+    )
+
+
+def summary_line(
+    session_date: date, cash: Decimal, shares_long: int, shares_short: int, close: Decimal, value: Decimal
+) -> str:
+    """The SESSION_SUMMARY audit line of a session close."""
+    return (
+        f'{{"v":{AUDIT_SCHEMA_VERSION},"type":"SESSION_SUMMARY","date":"{session_date!s}","cash":"{cash!s}",'
+        f'"shares_long":{shares_long},"shares_short":{shares_short},"close":"{close!s}",'
+        f'"portfolio_value":"{value!s}"}}'
+    )
 
 
 def fill_price(order: Order, bar) -> Decimal | None:

@@ -688,7 +688,11 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
         try:
             artifact = run_single(config, data, run_dir.name, scratch)
         except GatewayError as exc:
-            raise ReplayMismatch(f"replay diverged: {exc}") from exc
+            if exc.code in ("REPLAY_MISMATCH", "SCRIPT_EXHAUSTED"):
+                raise ReplayMismatch(f"replay diverged: {exc}") from exc
+            # A call that differs from the recording raises one of the two codes
+            # above; any other is a log the replay provider refused to load.
+            raise ReplayMismatch(f"cannot replay {run_dir}: {exc}") from exc
         mismatched = [
             name
             for name in ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json")

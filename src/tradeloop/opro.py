@@ -205,12 +205,14 @@ class AdaptiveOpro:
         return step % self.k == 0
 
     def close_window(self, step: int, inception_value: float, current_value: float) -> ScoringWindow:
-        """Score the window ending at decision step `step` (1-based)."""
+        """Score the window ending at decision step `step` (1-based).
+
+        A windowed score starts from the last window's end value, unless that
+        value is 0 or less (a short squeeze): then, as in cumulative mode, it
+        starts from `inception_value`, which is the positive initial cash."""
         last = self.windows[-1] if self.windows else None
         start_step = last.end_step if last else 0
-        base = last.v_end if last and self.roi_mode == "windowed" else inception_value
-        if base <= 0:
-            raise ValueError("window base value must be positive")
+        base = last.v_end if last and self.roi_mode == "windowed" and last.v_end > 0 else inception_value
         roi = (current_value - base) / base
         window = ScoringWindow(
             start_step=start_step,

@@ -9,9 +9,15 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tradeloop.bars import Bar, BarSeries, Resolution
 from tradeloop.gateway import AUDIT_VERSION, ChatMessage, ChatRequest, Transcript
+
+# Every property test draws the same examples on every run, with no example
+# database carried between runs and no per-example time limit.
+settings.register_profile("tradeloop", deadline=None, derandomize=True, database=None)
+settings.load_profile("tradeloop")
 
 
 def q2(x: float) -> Decimal:

@@ -348,7 +348,7 @@ class TestParseOrdersGoldenSuite:
             max_size=5,
         )
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_every_grammar_conforming_payload_parses(self, objs):
         for obj in objs:
             if obj["orderType"] == "MARKET":

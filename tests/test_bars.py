@@ -248,7 +248,7 @@ class TestResample:
             resample(weekly, Resolution.MONTHLY)
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_resampling_conserves_volume(self, n, seed):
         series = synthetic_daily(n, seed=seed)
         for target in (Resolution.WEEKLY, Resolution.MONTHLY):
@@ -282,7 +282,7 @@ class TestWindowSlice:
             window_slice(series, Lookback(months=1), date(2020, 1, 1))
 
     @given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=5_000))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_slice_is_suffix_contiguous(self, months, seed):
         series = synthetic_daily(100, seed=seed)
         as_of = series.bars[-1].session_date

@@ -29,7 +29,7 @@ from test_cli import NESTED
 from test_harness import optimizer_payload
 
 EXIT_CODES = {0, 2, 3, 4}
-FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+FUZZ = settings(max_examples=40)
 
 text = st.text(st.characters(blacklist_characters="/.", blacklist_categories=()), max_size=8)
 flag_text = st.text(st.characters(blacklist_characters="/.\0"), max_size=8)

@@ -9,18 +9,25 @@ from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tradeloop.bars import Bar
 from tradeloop.engine import (
+    AUDIT_SCHEMA_VERSION,
     Action,
+    AuditLog,
     EngineError,
     ExecutionEngine,
+    Fill,
     Order,
     OrderType,
     PortfolioState,
     RejectReason,
     Rejection,
+    fill_line,
     portfolio_value,
+    summary_line,
     trades_from_audit,
 )
 
@@ -445,3 +452,92 @@ class TestAuditBytes:
         digest.update(b"window end\n" + engine.audit.text().encode())
 
         assert digest.hexdigest() == self.DIGEST
+
+
+# Decimals as (sign, digits, exponent): exponents either way, negative zero and
+# trailing zeros, besides whatever `st.decimals` draws.
+DECIMALS = st.one_of(
+    st.sampled_from([D("1E+2"), D("1E-7"), D("-0"), D("-0.00"), D("100.00"), D("0E-10")]),
+    st.builds(
+        lambda sign, digits, exponent: Decimal((sign, digits, exponent)),
+        st.integers(0, 1),
+        st.lists(st.integers(0, 9), min_size=1, max_size=12).map(tuple),
+        st.integers(-30, 30),
+    ),
+    st.decimals(),
+)
+ORDER_IDS = st.one_of(
+    st.sampled_from(["ü-1", "日本-2", "\U0001f680", "\ud800", "\udfff-x", 'a"b', "a\\b", "\x00\x1f\n\t\x7f"]),
+    st.text(st.characters(exclude_categories=())),
+)
+SHARES = st.one_of(st.integers(0, 10), st.integers(2**63, 2**80))
+
+
+class TestAuditLines:
+    ENCODE = json.JSONEncoder(separators=(",", ":"), default=str).encode
+
+    @pytest.mark.parametrize("action", Action)
+    @settings(max_examples=60)
+    @given(
+        order_id=ORDER_IDS,
+        day=st.dates(),
+        price=DECIMALS,
+        quantity=st.integers(1, 2**80),
+        clamped_from=st.one_of(st.none(), st.integers(1, 10), st.integers(2**63, 2**80)),
+        cash=DECIMALS,
+        shares=st.tuples(SHARES, SHARES),
+        close=DECIMALS,
+        value=DECIMALS,
+    )
+    @example(
+        order_id="o", day=NEXT_DAY, price=D("1E+2"), quantity=1, clamped_from=None,
+        cash=D("-0"), shares=(0, 0), close=D("1E-7"), value=D("-0.00"),
+    )
+    @example(
+        order_id='q"\\\x01\ud83d', day=NEXT_DAY, price=D("-0.00"), quantity=3,
+        clamped_from=2**63 + 1, cash=D("0"), shares=(2**64, 5), close=D("1"), value=D("1"),
+    )
+    def test_formatted_lines_are_the_encoder_bytes(
+        self, order_id, action, day, price, quantity, clamped_from, cash, shares, close, value
+    ):
+        fill = Fill(order_id, action, day, price, quantity, clamped_from)
+        assert fill_line(fill) == self.ENCODE(
+            {
+                "v": AUDIT_SCHEMA_VERSION,
+                "type": "FILL",
+                "order_id": order_id,
+                "action": action,
+                "date": day,
+                "price": price,
+                "quantity": quantity,
+                "clamped_from": clamped_from,
+            }
+        )
+        long, short = shares
+        assert summary_line(day, cash, long, short, close, value) == self.ENCODE(
+            {
+                "v": AUDIT_SCHEMA_VERSION,
+                "type": "SESSION_SUMMARY",
+                "date": day,
+                "cash": cash,
+                "shares_long": long,
+                "shares_short": short,
+                "close": close,
+                "portfolio_value": value,
+            }
+        )
+
+    def test_every_line_is_on_disk_while_the_log_is_open(self, tmp_path):
+        """A dict event and a pre-formatted line are each flushed as written."""
+        path = tmp_path / "engine.jsonl"
+        log = AuditLog(path)
+        try:
+            log.append({"v": AUDIT_SCHEMA_VERSION, "type": "CANCEL", "order_id": "o1", "reason": "UNFILLED"})
+            log.append(summary_line(NEXT_DAY, D("100.5"), 1, 0, D("10"), D("110.5")))
+            assert path.read_text(encoding="utf-8") == (
+                '{"v":1,"type":"CANCEL","order_id":"o1","reason":"UNFILLED"}\n'
+                '{"v":1,"type":"SESSION_SUMMARY","date":"2025-04-29","cash":"100.5","shares_long":1,'
+                '"shares_short":0,"close":"10","portfolio_value":"110.5"}\n'
+            )
+        finally:
+            log.close()

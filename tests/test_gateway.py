@@ -181,7 +181,7 @@ def _accept_ok(reply: str) -> str:
 
 
 class TestTranscript:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(turns=turns)
     def test_incremental_encoding_matches_request_hash_and_audit_record(self, turns):
         """Every request a conversation sends carries its `request_hash` and

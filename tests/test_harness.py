@@ -698,7 +698,7 @@ class TestReplay:
         gw.write_text("\n".join(lines) + "\n", encoding="utf-8")
         exp_dir = run_dir.parent
         listing = sorted(p.relative_to(exp_dir) for p in exp_dir.rglob("*"))
-        with pytest.raises(ReplayMismatch):
+        with pytest.raises(ReplayMismatch, match="^replay diverged: REPLAY_MISMATCH: call 1: "):
             replay_run(run_dir)
         assert sorted(p.relative_to(exp_dir) for p in exp_dir.rglob("*")) == listing
 

@@ -338,7 +338,7 @@ class TestBollinger:
 
 class TestShiftEquivariance:
     @given(st.integers(min_value=0, max_value=1_000))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_appending_bars_never_changes_history(self, seed):
         full = synthetic_daily(80, seed=seed)
         prefix = BarSeries(full.symbol, full.resolution, full.bars[:60])

@@ -72,7 +72,7 @@ class TestWindowScore:
         assert window_score(-0.02) == pytest.approx(45.0)
 
     @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_bounded(self, roi):
         assert 0.0 <= window_score(roi) <= 100.0
 
@@ -123,6 +123,15 @@ class TestCloseWindow:
         window = opro.close_window(10, 100_000.0, 99_000.0)
         assert window.v_start == pytest.approx(110_000.0)
         assert window.roi == pytest.approx((99_000.0 - 110_000.0) / 110_000.0)
+
+    def test_windowed_mode_scores_from_inception_after_a_window_ends_at_or_below_zero(self):
+        opro = self._opro(roi_mode="windowed")
+        assert opro.close_window(5, 100_000.0, -50_000.0).roi == pytest.approx(-1.5)
+        window = opro.close_window(10, 100_000.0, 20_000.0)
+        assert (window.start_step, window.v_start) == (5, 100_000.0)
+        assert window.roi == pytest.approx(-0.8)
+        assert window.score == 0.0
+        assert opro.close_window(15, 100_000.0, 30_000.0).v_start == 20_000.0
 
     def test_cumulative_mode_always_inception(self):
         opro = self._opro()
