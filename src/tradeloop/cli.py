@@ -48,7 +48,7 @@ def _cmd_backtest(args) -> int:
     for flag, window in (("--window", args.window), ("--long-window", args.long_window)):
         if window is not None and window < 1:
             raise ConfigError(f"{flag} must be >= 1, got {window}")
-    series = read_bars(args.bars, symbol=args.symbol)
+    series = read_bars(args.bars)
     if args.actions:
         series = adjust_for_actions(series, parse_actions_csv(Path(args.actions).read_text(encoding="utf-8")))
     kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag) is not None}
@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--strategy", required=True, choices=[k.value for k in StrategyKind])
     p_bt.add_argument("--bars", required=True)
     p_bt.add_argument("--actions", default="")
-    p_bt.add_argument("--symbol", default="")
     p_bt.add_argument("--window", type=int)
     p_bt.add_argument("--long-window", type=int, dest="long_window")
     p_bt.add_argument("--k", type=float, help="bollinger band width multiplier")

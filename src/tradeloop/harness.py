@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, field, replace
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
-from typing import Annotated, Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, Literal, Sequence, get_args, get_origin, get_type_hints
 
 from . import agents, indicators, metrics, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
@@ -34,8 +34,6 @@ from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, Scri
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import load_asset_text, load_template
 
-PROMPTING_MODES = ("baseline", "reflection", "adaptive_opro", "adaptive_opro_with_reflection")
-PROVIDER_KINDS = ("scripted", "http", "replay")
 PROVIDER_ROLES = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
 ABLATIONS = ("no_news", "no_market", "no_fundamental")
 
@@ -53,11 +51,13 @@ OsString = Annotated[str, _is_os_string]
 
 def _type_test(hint) -> Callable[[object], bool]:
     """A test for values of the annotation `hint`: a class, a union of classes,
-    a `dict[K, V]` or an `Annotated[T, check]`. An int passes as a float, and
-    a bool only as a bool."""
+    a `Literal[...]`, a `dict[K, V]` or an `Annotated[T, check]`. An int
+    passes as a float, and a bool only as a bool."""
     if get_origin(hint) is Annotated:
         base, check = get_args(hint)
         return lambda v, test=_type_test(base): test(v) and check(v)
+    if get_origin(hint) is Literal:
+        return lambda v, allowed=get_args(hint): v in allowed
     if get_origin(hint) is dict:
         key, value = map(_type_test, get_args(hint))
         return lambda v: isinstance(v, dict) and all(key(k) and value(x) for k, x in v.items())
@@ -68,13 +68,26 @@ def _type_test(hint) -> Callable[[object], bool]:
     return lambda v: isinstance(v, classes) and (bool_ok or not isinstance(v, bool))
 
 
+def _type_text(hint) -> str:
+    """How an error names `hint`: a `Literal` by its values, an `Annotated` type by its base."""
+    args = get_args(hint)
+    if get_origin(hint) is Annotated:
+        return _type_text(args[0])
+    if get_origin(hint) is Literal:
+        return " | ".join(map(repr, args))
+    if get_origin(hint) is dict:
+        return f"dict[{_type_text(args[0])}, {_type_text(args[1])}]"
+    return " | ".join(c.__name__ for c in args or (hint,))
+
+
 _is_int = _type_test(int)
 
 
 def positive_cash(value, name: str = "initial_cash") -> Decimal:
-    """`value`, a number or a numeric string, as a positive amount, finite also as a float."""
+    """`value`, a number (a float read as the digits of its repr) or a numeric
+    string, as a positive amount, finite also as a float."""
     try:
-        cash = Decimal(value)
+        cash = Decimal(repr(value) if isinstance(value, float) else value)
     except (ArithmeticError, TypeError, ValueError):
         cash = Decimal("NaN")
     if not cash.is_finite() or not 0 < float(cash) < float("inf"):
@@ -89,7 +102,7 @@ class _Config:
     def __init_subclass__(cls, what: str) -> None:
         hints = get_type_hints(cls, include_extras=True)
         cls.what = what
-        cls.type_tests = {name: (cls.__annotations__[name], _type_test(hint)) for name, hint in hints.items()}
+        cls.type_tests = {name: (_type_text(hint), _type_test(hint)) for name, hint in hints.items()}
         cls.date_fields = [name for name, hint in hints.items() if hint is date]
 
     def check_types(self) -> None:
@@ -134,7 +147,7 @@ def _is_script_entry(entry) -> bool:
 
 @dataclass
 class ProviderConfig(_Config, what="provider config"):
-    kind: str = "scripted"  # one of PROVIDER_KINDS
+    kind: Literal["scripted", "http", "replay"] = "scripted"
     base_url: str = ""
     model_id: str = ""
     timeout_s: float = 60.0
@@ -146,8 +159,6 @@ class ProviderConfig(_Config, what="provider config"):
 
     def __post_init__(self) -> None:
         self.check_types()
-        if self.kind not in PROVIDER_KINDS:
-            raise ConfigError(f"unknown provider kind {self.kind!r}")
         if self.kind == "replay" and not self.replay_path:
             raise ConfigError("a replay provider needs replay_path")
         for n, entry in enumerate(self.script):
@@ -162,15 +173,15 @@ class ExperimentConfig(_Config, what="config"):
     window_end: date
     experiment: OsString = "experiment"
     action_interval: str = "1 day"
-    prompting_mode: str = "baseline"
+    prompting_mode: Literal["baseline", "reflection", "adaptive_opro", "adaptive_opro_with_reflection"] = "baseline"
     reflection_interval: int = 5
     opro_k: int = 5
-    roi_mode: str = "cumulative"
+    roi_mode: Literal["cumulative", "windowed"] = "cumulative"
     runs: int = 3
     initial_cash: str | float = "100000"
-    ablations: dict[str, bool] = field(default_factory=lambda: dict.fromkeys(ABLATIONS, False))
-    providers: dict = field(default_factory=dict)
-    paths: dict[str, OsString] = field(default_factory=dict)
+    ablations: dict[Literal[ABLATIONS], bool] = field(default_factory=lambda: dict.fromkeys(ABLATIONS, False))
+    providers: dict[Literal[("default", *PROVIDER_ROLES)], dict] = field(default_factory=dict)
+    paths: dict[Literal["bars", "actions", "news", "fundamentals", "calendar", "out_dir"], OsString] = field(default_factory=dict)
     prompt_dir: OsString = ""  # template override directory
 
     def __post_init__(self) -> None:
@@ -180,15 +191,7 @@ class ExperimentConfig(_Config, what="config"):
         for name in ("runs", "opro_k", "reflection_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.prompting_mode not in PROMPTING_MODES:
-            raise ConfigError(f"prompting_mode must be one of {PROMPTING_MODES}")
-        if self.roi_mode not in opro.ROI_MODES:
-            raise ConfigError(f"roi_mode must be one of {opro.ROI_MODES}")
         positive_cash(self.initial_cash)
-        if not self.ablations.keys() <= set(ABLATIONS):
-            raise ConfigError(f"ablations must map some of {ABLATIONS} to true or false, got {self.ablations!r}")
-        if not self.providers.keys() <= {"default", *PROVIDER_ROLES}:
-            raise ConfigError(f"providers must map some of {('default', *PROVIDER_ROLES)} to provider configs")
         for conf in self.providers.values():
             ProviderConfig.from_dict(conf)
 
@@ -215,7 +218,7 @@ FUNDAMENTAL_FIGURES = tuple(n for n, hint in get_type_hints(agents.FundamentalSn
 @dataclass
 class LoadedData:
     bars: BarSeries
-    calendar: SessionCalendar
+    sessions: list[date]  # the sessions of the evaluation window
     news: list = field(default_factory=list)
     fundamentals: list = field(default_factory=list)
     actions: list = field(default_factory=list)
@@ -300,7 +303,7 @@ def load_data(config: ExperimentConfig) -> LoadedData:
     missing = [d.isoformat() for d in sessions if series.bar_on(d) is None]
     if missing:
         raise DataError(f"missing bars for sessions: {', '.join(missing)}")
-    return LoadedData(bars=series, calendar=calendar, news=news, fundamentals=fundamentals, actions=actions)
+    return LoadedData(bars=series, sessions=sessions, news=news, fundamentals=fundamentals, actions=actions)
 
 
 def _lock_hash(config_json) -> str:
@@ -474,24 +477,28 @@ def _complete_history(steps: list[_Step], first: int) -> str:
 
 
 def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir: Path) -> RunArtifact:
-    """One run into `run_dir`. Its logs stream to disk and are closed on every
-    exit, so an aborted run leaves the exchanges it completed.
+    """One run into `run_dir`. Its config.lock is written before the first
+    session, and its logs stream to disk and are closed on every exit, so an
+    aborted run leaves its config and the exchanges it completed.
 
     Each session's context is built once, before any report: the analysts
     and the reflection read it with their own values added, and only the
     trading agent reads it with the reports."""
-    sessions = data.calendar.sessions_between(config.window_start, config.window_end)
-    series = data.bars
+    sessions, series = data.sessions, data.bars
+    cash = positive_cash(config.initial_cash)
 
     prompt_dir = config.prompt_dir or None
     tpl = lambda name: load_template(name, override_dir=prompt_dir)
     # Built before any log opens: a replay provider reads its whole recording here.
     router = build_router(config)
     run_dir.mkdir(parents=True, exist_ok=True)
+    config_json = json.loads(json.dumps(config.__dict__, default=date.isoformat))
+    lock = {"config": config_json, "hash": _lock_hash(config_json)}
+    (run_dir / "config.lock").write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     with ExitStack() as logs:
         audit = logs.enter_context(closing(AuditLog(run_dir / "engine.jsonl")))
-        engine = ExecutionEngine(initial_cash=Decimal(config.initial_cash), audit=audit)
+        engine = ExecutionEngine(initial_cash=cash, audit=audit)
         gateway = logs.enter_context(closing(Gateway(router, audit_sink=run_dir / "gateway.jsonl")))
         optimizer = opro.AdaptiveOpro(
             initial_template=tpl("cta_initial"),
@@ -515,7 +522,6 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         news_dates = [date.fromisoformat(item.ts[:10]) for item in data.news] if news is not None else []
         event_dates = {snap.filing_date for snap in data.fundamentals} | {a.effective_date for a in data.actions}
 
-        inception = Decimal(config.initial_cash)
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
         fills: deque[Fill] = deque(maxlen=agents.RECENT_FILLS)  # the last fills, which the prompts name
         steps: list[_Step] = []
@@ -537,7 +543,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                 period = steps[-config.reflection_interval:]
                 context = ctx | {
                     "reflection_interval": str(config.reflection_interval),
-                    "period_summary": _period_summary(period, inception),
+                    "period_summary": _period_summary(period, cash),
                     "complete_history": _complete_history(period, step - len(period)),
                 }
                 reports["reflection_analysis"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
@@ -567,7 +573,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
 
             # The last window, which may be partial, closes without an update.
             if config.uses_opro and (optimizer.is_boundary(step) or step == len(sessions)):
-                optimizer.close_window(step, float(inception), float(result.portfolio_value))
+                optimizer.close_window(step, float(cash), float(result.portfolio_value))
                 if step < len(sessions):
                     optimizer.propose_update(tags=tags)
                     cta.initial = optimizer.live_template
@@ -581,6 +587,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         [float(v) for _, v in equity],
         trades,
         exposures=[float((s.result.portfolio.shares_long + s.result.portfolio.shares_short) * s.bar.close) for s in steps],
+        initial=float(cash),
     )
 
     payload = {
@@ -591,9 +598,6 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         "decision_fallbacks": decision_fallbacks,
     }
     (run_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    config_json = json.loads(json.dumps(config.__dict__, default=date.isoformat))
-    lock = {"config": config_json, "hash": _lock_hash(config_json)}
-    (run_dir / "config.lock").write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return RunArtifact(run_id=run_id, run_dir=run_dir, metrics=report, equity=equity)
 
 

@@ -223,12 +223,11 @@ def num_trades(trades: Iterable[Fill]) -> int:
 
 def roic(values: Sequence[float], exposures: Sequence[float]) -> float | None:
     """End-of-window P&L over mean gross exposure, deployed sessions only.
+    `values` starts with the initial cash.
 
     exposures[t] = (long_t + short_t) * close_t per session; sessions with
     zero exposure are excluded from the denominator. Never deployed -> None.
     """
-    if len(values) < 2:
-        return None
     deployed = [e for e in exposures if e > 0]
     if not deployed:
         return None
@@ -236,25 +235,20 @@ def roic(values: Sequence[float], exposures: Sequence[float]) -> float | None:
     return profit / _mean([float(e) for e in deployed]) * 100.0
 
 
-def compute_report(
-    values: Sequence[float],
-    trades: Sequence[Fill],
-    exposures: Sequence[float] | None = None,
-    initial: float | None = None,
-) -> MetricReport:
+def compute_report(values: Sequence[float], trades: Sequence[Fill], exposures: Sequence[float], initial: float) -> MetricReport:
+    """The report of `values`, one per session; ROI, drawdown and ROIC count from the cash `initial`."""
     trips = match_round_trips(trades)
     sr_daily, sr_ann = sharpe(values)
-    curve = [float(v) for v in values]
-    v0 = float(initial) if initial is not None else None
+    curve = [float(initial)] + [float(v) for v in values]
     return MetricReport(
-        roi_pct=roi(curve, initial=v0),
+        roi_pct=roi(curve),
         sharpe_daily=sr_daily,
         sharpe_annualized=sr_ann,
-        sortino=sortino(curve),
-        max_drawdown_pct=max_drawdown(([v0] if v0 is not None else []) + curve),
+        sortino=sortino(values),
+        max_drawdown_pct=max_drawdown(curve),
         win_rate_pct=win_rate(trips),
         num_trades=num_trades(trades),
-        roic_pct=roic(([v0] if v0 is not None else []) + curve, exposures or []),
+        roic_pct=roic(curve, exposures),
         profit_per_trade=profit_per_trade(trips),
     )
 

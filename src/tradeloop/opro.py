@@ -143,9 +143,6 @@ def template_sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-ROI_MODES = ("cumulative", "windowed")
-
-
 class AdaptiveOpro:
     """One optimizer loop per run, strictly sequential with the decision loop.
 
@@ -164,10 +161,6 @@ class AdaptiveOpro:
         roi_mode: str = "cumulative",
         log_sink: Path | str | None = None,
     ):
-        if k < 1:
-            raise ValueError("K must be >= 1")
-        if roi_mode not in ROI_MODES:
-            raise ValueError(f"bad roi_mode {roi_mode!r}")
         self.k = k
         self.roi_mode = roi_mode
         self.gateway = gateway

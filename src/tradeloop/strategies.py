@@ -136,7 +136,7 @@ class StrategyRunResult:
 def run_strategy(
     config: StrategyConfig,
     series: BarSeries,
-    initial_cash: Decimal | int = Decimal(100_000),
+    initial_cash: Decimal = Decimal(100_000),
     audit: AuditLog | None = None,
 ) -> StrategyRunResult:
     """Drive `config`'s signals through the execution engine over `series`.
@@ -146,7 +146,7 @@ def run_strategy(
     detected at a close executes at the next session's open.
     """
     sig_by_date = {s.date: s.stance for s in generate_signals(config, series)}
-    engine = ExecutionEngine(initial_cash=Decimal(initial_cash), audit=audit)
+    engine = ExecutionEngine(initial_cash=initial_cash, audit=audit)
 
     order_seq = 0
 
@@ -168,7 +168,7 @@ def run_strategy(
 
     if config.kind == StrategyKind.BUY_HOLD:
         first = series.bars[0]
-        qty = int(Decimal(initial_cash) / first.open)
+        qty = int(initial_cash / first.open)
         if qty >= 1:
             # Sized and validated against the first open it will fill at.
             submit(Action.BUY, qty, first.session_date - timedelta(days=1), first.open)

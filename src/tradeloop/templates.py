@@ -7,8 +7,8 @@ else is a template error — strictness is what makes candidate validation
 meaningful. Bare braces are literal text (the order-schema JSON examples in
 the assets depend on that).
 
-Text inside a `<system_role>` block renders into the LLM system message; the
-remainder becomes the user message.
+Text inside a `<system_role>` block that the template writes renders into
+the LLM system message, the rest into the user message; tags in values are text.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ _PLACEHOLDER = re.compile(
     r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\|\s*default\(\"([^\"]*)\"\)\s*)?\}\}"
 )
 _TAG = re.compile(r"\{%\s*(if\s+([A-Za-z_][A-Za-z0-9_]*)|else|endif)\s*%\}")
-_SYSTEM_BLOCK = re.compile(r"<system_role>(.*?)</system_role>", re.DOTALL)
+_SYSTEM_TAGS = ("<system_role>", "</system_role>")
+_SYSTEM_TAG = re.compile(r"(</?system_role>)")
 
 MAX_CONDITIONAL_DEPTH = 2
 
@@ -66,16 +67,22 @@ def _parse(body: str) -> tuple[tuple, frozenset[str]]:
     tokens: list = []
     names: set[str] = set()
     pos = 0
+
+    def text(chunk: str) -> None:
+        if "system_role>" in chunk:
+            tokens.extend(map(_Text, filter(None, _SYSTEM_TAG.split(chunk))))
+        elif chunk:
+            tokens.append(_Text(chunk))
+
     while True:
         next_ph = body.find("{{", pos)
         next_tag = body.find("{%", pos)
         candidates = [c for c in (next_ph, next_tag) if c != -1]
         if not candidates:
-            tokens.append(_Text(body[pos:]))
+            text(body[pos:])
             break
         cut = min(candidates)
-        if cut > pos:
-            tokens.append(_Text(body[pos:cut]))
+        text(body[pos:cut])
         if cut == next_ph:
             m = _PLACEHOLDER.match(body, cut)
             if m is None:
@@ -159,24 +166,26 @@ class PromptTemplate:
         the default filter fires on missing, None, or empty-string values.
         Conditionals test truthiness of their (required) key. Values are
         inserted verbatim: the parser already split the template text at
-        every '{{' and '{%', so braces in the output can only come from
-        values, such as model or news text.
+        every '{{', '{%' and system tag, so braces and tags in a value, such
+        as model or news text, are text. The system block runs from the
+        template's first `<system_role>` to its next `</system_role>`.
         """
         out: list[str] = []
-        self._render_nodes(self.nodes, context, out)
-        text = "".join(out)
-        m = _SYSTEM_BLOCK.search(text)
-        if m:
-            system_text = m.group(1).strip()
-            user_text = (text[: m.start()] + text[m.end() :]).strip("\n")
-        else:
-            system_text = ""
-            user_text = text
+        tags: list[int] = []  # the indices in `out` of the template's tags
+        self._render_nodes(self.nodes, context, out, tags)
+        start = next((i for i in tags if out[i] == "<system_role>"), len(out))
+        end = next((i for i in tags if i > start and out[i] == "</system_role>"), None)
+        if end is None:
+            return RenderedPrompt(system_text="", user_text="".join(out))
+        system_text = "".join(out[start + 1 : end]).strip()
+        user_text = ("".join(out[:start]) + "".join(out[end + 1 :])).strip("\n")
         return RenderedPrompt(system_text=system_text, user_text=user_text)
 
-    def _render_nodes(self, nodes: tuple, context: Mapping[str, object], out: list[str]) -> None:
+    def _render_nodes(self, nodes: tuple, context: Mapping[str, object], out: list[str], tags: list[int]) -> None:
         for node in nodes:
             if isinstance(node, _Text):
+                if node.text in _SYSTEM_TAGS:  # `_parse` made each tag a node of its own
+                    tags.append(len(out))
                 out.append(node.text)
             elif isinstance(node, _Placeholder):
                 present = node.name in context
@@ -191,7 +200,7 @@ class PromptTemplate:
                 if node.name not in context:
                     raise TemplateError("MISSING_KEY", node.name)
                 branch = node.then if context[node.name] else node.otherwise
-                self._render_nodes(branch, context, out)
+                self._render_nodes(branch, context, out, tags)
 
 
 _PROMPT_DIR = Path(__file__).parent / "prompts"

@@ -246,6 +246,18 @@ def test_bad_config_value_exits_2_before_writing(tmp_path, path, value):
     assert not Path(config["paths"]["out_dir"]).exists()
 
 
+def test_misspelled_paths_key_exits_2_naming_the_keys(tmp_path, capsys):
+    """A misspelled input key would otherwise drop that input silently, like an ablation."""
+    build_workspace(tmp_path, mode="baseline")
+    config_path = tmp_path / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["paths"]["fundamental"] = config["paths"].pop("fundamentals")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    assert "paths must be dict['bars' | 'actions' | 'news' | 'fundamentals' | 'calendar' | 'out_dir', str]" in capsys.readouterr().err
+    assert not Path(config["paths"]["out_dir"]).exists()
+
+
 @pytest.fixture(scope="module")
 def recorded_run(tmp_path_factory) -> Path:
     """A baseline run recorded by `tradeloop run`; probes tamper with copies."""
@@ -377,10 +389,15 @@ NO_TRACEBACK_PROBES = {
         EXIT_PROVIDER,
         _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.pop("v"))),
     ),
+    **{
+        f"replay {name} edited": (EXIT_PROVIDER, _tampered("replay", name, lambda text: text.replace("0", "1", 1)))
+        for name in ("engine.jsonl", "opro.jsonl", "metrics.json")
+    },
 }
 # What a probe's error message must say, beyond its label.
 PROBE_MESSAGES = {
     "replay gateway v1 record": ("cannot replay ", "is gateway audit version 1; this build replays version 2"),
+    **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
 }
 
 

@@ -223,7 +223,7 @@ def test_report_metrics_field(workspace, key, value):
 WORDS = [
     "run", "backtest", "report", "replay", "validate-data", "-h",
     "--config", "--runs", "--mode", "--instrument", "--out-dir",
-    "--strategy", "--bars", "--actions", "--symbol", "--window", "--long-window", "--k", "--cash", "--out",
+    "--strategy", "--bars", "--actions", "--window", "--long-window", "--k", "--cash", "--out",
     "--runs", "--label", "--csv", "--run",
     "buy_hold", "sma", "slma", "macd", "bollinger", "reflection",
     "-3", "0", "1", "2", "30", "1e400", "1e-9", "nan", "inf", "-inf", "abc",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
 
@@ -357,6 +357,29 @@ class TestRunExperiment:
         cta_prompts = [request.messages[-1].text for _, request in role_records(artifacts[0].run_dir, "cta")]
         assert len(cta_prompts) == WINDOW_SESSIONS and all(reply in p for p in cta_prompts)
 
+    def test_one_session_window_scores_roi_0_and_replays(self, tmp_path):
+        config = build_workspace(tmp_path, mode="adaptive_opro")
+        obj = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+        obj["window_start"] = (config.window_end - timedelta(days=1)).isoformat()
+        (tmp_path / "config.json").write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+        run_dir = tmp_path / "runs" / "exp-adaptive_opro" / "run-1"
+        payload = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
+        assert payload["equity"]["dates"] == [config.window_end.isoformat()]
+        assert payload["metrics"]["roi_pct"] == 0.0
+        assert main(["replay", "--run", str(run_dir)]) == 0
+
+    def test_float_initial_cash_books_its_json_digits(self, tmp_path):
+        build_workspace(tmp_path, mode="baseline")
+        obj = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+        obj["initial_cash"] = 100000.1
+        artifacts, _ = run_experiment(ExperimentConfig.from_dict(obj))
+        events = [json.loads(line) for line in (artifacts[0].run_dir / "engine.jsonl").read_text(encoding="utf-8").splitlines()]
+        summary = next(event for event in events if event["type"] == "SESSION_SUMMARY")
+        assert summary["cash"] == "100000.1"
+        assert summary["portfolio_value"] == "100000.10"  # cash plus no shares at a 2-decimal close
+        assert artifacts[0].equity[0][1] == Decimal("100000.1")
+
     def test_run_dir_layout(self, tmp_path):
         config = build_workspace(tmp_path)
         artifacts, _ = run_experiment(config)
@@ -433,7 +456,7 @@ def rejection_providers(config: ExperimentConfig, lead: tuple[str, ...] = ()) ->
         "```json\n{not json}\n```",
         "still no fence",
     ]
-    sessions = load_data(config).calendar.sessions_between(config.window_start, config.window_end)
+    sessions = load_data(config).sessions
     giveup = f"**Current:** {sessions[12].isoformat()}"
     providers = dict(config.providers)
     providers["optimizer"] = {
@@ -730,7 +753,7 @@ class TestReplay:
         with pytest.raises(ReplayMismatch, match="hash does not match"):
             replay_run(run_dir)
 
-    def test_tampered_response_surfaces_artifact_diff(self, tmp_path):
+    def test_tampered_response_diverges_at_the_next_call(self, tmp_path):
         config = build_workspace(tmp_path)
         artifacts, _ = run_experiment(config)
         gw = artifacts[0].run_dir / "gateway.jsonl"
@@ -743,7 +766,8 @@ class TestReplay:
                 lines[i] = json.dumps(record, separators=(",", ":"), sort_keys=True)
                 break
         gw.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ReplayMismatch):
+        # The altered reply changes the trading agent's next request.
+        with pytest.raises(ReplayMismatch, match="^replay diverged: REPLAY_MISMATCH: call 6: "):
             replay_run(artifacts[0].run_dir)
 
 
@@ -764,6 +788,17 @@ class TestProviderFailure:
         partial = (run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(partial) > 0  # completed exchanges survive the abort
         assert (run_dir / "engine.jsonl").exists()
+
+    def test_aborted_run_leaves_its_config_lock(self, tmp_path):
+        from tradeloop.gateway import GatewayError
+
+        config = build_workspace(tmp_path, mode="baseline")
+        config.providers["market"] = {"kind": "scripted", "script": [{"match": "", "response": "ok", "times": 3}]}
+        with pytest.raises(GatewayError):
+            run_experiment(config)
+        lock = json.loads((tmp_path / "runs" / "exp-baseline" / "run-1" / "config.lock").read_text(encoding="utf-8"))
+        assert lock["hash"] == hashlib.sha256(json.dumps(lock["config"], indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+        assert lock["config"]["providers"]["market"] == config.providers["market"]
 
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
     def test_aborted_run_closes_its_logs(self, tmp_path):

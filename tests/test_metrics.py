@@ -461,7 +461,7 @@ class TestComputeReport:
     def test_wires_everything(self):
         values = [100_000.0, 100_500.0, 99_800.0, 100_900.0]
         trades = [tf(2, Action.BUY, 10, D(100)), tf(3, Action.SELL, 10, D(105))]
-        report = compute_report(values, trades, exposures=[1000.0, 1050.0, 0.0, 0.0])
+        report = compute_report(values, trades, exposures=[1000.0, 1050.0, 0.0, 0.0], initial=100_000.0)
         assert report.num_trades == 2
         assert report.win_rate_pct == pytest.approx(100.0)
         assert report.roi_pct == pytest.approx(roi(values))
