@@ -186,6 +186,8 @@ class ExperimentConfig(_Config, what="config"):
 
     def __post_init__(self) -> None:
         self.check_types()
+        if "bars" not in self.paths:
+            raise ConfigError("paths.bars is required")
         if self.window_start >= self.window_end:
             raise ConfigError("window_start must precede window_end")
         for name in ("runs", "opro_k", "reflection_interval"):
@@ -219,6 +221,7 @@ FUNDAMENTAL_FIGURES = tuple(n for n, hint in get_type_hints(agents.FundamentalSn
 class LoadedData:
     bars: BarSeries
     sessions: list[date]  # the sessions of the evaluation window
+    timeline: MarketTimeline | None = None  # None when the market analyst is ablated
     news: list = field(default_factory=list)
     fundamentals: list = field(default_factory=list)
     actions: list = field(default_factory=list)
@@ -287,9 +290,9 @@ def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty):
 
 
 def load_data(config: ExperimentConfig) -> LoadedData:
+    """The inputs of every run of `config`, read and checked once, and the
+    market analyst's timeline, which depends on the bars and sessions only."""
     paths = config.paths
-    if "bars" not in paths:
-        raise DataError("config.paths.bars is required")
     series = read_bars(paths["bars"], symbol=config.instrument)
     actions = _parse_input(paths, "actions", parse_actions_csv, [])
     series = adjust_for_actions(series, actions)
@@ -303,13 +306,15 @@ def load_data(config: ExperimentConfig) -> LoadedData:
     missing = [d.isoformat() for d in sessions if series.bar_on(d) is None]
     if missing:
         raise DataError(f"missing bars for sessions: {', '.join(missing)}")
-    return LoadedData(bars=series, sessions=sessions, news=news, fundamentals=fundamentals, actions=actions)
+    timeline = None if config.ablations.get("no_market") else MarketTimeline(series, sessions)
+    return LoadedData(series, sessions, timeline, news=news, fundamentals=fundamentals, actions=actions)
 
 
-def _lock_hash(config_json) -> str:
-    """The hash a config.lock records: SHA-256 of its config object as sorted
-    JSON indented by 2."""
-    return hashlib.sha256(json.dumps(config_json, indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+def _config_text(config_json) -> tuple[str, str]:
+    """A config.lock's config object as sorted JSON indented by 2, and the
+    hash the lock records: the SHA-256 of that text."""
+    text = json.dumps(config_json, indent=2, sort_keys=True)
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def build_provider(pconf: ProviderConfig):
@@ -371,34 +376,31 @@ def multi_timeframe_text(series: BarSeries, as_of: date) -> str:
 
 
 class MarketTimeline:
-    """The technical context of every session of a run, computed once.
+    """The indicator and levels text of every session of an experiment,
+    computed once, when its data loads, and not changed after.
 
-    Each indicator series and the local extrema are computed in one pass over
+    The indicator series and the local extrema are computed in one pass over
     the bars up to the last session. Only the indicator values at the
-    sessions' bars are kept; session k's levels cluster the extrema found up
-    to its bar. Both equal what the history that ends at session k's bar
-    gives, so the cost per session does not grow with the history.
+    sessions' bars are kept, and each session's levels insert into the
+    clusters of the session before only the extrema found since. Both equal
+    what the history that ends at the session's bar gives, so the cost per
+    session does not grow with the history.
     """
 
     def __init__(self, series: BarSeries, sessions: list[date]):
         self.series = series
-        self.cursor = [series.index_after(d) - 1 for d in sessions]  # each session's bar index
-        history = series.up_to(sessions[-1])
-        self.snapshots = indicators.snapshots(history, self.cursor)
-        self.extrema = indicators.local_extrema(history)
+        self.cursor = tuple(series.index_after(d) - 1 for d in sessions)  # each session's bar index
+        self.texts = tuple(indicators.market_texts(series.up_to(sessions[-1]), self.cursor))
 
 
 def market_context(timeline: MarketTimeline, k: int, names: frozenset[str]) -> dict:
     """What the market analyst adds to session k's context: the indicator and
     levels text, and the multi-timeframe text only when `names`, the
     placeholders of the template its turn renders, include it."""
-    i = timeline.cursor[k]
-    parts = [indicators.format_for_prompt(timeline.snapshots[k])]
-    if i >= 4:  # levels need five bars of history
-        parts.append(indicators.format_levels(indicators.levels_at(timeline.series, timeline.extrema, i)))
-    context = {"formatted_indicators": "\n".join(parts)}
+    context = {"formatted_indicators": timeline.texts[k]}
     if "extended_intervals_analysis" in names:
-        context["extended_intervals_analysis"] = multi_timeframe_text(timeline.series, timeline.series.bars[i].session_date)
+        as_of = timeline.series.bars[timeline.cursor[k]].session_date
+        context["extended_intervals_analysis"] = multi_timeframe_text(timeline.series, as_of)
     return context
 
 
@@ -492,9 +494,11 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     # Built before any log opens: a replay provider reads its whole recording here.
     router = build_router(config)
     run_dir.mkdir(parents=True, exist_ok=True)
-    config_json = json.loads(json.dumps(config.__dict__, default=date.isoformat))
-    lock = {"config": config_json, "hash": _lock_hash(config_json)}
-    (run_dir / "config.lock").write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # The lock is {"config": ..., "hash": ...} as sorted JSON indented by 2:
+    # the config text, indented one level more, and its hash.
+    config_text, config_hash = _config_text(json.loads(json.dumps(config.__dict__, default=date.isoformat)))
+    lock_text = '{\n  "config": ' + config_text.replace("\n", "\n  ") + f',\n  "hash": "{config_hash}"\n}}\n'
+    (run_dir / "config.lock").write_text(lock_text, encoding="utf-8")
 
     with ExitStack() as logs:
         audit = logs.enter_context(closing(AuditLog(run_dir / "engine.jsonl")))
@@ -518,7 +522,6 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         market, news, fundamental = analyst("market"), analyst("news"), analyst("fundamental")
         cta = agents.CentralAgent("cta", gateway, optimizer.live_template, tpl("cta_followup"))
         reflection_template = tpl("reflection")
-        timeline = MarketTimeline(series, sessions) if market is not None else None
         news_dates = [date.fromisoformat(item.ts[:10]) for item in data.news] if news is not None else []
         event_dates = {snap.filing_date for snap in data.fundamentals} | {a.effective_date for a in data.actions}
 
@@ -549,7 +552,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                 reports["reflection_analysis"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
 
             if market is not None:
-                context = ctx | market_context(timeline, i, market.next_template.placeholders())
+                context = ctx | market_context(data.timeline, i, market.next_template.placeholders())
                 reports["market_analysis"] = market.ask(context, tags)
             if news is not None:
                 lower = session - timedelta(days=3) if i == 0 else sessions[i - 1]
@@ -675,7 +678,7 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
     try:
         lock = json.loads((run_dir / "config.lock").read_text(encoding="utf-8"))
         recorded = lock["config"]
-        if _lock_hash(recorded) != lock["hash"]:
+        if _config_text(recorded)[1] != lock["hash"]:
             raise ReplayMismatch("config.lock hash does not match its config payload")
         if isinstance(recorded, dict):
             recorded.pop("seed", None)  # written by earlier versions; nothing read it

@@ -4,22 +4,22 @@ Each indicator returns one value per bar: a float, or a dict of named lines
 for MACD and Bollinger, and None until enough history exists for its
 parameters. Every series, and the local-extrema test behind the
 support/resistance levels, reads only past bars, so its value at bar i equals
-the value computed on the bars up to i. `snapshots` and `levels_at` use this
-to give the indicator set and the levels at many bars from one pass over the
-series: the harness computes them once per run and reads each session's
-context incrementally. All of these feed the market analyst's prompt context;
-None renders as the literal text "n/a".
+the value computed on the bars up to i. `snapshots`, `levels_at` and
+`market_texts` use this to give the indicator set and the levels at many bars
+from one pass over the series: the harness computes the market analyst's text
+for every session of an experiment once. None renders as the literal text
+"n/a".
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bars import BarSeries
 from .errors import ConfigError
@@ -29,8 +29,7 @@ class IndicatorError(ConfigError):
     pass
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     price: float
     strength: float  # in [0, 1]
     touches: int
@@ -164,22 +163,41 @@ def atr_series(series: BarSeries, n: int = 14) -> list[float | None]:
     return out
 
 
-def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[dict | None]:
+def bollinger_at(closes: Sequence[float], i: int, n: int = 20, k: float = 2.0) -> dict | None:
     """middle = SMA_n, upper/lower = middle ± k*sigma with population sigma
-    over the last n closes."""
+    over the n closes that end at index i. Each window is summed afresh, so
+    the value at i needs only those closes."""
+    if i < n - 1:
+        return None
+    window = closes[i - n + 1 : i + 1]
+    mean = sum(window) / n
+    var = sum((x - mean) ** 2 for x in window) / n
+    sigma = var**0.5
+    return {"middle": mean, "upper": mean + k * sigma, "lower": mean - k * sigma}
+
+
+def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[dict | None]:
+    """`bollinger_at` at every bar."""
     if n < 2:
         raise IndicatorError("n must be >= 2")
     if not (math.isfinite(k) and k > 0):
         raise IndicatorError(f"k must be finite and > 0, got {k!r}")
     closes = series.closes()
-    out: list[dict | None] = [None] * min(n - 1, len(closes))
-    for i in range(n - 1, len(closes)):
-        window = closes[i - n + 1 : i + 1]
-        mean = sum(window) / n
-        var = sum((x - mean) ** 2 for x in window) / n
-        sigma = var**0.5
-        out.append({"middle": mean, "upper": mean + k * sigma, "lower": mean - k * sigma})
-    return out
+    return [bollinger_at(closes, i, n, k) for i in range(len(closes))]
+
+
+class Columns(NamedTuple):
+    """A series' closes, highs and lows as floats, and its volumes."""
+
+    closes: list[float]
+    highs: list[float]
+    lows: list[float]
+    volumes: list[int]
+
+    @classmethod
+    def of(cls, series: BarSeries) -> "Columns":
+        bars = series.bars
+        return cls(series.closes(), [float(b.high) for b in bars], [float(b.low) for b in bars], [b.volume for b in bars])
 
 
 def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) -> dict:
@@ -189,24 +207,30 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) 
     holds at least `coverage` of total volume, then trims to its outermost
     nonzero bins.
     """
+    return _volume_profile(Columns.of(series), slice(None), n_bins, coverage)
+
+
+def _volume_profile(cols: Columns, window: slice, n_bins: int = 24, coverage: float = 0.70) -> dict:
+    """`volume_profile` of the `window` bars of `cols`."""
     if n_bins < 1:
         raise IndicatorError("n_bins must be >= 1")
-    if not series.bars:
+    closes, bar_volumes = cols.closes[window], cols.volumes[window]
+    if not closes:
         raise IndicatorError("empty window")
-    total_volume = sum(b.volume for b in series.bars)
+    total_volume = sum(bar_volumes)
     if total_volume == 0:
         raise IndicatorError("zero total volume")
 
-    lo = min(float(b.low) for b in series.bars)
-    hi = max(float(b.high) for b in series.bars)
+    lo = min(cols.lows[window])
+    hi = max(cols.highs[window])
     if hi == lo:
         return {"poc": lo, "value_area_low": lo, "value_area_high": lo, "nodes": [[lo, float(total_volume)]]}
 
     width = (hi - lo) / n_bins
     volumes = [0.0] * n_bins
-    for b in series.bars:
-        idx = min(int((float(b.close) - lo) / width), n_bins - 1)
-        volumes[idx] += b.volume
+    for close, volume in zip(closes, bar_volumes):
+        idx = min(int((close - lo) / width), n_bins - 1)
+        volumes[idx] += volume
     poc_idx = max(range(n_bins), key=lambda i: (volumes[i], -i))
 
     target = coverage * total_volume
@@ -232,89 +256,144 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) 
 Extremum = tuple[int, float, int]  # (bar index, price, volume)
 
 
-def local_extrema(series: BarSeries) -> tuple[list[Extremum], list[Extremum]]:
-    """Local highs and lows of `series`, in bar order.
+def local_extrema(cols: Columns) -> tuple[list[Extremum], list[Extremum]]:
+    """Local highs and lows of the bars of `cols`, in bar order.
 
     A bar is a local high (low) when its high (low) is the max (min) of its
     ±2-bar neighborhood and some neighbor is strictly lower (higher); the two
     bars at each end are excluded. The test at bar j reads bars j-2..j+2
     only, so on the bars up to index i the extrema are those with j <= i - 2.
     """
-    bars = series.bars
-    highs = [float(b.high) for b in bars]
-    lows = [float(b.low) for b in bars]
+    highs, lows, volumes = cols.highs, cols.lows, cols.volumes
     local_highs: list[Extremum] = []
     local_lows: list[Extremum] = []
-    for j in range(2, len(bars) - 2):
+    for j in range(2, len(highs) - 2):
         nb_high = highs[j - 2 : j + 3]
-        if highs[j] >= max(nb_high) and any(h < highs[j] for h in nb_high):
-            local_highs.append((j, highs[j], bars[j].volume))
+        if highs[j] >= max(nb_high) and min(nb_high) < highs[j]:
+            local_highs.append((j, highs[j], volumes[j]))
         nb_low = lows[j - 2 : j + 3]
-        if lows[j] <= min(nb_low) and any(low > lows[j] for low in nb_low):
-            local_lows.append((j, lows[j], bars[j].volume))
+        if lows[j] <= min(nb_low) and max(nb_low) > lows[j]:
+            local_lows.append((j, lows[j], volumes[j]))
     return local_highs, local_lows
 
 
-def cluster_levels(points: Iterable[tuple[float, int]], tolerance_pct: float, min_touches: int) -> tuple[Level, ...]:
-    """Cluster (price, volume) extrema into horizontal bands.
+Cluster = tuple[float, int, int]  # (mean price, touches, volume)
 
-    Extrema within tolerance_pct of a cluster's mean price join it; clusters
-    reaching min_touches become levels with strength = touch-count x volume
-    weight, normalized to (0, 1].
-    """
-    points = sorted(points)
-    if not points:
-        return ()
-    prices: list[list[float]] = [[points[0][0]]]  # per cluster
-    volumes: list[list[int]] = [[points[0][1]]]
-    for price, vol in points[1:]:
-        mean = sum(prices[-1]) / len(prices[-1])
-        if mean > 0 and abs(price - mean) / mean * 100.0 <= tolerance_pct:
-            prices[-1].append(price)
-            volumes[-1].append(vol)
-        else:
-            prices.append([price])
-            volumes.append([vol])
-    raw = [(sum(ps) / len(ps), len(ps), sum(vs)) for ps, vs in zip(prices, volumes) if len(ps) >= min_touches]
-    if not raw:
-        return ()
-    max_weight = max(t * max(v, 1) for _, t, v in raw)
-    return tuple(
-        Level(price=price, strength=(t * max(v, 1)) / max_weight, touches=t)
-        for price, t, v in raw
-    )
+
+def _sweep(
+    points: Sequence[tuple[float, int]], start: int, tolerance_pct: float, resume: Sequence[int] = ()
+) -> tuple[list[int], list[Cluster], int]:
+    """The greedy clusters of the sorted (price, volume) `points` from index
+    `start`, which opens a cluster: each point joins the open cluster when it
+    lies within tolerance_pct of the cluster's mean price, and opens the next
+    one otherwise. The sweep stops before a cluster would open at an index in
+    `resume` (ascending). Returns the clusters' start indices, the clusters,
+    and the position in `resume` where the sweep stopped (its length when
+    the sweep reached the last point)."""
+    starts: list[int] = []
+    clusters: list[Cluster] = []
+    r, k, n = 0, start, len(points)
+    while k < n:
+        while r < len(resume) and resume[r] < k:
+            r += 1
+        if r < len(resume) and resume[r] == k:
+            return starts, clusters, r
+        starts.append(k)
+        price, volume = points[k]
+        prices = [price]
+        mean = sum(prices) / len(prices)
+        k += 1
+        while k < n and mean > 0 and abs(points[k][0] - mean) / mean * 100.0 <= tolerance_pct:
+            prices.append(points[k][0])
+            volume += points[k][1]
+            mean = sum(prices) / len(prices)
+            k += 1
+        clusters.append((mean, len(prices), volume))
+    return starts, clusters, len(resume)
+
+
+class _Clusters:
+    """One side's extrema, those known so far in (price, volume) order, and
+    their greedy clusters."""
+
+    def __init__(self, extrema: list[Extremum], tolerance_pct: float):
+        self.extrema = extrema  # in bar order
+        self.known = 0
+        self.tolerance_pct = tolerance_pct
+        self.points: list[tuple[float, int]] = []
+        self.starts: list[int] = []
+        self.clusters: list[Cluster] = []
+
+    def advance(self, cutoff: int) -> None:
+        """Add the extrema at bars up to `cutoff`: in one full sweep while
+        none is known, then one insertion each."""
+        upto = bisect_right(self.extrema, cutoff, key=itemgetter(0))
+        new = [(price, vol) for _, price, vol in self.extrema[self.known : upto]]
+        self.known = upto
+        if not self.points:
+            self.points = sorted(new)
+            self.starts, self.clusters, _ = _sweep(self.points, 0, self.tolerance_pct)
+            return
+        for point in new:
+            self._insert(point)
+
+    def _insert(self, point: tuple[float, int]) -> None:
+        """Re-sweep from the cluster of the point's sorted predecessor, up to
+        the first cluster that opens where a later cluster opened before: from
+        there on, the sweep reads the same points as it did then."""
+        q = bisect_right(self.points, point)
+        self.points.insert(q, point)
+        c = max(bisect_right(self.starts, q - 1) - 1, 0)
+        later = [s + 1 for s in self.starts[c + 1 :]]  # each moved on by the inserted point
+        starts, clusters, kept = _sweep(self.points, self.starts[c], self.tolerance_pct, later)
+        self.starts[c:] = starts + later[kept:]
+        self.clusters[c:] = clusters + self.clusters[c + 1 + kept :]
+
+    def levels(self, min_touches: int) -> tuple[Level, ...]:
+        """The clusters of at least min_touches, with strength = touch count x
+        volume weight, normalized to (0, 1]."""
+        raw = [(mean, t, t * max(v, 1)) for mean, t, v in self.clusters if t >= min_touches]
+        if not raw:
+            return ()
+        max_weight = max(weight for _, _, weight in raw)
+        return tuple(Level(price=mean, strength=weight / max_weight, touches=t) for mean, t, weight in raw)
 
 
 def levels_at(
-    series: BarSeries,
-    extrema: tuple[list[Extremum], list[Extremum]],
-    i: int,
-    tolerance_pct: float = 0.5,
-    min_touches: int = 2,
-) -> LevelSet:
-    """The support/resistance levels of the bars up to index i, given the
-    `local_extrema` of `series` (or of any longer series it begins)."""
-    cutoff = i - 2
+    series: BarSeries, indices: Sequence[int], tolerance_pct: float = 0.5, min_touches: int = 2
+) -> Iterator[LevelSet]:
+    """The support/resistance levels of the bars up to each index in
+    `indices`, ascending: the `local_extrema` known there, clustered within
+    tolerance_pct."""
+    return _levels_at(series, Columns.of(series), indices, tolerance_pct, min_touches)
 
-    def known(points: list[Extremum]) -> list[tuple[float, int]]:
-        return [(price, vol) for _, price, vol in points[: bisect_right(points, cutoff, key=itemgetter(0))]]
 
-    highs, lows = extrema
-    return LevelSet(
-        as_of=series.bars[i].session_date,
-        support=cluster_levels(known(lows), tolerance_pct, min_touches),
-        resistance=cluster_levels(known(highs), tolerance_pct, min_touches),
-    )
+def _levels_at(
+    series: BarSeries, cols: Columns, indices: Sequence[int], tolerance_pct: float = 0.5, min_touches: int = 2
+) -> Iterator[LevelSet]:
+    """`levels_at`, from the columns of `series`. Each side's clusters are
+    kept from one index to the next, and only the extrema that became known
+    in between are inserted, so the cost per index does not grow with the
+    history."""
+    highs, lows = (_Clusters(extrema, tolerance_pct) for extrema in local_extrema(cols))
+    for i in indices:
+        highs.advance(i - 2)
+        lows.advance(i - 2)
+        yield LevelSet(
+            as_of=series.bars[i].session_date,
+            support=lows.levels(min_touches),
+            resistance=highs.levels(min_touches),
+        )
 
 
 def detect_levels(
     series: BarSeries, tolerance_pct: float = 0.5, min_touches: int = 2
 ) -> LevelSet:
     """Support/resistance levels at the last bar of `series`: its local
-    extrema, clustered."""
+    extrema, clustered in one sweep."""
     if len(series.bars) < 3:
         raise IndicatorError("need at least 3 bars")
-    return levels_at(series, local_extrema(series), len(series.bars) - 1, tolerance_pct, min_touches)
+    return next(levels_at(series, [len(series.bars) - 1], tolerance_pct, min_touches))
 
 
 def _fmt(value: float) -> str:
@@ -331,14 +410,32 @@ def _bands_text(v: dict) -> str:
 
 PROFILE_WINDOW = 63  # bars of the volume profile
 
-# The standard indicator set, as (prompt label, series, value text).
+
+def _at_indices(compute):
+    """The values at bar indices, read from `compute`'s series over all bars."""
+
+    def values(series: BarSeries, cols: Columns, indices: Sequence[int]) -> list:
+        full = compute(series)
+        return [full[i] for i in indices]
+
+    return values
+
+
+def _bollinger_at_indices(series: BarSeries, cols: Columns, indices: Sequence[int]) -> list[dict | None]:
+    return [bollinger_at(cols.closes, i) for i in indices]
+
+
+# The standard indicator set, as (prompt label, values at bar indices, value
+# text). SMA, EMA, RSI, MACD and ATR carry running values from bar to bar, so
+# each takes a pass over all bars; Bollinger sums each window afresh, so it
+# reads only the windows that end at the indices.
 _STANDARD_SET = (
-    *((f"SMA({n})", partial(sma_series, n=n), _fmt) for n in (20, 50, 100, 200)),
-    *((f"EMA({n})", partial(ema_series, n=n), _fmt) for n in (12, 26)),
-    ("RSI(14)", rsi_series, _fmt),
-    ("MACD(12,26,9)", macd_series, _macd_text),
-    ("ATR(14)", atr_series, _fmt),
-    ("BOLLINGER(20,2)", bollinger_series, _bands_text),
+    *((f"SMA({n})", _at_indices(partial(sma_series, n=n)), _fmt) for n in (20, 50, 100, 200)),
+    *((f"EMA({n})", _at_indices(partial(ema_series, n=n)), _fmt) for n in (12, 26)),
+    ("RSI(14)", _at_indices(rsi_series), _fmt),
+    ("MACD(12,26,9)", _at_indices(macd_series), _macd_text),
+    ("ATR(14)", _at_indices(atr_series), _fmt),
+    ("BOLLINGER(20,2)", _bollinger_at_indices, _bands_text),
 )
 
 
@@ -352,18 +449,32 @@ def snapshots(series: BarSeries, indices: Sequence[int]) -> list[list[float | di
     set at the last bar of the bars up to i. Each full series is computed
     once and dropped as soon as its values at `indices` are taken.
     """
+    return _snapshots(series, Columns.of(series), indices)
+
+
+def _snapshots(series: BarSeries, cols: Columns, indices: Sequence[int]) -> list[list[float | dict | None]]:
     rows: list[list[float | dict | None]] = [[] for _ in indices]
-    for _, compute, _ in _STANDARD_SET:
-        values = compute(series)
-        for row, i in zip(rows, indices):
-            row.append(values[i])
+    for _, values, _ in _STANDARD_SET:
+        for row, value in zip(rows, values(series, cols, indices)):
+            row.append(value)
     for row, i in zip(rows, indices):
-        tail = replace(series, bars=series.bars[max(0, i + 1 - PROFILE_WINDOW) : i + 1])
         try:
-            row.append(volume_profile(tail))
+            row.append(_volume_profile(cols, slice(max(0, i + 1 - PROFILE_WINDOW), i + 1)))
         except IndicatorError:
             row.append(None)
     return rows
+
+
+def market_texts(series: BarSeries, indices: Sequence[int]) -> list[str]:
+    """The market analyst's indicator text at each bar index in `indices`,
+    ascending: the standard set, and the levels once five bars exist. The
+    bars' floats are read once for all indices."""
+    cols = Columns.of(series)
+    levels = _levels_at(series, cols, indices)
+    return [
+        format_for_prompt(row) + (f"\n{format_levels(level_set)}" if i >= 4 else "")
+        for row, i, level_set in zip(_snapshots(series, cols, indices), indices, levels)
+    ]
 
 
 def snapshot(series: BarSeries) -> list[float | dict | None]:

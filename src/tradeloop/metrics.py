@@ -92,12 +92,11 @@ def daily_returns(values: Sequence[float]) -> list[float]:
     return [values[i] / values[i - 1] - 1.0 for i in range(1, len(values))]
 
 
-def roi(values: Sequence[float], initial: float | None = None) -> float:
-    """(V_T - V_0) / V_0 * 100. `initial` overrides V_0 for runs whose first
-    marked session already includes a fill (buy-and-hold at the first open)."""
-    if len(values) < 2 and initial is None:
+def roi(values: Sequence[float]) -> float:
+    """(V_T - V_0) / V_0 * 100."""
+    if len(values) < 2:
         raise MetricsError("need at least 2 points")
-    v0 = float(values[0]) if initial is None else float(initial)
+    v0 = float(values[0])
     if v0 <= 0:
         raise MetricsError("initial value must be positive")
     return (float(values[-1]) - v0) / v0 * 100.0

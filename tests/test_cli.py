@@ -279,12 +279,15 @@ def _backtest(*flags):
 
 def _run_with(key, value):
     """`run` over the recorded workspace's config with `config[key] = value`,
-    or `config["paths"]["bars"] = value` for the key "paths.bars"."""
+    or `config["paths"]["bars"] = value` for the key "paths.bars", which a
+    value of None removes."""
 
     def argv(tmp_path, run):
         config = json.loads((run.parents[2] / "config.json").read_text(encoding="utf-8"))
         config["paths"]["out_dir"] = str(tmp_path / "out")
-        if key == "paths.bars":
+        if key == "paths.bars" and value is None:
+            del config["paths"]["bars"]
+        elif key == "paths.bars":
             config["paths"]["bars"] = value
         else:
             config[key] = value
@@ -371,6 +374,7 @@ NO_TRACEBACK_PROBES = {
     "run experiment 5": (EXIT_CONFIG, _run_with("experiment", 5)),
     "run prompt_dir 5": (EXIT_CONFIG, _run_with("prompt_dir", 5)),
     "run paths.bars 5": (EXIT_CONFIG, _run_with("paths.bars", 5)),
+    "run paths without bars": (EXIT_CONFIG, _run_with("paths.bars", None)),
     "replay config.lock not JSON": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: "{not json")),
     "replay gateway line not JSON": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: "{not json\n" + text)),
     "validate-data --bars nested.jsonl": (
@@ -396,6 +400,7 @@ NO_TRACEBACK_PROBES = {
 }
 # What a probe's error message must say, beyond its label.
 PROBE_MESSAGES = {
+    "run paths without bars": ("paths.bars is required\n",),
     "replay gateway v1 record": ("cannot replay ", "is gateway audit version 1; this build replays version 2"),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
 }

@@ -344,6 +344,39 @@ class TestRunExperiment:
         # identical scripts -> identical metrics; the aggregate has zero std
         assert bundle["aggregate"]["roi_pct"].std == pytest.approx(0.0)
 
+    def test_timeline_is_built_once_per_experiment(self, tmp_path, monkeypatch):
+        """The three runs share one timeline, and each sends the same market
+        requests: nothing a run reads from it changes it."""
+        built = []
+        original = indicators.market_texts
+        monkeypatch.setattr(indicators, "market_texts", lambda *args: built.append(args) or original(*args))
+        artifacts, _ = run_experiment(build_workspace(tmp_path, runs=3))
+        assert len(built) == 1
+        first, *rest = [(a.run_dir / "gateway.jsonl").read_bytes() for a in artifacts]
+        assert rest == [first, first]
+
+    def test_no_timeline_without_the_market_analyst(self, tmp_path):
+        assert load_data(build_workspace(tmp_path, ablations={"no_market": True})).timeline is None
+
+    def test_config_lock_is_config_and_hash_as_sorted_json(self, tmp_path):
+        """config.lock is encoded once and must equal the encoder's bytes,
+        here over an inline script, non-ASCII text, newlines and empty
+        containers."""
+        config = build_workspace(tmp_path)
+        config.providers = config.providers | {
+            "default": {},
+            "reflection": {"kind": "scripted", "script": []},
+            "news": {"kind": "scripted", "script": [{"match": "", "response": "Café 🙂 \u2028 line\nbreak", "times": None}]},
+        }
+        config.ablations = {}
+        config.experiment = "expérience"
+        artifacts, _ = run_experiment(config)
+        config_json = json.loads(json.dumps(config.__dict__, default=date.isoformat))
+        digest = hashlib.sha256(json.dumps(config_json, indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+        want = json.dumps({"config": config_json, "hash": digest}, indent=2, sort_keys=True) + "\n"
+        assert (artifacts[0].run_dir / "config.lock").read_text(encoding="utf-8") == want
+        replay_run(artifacts[0].run_dir)
+
     def test_braces_in_model_text_pass_through_verbatim(self, tmp_path):
         config = build_workspace(tmp_path, mode="baseline")
         reply = "Range-bound; watch {{ resistance }}"
@@ -565,9 +598,16 @@ def reference_market_context(series: BarSeries, session: date) -> dict:
     }
 
 
+# SHA-256 of every session's market values, with both placeholders named,
+# over the last 42 of 2000 bars of `build_workspace` (2031-07-04 to
+# 2031-09-01), as JSON with sorted keys. Computed before the levels became
+# incremental; CPython 3.11, as the digests above.
+GOLDEN_MARKET_CONTEXT_DIGEST = "de8d03d5afcb7075f940aeb052fb765366625b4998fd01f3aa633c6a1cea3287"
+
+
 class TestMarketTimeline:
-    """Each session's market values from the once-per-run timeline equal the
-    ones rebuilt from that session's history."""
+    """Each session's market values from the once-per-experiment timeline
+    equal the ones rebuilt from that session's history."""
 
     def assert_contexts_match(self, series: BarSeries, sessions: list[date]) -> None:
         timeline = MarketTimeline(series, sessions)
@@ -598,6 +638,14 @@ class TestMarketTimeline:
         series = synthetic_daily(260, seed=8)
         self.assert_contexts_match(series, series.dates()[-2:])
 
+    def test_long_history_matches_pinned_digest(self, tmp_path):
+        data = load_data(build_workspace(tmp_path, history_bars=2000))
+        names = frozenset({"extended_intervals_analysis", "formatted_indicators"})
+        contexts = [market_context(data.timeline, k, names) for k in range(len(data.sessions))]
+        assert (len(contexts), len(data.bars)) == (42, 2000)
+        digest = hashlib.sha256(json.dumps(contexts, sort_keys=True).encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_MARKET_CONTEXT_DIGEST
+
 
 class TestSessionContext:
     """One context per session: the values every prompt of the session may
@@ -614,7 +662,9 @@ class TestSessionContext:
     }
 
     def context(self, fills: list[Fill]) -> dict:
-        config = ExperimentConfig(instrument="SYNTH", window_start=date(2025, 4, 28), window_end=date(2025, 6, 27))
+        config = ExperimentConfig(
+            instrument="SYNTH", window_start=date(2025, 4, 28), window_end=date(2025, 6, 27), paths={"bars": "bars.csv"}
+        )
         bar = Bar(date(2025, 5, 2), Decimal("100"), Decimal("101.5"), Decimal("99.25"), Decimal("100.5"), 1000)
         state = PortfolioState(cash=Decimal("98989.5"), shares_long=12, shares_short=3, as_of=None)
         return session_context(config, bar, state, fills)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 from tradeloop.bars import BarSeries, Resolution
 from tradeloop.indicators import (
+    Columns,
     IndicatorError,
     atr_series,
+    bollinger_at,
     bollinger_series,
     detect_levels,
     ema_series,
@@ -33,7 +36,7 @@ from tradeloop.indicators import (
     volume_profile,
 )
 
-from conftest import make_bar, series_from_closes, synthetic_daily
+from conftest import make_bar, next_weekday, series_from_closes, synthetic_daily
 
 REL_TOL = 1e-9
 
@@ -121,6 +124,40 @@ def bollinger_oracle(closes: list[float], n: int, k: float, i: int):
     mean = sum(window) / n
     sigma = (sum((x - mean) ** 2 for x in window) / n) ** 0.5
     return mean, mean + k * sigma, mean - k * sigma
+
+
+def levels_oracle(series: BarSeries, tolerance_pct: float = 0.5, min_touches: int = 2):
+    """(support, resistance) at the last bar, each a tuple of (price,
+    strength, touches): the local extrema that two later bars confirm, in
+    (price, volume) order, clustered greedily from the lowest."""
+    bars = series.bars
+    highs = [float(b.high) for b in bars]
+    lows = [float(b.low) for b in bars]
+    peaks, troughs = [], []
+    for j in range(2, len(bars) - 2):
+        near = range(j - 2, j + 3)
+        if all(highs[j] >= highs[t] for t in near) and any(highs[t] < highs[j] for t in near):
+            peaks.append((highs[j], bars[j].volume))
+        if all(lows[j] <= lows[t] for t in near) and any(lows[t] > lows[j] for t in near):
+            troughs.append((lows[j], bars[j].volume))
+
+    def clustered(points):
+        groups = []
+        for price, volume in sorted(points):
+            if groups:
+                prices = [p for p, _ in groups[-1]]
+                mean = sum(prices) / len(prices)
+                if mean > 0 and abs(price - mean) / mean * 100.0 <= tolerance_pct:
+                    groups[-1].append((price, volume))
+                    continue
+            groups.append([(price, volume)])
+        kept = [g for g in groups if len(g) >= min_touches]
+        weights = [len(g) * max(sum(v for _, v in g), 1) for g in kept]
+        return tuple(
+            (sum(p for p, _ in g) / len(g), w / max(weights), len(g)) for g, w in zip(kept, weights)
+        )
+
+    return clustered(troughs), clustered(peaks)
 
 
 # -- sma ----------------------------------------------------------------------
@@ -324,6 +361,16 @@ class TestBollinger:
         with pytest.raises(IndicatorError):
             bollinger_series(series_from_closes([1.0, 2.0]), n=1)[-1]
 
+    def test_at_an_index_equals_the_series(self, random_series):
+        closes = random_series.closes()
+        for n, k in ((20, 2.0), (5, 1.5), (2, 3.0)):
+            full = bollinger_series(random_series, n, k)
+            assert [bollinger_at(closes, i, n, k) for i in range(len(closes))] == full
+        # The snapshot reads Bollinger 20/2 at its bars only.
+        indices = range(3, len(closes), 7)
+        full = bollinger_series(random_series)
+        assert [row[9] for row in snapshots(random_series, indices)] == [full[i] for i in indices]
+
     def test_matches_oracle(self, random_series):
         closes = random_series.closes()
         for i, v in enumerate(bollinger_series(random_series, 20, 2.0)):
@@ -512,16 +559,70 @@ class TestPerBarSets:
 
     def test_levels_at_equal_prefix_levels(self, random_series):
         bars = random_series.bars
-        extrema = local_extrema(random_series)
-        for i in range(2, len(bars)):
+        indices = range(2, len(bars))
+        for i, levels in zip(indices, levels_at(random_series, indices), strict=True):
             prefix = BarSeries("SYNTH", Resolution.DAILY, bars[: i + 1])
-            assert levels_at(random_series, extrema, i) == detect_levels(prefix), i
+            assert levels == detect_levels(prefix), i
+            assert (levels.support, levels.resistance) == levels_oracle(prefix), i
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30), *[st.sampled_from([0, 1, 500, 1000, 1001])] * 2),
+            min_size=8,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100)
+    def test_levels_at_every_bar_equal_prefix_levels(self, swings):
+        """Each swing is three bars: a low, a high, and a bar between them,
+        so every swing adds one local low and one local high. Prices come
+        from a grid of 0.25 steps near 100, so they repeat with different
+        volumes, which makes (price, volume) ties, and steps of 0.50 sit at
+        the 0.5% tolerance."""
+        grid = [Decimal("99") + Decimal("0.25") * k for k in range(64)]
+        top = grid[32]
+        d = date(2024, 1, 1)
+        bars = []
+        for low, high, volume in [(top, top, 1)] * 2 + [
+            bar for a, b, v_low, v_high in swings for bar in ((grid[a], grid[a], v_low), (top, grid[32 + b], v_high), (top, top, 1))
+        ]:
+            d = next_weekday(d + timedelta(days=1))
+            bars.append(make_bar(d, low, high, low, low, v=volume))
+        series = BarSeries("SYNTH", Resolution.DAILY, tuple(bars))
+        indices = range(len(bars))
+        for i, levels in zip(indices, levels_at(series, indices), strict=True):
+            prefix = series.up_to(bars[i].session_date)
+            assert levels.as_of == bars[i].session_date
+            assert (levels.support, levels.resistance) == levels_oracle(prefix), i
+            if i >= 2:
+                assert levels == detect_levels(prefix), i
+
+    def test_an_inserted_low_moves_a_chain_of_clusters(self):
+        """Lows 0.3 apart cluster in threes. A lower one found last joins the
+        first cluster, which then ends a point earlier; each later cluster of
+        the chain takes the point its predecessor let go, up to the gap
+        before 120, where the clusters are as before."""
+        lows = [100.3, 100.6, 100.9, 101.2, 101.5, 101.8, 120.0, 120.1, 100.0]
+        d = date(2024, 1, 1)
+        bars = []
+        for low in [130.0, 130.0] + [x for low in lows for x in (low, 130.0, 130.0)]:
+            d = next_weekday(d + timedelta(days=1))
+            bars.append(make_bar(d, low + 1, low + 1, low, low + 1, v=100))
+        series = BarSeries("SYNTH", Resolution.DAILY, tuple(bars))
+        indices = range(2, len(bars))
+        sets = list(levels_at(series, indices))
+        for i, levels in zip(indices, sets):
+            assert levels == detect_levels(series.up_to(bars[i].session_date)), i
+        before, after = sets[-2].support, sets[-1].support  # the last low is known at the last bar
+        assert [(round(lv.price, 6), lv.touches) for lv in before] == [(100.6, 3), (101.5, 3), (120.05, 2)]
+        assert [(round(lv.price, 6), lv.touches) for lv in after] == [(100.3, 3), (101.2, 3), (120.05, 2)]
+        assert before[-1] == after[-1]
 
     def test_extrema_need_two_bars_after(self):
         series = series_from_closes([1.0, 2.0, 5.0, 2.0, 1.0])
-        highs, lows = local_extrema(series)
+        highs, lows = local_extrema(Columns.of(series))
         assert highs == [(2, 5.0, 1000)] and lows == []
-        assert local_extrema(series_from_closes([1.0, 5.0, 1.0, 1.0])) == ([], [])
+        assert local_extrema(Columns.of(series_from_closes([1.0, 5.0, 1.0, 1.0]))) == ([], [])
 
 
 class TestSnapshotRendering:

@@ -99,9 +99,6 @@ class TestROI:
     def test_nvda_buy_hold_value(self):
         assert roi([100_000, 141_300]) == pytest.approx(41.30)
 
-    def test_explicit_initial_overrides_first_point(self):
-        assert roi([101_000, 110_000], initial=100_000) == pytest.approx(10.0)
-
     def test_nonpositive_initial_rejected(self):
         with pytest.raises(MetricsError):
             roi([0.0, 1.0])
