@@ -1,7 +1,8 @@
 """OHLCV bar ingestion, validation, corporate-action adjustment, and resampling.
 
 Prices are held as :class:`decimal.Decimal` with at most 4 decimal places so
-portfolio accounting downstream stays exact. Analytics convert to float.
+portfolio accounting downstream stays exact. Analytics read a series' float
+columns, each converted once per series.
 """
 
 from __future__ import annotations
@@ -9,13 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DataError
 
@@ -72,7 +74,13 @@ class Bar:
 
 @dataclass(frozen=True)
 class BarSeries:
-    """Ordered bar sequence for one symbol at one resolution."""
+    """Ordered bar sequence for one symbol at one resolution.
+
+    Its float closes, highs and lows and its volumes are immutable columns,
+    each made from the bars the first time it is read and kept with the
+    series: the analytics read these, the engine the bars' Decimals. A
+    sub-series is a new series, with no column until one is read.
+    """
 
     symbol: str
     resolution: Resolution
@@ -90,23 +98,24 @@ class BarSeries:
     def __len__(self) -> int:
         return len(self.bars)
 
-    def __iter__(self) -> Iterator[Bar]:
-        return iter(self.bars)
-
-    def __getitem__(self, idx: int) -> Bar:
-        return self.bars[idx]
-
     def dates(self) -> list[date]:
         return [b.session_date for b in self.bars]
 
-    def closes(self) -> list[float]:
-        return [float(b.close) for b in self.bars]
+    @cached_property
+    def closes(self) -> tuple[float, ...]:
+        return tuple([float(b.close) for b in self.bars])
 
-    def bar_on(self, session: date) -> Bar | None:
-        i = bisect_left(self.bars, session, key=_session_date)
-        if i < len(self.bars) and self.bars[i].session_date == session:
-            return self.bars[i]
-        return None
+    @cached_property
+    def highs(self) -> tuple[float, ...]:
+        return tuple([float(b.high) for b in self.bars])
+
+    @cached_property
+    def lows(self) -> tuple[float, ...]:
+        return tuple([float(b.low) for b in self.bars])
+
+    @cached_property
+    def volumes(self) -> tuple[int, ...]:
+        return tuple([b.volume for b in self.bars])
 
     def index_after(self, as_of: date) -> int:
         """Index of the first bar dated after as_of: the number of bars dated ≤ as_of."""

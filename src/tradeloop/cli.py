@@ -45,14 +45,11 @@ def _cmd_backtest(args) -> int:
     for flag in ("window", "long_window", "k"):
         if getattr(args, flag) is not None and flag not in flags:
             raise ConfigError(f"--{flag.replace('_', '-')} does not apply to --strategy {args.strategy}")
-    for flag, window in (("--window", args.window), ("--long-window", args.long_window)):
-        if window is not None and window < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {window}")
+    kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag) is not None}
+    config = StrategyConfig(kind=StrategyKind(args.strategy), **kwargs)
     series = read_bars(args.bars)
     if args.actions:
         series = adjust_for_actions(series, parse_actions_csv(Path(args.actions).read_text(encoding="utf-8")))
-    kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag) is not None}
-    config = StrategyConfig(kind=StrategyKind(args.strategy), **kwargs)
     result = run_strategy(config, series, initial_cash=cash)
     print(result.report.to_json())
     aggs = aggregate_runs([result.report])

@@ -8,6 +8,7 @@ environment variable and is never persisted.
 from __future__ import annotations
 
 import json
+import math
 import os
 from datetime import date, datetime, timezone
 from decimal import Decimal, ROUND_HALF_EVEN
@@ -23,7 +24,11 @@ class FetchError(RuntimeError):
     pass
 
 
-def _dec(value: float) -> Decimal:
+def _dec(row: dict, key: str) -> Decimal:
+    """The number `row[key]` to 4 decimal places."""
+    value = row[key]
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{key} is not a finite number: {value!r}")
     return Decimal(repr(value)).quantize(_FOUR_DP, rounding=ROUND_HALF_EVEN)
 
 
@@ -75,27 +80,31 @@ class BarFetcher:
             obj = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FetchError(f"unparseable provider payload: {exc}") from None
-        results = obj.get("results") or []
+        results = obj.get("results") if isinstance(obj, dict) else None
         if not results:
             raise FetchError("provider payload has no results")
         bars = []
-        for row in results:
-            # provider timestamps are epoch ms; pin UTC so the session date
-            # does not depend on the host timezone
-            session = datetime.fromtimestamp(row["t"] / 1000.0, tz=timezone.utc).date()
+        for number, row in enumerate(results, start=1):
             try:
-                bars.append(
-                    Bar(
-                        session_date=session,
-                        open=_dec(row["o"]),
-                        high=_dec(row["h"]),
-                        low=_dec(row["l"]),
-                        close=_dec(row["c"]),
-                        volume=int(row["v"]),
-                        vwap=_dec(row["vw"]) if "vw" in row else None,
-                        transactions=int(row["n"]) if "n" in row else None,
-                    )
-                )
+                bars.append(_bar_from_row(row))
             except BarDataError as exc:
-                raise FetchError(f"provider bar for {session} violates invariants: {exc}") from None
+                raise FetchError(f"provider bar at row {number} violates invariants: {exc}") from None
+            except (LookupError, TypeError, ValueError, ArithmeticError, OSError) as exc:
+                raise FetchError(f"unreadable provider row {number}: {exc!r}") from None
         return BarSeries(symbol=symbol, resolution=Resolution.DAILY, bars=tuple(bars))
+
+
+def _bar_from_row(row: dict) -> Bar:
+    # provider timestamps are epoch ms; pin UTC so the session date
+    # does not depend on the host timezone
+    session = datetime.fromtimestamp(row["t"] / 1000.0, tz=timezone.utc).date()
+    return Bar(
+        session_date=session,
+        open=_dec(row, "o"),
+        high=_dec(row, "h"),
+        low=_dec(row, "l"),
+        close=_dec(row, "c"),
+        volume=int(row["v"]),
+        vwap=_dec(row, "vw") if "vw" in row else None,
+        transactions=int(row["n"]) if "n" in row else None,
+    )

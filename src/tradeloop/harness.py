@@ -219,12 +219,32 @@ FUNDAMENTAL_FIGURES = tuple(n for n, hint in get_type_hints(agents.FundamentalSn
 
 @dataclass
 class LoadedData:
+    """The inputs of every run of an experiment, read and checked once, with
+    each session's bar index and the market analyst's indicator and levels
+    text, which depend on the bars and sessions only."""
+
     bars: BarSeries
     sessions: list[date]  # the sessions of the evaluation window
-    timeline: MarketTimeline | None = None  # None when the market analyst is ablated
+    session_bars: tuple[int, ...]  # each session's index in `bars.bars`
+    market_texts: tuple[str, ...] | None  # one per session; None when the market analyst is ablated
     news: list = field(default_factory=list)
     fundamentals: list = field(default_factory=list)
     actions: list = field(default_factory=list)
+
+    @classmethod
+    def of(cls, series: BarSeries, sessions: list[date], market: bool = True, **inputs) -> "LoadedData":
+        """The data of `sessions` over `series`. Each session's bar is found
+        once, here; a session without a bar is a DataError that names it.
+        The market texts come from one pass over the bars up to the last
+        session (`indicators.market_texts`)."""
+        if not sessions:
+            raise DataError("no trading sessions inside the evaluation window")
+        session_bars = tuple(series.index_after(d) - 1 for d in sessions)
+        missing = [d.isoformat() for d, i in zip(sessions, session_bars) if i < 0 or series.bars[i].session_date != d]
+        if missing:
+            raise DataError(f"missing bars for sessions: {', '.join(missing)}")
+        texts = tuple(indicators.market_texts(series.up_to(sessions[-1]), session_bars)) if market else None
+        return cls(series, sessions, session_bars, texts, **inputs)
 
 
 _is_number = _type_test(float)
@@ -290,8 +310,7 @@ def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty):
 
 
 def load_data(config: ExperimentConfig) -> LoadedData:
-    """The inputs of every run of `config`, read and checked once, and the
-    market analyst's timeline, which depends on the bars and sessions only."""
+    """The inputs of every run of `config`, read and checked once."""
     paths = config.paths
     series = read_bars(paths["bars"], symbol=config.instrument)
     actions = _parse_input(paths, "actions", parse_actions_csv, [])
@@ -301,13 +320,8 @@ def load_data(config: ExperimentConfig) -> LoadedData:
     fundamentals = _parse_input(paths, "fundamentals", _parse_fundamentals, [])
 
     sessions = calendar.sessions_between(config.window_start, config.window_end)
-    if not sessions:
-        raise DataError("no trading sessions inside the evaluation window")
-    missing = [d.isoformat() for d in sessions if series.bar_on(d) is None]
-    if missing:
-        raise DataError(f"missing bars for sessions: {', '.join(missing)}")
-    timeline = None if config.ablations.get("no_market") else MarketTimeline(series, sessions)
-    return LoadedData(series, sessions, timeline, news=news, fundamentals=fundamentals, actions=actions)
+    market = not config.ablations.get("no_market")
+    return LoadedData.of(series, sessions, market, news=news, fundamentals=fundamentals, actions=actions)
 
 
 def _config_text(config_json) -> tuple[str, str]:
@@ -375,32 +389,13 @@ def multi_timeframe_text(series: BarSeries, as_of: date) -> str:
     return "\n\n".join(sections)
 
 
-class MarketTimeline:
-    """The indicator and levels text of every session of an experiment,
-    computed once, when its data loads, and not changed after.
-
-    The indicator series and the local extrema are computed in one pass over
-    the bars up to the last session. Only the indicator values at the
-    sessions' bars are kept, and each session's levels insert into the
-    clusters of the session before only the extrema found since. Both equal
-    what the history that ends at the session's bar gives, so the cost per
-    session does not grow with the history.
-    """
-
-    def __init__(self, series: BarSeries, sessions: list[date]):
-        self.series = series
-        self.cursor = tuple(series.index_after(d) - 1 for d in sessions)  # each session's bar index
-        self.texts = tuple(indicators.market_texts(series.up_to(sessions[-1]), self.cursor))
-
-
-def market_context(timeline: MarketTimeline, k: int, names: frozenset[str]) -> dict:
+def market_context(data: LoadedData, k: int, names: frozenset[str]) -> dict:
     """What the market analyst adds to session k's context: the indicator and
     levels text, and the multi-timeframe text only when `names`, the
     placeholders of the template its turn renders, include it."""
-    context = {"formatted_indicators": timeline.texts[k]}
+    context = {"formatted_indicators": data.market_texts[k]}
     if "extended_intervals_analysis" in names:
-        as_of = timeline.series.bars[timeline.cursor[k]].session_date
-        context["extended_intervals_analysis"] = multi_timeframe_text(timeline.series, as_of)
+        context["extended_intervals_analysis"] = multi_timeframe_text(data.bars, data.sessions[k])
     return context
 
 
@@ -531,8 +526,8 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
         delivered_fundamentals = 0
 
-        for i, session in enumerate(sessions):
-            bar = series.bar_on(session)
+        for i, (session, bar_index) in enumerate(zip(sessions, data.session_bars)):
+            bar = series.bars[bar_index]
             step = i + 1
             result = engine.step_session(bar)
             if steps:
@@ -552,7 +547,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                 reports["reflection_analysis"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
 
             if market is not None:
-                context = ctx | market_context(data.timeline, i, market.next_template.placeholders())
+                context = ctx | market_context(data, i, market.next_template.placeholders())
                 reports["market_analysis"] = market.ask(context, tags)
             if news is not None:
                 lower = session - timedelta(days=3) if i == 0 else sessions[i - 1]

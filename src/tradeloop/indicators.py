@@ -1,14 +1,17 @@
 """Technical indicators over bar series.
 
-Each indicator returns one value per bar: a float, or a dict of named lines
-for MACD and Bollinger, and None until enough history exists for its
-parameters. Every series, and the local-extrema test behind the
-support/resistance levels, reads only past bars, so its value at bar i equals
-the value computed on the bars up to i. `snapshots`, `levels_at` and
-`market_texts` use this to give the indicator set and the levels at many bars
-from one pass over the series: the harness computes the market analyst's text
-for every session of an experiment once. None renders as the literal text
-"n/a".
+Every indicator takes a `BarSeries` and reads its float columns (`closes`,
+`highs`, `lows`, `volumes`), which the series converts from its bars once;
+no indicator converts a price itself. Each `*_series` returns one value per
+bar: a float, or a dict of named lines for MACD and Bollinger, and None until
+enough history exists for its parameters.
+
+Every series, and the local-extrema test behind the support/resistance
+levels, reads only past bars, so its value at bar i equals the value
+computed on the bars up to i. `snapshots`, `levels_at` and `market_texts`
+use this to give the indicator set and the levels at many bars from one pass
+over the series: the harness computes the market analyst's text for every
+session of an experiment once. None renders as the literal text "n/a".
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def sma_series(series: BarSeries, n: int) -> list[float | None]:
     """Arithmetic mean of the last n closes."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    closes = series.closes()
+    closes = series.closes
     out: list[float | None] = []
     window_sum = 0.0
     for i, close in enumerate(closes):
@@ -62,7 +65,7 @@ def ema_series(series: BarSeries, n: int) -> list[float | None]:
     the first n closes (value at the seed bar is the seed itself)."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    closes = series.closes()
+    closes = series.closes
     alpha = 2.0 / (n + 1)
     out: list[float | None] = [None] * min(n - 1, len(closes))
     if len(closes) >= n:
@@ -80,7 +83,7 @@ def rsi_series(series: BarSeries, n: int = 14) -> list[float | None]:
     losses. Zero average loss maps to 100, zero average gain to 0."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    closes = series.closes()
+    closes = series.closes
     out: list[float | None] = [None] * min(n, len(closes))
     avg_gain = avg_loss = 0.0
     gain_sum = loss_sum = 0.0
@@ -135,16 +138,11 @@ def macd_series(
 
 def true_ranges(series: BarSeries) -> list[float]:
     """TR = max(H-L, |H-C_prev|, |L-C_prev|); the first bar's TR is H-L."""
-    out: list[float] = []
-    prev_close: float | None = None
-    for bar in series.bars:
-        h, l = float(bar.high), float(bar.low)
-        if prev_close is None:
-            out.append(h - l)
-        else:
-            out.append(max(h - l, abs(h - prev_close), abs(l - prev_close)))
-        prev_close = float(bar.close)
-    return out
+    closes = series.closes
+    return [
+        max(h - l, abs(h - closes[i - 1]), abs(l - closes[i - 1])) if i else h - l
+        for i, (h, l) in enumerate(zip(series.highs, series.lows))
+    ]
 
 
 def atr_series(series: BarSeries, n: int = 14) -> list[float | None]:
@@ -163,13 +161,13 @@ def atr_series(series: BarSeries, n: int = 14) -> list[float | None]:
     return out
 
 
-def bollinger_at(closes: Sequence[float], i: int, n: int = 20, k: float = 2.0) -> dict | None:
+def bollinger_at(series: BarSeries, i: int, n: int = 20, k: float = 2.0) -> dict | None:
     """middle = SMA_n, upper/lower = middle ± k*sigma with population sigma
-    over the n closes that end at index i. Each window is summed afresh, so
+    over the n closes that end at bar i. Each window is summed afresh, so
     the value at i needs only those closes."""
     if i < n - 1:
         return None
-    window = closes[i - n + 1 : i + 1]
+    window = series.closes[i - n + 1 : i + 1]
     mean = sum(window) / n
     var = sum((x - mean) ** 2 for x in window) / n
     sigma = var**0.5
@@ -182,47 +180,27 @@ def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[dic
         raise IndicatorError("n must be >= 2")
     if not (math.isfinite(k) and k > 0):
         raise IndicatorError(f"k must be finite and > 0, got {k!r}")
-    closes = series.closes()
-    return [bollinger_at(closes, i, n, k) for i in range(len(closes))]
+    return [bollinger_at(series, i, n, k) for i in range(len(series.bars))]
 
 
-class Columns(NamedTuple):
-    """A series' closes, highs and lows as floats, and its volumes."""
-
-    closes: list[float]
-    highs: list[float]
-    lows: list[float]
-    volumes: list[int]
-
-    @classmethod
-    def of(cls, series: BarSeries) -> "Columns":
-        bars = series.bars
-        return cls(series.closes(), [float(b.high) for b in bars], [float(b.low) for b in bars], [b.volume for b in bars])
-
-
-def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70) -> dict:
-    """Volume histogram over [min low, max high], each bar's volume binned by
-    its close. POC is the center of the heaviest bin (ties break toward the
-    lower price). The value area expands symmetrically around the POC until it
-    holds at least `coverage` of total volume, then trims to its outermost
-    nonzero bins.
+def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70, window: slice = slice(None)) -> dict:
+    """Volume histogram of the `window` bars (all by default) over [min low,
+    max high], each bar's volume binned by its close. POC is the center of
+    the heaviest bin (ties break toward the lower price). The value area
+    expands symmetrically around the POC until it holds at least `coverage`
+    of total volume, then trims to its outermost nonzero bins.
     """
-    return _volume_profile(Columns.of(series), slice(None), n_bins, coverage)
-
-
-def _volume_profile(cols: Columns, window: slice, n_bins: int = 24, coverage: float = 0.70) -> dict:
-    """`volume_profile` of the `window` bars of `cols`."""
     if n_bins < 1:
         raise IndicatorError("n_bins must be >= 1")
-    closes, bar_volumes = cols.closes[window], cols.volumes[window]
+    closes, bar_volumes = series.closes[window], series.volumes[window]
     if not closes:
         raise IndicatorError("empty window")
     total_volume = sum(bar_volumes)
     if total_volume == 0:
         raise IndicatorError("zero total volume")
 
-    lo = min(cols.lows[window])
-    hi = max(cols.highs[window])
+    lo = min(series.lows[window])
+    hi = max(series.highs[window])
     if hi == lo:
         return {"poc": lo, "value_area_low": lo, "value_area_high": lo, "nodes": [[lo, float(total_volume)]]}
 
@@ -256,15 +234,15 @@ def _volume_profile(cols: Columns, window: slice, n_bins: int = 24, coverage: fl
 Extremum = tuple[int, float, int]  # (bar index, price, volume)
 
 
-def local_extrema(cols: Columns) -> tuple[list[Extremum], list[Extremum]]:
-    """Local highs and lows of the bars of `cols`, in bar order.
+def local_extrema(series: BarSeries) -> tuple[list[Extremum], list[Extremum]]:
+    """Local highs and lows of the bars of `series`, in bar order.
 
     A bar is a local high (low) when its high (low) is the max (min) of its
     ±2-bar neighborhood and some neighbor is strictly lower (higher); the two
     bars at each end are excluded. The test at bar j reads bars j-2..j+2
     only, so on the bars up to index i the extrema are those with j <= i - 2.
     """
-    highs, lows, volumes = cols.highs, cols.lows, cols.volumes
+    highs, lows, volumes = series.highs, series.lows, series.volumes
     local_highs: list[Extremum] = []
     local_lows: list[Extremum] = []
     for j in range(2, len(highs) - 2):
@@ -364,18 +342,10 @@ def levels_at(
 ) -> Iterator[LevelSet]:
     """The support/resistance levels of the bars up to each index in
     `indices`, ascending: the `local_extrema` known there, clustered within
-    tolerance_pct."""
-    return _levels_at(series, Columns.of(series), indices, tolerance_pct, min_touches)
-
-
-def _levels_at(
-    series: BarSeries, cols: Columns, indices: Sequence[int], tolerance_pct: float = 0.5, min_touches: int = 2
-) -> Iterator[LevelSet]:
-    """`levels_at`, from the columns of `series`. Each side's clusters are
-    kept from one index to the next, and only the extrema that became known
-    in between are inserted, so the cost per index does not grow with the
-    history."""
-    highs, lows = (_Clusters(extrema, tolerance_pct) for extrema in local_extrema(cols))
+    tolerance_pct. Each side's clusters are kept from one index to the next,
+    and only the extrema that became known in between are inserted, so the
+    cost per index does not grow with the history."""
+    highs, lows = (_Clusters(extrema, tolerance_pct) for extrema in local_extrema(series))
     for i in indices:
         highs.advance(i - 2)
         lows.advance(i - 2)
@@ -414,15 +384,15 @@ PROFILE_WINDOW = 63  # bars of the volume profile
 def _at_indices(compute):
     """The values at bar indices, read from `compute`'s series over all bars."""
 
-    def values(series: BarSeries, cols: Columns, indices: Sequence[int]) -> list:
+    def values(series: BarSeries, indices: Sequence[int]) -> list:
         full = compute(series)
         return [full[i] for i in indices]
 
     return values
 
 
-def _bollinger_at_indices(series: BarSeries, cols: Columns, indices: Sequence[int]) -> list[dict | None]:
-    return [bollinger_at(cols.closes, i) for i in indices]
+def _bollinger_at_indices(series: BarSeries, indices: Sequence[int]) -> list[dict | None]:
+    return [bollinger_at(series, i) for i in indices]
 
 
 # The standard indicator set, as (prompt label, values at bar indices, value
@@ -449,17 +419,13 @@ def snapshots(series: BarSeries, indices: Sequence[int]) -> list[list[float | di
     set at the last bar of the bars up to i. Each full series is computed
     once and dropped as soon as its values at `indices` are taken.
     """
-    return _snapshots(series, Columns.of(series), indices)
-
-
-def _snapshots(series: BarSeries, cols: Columns, indices: Sequence[int]) -> list[list[float | dict | None]]:
     rows: list[list[float | dict | None]] = [[] for _ in indices]
     for _, values, _ in _STANDARD_SET:
-        for row, value in zip(rows, values(series, cols, indices)):
+        for row, value in zip(rows, values(series, indices)):
             row.append(value)
     for row, i in zip(rows, indices):
         try:
-            row.append(_volume_profile(cols, slice(max(0, i + 1 - PROFILE_WINDOW), i + 1)))
+            row.append(volume_profile(series, window=slice(max(0, i + 1 - PROFILE_WINDOW), i + 1)))
         except IndicatorError:
             row.append(None)
     return rows
@@ -467,13 +433,10 @@ def _snapshots(series: BarSeries, cols: Columns, indices: Sequence[int]) -> list
 
 def market_texts(series: BarSeries, indices: Sequence[int]) -> list[str]:
     """The market analyst's indicator text at each bar index in `indices`,
-    ascending: the standard set, and the levels once five bars exist. The
-    bars' floats are read once for all indices."""
-    cols = Columns.of(series)
-    levels = _levels_at(series, cols, indices)
+    ascending: the standard set, and the levels once five bars exist."""
     return [
         format_for_prompt(row) + (f"\n{format_levels(level_set)}" if i >= 4 else "")
-        for row, i, level_set in zip(_snapshots(series, cols, indices), indices, levels)
+        for row, i, level_set in zip(snapshots(series, indices), indices, levels_at(series, indices))
     ]
 
 

@@ -10,6 +10,7 @@ in cash).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal
@@ -18,7 +19,7 @@ from enum import Enum
 from .bars import BarSeries
 from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .indicators import bollinger_series, macd_series, sma_series
 from .metrics import MetricReport, compute_report
 
@@ -46,6 +47,10 @@ class Signal:
     stance: Stance
 
 
+# Each window of a StrategyConfig and its least value: Bollinger's sigma needs two closes.
+_LEAST_WINDOWS = dict.fromkeys(("sma_n", "slma_short", "slma_long", "macd_fast", "macd_slow", "macd_signal"), 1) | {"bollinger_n": 2}
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     kind: StrategyKind
@@ -57,6 +62,15 @@ class StrategyConfig:
     macd_signal: int = 9
     bollinger_n: int = 20
     bollinger_k: float = 2.0
+
+    def __post_init__(self) -> None:
+        # A strategy's parameters enter here, from the CLI or from code, and are checked once.
+        for name, least in _LEAST_WINDOWS.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (isinstance(self.bollinger_k, (int, float)) and math.isfinite(self.bollinger_k) and self.bollinger_k > 0):
+            raise ConfigError(f"bollinger_k must be finite and > 0, got {self.bollinger_k!r}")
 
     def longest_window(self) -> int:
         if self.kind == StrategyKind.BUY_HOLD:
@@ -100,7 +114,7 @@ def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
             f"{config.kind.value} needs at least {config.longest_window()} bars, got {len(series)}"
         )
     dates = series.dates()
-    closes = series.closes()
+    closes = series.closes
 
     if config.kind == StrategyKind.BUY_HOLD:
         return [Signal(dates[0], Stance.ENTER_LONG)]

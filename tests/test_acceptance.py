@@ -104,7 +104,7 @@ class TestCriterion2IndicatorOracles:
     def test_streaming_equals_from_definition_on_1000_bars(self):
         started = time.perf_counter()
         series = synthetic_daily(1000, seed=3)
-        closes = series.closes()
+        closes = series.closes
         tol = 1e-9
 
         def rel(a, b):

@@ -303,6 +303,48 @@ class TestWindowSlice:
         assert sliced.bars[-1].session_date == as_of
 
 
+COLUMNS = ("closes", "highs", "lows", "volumes")
+
+
+class TestColumns:
+    """A series' float columns: its bars' prices as floats, and its volumes,
+    each made once, the first time it is read."""
+
+    def test_columns_are_the_bars_as_floats(self):
+        series = synthetic_daily(40, seed=3)
+        bars = series.bars
+        assert series.closes == tuple(float(b.close) for b in bars)
+        assert series.highs == tuple(float(b.high) for b in bars)
+        assert series.lows == tuple(float(b.low) for b in bars)
+        assert series.volumes == tuple(b.volume for b in bars)
+
+    def test_reading_a_column_twice_gives_the_same_object(self):
+        series = synthetic_daily(40, seed=3)
+        for name in COLUMNS:
+            assert getattr(series, name) is getattr(series, name), name
+
+    def test_a_read_column_leaves_equality_and_hash_alone(self):
+        series = synthetic_daily(40, seed=3)
+        twin = BarSeries(series.symbol, series.resolution, series.bars)
+        for name in COLUMNS:
+            getattr(series, name)
+        assert series == twin and hash(series) == hash(twin)
+
+    def test_slices_make_no_column_until_one_is_read(self):
+        series = synthetic_daily(120, seed=3)
+        for name in COLUMNS:
+            getattr(series, name)  # the whole series' columns are not its slices'
+        as_of = series.bars[80].session_date
+        for sub in (
+            series.up_to(as_of),
+            window_slice(series, Lookback(months=1), as_of),
+            resample(series, Resolution.WEEKLY),
+        ):
+            assert not set(COLUMNS) & vars(sub).keys()
+            assert sub.highs == tuple(float(b.high) for b in sub.bars)
+            assert set(COLUMNS) & vars(sub).keys() == {"highs"}
+
+
 class TestSessionCalendar:
     def test_membership_and_range(self):
         series = synthetic_daily(10)

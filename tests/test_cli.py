@@ -401,6 +401,10 @@ NO_TRACEBACK_PROBES = {
 # What a probe's error message must say, beyond its label.
 PROBE_MESSAGES = {
     "run paths without bars": ("paths.bars is required\n",),
+    "backtest sma --window -3": ("sma_n must be an integer >= 1, got -3\n",),
+    "backtest bollinger --window 1": ("bollinger_n must be an integer >= 2, got 1\n",),
+    "backtest bollinger --k nan": ("bollinger_k must be finite and > 0, got nan\n",),
+    "backtest bollinger --k -1": ("bollinger_k must be finite and > 0, got -1.0\n",),
     "replay gateway v1 record": ("cannot replay ", "is gateway audit version 1; this build replays version 2"),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
 }

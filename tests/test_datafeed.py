@@ -11,7 +11,7 @@ import pytest
 from tradeloop.datafeed import BarFetcher, FetchError
 
 
-def provider_payload() -> bytes:
+def provider_rows() -> list[dict]:
     rows = []
     for i, day in enumerate((date(2025, 4, 28), date(2025, 4, 29))):
         epoch_ms = int(__import__("datetime").datetime(day.year, day.month, day.day, 12).timestamp() * 1000)
@@ -27,7 +27,11 @@ def provider_payload() -> bytes:
                 "n": 42 + i,
             }
         )
-    return json.dumps({"results": rows}).encode("utf-8")
+    return rows
+
+
+def provider_payload() -> bytes:
+    return json.dumps({"results": provider_rows()}).encode("utf-8")
 
 
 class TestFetchDaily:
@@ -76,4 +80,22 @@ class TestFetchDaily:
         monkeypatch.setenv("MARKET_DATA_API_KEY", "k")
         fetcher = BarFetcher(cache_dir=tmp_path, http_get=lambda u, p: b"<html>oops</html>")
         with pytest.raises(FetchError, match="unparseable"):
+            fetcher.fetch_daily("SYNTH", date(2025, 4, 28), date(2025, 4, 29))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda row: row.update(c=float("nan")), id="NaN close"),
+            pytest.param(lambda row: row.update(h=1e400), id="1e400 high"),
+            pytest.param(lambda row: row.pop("t"), id="no t"),
+            pytest.param(lambda row: row.update(v=None), id="null volume"),
+        ],
+    )
+    def test_unreadable_row_names_it(self, tmp_path, edit):
+        rows = provider_rows()
+        edit(rows[1])
+        cache = tmp_path / "SYNTH_2025-04-28_2025-04-29.json"
+        cache.write_bytes(json.dumps({"results": rows}).encode("utf-8"))
+        fetcher = BarFetcher(cache_dir=tmp_path, http_get=lambda u, p: b"")
+        with pytest.raises(FetchError, match="provider row 2"):
             fetcher.fetch_daily("SYNTH", date(2025, 4, 28), date(2025, 4, 29))

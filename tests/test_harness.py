@@ -19,7 +19,7 @@ from tradeloop.harness import (
     ConfigError,
     DataError,
     ExperimentConfig,
-    MarketTimeline,
+    LoadedData,
     ReplayMismatch,
     _fmt_bar_line,
     aggregate_and_report,
@@ -356,7 +356,7 @@ class TestRunExperiment:
         assert rest == [first, first]
 
     def test_no_timeline_without_the_market_analyst(self, tmp_path):
-        assert load_data(build_workspace(tmp_path, ablations={"no_market": True})).timeline is None
+        assert load_data(build_workspace(tmp_path, ablations={"no_market": True})).market_texts is None
 
     def test_config_lock_is_config_and_hash_as_sorted_json(self, tmp_path):
         """config.lock is encoded once and must equal the encoder's bytes,
@@ -610,10 +610,10 @@ class TestMarketTimeline:
     equal the ones rebuilt from that session's history."""
 
     def assert_contexts_match(self, series: BarSeries, sessions: list[date]) -> None:
-        timeline = MarketTimeline(series, sessions)
+        data = LoadedData.of(series, sessions)
         names = frozenset({"extended_intervals_analysis", "formatted_indicators"})
         for k, session in enumerate(sessions):
-            assert market_context(timeline, k, names) == reference_market_context(series, session), session
+            assert market_context(data, k, names) == reference_market_context(series, session), session
 
     def test_histories_of_one_to_six_bars(self):
         # 1-2 bars: no levels at all; 3-4 bars: extrema need 5; 5-6 bars: levels render.
@@ -641,7 +641,7 @@ class TestMarketTimeline:
     def test_long_history_matches_pinned_digest(self, tmp_path):
         data = load_data(build_workspace(tmp_path, history_bars=2000))
         names = frozenset({"extended_intervals_analysis", "formatted_indicators"})
-        contexts = [market_context(data.timeline, k, names) for k in range(len(data.sessions))]
+        contexts = [market_context(data, k, names) for k in range(len(data.sessions))]
         assert (len(contexts), len(data.bars)) == (42, 2000)
         digest = hashlib.sha256(json.dumps(contexts, sort_keys=True).encode("utf-8")).hexdigest()
         assert digest == GOLDEN_MARKET_CONTEXT_DIGEST

@@ -12,12 +12,11 @@ from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradeloop.bars import BarSeries, Resolution
 from tradeloop.indicators import (
-    Columns,
     IndicatorError,
     atr_series,
     bollinger_at,
@@ -182,7 +181,7 @@ class TestSMA:
             sma_series(series_from_closes([1.0]), 0)[-1]
 
     def test_matches_oracle(self, random_series):
-        closes = random_series.closes()
+        closes = random_series.closes
         values = sma_series(random_series, 50)
         for i, v in enumerate(values):
             want = sma_oracle(closes, 50, i)
@@ -213,7 +212,7 @@ class TestEMA:
         assert values[3] == pytest.approx(12.5)
 
     def test_matches_oracle(self, random_series):
-        closes = random_series.closes()
+        closes = random_series.closes
         values = ema_series(random_series, 12)
         for i, v in enumerate(values):
             want = ema_oracle(closes, 12, i)
@@ -251,7 +250,7 @@ class TestRSI:
         assert all(44.0 < v < 56.0 for v in values)
 
     def test_matches_oracle(self, random_series):
-        closes = random_series.closes()
+        closes = random_series.closes
         values = rsi_series(random_series, 14)
         for i, v in enumerate(values):
             want = rsi_oracle(closes, 14, i)
@@ -283,7 +282,7 @@ class TestMACD:
                 assert v["histogram"] == pytest.approx(v["macd"] - v["signal"])
 
     def test_matches_oracle(self, random_series):
-        closes = random_series.closes()
+        closes = random_series.closes
         values = macd_series(random_series)
         for i, v in enumerate(values):
             want = macd_oracle(closes, i)
@@ -362,17 +361,17 @@ class TestBollinger:
             bollinger_series(series_from_closes([1.0, 2.0]), n=1)[-1]
 
     def test_at_an_index_equals_the_series(self, random_series):
-        closes = random_series.closes()
+        closes = random_series.closes
         for n, k in ((20, 2.0), (5, 1.5), (2, 3.0)):
             full = bollinger_series(random_series, n, k)
-            assert [bollinger_at(closes, i, n, k) for i in range(len(closes))] == full
+            assert [bollinger_at(random_series, i, n, k) for i in range(len(closes))] == full
         # The snapshot reads Bollinger 20/2 at its bars only.
         indices = range(3, len(closes), 7)
         full = bollinger_series(random_series)
         assert [row[9] for row in snapshots(random_series, indices)] == [full[i] for i in indices]
 
     def test_matches_oracle(self, random_series):
-        closes = random_series.closes()
+        closes = random_series.closes
         for i, v in enumerate(bollinger_series(random_series, 20, 2.0)):
             want = bollinger_oracle(closes, 20, 2.0, i)
             assert (v is None) == (want is None)
@@ -514,6 +513,49 @@ class TestVolumeProfile:
         assert total == pytest.approx(sum(b.volume for b in random_series.bars))
 
 
+def _profile(series: BarSeries, **kwargs) -> dict | str:
+    """`volume_profile` over 6 bins, or the message of its IndicatorError."""
+    try:
+        return volume_profile(series, n_bins=6, **kwargs)
+    except IndicatorError as exc:
+        return str(exc)
+
+
+# A bar as (low, high - low, where the close lies in [low, high], volume):
+# few prices and volumes, so windows often trade nothing or span one price.
+_PROFILE_BARS = st.lists(
+    st.tuples(
+        st.sampled_from(["10", "10.5", "11"]),
+        st.sampled_from(["0", "0", "0.25", "1"]),
+        st.sampled_from(["0", "0.5", "1"]),
+        st.sampled_from([0, 0, 1, 700]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestVolumeProfileWindow:
+    @given(_PROFILE_BARS, st.integers(0, 12), st.integers(0, 12))
+    @example([("10", "0", "0", 0), ("11", "1", "1", 0), ("10.5", "0.25", "0", 0)], 0, 3)  # trades nothing
+    @example([("10", "1", "0", 5), ("11", "0", "0", 7), ("11", "0", "1", 0), ("10", "1", "1", 3)], 1, 3)  # high == low
+    @example([("10", "1", "0", 5), ("11", "0", "0", 7)], 2, 1)  # no bars
+    @settings(max_examples=200)
+    def test_window_equals_the_sliced_series(self, rows, start, stop):
+        """The profile of a window of bars equals the profile of a series of
+        those bars alone."""
+        bars = []
+        d = date(2024, 1, 1)
+        for low, span, at, volume in rows:
+            d = next_weekday(d + timedelta(days=1))
+            low, span = Decimal(low), Decimal(span)
+            bars.append(make_bar(d, low, low + span, low, low + span * Decimal(at), v=volume))
+        series = BarSeries("S", Resolution.DAILY, tuple(bars))
+        window = slice(start, stop)
+        sliced = BarSeries("S", Resolution.DAILY, series.bars[window])
+        assert _profile(series, window=window) == _profile(sliced)
+
+
 class TestDetectLevels:
     def test_monotone_series_empty(self):
         series = series_from_closes([float(i) + 1 for i in range(20)])
@@ -620,9 +662,9 @@ class TestPerBarSets:
 
     def test_extrema_need_two_bars_after(self):
         series = series_from_closes([1.0, 2.0, 5.0, 2.0, 1.0])
-        highs, lows = local_extrema(Columns.of(series))
+        highs, lows = local_extrema(series)
         assert highs == [(2, 5.0, 1000)] and lows == []
-        assert local_extrema(Columns.of(series_from_closes([1.0, 5.0, 1.0, 1.0]))) == ([], [])
+        assert local_extrema(series_from_closes([1.0, 5.0, 1.0, 1.0])) == ([], [])
 
 
 class TestSnapshotRendering:

@@ -91,7 +91,7 @@ class TestSMASignals:
             Signal(dates[11], Stance.ENTER_LONG),
             Signal(dates[22], Stance.EXIT_LONG),
         ]
-        closes = series.closes()
+        closes = series.closes
         fast = list(closes)
         slow = [sma_oracle(closes, 5, i) for i in range(len(closes))]
         assert [(s.date, s.stance) for s in signals] == cross_dates_oracle(dates, fast, slow)
@@ -118,7 +118,7 @@ class TestSLMASignals:
             Signal(dates[13], Stance.ENTER_LONG),
             Signal(dates[23], Stance.EXIT_LONG),
         ]
-        closes = series.closes()
+        closes = series.closes
         fast = [sma_oracle(closes, 3, i) for i in range(len(closes))]
         slow = [sma_oracle(closes, 7, i) for i in range(len(closes))]
         assert [(s.date, s.stance) for s in signals] == cross_dates_oracle(dates, fast, slow)
@@ -143,7 +143,7 @@ class TestMACDSignals:
             kind=StrategyKind.MACD, macd_fast=3, macd_slow=6, macd_signal=3
         )
         signals = generate_signals(config, series)
-        closes = series.closes()
+        closes = series.closes
         macd_line = []
         for i in range(len(closes)):
             fast = ema_oracle(closes, 3, i)
