@@ -3,6 +3,14 @@
 Prices are held as :class:`decimal.Decimal` with at most 4 decimal places so
 portfolio accounting downstream stays exact. Analytics read a series' float
 columns, each converted once per series.
+
+Each check runs in one place. The parse checks field syntax: a price is any
+text `Decimal` reads as a finite number with at most 4 decimal places as
+written, so "1.00000" is rejected; plain digits with up to 4 decimals are
+read at once, any other text through the full check. `Bar` checks the
+invariants, in one comparison chain when they hold, and `BarSeries` the
+date order. A bad or unreadable row (a field over the csv module's size
+limit, say) raises BarDataError naming its 1-based data row.
 """
 
 from __future__ import annotations
@@ -10,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -17,7 +26,7 @@ from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DataError
 
@@ -55,6 +64,16 @@ class Bar:
     transactions: int | None = None
 
     def __post_init__(self) -> None:
+        low, high = self.low, self.high
+        if (
+            0 < low <= self.open <= high
+            and low <= self.close <= high
+            and self.volume >= 0
+            and (self.vwap is None or low <= self.vwap <= high)
+            and (self.transactions is None or self.transactions >= 0)
+        ):
+            return
+        # Some invariant fails: name the first in this order.
         for name in ("open", "high", "low", "close"):
             if getattr(self, name) <= 0:
                 raise BarDataError(f"non-positive {name}")
@@ -188,7 +207,13 @@ def _days_in_month(year: int, month: int) -> int:
     return (date(year, month + 1, 1) - timedelta(days=1)).day
 
 
+# Text that Decimal reads as a finite price of at most 4 decimal places as is.
+_PLAIN_PRICE = re.compile(r"[0-9]+(?:\.[0-9]{1,4})?").fullmatch
+
+
 def _parse_price(raw: str, field: str, row: int) -> Decimal:
+    if _PLAIN_PRICE(raw):
+        return Decimal(raw)
     try:
         value = Decimal(raw)
     except InvalidOperation:
@@ -214,25 +239,49 @@ def _parse_date(raw: str, row: int | None = None) -> date:
         raise BarDataError(f"bad date {raw!r}", row) from None
 
 
-def _bar_from_fields(fields: dict[str, str], row: int) -> Bar:
-    session = _parse_date(fields["date"], row)
-    vwap_raw = fields.get("vwap", "") or ""
-    tx_raw = fields.get("transactions", "") or ""
+def _bar_from_cells(
+    row: int, session: str, open: str, high: str, low: str, close: str, volume: str, vwap: str, transactions: str
+) -> Bar:
+    """The bar of one row's eight cells, in CSV_COLUMNS order."""
+    session_date = _parse_date(session, row)
     try:
         return Bar(
-            session_date=session,
-            open=_parse_price(fields["open"], "open", row),
-            high=_parse_price(fields["high"], "high", row),
-            low=_parse_price(fields["low"], "low", row),
-            close=_parse_price(fields["close"], "close", row),
-            volume=_parse_int(fields["volume"], "volume", row),
-            vwap=_parse_price(vwap_raw, "vwap", row) if vwap_raw else None,
-            transactions=_parse_int(tx_raw, "transactions", row) if tx_raw else None,
+            session_date,
+            _parse_price(open, "open", row),
+            _parse_price(high, "high", row),
+            _parse_price(low, "low", row),
+            _parse_price(close, "close", row),
+            _parse_int(volume, "volume", row),
+            _parse_price(vwap, "vwap", row) if vwap else None,
+            _parse_int(transactions, "transactions", row) if transactions else None,
         )
     except BarDataError as exc:
         if exc.row is None:
             raise BarDataError(str(exc), row) from None
         raise
+
+
+def _csv_rows(text: str, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank data row of a CSV text under the header `columns`, with
+    its 1-based row number (blank rows count too). A bad header, a row of
+    another width and an unreadable row (such as one with a field over the
+    csv module's size limit) raise BarDataError."""
+    reader = csv.reader(io.StringIO(text))
+    header = None
+    row = 0
+    try:
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != columns:
+            raise BarDataError(f"bad header: expected {','.join(columns)}")
+        for row, cells in enumerate(reader, start=1):
+            if not cells:
+                continue
+            if len(cells) != len(columns):
+                raise BarDataError(f"expected {len(columns)} columns, got {len(cells)}", row)
+            yield row, cells
+    except csv.Error as exc:
+        # `row` is the last row read; the header is no data row.
+        raise BarDataError(f"unreadable csv: {exc}", None if header is None else row + 1) from None
 
 
 def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
@@ -244,19 +293,10 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
     if not text.strip():
         raise BarDataError("empty input")
 
-    bars: list[Bar] = []
     if format == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_COLUMNS:
-            raise BarDataError(f"bad header: expected {','.join(CSV_COLUMNS)}")
-        for row_idx, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            if len(cells) != len(CSV_COLUMNS):
-                raise BarDataError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}", row_idx)
-            bars.append(_bar_from_fields(dict(zip(CSV_COLUMNS, cells)), row_idx))
+        bars = [_bar_from_cells(row_idx, *cells) for row_idx, cells in _csv_rows(text, CSV_COLUMNS)]
     elif format == "jsonl":
+        bars = []
         for row_idx, line in enumerate((ln for ln in text.splitlines() if ln.strip()), start=1):
             try:
                 obj = json.loads(line)
@@ -266,8 +306,7 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
                 raise BarDataError("bad json: nested too deeply", row_idx) from None
             if not isinstance(obj, dict):
                 raise BarDataError("expected object", row_idx)
-            fields = {k: ("" if obj.get(k) is None else str(obj.get(k, ""))) for k in CSV_COLUMNS}
-            bars.append(_bar_from_fields(fields, row_idx))
+            bars.append(_bar_from_cells(row_idx, *("" if (v := obj.get(k)) is None else str(v) for k in CSV_COLUMNS)))
     else:
         raise BarDataError(f"unknown format {format!r}")
 
@@ -332,16 +371,8 @@ def parse_actions_csv(text: str) -> list[CorporateAction]:
     """Corporate actions CSV: date,kind,ratio,cash."""
     if not text.strip():
         return []
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != ACTIONS_CSV_COLUMNS:
-        raise BarDataError(f"bad header: expected {','.join(ACTIONS_CSV_COLUMNS)}")
     actions: list[CorporateAction] = []
-    for row_idx, cells in enumerate(reader, start=1):
-        if not cells:
-            continue
-        if len(cells) != len(ACTIONS_CSV_COLUMNS):
-            raise BarDataError(f"expected {len(ACTIONS_CSV_COLUMNS)} columns, got {len(cells)}", row_idx)
+    for row_idx, cells in _csv_rows(text, ACTIONS_CSV_COLUMNS):
         day, kind, ratio, cash = cells
         ratio, cash = ratio.strip(), cash.strip()
         actions.append(

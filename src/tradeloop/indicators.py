@@ -20,7 +20,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
-from functools import partial
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -115,11 +114,16 @@ def macd_series(
 ) -> list[dict | None]:
     """MACD = EMA_fast - EMA_slow; signal = EMA_signal of the MACD line;
     histogram = MACD - signal. Available once all three components exist."""
+    return _macd(ema_series(series, fast), ema_series(series, slow), signal)
+
+
+def _macd(fast_line: list[float | None], slow_line: list[float | None], signal: int = 9) -> list[dict | None]:
+    """`macd_series` of the series whose fast and slow EMA lines are given."""
     alpha = 2.0 / (signal + 1)
     out: list[dict | None] = []
     macd_history: list[float] = []
     signal_val: float | None = None
-    for fast_val, slow_val in zip(ema_series(series, fast), ema_series(series, slow)):
+    for fast_val, slow_val in zip(fast_line, slow_line):
         if slow_val is None:
             out.append(None)
             continue
@@ -381,32 +385,38 @@ def _bands_text(v: dict) -> str:
 PROFILE_WINDOW = 63  # bars of the volume profile
 
 
-def _at_indices(compute):
-    """The values at bar indices, read from `compute`'s series over all bars."""
+# The standard indicator set's rows, as (prompt label, value text).
+_STANDARD_SET = (
+    *((f"SMA({n})", _fmt) for n in (20, 50, 100, 200)),
+    *((f"EMA({n})", _fmt) for n in (12, 26)),
+    ("RSI(14)", _fmt),
+    ("MACD(12,26,9)", _macd_text),
+    ("ATR(14)", _fmt),
+    ("BOLLINGER(20,2)", _bands_text),
+)
 
-    def values(series: BarSeries, indices: Sequence[int]) -> list:
-        full = compute(series)
+
+def _standard_values(series: BarSeries, indices: Sequence[int]) -> Iterator[list]:
+    """Each `_STANDARD_SET` row's values at the bar indices, in row order.
+
+    SMA, EMA, RSI, MACD and ATR carry running values from bar to bar, so
+    each takes a pass over all bars, and MACD reuses the two EMA passes;
+    Bollinger sums each window afresh, so it reads only the windows that
+    end at the indices.
+    """
+
+    def at(full: list) -> list:
         return [full[i] for i in indices]
 
-    return values
-
-
-def _bollinger_at_indices(series: BarSeries, indices: Sequence[int]) -> list[dict | None]:
-    return [bollinger_at(series, i) for i in indices]
-
-
-# The standard indicator set, as (prompt label, values at bar indices, value
-# text). SMA, EMA, RSI, MACD and ATR carry running values from bar to bar, so
-# each takes a pass over all bars; Bollinger sums each window afresh, so it
-# reads only the windows that end at the indices.
-_STANDARD_SET = (
-    *((f"SMA({n})", _at_indices(partial(sma_series, n=n)), _fmt) for n in (20, 50, 100, 200)),
-    *((f"EMA({n})", _at_indices(partial(ema_series, n=n)), _fmt) for n in (12, 26)),
-    ("RSI(14)", _at_indices(rsi_series), _fmt),
-    ("MACD(12,26,9)", _at_indices(macd_series), _macd_text),
-    ("ATR(14)", _at_indices(atr_series), _fmt),
-    ("BOLLINGER(20,2)", _bollinger_at_indices, _bands_text),
-)
+    for n in (20, 50, 100, 200):
+        yield at(sma_series(series, n))
+    fast, slow = ema_series(series, 12), ema_series(series, 26)
+    yield at(fast)
+    yield at(slow)
+    yield at(rsi_series(series))
+    yield at(_macd(fast, slow))
+    yield at(atr_series(series))
+    yield [bollinger_at(series, i) for i in indices]
 
 
 def snapshots(series: BarSeries, indices: Sequence[int]) -> list[list[float | dict | None]]:
@@ -417,11 +427,12 @@ def snapshots(series: BarSeries, indices: Sequence[int]) -> list[list[float | di
 
     Every indicator reads only past bars, so the set at index i equals the
     set at the last bar of the bars up to i. Each full series is computed
-    once and dropped as soon as its values at `indices` are taken.
+    once and dropped as soon as its values at `indices` are taken, the two
+    EMAs once MACD has read them too.
     """
     rows: list[list[float | dict | None]] = [[] for _ in indices]
-    for _, values, _ in _STANDARD_SET:
-        for row, value in zip(rows, values(series, indices)):
+    for values in _standard_values(series, indices):
+        for row, value in zip(rows, values):
             row.append(value)
     for row, i in zip(rows, indices):
         try:
@@ -450,7 +461,7 @@ def format_for_prompt(values: Sequence[float | dict | None]) -> str:
     *series_values, profile = values
     lines = [
         f"{label}: n/a" if v is None else f"{label}: {text(v)}"
-        for (label, _, text), v in zip(_STANDARD_SET, series_values)
+        for (label, text), v in zip(_STANDARD_SET, series_values)
     ]
     # Both spellings are in every recorded prompt, and so in its request hash.
     if profile is None:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-from datetime import date
-from decimal import Decimal
+import csv
+import io
+import json
+from datetime import date, timedelta
+from decimal import Decimal, InvalidOperation
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradeloop.bars import (
+    CSV_COLUMNS,
+    Bar,
     BarDataError,
     BarSeries,
     CorporateAction,
@@ -105,6 +110,281 @@ class TestParseBars:
         series = parse_bars(text)
         assert series.bars[0].close == Decimal("105")
         assert series.bars[0].transactions is None
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("100", "100"), ("7.5000", "7.5000"), ("007.25", "7.25"), ("1e2", "1E+2"), ("1E-4", "0.0001"),
+         (" 100", "100"), ("100\t", "100"), ("1_00", "100"), ("+3", "3"), ("100.", "100"), ("١٢٣", "123")],
+    )
+    def test_price_spellings_that_decimal_reads_are_accepted(self, raw, value):
+        bar = parse_bars(f"{CSV_HEADER}\n2025-04-28,{raw},{raw},{raw},{raw},1000,,\n").bars[0]
+        assert str(bar.open) == value and bar.open == bar.close
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("1.00000", "open has more than 4 decimal places"), ("1E-5", "open has more than 4 decimal places"),
+         ("NaN", "non-finite open"), ("-Infinity", "non-finite open"), ("", "bad open ''"), ("1,5", None)],
+    )
+    def test_price_spellings_rejected_by_the_text(self, raw, message):
+        with pytest.raises(BarDataError, match="at row 1$") as exc:
+            parse_bars(f'{CSV_HEADER}\n2025-04-28,"{raw}",110,90,105,1000,,\n')
+        assert message is None or str(exc.value) == f"{message} at row 1"
+
+    def test_oversize_field_names_its_row(self):
+        text = f"{CSV_HEADER}\n2025-04-28,100,110,90,105,1000,,\n\n2025-04-29,{'1' * 131073},110,90,105,1000,,\n"
+        with pytest.raises(BarDataError) as exc:
+            parse_bars(text)
+        assert str(exc.value) == "unreadable csv: field larger than field limit (131072) at row 3"
+        assert exc.value.row == 3
+
+    def test_oversize_header_has_no_row(self):
+        with pytest.raises(BarDataError) as exc:
+            parse_bars("d" * 131073 + "\n2025-04-28,100,110,90,105,1000,,\n")
+        assert str(exc.value) == "unreadable csv: field larger than field limit (131072)"
+        assert exc.value.row is None
+
+    def test_oversize_actions_field_names_its_row(self):
+        with pytest.raises(BarDataError, match=r"^unreadable csv: field larger than field limit \(131072\) at row 1$"):
+            parse_actions_csv(f"date,kind,ratio,cash\n2024-06-10,split,{'1' * 131073},\n")
+
+
+# The parser as it was before its single-pass rewrite: each field parsed
+# through Decimal and as_tuple, a dict per row, and the bar invariants
+# checked one by one in this order.
+def oracle_violation(open, high, low, close, volume, vwap=None, transactions=None) -> str | None:
+    """The first bar invariant the fields break, in the reference order."""
+    for name, value in (("open", open), ("high", high), ("low", low), ("close", close)):
+        if value <= 0:
+            return f"non-positive {name}"
+    if low > high:
+        return "low > high"
+    if not (low <= open <= high):
+        return "open outside [low, high]"
+    if not (low <= close <= high):
+        return "close outside [low, high]"
+    if volume < 0:
+        return "negative volume"
+    if vwap is not None and not (low <= vwap <= high):
+        return "vwap outside [low, high]"
+    if transactions is not None and transactions < 0:
+        return "negative transactions"
+    return None
+
+
+def _oracle_price(raw: str, field: str, row: int) -> Decimal:
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise BarDataError(f"bad {field} {raw!r}", row) from None
+    if not value.is_finite():
+        raise BarDataError(f"non-finite {field}", row)
+    if -value.as_tuple().exponent > 4:
+        raise BarDataError(f"{field} has more than 4 decimal places", row)
+    return value
+
+
+def _oracle_int(raw: str, field: str, row: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise BarDataError(f"bad {field} {raw!r}", row) from None
+
+
+def _oracle_bar(fields: dict[str, str], row: int) -> Bar:
+    try:
+        session = date.fromisoformat(fields["date"])
+    except ValueError:
+        raise BarDataError(f"bad date {fields['date']!r}", row) from None
+    vwap_raw, tx_raw = fields["vwap"], fields["transactions"]
+    values = dict(
+        open=_oracle_price(fields["open"], "open", row),
+        high=_oracle_price(fields["high"], "high", row),
+        low=_oracle_price(fields["low"], "low", row),
+        close=_oracle_price(fields["close"], "close", row),
+        volume=_oracle_int(fields["volume"], "volume", row),
+        vwap=_oracle_price(vwap_raw, "vwap", row) if vwap_raw else None,
+        transactions=_oracle_int(tx_raw, "transactions", row) if tx_raw else None,
+    )
+    violation = oracle_violation(**values)
+    if violation is not None:
+        raise BarDataError(violation, row)
+    return Bar(session, **values)
+
+
+def oracle_parse_bars(text: str, format: str) -> BarSeries:
+    if not text.strip():
+        raise BarDataError("empty input")
+    bars = []
+    if format == "csv":
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != CSV_COLUMNS:
+            raise BarDataError(f"bad header: expected {','.join(CSV_COLUMNS)}")
+        for row, cells in enumerate(reader, start=1):
+            if not cells:
+                continue
+            if len(cells) != len(CSV_COLUMNS):
+                raise BarDataError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}", row)
+            bars.append(_oracle_bar(dict(zip(CSV_COLUMNS, cells)), row))
+    else:
+        for row, line in enumerate((ln for ln in text.splitlines() if ln.strip()), start=1):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise BarDataError(f"bad json: {exc.msg}", row) from None
+            if not isinstance(obj, dict):
+                raise BarDataError("expected object", row)
+            bars.append(_oracle_bar({k: ("" if obj.get(k) is None else str(obj.get(k, ""))) for k in CSV_COLUMNS}, row))
+    if not bars:
+        raise BarDataError("empty input")
+    return BarSeries(symbol="", resolution=Resolution.DAILY, bars=tuple(bars))
+
+
+def _outcome(parse, text: str, format: str):
+    """The parsed series' repr (which spells every Decimal exactly), or the
+    error's message and row."""
+    try:
+        return repr(parse(text, format))
+    except BarDataError as exc:
+        return ("BarDataError", str(exc), exc.row)
+
+
+# Field texts of every shape: plain numbers with 0-6 decimals (trailing zeros
+# included), exponents and signs, whitespace and underscores, NaN and
+# Infinity, non-ASCII digits, empty fields and junk.
+FIELD_SHAPES = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,3}(\.[0-9]{0,6})?", fullmatch=True),
+    st.from_regex(r"[+-]?[0-9]{1,2}(\.[0-9]{0,3})?[eE][+-]?[0-9]", fullmatch=True),
+    st.sampled_from(
+        ["", " ", "0", "-0", "0.0000", "1.00000", "1e2", "1E-5", " 100", "100 ", "\t5\n", "1_00", "1__0", "_1",
+         "NaN", "nan", "-NaN", "sNaN", "Infinity", "-Infinity", "inf", "١٢٣", "１２.５", "٣.٥", "abc", '"', "x,y"]
+    ),
+    st.text(max_size=4),
+)
+QUARTERS = st.integers(1, 12)  # prices of 0.25 to 3 in quarters, so bounds often meet
+
+
+def _spellings(value) -> st.SearchStrategy[str]:
+    """Texts of `value`: as written, and in other spellings that Decimal or
+    int may or may not read as it."""
+    text = str(value)
+    padded = text + ("00000" if "." in text else ".00000")
+    return st.sampled_from([text, text, f" {text}", f"{text}\t", f"+{text}", f"-{text}", padded, f"{text}e0",
+                            f"{value * 100}E-2", text.replace(".", "_"), f"{text}0"])
+
+
+@st.composite
+def bar_rows(draw, rows: int) -> list[list[str]]:
+    """Rows of eight cells, each row a valid bar as written but for up to
+    three changes: a field spelled otherwise, moved a day back (the date) or
+    replaced by a text of any shape, or a ninth cell."""
+    out = []
+    for row in range(rows):
+        low, high = sorted(draw(st.tuples(QUARTERS, QUARTERS)))
+        inside = st.integers(low, high).map(lambda n: Decimal(n) / 4)
+        day = date(2025, 1, 1) + timedelta(days=row)
+        values = [day, draw(inside), Decimal(high) / 4, Decimal(low) / 4, draw(inside),
+                  draw(st.integers(-1, 10**6)), draw(st.none() | inside), draw(st.none() | st.integers(-1, 100))]
+        cells = ["" if value is None else str(value) for value in values]
+        for i in draw(st.sets(st.integers(0, 8), max_size=3)):
+            if i == 8:
+                cells.append("extra")
+            elif draw(st.booleans()):
+                cells[i] = draw(FIELD_SHAPES)
+            elif i == 0:
+                cells[i] = (day - timedelta(days=draw(st.integers(1, 2)))).isoformat()
+            elif values[i] is not None:
+                cells[i] = draw(_spellings(values[i]))
+        out.append(cells)
+    return out
+
+
+def _csv_text(rows: list[list[str]], blank_after: int | None = None) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for i, cells in enumerate(rows):
+        writer.writerow(cells)
+        if i == blank_after:
+            buffer.write("\n")
+    return buffer.getvalue()
+
+
+def _json_number(cell: str):
+    """The cell as a JSON number where Python reads it as one, else as is."""
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+@st.composite
+def jsonl_values(draw, cells: list[str]) -> dict:
+    """A JSON object of a row: each cell mostly as a string, now and then as
+    a number, any number, null or absent."""
+    obj = {}
+    for name, cell in zip(CSV_COLUMNS, cells):
+        kind = draw(st.integers(0, 19))
+        if kind < 14:
+            obj[name] = cell
+        elif kind < 17:
+            obj[name] = _json_number(cell)
+        elif kind < 18:
+            obj[name] = draw(st.integers(-1, 10**6) | st.floats())
+        elif kind < 19:
+            obj[name] = None
+    return obj
+
+
+class TestParseMatchesOracle:
+    """`parse_bars` gives the series the reference parser gives, or the
+    same error with the same row."""
+
+    @settings(max_examples=200)
+    @example(rows=[["2025-01-01", "1.00000", "2", "1", "1", "5", "", ""]], blank_after=None)
+    @example(rows=[["2025-01-01", " 1_0", "1e1", "10.000", "+10", "5", "10", "1_0"]], blank_after=0)
+    @given(rows=st.integers(1, 5).flatmap(bar_rows), blank_after=st.none() | st.integers(0, 4))
+    def test_csv(self, rows, blank_after):
+        text = _csv_text(rows, blank_after)
+        assert _outcome(parse_bars, text, "csv") == _outcome(oracle_parse_bars, text, "csv")
+
+    @settings(max_examples=200)
+    @given(data=st.data(), rows=st.integers(1, 5).flatmap(bar_rows), junk=st.sampled_from(["", "", "", "[]", "1", "{", '"x"']))
+    def test_jsonl(self, data, rows, junk):
+        lines = [json.dumps(data.draw(jsonl_values(cells))) for cells in rows]
+        if junk:
+            lines.insert(data.draw(st.integers(0, len(lines))), junk)
+        text = "\n".join(lines) + "\n"
+        assert _outcome(parse_bars, text, "jsonl") == _outcome(oracle_parse_bars, text, "jsonl")
+
+
+BAR_PRICES = st.integers(-2, 8).map(lambda n: Decimal(n) / 2)
+
+
+class TestBarInvariants:
+    @settings(max_examples=500)
+    @example(open=Decimal(1), high=Decimal(2), low=Decimal(1), close=Decimal(2), volume=0, vwap=Decimal(1), transactions=0)
+    @example(open=Decimal(2), high=Decimal(2), low=Decimal(1), close=Decimal(1), volume=0, vwap=Decimal(2), transactions=None)
+    @example(open=Decimal(1), high=Decimal(1), low=Decimal(1), close=Decimal(1), volume=0, vwap=None, transactions=None)
+    @example(open=Decimal(0), high=Decimal(0), low=Decimal(0), close=Decimal(0), volume=0, vwap=None, transactions=None)
+    @example(open=Decimal(1), high=Decimal(2), low=Decimal(-1), close=Decimal(1), volume=-1, vwap=None, transactions=-1)
+    @given(
+        open=BAR_PRICES, high=BAR_PRICES, low=BAR_PRICES, close=BAR_PRICES, volume=st.integers(-2, 2),
+        vwap=st.none() | BAR_PRICES, transactions=st.none() | st.integers(-2, 2),
+    )
+    def test_constructs_or_names_the_first_broken_invariant(self, **fields):
+        """Bounds that meet, zero and negative fields: a bar is built exactly
+        when the reference checks pass, else it names their first failure."""
+        violation = oracle_violation(**fields)
+        if violation is None:
+            bar = Bar(date(2025, 1, 2), **fields)
+            assert {name: getattr(bar, name) for name in fields} == fields
+        else:
+            with pytest.raises(BarDataError) as exc:
+                Bar(date(2025, 1, 2), **fields)
+            assert str(exc.value) == violation
 
 
 class TestSerializeRoundTrip:

@@ -280,7 +280,7 @@ def _backtest(*flags):
 def _run_with(key, value):
     """`run` over the recorded workspace's config with `config[key] = value`,
     or `config["paths"]["bars"] = value` for the key "paths.bars", which a
-    value of None removes."""
+    value of None removes and a callable gives from the probe's `tmp_path`."""
 
     def argv(tmp_path, run):
         config = json.loads((run.parents[2] / "config.json").read_text(encoding="utf-8"))
@@ -288,7 +288,7 @@ def _run_with(key, value):
         if key == "paths.bars" and value is None:
             del config["paths"]["bars"]
         elif key == "paths.bars":
-            config["paths"]["bars"] = value
+            config["paths"]["bars"] = value(tmp_path) if callable(value) else value
         else:
             config[key] = value
         path = tmp_path / "config.json"
@@ -343,6 +343,16 @@ def _set(path, value):
     return apply
 
 
+# A bars file whose second data row has a field over the csv module's limit.
+OVERSIZE_BARS = (
+    serialize_bars(synthetic_daily(1, seed=4), "csv") + "2025-04-29," + "1" * 131073 + ",110,90,105,1000,,\n"
+)
+
+
+def _oversize_bars(tmp_path):
+    return _file(tmp_path, "bars.csv", OVERSIZE_BARS)
+
+
 def _bad_metrics(path, value):
     return EXIT_DATA, _tampered("report", "metrics.json", _set(path, value))
 
@@ -380,6 +390,18 @@ NO_TRACEBACK_PROBES = {
     "validate-data --bars nested.jsonl": (
         EXIT_DATA, lambda tmp_path, run: ["validate-data", "--bars", _file(tmp_path, "bars.jsonl", NESTED + "\n")]
     ),
+    "validate-data oversize field": (EXIT_DATA, lambda tmp_path, run: ["validate-data", "--bars", _oversize_bars(tmp_path)]),
+    "backtest oversize field": (
+        EXIT_DATA, lambda tmp_path, run: ["backtest", "--strategy", "buy_hold", "--bars", _oversize_bars(tmp_path)]
+    ),
+    "run oversize field": (EXIT_DATA, _run_with("paths.bars", _oversize_bars)),
+    "validate-data --actions oversize field": (
+        EXIT_DATA,
+        lambda tmp_path, run: [
+            "validate-data", "--bars", _bars_file(tmp_path, 5),
+            "--actions", _file(tmp_path, "actions.csv", "date,kind,ratio,cash\n2024-06-10,split," + "1" * 131073 + ",\n"),
+        ],
+    ),
     "run --config nested": (EXIT_CONFIG, lambda tmp_path, run: ["run", "--config", _file(tmp_path, "config.json", NESTED)]),
     "report metrics.json nested": (EXIT_DATA, _tampered("report", "metrics.json", lambda text: NESTED)),
     "replay config.lock nested": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: NESTED)),
@@ -405,6 +427,11 @@ PROBE_MESSAGES = {
     "backtest bollinger --window 1": ("bollinger_n must be an integer >= 2, got 1\n",),
     "backtest bollinger --k nan": ("bollinger_k must be finite and > 0, got nan\n",),
     "backtest bollinger --k -1": ("bollinger_k must be finite and > 0, got -1.0\n",),
+    **{
+        probe: ("unreadable csv: field larger than field limit (131072) at row 2\n",)
+        for probe in ("validate-data oversize field", "backtest oversize field", "run oversize field")
+    },
+    "validate-data --actions oversize field": ("unreadable csv: field larger than field limit (131072) at row 1\n",),
     "replay gateway v1 record": ("cannot replay ", "is gateway audit version 1; this build replays version 2"),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
 }

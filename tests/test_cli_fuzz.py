@@ -109,7 +109,13 @@ def test_config_value(workspace, key, value):
         assert main(["run", "--config", "config.json"]) in EXIT_CODES
 
 
+# A field over the csv module's size limit.
+OVERSIZE = b"1" * 131073
+
+
 @FUZZ
+@example(header=",".join(CSV_COLUMNS) + "\n", body=OVERSIZE, suffix="csv", flag="--bars", command=["validate-data"])
+@example(header=",".join(ACTIONS_CSV_COLUMNS) + "\n", body=OVERSIZE, suffix="csv", flag="--actions", command=["validate-data"])
 @given(
     header=st.sampled_from(["", ",".join(CSV_COLUMNS) + "\n", ",".join(ACTIONS_CSV_COLUMNS) + "\n"]),
     body=st.binary(max_size=300),
@@ -135,6 +141,7 @@ def _run_with_input(workspace: Path, key: str, content: bytes) -> int:
 
 
 @FUZZ
+@example(key="actions", header=True, body=OVERSIZE)
 @given(key=st.sampled_from(sorted(RUN_INPUT_HEADERS)), header=st.booleans(), body=st.binary(max_size=300))
 def test_run_input_file_bytes(workspace, key, header, body):
     """Random bytes, after an optional valid start, as the actions, news,

@@ -7,6 +7,7 @@ share rolling state with the implementations they check.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import replace
 from datetime import date, timedelta
 from decimal import Decimal
@@ -598,6 +599,26 @@ class TestPerBarSets:
         rows = snapshots(random_series, range(len(bars)))
         for i, row in enumerate(rows):
             assert row == snapshot(BarSeries("SYNTH", Resolution.DAILY, bars[: i + 1])), i
+
+    def test_snapshots_pass_over_each_ema_once(self, random_series):
+        """MACD reads the EMA(12) and EMA(26) lines of the EMA rows, and
+        its values equal `macd_series`'s own passes."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is ema_series.__code__:
+                calls.append(frame.f_locals["n"])
+
+        last = len(random_series.bars) - 1
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            row = snapshots(random_series, [last])[0]
+        finally:
+            sys.setprofile(previous)
+        assert sorted(calls) == [12, 26]
+        assert row[4:6] == [ema_series(random_series, 12)[last], ema_series(random_series, 26)[last]]
+        assert row[7] == macd_series(random_series)[last]
 
     def test_levels_at_equal_prefix_levels(self, random_series):
         bars = random_series.bars
