@@ -149,7 +149,10 @@ class AuditLog:
         self._encode = json.JSONEncoder(separators=(",", ":"), sort_keys=sort_keys, default=str).encode
 
     def append(self, event: dict | str) -> None:
-        self._fh.write((event if isinstance(event, str) else self._encode(event)) + "\n")
+        if not isinstance(event, str):
+            event = self._encode(event)
+        event += "\n"  # in place, not a copy, when no caller keeps the line
+        self._fh.write(event)
         self._fh.flush()
 
     def close(self) -> None:

@@ -9,9 +9,10 @@ JSONL audit log before returning.
 Audit timestamps are a deterministic call counter, not wall-clock time:
 byte-identical reruns are part of the contract. A call's audit record holds
 only what the call added to its conversation (one conversation per role tag
-at a time), and a `Transcript` hashes each message once, so a call's
-request hash and audit line cost what the call added rather than the whole
-conversation.
+at a time). A `Transcript` encodes each message once, into JSON fragments
+that feed its running request hash and that the gateway's `record_line`
+reuses as the record's messages, so a call's request hash and audit line
+cost what the call added rather than the whole conversation.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
@@ -48,17 +50,22 @@ class ChatMessage:
 @dataclass(frozen=True)
 class ChatRequest:
     """One call's conversation. `digest` is its `request_hash`, as a
-    `Transcript` computes it; a request built without one gets it from a
-    `Transcript` of its messages."""
+    `Transcript` computes it, and `fragments` are the `message_fragment`s of
+    its last messages, those its `Transcript` appended since its previous
+    request. A request built without a digest gets both from a `Transcript`
+    of its messages."""
 
     system_text: str
     messages: tuple[ChatMessage, ...]
     tags: tuple[tuple[str, str], ...] = ()
     digest: str = field(default="", compare=False, repr=False)
+    fragments: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.digest:
-            object.__setattr__(self, "digest", Transcript(self.system_text, self.messages).digest())
+            transcript = Transcript(self.system_text, self.messages)
+            object.__setattr__(self, "digest", transcript.digest())
+            object.__setattr__(self, "fragments", tuple(transcript._fresh))
 
     def tag(self, key: str) -> str | None:
         return dict(self.tags).get(key)
@@ -90,42 +97,79 @@ def request_hash(request: ChatRequest) -> str:
 # The canonical JSON of `request_payload` puts its keys in sorted order, so
 # "messages" comes first and a conversation's encoding only ever grows at the
 # end of that list, before the fixed tail.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_HEAD = '{"messages":['
+_HEAD = b'{"messages":['
+_TAIL = '],"model_id":"","params":{},"system":'
 
 
-def _tail(system_text: str) -> str:
-    return '],"model_id":"","params":{},"system":' + _encode(system_text) + "}"
+def message_fragment(message: ChatMessage) -> str:
+    """`message` as canonical JSON: its item in the `messages` of both
+    `request_payload`'s encoding and an audit record."""
+    return f'{{"role":{encode_basestring_ascii(message.role)},"text":{encode_basestring_ascii(message.text)}}}'
 
 
 class Transcript:
-    """A conversation's system text and messages, each message hashed once.
+    """A conversation's system text and messages, each message encoded once.
 
-    Appending a message encodes it as canonical JSON (preceded by a comma
-    after the first) and feeds it to a running SHA-256 of the payload so far,
-    so `request` gives each call's `request_hash` at the cost of what the call
-    adds, as the gateway's audit record of the call does.
+    Appending a message encodes its `message_fragment` and feeds it (preceded
+    by a comma after the first) to a running SHA-256 of the payload so far, so
+    `request` gives each call's `request_hash` at the cost of what the call
+    adds. The request also carries the fragments appended since the previous
+    request, and the gateway formats the call's audit line from them; older
+    fragments are not kept.
     """
 
     def __init__(self, system_text: str = "", messages: Iterable[ChatMessage] = ()):
         self.system_text = system_text
         self.messages: list[ChatMessage] = []
-        self._sha = hashlib.sha256(_HEAD.encode())
+        self._fresh: list[str] = []  # the fragments appended since the last request
+        self._sha = hashlib.sha256(_HEAD)
+        self._tail: tuple[str | None, bytes] = (None, b"")  # a system text and its encoded tail
         for message in messages:
             self.append(message)
 
     def append(self, message: ChatMessage) -> None:
-        fragment = _encode({"role": message.role, "text": message.text})
-        self._sha.update(("," + fragment if self.messages else fragment).encode("utf-8"))
+        fragment = message_fragment(message)
+        if self.messages:
+            self._sha.update(b",")
+        self._sha.update(fragment.encode())
         self.messages.append(message)
+        self._fresh.append(fragment)
 
     def digest(self) -> str:
+        system_text, tail = self._tail
+        if system_text != self.system_text:
+            tail = f"{_TAIL}{encode_basestring_ascii(self.system_text)}}}".encode()
+            self._tail = (self.system_text, tail)
         sha = self._sha.copy()
-        sha.update(_tail(self.system_text).encode("utf-8"))
+        sha.update(tail)
         return sha.hexdigest()
 
     def request(self, tags: tuple[tuple[str, str], ...]) -> ChatRequest:
-        return ChatRequest(self.system_text, tuple(self.messages), tags, self.digest())
+        fresh, self._fresh = tuple(self._fresh), []
+        return ChatRequest(self.system_text, tuple(self.messages), tags, self.digest(), fresh)
+
+
+def record_line(
+    ts: int,
+    tags: Iterable[tuple[str, str]],
+    digest: str,
+    prior: int,
+    fragments: Iterable[str],
+    response_text: str,
+    system_text: str | None,
+) -> str:
+    """The gateway.jsonl line of call `ts`: what `AuditLog(sort_keys=True)`
+    writes for its record, whose `messages` are `fragments`, each a
+    `message_fragment`. A record with `prior` 0 holds `system_text`, any
+    other has None."""
+    esc = encode_basestring_ascii
+    tag_items = ",".join(f"{esc(key)}:{esc(value)}" for key, value in sorted(dict(tags).items()))
+    system = "" if system_text is None else f',"system":{esc(system_text)}'
+    return (
+        f'{{"messages":[{",".join(fragments)}],"prior":{prior},"request_hash":{esc(digest)},'
+        f'"response":{{"text":{esc(response_text)}}}{system},"tags":{{{tag_items}}},'
+        f'"ts":"{ts:06d}","v":{AUDIT_VERSION}}}'
+    )
 
 
 class Provider(Protocol):
@@ -355,16 +399,13 @@ class Gateway:
         role = request.tag("role")
         system, recorded = self._recorded.get(role, ("", ()))
         prior = len(recorded) if system == request.system_text and request.messages[: len(recorded)] == recorded else 0
-        record = {
-            "v": AUDIT_VERSION,
-            "ts": f"{self._counter:06d}",
-            "tags": dict(request.tags),
-            "request_hash": request.digest,
-            "prior": prior,
-            "messages": [{"role": m.role, "text": m.text} for m in request.messages[prior:]],
-            "response": {"text": response.text},
-        }
-        if not prior:
-            record["system"] = request.system_text
-        self.audit.append(record)
+        # The request's fragments encode its last messages. A new message
+        # before them is encoded here: another conversation of this role tag
+        # came between, or the request's previous call failed.
+        start = len(request.messages) - len(request.fragments)
+        fragments = [*map(message_fragment, request.messages[prior:start]), *request.fragments[max(prior - start, 0) :]]
+        system_text = None if prior else request.system_text
+        self.audit.append(
+            record_line(self._counter, request.tags, request.digest, prior, fragments, response.text, system_text)
+        )
         self._recorded[role] = (request.system_text, (*request.messages, ChatMessage("assistant", response.text)))

@@ -159,6 +159,10 @@ class ProviderConfig(_Config, what="provider config"):
 
     def __post_init__(self) -> None:
         self.check_types()
+        if not 0 < self.timeout_s < math.inf:
+            raise ConfigError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
+        if self.kind == "http" and not self.base_url:
+            raise ConfigError("an http provider needs base_url")
         if self.kind == "replay" and not self.replay_path:
             raise ConfigError("a replay provider needs replay_path")
         for n, entry in enumerate(self.script):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -278,24 +279,34 @@ def _backtest(*flags):
 
 
 def _run_with(key, value):
-    """`run` over the recorded workspace's config with `config[key] = value`,
-    or `config["paths"]["bars"] = value` for the key "paths.bars", which a
-    value of None removes and a callable gives from the probe's `tmp_path`."""
+    """`run` over the recorded workspace's config with the item at the dotted
+    `key` set to `value` ("paths.bars" sets `config["paths"]["bars"]`), which
+    a value of None removes and a callable gives from the probe's `tmp_path`."""
 
     def argv(tmp_path, run):
         config = json.loads((run.parents[2] / "config.json").read_text(encoding="utf-8"))
         config["paths"]["out_dir"] = str(tmp_path / "out")
-        if key == "paths.bars" and value is None:
-            del config["paths"]["bars"]
-        elif key == "paths.bars":
-            config["paths"]["bars"] = value(tmp_path) if callable(value) else value
+        *parents, last = key.split(".")
+        target = config
+        for name in parents:
+            target = target[name]
+        if value is None:
+            del target[last]
         else:
-            config[key] = value
+            target[last] = value(tmp_path) if callable(value) else value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         return ["run", "--config", str(path)]
 
     return argv
+
+
+# Timeouts that requests refuses (0, below 0, NaN) or cannot pass to a socket (infinite).
+TIMEOUTS = (0, -1.5, math.nan, math.inf)
+
+
+def _http_provider(timeout_s, base_url="http://127.0.0.1:9"):
+    return {"kind": "http", "base_url": base_url, "model_id": "m", "timeout_s": timeout_s}
 
 
 def _file(tmp_path, name, text):
@@ -385,6 +396,11 @@ NO_TRACEBACK_PROBES = {
     "run prompt_dir 5": (EXIT_CONFIG, _run_with("prompt_dir", 5)),
     "run paths.bars 5": (EXIT_CONFIG, _run_with("paths.bars", 5)),
     "run paths without bars": (EXIT_CONFIG, _run_with("paths.bars", None)),
+    **{
+        f"run http provider timeout_s {timeout!r}": (EXIT_CONFIG, _run_with("providers.market", _http_provider(timeout)))
+        for timeout in TIMEOUTS
+    },
+    "run http provider without base_url": (EXIT_CONFIG, _run_with("providers.market", _http_provider(60, base_url=""))),
     "replay config.lock not JSON": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: "{not json")),
     "replay gateway line not JSON": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: "{not json\n" + text)),
     "validate-data --bars nested.jsonl": (
@@ -423,6 +439,11 @@ NO_TRACEBACK_PROBES = {
 # What a probe's error message must say, beyond its label.
 PROBE_MESSAGES = {
     "run paths without bars": ("paths.bars is required\n",),
+    **{
+        f"run http provider timeout_s {timeout!r}": (f"timeout_s must be finite and > 0, got {timeout!r}\n",)
+        for timeout in TIMEOUTS
+    },
+    "run http provider without base_url": ("an http provider needs base_url\n",),
     "backtest sma --window -3": ("sma_n must be an integer >= 1, got -3\n",),
     "backtest bollinger --window 1": ("bollinger_n must be an integer >= 2, got 1\n",),
     "backtest bollinger --k nan": ("bollinger_k must be finite and > 0, got nan\n",),

@@ -6,11 +6,14 @@ import json
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tradeloop import gateway as gateway_module
 from tradeloop.agents import ConversationalAgent
+from tradeloop.engine import AuditLog
 from tradeloop.gateway import (
+    AUDIT_VERSION,
     ChatMessage,
     ChatRequest,
     ChatResponse,
@@ -21,12 +24,16 @@ from tradeloop.gateway import (
     RouterProvider,
     ScriptEntry,
     ScriptedProvider,
+    message_fragment,
+    record_line,
     request_hash,
     request_payload,
 )
-from tradeloop.templates import PromptTemplate
+from tradeloop.opro import AdaptiveOpro
+from tradeloop.templates import PromptTemplate, load_asset_text, load_template
 
 from conftest import rebuilt_requests
+from test_opro import optimizer_reply
 
 
 def req(text: str, system: str = "sys", tags=()) -> ChatRequest:
@@ -226,6 +233,156 @@ class TestTranscript:
             by_hand.complete(ChatRequest(request.system_text, request.messages, request.tags))
         assert [rebuilt for _, rebuilt in rebuilt_requests(by_hand.audit.text())] == [rebuilt for _, rebuilt in pairs]
         assert by_hand.audit.text() == gateway.audit.text()
+
+
+def record(ts: int, tags, digest: str, prior: int, messages: list[ChatMessage], reply: str, system: str) -> dict:
+    """The audit record of call `ts` as the dict the generic encoder is given:
+    `messages` are what the call added, and a record with `prior` 0 holds
+    `system`."""
+    entry = {
+        "v": AUDIT_VERSION,
+        "ts": f"{ts:06d}",
+        "tags": dict(tags),
+        "request_hash": digest,
+        "prior": prior,
+        "messages": [{"role": m.role, "text": m.text} for m in messages],
+        "response": {"text": reply},
+    }
+    if not prior:
+        entry["system"] = system
+    return entry
+
+
+def generic_log(exchanges: list[tuple[ChatRequest, str]]) -> str:
+    """The gateway log of `exchanges`, each record a dict that
+    `AuditLog(sort_keys=True)` encodes: a record continues its role tag's last
+    request and reply when the request extends them under the same system text."""
+    log = AuditLog(sort_keys=True)
+    held: dict[str | None, tuple[str, tuple[ChatMessage, ...]]] = {}
+    for ts, (request, reply) in enumerate(exchanges, 1):
+        role = request.tag("role")
+        system, messages = held.get(role, ("", ()))
+        prior = len(messages) if system == request.system_text and request.messages[: len(messages)] == messages else 0
+        new = list(request.messages[prior:])
+        log.append(record(ts, request.tags, request.digest, prior, new, reply, request.system_text))
+        held[role] = (request.system_text, (*request.messages, ChatMessage("assistant", reply)))
+    return log.text()
+
+
+roles = st.sampled_from(["user", "assistant"]) | conversation_text
+
+
+class TestAuditRecordLine:
+    """`record_line` is what `AuditLog(sort_keys=True)` writes for the record dict."""
+
+    @settings(max_examples=100)
+    @given(
+        ts=st.integers(1, 10**7),
+        tags=st.lists(st.tuples(conversation_text, conversation_text), max_size=4),
+        digest=conversation_text,
+        prior=st.integers(0, 3),
+        messages=st.lists(st.tuples(roles, conversation_text), min_size=1, max_size=4),
+        reply=conversation_text,
+        system=conversation_text,
+    )
+    @example(ts=1, tags=[], digest="", prior=0, messages=[("user", "")], reply="", system="")
+    @example(
+        ts=12, tags=[("role", "market"), ('k"\\', "\u2028\ud800"), ("role", "cta")], digest="ab", prior=2,
+        messages=[("assistant", "r"), ("user", "q\n"), ("user", "\udfff")], reply="\x00", system="ignored",
+    )
+    def test_line_is_the_generic_encoding(self, ts, tags, digest, prior, messages, reply, system):
+        chat = [ChatMessage(role, text) for role, text in messages]
+        log = AuditLog(sort_keys=True)
+        log.append(record(ts, tags, digest, prior, chat, reply, system))
+        line = record_line(ts, tuple(tags), digest, prior, map(message_fragment, chat), reply, None if prior else system)
+        assert line + "\n" == log.text()
+
+
+class TestFragmentReuse:
+    """The gateway formats each record from the fragments its request
+    carries, encoding a message only when the request carries none for it.
+    Every log is the bytes of `generic_log`."""
+
+    @staticmethod
+    def agent(gateway: Gateway, role: str = "market") -> ConversationalAgent:
+        initial = PromptTemplate.parse("initial", "<system_role>{{system}}</system_role>{{text}}")
+        return ConversationalAgent(role, gateway, initial, PromptTemplate.parse("followup", "{{text}}"))
+
+    @staticmethod
+    def ask(agent: ConversationalAgent, provider: Recorder, text: str, system: str = "sys") -> None:
+        provider.replies.append(f"re {text}")
+        agent.ask({"system": system, "text": text})
+
+    def test_followup_carries_only_what_came_after_the_last_request(self):
+        provider = Recorder()
+        agent = self.agent(Gateway(provider))
+        for text in ("q1", "q2", "q3"):
+            self.ask(agent, provider, text)
+        assert [len(request.fragments) for request, _ in provider.exchanges] == [1, 2, 2]
+        assert provider.exchanges[-1][0].fragments == tuple(map(message_fragment, agent.transcript.messages[3:5]))
+
+    def test_two_conversations_of_one_role_tag_take_turns(self):
+        provider = Recorder()
+        gateway = Gateway(provider)
+        first, second = self.agent(gateway), self.agent(gateway)
+        for text in ("a1", "b1", "a2", "b2", "a3", "a4"):
+            self.ask(first if text[0] == "a" else second, provider, text, system=text[0])
+        assert gateway.audit.text() == generic_log(provider.exchanges)
+        assert [r["prior"] for r, _ in rebuilt_requests(gateway.audit.text())] == [0, 0, 0, 0, 0, 6]
+
+    def test_reset_in_the_middle_of_a_conversation(self):
+        provider = Recorder()
+        gateway = Gateway(provider)
+        agent = self.agent(gateway)
+        self.ask(agent, provider, "q1")
+        self.ask(agent, provider, "q2")
+        agent.reset()
+        for text in ("p1", "p2", "p3"):
+            self.ask(agent, provider, text, system="new")
+        assert gateway.audit.text() == generic_log(provider.exchanges)
+        assert [r["prior"] for r, _ in rebuilt_requests(gateway.audit.text())] == [0, 2, 0, 2, 4]
+
+    def test_request_by_hand_after_one_by_a_transcript(self):
+        provider = Recorder()
+        gateway = Gateway(provider)
+        agent = self.agent(gateway)
+        self.ask(agent, provider, "q1")
+        self.ask(agent, provider, "q2")
+        messages = (*agent.transcript.messages, ChatMessage("user", "by hand"))
+        provider.replies.append("re by hand")
+        gateway.complete(ChatRequest("sys", messages, (("role", "market"),)))
+        self.ask(agent, provider, "q3")
+        assert gateway.audit.text() == generic_log(provider.exchanges)
+        assert [r["prior"] for r, _ in rebuilt_requests(gateway.audit.text())] == [0, 2, 4, 0]
+
+    def test_reask(self):
+        provider = Recorder()
+        gateway = Gateway(provider)
+        agent = self.agent(gateway)
+        self.ask(agent, provider, "q1")
+        provider.replies = ["no", "no", "ok done"]
+        assert agent.ask_parsed("q2", _accept_ok, lambda exc: f"again: {exc}") == ("ok done", 3)
+        assert gateway.audit.text() == generic_log(provider.exchanges)
+        assert [len(r["messages"]) for r, _ in rebuilt_requests(gateway.audit.text())] == [1, 1, 1, 1]
+
+    def test_a_proposal_encodes_its_meta_prompt_once(self, monkeypatch):
+        current = load_template("cta_initial")
+        improved = current.body.replace("Trading Philosophy", "Refined Philosophy")
+        provider = Recorder()
+        provider.replies.append(optimizer_reply(improved))
+        opro = AdaptiveOpro(current, Gateway(provider), load_asset_text("optimizer"))
+        opro.close_window(5, 100_000.0, 101_000.0)
+        encode, encoded = gateway_module.encode_basestring_ascii, []
+
+        def counted(text: str) -> str:
+            encoded.append(text)
+            return encode(text)
+
+        monkeypatch.setattr(gateway_module, "encode_basestring_ascii", counted)
+        assert opro.propose_update() is True
+        [(request, _)] = provider.exchanges
+        meta = request.messages[-1].text
+        assert len(meta) > 1000 and encoded.count(meta) == 1
 
 
 class TestRetry:
