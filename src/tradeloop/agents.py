@@ -311,12 +311,34 @@ class ConversationalAgent:
 
 # -- order parsing -----------------------------------------------------------
 
-_FENCE = re.compile(r"```(?:json)?\s*\n(.*?)\n?\s*```", re.DOTALL)
+_SPACES = re.compile(r"\s*")
+
+
+def read_fence(text: str, require_json: bool = False) -> str | None:
+    """The body of the first ``` fence in `text`, or None when it has none.
+
+    A fence opens with ```, a `json` tag (optional unless `require_json`)
+    and whitespace holding a newline. Its body runs from that whitespace's
+    last newline to the next ```, less trailing whitespace. This is group 1
+    of ``re.search(r"```(?:json)?\\s*\\n(.*?)\\n?\\s*```", text, re.DOTALL)``
+    (`json` without the `?` when required), found in one forward scan: the
+    lazy group would try the closing fence again after every character."""
+    start = text.find("```")
+    while start != -1:
+        head = start + 3 + 4 * text.startswith("json", start + 3)
+        if head > start + 3 or not require_json:
+            newline = text.rfind("\n", head, _SPACES.match(text, head).end())
+            if newline != -1:
+                end = text.find("```", newline + 1)
+                # No later opener can close either: it would open after this one's newline.
+                return None if end == -1 else text[newline + 1 : end].rstrip()
+        start = text.find("```", start + 1)
+    return None
 
 
 def strip_fences(text: str) -> str:
-    m = _FENCE.search(text)
-    return m.group(1) if m else text
+    body = read_fence(text)
+    return text if body is None else body
 
 
 def parse_orders(text: str) -> list[OrderSpec]:

@@ -17,6 +17,8 @@ import json
 import math
 import os
 import tempfile
+import threading
+from bisect import bisect_left
 from collections import deque
 from contextlib import ExitStack, closing
 from dataclasses import MISSING, asdict, dataclass, field, replace
@@ -161,6 +163,8 @@ class ProviderConfig(_Config, what="provider config"):
         self.check_types()
         if not 0 < self.timeout_s < math.inf:
             raise ConfigError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
+        if self.timeout_s > threading.TIMEOUT_MAX:  # the longest wait a socket or lock takes
+            raise ConfigError(f"timeout_s must be at most {int(threading.TIMEOUT_MAX)} s, got {self.timeout_s!r}")
         if self.kind == "http" and not self.base_url:
             raise ConfigError("an http provider needs base_url")
         if self.kind == "replay" and not self.replay_path:
@@ -224,23 +228,26 @@ FUNDAMENTAL_FIGURES = tuple(n for n, hint in get_type_hints(agents.FundamentalSn
 @dataclass
 class LoadedData:
     """The inputs of every run of an experiment, read and checked once, with
-    each session's bar index and the market analyst's indicator and levels
-    text, which depend on the bars and sessions only."""
+    each session's bar index, the market analyst's indicator and levels text
+    and the news analyst's batch, which depend on the inputs and sessions only."""
 
     bars: BarSeries
     sessions: list[date]  # the sessions of the evaluation window
     session_bars: tuple[int, ...]  # each session's index in `bars.bars`
     market_texts: tuple[str, ...] | None  # one per session; None when the market analyst is ablated
-    news: list = field(default_factory=list)
+    news_batches: tuple[tuple[agents.NewsItem, ...], ...] | None  # one per session; None when the news analyst is ablated
     fundamentals: list = field(default_factory=list)
     actions: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, series: BarSeries, sessions: list[date], market: bool = True, **inputs) -> "LoadedData":
+    def of(
+        cls, series: BarSeries, sessions: list[date], market: bool = True, news: Sequence[agents.NewsItem] | None = (), **inputs
+    ) -> "LoadedData":
         """The data of `sessions` over `series`. Each session's bar is found
         once, here; a session without a bar is a DataError that names it.
         The market texts come from one pass over the bars up to the last
-        session (`indicators.market_texts`)."""
+        session (`indicators.market_texts`); `news` is None when the news
+        analyst is ablated."""
         if not sessions:
             raise DataError("no trading sessions inside the evaluation window")
         session_bars = tuple(series.index_after(d) - 1 for d in sessions)
@@ -248,7 +255,24 @@ class LoadedData:
         if missing:
             raise DataError(f"missing bars for sessions: {', '.join(missing)}")
         texts = tuple(indicators.market_texts(series.up_to(sessions[-1]), session_bars)) if market else None
-        return cls(series, sessions, session_bars, texts, **inputs)
+        batches = news_batches(news, sessions) if news is not None else None
+        return cls(series, sessions, session_bars, texts, batches, **inputs)
+
+
+def news_batches(items: Sequence[agents.NewsItem], sessions: Sequence[date]) -> tuple[tuple[agents.NewsItem, ...], ...]:
+    """Each session's `joined_news` batch: the items dated after the previous
+    session, up to and including this one; the first session looks back 3
+    days. Each item goes to the first session on or after its date, found by
+    bisection over the strictly increasing sessions, so a batch keeps the
+    items' order."""
+    batches: list[list[agents.NewsItem]] = [[] for _ in sessions]
+    earliest = sessions[0] - timedelta(days=3)
+    for item in items:
+        day = date.fromisoformat(item.ts[:10])
+        k = bisect_left(sessions, day)
+        if k < len(sessions) and earliest < day:
+            batches[k].append(item)
+    return tuple(map(tuple, batches))
 
 
 _is_number = _type_test(float)
@@ -325,13 +349,14 @@ def load_data(config: ExperimentConfig) -> LoadedData:
 
     sessions = calendar.sessions_between(config.window_start, config.window_end)
     market = not config.ablations.get("no_market")
-    return LoadedData.of(series, sessions, market, news=news, fundamentals=fundamentals, actions=actions)
+    news = None if config.ablations.get("no_news") else news
+    return LoadedData.of(series, sessions, market, news, fundamentals=fundamentals, actions=actions)
 
 
 def _config_text(config_json) -> tuple[str, str]:
     """A config.lock's config object as sorted JSON indented by 2, and the
     hash the lock records: the SHA-256 of that text."""
-    text = json.dumps(config_json, indent=2, sort_keys=True)
+    text = json.dumps(config_json, indent=2, sort_keys=True, default=date.isoformat)
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -495,7 +520,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     run_dir.mkdir(parents=True, exist_ok=True)
     # The lock is {"config": ..., "hash": ...} as sorted JSON indented by 2:
     # the config text, indented one level more, and its hash.
-    config_text, config_hash = _config_text(json.loads(json.dumps(config.__dict__, default=date.isoformat)))
+    config_text, config_hash = _config_text(config.__dict__)
     lock_text = '{\n  "config": ' + config_text.replace("\n", "\n  ") + f',\n  "hash": "{config_hash}"\n}}\n'
     (run_dir / "config.lock").write_text(lock_text, encoding="utf-8")
 
@@ -521,7 +546,6 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         market, news, fundamental = analyst("market"), analyst("news"), analyst("fundamental")
         cta = agents.CentralAgent("cta", gateway, optimizer.live_template, tpl("cta_followup"))
         reflection_template = tpl("reflection")
-        news_dates = [date.fromisoformat(item.ts[:10]) for item in data.news] if news is not None else []
         event_dates = {snap.filing_date for snap in data.fundamentals} | {a.effective_date for a in data.actions}
 
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
@@ -553,11 +577,8 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
             if market is not None:
                 context = ctx | market_context(data, i, market.next_template.placeholders())
                 reports["market_analysis"] = market.ask(context, tags)
-            if news is not None:
-                lower = session - timedelta(days=3) if i == 0 else sessions[i - 1]
-                batch = [item for item, day in zip(data.news, news_dates) if lower < day <= session]
-                if batch:
-                    reports["news_analysis"] = news.ask(ctx | {"joined_news": agents.render_news_batch(batch)}, tags)
+            if news is not None and (batch := data.news_batches[i]):
+                reports["news_analysis"] = news.ask(ctx | {"joined_news": agents.render_news_batch(batch)}, tags)
             if fundamental is not None and session in event_dates:
                 available = [s for s in data.fundamentals if s.filing_date <= session]
                 fresh = available[delivered_fundamentals:]

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .agents import ConversationalAgent
+from .agents import ConversationalAgent, read_fence
 from .engine import AuditLog
 from .gateway import Gateway
 from .templates import PromptTemplate, TemplateError
@@ -31,8 +30,6 @@ OPTIMIZER_FORMAT_REMINDER = (
     "The optimized_prompt must be the complete template text with every existing "
     "placeholder and conditional block preserved exactly."
 )
-
-_JSON_FENCE = re.compile(r"```json\s*\n(.*?)\n?\s*```", re.DOTALL)
 
 
 def window_score(roi: float) -> float:
@@ -81,11 +78,11 @@ class OptimizerParseError(ValueError):
 
 def parse_optimizer_response(text: str) -> OptimizerOutput:
     """Parse the ```json fenced four-key object the optimizer must return."""
-    m = _JSON_FENCE.search(text)
-    if m is None:
+    body = read_fence(text, require_json=True)
+    if body is None:
         raise OptimizerParseError("BAD_FENCE", "no ```json fenced block found")
     try:
-        obj = json.loads(m.group(1))
+        obj = json.loads(body)
     except json.JSONDecodeError as exc:
         raise OptimizerParseError("NOT_OBJECT", f"fenced payload is not valid JSON: {exc.msg}")
     except RecursionError:

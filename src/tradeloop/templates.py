@@ -23,6 +23,7 @@ from .errors import ConfigError
 _PLACEHOLDER = re.compile(
     r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\|\s*default\(\"([^\"]*)\"\)\s*)?\}\}"
 )
+_OPENER = re.compile(r"\{[{%]")  # the next placeholder or tag, found in one search
 _TAG = re.compile(r"\{%\s*(if\s+([A-Za-z_][A-Za-z0-9_]*)|else|endif)\s*%\}")
 _SYSTEM_TAGS = ("<system_role>", "</system_role>")
 _SYSTEM_TAG = re.compile(r"(</?system_role>)")
@@ -60,10 +61,11 @@ class RenderedPrompt:
     user_text: str
 
 
-def _parse(body: str) -> tuple[tuple, frozenset[str]]:
-    """Tokenize and build the node tree; also the set of every `{{ }}` and
-    `{% if %}` name. Raises TemplateError on anything outside the frozen
-    grammar."""
+def _tokenize(body: str) -> tuple[list, set[str]]:
+    """The tokens of `body` in order, text and system tags as `_Text`, and
+    the set of every `{{ }}` and `{% if %}` name. A conditional tag is an
+    ("if" | "else" | "endif", name) pair. One forward scan: each search
+    finds the next `{{` or `{%`. Raises TemplateError on a malformed one."""
     tokens: list = []
     names: set[str] = set()
     pos = 0
@@ -74,16 +76,10 @@ def _parse(body: str) -> tuple[tuple, frozenset[str]]:
         elif chunk:
             tokens.append(_Text(chunk))
 
-    while True:
-        next_ph = body.find("{{", pos)
-        next_tag = body.find("{%", pos)
-        candidates = [c for c in (next_ph, next_tag) if c != -1]
-        if not candidates:
-            text(body[pos:])
-            break
-        cut = min(candidates)
+    while (opener := _OPENER.search(body, pos)) is not None:
+        cut = opener.start()
         text(body[pos:cut])
-        if cut == next_ph:
+        if body[cut + 1] == "{":
             m = _PLACEHOLDER.match(body, cut)
             if m is None:
                 snippet = body[cut : cut + 30].splitlines()[0]
@@ -105,6 +101,15 @@ def _parse(body: str) -> tuple[tuple, frozenset[str]]:
             else:
                 tokens.append(("endif", None))
             pos = m.end()
+    text(body[pos:])
+    return tokens, names
+
+
+def _parse(body: str) -> tuple[tuple, frozenset[str]]:
+    """Tokenize and build the node tree; also the set of every `{{ }}` and
+    `{% if %}` name. Raises TemplateError on anything outside the frozen
+    grammar."""
+    tokens, names = _tokenize(body)
 
     def build(idx: int, depth: int) -> tuple[tuple, int, bool]:
         """Returns (nodes, next index, saw_else). Stops at else/endif."""

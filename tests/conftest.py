@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from tradeloop.bars import Bar, BarSeries, Resolution
 from tradeloop.gateway import AUDIT_VERSION, ChatMessage, ChatRequest, Transcript
@@ -18,6 +19,23 @@ from tradeloop.gateway import AUDIT_VERSION, ChatMessage, ChatRequest, Transcrip
 # database carried between runs and no per-example time limit.
 settings.register_profile("tradeloop", deadline=None, derandomize=True, database=None)
 settings.load_profile("tradeloop")
+
+# Model replies around a code fence, made of backticks, the `json` tag, text,
+# and whitespace that `\s` and `str.rstrip` both match (`\x1c`, U+2028 and
+# U+3000 among it): text, an opener, whitespace, a body, whitespace, a
+# closer and text, where any piece may be empty, short or another fence.
+_FENCE_SPACE = st.lists(st.sampled_from(("\n", "\r", "\x1c", "\u2028", "\u3000", " ")), max_size=4).map("".join)
+_FENCE_PIECES = st.sampled_from(("```", "`", "json", "\n", "\r", " ", "\u3000", "[1]", "x"))
+_FENCE_TEXT = st.lists(_FENCE_PIECES, max_size=6).map("".join)
+fence_texts = st.tuples(
+    _FENCE_TEXT,
+    st.sampled_from(("```", "```json", "````json", "``json", "```jsonx", "")),
+    _FENCE_SPACE,
+    st.lists(_FENCE_PIECES, min_size=1, max_size=6).map("".join),
+    _FENCE_SPACE,
+    st.sampled_from(("```", "``", "")),
+    _FENCE_TEXT,
+).map("".join)
 
 
 def q2(x: float) -> Decimal:

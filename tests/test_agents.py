@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from datetime import date
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradeloop.agents import (
@@ -22,6 +23,7 @@ from tradeloop.agents import (
     dedupe_news,
     orders_from_specs,
     parse_orders,
+    read_fence,
     recent_activity_text,
     render_fundamental_data,
     render_news_batch,
@@ -33,7 +35,7 @@ from tradeloop.gateway import ChatRequest, Gateway, ScriptEntry, ScriptedProvide
 from tradeloop.harness import ExperimentConfig, session_context
 from tradeloop.templates import load_template
 
-from conftest import rebuilt_requests
+from conftest import fence_texts, rebuilt_requests
 
 
 def make_gateway(script):
@@ -371,6 +373,21 @@ class TestStripFences:
 
     def test_bare_fence(self):
         assert strip_fences("```\n[1]\n```") == "[1]"
+
+    # The regex `read_fence` replaced, kept as its oracle.
+    OLD_FENCE = re.compile(r"```(?:json)?\s*\n(.*?)\n?\s*```", re.DOTALL)
+
+    @given(fence_texts)
+    @example("```json\n[1]")  # never closed
+    @example("```json \u3000[1]\n```")  # whitespace after the opener, but no newline
+    @example("````json\n[1]\n```")
+    @example("```\n\r\n```")  # an empty body
+    @example("```json\n[1] \n```\n```\n[2]\n```")  # two fenced blocks
+    @settings(max_examples=500)
+    def test_read_fence_is_the_old_regex(self, text):
+        m = self.OLD_FENCE.search(text)
+        assert read_fence(text) == (m.group(1) if m else None)
+        assert strip_fences(text) == (m.group(1) if m else text)
 
 
 class TestComputeRatios:

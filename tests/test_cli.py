@@ -400,6 +400,7 @@ NO_TRACEBACK_PROBES = {
         f"run http provider timeout_s {timeout!r}": (EXIT_CONFIG, _run_with("providers.market", _http_provider(timeout)))
         for timeout in TIMEOUTS
     },
+    "run http provider timeout_s 1e10": (EXIT_CONFIG, _run_with("providers.market", _http_provider(1e10))),
     "run http provider without base_url": (EXIT_CONFIG, _run_with("providers.market", _http_provider(60, base_url=""))),
     "replay config.lock not JSON": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: "{not json")),
     "replay gateway line not JSON": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: "{not json\n" + text)),
@@ -443,6 +444,7 @@ PROBE_MESSAGES = {
         f"run http provider timeout_s {timeout!r}": (f"timeout_s must be finite and > 0, got {timeout!r}\n",)
         for timeout in TIMEOUTS
     },
+    "run http provider timeout_s 1e10": ("timeout_s must be at most 9223372036 s, got 10000000000.0\n",),
     "run http provider without base_url": ("an http provider needs base_url\n",),
     "backtest sma --window -3": ("sma_n must be an integer >= 1, got -3\n",),
     "backtest bollinger --window 1": ("bollinger_n must be an integer >= 2, got 1\n",),

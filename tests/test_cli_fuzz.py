@@ -190,6 +190,8 @@ HOSTILE_REPLIES = [
 @example(role="cta", reply=NESTED)
 @example(role="optimizer", reply="```json\n" + NESTED + "\n```")
 @example(role="optimizer", reply=HOSTILE_REPLIES[2])
+@example(role="optimizer", reply=optimizer_payload(CTA_INITIAL).removesuffix("```"))  # the fence never closes
+@example(role="cta", reply="```\u2028\n" + order_reply("100", "1") + "\n```")  # a plain fence, U+2028 before its newline
 @given(
     role=st.sampled_from(PROVIDER_ROLES),
     reply=st.sampled_from(HOSTILE_REPLIES) | st.text() | st.text().map(optimizer_payload),

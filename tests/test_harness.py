@@ -9,8 +9,11 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tradeloop import harness, indicators
+from tradeloop.agents import NewsItem
 from tradeloop.bars import Bar, BarSeries, Lookback, Resolution, resample, serialize_bars
 from tradeloop.cli import main
 from tradeloop.engine import Action, Fill, PortfolioState
@@ -25,6 +28,7 @@ from tradeloop.harness import (
     aggregate_and_report,
     load_data,
     market_context,
+    news_batches,
     replay_run,
     run_experiment,
     session_context,
@@ -358,6 +362,9 @@ class TestRunExperiment:
     def test_no_timeline_without_the_market_analyst(self, tmp_path):
         assert load_data(build_workspace(tmp_path, ablations={"no_market": True})).market_texts is None
 
+    def test_no_news_batches_without_the_news_analyst(self, tmp_path):
+        assert load_data(build_workspace(tmp_path, ablations={"no_news": True})).news_batches is None
+
     def test_config_lock_is_config_and_hash_as_sorted_json(self, tmp_path):
         """config.lock is encoded once and must equal the encoder's bytes,
         here over an inline script, non-ASCII text, newlines and empty
@@ -645,6 +652,33 @@ class TestMarketTimeline:
         assert (len(contexts), len(data.bars)) == (42, 2000)
         digest = hashlib.sha256(json.dumps(contexts, sort_keys=True).encode("utf-8")).hexdigest()
         assert digest == GOLDEN_MARKET_CONTEXT_DIGEST
+
+
+def old_news_batches(items: list[NewsItem], sessions: list[date]) -> tuple:
+    """The per-session filter over every item that `news_batches` replaced,
+    kept as its oracle."""
+    news_dates = [date.fromisoformat(item.ts[:10]) for item in items]
+    batches = []
+    for i, session in enumerate(sessions):
+        lower = session - timedelta(days=3) if i == 0 else sessions[i - 1]
+        batches.append(tuple(item for item, day in zip(items, news_dates) if lower < day <= session))
+    return tuple(batches)
+
+
+class TestNewsBatches:
+    START = date(2024, 6, 3)
+
+    @given(session_days=st.sets(st.integers(0, 20), min_size=1), item_days=st.lists(st.integers(-6, 24), max_size=12))
+    @example(session_days={3, 4, 7}, item_days=[7, 0, -1, 3, 3, 5, 8, 4, 1])
+    def test_batches_are_the_old_filter(self, session_days, item_days):
+        """Items in any order and on equal dates, before the first session's
+        3-day lookback, after the last session and on days between sessions."""
+        sessions = [self.START + timedelta(days=d) for d in sorted(session_days)]
+        items = [
+            NewsItem(ts=f"{self.START + timedelta(days=d)}T09:{n:02d}:00Z", title=f"item {n}", url="", summary="")
+            for n, d in enumerate(item_days)
+        ]
+        assert news_batches(items, sessions) == old_news_batches(items, sessions)
 
 
 class TestSessionContext:

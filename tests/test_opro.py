@@ -8,9 +8,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tradeloop.agents import read_fence
 from tradeloop.gateway import Gateway, ScriptEntry, ScriptedProvider
 from tradeloop.opro import (
     AdaptiveOpro,
@@ -24,6 +25,8 @@ from tradeloop.opro import (
     window_score,
 )
 from tradeloop.templates import load_asset_text, load_template
+
+from conftest import fence_texts
 
 
 def make_gateway(script):
@@ -221,6 +224,23 @@ class TestParseOptimizerResponse:
         with pytest.raises(OptimizerParseError) as err:
             parse_optimizer_response('{"performance_analysis": "a"}')
         assert err.value.code == "BAD_FENCE"
+
+    # The optimizer's fence regex before `read_fence`, kept as its oracle.
+    OLD_JSON_FENCE = re.compile(r"```json\s*\n(.*?)\n?\s*```", re.DOTALL)
+
+    @given(fence_texts)
+    @example("```json\n[1]")  # never closed
+    @example("```json \u3000[1]\n```")  # whitespace after the opener, but no newline
+    @example("````json\n[1]\n```")
+    @example("```json\n\r\n```")  # an empty body
+    @example("```\n[0]\n```json\n[1] \n```\n```json\n[2]\n```")  # an untagged fence, then two fenced blocks
+    @settings(max_examples=500)
+    def test_fence_is_the_old_regex(self, text):
+        m = self.OLD_JSON_FENCE.search(text)
+        assert read_fence(text, require_json=True) == (m.group(1) if m else None)
+        if m is None:
+            with pytest.raises(OptimizerParseError, match="BAD_FENCE"):
+                parse_optimizer_response(text)
 
     def test_missing_key(self):
         payload = {"performance_analysis": "a", "optimized_prompt": "p", "key_improvements": "k"}

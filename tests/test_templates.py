@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradeloop.agents import NewsItem, render_news_batch
@@ -14,7 +14,12 @@ from tradeloop.templates import (
     RenderedPrompt,
     TemplateError,
     _Conditional,
+    _PLACEHOLDER,
     _Placeholder,
+    _SYSTEM_TAG,
+    _TAG,
+    _Text,
+    _tokenize,
     load_template,
 )
 
@@ -133,6 +138,83 @@ class TestParseErrors:
     def test_bare_braces_are_literal(self):
         tpl = T("t", 'JSON example: { "price": float | null }')
         assert tpl.render({}).user_text == 'JSON example: { "price": float | null }'
+
+
+def old_tokenize(body: str) -> tuple[list, set[str]]:
+    """The tokenizer `_tokenize` replaced, kept as its oracle: two `find`s
+    and their `min` for each token."""
+    tokens: list = []
+    names: set[str] = set()
+    pos = 0
+
+    def text(chunk: str) -> None:
+        if "system_role>" in chunk:
+            tokens.extend(map(_Text, filter(None, _SYSTEM_TAG.split(chunk))))
+        elif chunk:
+            tokens.append(_Text(chunk))
+
+    while True:
+        next_ph = body.find("{{", pos)
+        next_tag = body.find("{%", pos)
+        candidates = [c for c in (next_ph, next_tag) if c != -1]
+        if not candidates:
+            text(body[pos:])
+            break
+        cut = min(candidates)
+        text(body[pos:cut])
+        if cut == next_ph:
+            m = _PLACEHOLDER.match(body, cut)
+            if m is None:
+                snippet = body[cut : cut + 30].splitlines()[0]
+                raise TemplateError("MALFORMED_PLACEHOLDER", f"at {snippet!r}")
+            tokens.append(_Placeholder(name=m.group(1), default=m.group(2)))
+            names.add(m.group(1))
+            pos = m.end()
+        else:
+            m = _TAG.match(body, cut)
+            if m is None:
+                snippet = body[cut : cut + 30].splitlines()[0]
+                raise TemplateError("UNKNOWN_CONSTRUCT", f"at {snippet!r}")
+            kind = m.group(1)
+            if kind.startswith("if"):
+                tokens.append(("if", m.group(2)))
+                names.add(m.group(2))
+            elif kind == "else":
+                tokens.append(("else", None))
+            else:
+                tokens.append(("endif", None))
+            pos = m.end()
+    return tokens, names
+
+
+def tokens_or_error(tokenize, body: str):
+    try:
+        return tokenize(body)
+    except TemplateError as exc:
+        return exc.code, str(exc)
+
+
+TEMPLATE_PIECES = (
+    "{{", "{%", "%}", "}}", "{", "}", "%", " ", "\n", "x", "y", "if", "else", "endif",
+    '| default("")', 'default("a b")', "{{ x }}", '{{ y | default("-") }}', "{% if x %}", "{% else %}", "{% endif %}",
+    "<system_role>", "</system_role>", "system_role>",
+)
+
+
+class TestTokenize:
+    @given(st.lists(st.sampled_from(TEMPLATE_PIECES), max_size=16).map("".join))
+    @example("{%{{ x }}")
+    @example("{{{% if x %}")
+    @example("text {{ x }} and {%if y%}{{y|default(\"d\")}}{%endif%} tail")
+    @settings(max_examples=500)
+    def test_tokens_are_the_old_tokenizers(self, body):
+        """The same tokens and names, or the same error code and message."""
+        assert tokens_or_error(_tokenize, body) == tokens_or_error(old_tokenize, body)
+
+    @pytest.mark.parametrize("name", SHIPPED_TEMPLATES)
+    def test_shipped_assets_tokenize_as_before(self, name):
+        body = load_template(name).body
+        assert _tokenize(body) == old_tokenize(body)
 
 
 class TestRender:
