@@ -97,14 +97,12 @@ class Fill:
 
 @dataclass(frozen=True)
 class PortfolioState:
+    """Cash and positions as last booked. The engine checks its invariants
+    (no negative cash or shares) after each booking, where they can change."""
+
     cash: Decimal
     shares_long: int
     shares_short: int
-    as_of: date | None
-
-    def __post_init__(self) -> None:
-        assert self.cash >= 0, "cash must stay non-negative"
-        assert self.shares_long >= 0 and self.shares_short >= 0
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,8 @@ class SessionResult:
 
 
 def portfolio_value(portfolio: PortfolioState, close: Decimal) -> Decimal:
-    """cash + long*close - short*close (short liability marked to market)."""
-    if close <= 0:
-        raise EngineError("close must be positive")
+    """cash + long*close - short*close (short liability marked to market).
+    `close` is a bar's close, which `Bar` holds positive."""
     return portfolio.cash + (portfolio.shares_long - portfolio.shares_short) * close
 
 
@@ -173,6 +170,7 @@ class ExecutionEngine:
             raise EngineError("initial cash must be non-negative")
         self._long = 0
         self._short = 0
+        self._state = PortfolioState(self._cash, 0, 0)  # rebuilt by `_apply`, the one place it changes
         self._as_of: date | None = None
         self._queue: list[tuple[Order, int]] = []  # (validated order, submitted qty)
         self.audit = audit if audit is not None else AuditLog()
@@ -180,9 +178,7 @@ class ExecutionEngine:
     # -- state ------------------------------------------------------------
 
     def portfolio(self) -> PortfolioState:
-        return PortfolioState(
-            cash=self._cash, shares_long=self._long, shares_short=self._short, as_of=self._as_of
-        )
+        return self._state
 
     # -- order intake -----------------------------------------------------
 
@@ -244,6 +240,7 @@ class ExecutionEngine:
         self._cash += cash * price * qty
         self._long += long * qty
         self._short += short * qty
+        self._state = PortfolioState(self._cash, self._long, self._short)
 
     def _event(self, type: str, **fields) -> None:
         self.audit.append({"v": AUDIT_SCHEMA_VERSION, "type": type, **fields})
@@ -260,53 +257,49 @@ class ExecutionEngine:
             if order.submitted_at >= bar.session_date:
                 raise EngineError("order submitted at or after the matching bar")
 
-        fills: list[Fill] = []
-        cancelled: list[str] = []
+        fills: tuple[Fill, ...] = ()
+        cancelled: tuple[str, ...] = ()
         for order, submitted_qty in self._queue:
             price = fill_price(order, bar)
-            if price is None:
-                self._cancel(order.id, "UNFILLED", cancelled)
-                continue
             qty = self._held(order.action, order.quantity)
-            if qty == 0:
-                self._cancel(order.id, RejectReason.EMPTY_AFTER_CLAMP, cancelled)
-                continue
-            if (order.action in BUY_SIDE and price * qty > self._cash) or (
+            if price is None:
+                reason = "UNFILLED"
+            elif qty == 0:
+                reason = RejectReason.EMPTY_AFTER_CLAMP
+            elif (order.action in BUY_SIDE and price * qty > self._cash) or (
                 order.action == Action.SHORT and self._short_cap_breach(qty, price, price)
             ):
-                self._cancel(order.id, RejectReason.GAP_REJECT, cancelled)
+                reason = RejectReason.GAP_REJECT
+            else:
+                self._apply(order.action, qty, price)
+                fill = Fill(
+                    order_id=order.id,
+                    action=order.action,
+                    executed_at=bar.session_date,
+                    fill_price=price,
+                    quantity=qty,
+                    clamped_from=submitted_qty if qty != submitted_qty else None,
+                )
+                fills += (fill,)
+                self.audit.append(fill_line(fill))
+                assert self._cash >= 0 and self._long >= 0 and self._short >= 0
                 continue
-            self._apply(order.action, qty, price)
-            fill = Fill(
-                order_id=order.id,
-                action=order.action,
-                executed_at=bar.session_date,
-                fill_price=price,
-                quantity=qty,
-                clamped_from=submitted_qty if qty != submitted_qty else None,
-            )
-            fills.append(fill)
-            self.audit.append(fill_line(fill))
-            assert self._cash >= 0 and self._long >= 0 and self._short >= 0
+            cancelled += (order.id,)
+            self._event("CANCEL", order_id=order.id, reason=reason)
 
         self._queue.clear()
         self._as_of = bar.session_date
         return self._summarize(bar, fills, cancelled)
 
-    def _cancel(self, order_id: str, reason: str, cancelled: list[str]) -> None:
-        cancelled.append(order_id)
-        self._event("CANCEL", order_id=order_id, reason=reason)
-
-    def _summarize(self, bar, fills: list[Fill], cancelled: list[str]) -> SessionResult:
-        state = self.portfolio()
+    def _summarize(self, bar, fills: tuple[Fill, ...], cancelled: tuple[str, ...]) -> SessionResult:
+        """Close the session of `bar`: mark the state at its close and write
+        the SESSION_SUMMARY line."""
+        state = self._state
         value = portfolio_value(state, bar.close)
-        self.audit.append(summary_line(bar.session_date, self._cash, self._long, self._short, bar.close, value))
-        return SessionResult(
-            fills=tuple(fills),
-            cancelled=tuple(cancelled),
-            portfolio=state,
-            portfolio_value=value,
+        self.audit.append(
+            summary_line(bar.session_date, state.cash, state.shares_long, state.shares_short, bar.close, value)
         )
+        return SessionResult(fills, cancelled, state, value)
 
     def force_cover(self, bar) -> SessionResult:
         """Cover any outstanding short at the final close; cancel leftovers.
@@ -315,17 +308,17 @@ class ExecutionEngine:
         is accounted like a MARKET buy at the close, so the marked portfolio
         value is unchanged.
         """
-        cancelled: list[str] = []
-        for order, _ in self._queue:
-            self._cancel(order.id, "WINDOW_END", cancelled)
+        cancelled = tuple(order.id for order, _ in self._queue)
+        for order_id in cancelled:
+            self._event("CANCEL", order_id=order_id, reason="WINDOW_END")
         self._queue.clear()
 
-        fills: list[Fill] = []
+        fills: tuple[Fill, ...] = ()
         if self._short > 0:
             qty = self._short
             self._apply(Action.SHORT_COVER, qty, bar.close)
             order_id = f"forced-cover-{bar.session_date.isoformat()}"
-            fills.append(
+            fills = (
                 Fill(
                     order_id=order_id,
                     action=Action.SHORT_COVER,
@@ -333,7 +326,7 @@ class ExecutionEngine:
                     fill_price=bar.close,
                     quantity=qty,
                     forced=True,
-                )
+                ),
             )
             self._event("FORCED_COVER", order_id=order_id, date=bar.session_date, price=bar.close, quantity=qty)
             assert self._cash >= 0, "short proceeds accounting must keep cash non-negative"

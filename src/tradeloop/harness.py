@@ -34,6 +34,7 @@ from .engine import trades_from_audit  # not called: perfbench/spans.py wraps th
 from .errors import ConfigError, DataError, ReplayMismatch
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
+from .strategies import SessionLedger
 from .templates import load_asset_text, load_template
 
 PROVIDER_ROLES = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
@@ -551,6 +552,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
         fills: deque[Fill] = deque(maxlen=agents.RECENT_FILLS)  # the last fills, which the prompts name
         steps: list[_Step] = []
+        ledger = SessionLedger()
         reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
         delivered_fundamentals = 0
 
@@ -558,6 +560,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
             bar = series.bars[bar_index]
             step = i + 1
             result = engine.step_session(bar)
+            ledger.record(bar, result)
             if steps:
                 steps[-1].fills = result.fills
             fills.extend(result.fills)
@@ -602,16 +605,11 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                     cta.initial = optimizer.live_template
                     cta.reset()
 
-        cover = engine.force_cover(steps[-1].bar)
+        # The cover is a trade of the last session, whose value the ledger already holds.
+        ledger.trades += engine.force_cover(steps[-1].bar).fills
 
-    trades = [fill for s in steps for fill in s.result.fills] + list(cover.fills)
     equity = [(s.bar.session_date, s.result.portfolio_value) for s in steps]
-    report = compute_report(
-        [float(v) for _, v in equity],
-        trades,
-        exposures=[float((s.result.portfolio.shares_long + s.result.portfolio.shares_short) * s.bar.close) for s in steps],
-        initial=float(cash),
-    )
+    report = compute_report(*ledger.columns(), initial=float(cash))
 
     payload = {
         "metrics": report.to_dict(),

@@ -89,7 +89,7 @@ def _sample_std(xs: Sequence[float]) -> float | None:
 
 
 def daily_returns(values: Sequence[float]) -> list[float]:
-    return [values[i] / values[i - 1] - 1.0 for i in range(1, len(values))]
+    return [b / a - 1.0 for a, b in zip(values, values[1:])]
 
 
 def roi(values: Sequence[float]) -> float:
@@ -108,7 +108,10 @@ def sharpe(values: Sequence[float]) -> tuple[float | None, float | None]:
     (None, None)."""
     if len(values) < 3:
         return None, None
-    rets = daily_returns([float(v) for v in values])
+    return _sharpe(daily_returns([float(v) for v in values]))
+
+
+def _sharpe(rets: list[float]) -> tuple[float | None, float | None]:
     sd = _sample_std(rets)
     if sd is None or sd == 0.0:
         return None, None
@@ -125,11 +128,12 @@ def sortino(values: Sequence[float]) -> float | None:
     """
     if len(values) < 3:
         return None
-    rets = daily_returns([float(v) for v in values])
+    return _sortino(daily_returns([float(v) for v in values]))
+
+
+def _sortino(rets: list[float]) -> float | None:
     downside = [r for r in rets if r < 0.0]
-    if not downside:
-        return None
-    sd = _sample_std(downside)
+    sd = _sample_std(downside)  # None below two negative returns
     if sd is None or sd == 0.0:
         return None
     return _mean(rets) / sd
@@ -237,13 +241,16 @@ def roic(values: Sequence[float], exposures: Sequence[float]) -> float | None:
 def compute_report(values: Sequence[float], trades: Sequence[Fill], exposures: Sequence[float], initial: float) -> MetricReport:
     """The report of `values`, one per session; ROI, drawdown and ROIC count from the cash `initial`."""
     trips = match_round_trips(trades)
-    sr_daily, sr_ann = sharpe(values)
-    curve = [float(initial)] + [float(v) for v in values]
+    floats = [float(v) for v in values]
+    curve = [float(initial)] + floats
+    # The returns Sharpe and Sortino share; below three values both are undefined.
+    rets = daily_returns(floats) if len(floats) >= 3 else []
+    sr_daily, sr_ann = _sharpe(rets)
     return MetricReport(
         roi_pct=roi(curve),
         sharpe_daily=sr_daily,
         sharpe_annualized=sr_ann,
-        sortino=sortino(values),
+        sortino=_sortino(rets),
         max_drawdown_pct=max_drawdown(curve),
         win_rate_pct=win_rate(trips),
         num_trades=num_trades(trades),

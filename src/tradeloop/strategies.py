@@ -16,8 +16,8 @@ from datetime import date, timedelta
 from decimal import Decimal
 from enum import Enum
 
-from .bars import BarSeries
-from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection
+from .bars import Bar, BarSeries
+from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection, SessionResult
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError
 from .indicators import bollinger_series, macd_series, sma_series
@@ -95,9 +95,10 @@ def _cross_signals(dates: list[date], enter: tuple[Line, Line], exit: tuple[Line
     in_position = False
     for i in range(1, len(dates)):
         above, below = exit if in_position else enter
-        if None in (above[i], below[i], above[i - 1], below[i - 1]):
+        a, b, a_prev, b_prev = above[i], below[i], above[i - 1], below[i - 1]
+        if a is None or b is None or a_prev is None or b_prev is None:
             continue
-        if above[i - 1] <= below[i - 1] and above[i] > below[i]:
+        if a_prev <= b_prev and a > b:
             signals.append(Signal(dates[i], Stance.EXIT_LONG if in_position else Stance.ENTER_LONG))
             in_position = not in_position
     return signals
@@ -137,6 +138,30 @@ def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
     # exit on a close crossing above the upper band (overbought).
     bands = bollinger_series(series, config.bollinger_n, config.bollinger_k)
     return _cross_signals(dates, (_line(bands, "lower"), closes), (closes, _line(bands, "upper")))
+
+
+class SessionLedger:
+    """What a run's report reads from its sessions, recorded as the engine
+    steps: each session's marked value, the fills in booking order, and each
+    session's gross exposure, (long + short) shares at the close, as a float.
+    Both the baselines and the agent runs (`harness.run_single`) keep one."""
+
+    def __init__(self) -> None:
+        self.values: list[Decimal] = []
+        self.trades: list[Fill] = []
+        self.exposures: list[float] = []
+
+    def record(self, bar: Bar, result: SessionResult) -> None:
+        self.values.append(result.portfolio_value)
+        self.trades += result.fills
+        state = result.portfolio
+        held = state.shares_long + state.shares_short
+        # A flat book's exposure is 0.0, the float of any Decimal zero.
+        self.exposures.append(float(held * bar.close) if held else 0.0)
+
+    def columns(self) -> tuple[list[float], list[Fill], list[float]]:
+        """`compute_report`'s values, trades and exposures, in that order."""
+        return [float(v) for v in self.values], self.trades, self.exposures
 
 
 @dataclass
@@ -187,16 +212,11 @@ def run_strategy(
             # Sized and validated against the first open it will fill at.
             submit(Action.BUY, qty, first.session_date - timedelta(days=1), first.open)
 
-    curve_values: list[Decimal] = []
-    exposures: list[Decimal] = []
-    trades: list[Fill] = []
-
+    ledger = SessionLedger()
     for i, bar in enumerate(series.bars):
         result = engine.step_session(bar)
-        trades.extend(result.fills)
-        curve_values.append(result.portfolio_value)
+        ledger.record(bar, result)
         state = result.portfolio
-        exposures.append((state.shares_long + state.shares_short) * bar.close)
 
         stance = sig_by_date.get(bar.session_date)
         if stance is None or config.kind == StrategyKind.BUY_HOLD:
@@ -211,10 +231,5 @@ def run_strategy(
         elif stance == Stance.EXIT_LONG and state.shares_long > 0:
             submit(Action.SELL, state.shares_long, bar.session_date, bar.close)
 
-    report = compute_report(
-        [float(v) for v in curve_values],
-        trades,
-        exposures=[float(e) for e in exposures],
-        initial=float(initial_cash),
-    )
-    return StrategyRunResult(report=report, curve_values=curve_values, trades=trades, audit=engine.audit)
+    report = compute_report(*ledger.columns(), initial=float(initial_cash))
+    return StrategyRunResult(report=report, curve_values=ledger.values, trades=ledger.trades, audit=engine.audit)

@@ -541,7 +541,7 @@ def make_decision_context(cash: str = "100000", shares_long: int = 0) -> dict:
         instrument="SYNTH", window_start=date(2025, 4, 28), window_end=date(2025, 6, 27), paths={"bars": "bars.csv"}
     )
     bar = Bar(date(2025, 4, 28), Decimal("100"), Decimal("101"), Decimal("99"), Decimal("100.5"), 1000)
-    state = PortfolioState(cash=Decimal(cash), shares_long=shares_long, shares_short=0, as_of=None)
+    state = PortfolioState(cash=Decimal(cash), shares_long=shares_long, shares_short=0)
     reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
     return session_context(config, bar, state, []) | reports
 

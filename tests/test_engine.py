@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
 
@@ -25,6 +26,7 @@ from tradeloop.engine import (
     PortfolioState,
     RejectReason,
     Rejection,
+    SessionResult,
     fill_line,
     portfolio_value,
     summary_line,
@@ -274,9 +276,9 @@ class TestSessionAccounting:
         assert engine.portfolio().cash == D("100000") - D("33.3333") * 7
 
     def test_portfolio_value_cases(self):
-        assert portfolio_value(PortfolioState(D(100_000), 0, 0, None), D(50)) == D(100_000)
-        assert portfolio_value(PortfolioState(D(0), 10, 0, None), D(50)) == D(500)
-        assert portfolio_value(PortfolioState(D(1000), 0, 5, None), D(100)) == D(500)
+        assert portfolio_value(PortfolioState(D(100_000), 0, 0), D(50)) == D(100_000)
+        assert portfolio_value(PortfolioState(D(0), 10, 0), D(50)) == D(500)
+        assert portfolio_value(PortfolioState(D(1000), 0, 5), D(100)) == D(500)
 
     def test_bar_must_advance_clock(self):
         engine = ExecutionEngine()
@@ -357,18 +359,28 @@ class TestDeterminism:
         assert self._run() == self._run()
 
 
-def random_session_sequence(seed: int, orders_per_session: int = 5, sessions: int = 10, fills: list | None = None):
-    """One randomized engine run; returns (engine, order_count) and extends
-    `fills` with every session's fills. Per-session price moves are bounded
-    so the documented caps keep cash non-negative."""
+def random_session_sequence(
+    seed: int,
+    orders_per_session: int = 5,
+    sessions: int = 10,
+    fills: list | None = None,
+    quiet: int = 0,
+    results: list | None = None,
+    engine_type: type[ExecutionEngine] = ExecutionEngine,
+):
+    """One randomized run of an `engine_type`; returns (engine, order_count),
+    extends `fills` with every session's fills and `results` with every
+    session's result. After each session that places orders, `quiet`
+    sessions place none. Per-session price moves are bounded so the
+    documented caps keep cash non-negative."""
     rng = random.Random(seed)
-    engine = ExecutionEngine(initial_cash=D(100_000))
+    engine = engine_type(initial_cash=D(100_000))
     day = date(2025, 1, 6)
     price = 100.0
     orders = 0
     for i in range(sessions):
         last_close = D(f"{price:.2f}")
-        for j in range(orders_per_session):
+        for j in range(0 if i % (quiet + 1) else orders_per_session):
             action = rng.choice(list(Action))
             kind = rng.choice(list(OrderType))
             ref = price * rng.uniform(0.9, 1.1)
@@ -388,6 +400,8 @@ def random_session_sequence(seed: int, orders_per_session: int = 5, sessions: in
         result = engine.step_session(bar)
         if fills is not None:
             fills.extend(result.fills)
+        if results is not None:
+            results.append(result)
         state = engine.portfolio()
         assert state.cash >= 0
         assert state.shares_long >= 0 and state.shares_short >= 0
@@ -402,6 +416,82 @@ class TestRandomizedInvariants:
         # The full 1e5-case sweep lives in the acceptance suite.
         for seed in range(200):
             random_session_sequence(seed, orders_per_session=5, sessions=4)
+
+
+@dataclass(frozen=True)
+class CheckedState:
+    """The portfolio state as the engine once built it at every session
+    close: stamped with the session's date, its invariants asserted."""
+
+    cash: Decimal
+    shares_long: int
+    shares_short: int
+    as_of: date | None
+
+    def __post_init__(self) -> None:
+        assert self.cash >= 0, "cash must stay non-negative"
+        assert self.shares_long >= 0 and self.shares_short >= 0
+
+
+class OracleEngine(ExecutionEngine):
+    """The engine with its earlier session close: a state built from cash and
+    positions every session and marked with a close checked again, where the
+    engine now keeps one state and rebuilds it when a fill is booked."""
+
+    def _summarize(self, bar, fills, cancelled) -> SessionResult:
+        state = CheckedState(self._cash, self._long, self._short, self._as_of)
+        if bar.close <= 0:
+            raise EngineError("close must be positive")
+        value = state.cash + (state.shares_long - state.shares_short) * bar.close
+        self.audit.append(summary_line(bar.session_date, self._cash, self._long, self._short, bar.close, value))
+        return SessionResult(fills, cancelled, state, value)
+
+
+def close_with_cover(engine: ExecutionEngine) -> SessionResult | None:
+    """Force-cover on the day after the last session, at its close; None if
+    the cover trips the cash assertion (a short squeezed past its proceeds)."""
+    summary = json.loads(engine.audit.text().splitlines()[-1])  # the last SESSION_SUMMARY
+    close = summary["close"]
+    day = date.fromisoformat(summary["date"]) + timedelta(days=1)
+    try:
+        return engine.force_cover(bar_on(day, close, close, close, close))
+    except AssertionError:
+        return None
+
+
+def session_view(result: SessionResult) -> tuple:
+    state = result.portfolio
+    return result.fills, result.cancelled, (state.cash, state.shares_long, state.shares_short), result.portfolio_value
+
+
+class TestSessionCloseOracle:
+    """The engine's session close against the one it replaced, session by
+    session: busy runs and runs with long stretches of sessions that place no
+    order, each ended by a forced cover."""
+
+    @pytest.mark.parametrize(
+        "seeds, sessions, quiet", [(range(300), 10, 0), (range(20), 80, 9), (range(20), 80, 39)], ids=["busy", "quiet9", "quiet39"]
+    )
+    def test_same_sessions_and_audit_as_the_oracle(self, seeds, sessions, quiet):
+        for seed in seeds:
+            got: list = []
+            want: list = []
+            engine, _ = random_session_sequence(seed, sessions=sessions, quiet=quiet, results=got)
+            oracle, _ = random_session_sequence(seed, sessions=sessions, quiet=quiet, results=want, engine_type=OracleEngine)
+            assert [session_view(r) for r in got] == [session_view(r) for r in want], seed
+            got_cover, want_cover = close_with_cover(engine), close_with_cover(oracle)
+            assert (got_cover is None) == (want_cover is None), seed
+            if got_cover is not None:
+                assert session_view(got_cover) == session_view(want_cover), seed
+            assert engine.audit.text() == oracle.audit.text(), seed
+
+    def test_quiet_sessions_carry_positions(self):
+        """The quiet runs do hold positions through sessions without orders."""
+        results: list = []
+        random_session_sequence(1, sessions=80, quiet=39, results=results)
+        idle = [r for i, r in enumerate(results) if i % 40 > 1]
+        assert all(r.fills == () and r.cancelled == () for r in idle)
+        assert any(r.portfolio.shares_long or r.portfolio.shares_short for r in idle)
 
 
 class TestTradesFromAudit:
@@ -434,12 +524,8 @@ class TestAuditBytes:
         digest = hashlib.sha256()
         for seed in range(300):
             engine, _ = random_session_sequence(seed, orders_per_session=5, sessions=10)
-            close = json.loads(engine.audit.text().splitlines()[-1])["close"]
-            day = engine.portfolio().as_of + timedelta(days=1)
             digest.update(f"seed {seed}\n".encode())
-            try:
-                engine.force_cover(bar_on(day, close, close, close, close))
-            except AssertionError:
+            if close_with_cover(engine) is None:
                 digest.update(b"force_cover AssertionError\n")
             else:
                 digest.update(engine.audit.text().encode())

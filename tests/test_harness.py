@@ -12,11 +12,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tradeloop import harness, indicators
+from tradeloop import harness, indicators, metrics
 from tradeloop.agents import NewsItem
 from tradeloop.bars import Bar, BarSeries, Lookback, Resolution, resample, serialize_bars
 from tradeloop.cli import main
-from tradeloop.engine import Action, Fill, PortfolioState
+from tradeloop.engine import Action, ExecutionEngine, Fill, PortfolioState
 from tradeloop.gateway import ChatRequest
 from tradeloop.harness import (
     ConfigError,
@@ -33,6 +33,7 @@ from tradeloop.harness import (
     run_experiment,
     session_context,
 )
+from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
 from tradeloop.templates import load_asset_text, load_template
 
 from conftest import rebuilt_requests, synthetic_daily
@@ -427,6 +428,68 @@ class TestRunExperiment:
         assert names == ["config.lock", "engine.jsonl", "gateway.jsonl", "metrics.json", "opro.jsonl"]
 
 
+def record_sessions(monkeypatch) -> tuple[list, list]:
+    """Every engine session from now on as (bar, result), and every forced
+    cover's result."""
+    sessions: list = []
+    covers: list = []
+    step, cover = ExecutionEngine.step_session, ExecutionEngine.force_cover
+
+    def stepped(engine, bar):
+        sessions.append((bar, step(engine, bar)))
+        return sessions[-1][1]
+
+    def covered(engine, bar):
+        covers.append(cover(engine, bar))
+        return covers[-1]
+
+    monkeypatch.setattr(ExecutionEngine, "step_session", stepped)
+    monkeypatch.setattr(ExecutionEngine, "force_cover", covered)
+    return sessions, covers
+
+
+def report_from_sessions(sessions: list, covers: list, initial: Decimal) -> metrics.MetricReport:
+    """The report of recorded sessions, read straight from their results:
+    every fill, forced covers last, and each exposure as a Decimal product."""
+    trades = [fill for _, result in sessions for fill in result.fills] + [fill for c in covers for fill in c.fills]
+    return metrics.compute_report(
+        [float(result.portfolio_value) for _, result in sessions],
+        trades,
+        exposures=[
+            float((result.portfolio.shares_long + result.portfolio.shares_short) * bar.close) for bar, result in sessions
+        ],
+        initial=float(initial),
+    )
+
+
+class TestSessionLedger:
+    """Baselines and agent runs build their report from one `SessionLedger`."""
+
+    def test_baseline_report_is_the_sessions_report(self, monkeypatch):
+        sessions, covers = record_sessions(monkeypatch)
+        result = run_strategy(StrategyConfig(kind=StrategyKind.SMA), synthetic_daily(300, seed=17))
+        assert covers == [] and any(r.fills for _, r in sessions)
+        assert result.curve_values == [r.portfolio_value for _, r in sessions]
+        assert result.report == report_from_sessions(sessions, [], Decimal(100_000))
+
+    def test_agent_report_counts_the_forced_cover(self, tmp_path, monkeypatch):
+        config = build_workspace(tmp_path, mode="baseline")
+        config.providers["cta"] = {
+            "kind": "scripted",
+            "script": [
+                {"response": order_payload("SHORT", 50), "times": 1},
+                {"match": "", "response": "[]", "times": None},
+            ],
+        }
+        sessions, covers = record_sessions(monkeypatch)
+        artifacts, _ = run_experiment(config)
+        assert len(sessions) == WINDOW_SESSIONS
+        assert [f.forced for c in covers for f in c.fills] == [True]
+        assert artifacts[0].metrics == report_from_sessions(sessions, covers, Decimal(config.initial_cash))
+        # Without the cover the short round trip stays open and no trip counts.
+        assert artifacts[0].metrics.profit_per_trade is not None
+
+
 class TestDeterminism:
     def test_two_executions_byte_identical(self, tmp_path):
         config_a = build_workspace(tmp_path / "a", mode="adaptive_opro")
@@ -700,7 +763,7 @@ class TestSessionContext:
             instrument="SYNTH", window_start=date(2025, 4, 28), window_end=date(2025, 6, 27), paths={"bars": "bars.csv"}
         )
         bar = Bar(date(2025, 5, 2), Decimal("100"), Decimal("101.5"), Decimal("99.25"), Decimal("100.5"), 1000)
-        state = PortfolioState(cash=Decimal("98989.5"), shares_long=12, shares_short=3, as_of=None)
+        state = PortfolioState(cash=Decimal("98989.5"), shares_long=12, shares_short=3)
         return session_context(config, bar, state, fills)
 
     def test_analyst_names_equal_their_trading_agent_twins(self):
