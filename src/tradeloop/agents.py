@@ -274,21 +274,23 @@ class ConversationalAgent:
         parse: Callable[[str], T],
         reminder: Callable[[ValueError], str],
         tags: tuple[tuple[str, str], ...] = (),
+        fragment: str | None = None,
     ) -> tuple[T, int]:
         """Send `user_text` and return `parse` of the reply and the number of
         attempts. A reply that `parse` rejects with a ValueError is re-asked
         with `reminder(error)`, at most MAX_REASKS times; after that the last
-        error propagates."""
+        error propagates. `fragment`, when given, is the `message_fragment`
+        of `user_text`'s message, as `Transcript.append` takes it."""
         tags = tuple(tags) + (("role", self.role),)
         attempt = 1
         while True:
-            reply = self._send(user_text, tags + (("attempt", str(attempt)),))
+            reply = self._send(user_text, tags + (("attempt", str(attempt)),), fragment)
             try:
                 return parse(reply), attempt
             except ValueError as exc:
                 if attempt > MAX_REASKS:
                     raise
-                user_text = reminder(exc)
+                user_text, fragment = reminder(exc), None
                 attempt += 1
 
     @property
@@ -302,8 +304,8 @@ class ConversationalAgent:
             self.transcript.system_text = rendered.system_text
         return rendered.user_text
 
-    def _send(self, user_text: str, tags: tuple[tuple[str, str], ...]) -> str:
-        self.transcript.append(ChatMessage(role="user", text=user_text))
+    def _send(self, user_text: str, tags: tuple[tuple[str, str], ...], fragment: str | None = None) -> str:
+        self.transcript.append(ChatMessage(role="user", text=user_text), fragment)
         response = self.gateway.complete(self.transcript.request(tags))
         self.transcript.append(ChatMessage(role="assistant", text=response.text))
         return response.text

@@ -12,7 +12,11 @@ only what the call added to its conversation (one conversation per role tag
 at a time). A `Transcript` encodes each message once, into JSON fragments
 that feed its running request hash and that the gateway's `record_line`
 reuses as the record's messages, so a call's request hash and audit line
-cost what the call added rather than the whole conversation.
+cost what the call added rather than the whole conversation. JSON-escaping a
+text is escaping each of its pieces in turn, so a caller whose message is
+joined from texts it has already escaped (`escape`) hands `Transcript.append`
+the fragment joined from those escapes (`escaped_fragment`) instead of having
+the whole message escaped again.
 """
 
 from __future__ import annotations
@@ -107,6 +111,19 @@ def message_fragment(message: ChatMessage) -> str:
     return f'{{"role":{encode_basestring_ascii(message.role)},"text":{encode_basestring_ascii(message.text)}}}'
 
 
+def escape(text: str) -> str:
+    """`text` as `message_fragment` writes it, between the quotes. The escape
+    maps each code point on its own (an unpaired surrogate too), so the escape
+    of a concatenation is the concatenation of the escapes."""
+    return encode_basestring_ascii(text)[1:-1]
+
+
+def escaped_fragment(role: str, escaped_text: str) -> str:
+    """The `message_fragment` of a message of `role` whose text's `escape` is
+    `escaped_text`."""
+    return f'{{"role":{encode_basestring_ascii(role)},"text":"{escaped_text}"}}'
+
+
 class Transcript:
     """A conversation's system text and messages, each message encoded once.
 
@@ -115,7 +132,9 @@ class Transcript:
     `request` gives each call's `request_hash` at the cost of what the call
     adds. The request also carries the fragments appended since the previous
     request, and the gateway formats the call's audit line from them; older
-    fragments are not kept.
+    fragments are not kept. A caller may hand `append` a message's fragment
+    already built, as one joined from escaped pieces; it lives no longer than
+    the fragments the transcript encodes itself.
     """
 
     def __init__(self, system_text: str = "", messages: Iterable[ChatMessage] = ()):
@@ -127,8 +146,10 @@ class Transcript:
         for message in messages:
             self.append(message)
 
-    def append(self, message: ChatMessage) -> None:
-        fragment = message_fragment(message)
+    def append(self, message: ChatMessage, fragment: str | None = None) -> None:
+        """Add `message`; `fragment`, when given, must be its `message_fragment`."""
+        if fragment is None:
+            fragment = message_fragment(message)
         if self.messages:
             self._sha.update(b",")
         self._sha.update(fragment.encode())

@@ -35,7 +35,7 @@ from .errors import ConfigError, DataError, ReplayMismatch
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .strategies import SessionLedger
-from .templates import load_asset_text, load_template
+from .templates import asset_path, load_template
 
 PROVIDER_ROLES = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
 ABLATIONS = ("no_news", "no_market", "no_fundamental")
@@ -516,6 +516,10 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
 
     prompt_dir = config.prompt_dir or None
     tpl = lambda name: load_template(name, override_dir=prompt_dir)
+    optimizer_path = asset_path("optimizer", prompt_dir)
+    optimizer_asset = optimizer_path.read_text(encoding="utf-8")
+    if config.uses_opro and opro.HISTORY_MARKER not in optimizer_asset:
+        raise ConfigError(f"optimizer asset {optimizer_path} has no {opro.HISTORY_MARKER}: its meta-prompt would hold no history")
     # Built before any log opens: a replay provider reads its whole recording here.
     router = build_router(config)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -532,7 +536,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         optimizer = opro.AdaptiveOpro(
             initial_template=tpl("cta_initial"),
             gateway=gateway,
-            optimizer_asset=load_asset_text("optimizer", override_dir=prompt_dir),
+            optimizer_asset=optimizer_asset,
             k=config.opro_k,
             roi_mode=config.roi_mode,
             log_sink=run_dir / "opro.jsonl",

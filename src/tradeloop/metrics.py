@@ -85,7 +85,7 @@ def _sample_std(xs: Sequence[float]) -> float | None:
     if n < 2:
         return None
     mu = _mean(xs)
-    return math.sqrt(sum((x - mu) ** 2 for x in xs) / (n - 1))
+    return math.sqrt(sum([(x - mu) ** 2 for x in xs]) / (n - 1))
 
 
 def daily_returns(values: Sequence[float]) -> list[float]:
@@ -143,10 +143,14 @@ def max_drawdown(values: Sequence[float]) -> float:
     """Worst peak-to-trough decline: max over t of (peak_t - V_t)/peak_t * 100."""
     if not values:
         raise MetricsError("need at least 1 point")
-    peak = float(values[0])
+    return _max_drawdown([float(v) for v in values])
+
+
+def _max_drawdown(curve: list[float]) -> float:
+    """`max_drawdown` of a non-empty curve already converted to floats."""
+    peak = curve[0]
     worst = 0.0
-    for v in values:
-        v = float(v)
+    for v in curve:
         if v > peak:
             peak = v
         dd = (peak - v) / peak
@@ -251,7 +255,7 @@ def compute_report(values: Sequence[float], trades: Sequence[Fill], exposures: S
         sharpe_daily=sr_daily,
         sharpe_annualized=sr_ann,
         sortino=_sortino(rets),
-        max_drawdown_pct=max_drawdown(curve),
+        max_drawdown_pct=_max_drawdown(curve),
         win_rate_pct=win_rate(trips),
         num_trades=num_trades(trades),
         roic_pct=roic(curve, exposures),

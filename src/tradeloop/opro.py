@@ -7,20 +7,23 @@ prompt history goes into a meta-prompt, and an optimizer model proposes a
 replacement template. A candidate goes live only when its placeholder set
 matches the current template exactly; rejected or unparseable candidates
 leave the live template untouched. Every event lands in an append-only JSONL
-evolution log.
+evolution log. Each template is JSON-escaped once, when it enters the
+history, and each proposal's message fragment is joined from those escapes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agents import ConversationalAgent, read_fence
 from .engine import AuditLog
-from .gateway import Gateway
+from .gateway import Gateway, escape, escaped_fragment
 from .templates import PromptTemplate, TemplateError
+
+HISTORY_MARKER = "{{ history_text }}"  # where the optimizer asset takes the scored history
 
 OPTIMIZER_KEYS = ("performance_analysis", "optimized_prompt", "key_improvements", "expected_impact")
 
@@ -55,11 +58,16 @@ class ScoringWindow:
 @dataclass
 class PromptRecord:
     """A template that went live, and the score of the last window it was
-    live for (1 decimal place)."""
+    live for (1 decimal place). `escaped` is the text's `gateway.escape`,
+    made once: the text never changes, only the score."""
 
     iteration: int
     template_text: str
     score: float | None = None
+    escaped: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.escaped = escape(self.template_text)
 
 
 @dataclass(frozen=True)
@@ -115,14 +123,20 @@ def validate_candidate(current: PromptTemplate, candidate_text: str) -> PromptTe
     return candidate
 
 
+def _ranked(records: list[PromptRecord]) -> list[tuple[str, PromptRecord]]:
+    """The scored records, ascending by score (ties by iteration), each with
+    its block's header. A header is printable ASCII with no quote or
+    backslash, so it is its own escape."""
+    scored = sorted((r for r in records if r.score is not None), key=lambda r: (r.score, r.iteration))
+    return [(f"### Prompt {r.iteration} | Score: {r.score:.1f}", r) for r in scored]
+
+
+_NL, _GAP = escape("\n"), escape("\n\n")
+
+
 def build_history_text(records: list[PromptRecord]) -> str:
     """The scored templates, ascending by score (ties by iteration)."""
-    scored = [r for r in records if r.score is not None]
-    scored.sort(key=lambda r: (r.score, r.iteration))
-    blocks = []
-    for r in scored:
-        blocks.append(f"### Prompt {r.iteration} | Score: {r.score:.1f}\n{r.template_text}")
-    return "\n\n".join(blocks)
+    return "\n\n".join(f"{header}\n{r.template_text}" for header, r in _ranked(records))
 
 
 def build_meta_prompt(records: list[PromptRecord], optimizer_asset: str) -> str:
@@ -131,7 +145,21 @@ def build_meta_prompt(records: list[PromptRecord], optimizer_asset: str) -> str:
     Direct substitution, not the template engine: the asset's preservation
     warnings contain literal placeholder examples that must survive verbatim.
     """
-    return optimizer_asset.replace("{{ history_text }}", build_history_text(records))
+    return optimizer_asset.replace(HISTORY_MARKER, build_history_text(records))
+
+
+def escaped_asset(optimizer_asset: str) -> tuple[str, ...]:
+    """The `gateway.escape` of each piece of the optimizer asset around its
+    history markers."""
+    return tuple(map(escape, optimizer_asset.split(HISTORY_MARKER)))
+
+
+def meta_prompt_fragment(records: list[PromptRecord], asset_pieces: tuple[str, ...]) -> str:
+    """The `message_fragment` of the user message `build_meta_prompt(records,
+    asset)`, where `asset_pieces` is the `escaped_asset` of `asset`: joined
+    from the records' escapes, with nothing escaped again."""
+    history = _GAP.join(f"{header}{_NL}{r.escaped}" for header, r in _ranked(records))
+    return escaped_fragment("user", history.join(asset_pieces))
 
 
 def template_sha(text: str) -> str:
@@ -162,6 +190,7 @@ class AdaptiveOpro:
         self.roi_mode = roi_mode
         self.gateway = gateway
         self.optimizer_asset = optimizer_asset
+        self._asset_pieces = escaped_asset(optimizer_asset)
         self.live_template = initial_template
         self.iteration = 1
         self.history = [PromptRecord(self.iteration, initial_template.body)]
@@ -240,8 +269,9 @@ class AdaptiveOpro:
 
         optimizer = ConversationalAgent("optimizer", self.gateway, None, None)
         meta = build_meta_prompt(self.history, self.optimizer_asset)
+        fragment = meta_prompt_fragment(self.history, self._asset_pieces)
         try:
-            (output, candidate), _ = optimizer.ask_parsed(meta, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags)
+            (output, candidate), _ = optimizer.ask_parsed(meta, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags, fragment)
         except OptimizerParseError as exc:
             self._log(live_score, last_candidate, error=exc)
             return False

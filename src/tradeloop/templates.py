@@ -16,15 +16,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError
 
 _PLACEHOLDER = re.compile(
     r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\|\s*default\(\"([^\"]*)\"\)\s*)?\}\}"
 )
-_OPENER = re.compile(r"\{[{%]")  # the next placeholder or tag, found in one search
 _TAG = re.compile(r"\{%\s*(if\s+([A-Za-z_][A-Za-z0-9_]*)|else|endif)\s*%\}")
+# The next placeholder or tag in one match: groups 1-2 are a placeholder's,
+# 3-4 a tag's, and a `{{` or `{%` that is neither matches with no group.
+_TOKEN = re.compile(f"{_PLACEHOLDER.pattern}|{_TAG.pattern}|\\{{[{{%]")
 _SYSTEM_TAGS = ("<system_role>", "</system_role>")
 _SYSTEM_TAG = re.compile(r"(</?system_role>)")
 
@@ -37,19 +39,16 @@ class TemplateError(ConfigError):
         super().__init__(f"{code}: {message}")
 
 
-@dataclass(frozen=True)
-class _Text:
+class _Text(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class _Placeholder:
+class _Placeholder(NamedTuple):
     name: str
     default: str | None
 
 
-@dataclass(frozen=True)
-class _Conditional:
+class _Conditional(NamedTuple):
     name: str
     then: tuple
     otherwise: tuple
@@ -64,8 +63,8 @@ class RenderedPrompt:
 def _tokenize(body: str) -> tuple[list, set[str]]:
     """The tokens of `body` in order, text and system tags as `_Text`, and
     the set of every `{{ }}` and `{% if %}` name. A conditional tag is an
-    ("if" | "else" | "endif", name) pair. One forward scan: each search
-    finds the next `{{` or `{%`. Raises TemplateError on a malformed one."""
+    ("if" | "else" | "endif", name) pair. One forward scan: one match finds
+    and reads the next `{{` or `{%`. Raises TemplateError on a malformed one."""
     tokens: list = []
     names: set[str] = set()
     pos = 0
@@ -76,31 +75,23 @@ def _tokenize(body: str) -> tuple[list, set[str]]:
         elif chunk:
             tokens.append(_Text(chunk))
 
-    while (opener := _OPENER.search(body, pos)) is not None:
-        cut = opener.start()
+    for m in _TOKEN.finditer(body):
+        cut = m.start()
         text(body[pos:cut])
-        if body[cut + 1] == "{":
-            m = _PLACEHOLDER.match(body, cut)
-            if m is None:
-                snippet = body[cut : cut + 30].splitlines()[0]
-                raise TemplateError("MALFORMED_PLACEHOLDER", f"at {snippet!r}")
-            tokens.append(_Placeholder(name=m.group(1), default=m.group(2)))
-            names.add(m.group(1))
-            pos = m.end()
+        name, default, kind, condition = m.groups()
+        if name is not None:
+            tokens.append(_Placeholder(name, default))
+            names.add(name)
+        elif kind is None:
+            snippet = body[cut : cut + 30].splitlines()[0]
+            code = "MALFORMED_PLACEHOLDER" if body[cut + 1] == "{" else "UNKNOWN_CONSTRUCT"
+            raise TemplateError(code, f"at {snippet!r}")
+        elif condition is not None:
+            tokens.append(("if", condition))
+            names.add(condition)
         else:
-            m = _TAG.match(body, cut)
-            if m is None:
-                snippet = body[cut : cut + 30].splitlines()[0]
-                raise TemplateError("UNKNOWN_CONSTRUCT", f"at {snippet!r}")
-            kind = m.group(1)
-            if kind.startswith("if"):
-                tokens.append(("if", m.group(2)))
-                names.add(m.group(2))
-            elif kind == "else":
-                tokens.append(("else", None))
-            else:
-                tokens.append(("endif", None))
-            pos = m.end()
+            tokens.append((kind, None))  # "else" or "endif"
+        pos = m.end()
     text(body[pos:])
     return tokens, names
 
@@ -132,7 +123,7 @@ def _parse(body: str) -> tuple[tuple, frozenset[str]]:
                     otherwise, idx, saw_else2 = build(idx, depth + 1)
                     if saw_else2:
                         raise TemplateError("UNBALANCED_CONDITIONAL", "duplicate {% else %}")
-                nodes.append(_Conditional(name=name, then=then, otherwise=otherwise))
+                nodes.append(_Conditional(name, then, otherwise))
                 continue
             if kind == "else":
                 if depth == 0:
@@ -187,19 +178,24 @@ class PromptTemplate:
         return RenderedPrompt(system_text=system_text, user_text=user_text)
 
     def _render_nodes(self, nodes: tuple, context: Mapping[str, object], out: list[str], tags: list[int]) -> None:
+        # A node is a tuple subclass: an exact type test and one read of each
+        # field keep a node's visit as cheap as it was for a dataclass.
         for node in nodes:
-            if isinstance(node, _Text):
-                if node.text in _SYSTEM_TAGS:  # `_parse` made each tag a node of its own
+            kind = type(node)
+            if kind is _Text:
+                text = node.text
+                if text in _SYSTEM_TAGS:  # `_parse` made each tag a node of its own
                     tags.append(len(out))
-                out.append(node.text)
-            elif isinstance(node, _Placeholder):
-                present = node.name in context
-                value = context.get(node.name)
+                out.append(text)
+            elif kind is _Placeholder:
+                name = node.name
+                present = name in context
+                value = context.get(name)
                 if node.default is not None and (not present or value is None or value == ""):
                     out.append(node.default)
                     continue
                 if not present:
-                    raise TemplateError("MISSING_KEY", node.name)
+                    raise TemplateError("MISSING_KEY", name)
                 out.append(value if isinstance(value, str) else str(value))
             else:
                 if node.name not in context:
@@ -218,8 +214,13 @@ def load_template(name: str, override_dir: Path | str | None = None) -> PromptTe
 def load_asset_text(name: str, override_dir: Path | str | None = None) -> str:
     """A shipped prompt asset's text by stem name; a file of that name in
     `override_dir` replaces it."""
+    return asset_path(name, override_dir).read_text(encoding="utf-8")
+
+
+def asset_path(name: str, override_dir: Path | str | None = None) -> Path:
+    """The file `load_asset_text` reads for `name`."""
     base = Path(override_dir) if override_dir else _PROMPT_DIR
     path = base / f"{name}.txt"
     if not path.exists() and override_dir:
         path = _PROMPT_DIR / f"{name}.txt"
-    return path.read_text(encoding="utf-8")
+    return path

@@ -278,22 +278,24 @@ def _backtest(*flags):
     return lambda tmp_path, run: ["backtest", "--bars", _bars_file(tmp_path, 120), *flags]
 
 
-def _run_with(key, value):
+def _run_with(key, value, *more):
     """`run` over the recorded workspace's config with the item at the dotted
     `key` set to `value` ("paths.bars" sets `config["paths"]["bars"]`), which
-    a value of None removes and a callable gives from the probe's `tmp_path`."""
+    a value of None removes and a callable gives from the probe's `tmp_path`;
+    `more` sets further items, as alternate keys and values."""
 
     def argv(tmp_path, run):
         config = json.loads((run.parents[2] / "config.json").read_text(encoding="utf-8"))
         config["paths"]["out_dir"] = str(tmp_path / "out")
-        *parents, last = key.split(".")
-        target = config
-        for name in parents:
-            target = target[name]
-        if value is None:
-            del target[last]
-        else:
-            target[last] = value(tmp_path) if callable(value) else value
+        for dotted, item in zip((key, *more[::2]), (value, *more[1::2])):
+            *parents, last = dotted.split(".")
+            target = config
+            for name in parents:
+                target = target[name]
+            if item is None:
+                del target[last]
+            else:
+                target[last] = item(tmp_path) if callable(item) else item
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         return ["run", "--config", str(path)]
@@ -364,6 +366,13 @@ def _oversize_bars(tmp_path):
     return _file(tmp_path, "bars.csv", OVERSIZE_BARS)
 
 
+def _prompts_without_history(tmp_path):
+    """A prompt_dir whose optimizer asset has no history marker."""
+    (tmp_path / "prompts").mkdir(exist_ok=True)
+    _file(tmp_path / "prompts", "optimizer.txt", "Improve the trading prompt.\n")
+    return str(tmp_path / "prompts")
+
+
 def _bad_metrics(path, value):
     return EXIT_DATA, _tampered("report", "metrics.json", _set(path, value))
 
@@ -402,6 +411,12 @@ NO_TRACEBACK_PROBES = {
     },
     "run http provider timeout_s 1e10": (EXIT_CONFIG, _run_with("providers.market", _http_provider(1e10))),
     "run http provider without base_url": (EXIT_CONFIG, _run_with("providers.market", _http_provider(60, base_url=""))),
+    **{
+        f"run {mode} optimizer asset without history": (
+            EXIT_CONFIG, _run_with("prompting_mode", mode, "prompt_dir", _prompts_without_history)
+        )
+        for mode in ("adaptive_opro", "adaptive_opro_with_reflection")
+    },
     "replay config.lock not JSON": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: "{not json")),
     "replay gateway line not JSON": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: "{not json\n" + text)),
     "validate-data --bars nested.jsonl": (
@@ -446,6 +461,13 @@ PROBE_MESSAGES = {
     },
     "run http provider timeout_s 1e10": ("timeout_s must be at most 9223372036 s, got 10000000000.0\n",),
     "run http provider without base_url": ("an http provider needs base_url\n",),
+    **{
+        f"run {mode} optimizer asset without history": (
+            "config error: optimizer asset ",
+            "optimizer.txt has no {{ history_text }}: its meta-prompt would hold no history\n",
+        )
+        for mode in ("adaptive_opro", "adaptive_opro_with_reflection")
+    },
     "backtest sma --window -3": ("sma_n must be an integer >= 1, got -3\n",),
     "backtest bollinger --window 1": ("bollinger_n must be an integer >= 2, got 1\n",),
     "backtest bollinger --k nan": ("bollinger_k must be finite and > 0, got nan\n",),
@@ -458,6 +480,15 @@ PROBE_MESSAGES = {
     "replay gateway v1 record": ("cannot replay ", "is gateway audit version 1; this build replays version 2"),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
 }
+
+
+@pytest.mark.parametrize("mode", ["baseline", "reflection"])
+def test_only_optimizing_modes_need_the_history_marker(mode, tmp_path, recorded_run):
+    """A mode that never proposes runs with an optimizer asset that has no
+    history marker."""
+    argv = _run_with("prompting_mode", mode, "prompt_dir", _prompts_without_history)(tmp_path, recorded_run)
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "out" / "exp-baseline" / "run-1" / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("probe", NO_TRACEBACK_PROBES)

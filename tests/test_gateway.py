@@ -365,13 +365,10 @@ class TestFragmentReuse:
         assert gateway.audit.text() == generic_log(provider.exchanges)
         assert [len(r["messages"]) for r, _ in rebuilt_requests(gateway.audit.text())] == [1, 1, 1, 1]
 
-    def test_a_proposal_encodes_its_meta_prompt_once(self, monkeypatch):
-        current = load_template("cta_initial")
-        improved = current.body.replace("Trading Philosophy", "Refined Philosophy")
-        provider = Recorder()
-        provider.replies.append(optimizer_reply(improved))
-        opro = AdaptiveOpro(current, Gateway(provider), load_asset_text("optimizer"))
-        opro.close_window(5, 100_000.0, 101_000.0)
+    def test_a_proposal_escapes_only_what_it_adds(self, monkeypatch):
+        """Over 30 proposals no meta-prompt is escaped whole, each template is
+        escaped once, when it goes live, and every proposal hands the escaper
+        the same number of characters, however long the history has grown."""
         encode, encoded = gateway_module.encode_basestring_ascii, []
 
         def counted(text: str) -> str:
@@ -379,10 +376,22 @@ class TestFragmentReuse:
             return encode(text)
 
         monkeypatch.setattr(gateway_module, "encode_basestring_ascii", counted)
-        assert opro.propose_update() is True
-        [(request, _)] = provider.exchanges
-        meta = request.messages[-1].text
-        assert len(meta) > 1000 and encoded.count(meta) == 1
+        current = load_template("cta_initial")
+        provider = Recorder()
+        opro = AdaptiveOpro(current, Gateway(provider), load_asset_text("optimizer"))
+        per_proposal = []
+        for n in range(1, 31):
+            provider.replies.append(optimizer_reply(current.body.replace("Trading Philosophy", f"Philosophy {n:02d}")))
+            opro.close_window(5 * n, 100_000.0, 100_000.0 + 100 * n)
+            before = len(encoded)
+            assert opro.propose_update() is True
+            per_proposal.append(sum(map(len, encoded[before:])))
+        metas = {request.messages[-1].text for request, _ in provider.exchanges}
+        assert len(metas) == 30 and len(max(metas, key=len)) > 30 * len(current.body)
+        assert metas.isdisjoint(encoded)
+        assert len(opro.history) == 31 and all(encoded.count(r.template_text) == 1 for r in opro.history)
+        # Per proposal: the new template, and its reply for the audit line and the transcript.
+        assert len(set(per_proposal)) == 1 and per_proposal[0] < 4 * len(current.body)
 
 
 class TestRetry:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
@@ -12,12 +15,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tradeloop
 from tradeloop import harness, indicators, metrics
 from tradeloop.agents import NewsItem
 from tradeloop.bars import Bar, BarSeries, Lookback, Resolution, resample, serialize_bars
 from tradeloop.cli import main
 from tradeloop.engine import Action, ExecutionEngine, Fill, PortfolioState
-from tradeloop.gateway import ChatRequest
+from tradeloop.gateway import ChatRequest, request_hash
 from tradeloop.harness import (
     ConfigError,
     DataError,
@@ -636,6 +640,34 @@ class TestGoldenDigests:
         windows = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))["windows"]
         assert all(w["v_start"] == prev["v_end"] for prev, w in zip(windows, windows[1:]))
         assert self.digests(run_dir) == GOLDEN_WINDOWED_PARSE_ERROR_DIGESTS
+
+    def test_every_record_hashes_as_its_rebuilt_request(self, tmp_path):
+        """Each record's `request_hash` is the reference hash of the whole
+        request it rebuilds to, through proposals accepted and rejected and
+        the optimizer's and the trading agent's re-asks."""
+        run_dir = self.run_dir(tmp_path, "adaptive_opro_with_reflection", rejections=True)
+        pairs = rebuilt_requests(run_dir / "gateway.jsonl")
+        optimizer = [record["tags"]["attempt"] for record, _ in pairs if record["tags"]["role"] == "optimizer"]
+        assert optimizer.count("1") >= 8 and "3" in optimizer
+        assert all(record["request_hash"] == request_hash(rebuilt) for record, rebuilt in pairs)
+
+    def test_two_processes_write_the_pinned_artifacts(self, tmp_path):
+        """The scripted run writes the same compared artifacts in two fresh
+        processes with different hash seeds and working directories."""
+        build_workspace(tmp_path, mode="adaptive_opro_with_reflection", history_bars=GOLDEN_BARS)
+        config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+        config["paths"]["out_dir"] = "runs"  # each process writes under its own working directory
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        src = str(Path(tradeloop.__file__).parents[1])
+        digests = []
+        for hash_seed in ("0", "4242"):
+            cwd = tmp_path / f"cwd-{hash_seed}"
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            argv = [sys.executable, "-m", "tradeloop.cli", "run", "--config", str(tmp_path / "config.json")]
+            subprocess.run(argv, cwd=cwd, env=env, check=True, capture_output=True, timeout=300)
+            digests.append(self.digests(cwd / "runs" / config["experiment"] / "run-1"))
+        assert digests == [GOLDEN_DIGESTS, GOLDEN_DIGESTS]
 
 
 def reference_multi_timeframe_text(series: BarSeries, as_of: date) -> str:

@@ -9,10 +9,13 @@ from datetime import date
 from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tradeloop.engine import Action, Fill
 from tradeloop.metrics import (
     MetricReport,
+    _sample_std,
     MetricsError,
     RoundTrip,
     aggregate_runs,
@@ -463,3 +466,53 @@ class TestComputeReport:
         assert report.win_rate_pct == pytest.approx(100.0)
         assert report.roi_pct == pytest.approx(roi(values))
         assert report.max_drawdown_pct == pytest.approx(max_drawdown(values))
+
+
+def previous_sample_std(xs: list[float]) -> float | None:
+    """`_sample_std` as it summed before: through a generator."""
+    if len(xs) < 2:
+        return None
+    mu = sum(xs) / len(xs)
+    return math.sqrt(sum((x - mu) ** 2 for x in xs) / (len(xs) - 1))
+
+
+def previous_max_drawdown(values) -> float:
+    """`max_drawdown` as it was: each value converted where it is read."""
+    peak = float(values[0])
+    worst = 0.0
+    for v in values:
+        v = float(v)
+        if v > peak:
+            peak = v
+        dd = (peak - v) / peak
+        if dd > worst:
+            worst = dd
+    return worst * 100.0
+
+
+def bits(x: float | None) -> str | None:
+    return None if x is None else x.hex()
+
+
+prices = st.floats(1e-3, 1e9, allow_nan=False) | st.integers(1, 10**9) | st.decimals("0.01", "1e9", places=2)
+
+
+class TestSameBitsAsBefore:
+    @given(xs=st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=40))
+    def test_sample_std(self, xs):
+        assert bits(_sample_std(xs)) == bits(previous_sample_std(xs))
+
+    @given(values=st.lists(prices, min_size=1, max_size=40), initial=st.floats(1.0, 1e9))
+    def test_max_drawdown_and_report(self, values, initial):
+        """The public `max_drawdown` of ints, Decimals and floats, and the
+        report's drawdown, Sharpe and Sortino of their float curve."""
+        assert bits(max_drawdown(values)) == bits(previous_max_drawdown(values))
+        floats = [float(v) for v in values]
+        report = compute_report(floats, [], [0.0] * len(floats), initial)
+        assert bits(report.max_drawdown_pct) == bits(previous_max_drawdown([initial, *floats]))
+        rets = daily_returns(floats) if len(floats) >= 3 else []
+        sd = previous_sample_std(rets)
+        daily = None if not sd else sum(rets) / len(rets) / sd
+        assert bits(report.sharpe_daily) == bits(daily)
+        downside = previous_sample_std([r for r in rets if r < 0.0])
+        assert bits(report.sortino) == bits(None if not downside else sum(rets) / len(rets) / downside)

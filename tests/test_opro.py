@@ -12,13 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradeloop.agents import read_fence
-from tradeloop.gateway import Gateway, ScriptEntry, ScriptedProvider
+from tradeloop.gateway import ChatMessage, Gateway, ScriptEntry, ScriptedProvider, message_fragment
 from tradeloop.opro import (
+    HISTORY_MARKER,
     AdaptiveOpro,
     OptimizerParseError,
     PromptRecord,
     build_history_text,
     build_meta_prompt,
+    escaped_asset,
+    meta_prompt_fragment,
     parse_optimizer_response,
     reflect,
     validate_candidate,
@@ -205,6 +208,43 @@ class TestHistoryText:
         assert "{{ history_text }}" not in meta
         # the preservation warnings keep their literal placeholder examples
         assert "{{ variable_name }}" in meta
+
+
+# Text that JSON escapes: quotes, backslashes, newlines, control characters,
+# non-ASCII and astral characters, and lone surrogates of either half.
+escapable_text = st.text(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀", "\ud83d", "\ude00"])
+    | st.characters(exclude_categories=()),
+    max_size=10,
+)
+scores = st.none() | st.sampled_from([0.0, 50.0, 100.0]) | st.floats(0.0, 100.0)
+
+
+class TestMetaPromptFragment:
+    @settings(max_examples=200)
+    @given(
+        texts_scores=st.lists(st.tuples(escapable_text, scores), max_size=6),
+        asset_pieces=st.lists(escapable_text, min_size=1, max_size=3),
+        order=st.randoms(use_true_random=False),
+    )
+    # A body that ends in a high surrogate, then one that starts with a low
+    # one; the last body (best score) meets a low surrogate after the marker.
+    @example(
+        texts_scores=[("a\ud83d", 10.0), ("\ude00b", 20.0), ("c\ud83d", 30.0)],
+        asset_pieces=["x", "\ude00y"],
+        order=random.Random(0),
+    )
+    # No scored history: the asset's pieces around the marker meet.
+    @example(texts_scores=[("t", None)], asset_pieces=["\ud83d", "\ude00"], order=random.Random(0))
+    def test_joined_fragment_is_the_meta_prompts_fragment(self, texts_scores, asset_pieces, order):
+        """The fragment joined from the records' and the asset's escapes is
+        the meta-prompt's own `message_fragment`, over tied and missing
+        scores and assets with 0, 1 and 2 history markers."""
+        records = [PromptRecord(i, text, score) for i, (text, score) in enumerate(texts_scores, start=1)]
+        order.shuffle(records)
+        asset = HISTORY_MARKER.join(asset_pieces)
+        meta = build_meta_prompt(records, asset)
+        assert meta_prompt_fragment(records, escaped_asset(asset)) == message_fragment(ChatMessage("user", meta))
 
 
 class TestParseOptimizerResponse:
