@@ -307,7 +307,7 @@ class ConversationalAgent:
     def _send(self, user_text: str, tags: tuple[tuple[str, str], ...], fragment: str | None = None) -> str:
         self.transcript.append(ChatMessage(role="user", text=user_text), fragment)
         response = self.gateway.complete(self.transcript.request(tags))
-        self.transcript.append(ChatMessage(role="assistant", text=response.text))
+        self.transcript.append(ChatMessage(role="assistant", text=response.text), response.fragment)
         return response.text
 
 

@@ -6,11 +6,20 @@ columns, each converted once per series.
 
 Each check runs in one place. The parse checks field syntax: a price is any
 text `Decimal` reads as a finite number with at most 4 decimal places as
-written, so "1.00000" is rejected; plain digits with up to 4 decimals are
-read at once, any other text through the full check. `Bar` checks the
-invariants, in one comparison chain when they hold, and `BarSeries` the
-date order. A bad or unreadable row (a field over the csv module's size
-limit, say) raises BarDataError naming its 1-based data row.
+written, so "1.00000" is rejected. `Bar` checks the invariants, in one
+comparison chain when they hold, and `BarSeries` the date order. Prices are
+below `MAX_PRICE` and volumes below `MAX_VOLUME`, so the analytics' float
+math neither overflows nor rounds a volume.
+
+A CSV text is read in one of two ways, chosen by the text itself. Plain
+text, the header as `CSV_COLUMNS` spells it and then rows that each end in
+a newline and hold an ISO date, four plain prices (digits with up to 4
+decimals), an integer volume, and an optional plain vwap and integer
+transactions, is read by one row pattern. Any other text, and plain text
+with a row that breaks a bar invariant, is read whole by the csv module and
+checked field by field; only that reader raises, so a bad or unreadable row
+(a field over the csv module's size limit, say) raises BarDataError naming
+its 1-based data row.
 """
 
 from __future__ import annotations
@@ -32,6 +41,12 @@ from .errors import DataError
 
 CSV_COLUMNS = ("date", "open", "high", "low", "close", "volume", "vwap", "transactions")
 ACTIONS_CSV_COLUMNS = ("date", "kind", "ratio", "cash")
+
+# Every price is below MAX_PRICE, so a float holds it to the cent and its
+# square does not overflow; every volume is below MAX_VOLUME, so a float holds
+# it exactly.
+MAX_PRICE = Decimal(10**15)
+MAX_VOLUME = 2**53
 
 _FOUR_DP = Decimal("0.0001")
 
@@ -66,9 +81,9 @@ class Bar:
     def __post_init__(self) -> None:
         low, high = self.low, self.high
         if (
-            0 < low <= self.open <= high
+            0 < low <= self.open <= high < MAX_PRICE
             and low <= self.close <= high
-            and self.volume >= 0
+            and 0 <= self.volume < MAX_VOLUME
             and (self.vwap is None or low <= self.vwap <= high)
             and (self.transactions is None or self.transactions >= 0)
         ):
@@ -79,12 +94,16 @@ class Bar:
                 raise BarDataError(f"non-positive {name}")
         if self.low > self.high:
             raise BarDataError("low > high")
+        if self.high >= MAX_PRICE:
+            raise BarDataError("high too large: prices must be below 10**15")
         if not (self.low <= self.open <= self.high):
             raise BarDataError("open outside [low, high]")
         if not (self.low <= self.close <= self.high):
             raise BarDataError("close outside [low, high]")
         if self.volume < 0:
             raise BarDataError("negative volume")
+        if self.volume >= MAX_VOLUME:
+            raise BarDataError("volume too large: volumes must be below 2**53")
         if self.vwap is not None and not (self.low <= self.vwap <= self.high):
             raise BarDataError("vwap outside [low, high]")
         if self.transactions is not None and self.transactions < 0:
@@ -208,7 +227,17 @@ def _days_in_month(year: int, month: int) -> int:
 
 
 # Text that Decimal reads as a finite price of at most 4 decimal places as is.
-_PLAIN_PRICE = re.compile(r"[0-9]+(?:\.[0-9]{1,4})?").fullmatch
+_PRICE = r"[0-9]+(?:\.[0-9]{1,4})?"
+_PLAIN_PRICE = re.compile(_PRICE).fullmatch
+
+# A plain CSV text's header line, and one of its rows, a whole line: its
+# cells as the csv module reads them, and `date.fromisoformat`, `Decimal` and
+# `int` read each cell as the checked parse does.
+_PLAIN_HEADER = ",".join(CSV_COLUMNS) + "\n"
+_PLAIN_ROW = re.compile(
+    rf"^([0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}}),({_PRICE}),({_PRICE}),({_PRICE}),({_PRICE}),([0-9]+),({_PRICE})?,([0-9]+)?\n",
+    re.MULTILINE,
+)
 
 
 def _parse_price(raw: str, field: str, row: int) -> Decimal:
@@ -284,6 +313,27 @@ def _csv_rows(text: str, columns: tuple[str, ...]) -> Iterator[tuple[int, list[s
         raise BarDataError(f"unreadable csv: {exc}", None if header is None else row + 1) from None
 
 
+def _plain_bars(text: str) -> list[Bar] | None:
+    """The bars of a plain CSV text (see the module docstring), or None when
+    the text is not plain or one of its rows breaks a bar invariant."""
+    if not (text.startswith(_PLAIN_HEADER) and text.endswith("\n")):
+        return None
+    try:
+        bars = [
+            Bar(
+                date.fromisoformat(day), Decimal(open), Decimal(high), Decimal(low), Decimal(close), int(volume),
+                vwap and Decimal(vwap), transactions and int(transactions),
+            )
+            for day, open, high, low, close, volume, vwap, transactions in map(
+                re.Match.groups, _PLAIN_ROW.finditer(text, len(_PLAIN_HEADER))
+            )
+        ]
+    except (BarDataError, ValueError):  # an invariant, a date like 2025-02-30, or an int past int()'s digit limit
+        return None
+    # Each match is a whole line, so the text is plain when every data line matched.
+    return bars if len(bars) == text.count("\n") - 1 else None
+
+
 def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
     """Parse CSV or JSONL text into a validated daily BarSeries.
 
@@ -294,7 +344,9 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
         raise BarDataError("empty input")
 
     if format == "csv":
-        bars = [_bar_from_cells(row_idx, *cells) for row_idx, cells in _csv_rows(text, CSV_COLUMNS)]
+        bars = _plain_bars(text)
+        if bars is None:
+            bars = [_bar_from_cells(row_idx, *cells) for row_idx, cells in _csv_rows(text, CSV_COLUMNS)]
     elif format == "jsonl":
         bars = []
         for row_idx, line in enumerate((ln for ln in text.splitlines() if ln.strip()), start=1):

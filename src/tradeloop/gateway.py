@@ -12,11 +12,14 @@ only what the call added to its conversation (one conversation per role tag
 at a time). A `Transcript` encodes each message once, into JSON fragments
 that feed its running request hash and that the gateway's `record_line`
 reuses as the record's messages, so a call's request hash and audit line
-cost what the call added rather than the whole conversation. JSON-escaping a
-text is escaping each of its pieces in turn, so a caller whose message is
-joined from texts it has already escaped (`escape`) hands `Transcript.append`
-the fragment joined from those escapes (`escaped_fragment`) instead of having
-the whole message escaped again.
+cost what the call added rather than the whole conversation. Each reply is
+escaped once too: the gateway writes it into the audit line and hands it
+back as the assistant message's fragment (`ChatResponse.fragment`), which
+the caller appends to its transcript. JSON-escaping a text is escaping each
+of its pieces in turn, so a caller whose message is joined from texts it has
+already escaped (`escape`) hands `Transcript.append` the fragment joined
+from those escapes (`escaped_fragment`) instead of having the whole message
+escaped again.
 """
 
 from __future__ import annotations
@@ -77,10 +80,14 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class ChatResponse:
+    """A provider's reply. `Gateway.complete` sets `fragment` to the
+    `message_fragment` of the assistant message of `text`."""
+
     text: str
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
     latency_s: float = 0.0
+    fragment: str = field(default="", compare=False, repr=False)
 
 
 def request_payload(request: ChatRequest) -> dict:
@@ -176,19 +183,20 @@ def record_line(
     digest: str,
     prior: int,
     fragments: Iterable[str],
-    response_text: str,
+    response_json: str,
     system_text: str | None,
 ) -> str:
     """The gateway.jsonl line of call `ts`: what `AuditLog(sort_keys=True)`
     writes for its record, whose `messages` are `fragments`, each a
-    `message_fragment`. A record with `prior` 0 holds `system_text`, any
-    other has None."""
+    `message_fragment`, and whose response text is `response_json`, as
+    `encode_basestring_ascii` writes it. A record with `prior` 0 holds
+    `system_text`, any other has None."""
     esc = encode_basestring_ascii
     tag_items = ",".join(f"{esc(key)}:{esc(value)}" for key, value in sorted(dict(tags).items()))
     system = "" if system_text is None else f',"system":{esc(system_text)}'
     return (
         f'{{"messages":[{",".join(fragments)}],"prior":{prior},"request_hash":{esc(digest)},'
-        f'"response":{{"text":{esc(response_text)}}}{system},"tags":{{{tag_items}}},'
+        f'"response":{{"text":{response_json}}}{system},"tags":{{{tag_items}}},'
         f'"ts":"{ts:06d}","v":{AUDIT_VERSION}}}'
     )
 
@@ -416,6 +424,9 @@ class Gateway:
         return response
 
     def _audit(self, request: ChatRequest, response: ChatResponse) -> None:
+        """Write the call's record, and set the response's `fragment` from
+        the same escape of its text. The fragment follows from the text
+        alone, so a provider may hand out one response many times."""
         self._counter += 1
         role = request.tag("role")
         system, recorded = self._recorded.get(role, ("", ()))
@@ -426,7 +437,9 @@ class Gateway:
         start = len(request.messages) - len(request.fragments)
         fragments = [*map(message_fragment, request.messages[prior:start]), *request.fragments[max(prior - start, 0) :]]
         system_text = None if prior else request.system_text
+        reply = encode_basestring_ascii(response.text)
+        object.__setattr__(response, "fragment", f'{{"role":"assistant","text":{reply}}}')
         self.audit.append(
-            record_line(self._counter, request.tags, request.digest, prior, fragments, response.text, system_text)
+            record_line(self._counter, request.tags, request.digest, prior, fragments, reply, system_text)
         )
         self._recorded[role] = (request.system_text, (*request.messages, ChatMessage("assistant", response.text)))

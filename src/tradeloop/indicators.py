@@ -12,6 +12,14 @@ computed on the bars up to i. `snapshots`, `levels_at` and `market_texts`
 use this to give the indicator set and the levels at many bars from one pass
 over the series: the harness computes the market analyst's text for every
 session of an experiment once. None renders as the literal text "n/a".
+
+Each pass is written for little interpreter work per bar: a windowed sum
+zips each value with the one leaving its window, and the neighbour tests of
+the true range and the local extrema read zipped, shifted columns. MACD's
+dicts are built only at the bars asked for, and a side of the levels that
+gained no extremum since the previous bar keeps its levels. Every rewrite
+does the same float operations in the same order as the plain loop it
+replaced, so its values are the same bits.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
+from itertools import count
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -44,18 +53,38 @@ class LevelSet:
     resistance: tuple[Level, ...]
 
 
+def _rolling_mean(values: Sequence[float], n: int) -> list[float | None]:
+    """The mean of the last n values at each index, None before the n-th: a
+    running sum that adds each value, and from the (n+1)-th on subtracts the
+    one leaving the window."""
+    out: list[float | None] = [None] * min(n - 1, len(values))
+    window_sum = 0.0
+    for value in values[:n]:
+        window_sum += value
+    if len(values) >= n:
+        out.append(window_sum / n)
+        out += [(window_sum := window_sum + value - leaving) / n for value, leaving in zip(values[n:], values)]
+    return out
+
+
 def sma_series(series: BarSeries, n: int) -> list[float | None]:
     """Arithmetic mean of the last n closes."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    closes = series.closes
-    out: list[float | None] = []
-    window_sum = 0.0
-    for i, close in enumerate(closes):
-        window_sum += close
-        if i >= n:
-            window_sum -= closes[i - n]
-        out.append(window_sum / n if i >= n - 1 else None)
+    return _rolling_mean(series.closes, n)
+
+
+def _ema(values: Sequence[float], n: int) -> list[float | None]:
+    """EMA_t = a*v_t + (1-a)*EMA_{t-1} with a = 2/(n+1), seeded by the mean
+    of the first n values (the value at the seed index is the seed itself);
+    None before it."""
+    alpha = 2.0 / (n + 1)
+    decay = 1.0 - alpha
+    out: list[float | None] = [None] * min(n - 1, len(values))
+    if len(values) >= n:
+        ema = sum(values[:n]) / n
+        out.append(ema)
+        out += [(ema := alpha * value + decay * ema) for value in values[n:]]
     return out
 
 
@@ -64,16 +93,7 @@ def ema_series(series: BarSeries, n: int) -> list[float | None]:
     the first n closes (value at the seed bar is the seed itself)."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    closes = series.closes
-    alpha = 2.0 / (n + 1)
-    out: list[float | None] = [None] * min(n - 1, len(closes))
-    if len(closes) >= n:
-        ema = sum(closes[:n]) / n
-        out.append(ema)
-        for close in closes[n:]:
-            ema = alpha * close + (1.0 - alpha) * ema
-            out.append(ema)
-    return out
+    return _ema(series.closes, n)
 
 
 def rsi_series(series: BarSeries, n: int = 14) -> list[float | None]:
@@ -114,38 +134,35 @@ def macd_series(
 ) -> list[dict | None]:
     """MACD = EMA_fast - EMA_slow; signal = EMA_signal of the MACD line;
     histogram = MACD - signal. Available once all three components exist."""
-    return _macd(ema_series(series, fast), ema_series(series, slow), signal)
+    macd, signal_line = _macd_lines(ema_series(series, fast), ema_series(series, slow), signal)
+    return [None if s is None else _macd_value(m, s) for m, s in zip(macd, signal_line)]
 
 
-def _macd(fast_line: list[float | None], slow_line: list[float | None], signal: int = 9) -> list[dict | None]:
-    """`macd_series` of the series whose fast and slow EMA lines are given."""
-    alpha = 2.0 / (signal + 1)
-    out: list[dict | None] = []
-    macd_history: list[float] = []
-    signal_val: float | None = None
-    for fast_val, slow_val in zip(fast_line, slow_line):
-        if slow_val is None:
-            out.append(None)
-            continue
-        macd_line = fast_val - slow_val
-        macd_history.append(macd_line)
-        if len(macd_history) < signal:
-            out.append(None)
-            continue
-        if len(macd_history) == signal:
-            signal_val = sum(macd_history) / signal
-        else:
-            signal_val = alpha * macd_line + (1.0 - alpha) * signal_val
-        out.append({"macd": macd_line, "signal": signal_val, "histogram": macd_line - signal_val})
-    return out
+def _macd_lines(
+    fast_line: list[float | None], slow_line: list[float | None], signal: int = 9
+) -> tuple[list[float | None], list[float | None]]:
+    """The MACD line of the given fast and slow EMA lines, None until the
+    slow line starts, and its signal line, None until `signal` MACD values
+    exist."""
+    macd = [None if s is None else f - s for f, s in zip(fast_line, slow_line)]
+    start = macd.count(None)  # the slow line's warm-up, all at the front
+    return macd, [None] * start + _ema(macd[start:], signal)
+
+
+def _macd_value(macd: float, signal: float) -> dict:
+    return {"macd": macd, "signal": signal, "histogram": macd - signal}
 
 
 def true_ranges(series: BarSeries) -> list[float]:
-    """TR = max(H-L, |H-C_prev|, |L-C_prev|); the first bar's TR is H-L."""
-    closes = series.closes
-    return [
-        max(h - l, abs(h - closes[i - 1]), abs(l - closes[i - 1])) if i else h - l
-        for i, (h, l) in enumerate(zip(series.highs, series.lows))
+    """TR = max(H-L, |H-C_prev|, |L-C_prev|); the first bar's TR is H-L.
+
+    As L <= H, that is max(H, C_prev) - min(L, C_prev), the one of the three
+    differences that the previous close's place picks, computed alone."""
+    highs, lows = series.highs, series.lows
+    if not highs:
+        return []
+    return [highs[0] - lows[0]] + [
+        (c if c > h else h) - (c if c < l else l) for h, l, c in zip(highs[1:], lows[1:], series.closes)
     ]
 
 
@@ -153,15 +170,9 @@ def atr_series(series: BarSeries, n: int = 14) -> list[float | None]:
     """Simple n-mean of true ranges. Needs at least two bars regardless of n."""
     if n < 1:
         raise IndicatorError("n must be >= 1")
-    trs = true_ranges(series)
-    out: list[float | None] = []
-    window_sum = 0.0
-    min_idx = max(n - 1, 1)
-    for i, tr in enumerate(trs):
-        window_sum += tr
-        if i >= n:
-            window_sum -= trs[i - n]
-        out.append(window_sum / min(n, i + 1) if i >= min_idx else None)
+    out = _rolling_mean(true_ranges(series), n)
+    if n == 1 and out:
+        out[0] = None
     return out
 
 
@@ -173,7 +184,7 @@ def bollinger_at(series: BarSeries, i: int, n: int = 20, k: float = 2.0) -> dict
         return None
     window = series.closes[i - n + 1 : i + 1]
     mean = sum(window) / n
-    var = sum((x - mean) ** 2 for x in window) / n
+    var = sum([(x - mean) ** 2 for x in window]) / n
     sigma = var**0.5
     return {"middle": mean, "upper": mean + k * sigma, "lower": mean - k * sigma}
 
@@ -209,29 +220,29 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70, 
         return {"poc": lo, "value_area_low": lo, "value_area_high": lo, "nodes": [[lo, float(total_volume)]]}
 
     width = (hi - lo) / n_bins
+    last = n_bins - 1
     volumes = [0.0] * n_bins
     for close, volume in zip(closes, bar_volumes):
-        idx = min(int((close - lo) / width), n_bins - 1)
-        volumes[idx] += volume
-    poc_idx = max(range(n_bins), key=lambda i: (volumes[i], -i))
+        idx = int((close - lo) / width)
+        volumes[idx if idx < last else last] += volume
+    poc_idx = volumes.index(max(volumes))  # the first heaviest bin: ties break toward the lower price
 
     target = coverage * total_volume
-    radius = 0
-    while True:
-        start = max(0, poc_idx - radius)
-        end = min(n_bins - 1, poc_idx + radius)
-        if sum(volumes[start : end + 1]) >= target or (start == 0 and end == n_bins - 1):
-            break
-        radius += 1
-    nonzero = [i for i in range(start, end + 1) if volumes[i] > 0]
-    va_start, va_end = (min(nonzero), max(nonzero)) if nonzero else (poc_idx, poc_idx)
+    start = end = poc_idx
+    while not sum(volumes[start : end + 1]) >= target and (start or end < last):
+        start, end = max(0, start - 1), min(last, end + 1)
+    # Trim to the outermost nonzero bins; the POC's bin holds volume, as the total is not zero.
+    while not volumes[start]:
+        start += 1
+    while not volumes[end]:
+        end -= 1
 
     centers = [lo + (i + 0.5) * width for i in range(n_bins)]
     return {
         "poc": centers[poc_idx],
-        "value_area_low": lo + va_start * width,
-        "value_area_high": lo + (va_end + 1) * width,
-        "nodes": [[centers[i], volumes[i]] for i in range(n_bins)],
+        "value_area_low": lo + start * width,
+        "value_area_high": lo + (end + 1) * width,
+        "nodes": [[center, volume] for center, volume in zip(centers, volumes)],
     }
 
 
@@ -246,16 +257,22 @@ def local_extrema(series: BarSeries) -> tuple[list[Extremum], list[Extremum]]:
     bars at each end are excluded. The test at bar j reads bars j-2..j+2
     only, so on the bars up to index i the extrema are those with j <= i - 2.
     """
-    highs, lows, volumes = series.highs, series.lows, series.volumes
-    local_highs: list[Extremum] = []
-    local_lows: list[Extremum] = []
-    for j in range(2, len(highs) - 2):
-        nb_high = highs[j - 2 : j + 3]
-        if highs[j] >= max(nb_high) and min(nb_high) < highs[j]:
-            local_highs.append((j, highs[j], volumes[j]))
-        nb_low = lows[j - 2 : j + 3]
-        if lows[j] <= min(nb_low) and max(nb_low) > lows[j]:
-            local_lows.append((j, lows[j], volumes[j]))
+    volumes = series.volumes
+
+    def neighborhoods(values: Sequence[float]) -> Iterator[tuple]:
+        """(j, values[j-2], values[j-1], values[j], values[j+1], values[j+2]) for each inner bar j."""
+        return zip(count(2), values, values[1:], values[2:], values[3:], values[4:])
+
+    local_highs = [
+        (j, h, volumes[j])
+        for j, a, b, h, d, e in neighborhoods(series.highs)
+        if a <= h >= b and d <= h >= e and (a < h or b < h or d < h or e < h)
+    ]
+    local_lows = [
+        (j, low, volumes[j])
+        for j, a, b, low, d, e in neighborhoods(series.lows)
+        if a >= low <= b and d >= low <= e and (a > low or b > low or d > low or e > low)
+    ]
     return local_highs, local_lows
 
 
@@ -306,18 +323,19 @@ class _Clusters:
         self.starts: list[int] = []
         self.clusters: list[Cluster] = []
 
-    def advance(self, cutoff: int) -> None:
+    def advance(self, cutoff: int) -> bool:
         """Add the extrema at bars up to `cutoff`: in one full sweep while
-        none is known, then one insertion each."""
+        none is known, then one insertion each. True when any was added."""
         upto = bisect_right(self.extrema, cutoff, key=itemgetter(0))
         new = [(price, vol) for _, price, vol in self.extrema[self.known : upto]]
         self.known = upto
         if not self.points:
             self.points = sorted(new)
             self.starts, self.clusters, _ = _sweep(self.points, 0, self.tolerance_pct)
-            return
-        for point in new:
-            self._insert(point)
+        else:
+            for point in new:
+                self._insert(point)
+        return bool(new)
 
     def _insert(self, point: tuple[float, int]) -> None:
         """Re-sweep from the cluster of the point's sorted predecessor, up to
@@ -348,16 +366,17 @@ def levels_at(
     `indices`, ascending: the `local_extrema` known there, clustered within
     tolerance_pct. Each side's clusters are kept from one index to the next,
     and only the extrema that became known in between are inserted, so the
-    cost per index does not grow with the history."""
+    cost per index does not grow with the history; a side that gained none
+    keeps its levels."""
     highs, lows = (_Clusters(extrema, tolerance_pct) for extrema in local_extrema(series))
+    support: tuple[Level, ...] = ()
+    resistance: tuple[Level, ...] = ()
     for i in indices:
-        highs.advance(i - 2)
-        lows.advance(i - 2)
-        yield LevelSet(
-            as_of=series.bars[i].session_date,
-            support=lows.levels(min_touches),
-            resistance=highs.levels(min_touches),
-        )
+        if highs.advance(i - 2):
+            resistance = highs.levels(min_touches)
+        if lows.advance(i - 2):
+            support = lows.levels(min_touches)
+        yield LevelSet(as_of=series.bars[i].session_date, support=support, resistance=resistance)
 
 
 def detect_levels(
@@ -414,7 +433,8 @@ def _standard_values(series: BarSeries, indices: Sequence[int]) -> Iterator[list
     yield at(fast)
     yield at(slow)
     yield at(rsi_series(series))
-    yield at(_macd(fast, slow))
+    macd, signal = _macd_lines(fast, slow)
+    yield [None if signal[i] is None else _macd_value(macd[i], signal[i]) for i in indices]
     yield at(atr_series(series))
     yield [bollinger_at(series, i) for i in indices]
 

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 from datetime import date, timedelta
+from pathlib import Path
 from decimal import Decimal, InvalidOperation
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tradeloop import bars as bars_module
 from tradeloop.bars import (
     CSV_COLUMNS,
+    MAX_PRICE,
+    MAX_VOLUME,
     Bar,
     BarDataError,
     BarSeries,
@@ -150,7 +155,7 @@ class TestParseBars:
 
 # The parser as it was before its single-pass rewrite: each field parsed
 # through Decimal and as_tuple, a dict per row, and the bar invariants
-# checked one by one in this order.
+# checked one by one in this order, with the price and volume bounds.
 def oracle_violation(open, high, low, close, volume, vwap=None, transactions=None) -> str | None:
     """The first bar invariant the fields break, in the reference order."""
     for name, value in (("open", open), ("high", high), ("low", low), ("close", close)):
@@ -158,12 +163,16 @@ def oracle_violation(open, high, low, close, volume, vwap=None, transactions=Non
             return f"non-positive {name}"
     if low > high:
         return "low > high"
+    if high >= 10**15:
+        return "high too large: prices must be below 10**15"
     if not (low <= open <= high):
         return "open outside [low, high]"
     if not (low <= close <= high):
         return "close outside [low, high]"
     if volume < 0:
         return "negative volume"
+    if volume >= 2**53:
+        return "volume too large: volumes must be below 2**53"
     if vwap is not None and not (low <= vwap <= high):
         return "vwap outside [low, high]"
     if transactions is not None and transactions < 0:
@@ -217,15 +226,19 @@ def oracle_parse_bars(text: str, format: str) -> BarSeries:
     bars = []
     if format == "csv":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_COLUMNS:
-            raise BarDataError(f"bad header: expected {','.join(CSV_COLUMNS)}")
-        for row, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            if len(cells) != len(CSV_COLUMNS):
-                raise BarDataError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}", row)
-            bars.append(_oracle_bar(dict(zip(CSV_COLUMNS, cells)), row))
+        header, row = None, 0
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != CSV_COLUMNS:
+                raise BarDataError(f"bad header: expected {','.join(CSV_COLUMNS)}")
+            for row, cells in enumerate(reader, start=1):
+                if not cells:
+                    continue
+                if len(cells) != len(CSV_COLUMNS):
+                    raise BarDataError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}", row)
+                bars.append(_oracle_bar(dict(zip(CSV_COLUMNS, cells)), row))
+        except csv.Error as exc:  # a line the csv module cannot read, such as one with a bare "\r"
+            raise BarDataError(f"unreadable csv: {exc}", None if header is None else row + 1) from None
     else:
         for row, line in enumerate((ln for ln in text.splitlines() if ln.strip()), start=1):
             try:
@@ -338,16 +351,37 @@ def jsonl_values(draw, cells: list[str]) -> dict:
     return obj
 
 
+# Two plain rows that make valid bars.
+PLAIN_ROWS = [["2025-01-01", "1.5", "2", "1", "2", "5", "1.25", "3"], ["2025-01-02", "2", "2.0001", "0.5", "1", "0", "", ""]]
+
+
 class TestParseMatchesOracle:
     """`parse_bars` gives the series the reference parser gives, or the
     same error with the same row."""
 
     @settings(max_examples=200)
-    @example(rows=[["2025-01-01", "1.00000", "2", "1", "1", "5", "", ""]], blank_after=None)
-    @example(rows=[["2025-01-01", " 1_0", "1e1", "10.000", "+10", "5", "10", "1_0"]], blank_after=0)
-    @given(rows=st.integers(1, 5).flatmap(bar_rows), blank_after=st.none() | st.integers(0, 4))
-    def test_csv(self, rows, blank_after):
+    @example(rows=[["2025-01-01", "1.00000", "2", "1", "1", "5", "", ""]], blank_after=None, layout="plain")
+    @example(rows=[["2025-01-01", " 1_0", "1e1", "10.000", "+10", "5", "10", "1_0"]], blank_after=0, layout="plain")
+    # The edges of the row pattern: each text below is read by the csv module.
+    @example(rows=PLAIN_ROWS, blank_after=None, layout="no final newline")
+    @example(rows=[*PLAIN_ROWS, ["2025-01-03", "1", "1", "2", "1", "5", "", ""]], blank_after=None, layout="plain")
+    @example(rows=PLAIN_ROWS, blank_after=None, layout="crlf")
+    @example(rows=PLAIN_ROWS, blank_after=0, layout="plain")
+    @example(rows=PLAIN_ROWS, blank_after=None, layout="spaced header")
+    @example(rows=[PLAIN_ROWS[0], ["2025-01-02", "1.5", "2.12345", "1", "2", "5", "", ""]], blank_after=None, layout="plain")
+    @given(
+        rows=st.integers(1, 5).flatmap(bar_rows),
+        blank_after=st.none() | st.integers(0, 4),
+        layout=st.sampled_from(["plain", "plain", "no final newline", "crlf", "spaced header"]),
+    )
+    def test_csv(self, rows, blank_after, layout):
         text = _csv_text(rows, blank_after)
+        if layout == "no final newline":
+            text = text[:-1]
+        elif layout == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif layout == "spaced header":
+            text = text.replace(",open,", ", open,", 1)
         assert _outcome(parse_bars, text, "csv") == _outcome(oracle_parse_bars, text, "csv")
 
     @settings(max_examples=200)
@@ -361,6 +395,7 @@ class TestParseMatchesOracle:
 
 
 BAR_PRICES = st.integers(-2, 8).map(lambda n: Decimal(n) / 2)
+BOUNDED_PRICES = BAR_PRICES | st.sampled_from([MAX_PRICE - Decimal("0.0001"), MAX_PRICE])
 
 
 class TestBarInvariants:
@@ -370,13 +405,19 @@ class TestBarInvariants:
     @example(open=Decimal(1), high=Decimal(1), low=Decimal(1), close=Decimal(1), volume=0, vwap=None, transactions=None)
     @example(open=Decimal(0), high=Decimal(0), low=Decimal(0), close=Decimal(0), volume=0, vwap=None, transactions=None)
     @example(open=Decimal(1), high=Decimal(2), low=Decimal(-1), close=Decimal(1), volume=-1, vwap=None, transactions=-1)
+    @example(open=Decimal(1), high=MAX_PRICE - Decimal("0.0001"), low=Decimal(1), close=Decimal(1), volume=MAX_VOLUME - 1, vwap=None, transactions=None)
+    @example(open=Decimal(1), high=MAX_PRICE, low=Decimal(1), close=Decimal(1), volume=MAX_VOLUME, vwap=None, transactions=None)
+    @example(open=MAX_PRICE, high=Decimal(2), low=Decimal(1), close=Decimal(1), volume=MAX_VOLUME, vwap=None, transactions=None)
+    @example(open=Decimal(1), high=Decimal(2), low=Decimal(1), close=Decimal(1), volume=MAX_VOLUME, vwap=MAX_PRICE, transactions=None)
     @given(
-        open=BAR_PRICES, high=BAR_PRICES, low=BAR_PRICES, close=BAR_PRICES, volume=st.integers(-2, 2),
-        vwap=st.none() | BAR_PRICES, transactions=st.none() | st.integers(-2, 2),
+        open=BOUNDED_PRICES, high=BOUNDED_PRICES, low=BOUNDED_PRICES, close=BOUNDED_PRICES,
+        volume=st.integers(-2, 2) | st.sampled_from([MAX_VOLUME - 1, MAX_VOLUME]),
+        vwap=st.none() | BOUNDED_PRICES, transactions=st.none() | st.integers(-2, 2),
     )
     def test_constructs_or_names_the_first_broken_invariant(self, **fields):
-        """Bounds that meet, zero and negative fields: a bar is built exactly
-        when the reference checks pass, else it names their first failure."""
+        """Bounds that meet, zero and negative fields, prices and volumes at
+        their upper bounds: a bar is built exactly when the reference checks
+        pass, else it names their first failure."""
         violation = oracle_violation(**fields)
         if violation is None:
             bar = Bar(date(2025, 1, 2), **fields)
@@ -385,6 +426,25 @@ class TestBarInvariants:
             with pytest.raises(BarDataError) as exc:
                 Bar(date(2025, 1, 2), **fields)
             assert str(exc.value) == violation
+
+
+def test_benchmark_inputs_take_the_row_pattern(tmp_path, monkeypatch):
+    """The bars files of the benchmark's workloads, at their sizes, are read
+    by the row pattern alone: the csv-module reader is patched to raise."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    paths = [inputs.baseline_inputs(7, tmp_path / "baselines_10k", 10_000)]
+    for name, bars, sessions in (("deep_history", 2000, 42), ("long_window", 268, 252)):
+        inputs.agent_inputs(7, tmp_path / name, bars, sessions)
+        paths.append(tmp_path / name / "bars.csv")
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+
+    def checked(*args):
+        raise AssertionError("the csv-module reader was called")
+
+    monkeypatch.setattr(bars_module, "_csv_rows", checked)
+    for text in texts:
+        assert serialize_bars(parse_bars(text), "csv") == text
 
 
 class TestSerializeRoundTrip:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tradeloop.bars import serialize_bars
+from tradeloop.bars import CSV_COLUMNS, serialize_bars
 from tradeloop import cli
 from tradeloop.cli import main
 from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
@@ -366,6 +366,44 @@ def _oversize_bars(tmp_path):
     return _file(tmp_path, "bars.csv", OVERSIZE_BARS)
 
 
+# Row 110 of a bars file with prices or a volume past what float math takes:
+# the cells edited, their new text, and the message that names the row.
+OVERSIZED = {
+    "prices 1e200": (("open", "high", "close"), "1" + "0" * 200, "high too large: prices must be below 10**15 at row 110\n"),
+    "400-digit prices": (("open", "high", "close"), "9" * 400, "high too large: prices must be below 10**15 at row 110\n"),
+    "400-digit volume": (("volume",), "9" * 400, "volume too large: volumes must be below 2**53 at row 110\n"),
+}
+
+
+def _oversized(text, case):
+    """The bars CSV `text` with row 110 edited as OVERSIZED[case] says."""
+    names, value, _ = OVERSIZED[case]
+    lines = text.split("\n")
+    cells = lines[110].split(",")
+    for name in names:
+        cells[CSV_COLUMNS.index(name)] = value
+    lines[110] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _run_oversized(case):
+    """`run` over the recorded workspace with its bars edited."""
+
+    def argv(tmp_path, run):
+        text = (run.parents[2] / "bars.csv").read_text(encoding="utf-8")
+        return _run_with("paths.bars", _file(tmp_path, "bars.csv", _oversized(text, case)))(tmp_path, run)
+
+    return argv
+
+
+def _backtest_oversized(strategy, case):
+    def argv(tmp_path, run):
+        text = _oversized(serialize_bars(synthetic_daily(120, seed=4), "csv"), case)
+        return ["backtest", "--strategy", strategy, "--bars", _file(tmp_path, "bars.csv", text)]
+
+    return argv
+
+
 def _prompts_without_history(tmp_path):
     """A prompt_dir whose optimizer asset has no history marker."""
     (tmp_path / "prompts").mkdir(exist_ok=True)
@@ -427,6 +465,9 @@ NO_TRACEBACK_PROBES = {
         EXIT_DATA, lambda tmp_path, run: ["backtest", "--strategy", "buy_hold", "--bars", _oversize_bars(tmp_path)]
     ),
     "run oversize field": (EXIT_DATA, _run_with("paths.bars", _oversize_bars)),
+    **{f"run bars with {case}": (EXIT_DATA, _run_oversized(case)) for case in OVERSIZED},
+    "backtest bollinger bars with prices 1e200": (EXIT_DATA, _backtest_oversized("bollinger", "prices 1e200")),
+    "backtest buy_hold bars with 400-digit prices": (EXIT_DATA, _backtest_oversized("buy_hold", "400-digit prices")),
     "validate-data --actions oversize field": (
         EXIT_DATA,
         lambda tmp_path, run: [
@@ -477,6 +518,9 @@ PROBE_MESSAGES = {
         for probe in ("validate-data oversize field", "backtest oversize field", "run oversize field")
     },
     "validate-data --actions oversize field": ("unreadable csv: field larger than field limit (131072) at row 1\n",),
+    **{f"run bars with {case}": (message,) for case, (_, _, message) in OVERSIZED.items()},
+    "backtest bollinger bars with prices 1e200": (OVERSIZED["prices 1e200"][2],),
+    "backtest buy_hold bars with 400-digit prices": (OVERSIZED["400-digit prices"][2],),
     "replay gateway v1 record": ("cannot replay ", "is gateway audit version 1; this build replays version 2"),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
 }

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from json.encoder import encode_basestring_ascii
 
 import pytest
 import requests
@@ -29,10 +31,12 @@ from tradeloop.gateway import (
     request_hash,
     request_payload,
 )
+from tradeloop.harness import run_experiment
 from tradeloop.opro import AdaptiveOpro
 from tradeloop.templates import PromptTemplate, load_asset_text, load_template
 
 from conftest import rebuilt_requests
+from test_harness import build_workspace
 from test_opro import optimizer_reply
 
 
@@ -294,7 +298,8 @@ class TestAuditRecordLine:
         chat = [ChatMessage(role, text) for role, text in messages]
         log = AuditLog(sort_keys=True)
         log.append(record(ts, tags, digest, prior, chat, reply, system))
-        line = record_line(ts, tuple(tags), digest, prior, map(message_fragment, chat), reply, None if prior else system)
+        reply_json = encode_basestring_ascii(reply)
+        line = record_line(ts, tuple(tags), digest, prior, map(message_fragment, chat), reply_json, None if prior else system)
         assert line + "\n" == log.text()
 
 
@@ -392,6 +397,22 @@ class TestFragmentReuse:
         assert len(opro.history) == 31 and all(encoded.count(r.template_text) == 1 for r in opro.history)
         # Per proposal: the new template, and its reply for the audit line and the transcript.
         assert len(set(per_proposal)) == 1 and per_proposal[0] < 4 * len(current.body)
+
+    def test_each_reply_is_escaped_once_over_a_run(self, tmp_path, monkeypatch):
+        """Over a run of every agent and the optimizer, each reply is escaped
+        once, for its audit line and its transcript alike."""
+        encode, encoded = gateway_module.encode_basestring_ascii, Counter()
+
+        def counted(text: str) -> str:
+            encoded[text] += 1
+            return encode(text)
+
+        monkeypatch.setattr(gateway_module, "encode_basestring_ascii", counted)
+        artifacts, _ = run_experiment(build_workspace(tmp_path, mode="adaptive_opro_with_reflection"))
+        log = (artifacts[0].run_dir / "gateway.jsonl").read_text(encoding="utf-8")
+        replies = Counter(json.loads(line)["response"]["text"] for line in log.splitlines())
+        assert {json.loads(line)["tags"]["role"] for line in log.splitlines()} >= {"market", "news", "cta", "optimizer"}
+        assert {text: encoded[text] for text in replies} == replies
 
 
 class TestRetry:

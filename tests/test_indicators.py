@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tradeloop.bars import BarSeries, Resolution
+from tradeloop.bars import MAX_VOLUME, BarSeries, Resolution
 from tradeloop.indicators import (
     IndicatorError,
+    LevelSet,
     atr_series,
     bollinger_at,
     bollinger_series,
@@ -28,6 +29,7 @@ from tradeloop.indicators import (
     levels_at,
     local_extrema,
     macd_series,
+    market_texts,
     rsi_series,
     sma_series,
     snapshot,
@@ -36,6 +38,7 @@ from tradeloop.indicators import (
     volume_profile,
 )
 
+import indicators_oracle as oracle
 from conftest import make_bar, next_weekday, series_from_closes, synthetic_daily
 
 REL_TOL = 1e-9
@@ -717,3 +720,96 @@ class TestSnapshotRendering:
         assert texts[-1].endswith("VOLUME_PROFILE: n/a")
         digest = hashlib.sha256("\n\n".join(texts).encode("utf-8")).hexdigest()
         assert digest == "7cb658279d9756c0b738f301f3323170c76c14a102f117ef9f09331d4e111e66"
+
+
+def hexed(value):
+    """`value` with every float spelled by `float.hex`, so that equal values
+    are equal bit for bit (the sign of a zero included)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(map(hexed, value))
+    if isinstance(value, tuple):
+        return tuple(map(hexed, value))
+    if isinstance(value, LevelSet):
+        return (value.as_of, hexed(value.support), hexed(value.resistance))
+    return value
+
+
+def outcome(pass_, *args, **kwargs):
+    """The pass's value, hexed, or the type and message of what it raised."""
+    try:
+        return hexed(pass_(*args, **kwargs))
+    except (IndicatorError, TypeError) as exc:  # TypeError: a MACD whose fast line starts after its slow one
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def oracle_series(draw) -> BarSeries:
+    """Bars whose prices are few multiples of a unit, so that prices, highs
+    and lows often tie, from 1e-4 up to near the price bound, and whose
+    volumes are zero, small, or so large that float sums of them round."""
+    unit = draw(st.sampled_from([Decimal("0.0001"), Decimal("0.25"), Decimal("1.5"), Decimal(10**10)]))
+    top = draw(st.sampled_from([3, 40, 10**4]))
+    volumes = st.sampled_from([0, 1, 1000]) | st.integers(0, 10**6) | st.integers(2**52, MAX_VOLUME - 1)
+    prices = st.integers(1, top)
+    size = draw(st.integers(0, 70))
+    bars = []
+    d = date(2024, 1, 1)
+    for *ohlc, volume in draw(st.lists(st.tuples(prices, prices, prices, prices, volumes), min_size=size, max_size=size)):
+        low, open, close, high = sorted(ohlc)
+        d = next_weekday(d + timedelta(days=1))
+        bars.append(make_bar(d, unit * open, unit * high, unit * low, unit * close, v=volume))
+    return BarSeries("SYNTH", Resolution.DAILY, tuple(bars))
+
+
+class TestPassesMatchOracle:
+    """Each rewritten pass gives the value of the pass it replaced
+    (`indicators_oracle`), bit for bit, or the same error. Volumes near 2**53
+    make sums past it, which round, so a changed order of additions shows."""
+
+    @settings(max_examples=150)
+    @given(series=oracle_series(), n=st.sampled_from([1, 2, 3, 14, 20]))
+    def test_windowed_passes(self, series, n):
+        for new, old in ((sma_series, oracle.sma_series), (ema_series, oracle.ema_series), (atr_series, oracle.atr_series)):
+            assert outcome(new, series, n) == outcome(old, series, n), new.__name__
+        assert outcome(true_ranges, series) == outcome(oracle.true_ranges, series)
+        assert outcome(local_extrema, series) == outcome(oracle.local_extrema, series)
+        last = len(series.bars) - 1
+        if n > 1:
+            assert outcome(bollinger_at, series, last, n) == outcome(oracle.bollinger_at, series, last, n)
+
+    @settings(max_examples=100)
+    @given(series=oracle_series(), lines=st.sampled_from([(12, 26, 9), (1, 1, 1), (2, 5, 3), (3, 3, 4), (5, 2, 3)]))
+    def test_macd(self, series, lines):
+        assert outcome(macd_series, series, *lines) == outcome(oracle.macd_series, series, *lines)
+
+    @settings(max_examples=150)
+    @given(
+        series=oracle_series(),
+        n_bins=st.sampled_from([1, 2, 3, 24]),
+        coverage=st.sampled_from([0.0, 0.3, 0.7, 1.0, 2.0]),
+        start=st.integers(0, 70),
+        span=st.integers(0, 70),
+    )
+    def test_volume_profile(self, series, n_bins, coverage, start, span):
+        window = slice(start, start + span)
+        assert outcome(volume_profile, series, n_bins, coverage, window) == outcome(
+            oracle.volume_profile, series, n_bins, coverage, window
+        )
+
+    @settings(max_examples=80)
+    @given(series=oracle_series(), data=st.data())
+    def test_levels_snapshots_and_market_texts(self, series, data):
+        indices = sorted(data.draw(st.sets(st.integers(0, max(len(series.bars) - 1, 0)), max_size=30))) if series.bars else []
+        assert hexed(list(levels_at(series, indices))) == hexed(list(oracle.levels_at(series, indices)))
+        assert hexed(snapshots(series, indices)) == hexed(oracle.snapshots(series, indices))
+        assert market_texts(series, indices) == oracle.market_texts(series, indices)
+
+    def test_market_texts_of_long_histories(self):
+        for seed in range(4):
+            series = synthetic_daily(700, seed=seed)
+            indices = range(len(series.bars) - 60, len(series.bars))
+            assert market_texts(series, indices) == oracle.market_texts(series, indices)
