@@ -3,10 +3,12 @@
 Wiring per session: one session context is built, analysts refresh per
 cadence and ablation flags, the context and their reports render into the
 live template, the central agent's orders queue, and the next session's bar
-matches them. Scoring windows close per the prompting mode; the window end
+matches them. Each session's bar and engine result are kept once, in the
+`SessionLedger` that the period reviews, the equity curve and the metrics
+read. Scoring windows close per the prompting mode; the window end
 force-covers shorts. Everything an experiment produces is a file under
-runs/<experiment>/<run_id>/ and is byte-reproducible given the same config,
-data, and scripts.
+runs/<experiment>/<run_id>/, byte-reproducible given the same config, data
+and scripts.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import math
 import os
 import tempfile
 import threading
-from bisect import bisect_left
-from collections import deque
+from bisect import bisect_left, bisect_right
 from contextlib import ExitStack, closing
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from datetime import date, timedelta
@@ -29,7 +30,7 @@ from typing import Annotated, Callable, Literal, Sequence, get_args, get_origin,
 
 from . import agents, indicators, metrics, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
-from .engine import AuditLog, ExecutionEngine, Fill, Order, PortfolioState, Rejection, SessionResult
+from .engine import AuditLog, ExecutionEngine, Fill, Order, PortfolioState, Rejection
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError, ReplayMismatch
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
@@ -230,25 +231,26 @@ FUNDAMENTAL_FIGURES = tuple(n for n, hint in get_type_hints(agents.FundamentalSn
 class LoadedData:
     """The inputs of every run of an experiment, read and checked once, with
     each session's bar index, the market analyst's indicator and levels text
-    and the news analyst's batch, which depend on the inputs and sessions only."""
+    and the other analysts' batches, which depend on the inputs and sessions only."""
 
     bars: BarSeries
     sessions: list[date]  # the sessions of the evaluation window
     session_bars: tuple[int, ...]  # each session's index in `bars.bars`
     market_texts: tuple[str, ...] | None  # one per session; None when the market analyst is ablated
     news_batches: tuple[tuple[agents.NewsItem, ...], ...] | None  # one per session; None when the news analyst is ablated
-    fundamentals: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
+    # One per session, None off the event sessions, and None when the fundamental analyst is ablated.
+    fundamental_batches: tuple[tuple[agents.FundamentalSnapshot, ...] | None, ...] | None
 
     @classmethod
     def of(
-        cls, series: BarSeries, sessions: list[date], market: bool = True, news: Sequence[agents.NewsItem] | None = (), **inputs
+        cls, series: BarSeries, sessions: list[date], market: bool = True, news: Sequence[agents.NewsItem] | None = (),
+        fundamentals: Sequence[agents.FundamentalSnapshot] | None = (), action_dates: Sequence[date] = (),
     ) -> "LoadedData":
         """The data of `sessions` over `series`. Each session's bar is found
         once, here; a session without a bar is a DataError that names it.
         The market texts come from one pass over the bars up to the last
-        session (`indicators.market_texts`); `news` is None when the news
-        analyst is ablated."""
+        session (`indicators.market_texts`); `news` and `fundamentals` are
+        None when their analyst is ablated."""
         if not sessions:
             raise DataError("no trading sessions inside the evaluation window")
         session_bars = tuple(series.index_after(d) - 1 for d in sessions)
@@ -257,7 +259,8 @@ class LoadedData:
             raise DataError(f"missing bars for sessions: {', '.join(missing)}")
         texts = tuple(indicators.market_texts(series.up_to(sessions[-1]), session_bars)) if market else None
         batches = news_batches(news, sessions) if news is not None else None
-        return cls(series, sessions, session_bars, texts, batches, **inputs)
+        filings = fundamental_batches(fundamentals, action_dates, sessions) if fundamentals is not None else None
+        return cls(series, sessions, session_bars, texts, batches, filings)
 
 
 def news_batches(items: Sequence[agents.NewsItem], sessions: Sequence[date]) -> tuple[tuple[agents.NewsItem, ...], ...]:
@@ -274,6 +277,26 @@ def news_batches(items: Sequence[agents.NewsItem], sessions: Sequence[date]) -> 
         if k < len(sessions) and earliest < day:
             batches[k].append(item)
     return tuple(map(tuple, batches))
+
+
+def fundamental_batches(
+    filings: Sequence[agents.FundamentalSnapshot], action_dates: Sequence[date], sessions: Sequence[date]
+) -> tuple[tuple[agents.FundamentalSnapshot, ...] | None, ...]:
+    """Each session's `fundamental_data` batch: None off the filing and action
+    dates; at such an event session, the filings since the last one or, if
+    none, every filing so far, found by bisection over the sorted filing
+    dates. An empty batch still gives the analyst a turn."""
+    filed = [snap.filing_date for snap in filings]
+    events = {*filed, *action_dates}
+    batches, delivered = [], 0
+    for session in sessions:
+        if session not in events:
+            batches.append(None)
+            continue
+        available = bisect_right(filed, session)
+        batches.append(tuple(filings[delivered:available] or filings[:available]))
+        delivered = available
+    return tuple(batches)
 
 
 _is_number = _type_test(float)
@@ -351,7 +374,8 @@ def load_data(config: ExperimentConfig) -> LoadedData:
     sessions = calendar.sessions_between(config.window_start, config.window_end)
     market = not config.ablations.get("no_market")
     news = None if config.ablations.get("no_news") else news
-    return LoadedData.of(series, sessions, market, news, fundamentals=fundamentals, actions=actions)
+    fundamentals = None if config.ablations.get("no_fundamental") else fundamentals
+    return LoadedData.of(series, sessions, market, news, fundamentals, [a.effective_date for a in actions])
 
 
 def _config_text(config_json) -> tuple[str, str]:
@@ -460,47 +484,35 @@ def session_context(config: ExperimentConfig, bar: Bar, state: PortfolioState, f
     }
 
 
-@dataclass
-class _Step:
-    """One session's decision: its bar, the engine's result at that bar, the
-    orders it placed, and their fills, which the next session's result holds
-    because the engine matches its whole queue against each bar."""
-
-    bar: Bar
-    result: SessionResult
-    orders: list[Order] = field(default_factory=list)
-    fills: tuple[Fill, ...] = ()
-
-
-def _period_summary(steps: list[_Step], inception: Decimal) -> str:
-    v_start = steps[0].result.portfolio_value
-    v_end = steps[-1].result.portfolio_value
-    base = float(v_start) if v_start else float(inception)
-    roi_pct = (float(v_end) - base) / base * 100.0 if base else 0.0
-    n_orders = sum(len(s.orders) for s in steps)
-    n_fills = sum(len(s.fills) for s in steps)
-    return (
-        f"Sessions {steps[0].bar.session_date.isoformat()} -> {steps[-1].bar.session_date.isoformat()} | "
-        f"portfolio value {agents.fmt_price(v_start)} -> {agents.fmt_price(v_end)} "
-        f"({roi_pct:+.2f}%) | orders submitted {n_orders} | fills {n_fills}"
-    )
-
-
-def _complete_history(steps: list[_Step], first: int) -> str:
-    """One line per step; `first` is the number of the first step."""
+def _period_review(ledger: SessionLedger, orders: list[list[Order]], first: int, last: int, inception: Decimal) -> dict:
+    """The reflection's three values over sessions `first` to `last` - 1. A
+    session's fills are in the next session's result: the engine matches its
+    whole queue against the next bar. The return counts from the start value
+    or, at or below zero (a short squeezed past the cash), from `inception`."""
+    results = ledger.results[first:last]
+    fills = [result.fills for result in ledger.results[first + 1 : last + 1]]
+    v_start, v_end = results[0].portfolio_value, results[-1].portfolio_value
+    base = float(v_start) if v_start > 0 else float(inception)
     lines = []
-    for number, s in enumerate(steps, start=first):
-        orders = "; ".join(
+    sessions = zip(ledger.bars[first:last], results, orders[first:last], fills)
+    for number, (bar, result, placed, filled) in enumerate(sessions, start=first + 1):
+        decided = "; ".join(
             f"{o.action.value} {o.quantity} {o.order_type.value}"
             + (f" @ {agents.fmt_price(o.price)}" if o.price is not None else "")
-            for o in s.orders
+            for o in placed
         ) or "no orders"
-        filled = "; ".join(f"{f.action.value} {f.quantity} @ {f.fill_price}" for f in s.fills) or "no fills"
+        booked = "; ".join(f"{f.action.value} {f.quantity} @ {f.fill_price}" for f in filled) or "no fills"
         lines.append(
-            f"{s.bar.session_date.isoformat()} (step {number}): decided [{orders}] | filled [{filled}]"
-            f" | value {agents.fmt_price(s.result.portfolio_value)}"
+            f"{bar.session_date.isoformat()} (step {number}): decided [{decided}] | filled [{booked}]"
+            f" | value {agents.fmt_price(result.portfolio_value)}"
         )
-    return "\n".join(lines)
+    summary = (
+        f"Sessions {ledger.bars[first].session_date.isoformat()} -> {ledger.bars[last - 1].session_date.isoformat()} | "
+        f"portfolio value {agents.fmt_price(v_start)} -> {agents.fmt_price(v_end)} "
+        f"({(float(v_end) - base) / base * 100.0:+.2f}%) | orders submitted {sum(map(len, orders[first:last]))}"
+        f" | fills {sum(map(len, fills))}"
+    )
+    return {"reflection_interval": str(last - first), "period_summary": summary, "complete_history": "\n".join(lines)}
 
 
 def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir: Path) -> RunArtifact:
@@ -551,34 +563,23 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         market, news, fundamental = analyst("market"), analyst("news"), analyst("fundamental")
         cta = agents.CentralAgent("cta", gateway, optimizer.live_template, tpl("cta_followup"))
         reflection_template = tpl("reflection")
-        event_dates = {snap.filing_date for snap in data.fundamentals} | {a.effective_date for a in data.actions}
 
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
-        fills: deque[Fill] = deque(maxlen=agents.RECENT_FILLS)  # the last fills, which the prompts name
-        steps: list[_Step] = []
         ledger = SessionLedger()
+        orders: list[list[Order]] = []  # the orders each session placed, which the engine does not report
         reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
-        delivered_fundamentals = 0
 
         for i, (session, bar_index) in enumerate(zip(sessions, data.session_bars)):
             bar = series.bars[bar_index]
             step = i + 1
             result = engine.step_session(bar)
             ledger.record(bar, result)
-            if steps:
-                steps[-1].fills = result.fills
-            fills.extend(result.fills)
-            ctx = session_context(config, bar, result.portfolio, fills)
+            ctx = session_context(config, bar, result.portfolio, ledger.trades[-agents.RECENT_FILLS :])
             tags = (("step", str(step)), ("session", session.isoformat()))
 
             # Reflection happens between decisions, looking back over the period.
             if config.uses_reflection and i > 0 and i % config.reflection_interval == 0:
-                period = steps[-config.reflection_interval:]
-                context = ctx | {
-                    "reflection_interval": str(config.reflection_interval),
-                    "period_summary": _period_summary(period, cash),
-                    "complete_history": _complete_history(period, step - len(period)),
-                }
+                context = ctx | _period_review(ledger, orders, i - config.reflection_interval, i, cash)
                 reports["reflection_analysis"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
 
             if market is not None:
@@ -586,20 +587,15 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                 reports["market_analysis"] = market.ask(context, tags)
             if news is not None and (batch := data.news_batches[i]):
                 reports["news_analysis"] = news.ask(ctx | {"joined_news": agents.render_news_batch(batch)}, tags)
-            if fundamental is not None and session in event_dates:
-                available = [s for s in data.fundamentals if s.filing_date <= session]
-                fresh = available[delivered_fundamentals:]
-                context = ctx | {"fundamental_data": agents.render_fundamental_data(fresh or available)}
+            if fundamental is not None and (filings := data.fundamental_batches[i]) is not None:
+                context = ctx | {"fundamental_data": agents.render_fundamental_data(filings)}
                 reports["fund_analysis"] = fundamental.ask(context, tags)
-                delivered_fundamentals = len(available)
 
             outcome = cta.decide(ctx | reports, tags=tags)
             decision_fallbacks += outcome.gave_up
-            steps.append(_Step(bar, result))
-            for order in agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}"):
-                placed = engine.validate_and_queue(order, last_close=bar.close)
-                if not isinstance(placed, Rejection):
-                    steps[-1].orders.append(placed)
+            specs = agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}")
+            placed = [engine.validate_and_queue(order, last_close=bar.close) for order in specs]
+            orders.append([order for order in placed if not isinstance(order, Rejection)])
 
             # The last window, which may be partial, closes without an update.
             if config.uses_opro and (optimizer.is_boundary(step) or step == len(sessions)):
@@ -610,9 +606,9 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                     cta.reset()
 
         # The cover is a trade of the last session, whose value the ledger already holds.
-        ledger.trades += engine.force_cover(steps[-1].bar).fills
+        ledger.trades += engine.force_cover(ledger.bars[-1]).fills
 
-    equity = [(s.bar.session_date, s.result.portfolio_value) for s in steps]
+    equity = [(bar.session_date, result.portfolio_value) for bar, result in zip(ledger.bars, ledger.results)]
     report = compute_report(*ledger.columns(), initial=float(cash))
 
     payload = {

@@ -141,27 +141,27 @@ def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
 
 
 class SessionLedger:
-    """What a run's report reads from its sessions, recorded as the engine
-    steps: each session's marked value, the fills in booking order, and each
-    session's gross exposure, (long + short) shares at the close, as a float.
-    Both the baselines and the agent runs (`harness.run_single`) keep one."""
+    """A run's sessions as the engine steps: each session's bar and the
+    engine's result at it, and the fills in booking order. Both the baselines
+    and the agent runs (`harness.run_single`) keep one, and read their
+    report, equity curve and history from it."""
 
     def __init__(self) -> None:
-        self.values: list[Decimal] = []
+        self.bars: list[Bar] = []
+        self.results: list[SessionResult] = []
         self.trades: list[Fill] = []
-        self.exposures: list[float] = []
 
     def record(self, bar: Bar, result: SessionResult) -> None:
-        self.values.append(result.portfolio_value)
+        self.bars.append(bar)
+        self.results.append(result)
         self.trades += result.fills
-        state = result.portfolio
-        held = state.shares_long + state.shares_short
-        # A flat book's exposure is 0.0, the float of any Decimal zero.
-        self.exposures.append(float(held * bar.close) if held else 0.0)
 
     def columns(self) -> tuple[list[float], list[Fill], list[float]]:
-        """`compute_report`'s values, trades and exposures, in that order."""
-        return [float(v) for v in self.values], self.trades, self.exposures
+        """`compute_report`'s values, trades and exposures, in that order; an
+        exposure is (long + short) shares at the close, as a float."""
+        held = [(r.portfolio.shares_long + r.portfolio.shares_short, bar.close) for bar, r in zip(self.bars, self.results)]
+        # A flat book's exposure is 0.0, the float of any Decimal zero.
+        return [float(r.portfolio_value) for r in self.results], self.trades, [float(n * c) if n else 0.0 for n, c in held]
 
 
 @dataclass
@@ -232,4 +232,5 @@ def run_strategy(
             submit(Action.SELL, state.shares_long, bar.session_date, bar.close)
 
     report = compute_report(*ledger.columns(), initial=float(initial_cash))
-    return StrategyRunResult(report=report, curve_values=ledger.values, trades=ledger.trades, audit=engine.audit)
+    curve_values = [result.portfolio_value for result in ledger.results]
+    return StrategyRunResult(report=report, curve_values=curve_values, trades=ledger.trades, audit=engine.audit)

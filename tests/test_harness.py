@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import tradeloop
 from tradeloop import harness, indicators, metrics
-from tradeloop.agents import NewsItem
+from tradeloop.agents import FundamentalSnapshot, NewsItem
 from tradeloop.bars import Bar, BarSeries, Lookback, Resolution, resample, serialize_bars
 from tradeloop.cli import main
-from tradeloop.engine import Action, ExecutionEngine, Fill, PortfolioState
+from tradeloop.engine import Action, ExecutionEngine, Fill, PortfolioState, SessionResult
 from tradeloop.gateway import ChatRequest, request_hash
 from tradeloop.harness import (
     ConfigError,
@@ -29,7 +29,9 @@ from tradeloop.harness import (
     LoadedData,
     ReplayMismatch,
     _fmt_bar_line,
+    _period_review,
     aggregate_and_report,
+    fundamental_batches,
     load_data,
     market_context,
     news_batches,
@@ -37,10 +39,10 @@ from tradeloop.harness import (
     run_experiment,
     session_context,
 )
-from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
+from tradeloop.strategies import SessionLedger, StrategyConfig, StrategyKind, run_strategy
 from tradeloop.templates import load_asset_text, load_template
 
-from conftest import rebuilt_requests, synthetic_daily
+from conftest import make_bar, rebuilt_requests, synthetic_daily
 
 WINDOW_SESSIONS = 42
 HISTORY_BARS = 160
@@ -370,6 +372,16 @@ class TestRunExperiment:
     def test_no_news_batches_without_the_news_analyst(self, tmp_path):
         assert load_data(build_workspace(tmp_path, ablations={"no_news": True})).news_batches is None
 
+    def test_no_fundamental_batches_without_the_fundamental_analyst(self, tmp_path):
+        assert load_data(build_workspace(tmp_path, ablations={"no_fundamental": True})).fundamental_batches is None
+
+    def test_malformed_fundamentals_fail_also_without_the_fundamental_analyst(self, tmp_path, capsys):
+        """The fundamentals file is read and checked whatever the ablations, as the news file is."""
+        build_workspace(tmp_path, ablations={"no_fundamental": True})
+        (tmp_path / "fundamentals.json").write_text('[{"period_label": "Q1"}]', encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+        assert capsys.readouterr().err.startswith("data error: bad fundamentals file ")
+
     def test_config_lock_is_config_and_hash_as_sorted_json(self, tmp_path):
         """config.lock is encoded once and must equal the encoder's bytes,
         here over an inline script, non-ASCII text, newlines and empty
@@ -531,6 +543,31 @@ GOLDEN_REFLECTION_DIGESTS = {
 }
 
 
+# The reflection inputs with a trading agent whose first five decisions take
+# every branch of the period review: LIMIT and STOP orders with their prices,
+# rejected orders (a SELL with nothing held, a BUY beyond the cash) left out,
+# orders cancelled unfilled, two fills of one session, and a fill booked at
+# the reviewing session itself. The first review reads REVIEW_PERIOD.
+REVIEW_DECISIONS = {
+    0: [("BUY", 100, "MARKET", None), ("BUY", 10, "LIMIT", 1.0), ("BUY", 10, "STOP", 1.0), ("SELL", 5, "MARKET", None)],
+    1: [("BUY", 10_000_000, "MARKET", None)],
+    2: [("SELL", 30, "LIMIT", 100000.0), ("SELL", 20, "STOP", 100000.0)],
+    3: [("SELL", 10, "MARKET", None)],
+    4: [("SELL", 10, "MARKET", None)],
+}
+REVIEW_PERIOD = """\
+Sessions 2024-12-27 -> 2025-01-02 | portfolio value 100000.00 -> 100103.10 (+0.10%) | orders submitted 7 | fills 5
+
+## COMPLETE DECISION HISTORY FOR PERIOD
+2024-12-27 (step 1): decided [BUY 100 MARKET; BUY 10 LIMIT @ 1.00; BUY 10 STOP @ 1.00] | filled [BUY 100 @ 140.13; BUY 10 @ 140.13] | value 100000.00
+2024-12-30 (step 2): decided [no orders] | filled [no fills] | value 100191.40
+2024-12-31 (step 3): decided [SELL 30 LIMIT @ 100000.00; SELL 20 STOP @ 100000.00] | filled [SELL 20 @ 146.62] | value 100570.90
+2025-01-01 (step 4): decided [SELL 10 MARKET] | filled [SELL 10 @ 141.30] | value 100299.00
+2025-01-02 (step 5): decided [SELL 10 MARKET] | filled [SELL 10 @ 139.43] | value 100103.10
+"""
+GOLDEN_REVIEW_GATEWAY_DIGEST = "5628ee5eb5dbb122424fc540b3b451fdc16a10cd4c8ce50d4aaf38530b6294c8"
+
+
 # The adaptive_opro_with_reflection inputs with replies that take every re-ask
 # and rejection path: an unparseable optimizer reply and then a candidate
 # accepted at the second attempt; a candidate that adds a placeholder, three
@@ -592,6 +629,26 @@ GOLDEN_WINDOWED_PARSE_ERROR_DIGESTS = {
 UNPARSEABLE_CANDIDATE = load_template("cta_initial").body + "\n{% if broken %}"
 
 
+class TestPeriodReview:
+    def summary(self, values: list[str]) -> str:
+        """The summary of a period over sessions marked at `values`, reviewed
+        at one more session."""
+        ledger = SessionLedger()
+        for n, value in enumerate([*values, "0"]):
+            bar = make_bar(date(2025, 1, 6) + timedelta(days=n), 10, 10, 10, 10)
+            ledger.record(bar, SessionResult((), (), PortfolioState(Decimal(0), 0, 0), Decimal(value)))
+        return _period_review(ledger, [[] for _ in values], 0, len(values), Decimal(100_000))["period_summary"]
+
+    def test_return_counts_from_a_positive_start(self):
+        assert "portfolio value 100.00 -> 150.00 (+50.00%)" in self.summary(["100", "150"])
+
+    @pytest.mark.parametrize("end, roi", [("-50", "-100.05%"), ("-150", "-100.15%")])
+    def test_return_counts_from_the_inception_cash_after_a_start_below_zero(self, end, roi):
+        """A short squeezed past the cash leaves a negative value; as in a
+        windowed score, the return then counts from the inception cash."""
+        assert f"portfolio value -100.00 -> {end}.00 ({roi})" in self.summary(["-100", end])
+
+
 class TestGoldenDigests:
     def run_dir(
         self, tmp_path: Path, mode: str, rejections: bool = False, lead: tuple[str, ...] = (), roi_mode: str = "cumulative"
@@ -611,6 +668,22 @@ class TestGoldenDigests:
 
     def test_reflection_run_matches_pinned_digests(self, tmp_path):
         assert self.digests(self.run_dir(tmp_path, "reflection")) == GOLDEN_REFLECTION_DIGESTS
+
+    def test_reflection_review_of_every_order_kind_matches_pinned_digest(self, tmp_path):
+        config = build_workspace(tmp_path, mode="reflection", history_bars=GOLDEN_BARS)
+        sessions = load_data(config).sessions
+
+        def reply(decisions: list[tuple]) -> str:
+            return json.dumps(
+                [{"action": a, "orderType": t, "price": p, "quantity": q, "explanation": "scripted"} for a, q, t, p in decisions]
+            )
+
+        script = [{"match": f"**Current:** {sessions[k]}", "response": reply(d), "times": 1} for k, d in REVIEW_DECISIONS.items()]
+        config.providers["cta"] = {"kind": "scripted", "script": script + [{"match": "", "response": "[]", "times": None}]}
+        run_dir = run_experiment(config)[0][0].run_dir
+        _, first = role_records(run_dir, "reflection")[0]
+        assert "## PERIOD PERFORMANCE OVERVIEW\n" + REVIEW_PERIOD + "\n## YOUR COACHING TASK" in first.messages[-1].text
+        assert hashlib.sha256((run_dir / "gateway.jsonl").read_bytes()).hexdigest() == GOLDEN_REVIEW_GATEWAY_DIGEST
 
     def test_rejection_paths_match_pinned_digests(self, tmp_path):
         run_dir = self.run_dir(tmp_path, "adaptive_opro_with_reflection", rejections=True)
@@ -774,6 +847,69 @@ class TestNewsBatches:
             for n, d in enumerate(item_days)
         ]
         assert news_batches(items, sessions) == old_news_batches(items, sessions)
+
+
+def old_fundamental_batches(filings: list[FundamentalSnapshot], action_dates: list[date], sessions: list[date]) -> tuple:
+    """The per-session filter over every filing that `fundamental_batches`
+    replaced, kept as its oracle: at each filing or action date, the filings
+    since the last such session, or every filing so far if there are none."""
+    event_dates = {snap.filing_date for snap in filings} | set(action_dates)
+    batches = []
+    delivered = 0
+    for session in sessions:
+        if session not in event_dates:
+            batches.append(None)
+            continue
+        available = [snap for snap in filings if snap.filing_date <= session]
+        fresh = available[delivered:]
+        batches.append(tuple(fresh or available))
+        delivered = len(available)
+    return tuple(batches)
+
+
+# SHA-256 of the JSON list of the fundamental analyst's last messages in the
+# run of `test_an_action_date_gives_a_turn_on_the_filings_so_far`.
+GOLDEN_ACTION_TURNS_DIGEST = "c90bb1fc37af21469c66b80629f6e37b0dd234528734fe2fa19ab808873ec21a"
+
+
+class TestFundamentalBatches:
+    START = date(2024, 6, 3)
+
+    @given(
+        session_days=st.sets(st.integers(0, 20), min_size=1),
+        filing_days=st.lists(st.integers(-6, 24), max_size=8),
+        action_days=st.lists(st.integers(-6, 24), max_size=4),
+    )
+    # An action before any filing and one on a filing date; then a filing
+    # before the window, one off the sessions, and an action between them.
+    @example(session_days={2, 3, 5, 8}, filing_days=[4, 5, 5, 8], action_days=[2, 5])
+    @example(session_days={2, 3, 5, 8}, filing_days=[-3, 4, 8], action_days=[5])
+    def test_batches_are_the_old_filter(self, session_days, filing_days, action_days):
+        """Filings before the window, on days between sessions and on equal
+        dates; actions before any filing, on a filing date and between
+        filings."""
+        sessions = [self.START + timedelta(days=d) for d in sorted(session_days)]
+        filings = sorted(
+            (FundamentalSnapshot(self.START + timedelta(days=d), f"F{n}") for n, d in enumerate(filing_days)),
+            key=lambda snap: snap.filing_date,
+        )
+        action_dates = [self.START + timedelta(days=d) for d in action_days]
+        assert fundamental_batches(filings, action_dates, sessions) == old_fundamental_batches(filings, action_dates, sessions)
+
+    def test_an_action_date_gives_a_turn_on_the_filings_so_far(self, tmp_path):
+        """A dividend before the first filing gives a turn on no filings, and
+        one between the filings sends every filing so far again."""
+        config = build_workspace(tmp_path, mode="baseline")
+        window = load_data(config).sessions
+        actions = tmp_path / "actions.csv"
+        actions.write_text(f"date,kind,ratio,cash\n{window[3]},dividend,,0.25\n{window[20]},dividend,,0.5\n", encoding="utf-8")
+        config.paths["actions"] = str(actions)
+        records = role_records(run_experiment(config)[0][0].run_dir, "fundamental")
+        assert [record["tags"]["session"] for record, _ in records] == [window[k].isoformat() for k in (3, 10, 20, 30)]
+        texts = [request.messages[-1].text for _, request in records]
+        assert "No fundamentals on file" in texts[0]
+        assert ["Q1 (Filed" in text for text in texts] == [False, True, True, False]
+        assert hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest() == GOLDEN_ACTION_TURNS_DIGEST
 
 
 class TestSessionContext:
