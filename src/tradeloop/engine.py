@@ -23,6 +23,8 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from .bars import Bar
+
 AUDIT_SCHEMA_VERSION = 1
 
 
@@ -112,8 +114,12 @@ class Rejection:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionResult:
+    """The close of the session of `bar`: its fills and cancelled orders, and
+    the book after them, marked at the bar's close."""
+
+    bar: Bar
     fills: tuple[Fill, ...]
     cancelled: tuple[str, ...]
     portfolio: PortfolioState
@@ -162,18 +168,20 @@ class AuditLog:
 
 
 class ExecutionEngine:
-    """Single source of truth for fills, cash, positions, and session values."""
+    """The run's one book: cash and positions, every fill booked and every
+    session close. `results` holds one `SessionResult` per `step_session`, in
+    order, and `trades` every fill in booking order, forced covers included."""
 
     def __init__(self, initial_cash: Decimal | int | str = 100_000, audit: AuditLog | None = None):
-        self._cash = Decimal(initial_cash)
-        if self._cash < 0:
+        cash = Decimal(initial_cash)
+        if cash < 0:
             raise EngineError("initial cash must be non-negative")
-        self._long = 0
-        self._short = 0
-        self._state = PortfolioState(self._cash, 0, 0)  # rebuilt by `_apply`, the one place it changes
+        self._state = PortfolioState(cash, 0, 0)  # replaced by `_book`, the one place it changes
         self._as_of: date | None = None
         self._queue: list[tuple[Order, int]] = []  # (validated order, submitted qty)
         self.audit = audit if audit is not None else AuditLog()
+        self.results: list[SessionResult] = []
+        self.trades: list[Fill] = []
 
     # -- state ------------------------------------------------------------
 
@@ -198,8 +206,8 @@ class ExecutionEngine:
         qty = self._held(order.action, order.quantity)
         if qty == 0:
             return self._reject(order, RejectReason.EMPTY_AFTER_CLAMP, "no position to reduce")
-        if order.action == Action.BUY and ref * qty > self._cash:
-            return self._reject(order, RejectReason.INSUFFICIENT_CASH, f"needs {ref * qty} with cash {self._cash}")
+        if order.action == Action.BUY and ref * qty > self._state.cash:
+            return self._reject(order, RejectReason.INSUFFICIENT_CASH, f"needs {ref * qty} with cash {self._state.cash}")
         if order.action == Action.SHORT and (breach := self._short_cap_breach(qty, ref, last_close)):
             return self._reject(order, RejectReason.SHORT_LIMIT, breach)
         queued = order
@@ -219,28 +227,33 @@ class ExecutionEngine:
     def _held(self, action: Action, qty: int) -> int:
         """`qty` reduced to the shares held for a SELL or SHORT_COVER; 0 drops it."""
         if action == Action.SELL:
-            return min(qty, self._long)
+            return min(qty, self._state.shares_long)
         if action == Action.SHORT_COVER:
-            return min(qty, self._short)
+            return min(qty, self._state.shares_short)
         return qty
 
     def _short_cap_breach(self, qty: int, price: Decimal, mark: Decimal) -> str | None:
         """Why shorting `qty` more at `price` would take the short exposure past
         the portfolio value, with the shares already held marked at `mark`;
         None if it stays within."""
-        exposure = self._short * mark + price * qty
-        value = self._cash + (self._long - self._short) * mark
+        exposure = self._state.shares_short * mark + price * qty
+        value = portfolio_value(self._state, mark)
         if exposure > value:
             return f"short exposure {exposure} exceeds portfolio value {value}"
         return None
 
-    def _apply(self, action: Action, qty: int, price: Decimal) -> None:
-        """Book a fill of `qty` shares at `price` into cash and positions."""
-        cash, long, short = _BOOKING[action]
-        self._cash += cash * price * qty
-        self._long += long * qty
-        self._short += short * qty
-        self._state = PortfolioState(self._cash, self._long, self._short)
+    def _book(self, fill: Fill, line: dict | str) -> None:
+        """Book `fill` into cash and positions, keep it in `trades` and write
+        its audit `line`; then check the invariants (no negative cash or
+        shares), so a failed check still leaves its line in the audit."""
+        cash, long, short = _BOOKING[fill.action]
+        state, qty = self._state, fill.quantity
+        self._state = state = PortfolioState(
+            state.cash + cash * fill.fill_price * qty, state.shares_long + long * qty, state.shares_short + short * qty
+        )
+        self.trades.append(fill)
+        self.audit.append(line)
+        assert state.cash >= 0 and state.shares_long >= 0 and state.shares_short >= 0, f"booking {fill.order_id} left {state}"
 
     def _event(self, type: str, **fields) -> None:
         self.audit.append({"v": AUDIT_SCHEMA_VERSION, "type": type, **fields})
@@ -266,12 +279,11 @@ class ExecutionEngine:
                 reason = "UNFILLED"
             elif qty == 0:
                 reason = RejectReason.EMPTY_AFTER_CLAMP
-            elif (order.action in BUY_SIDE and price * qty > self._cash) or (
+            elif (order.action in BUY_SIDE and price * qty > self._state.cash) or (
                 order.action == Action.SHORT and self._short_cap_breach(qty, price, price)
             ):
                 reason = RejectReason.GAP_REJECT
             else:
-                self._apply(order.action, qty, price)
                 fill = Fill(
                     order_id=order.id,
                     action=order.action,
@@ -280,16 +292,17 @@ class ExecutionEngine:
                     quantity=qty,
                     clamped_from=submitted_qty if qty != submitted_qty else None,
                 )
+                self._book(fill, fill_line(fill))
                 fills += (fill,)
-                self.audit.append(fill_line(fill))
-                assert self._cash >= 0 and self._long >= 0 and self._short >= 0
                 continue
             cancelled += (order.id,)
             self._event("CANCEL", order_id=order.id, reason=reason)
 
         self._queue.clear()
         self._as_of = bar.session_date
-        return self._summarize(bar, fills, cancelled)
+        result = self._summarize(bar, fills, cancelled)
+        self.results.append(result)
+        return result
 
     def _summarize(self, bar, fills: tuple[Fill, ...], cancelled: tuple[str, ...]) -> SessionResult:
         """Close the session of `bar`: mark the state at its close and write
@@ -299,14 +312,15 @@ class ExecutionEngine:
         self.audit.append(
             summary_line(bar.session_date, state.cash, state.shares_long, state.shares_short, bar.close, value)
         )
-        return SessionResult(fills, cancelled, state, value)
+        return SessionResult(bar, fills, cancelled, state, value)
 
     def force_cover(self, bar) -> SessionResult:
         """Cover any outstanding short at the final close; cancel leftovers.
 
         Runs at the last session of the window, after its summary. The cover
         is accounted like a MARKET buy at the close, so the marked portfolio
-        value is unchanged.
+        value is unchanged. Its result marks that session again, so it is not
+        kept in `results`; its fill is kept in `trades`.
         """
         cancelled = tuple(order.id for order, _ in self._queue)
         for order_id in cancelled:
@@ -314,24 +328,29 @@ class ExecutionEngine:
         self._queue.clear()
 
         fills: tuple[Fill, ...] = ()
-        if self._short > 0:
-            qty = self._short
-            self._apply(Action.SHORT_COVER, qty, bar.close)
-            order_id = f"forced-cover-{bar.session_date.isoformat()}"
-            fills = (
-                Fill(
-                    order_id=order_id,
-                    action=Action.SHORT_COVER,
-                    executed_at=bar.session_date,
-                    fill_price=bar.close,
-                    quantity=qty,
-                    forced=True,
-                ),
+        if self._state.shares_short > 0:
+            fill = Fill(
+                order_id=f"forced-cover-{bar.session_date.isoformat()}",
+                action=Action.SHORT_COVER,
+                executed_at=bar.session_date,
+                fill_price=bar.close,
+                quantity=self._state.shares_short,
+                forced=True,
             )
-            self._event("FORCED_COVER", order_id=order_id, date=bar.session_date, price=bar.close, quantity=qty)
-            assert self._cash >= 0, "short proceeds accounting must keep cash non-negative"
+            self._book(fill, {
+                "v": AUDIT_SCHEMA_VERSION, "type": "FORCED_COVER",
+                "order_id": fill.order_id, "date": fill.executed_at, "price": fill.fill_price, "quantity": fill.quantity,
+            })
+            fills = (fill,)
         self._as_of = bar.session_date
         return self._summarize(bar, fills, cancelled)
+
+    def columns(self) -> tuple[list[float], list[Fill], list[float]]:
+        """`metrics.compute_report`'s values, trades and exposures, in that
+        order; an exposure is (long + short) shares at the close, as a float."""
+        held = [(r.portfolio.shares_long + r.portfolio.shares_short, r.bar.close) for r in self.results]
+        # A flat book's exposure is 0.0, the float of any Decimal zero.
+        return [float(r.portfolio_value) for r in self.results], self.trades, [float(n * c) if n else 0.0 for n, c in held]
 
 
 # The two events written every session skip the generic encoder: each is one

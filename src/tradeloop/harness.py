@@ -3,9 +3,9 @@
 Wiring per session: one session context is built, analysts refresh per
 cadence and ablation flags, the context and their reports render into the
 live template, the central agent's orders queue, and the next session's bar
-matches them. Each session's bar and engine result are kept once, in the
-`SessionLedger` that the period reviews, the equity curve and the metrics
-read. Scoring windows close per the prompting mode; the window end
+matches them. The engine keeps each session's result (with its bar) and
+every fill; the period reviews, the equity curve and the metrics read them
+there. Scoring windows close per the prompting mode; the window end
 force-covers shorts. Everything an experiment produces is a file under
 runs/<experiment>/<run_id>/, byte-reproducible given the same config, data
 and scripts.
@@ -30,12 +30,11 @@ from typing import Annotated, Callable, Literal, Sequence, get_args, get_origin,
 
 from . import agents, indicators, metrics, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
-from .engine import AuditLog, ExecutionEngine, Fill, Order, PortfolioState, Rejection
+from .engine import AuditLog, ExecutionEngine, Fill, Order, PortfolioState, Rejection, SessionResult
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError, ReplayMismatch
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
-from .strategies import SessionLedger
 from .templates import asset_path, load_template
 
 PROVIDER_ROLES = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
@@ -282,15 +281,22 @@ def news_batches(items: Sequence[agents.NewsItem], sessions: Sequence[date]) -> 
 def fundamental_batches(
     filings: Sequence[agents.FundamentalSnapshot], action_dates: Sequence[date], sessions: Sequence[date]
 ) -> tuple[tuple[agents.FundamentalSnapshot, ...] | None, ...]:
-    """Each session's `fundamental_data` batch: None off the filing and action
-    dates; at such an event session, the filings since the last one or, if
+    """Each session's `fundamental_data` batch: None at a session without an
+    event. A filing or an action counts at the first session on or after its
+    date, as a news item does, so one dated on a weekend or holiday gets the
+    next session's turn; one dated before the first session gives no turn.
+    At an event session, the batch is the filings since the last one or, if
     none, every filing so far, found by bisection over the sorted filing
     dates. An empty batch still gives the analyst a turn."""
     filed = [snap.filing_date for snap in filings]
-    events = {*filed, *action_dates}
+    turns = set()
+    for day in (*filed, *action_dates):
+        k = bisect_left(sessions, day)
+        if k < len(sessions) and (k > 0 or sessions[0] == day):
+            turns.add(k)
     batches, delivered = [], 0
-    for session in sessions:
-        if session not in events:
+    for k, session in enumerate(sessions):
+        if k not in turns:
             batches.append(None)
             continue
         available = bisect_right(filed, session)
@@ -484,18 +490,18 @@ def session_context(config: ExperimentConfig, bar: Bar, state: PortfolioState, f
     }
 
 
-def _period_review(ledger: SessionLedger, orders: list[list[Order]], first: int, last: int, inception: Decimal) -> dict:
+def _period_review(results: list[SessionResult], orders: list[list[Order]], first: int, last: int, inception: Decimal) -> dict:
     """The reflection's three values over sessions `first` to `last` - 1. A
     session's fills are in the next session's result: the engine matches its
     whole queue against the next bar. The return counts from the start value
     or, at or below zero (a short squeezed past the cash), from `inception`."""
-    results = ledger.results[first:last]
-    fills = [result.fills for result in ledger.results[first + 1 : last + 1]]
-    v_start, v_end = results[0].portfolio_value, results[-1].portfolio_value
+    period = results[first:last]
+    fills = [result.fills for result in results[first + 1 : last + 1]]
+    v_start, v_end = period[0].portfolio_value, period[-1].portfolio_value
     base = float(v_start) if v_start > 0 else float(inception)
     lines = []
-    sessions = zip(ledger.bars[first:last], results, orders[first:last], fills)
-    for number, (bar, result, placed, filled) in enumerate(sessions, start=first + 1):
+    sessions = zip(period, orders[first:last], fills)
+    for number, (result, placed, filled) in enumerate(sessions, start=first + 1):
         decided = "; ".join(
             f"{o.action.value} {o.quantity} {o.order_type.value}"
             + (f" @ {agents.fmt_price(o.price)}" if o.price is not None else "")
@@ -503,11 +509,11 @@ def _period_review(ledger: SessionLedger, orders: list[list[Order]], first: int,
         ) or "no orders"
         booked = "; ".join(f"{f.action.value} {f.quantity} @ {f.fill_price}" for f in filled) or "no fills"
         lines.append(
-            f"{bar.session_date.isoformat()} (step {number}): decided [{decided}] | filled [{booked}]"
+            f"{result.bar.session_date.isoformat()} (step {number}): decided [{decided}] | filled [{booked}]"
             f" | value {agents.fmt_price(result.portfolio_value)}"
         )
     summary = (
-        f"Sessions {ledger.bars[first].session_date.isoformat()} -> {ledger.bars[last - 1].session_date.isoformat()} | "
+        f"Sessions {period[0].bar.session_date.isoformat()} -> {period[-1].bar.session_date.isoformat()} | "
         f"portfolio value {agents.fmt_price(v_start)} -> {agents.fmt_price(v_end)} "
         f"({(float(v_end) - base) / base * 100.0:+.2f}%) | orders submitted {sum(map(len, orders[first:last]))}"
         f" | fills {sum(map(len, fills))}"
@@ -565,7 +571,6 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         reflection_template = tpl("reflection")
 
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
-        ledger = SessionLedger()
         orders: list[list[Order]] = []  # the orders each session placed, which the engine does not report
         reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
 
@@ -573,13 +578,12 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
             bar = series.bars[bar_index]
             step = i + 1
             result = engine.step_session(bar)
-            ledger.record(bar, result)
-            ctx = session_context(config, bar, result.portfolio, ledger.trades[-agents.RECENT_FILLS :])
+            ctx = session_context(config, bar, result.portfolio, engine.trades[-agents.RECENT_FILLS :])
             tags = (("step", str(step)), ("session", session.isoformat()))
 
             # Reflection happens between decisions, looking back over the period.
             if config.uses_reflection and i > 0 and i % config.reflection_interval == 0:
-                context = ctx | _period_review(ledger, orders, i - config.reflection_interval, i, cash)
+                context = ctx | _period_review(engine.results, orders, i - config.reflection_interval, i, cash)
                 reports["reflection_analysis"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
 
             if market is not None:
@@ -605,11 +609,11 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
                     cta.initial = optimizer.live_template
                     cta.reset()
 
-        # The cover is a trade of the last session, whose value the ledger already holds.
-        ledger.trades += engine.force_cover(ledger.bars[-1]).fills
+        # The cover is a trade of the last session, whose value the engine's results already hold.
+        engine.force_cover(bar)
 
-    equity = [(bar.session_date, result.portfolio_value) for bar, result in zip(ledger.bars, ledger.results)]
-    report = compute_report(*ledger.columns(), initial=float(cash))
+    equity = [(result.bar.session_date, result.portfolio_value) for result in engine.results]
+    report = compute_report(*engine.columns(), initial=float(cash))
 
     payload = {
         "metrics": report.to_dict(),

@@ -16,8 +16,8 @@ from datetime import date, timedelta
 from decimal import Decimal
 from enum import Enum
 
-from .bars import Bar, BarSeries
-from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection, SessionResult
+from .bars import BarSeries
+from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError
 from .indicators import bollinger_series, macd_series, sma_series
@@ -140,30 +140,6 @@ def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
     return _cross_signals(dates, (_line(bands, "lower"), closes), (closes, _line(bands, "upper")))
 
 
-class SessionLedger:
-    """A run's sessions as the engine steps: each session's bar and the
-    engine's result at it, and the fills in booking order. Both the baselines
-    and the agent runs (`harness.run_single`) keep one, and read their
-    report, equity curve and history from it."""
-
-    def __init__(self) -> None:
-        self.bars: list[Bar] = []
-        self.results: list[SessionResult] = []
-        self.trades: list[Fill] = []
-
-    def record(self, bar: Bar, result: SessionResult) -> None:
-        self.bars.append(bar)
-        self.results.append(result)
-        self.trades += result.fills
-
-    def columns(self) -> tuple[list[float], list[Fill], list[float]]:
-        """`compute_report`'s values, trades and exposures, in that order; an
-        exposure is (long + short) shares at the close, as a float."""
-        held = [(r.portfolio.shares_long + r.portfolio.shares_short, bar.close) for bar, r in zip(self.bars, self.results)]
-        # A flat book's exposure is 0.0, the float of any Decimal zero.
-        return [float(r.portfolio_value) for r in self.results], self.trades, [float(n * c) if n else 0.0 for n, c in held]
-
-
 @dataclass
 class StrategyRunResult:
     report: MetricReport
@@ -212,11 +188,8 @@ def run_strategy(
             # Sized and validated against the first open it will fill at.
             submit(Action.BUY, qty, first.session_date - timedelta(days=1), first.open)
 
-    ledger = SessionLedger()
     for i, bar in enumerate(series.bars):
-        result = engine.step_session(bar)
-        ledger.record(bar, result)
-        state = result.portfolio
+        state = engine.step_session(bar).portfolio
 
         stance = sig_by_date.get(bar.session_date)
         if stance is None or config.kind == StrategyKind.BUY_HOLD:
@@ -231,6 +204,6 @@ def run_strategy(
         elif stance == Stance.EXIT_LONG and state.shares_long > 0:
             submit(Action.SELL, state.shares_long, bar.session_date, bar.close)
 
-    report = compute_report(*ledger.columns(), initial=float(initial_cash))
-    curve_values = [result.portfolio_value for result in ledger.results]
-    return StrategyRunResult(report=report, curve_values=curve_values, trades=ledger.trades, audit=engine.audit)
+    report = compute_report(*engine.columns(), initial=float(initial_cash))
+    curve_values = [result.portfolio_value for result in engine.results]
+    return StrategyRunResult(report=report, curve_values=curve_values, trades=engine.trades, audit=engine.audit)

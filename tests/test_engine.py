@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tradeloop import harness
 from tradeloop.bars import Bar
 from tradeloop.engine import (
     AUDIT_SCHEMA_VERSION,
@@ -33,7 +34,10 @@ from tradeloop.engine import (
     trades_from_audit,
 )
 
+import engine_model
 from conftest import make_bar
+from engine_model import units
+from test_harness import GOLDEN_BARS, WINDOW_SESSIONS, build_workspace
 
 D = Decimal
 
@@ -59,6 +63,11 @@ def mk_order(
 
 def bar_on(day: date, o, h, l, c, v: int = 10_000) -> Bar:
     return make_bar(day, o, h, l, c, v=v)
+
+
+def hold(engine: ExecutionEngine, long: int = 0, short: int = 0) -> None:
+    """Inject a position into the engine's one portfolio state."""
+    engine._state = PortfolioState(engine.portfolio().cash, long, short)
 
 
 NEXT_DAY = date(2025, 4, 29)
@@ -94,7 +103,7 @@ class TestValidateAndQueue:
 
     def test_sell_clamps_to_long(self):
         engine = ExecutionEngine(initial_cash=D(0))
-        engine._long = 5  # position injected for the clamp check
+        hold(engine, long=5)  # position injected for the clamp check
         outcome = engine.validate_and_queue(mk_order(Action.SELL, 10), last_close=D(100))
         assert isinstance(outcome, Order)
         assert outcome.quantity == 5
@@ -164,7 +173,7 @@ class TestFillModel:
 
     def test_stop_sell_gap_through_fills_at_open(self):
         engine = ExecutionEngine(initial_cash=D(0))
-        engine._long = 10
+        hold(engine, long=10)
         engine.validate_and_queue(
             mk_order(Action.SELL, 10, OrderType.STOP, price="90"), last_close=D(100)
         )
@@ -181,7 +190,7 @@ class TestFillModel:
 
     def test_limit_sell_fills_at_limit_via_high(self):
         engine = ExecutionEngine(initial_cash=D(0))
-        engine._long = 10
+        hold(engine, long=10)
         engine.validate_and_queue(
             mk_order(Action.SELL, 10, OrderType.LIMIT, price="105"), last_close=D(100)
         )
@@ -191,7 +200,7 @@ class TestFillModel:
     def test_stop_cover_is_buy_side(self):
         # SHORT_COVER with a STOP triggers on the way UP, like a stop buy.
         engine = ExecutionEngine(initial_cash=D(10_000))
-        engine._short = 10
+        hold(engine, short=10)
         engine.validate_and_queue(
             mk_order(Action.SHORT_COVER, 10, OrderType.STOP, price="105"), last_close=D(100)
         )
@@ -201,7 +210,7 @@ class TestFillModel:
 
     def test_limit_cover_is_buy_side(self):
         engine = ExecutionEngine(initial_cash=D(10_000))
-        engine._short = 10
+        hold(engine, short=10)
         engine.validate_and_queue(
             mk_order(Action.SHORT_COVER, 10, OrderType.LIMIT, price="95"), last_close=D(100)
         )
@@ -261,7 +270,7 @@ class TestSessionAccounting:
 
     def test_exec_time_sell_reclamp(self):
         engine = ExecutionEngine(initial_cash=D(0))
-        engine._long = 10
+        hold(engine, long=10)
         engine.validate_and_queue(mk_order(Action.SELL, 10, oid="a"), last_close=D(100))
         engine.validate_and_queue(mk_order(Action.SELL, 10, oid="b"), last_close=D(100))
         result = engine.step_session(bar_on(NEXT_DAY, 100, 101, 99, 100))
@@ -439,18 +448,20 @@ class OracleEngine(ExecutionEngine):
     engine now keeps one state and rebuilds it when a fill is booked."""
 
     def _summarize(self, bar, fills, cancelled) -> SessionResult:
-        state = CheckedState(self._cash, self._long, self._short, self._as_of)
+        book = self._state
+        state = CheckedState(book.cash, book.shares_long, book.shares_short, self._as_of)
         if bar.close <= 0:
             raise EngineError("close must be positive")
         value = state.cash + (state.shares_long - state.shares_short) * bar.close
-        self.audit.append(summary_line(bar.session_date, self._cash, self._long, self._short, bar.close, value))
-        return SessionResult(fills, cancelled, state, value)
+        self.audit.append(summary_line(bar.session_date, state.cash, state.shares_long, state.shares_short, bar.close, value))
+        return SessionResult(bar, fills, cancelled, state, value)
 
 
 def close_with_cover(engine: ExecutionEngine) -> SessionResult | None:
     """Force-cover on the day after the last session, at its close; None if
     the cover trips the cash assertion (a short squeezed past its proceeds)."""
-    summary = json.loads(engine.audit.text().splitlines()[-1])  # the last SESSION_SUMMARY
+    events = map(json.loads, reversed(engine.audit.text().splitlines()))
+    summary = next(e for e in events if e["type"] == "SESSION_SUMMARY")  # the last one
     close = summary["close"]
     day = date.fromisoformat(summary["date"]) + timedelta(days=1)
     try:
@@ -464,14 +475,18 @@ def session_view(result: SessionResult) -> tuple:
     return result.fills, result.cancelled, (state.cash, state.shares_long, state.shares_short), result.portfolio_value
 
 
+# Busy runs, and runs with long stretches of sessions that place no order:
+# (seeds, sessions, quiet sessions after each that places orders).
+RANDOM_RUNS = [(range(300), 10, 0), (range(20), 80, 9), (range(20), 80, 39)]
+RANDOM_RUN_IDS = ["busy", "quiet9", "quiet39"]
+
+
 class TestSessionCloseOracle:
     """The engine's session close against the one it replaced, session by
     session: busy runs and runs with long stretches of sessions that place no
     order, each ended by a forced cover."""
 
-    @pytest.mark.parametrize(
-        "seeds, sessions, quiet", [(range(300), 10, 0), (range(20), 80, 9), (range(20), 80, 39)], ids=["busy", "quiet9", "quiet39"]
-    )
+    @pytest.mark.parametrize("seeds, sessions, quiet", RANDOM_RUNS, ids=RANDOM_RUN_IDS)
     def test_same_sessions_and_audit_as_the_oracle(self, seeds, sessions, quiet):
         for seed in seeds:
             got: list = []
@@ -494,6 +509,113 @@ class TestSessionCloseOracle:
         assert any(r.portfolio.shares_long or r.portfolio.shares_short for r in idle)
 
 
+class ModelMismatch(Exception):
+    """The engine and the reference model disagree. Not an AssertionError,
+    which `close_with_cover` takes for the engine's cash check."""
+
+
+def expect(got, want, what) -> None:
+    if got != want:
+        raise ModelMismatch(f"{what}: engine {got!r}, model {want!r}")
+
+
+class ModelChecked(ExecutionEngine):
+    """The engine, compared after each call with `engine_model.Model`: every
+    validation outcome, and every session close's fills, cancels with their
+    audited reasons, book and value."""
+
+    def __init__(self, initial_cash, audit=None):
+        super().__init__(initial_cash, audit)
+        self.model = engine_model.Model(initial_cash)
+        self.read = 0  # audit lines already compared
+
+    def new_events(self) -> list[dict]:
+        lines = self.audit.text().splitlines()
+        events, self.read = [json.loads(line) for line in lines[self.read :]], len(lines)
+        return events
+
+    def validate_and_queue(self, order, last_close):
+        outcome = super().validate_and_queue(order, last_close)
+        if isinstance(outcome, Rejection):
+            got = ("REJECTED", outcome.reason.value)
+        else:
+            clamps = [(e["from"], e["to"]) for e in self.new_events() if e["type"] == "ORDER_CLAMPED"]
+            got = ("QUEUED", outcome.quantity, clamps[0] if clamps else None)
+        expect(got, self.model.submit(order, last_close), order.id)
+        return outcome
+
+    def step_session(self, bar):
+        result = super().step_session(bar)
+        expect(self.close_view(result), self.model.step(bar), bar.session_date)
+        return result
+
+    def force_cover(self, bar):
+        want = self.model.force_cover(bar)
+        outcome = "cash check fails" if want.book[0] < 0 else "booked"
+        try:
+            result = super().force_cover(bar)
+        except AssertionError:
+            expect("cash check fails", outcome, "force_cover")
+            raise
+        expect("booked", outcome, "force_cover")
+        expect(self.close_view(result), want, "force_cover")
+        return result
+
+    def close_view(self, result: SessionResult) -> engine_model.Close:
+        cancels = tuple((e["order_id"], e["reason"]) for e in self.new_events() if e["type"] == "CANCEL")
+        expect(result.cancelled, tuple(order_id for order_id, _ in cancels), "cancelled ids")
+        fills = tuple(
+            (f.order_id, f.action.value, f.executed_at, units(f.fill_price), f.quantity, f.clamped_from, f.forced)
+            for f in result.fills
+        )
+        state = result.portfolio
+        book = (units(state.cash), state.shares_long, state.shares_short)
+        return engine_model.Close(fills, cancels, book, units(result.portfolio_value))
+
+
+def queue_late_order(engine: ExecutionEngine) -> None:
+    """An order placed at the last session's close, which the window end cancels."""
+    summary = json.loads(engine.audit.text().splitlines()[-1])
+    day = date.fromisoformat(summary["date"])
+    engine.validate_and_queue(mk_order(Action.BUY, 1, OrderType.LIMIT, "0.01", oid="late", submitted=day), D(summary["close"]))
+
+
+class TestReferenceModel:
+    """The engine against the reference model written from README, over the
+    busy and quiet random runs, each ended by a forced cover."""
+
+    @pytest.mark.parametrize("seeds, sessions, quiet", RANDOM_RUNS, ids=RANDOM_RUN_IDS)
+    def test_every_outcome_and_close_is_the_models(self, seeds, sessions, quiet):
+        for seed in seeds:
+            engine, _ = random_session_sequence(seed, sessions=sessions, quiet=quiet, engine_type=ModelChecked)
+            queue_late_order(engine)
+            close_with_cover(engine)
+
+    def test_the_runs_take_every_rule(self):
+        """Every reject and cancel reason, clamps at validation and at
+        execution, forced covers, and covers that fail the cash check."""
+        outcomes: set = set()
+        for seed in range(300):
+            engine, _ = random_session_sequence(seed, sessions=10, engine_type=ModelChecked)
+            queue_late_order(engine)
+            outcomes.add("cover failed" if close_with_cover(engine) is None else "cover booked")
+            for line in engine.audit.text().splitlines():
+                event = json.loads(line)
+                outcomes.add((event["type"], event.get("reason"), event.get("action")))
+                if event["type"] == "FILL" and event["clamped_from"] is not None:
+                    outcomes.add("clamped at execution")
+        assert {
+            "cover failed",
+            "cover booked",
+            "clamped at execution",
+            ("ORDER_CLAMPED", None, None),
+            ("FORCED_COVER", None, None),
+            *(("ORDER_REJECTED", reason, None) for reason in ("EMPTY_AFTER_CLAMP", "INSUFFICIENT_CASH", "SHORT_LIMIT")),
+            *(("CANCEL", reason, None) for reason in ("UNFILLED", "EMPTY_AFTER_CLAMP", "GAP_REJECT", "WINDOW_END")),
+            *(("FILL", None, action.value) for action in Action),
+        } <= outcomes
+
+
 class TestTradesFromAudit:
     def test_reads_back_the_fills_step_session_returned(self):
         for seed in range(100):
@@ -508,6 +630,43 @@ class TestTradesFromAudit:
         fills += engine.force_cover(bar_on(NEXT_DAY + timedelta(days=1), 90, 90, 90, 90)).fills
         assert trades_from_audit(engine.audit) == fills
         assert [(f.action, f.forced) for f in fills] == [(Action.SHORT, False), (Action.SHORT_COVER, True)]
+
+    def test_the_book_is_what_the_audit_records(self, tmp_path, monkeypatch):
+        """`trades` is every fill the audit records, forced covers included,
+        and `results` maps one to one onto its SESSION_SUMMARY lines but a
+        forced cover's: over the random runs and over a golden agent run."""
+        covers = 0
+        for seed in range(100):
+            engine, _ = random_session_sequence(seed)
+            covered = close_with_cover(engine) is not None
+            assert_book_is_the_audit(engine, covered)
+            covers += covered and engine.trades[-1].forced
+        assert covers
+
+        engines: list = []
+
+        class Kept(ExecutionEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(harness, "ExecutionEngine", Kept)
+        harness.run_experiment(build_workspace(tmp_path, mode="adaptive_opro_with_reflection", history_bars=GOLDEN_BARS))
+        [engine] = engines
+        assert len(engine.results) == WINDOW_SESSIONS and engine.trades
+        assert_book_is_the_audit(engine, covered=True)
+
+
+def assert_book_is_the_audit(engine: ExecutionEngine, covered: bool) -> None:
+    """The engine's trades and session results against its audit; a completed
+    forced cover wrote one summary more, last."""
+    assert engine.trades == trades_from_audit(engine.audit)
+    summaries = [e for e in map(json.loads, engine.audit.text().splitlines()) if e["type"] == "SESSION_SUMMARY"]
+    assert len(summaries) == len(engine.results) + covered
+    for result, summary in zip(engine.results, summaries):
+        state = result.portfolio
+        fields = (result.bar.session_date, state.cash, state.shares_long, state.shares_short, result.bar.close, result.portfolio_value)
+        assert summary == json.loads(summary_line(*fields))
 
 
 class TestAuditBytes:

@@ -39,7 +39,7 @@ from tradeloop.harness import (
     run_experiment,
     session_context,
 )
-from tradeloop.strategies import SessionLedger, StrategyConfig, StrategyKind, run_strategy
+from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
 from tradeloop.templates import load_asset_text, load_template
 
 from conftest import make_bar, rebuilt_requests, synthetic_daily
@@ -478,8 +478,9 @@ def report_from_sessions(sessions: list, covers: list, initial: Decimal) -> metr
     )
 
 
-class TestSessionLedger:
-    """Baselines and agent runs build their report from one `SessionLedger`."""
+class TestReportFromEngine:
+    """Baselines and agent runs build their report from the engine's own
+    session results and trades."""
 
     def test_baseline_report_is_the_sessions_report(self, monkeypatch):
         sessions, covers = record_sessions(monkeypatch)
@@ -633,11 +634,12 @@ class TestPeriodReview:
     def summary(self, values: list[str]) -> str:
         """The summary of a period over sessions marked at `values`, reviewed
         at one more session."""
-        ledger = SessionLedger()
-        for n, value in enumerate([*values, "0"]):
-            bar = make_bar(date(2025, 1, 6) + timedelta(days=n), 10, 10, 10, 10)
-            ledger.record(bar, SessionResult((), (), PortfolioState(Decimal(0), 0, 0), Decimal(value)))
-        return _period_review(ledger, [[] for _ in values], 0, len(values), Decimal(100_000))["period_summary"]
+        flat = PortfolioState(Decimal(0), 0, 0)
+        results = [
+            SessionResult(make_bar(date(2025, 1, 6) + timedelta(days=n), 10, 10, 10, 10), (), (), flat, Decimal(value))
+            for n, value in enumerate([*values, "0"])
+        ]
+        return _period_review(results, [[] for _ in values], 0, len(values), Decimal(100_000))["period_summary"]
 
     def test_return_counts_from_a_positive_start(self):
         assert "portfolio value 100.00 -> 150.00 (+50.00%)" in self.summary(["100", "150"])
@@ -851,13 +853,18 @@ class TestNewsBatches:
 
 def old_fundamental_batches(filings: list[FundamentalSnapshot], action_dates: list[date], sessions: list[date]) -> tuple:
     """The per-session filter over every filing that `fundamental_batches`
-    replaced, kept as its oracle: at each filing or action date, the filings
-    since the last such session, or every filing so far if there are none."""
-    event_dates = {snap.filing_date for snap in filings} | set(action_dates)
+    replaced, kept as its oracle: at each session with a filing or action
+    dated after the session before it and on or before it (at the first
+    session, on it), the filings since the last such session, or every filing
+    so far if there are none."""
+    event_dates = [snap.filing_date for snap in filings] + list(action_dates)
     batches = []
     delivered = 0
+    previous = None
     for session in sessions:
-        if session not in event_dates:
+        since = [d for d in event_dates if (d == session if previous is None else previous < d <= session)]
+        previous = session
+        if not since:
             batches.append(None)
             continue
         available = [snap for snap in filings if snap.filing_date <= session]
@@ -910,6 +917,21 @@ class TestFundamentalBatches:
         assert "No fundamentals on file" in texts[0]
         assert ["Q1 (Filed" in text for text in texts] == [False, True, True, False]
         assert hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest() == GOLDEN_ACTION_TURNS_DIGEST
+
+    def test_a_weekend_filing_gets_the_next_sessions_turn(self, tmp_path):
+        """A Q1 filing on a Saturday reaches the analyst on the Monday, in its
+        own turn, and not a quarter later together with Q2."""
+        config = build_workspace(tmp_path, mode="baseline")
+        window = load_data(config).sessions
+        friday = next(k for k in range(1, 25) if window[k].weekday() == 4)
+        path = Path(config.paths["fundamentals"])
+        filings = json.loads(path.read_text(encoding="utf-8"))
+        filings[0]["filing_date"] = (window[friday] + timedelta(days=1)).isoformat()
+        path.write_text(json.dumps(filings), encoding="utf-8")
+        records = role_records(run_experiment(config)[0][0].run_dir, "fundamental")
+        assert [record["tags"]["session"] for record, _ in records] == [window[k].isoformat() for k in (friday + 1, 30)]
+        texts = [request.messages[-1].text for _, request in records]
+        assert [("Q1 (Filed" in text, "Q2 (Filed" in text) for text in texts] == [(True, False), (False, True)]
 
 
 class TestSessionContext:
