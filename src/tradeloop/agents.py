@@ -94,14 +94,10 @@ def fmt_price(value) -> str:
 
 
 def recent_activity_text(fills: Sequence) -> str:
-    """The last RECENT_FILLS fills as "DATE ACTION QTY @ PRICE" lines; "None"
-    if empty."""
-    tail = list(fills)[-RECENT_FILLS:]
-    if not tail:
-        return "None"
+    """The last RECENT_FILLS fills as "DATE ACTION QTY @ PRICE" lines."""
     lines = [
         f"{f.executed_at.isoformat()} {f.action.value} {f.quantity} @ {fmt_price(f.fill_price)}"
-        for f in tail
+        for f in fills[-RECENT_FILLS:]
     ]
     return "\n".join(lines)
 

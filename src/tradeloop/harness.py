@@ -578,7 +578,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
             bar = series.bars[bar_index]
             step = i + 1
             result = engine.step_session(bar)
-            ctx = session_context(config, bar, result.portfolio, engine.trades[-agents.RECENT_FILLS :])
+            ctx = session_context(config, bar, result.portfolio, engine.trades)
             tags = (("step", str(step)), ("session", session.isoformat()))
 
             # Reflection happens between decisions, looking back over the period.

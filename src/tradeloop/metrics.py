@@ -92,6 +92,15 @@ def daily_returns(values: Sequence[float]) -> list[float]:
     return [b / a - 1.0 for a, b in zip(values, values[1:])]
 
 
+def _returns(curve: list[float]) -> list[float]:
+    """The daily returns Sharpe and Sortino share; none below three values or
+    when a value at or below zero would be the base of a return, which leaves
+    both metrics None."""
+    if len(curve) < 3 or min(curve[:-1]) <= 0.0:
+        return []
+    return daily_returns(curve)
+
+
 def roi(values: Sequence[float]) -> float:
     """(V_T - V_0) / V_0 * 100."""
     if len(values) < 2:
@@ -104,11 +113,9 @@ def roi(values: Sequence[float]) -> float:
 
 def sharpe(values: Sequence[float]) -> tuple[float | None, float | None]:
     """(daily, annualized) Sharpe at a risk-free rate of 0: mean daily return
-    over its sample stdev; annualized = daily * sqrt(252). Zero variance ->
-    (None, None)."""
-    if len(values) < 3:
-        return None, None
-    return _sharpe(daily_returns([float(v) for v in values]))
+    over its sample stdev; annualized = daily * sqrt(252). Zero variance, or
+    a value at or below zero as the base of a return -> (None, None)."""
+    return _sharpe(_returns([float(v) for v in values]))
 
 
 def _sharpe(rets: list[float]) -> tuple[float | None, float | None]:
@@ -124,11 +131,10 @@ def sortino(values: Sequence[float]) -> float | None:
     risk-free rate of 0.
 
     Undefined when there are no negative returns or their dispersion is zero
-    (e.g. a single negative return, or identical ones).
+    (e.g. a single negative return, or identical ones), and when a value at or
+    below zero would be the base of a return.
     """
-    if len(values) < 3:
-        return None
-    return _sortino(daily_returns([float(v) for v in values]))
+    return _sortino(_returns([float(v) for v in values]))
 
 
 def _sortino(rets: list[float]) -> float | None:
@@ -247,8 +253,7 @@ def compute_report(values: Sequence[float], trades: Sequence[Fill], exposures: S
     trips = match_round_trips(trades)
     floats = [float(v) for v in values]
     curve = [float(initial)] + floats
-    # The returns Sharpe and Sortino share; below three values both are undefined.
-    rets = daily_returns(floats) if len(floats) >= 3 else []
+    rets = _returns(floats)
     sr_daily, sr_ann = _sharpe(rets)
     return MetricReport(
         roi_pct=roi(curve),

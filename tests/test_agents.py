@@ -629,9 +629,6 @@ class TestCentralAgent:
 
 
 class TestRecentActivity:
-    def test_none_when_empty(self):
-        assert recent_activity_text([]) == "None"
-
     def test_last_five_formatted(self):
         fills = [
             Fill(f"o{d}", Action.BUY, date(2025, 5, d), Decimal("100.5"), d) for d in range(1, 8)

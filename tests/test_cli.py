@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tradeloop
 from tradeloop.bars import CSV_COLUMNS, serialize_bars
 from tradeloop import cli
 from tradeloop.cli import main
 from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
 
 from conftest import synthetic_daily
-from test_harness import build_workspace
+from test_harness import build_workspace, order_payload
 
 # JSON nested beyond the decoder's depth, which raises RecursionError.
 NESTED = "[" * 100_000 + "]" * 100_000
@@ -132,6 +136,53 @@ class TestRunReportReplay:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--runs", str(empty)]) == EXIT_DATA
+
+    def test_equity_at_zero_leaves_sharpe_and_sortino_null(self, tmp_path, capsys):
+        """A short of 1000 at 100 from 100k cash is marked at exactly 0 by the
+        close at 200. The run still ends: Sharpe and Sortino, which would need
+        a return from that session, are null, and it replays."""
+        dates = ["2025-01-06", "2025-01-07", "2025-01-08", "2025-01-09", "2025-01-10"]
+        rows = [f"{d},{c},{c},{c},{c},1000,," for d, c in zip(dates, (100, 100, 200, 120, 90))]
+        bars = _file(tmp_path, "bars.csv", "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+        config = {
+            "experiment": "zero",
+            "instrument": "SYNTH",
+            "window_start": dates[0],
+            "window_end": dates[-1],
+            "prompting_mode": "baseline",
+            "runs": 1,
+            "initial_cash": "100000",
+            "ablations": {"no_news": True, "no_market": True, "no_fundamental": True},
+            "providers": {
+                "cta": {
+                    "kind": "scripted",
+                    "script": [{"response": order_payload("SHORT", 1000), "times": 1}, {"match": "", "response": "[]", "times": None}],
+                }
+            },
+            "paths": {"bars": bars, "out_dir": str(tmp_path / "runs")},
+        }
+        config_path = _file(tmp_path, "config.json", json.dumps(config))
+        assert main(["run", "--config", config_path]) == EXIT_OK
+        run_dir = tmp_path / "runs" / "zero" / "run-1"
+        payload = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
+        assert payload["equity"]["values"] == ["100000", "100000", "0", "80000", "110000"]
+        report = payload["metrics"]
+        assert (report["sharpe_daily"], report["sharpe_annualized"], report["sortino"]) == (None, None, None)
+        assert report["roi_pct"] == pytest.approx(10.0)
+        assert main(["replay", "--run", str(run_dir)]) == EXIT_OK
+        assert "byte-identical" in capsys.readouterr().out
+
+
+def test_the_cli_reaches_every_module_of_the_package():
+    """Importing the CLI imports every module the package holds, so none is
+    left that no run reaches."""
+    code = (
+        "import pkgutil, sys, tradeloop, tradeloop.cli\n"
+        "print(sorted(m.name for m in pkgutil.iter_modules(tradeloop.__path__) if 'tradeloop.' + m.name not in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tradeloop.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -467,6 +467,17 @@ class TestComputeReport:
         assert report.roi_pct == pytest.approx(roi(values))
         assert report.max_drawdown_pct == pytest.approx(max_drawdown(values))
 
+    def test_a_base_at_or_below_zero_leaves_sharpe_and_sortino_undefined(self):
+        """A return from a session value at or below zero is undefined; a
+        last value at zero is no base, so its returns stay defined."""
+        for values in ([100_000.0, 100_000.0, 0.0, 80_000.0, 110_000.0], [100_000.0, -5_000.0, 90_000.0, 95_000.0]):
+            report = compute_report(values, [], [0.0] * len(values), initial=100_000.0)
+            assert (report.sharpe_daily, report.sharpe_annualized, report.sortino) == (None, None, None)
+            assert sharpe(values) == (None, None) and sortino(values) is None
+            assert report.roi_pct == pytest.approx(roi(values))
+        report = compute_report([100_000.0, 90_000.0, 45_000.0, 0.0], [], [0.0] * 4, initial=100_000.0)
+        assert report.sharpe_daily is not None and report.sortino is not None
+
 
 def previous_sample_std(xs: list[float]) -> float | None:
     """`_sample_std` as it summed before: through a generator."""
