@@ -334,11 +334,6 @@ def read_fence(text: str, require_json: bool = False) -> str | None:
     return None
 
 
-def strip_fences(text: str) -> str:
-    body = read_fence(text)
-    return text if body is None else body
-
-
 def parse_orders(text: str) -> list[OrderSpec]:
     """Strictly validate an order array (possibly inside a ```json fence).
 
@@ -346,7 +341,8 @@ def parse_orders(text: str) -> list[OrderSpec]:
     finite numeric price that is positive at 4 decimals; quantity is a
     positive JSON integer; exactly the five schema fields, nothing else.
     """
-    payload = strip_fences(text).strip()
+    body = read_fence(text)  # an empty fence body is the payload, not the whole text
+    payload = (text if body is None else body).strip()
     try:
         data = json.loads(payload)
     except json.JSONDecodeError as exc:

@@ -207,17 +207,10 @@ class Lookback:
 
     years: int = 0
     months: int = 0
-    days: int = 0
 
     def before(self, as_of: date) -> date:
-        total_months = self.years * 12 + self.months
-        year, month = as_of.year, as_of.month
-        month -= total_months
-        while month < 1:
-            month += 12
-            year -= 1
-        day = min(as_of.day, _days_in_month(year, month))
-        return date(year, month, day) - timedelta(days=self.days)
+        year, month = divmod(as_of.year * 12 + as_of.month - 1 - self.years * 12 - self.months, 12)
+        return date(year, month + 1, min(as_of.day, _days_in_month(year, month + 1)))
 
 
 def _days_in_month(year: int, month: int) -> int:
@@ -382,41 +375,16 @@ def _fmt_opt(value) -> str:
 
 
 def serialize_bars(series: BarSeries, format: str = "csv") -> str:
-    """Canonical serialization; CSV round-trips byte-identically with parse_bars."""
-    if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for b in series.bars:
-            lines.append(
-                ",".join(
-                    (
-                        b.session_date.isoformat(),
-                        str(b.open),
-                        str(b.high),
-                        str(b.low),
-                        str(b.close),
-                        str(b.volume),
-                        _fmt_opt(b.vwap),
-                        _fmt_opt(b.transactions),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if format == "jsonl":
-        lines = []
-        for b in series.bars:
-            obj = {
-                "date": b.session_date.isoformat(),
-                "open": str(b.open),
-                "high": str(b.high),
-                "low": str(b.low),
-                "close": str(b.close),
-                "volume": b.volume,
-                "vwap": None if b.vwap is None else str(b.vwap),
-                "transactions": b.transactions,
-            }
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
-    raise BarDataError(f"unknown format {format!r}")
+    """Canonical CSV, the one `format`; it round-trips byte-identically with parse_bars."""
+    if format != "csv":
+        raise BarDataError(f"unknown format {format!r}")
+    lines = [",".join(CSV_COLUMNS)]
+    for b in series.bars:
+        lines.append(
+            f"{b.session_date.isoformat()},{b.open!s},{b.high!s},{b.low!s},{b.close!s},{b.volume},"
+            f"{_fmt_opt(b.vwap)},{_fmt_opt(b.transactions)}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def parse_actions_csv(text: str) -> list[CorporateAction]:

@@ -58,7 +58,7 @@ def _cmd_backtest(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{args.strategy}_metrics.json").write_text(result.report.to_json() + "\n", encoding="utf-8")
-        (out / f"{args.strategy}_audit.jsonl").write_text(result.audit.text(), encoding="utf-8")
+        (out / f"{args.strategy}_audit.jsonl").write_text(result.engine.audit.text(), encoding="utf-8")
     return EXIT_OK
 
 

@@ -116,14 +116,20 @@ class Rejection:
 
 @dataclass(frozen=True, slots=True)
 class SessionResult:
-    """The close of the session of `bar`: its fills and cancelled orders, and
-    the book after them, marked at the bar's close."""
+    """The close of the session of `bar`: the orders placed at the session
+    before it, as queued (clamped, in submission order), their fills and
+    cancelled ids, and the book after them."""
 
     bar: Bar
+    orders: tuple[Order, ...]
     fills: tuple[Fill, ...]
     cancelled: tuple[str, ...]
     portfolio: PortfolioState
-    portfolio_value: Decimal
+
+    @property
+    def portfolio_value(self) -> Decimal:
+        """The book marked at the bar's close."""
+        return portfolio_value(self.portfolio, self.bar.close)
 
 
 def portfolio_value(portfolio: PortfolioState, close: Decimal) -> Decimal:
@@ -135,9 +141,9 @@ def portfolio_value(portfolio: PortfolioState, close: Decimal) -> Decimal:
 class AuditLog:
     """Append-only JSONL stream, one compact JSON object per line.
 
-    Keys keep insertion order, or are sorted with `sort_keys`. Every line goes
-    straight to the sink (a path opens a new file, no path means memory) and
-    is flushed; nothing else is kept: `text()` reads back what was written.
+    Keys keep the dict's insertion order. Every line goes straight to the
+    sink (a path opens a new file, no path means memory) and is flushed;
+    nothing else is kept: `text()` reads back what was written.
     Values JSON lacks are written as `str()`: a Decimal as its digits, a date
     in ISO form.
 
@@ -146,10 +152,10 @@ class AuditLog:
     bytes this log's encoder gives for the event's dict.
     """
 
-    def __init__(self, sink: Path | str | None = None, sort_keys: bool = False):
+    def __init__(self, sink: Path | str | None = None):
         self.path = None if sink is None else Path(sink)
         self._fh = io.StringIO() if self.path is None else open(self.path, "w", encoding="utf-8")
-        self._encode = json.JSONEncoder(separators=(",", ":"), sort_keys=sort_keys, default=str).encode
+        self._encode = json.JSONEncoder(separators=(",", ":"), default=str).encode
 
     def append(self, event: dict | str) -> None:
         if not isinstance(event, str):
@@ -253,7 +259,8 @@ class ExecutionEngine:
         )
         self.trades.append(fill)
         self.audit.append(line)
-        assert state.cash >= 0 and state.shares_long >= 0 and state.shares_short >= 0, f"booking {fill.order_id} left {state}"
+        if state.cash < 0 or state.shares_long < 0 or state.shares_short < 0:  # not an assert: it holds under -O too
+            raise AssertionError(f"booking {fill.order_id} left {state}")
 
     def _event(self, type: str, **fields) -> None:
         self.audit.append({"v": AUDIT_SCHEMA_VERSION, "type": type, **fields})
@@ -270,9 +277,11 @@ class ExecutionEngine:
             if order.submitted_at >= bar.session_date:
                 raise EngineError("order submitted at or after the matching bar")
 
+        orders: tuple[Order, ...] = ()
         fills: tuple[Fill, ...] = ()
         cancelled: tuple[str, ...] = ()
         for order, submitted_qty in self._queue:
+            orders += (order,)
             price = fill_price(order, bar)
             qty = self._held(order.action, order.quantity)
             if price is None:
@@ -300,11 +309,11 @@ class ExecutionEngine:
 
         self._queue.clear()
         self._as_of = bar.session_date
-        result = self._summarize(bar, fills, cancelled)
+        result = self._summarize(bar, orders, fills, cancelled)
         self.results.append(result)
         return result
 
-    def _summarize(self, bar, fills: tuple[Fill, ...], cancelled: tuple[str, ...]) -> SessionResult:
+    def _summarize(self, bar, orders: tuple[Order, ...], fills: tuple[Fill, ...], cancelled: tuple[str, ...]) -> SessionResult:
         """Close the session of `bar`: mark the state at its close and write
         the SESSION_SUMMARY line."""
         state = self._state
@@ -312,17 +321,19 @@ class ExecutionEngine:
         self.audit.append(
             summary_line(bar.session_date, state.cash, state.shares_long, state.shares_short, bar.close, value)
         )
-        return SessionResult(bar, fills, cancelled, state, value)
+        return SessionResult(bar, orders, fills, cancelled, state)
 
     def force_cover(self, bar) -> SessionResult:
-        """Cover any outstanding short at the final close; cancel leftovers.
+        """Cover any outstanding short at the final close; cancel leftovers,
+        which the result holds as its `orders`.
 
         Runs at the last session of the window, after its summary. The cover
         is accounted like a MARKET buy at the close, so the marked portfolio
         value is unchanged. Its result marks that session again, so it is not
         kept in `results`; its fill is kept in `trades`.
         """
-        cancelled = tuple(order.id for order, _ in self._queue)
+        orders = tuple(order for order, _ in self._queue)
+        cancelled = tuple(order.id for order in orders)
         for order_id in cancelled:
             self._event("CANCEL", order_id=order_id, reason="WINDOW_END")
         self._queue.clear()
@@ -343,7 +354,7 @@ class ExecutionEngine:
             })
             fills = (fill,)
         self._as_of = bar.session_date
-        return self._summarize(bar, fills, cancelled)
+        return self._summarize(bar, orders, fills, cancelled)
 
     def columns(self) -> tuple[list[float], list[Fill], list[float]]:
         """`metrics.compute_report`'s values, trades and exposures, in that

@@ -186,8 +186,8 @@ def record_line(
     response_json: str,
     system_text: str | None,
 ) -> str:
-    """The gateway.jsonl line of call `ts`: what `AuditLog(sort_keys=True)`
-    writes for its record, whose `messages` are `fragments`, each a
+    """The gateway.jsonl line of call `ts`: its record as compact JSON with
+    sorted keys and `default=str`, whose `messages` are `fragments`, each a
     `message_fragment`, and whose response text is `response_json`, as
     `encode_basestring_ascii` writes it. A record with `prior` 0 holds
     `system_text`, any other has None."""
@@ -398,7 +398,7 @@ class Gateway:
         self.provider = provider
         self.max_attempts = max_attempts
         self.sleep = sleep
-        self.audit = AuditLog(audit_sink, sort_keys=True)
+        self.audit = AuditLog(audit_sink)
         self._counter = 0
         # Per role tag: the system text and messages its audit records hold.
         self._recorded: dict[str | None, tuple[str, tuple[ChatMessage, ...]]] = {}

@@ -3,10 +3,12 @@
 Wiring per session: one session context is built, analysts refresh per
 cadence and ablation flags, the context and their reports render into the
 live template, the central agent's orders queue, and the next session's bar
-matches them. The engine keeps each session's result (with its bar) and
-every fill; the period reviews, the equity curve and the metrics read them
-there. Scoring windows close per the prompting mode; the window end
-force-covers shorts. Everything an experiment produces is a file under
+matches them. The engine keeps each session's result (its bar, the orders
+it matched and their fills) and every fill; the period reviews, the equity
+curve and the metrics read them there. Beside the engine the loop keeps only
+the latest reports and the count of decision fallbacks. Scoring windows
+close per the prompting mode; the window end force-covers shorts.
+Everything an experiment produces is a file under
 runs/<experiment>/<run_id>/, byte-reproducible given the same config, data
 and scripts.
 """
@@ -28,14 +30,14 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Annotated, Callable, Literal, Sequence, get_args, get_origin, get_type_hints
 
-from . import agents, indicators, metrics, opro
+from . import agents, indicators, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
-from .engine import AuditLog, ExecutionEngine, Fill, Order, PortfolioState, Rejection, SessionResult
+from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, SessionResult
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError, ReplayMismatch
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
-from .templates import asset_path, load_template
+from .templates import asset_path, check_override_dir, load_template
 
 PROVIDER_ROLES = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
 ABLATIONS = ("no_news", "no_market", "no_fundamental")
@@ -419,10 +421,13 @@ def build_router(config: ExperimentConfig):
 
 @dataclass
 class RunArtifact:
-    run_id: str
     run_dir: Path
     metrics: MetricReport
     equity: list[tuple[date, Decimal]] = field(default_factory=list)  # (session, portfolio value)
+
+    @property
+    def run_id(self) -> str:
+        return self.run_dir.name
 
 
 # -- per-session context builders -------------------------------------------
@@ -490,24 +495,22 @@ def session_context(config: ExperimentConfig, bar: Bar, state: PortfolioState, f
     }
 
 
-def _period_review(results: list[SessionResult], orders: list[list[Order]], first: int, last: int, inception: Decimal) -> dict:
+def _period_review(results: list[SessionResult], first: int, last: int, inception: Decimal) -> dict:
     """The reflection's three values over sessions `first` to `last` - 1. A
-    session's fills are in the next session's result: the engine matches its
-    whole queue against the next bar. The return counts from the start value
-    or, at or below zero (a short squeezed past the cash), from `inception`."""
-    period = results[first:last]
-    fills = [result.fills for result in results[first + 1 : last + 1]]
+    session's orders and fills are in the next session's result, which
+    matched its queue. The return counts from the start value or, at or
+    below zero (a short squeezed past the cash), from `inception`."""
+    period, matched = results[first:last], results[first + 1 : last + 1]
     v_start, v_end = period[0].portfolio_value, period[-1].portfolio_value
     base = float(v_start) if v_start > 0 else float(inception)
     lines = []
-    sessions = zip(period, orders[first:last], fills)
-    for number, (result, placed, filled) in enumerate(sessions, start=first + 1):
+    for number, (result, next_result) in enumerate(zip(period, matched), start=first + 1):
         decided = "; ".join(
             f"{o.action.value} {o.quantity} {o.order_type.value}"
             + (f" @ {agents.fmt_price(o.price)}" if o.price is not None else "")
-            for o in placed
+            for o in next_result.orders
         ) or "no orders"
-        booked = "; ".join(f"{f.action.value} {f.quantity} @ {f.fill_price}" for f in filled) or "no fills"
+        booked = "; ".join(f"{f.action.value} {f.quantity} @ {f.fill_price}" for f in next_result.fills) or "no fills"
         lines.append(
             f"{result.bar.session_date.isoformat()} (step {number}): decided [{decided}] | filled [{booked}]"
             f" | value {agents.fmt_price(result.portfolio_value)}"
@@ -515,13 +518,13 @@ def _period_review(results: list[SessionResult], orders: list[list[Order]], firs
     summary = (
         f"Sessions {period[0].bar.session_date.isoformat()} -> {period[-1].bar.session_date.isoformat()} | "
         f"portfolio value {agents.fmt_price(v_start)} -> {agents.fmt_price(v_end)} "
-        f"({(float(v_end) - base) / base * 100.0:+.2f}%) | orders submitted {sum(map(len, orders[first:last]))}"
-        f" | fills {sum(map(len, fills))}"
+        f"({(float(v_end) - base) / base * 100.0:+.2f}%) | orders submitted {sum(len(r.orders) for r in matched)}"
+        f" | fills {sum(len(r.fills) for r in matched)}"
     )
     return {"reflection_interval": str(last - first), "period_summary": summary, "complete_history": "\n".join(lines)}
 
 
-def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir: Path) -> RunArtifact:
+def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> RunArtifact:
     """One run into `run_dir`. Its config.lock is written before the first
     session, and its logs stream to disk and are closed on every exit, so an
     aborted run leaves its config and the exchanges it completed.
@@ -533,6 +536,8 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
     cash = positive_cash(config.initial_cash)
 
     prompt_dir = config.prompt_dir or None
+    if prompt_dir is not None:
+        check_override_dir(prompt_dir)
     tpl = lambda name: load_template(name, override_dir=prompt_dir)
     optimizer_path = asset_path("optimizer", prompt_dir)
     optimizer_asset = optimizer_path.read_text(encoding="utf-8")
@@ -571,7 +576,6 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         reflection_template = tpl("reflection")
 
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
-        orders: list[list[Order]] = []  # the orders each session placed, which the engine does not report
         reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
 
         for i, (session, bar_index) in enumerate(zip(sessions, data.session_bars)):
@@ -583,7 +587,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
 
             # Reflection happens between decisions, looking back over the period.
             if config.uses_reflection and i > 0 and i % config.reflection_interval == 0:
-                context = ctx | _period_review(engine.results, orders, i - config.reflection_interval, i, cash)
+                context = ctx | _period_review(engine.results, i - config.reflection_interval, i, cash)
                 reports["reflection_analysis"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
 
             if market is not None:
@@ -597,9 +601,8 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
 
             outcome = cta.decide(ctx | reports, tags=tags)
             decision_fallbacks += outcome.gave_up
-            specs = agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}")
-            placed = [engine.validate_and_queue(order, last_close=bar.close) for order in specs]
-            orders.append([order for order in placed if not isinstance(order, Rejection)])
+            for order in agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}"):
+                engine.validate_and_queue(order, last_close=bar.close)
 
             # The last window, which may be partial, closes without an update.
             if config.uses_opro and (optimizer.is_boundary(step) or step == len(sessions)):
@@ -623,7 +626,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_id: str, run_dir:
         "decision_fallbacks": decision_fallbacks,
     }
     (run_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return RunArtifact(run_id=run_id, run_dir=run_dir, metrics=report, equity=equity)
+    return RunArtifact(run_dir=run_dir, metrics=report, equity=equity)
 
 
 def read_run(run_dir: Path) -> RunArtifact:
@@ -652,7 +655,7 @@ def read_run(run_dir: Path) -> RunArtifact:
             raise ValueError("equity values must be finite")
     except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
         raise DataError(f"bad {path}: {exc!r}") from None
-    return RunArtifact(run_id=run_dir.name, run_dir=run_dir, metrics=MetricReport.from_dict(metrics), equity=curve)
+    return RunArtifact(run_dir=run_dir, metrics=MetricReport.from_dict(metrics), equity=curve)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -661,8 +664,7 @@ def run_experiment(config: ExperimentConfig):
     exp_dir = Path(config.paths.get("out_dir", "runs")) / config.experiment
     artifacts: list[RunArtifact] = []
     for idx in range(1, config.runs + 1):
-        run_id = f"run-{idx}"
-        artifacts.append(run_single(config, data, run_id, exp_dir / run_id))
+        artifacts.append(run_single(config, data, exp_dir / f"run-{idx}"))
     bundle = aggregate_and_report(artifacts, label=config.prompting_mode)
     (exp_dir / "report.txt").write_text(bundle["table"], encoding="utf-8")
     (exp_dir / "report.csv").write_text(bundle["csv"], encoding="utf-8")
@@ -715,7 +717,7 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
         # Without a scratch_dir the replay leaves nothing behind, whatever its outcome.
         scratch = Path(scratch_dir) if scratch_dir else Path(stack.enter_context(tempfile.TemporaryDirectory()))
         try:
-            artifact = run_single(config, data, run_dir.name, scratch)
+            artifact = run_single(config, data, scratch)
         except GatewayError as exc:
             if exc.code in ("REPLAY_MISMATCH", "SCRIPT_EXHAUSTED"):
                 raise ReplayMismatch(f"replay diverged: {exc}") from exc

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import date
 from itertools import count
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -48,7 +47,6 @@ class Level(NamedTuple):
 
 @dataclass(frozen=True)
 class LevelSet:
-    as_of: date
     support: tuple[Level, ...]
     resistance: tuple[Level, ...]
 
@@ -376,7 +374,7 @@ def levels_at(
             resistance = highs.levels(min_touches)
         if lows.advance(i - 2):
             support = lows.levels(min_touches)
-        yield LevelSet(as_of=series.bars[i].session_date, support=support, resistance=resistance)
+        yield LevelSet(support=support, resistance=resistance)
 
 
 def detect_levels(

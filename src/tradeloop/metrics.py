@@ -1,8 +1,10 @@
 """Performance analytics over equity curves and trade logs.
 
-Undefined metrics stay None (serialized as null, rendered "n/a"); they are
-never coerced to 0 except win_rate, which reports 0 on an empty trip list.
-Sample (n-1) standard deviation throughout.
+Each metric has one function, which `compute_report` calls on the run's
+float curve, its daily `returns` or its round trips. Undefined metrics stay
+None (serialized as null, rendered "n/a"); they are never coerced to 0
+except win_rate, which reports 0 on an empty trip list. Sample (n-1)
+standard deviation throughout.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from datetime import date
 from typing import Iterable, Sequence
 
 from .engine import Action, Fill
@@ -25,8 +26,6 @@ class MetricsError(ValueError):
 @dataclass(frozen=True)
 class RoundTrip:
     direction: str  # "long" | "short"
-    opened_at: date
-    closed_at: date
     quantity: int
     entry_cost: object
     exit_proceeds: object
@@ -88,17 +87,13 @@ def _sample_std(xs: Sequence[float]) -> float | None:
     return math.sqrt(sum([(x - mu) ** 2 for x in xs]) / (n - 1))
 
 
-def daily_returns(values: Sequence[float]) -> list[float]:
-    return [b / a - 1.0 for a, b in zip(values, values[1:])]
-
-
-def _returns(curve: list[float]) -> list[float]:
+def returns(curve: list[float]) -> list[float]:
     """The daily returns Sharpe and Sortino share; none below three values or
     when a value at or below zero would be the base of a return, which leaves
     both metrics None."""
     if len(curve) < 3 or min(curve[:-1]) <= 0.0:
         return []
-    return daily_returns(curve)
+    return [b / a - 1.0 for a, b in zip(curve, curve[1:])]
 
 
 def roi(values: Sequence[float]) -> float:
@@ -111,14 +106,10 @@ def roi(values: Sequence[float]) -> float:
     return (float(values[-1]) - v0) / v0 * 100.0
 
 
-def sharpe(values: Sequence[float]) -> tuple[float | None, float | None]:
-    """(daily, annualized) Sharpe at a risk-free rate of 0: mean daily return
-    over its sample stdev; annualized = daily * sqrt(252). Zero variance, or
-    a value at or below zero as the base of a return -> (None, None)."""
-    return _sharpe(_returns([float(v) for v in values]))
-
-
-def _sharpe(rets: list[float]) -> tuple[float | None, float | None]:
+def sharpe(rets: list[float]) -> tuple[float | None, float | None]:
+    """(daily, annualized) Sharpe of daily returns `rets` at a risk-free rate
+    of 0: their mean over their sample stdev; annualized = daily * sqrt(252).
+    Fewer than two returns or zero variance -> (None, None)."""
     sd = _sample_std(rets)
     if sd is None or sd == 0.0:
         return None, None
@@ -126,18 +117,13 @@ def _sharpe(rets: list[float]) -> tuple[float | None, float | None]:
     return daily, daily * math.sqrt(TRADING_DAYS_PER_YEAR)
 
 
-def sortino(values: Sequence[float]) -> float | None:
-    """Mean daily return over the sample stdev of negative returns only, at a
-    risk-free rate of 0.
+def sortino(rets: list[float]) -> float | None:
+    """The mean of daily returns `rets` over the sample stdev of the negative
+    ones only, at a risk-free rate of 0.
 
-    Undefined when there are no negative returns or their dispersion is zero
-    (e.g. a single negative return, or identical ones), and when a value at or
-    below zero would be the base of a return.
+    Undefined when there are fewer than two negative returns or their
+    dispersion is zero (e.g. identical ones).
     """
-    return _sortino(_returns([float(v) for v in values]))
-
-
-def _sortino(rets: list[float]) -> float | None:
     downside = [r for r in rets if r < 0.0]
     sd = _sample_std(downside)  # None below two negative returns
     if sd is None or sd == 0.0:
@@ -145,15 +131,9 @@ def _sortino(rets: list[float]) -> float | None:
     return _mean(rets) / sd
 
 
-def max_drawdown(values: Sequence[float]) -> float:
-    """Worst peak-to-trough decline: max over t of (peak_t - V_t)/peak_t * 100."""
-    if not values:
-        raise MetricsError("need at least 1 point")
-    return _max_drawdown([float(v) for v in values])
-
-
-def _max_drawdown(curve: list[float]) -> float:
-    """`max_drawdown` of a non-empty curve already converted to floats."""
+def max_drawdown(curve: list[float]) -> float:
+    """Worst peak-to-trough decline of a non-empty curve: max over t of
+    (peak_t - V_t)/peak_t * 100."""
     peak = curve[0]
     worst = 0.0
     for v in curve:
@@ -168,14 +148,14 @@ def _max_drawdown(curve: list[float]) -> float:
 def match_round_trips(trades: Iterable[Fill]) -> list[RoundTrip]:
     """FIFO lot matching per direction; each closing fill yields one trip.
     Residual open lots are excluded."""
-    long_lots: list[list] = []  # [opened_at, qty, price]
+    long_lots: list[list] = []  # [qty, price]
     short_lots: list[list] = []
     trips: list[RoundTrip] = []
     for t in trades:
         if t.action == Action.BUY:
-            long_lots.append([t.executed_at, t.quantity, t.fill_price])
+            long_lots.append([t.quantity, t.fill_price])
         elif t.action == Action.SHORT:
-            short_lots.append([t.executed_at, t.quantity, t.fill_price])
+            short_lots.append([t.quantity, t.fill_price])
         elif t.action == Action.SELL:
             trips.extend(_close(long_lots, t, "long"))
         else:  # SHORT_COVER
@@ -186,18 +166,16 @@ def match_round_trips(trades: Iterable[Fill]) -> list[RoundTrip]:
 def _close(lots: list[list], t: Fill, direction: str) -> list[RoundTrip]:
     remaining = t.quantity
     entry_cost = None
-    opened_at = None
     matched = 0
     while remaining > 0 and lots:
         lot = lots[0]
-        take = min(remaining, lot[1])
-        cost = lot[2] * take
+        take = min(remaining, lot[0])
+        cost = lot[1] * take
         entry_cost = cost if entry_cost is None else entry_cost + cost
-        opened_at = lot[0] if opened_at is None else opened_at
-        lot[1] -= take
+        lot[0] -= take
         remaining -= take
         matched += take
-        if lot[1] == 0:
+        if lot[0] == 0:
             lots.pop(0)
     if matched == 0:
         raise MetricsError(f"closing fill with no open {direction} lots at {t.executed_at}")
@@ -206,8 +184,6 @@ def _close(lots: list[list], t: Fill, direction: str) -> list[RoundTrip]:
     return [
         RoundTrip(
             direction=direction,
-            opened_at=opened_at,
-            closed_at=t.executed_at,
             quantity=matched,
             entry_cost=entry_cost,
             exit_proceeds=t.fill_price * matched,
@@ -248,19 +224,18 @@ def roic(values: Sequence[float], exposures: Sequence[float]) -> float | None:
     return profit / _mean([float(e) for e in deployed]) * 100.0
 
 
-def compute_report(values: Sequence[float], trades: Sequence[Fill], exposures: Sequence[float], initial: float) -> MetricReport:
+def compute_report(values: list[float], trades: Sequence[Fill], exposures: Sequence[float], initial: float) -> MetricReport:
     """The report of `values`, one per session; ROI, drawdown and ROIC count from the cash `initial`."""
     trips = match_round_trips(trades)
-    floats = [float(v) for v in values]
-    curve = [float(initial)] + floats
-    rets = _returns(floats)
-    sr_daily, sr_ann = _sharpe(rets)
+    curve = [initial, *values]
+    rets = returns(values)
+    sr_daily, sr_ann = sharpe(rets)
     return MetricReport(
         roi_pct=roi(curve),
         sharpe_daily=sr_daily,
         sharpe_annualized=sr_ann,
-        sortino=_sortino(rets),
-        max_drawdown_pct=_max_drawdown(curve),
+        sortino=sortino(rets),
+        max_drawdown_pct=max_drawdown(curve),
         win_rate_pct=win_rate(trips),
         num_trades=num_trades(trades),
         roic_pct=roic(curve, exposures),

@@ -195,7 +195,7 @@ class AdaptiveOpro:
         self.iteration = 1
         self.history = [PromptRecord(self.iteration, initial_template.body)]
         self.windows: list[ScoringWindow] = []
-        self.log = AuditLog(log_sink, sort_keys=True)
+        self.log = AuditLog(log_sink)
         self._log(None, initial_template.body)
 
     def _log(
@@ -203,16 +203,17 @@ class AdaptiveOpro:
     ) -> None:
         """Append the ledger line of proposal `iteration`: the initial
         template, a reply's accepted `output`, or the `error` that rejected
-        the proposal, with its last candidate as `template_text`."""
+        the proposal, with its last candidate as `template_text`. The keys
+        are written in sorted order."""
         self.log.append(
             {
-                "iteration": self.iteration,
-                "score": score,
                 "accepted": error is None,
-                "reject_reason": error and str(error),
                 "analysis": output and output.performance_analysis,
-                "improvements": output and output.key_improvements,
                 "impact": output and output.expected_impact,
+                "improvements": output and output.key_improvements,
+                "iteration": self.iteration,
+                "reject_reason": error and str(error),
+                "score": score,
                 "template_sha": template_sha(template_text),
                 "template_text": template_text,
             }

@@ -11,13 +11,13 @@ in cash).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
 from enum import Enum
 
 from .bars import BarSeries
-from .engine import Action, AuditLog, ExecutionEngine, Fill, Order, OrderType, Rejection
+from .engine import Action, AuditLog, ExecutionEngine, Order, OrderType, Rejection
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError
 from .indicators import bollinger_series, macd_series, sma_series
@@ -142,10 +142,10 @@ def generate_signals(config: StrategyConfig, series: BarSeries) -> list[Signal]:
 
 @dataclass
 class StrategyRunResult:
+    """A run's report and its engine, whose results, trades and audit hold the run."""
+
     report: MetricReport
-    curve_values: list[Decimal] = field(default_factory=list)
-    trades: list[Fill] = field(default_factory=list)
-    audit: AuditLog | None = None
+    engine: ExecutionEngine
 
 
 def run_strategy(
@@ -205,5 +205,4 @@ def run_strategy(
             submit(Action.SELL, state.shares_long, bar.session_date, bar.close)
 
     report = compute_report(*engine.columns(), initial=float(initial_cash))
-    curve_values = [result.portfolio_value for result in engine.results]
-    return StrategyRunResult(report=report, curve_values=curve_values, trades=engine.trades, audit=engine.audit)
+    return StrategyRunResult(report, engine)

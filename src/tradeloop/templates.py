@@ -208,19 +208,24 @@ _PROMPT_DIR = Path(__file__).parent / "prompts"
 
 
 def load_template(name: str, override_dir: Path | str | None = None) -> PromptTemplate:
-    return PromptTemplate.parse(name, load_asset_text(name, override_dir))
-
-
-def load_asset_text(name: str, override_dir: Path | str | None = None) -> str:
-    """A shipped prompt asset's text by stem name; a file of that name in
-    `override_dir` replaces it."""
-    return asset_path(name, override_dir).read_text(encoding="utf-8")
+    return PromptTemplate.parse(name, asset_path(name, override_dir).read_text(encoding="utf-8"))
 
 
 def asset_path(name: str, override_dir: Path | str | None = None) -> Path:
-    """The file `load_asset_text` reads for `name`."""
+    """The file of prompt asset `name`: its override in `override_dir`, else the shipped one."""
     base = Path(override_dir) if override_dir else _PROMPT_DIR
     path = base / f"{name}.txt"
     if not path.exists() and override_dir:
         path = _PROMPT_DIR / f"{name}.txt"
     return path
+
+
+def check_override_dir(override_dir: Path | str) -> None:
+    """Raise a ConfigError unless `override_dir` is a directory whose `.txt` files all
+    name shipped assets: a missing or misspelled one leaves the shipped prompts in force."""
+    base = Path(override_dir)
+    if not base.is_dir():
+        raise ConfigError(f"prompt_dir {base} is not a directory")
+    for path in sorted(base.glob("*.txt")):
+        if not (_PROMPT_DIR / path.name).is_file():
+            raise ConfigError(f"prompt_dir file {path} names no prompt asset")

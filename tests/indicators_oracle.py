@@ -166,11 +166,7 @@ def levels_at(
     for i in indices:
         highs.advance(i - 2)
         lows.advance(i - 2)
-        yield LevelSet(
-            as_of=series.bars[i].session_date,
-            support=lows.levels(min_touches),
-            resistance=highs.levels(min_touches),
-        )
+        yield LevelSet(support=lows.levels(min_touches), resistance=highs.levels(min_touches))
 
 
 def _standard_values(series: BarSeries, indices: Sequence[int]) -> Iterator[list]:

@@ -320,7 +320,7 @@ class TestCriterion5BuyHold:
             c_t, o_1 = closes[-1], 100
             want = (c_t / o_1 - 1) * 100.0
             # exact at the accounting level: all cash converts at O_1
-            if result.curve_values[-1] != Decimal(100_000) // Decimal(o_1) * Decimal(c_t):
+            if result.engine.results[-1].portfolio_value != Decimal(100_000) // Decimal(o_1) * Decimal(c_t):
                 ok = False
             if abs(result.report.roi_pct - want) > 1e-9:
                 ok = False

@@ -27,7 +27,6 @@ from tradeloop.agents import (
     recent_activity_text,
     render_fundamental_data,
     render_news_batch,
-    strip_fences,
 )
 from tradeloop.bars import Bar
 from tradeloop.engine import Action, Fill, OrderType, PortfolioState
@@ -365,14 +364,24 @@ class TestParseOrdersGoldenSuite:
 
 
 class TestStripFences:
+    """`parse_orders` reads the body of a ``` fence, or the whole text without one."""
+
     def test_plain_passes_through(self):
-        assert strip_fences("[]") == "[]"
+        assert parse_orders(order_json())[0].quantity == 10
 
     def test_json_fence(self):
-        assert strip_fences("```json\n[]\n```") == "[]"
+        raw = order_json()
+        assert parse_orders(f"```json\n{raw}\n```") == parse_orders(raw)
 
     def test_bare_fence(self):
-        assert strip_fences("```\n[1]\n```") == "[1]"
+        raw = order_json()
+        assert parse_orders(f"```\n{raw}\n```") == parse_orders(raw)
+
+    def test_an_empty_fence_body_is_the_payload(self):
+        """The order JSON is the fence's empty body, not the whole text,
+        which would fail on its missing comma instead."""
+        with pytest.raises(OrderParseError, match="Expecting value"):
+            parse_orders("[1 ```\n```")
 
     # The regex `read_fence` replaced, kept as its oracle.
     OLD_FENCE = re.compile(r"```(?:json)?\s*\n(.*?)\n?\s*```", re.DOTALL)
@@ -387,7 +396,6 @@ class TestStripFences:
     def test_read_fence_is_the_old_regex(self, text):
         m = self.OLD_FENCE.search(text)
         assert read_fence(text) == (m.group(1) if m else None)
-        assert strip_fences(text) == (m.group(1) if m else text)
 
 
 class TestComputeRatios:

@@ -462,6 +462,13 @@ def _prompts_without_history(tmp_path):
     return str(tmp_path / "prompts")
 
 
+def _prompts_with_a_misspelled_asset(tmp_path):
+    """A prompt_dir whose one file names no shipped asset."""
+    (tmp_path / "prompts").mkdir(exist_ok=True)
+    _file(tmp_path / "prompts", "market_intial.txt", "Analyse {{ instrument }}.\n")
+    return str(tmp_path / "prompts")
+
+
 def _bad_metrics(path, value):
     return EXIT_DATA, _tampered("report", "metrics.json", _set(path, value))
 
@@ -492,6 +499,8 @@ NO_TRACEBACK_PROBES = {
     "backtest buy_hold --window 5": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--window", "5")),
     "run experiment 5": (EXIT_CONFIG, _run_with("experiment", 5)),
     "run prompt_dir 5": (EXIT_CONFIG, _run_with("prompt_dir", 5)),
+    "run prompt_dir missing": (EXIT_CONFIG, _run_with("prompt_dir", lambda tmp_path: str(tmp_path / "no-such-dir"))),
+    "run prompt_dir with a misspelled asset": (EXIT_CONFIG, _run_with("prompt_dir", _prompts_with_a_misspelled_asset)),
     "run paths.bars 5": (EXIT_CONFIG, _run_with("paths.bars", 5)),
     "run paths without bars": (EXIT_CONFIG, _run_with("paths.bars", None)),
     **{
@@ -547,6 +556,8 @@ NO_TRACEBACK_PROBES = {
 # What a probe's error message must say, beyond its label.
 PROBE_MESSAGES = {
     "run paths without bars": ("paths.bars is required\n",),
+    "run prompt_dir missing": ("config error: prompt_dir ", "no-such-dir is not a directory\n"),
+    "run prompt_dir with a misspelled asset": ("config error: prompt_dir file ", "market_intial.txt names no prompt asset\n"),
     **{
         f"run http provider timeout_s {timeout!r}": (f"timeout_s must be finite and > 0, got {timeout!r}\n",)
         for timeout in TIMEOUTS

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -247,6 +251,23 @@ class TestSessionAccounting:
         after = engine.step_session(bar_on(NEXT_DAY + timedelta(days=1), 1, 1, 1, 1))
         assert (after.fills, after.cancelled) == ((), ())
 
+    def test_result_carries_the_orders_it_matched_as_queued(self):
+        """A session's `orders` are the queue it matched, in submission order:
+        a clamped SELL at its clamped quantity, and no rejected order. An
+        idle session matched none."""
+        engine = ExecutionEngine(initial_cash=D(1000))
+        hold(engine, long=5)
+        sell = engine.validate_and_queue(mk_order(Action.SELL, 10, oid="sell"), last_close=D(100))
+        rejected = engine.validate_and_queue(mk_order(Action.BUY, 50, oid="big"), last_close=D(100))
+        low = engine.validate_and_queue(mk_order(Action.BUY, 1, OrderType.LIMIT, price="1", oid="low"), last_close=D(100))
+        assert isinstance(rejected, Rejection)
+        result = engine.step_session(bar_on(NEXT_DAY, 100, 101, 99, 100))
+        assert result.orders == (sell, low)
+        assert [(o.id, o.quantity) for o in result.orders] == [("sell", 5), ("low", 1)]
+        assert (result.fills[0].order_id, result.cancelled) == ("sell", ("low",))
+        idle = engine.step_session(bar_on(NEXT_DAY + timedelta(days=1), 100, 101, 99, 100))
+        assert idle.orders == ()
+
     def test_gap_reject_on_execution_cash_breach(self):
         engine = ExecutionEngine(initial_cash=D(1000))
         engine.validate_and_queue(mk_order(Action.BUY, 10), last_close=D(100))
@@ -341,6 +362,38 @@ class TestForceCover:
         engine.validate_and_queue(mk_order(Action.BUY, 1), last_close=D(100))
         result = engine.force_cover(bar_on(NEXT_DAY, 100, 100, 100, 100))
         assert result.cancelled == ("o1",)
+        assert [order.id for order in result.orders] == ["o1"]
+
+    def test_the_invariant_check_holds_under_python_O(self):
+        """The booking check raises AssertionError also when `python -O`
+        strips asserts: a BUY spending short-sale proceeds drives the window
+        end's forced cover below zero cash."""
+        script = """
+from datetime import date
+from decimal import Decimal
+from tradeloop.bars import Bar
+from tradeloop.engine import Action, ExecutionEngine, Order, OrderType
+
+def bar(day):
+    p = Decimal(100)
+    return Bar(session_date=date(2024, 1, day), open=p, high=p, low=p, close=p, volume=1000)
+
+def market(order_id, action, quantity, day):
+    return Order(order_id, action, OrderType.MARKET, None, quantity, "", date(2024, 1, day))
+
+engine = ExecutionEngine(initial_cash=100_000)
+engine.step_session(bar(2))
+engine.validate_and_queue(market("s", Action.SHORT, 500, 2), last_close=Decimal(100))
+engine.step_session(bar(3))
+engine.validate_and_queue(market("b", Action.BUY, 1400, 3), last_close=Decimal(100))
+engine.step_session(bar(4))
+engine.force_cover(bar(4))
+"""
+        src = Path(harness.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "AssertionError: booking forced-cover-2024-01-04 left PortfolioState(cash=Decimal('-40000')" in done.stderr
 
 
 class TestDeterminism:
@@ -447,14 +500,14 @@ class OracleEngine(ExecutionEngine):
     positions every session and marked with a close checked again, where the
     engine now keeps one state and rebuilds it when a fill is booked."""
 
-    def _summarize(self, bar, fills, cancelled) -> SessionResult:
+    def _summarize(self, bar, orders, fills, cancelled) -> SessionResult:
         book = self._state
         state = CheckedState(book.cash, book.shares_long, book.shares_short, self._as_of)
         if bar.close <= 0:
             raise EngineError("close must be positive")
         value = state.cash + (state.shares_long - state.shares_short) * bar.close
         self.audit.append(summary_line(bar.session_date, state.cash, state.shares_long, state.shares_short, bar.close, value))
-        return SessionResult(bar, fills, cancelled, state, value)
+        return SessionResult(bar, orders, fills, cancelled, state)
 
 
 def close_with_cover(engine: ExecutionEngine) -> SessionResult | None:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from tradeloop import gateway as gateway_module
 from tradeloop.agents import ConversationalAgent
-from tradeloop.engine import AuditLog
 from tradeloop.gateway import (
     AUDIT_VERSION,
     ChatMessage,
@@ -33,7 +32,7 @@ from tradeloop.gateway import (
 )
 from tradeloop.harness import run_experiment
 from tradeloop.opro import AdaptiveOpro
-from tradeloop.templates import PromptTemplate, load_asset_text, load_template
+from tradeloop.templates import PromptTemplate, asset_path, load_template
 
 from conftest import rebuilt_requests
 from test_harness import build_workspace
@@ -257,27 +256,32 @@ def record(ts: int, tags, digest: str, prior: int, messages: list[ChatMessage], 
     return entry
 
 
+def generic_line(entry: dict) -> str:
+    """The reference encoding of a gateway record: compact JSON with sorted keys."""
+    return json.dumps(entry, separators=(",", ":"), sort_keys=True, default=str) + "\n"
+
+
 def generic_log(exchanges: list[tuple[ChatRequest, str]]) -> str:
-    """The gateway log of `exchanges`, each record a dict that
-    `AuditLog(sort_keys=True)` encodes: a record continues its role tag's last
-    request and reply when the request extends them under the same system text."""
-    log = AuditLog(sort_keys=True)
+    """The gateway log of `exchanges`, each record a dict that `generic_line`
+    encodes: a record continues its role tag's last request and reply when
+    the request extends them under the same system text."""
+    lines = []
     held: dict[str | None, tuple[str, tuple[ChatMessage, ...]]] = {}
     for ts, (request, reply) in enumerate(exchanges, 1):
         role = request.tag("role")
         system, messages = held.get(role, ("", ()))
         prior = len(messages) if system == request.system_text and request.messages[: len(messages)] == messages else 0
         new = list(request.messages[prior:])
-        log.append(record(ts, request.tags, request.digest, prior, new, reply, request.system_text))
+        lines.append(generic_line(record(ts, request.tags, request.digest, prior, new, reply, request.system_text)))
         held[role] = (request.system_text, (*request.messages, ChatMessage("assistant", reply)))
-    return log.text()
+    return "".join(lines)
 
 
 roles = st.sampled_from(["user", "assistant"]) | conversation_text
 
 
 class TestAuditRecordLine:
-    """`record_line` is what `AuditLog(sort_keys=True)` writes for the record dict."""
+    """`record_line` is the reference encoding of the record dict."""
 
     @settings(max_examples=100)
     @given(
@@ -296,11 +300,9 @@ class TestAuditRecordLine:
     )
     def test_line_is_the_generic_encoding(self, ts, tags, digest, prior, messages, reply, system):
         chat = [ChatMessage(role, text) for role, text in messages]
-        log = AuditLog(sort_keys=True)
-        log.append(record(ts, tags, digest, prior, chat, reply, system))
         reply_json = encode_basestring_ascii(reply)
         line = record_line(ts, tuple(tags), digest, prior, map(message_fragment, chat), reply_json, None if prior else system)
-        assert line + "\n" == log.text()
+        assert line + "\n" == generic_line(record(ts, tags, digest, prior, chat, reply, system))
 
 
 class TestFragmentReuse:
@@ -383,7 +385,7 @@ class TestFragmentReuse:
         monkeypatch.setattr(gateway_module, "encode_basestring_ascii", counted)
         current = load_template("cta_initial")
         provider = Recorder()
-        opro = AdaptiveOpro(current, Gateway(provider), load_asset_text("optimizer"))
+        opro = AdaptiveOpro(current, Gateway(provider), asset_path("optimizer").read_text(encoding="utf-8"))
         per_proposal = []
         for n in range(1, 31):
             provider.replies.append(optimizer_reply(current.body.replace("Trading Philosophy", f"Philosophy {n:02d}")))

@@ -40,7 +40,7 @@ from tradeloop.harness import (
     session_context,
 )
 from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
-from tradeloop.templates import load_asset_text, load_template
+from tradeloop.templates import asset_path, load_template
 
 from conftest import make_bar, rebuilt_requests, synthetic_daily
 
@@ -486,7 +486,7 @@ class TestReportFromEngine:
         sessions, covers = record_sessions(monkeypatch)
         result = run_strategy(StrategyConfig(kind=StrategyKind.SMA), synthetic_daily(300, seed=17))
         assert covers == [] and any(r.fills for _, r in sessions)
-        assert result.curve_values == [r.portfolio_value for _, r in sessions]
+        assert result.engine.results == [r for _, r in sessions]
         assert result.report == report_from_sessions(sessions, [], Decimal(100_000))
 
     def test_agent_report_counts_the_forced_cover(self, tmp_path, monkeypatch):
@@ -634,12 +634,11 @@ class TestPeriodReview:
     def summary(self, values: list[str]) -> str:
         """The summary of a period over sessions marked at `values`, reviewed
         at one more session."""
-        flat = PortfolioState(Decimal(0), 0, 0)
         results = [
-            SessionResult(make_bar(date(2025, 1, 6) + timedelta(days=n), 10, 10, 10, 10), (), (), flat, Decimal(value))
+            SessionResult(make_bar(date(2025, 1, 6) + timedelta(days=n), 10, 10, 10, 10), (), (), (), PortfolioState(Decimal(value), 0, 0))
             for n, value in enumerate([*values, "0"])
         ]
-        return _period_review(results, [[] for _ in values], 0, len(values), Decimal(100_000))["period_summary"]
+        return _period_review(results, 0, len(values), Decimal(100_000))["period_summary"]
 
     def test_return_counts_from_a_positive_start(self):
         assert "portfolio value 100.00 -> 150.00 (+50.00%)" in self.summary(["100", "150"])
@@ -997,7 +996,7 @@ class TestSessionPrompts:
         assert len(calls) == 1
 
     def test_followup_naming_extended_intervals_gets_it_every_session(self, tmp_path):
-        text = load_asset_text("market_followup") + "\n{{ extended_intervals_analysis }}\n"
+        text = asset_path("market_followup").read_text(encoding="utf-8") + "\n{{ extended_intervals_analysis }}\n"
         config = with_prompt(tmp_path, "market_followup", text)
         artifacts, _ = run_experiment(config)
         series = load_data(config).bars

@@ -658,7 +658,6 @@ class TestPerBarSets:
         indices = range(len(bars))
         for i, levels in zip(indices, levels_at(series, indices), strict=True):
             prefix = series.up_to(bars[i].session_date)
-            assert levels.as_of == bars[i].session_date
             assert (levels.support, levels.resistance) == levels_oracle(prefix), i
             if i >= 2:
                 assert levels == detect_levels(prefix), i
@@ -734,7 +733,7 @@ def hexed(value):
     if isinstance(value, tuple):
         return tuple(map(hexed, value))
     if isinstance(value, LevelSet):
-        return (value.as_of, hexed(value.support), hexed(value.resistance))
+        return (hexed(value.support), hexed(value.resistance))
     return value
 
 

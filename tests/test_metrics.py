@@ -20,7 +20,6 @@ from tradeloop.metrics import (
     RoundTrip,
     aggregate_runs,
     compute_report,
-    daily_returns,
     format_cell,
     match_round_trips,
     max_drawdown,
@@ -28,6 +27,7 @@ from tradeloop.metrics import (
     profit_per_trade,
     render_csv,
     render_table,
+    returns,
     roi,
     roic,
     sharpe,
@@ -36,6 +36,11 @@ from tradeloop.metrics import (
 )
 
 D = Decimal
+
+
+def simple_returns(values: list[float]) -> list[float]:
+    """Oracle: V_t / V_(t-1) - 1 for every t after the first."""
+    return [b / a - 1.0 for a, b in zip(values, values[1:])]
 
 
 def brute_force_drawdown(values: list[float]) -> float:
@@ -113,15 +118,15 @@ class TestROI:
 
 class TestSharpe:
     def test_constant_curve_undefined(self):
-        assert sharpe([100.0, 100.0, 100.0]) == (None, None)
+        assert sharpe(returns([100.0, 100.0, 100.0])) == (None, None)
 
     def test_symmetric_returns_zero_mean(self):
         values = [100.0]
         for i in range(20):
             values.append(values[-1] * (1.01 if i % 2 == 0 else 1 / 1.01))
-        daily, annual = sharpe(values)
+        daily, annual = sharpe(returns(values))
         # mean of {+1%, -0.990...%} is slightly positive; use exact returns.
-        rets = daily_returns(values)
+        rets = simple_returns(values)
         mu = sum(rets) / len(rets)
         sd = math.sqrt(sum((r - mu) ** 2 for r in rets) / (len(rets) - 1))
         assert daily == pytest.approx(mu / sd)
@@ -132,10 +137,10 @@ class TestSharpe:
         values = [100.0]
         for i in range(20):
             values.append(values[-1] * (1.01 if i % 2 == 0 else 0.99))
-        rets = daily_returns(values)
+        rets = simple_returns(values)
         assert rets[0] == pytest.approx(0.01)
         assert rets[1] == pytest.approx(-0.01)
-        daily, _ = sharpe(values)
+        daily, _ = sharpe(returns(values))
         assert daily == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_oracle_on_random_curves(self):
@@ -144,7 +149,7 @@ class TestSharpe:
             values = [100.0]
             for _ in range(rng.randint(3, 60)):
                 values.append(values[-1] * (1 + rng.uniform(-0.05, 0.05)))
-            daily, annual = sharpe(values)
+            daily, annual = sharpe(returns(values))
             rets = [values[i] / values[i - 1] - 1 for i in range(1, len(values))]
             mu = sum(rets) / len(rets)
             var = sum((r - mu) ** 2 for r in rets) / (len(rets) - 1)
@@ -158,8 +163,8 @@ class TestSharpe:
             values = [100.0]
             for _ in range(20):
                 values.append(values[-1] * (1 + rng.uniform(-0.04, 0.05)))
-            daily, _ = sharpe(values)
-            rets = daily_returns(values)
+            daily, _ = sharpe(returns(values))
+            rets = simple_returns(values)
             mu = sum(rets) / len(rets)
             if daily is not None and mu != 0:
                 assert (daily > 0) == (mu > 0)
@@ -167,12 +172,12 @@ class TestSharpe:
 
 class TestSortino:
     def test_all_positive_undefined(self):
-        assert sortino([100.0, 101.0, 102.0, 103.0]) is None
+        assert sortino(returns([100.0, 101.0, 102.0, 103.0])) is None
 
     def test_identical_downside_undefined(self):
         # returns +2%, -1%, -1%: downside sample stdev is 0 -> undefined.
         values = [100.0, 102.0, 102.0 * 0.99, 102.0 * 0.99 * 0.99]
-        assert sortino(values) is None
+        assert sortino(returns(values)) is None
 
     def test_matches_oracle(self):
         rng = random.Random(2)
@@ -180,8 +185,8 @@ class TestSortino:
             values = [100.0]
             for _ in range(40):
                 values.append(values[-1] * (1 + rng.uniform(-0.05, 0.05)))
-            got = sortino(values)
-            rets = daily_returns(values)
+            got = sortino(returns(values))
+            rets = simple_returns(values)
             downside = [r for r in rets if r < 0]
             if len(downside) < 2:
                 assert got is None
@@ -325,10 +330,10 @@ class TestRoundTrips:
 class TestWinRate:
     def test_half_winners(self):
         trips = [
-            RoundTrip("long", date(2025, 1, 2), date(2025, 1, 3), 1, D(100), D(110)),
-            RoundTrip("long", date(2025, 1, 2), date(2025, 1, 3), 1, D(100), D(90)),
-            RoundTrip("long", date(2025, 1, 2), date(2025, 1, 3), 1, D(100), D(120)),
-            RoundTrip("long", date(2025, 1, 2), date(2025, 1, 3), 1, D(100), D(80)),
+            RoundTrip("long", 1, D(100), D(110)),
+            RoundTrip("long", 1, D(100), D(90)),
+            RoundTrip("long", 1, D(100), D(120)),
+            RoundTrip("long", 1, D(100), D(80)),
         ]
         assert win_rate(trips) == pytest.approx(50.0)
 
@@ -336,7 +341,7 @@ class TestWinRate:
         assert win_rate([]) == 0.0
 
     def test_all_winners(self):
-        trips = [RoundTrip("long", date(2025, 1, 2), date(2025, 1, 3), 1, D(100), D(110))] * 3
+        trips = [RoundTrip("long", 1, D(100), D(110))] * 3
         assert win_rate(trips) == pytest.approx(100.0)
 
 
@@ -362,8 +367,8 @@ class TestRoicAndPT:
 
     def test_profit_per_trade(self):
         trips = [
-            RoundTrip("long", date(2025, 1, 2), date(2025, 1, 3), 1, D(100), D(200)),
-            RoundTrip("long", date(2025, 1, 2), date(2025, 1, 3), 1, D(100), D(40)),
+            RoundTrip("long", 1, D(100), D(200)),
+            RoundTrip("long", 1, D(100), D(40)),
         ]
         assert profit_per_trade(trips) == pytest.approx(20.0)
         assert profit_per_trade([trips[0]]) == pytest.approx(100.0)
@@ -374,14 +379,7 @@ class TestRoicAndPT:
     def test_matches_sum_count_oracle(self):
         rng = random.Random(9)
         trips = [
-            RoundTrip(
-                "long",
-                date(2025, 1, 2),
-                date(2025, 1, 3),
-                1,
-                D(100),
-                D(str(round(rng.uniform(50, 150), 2))),
-            )
+            RoundTrip("long", 1, D(100), D(str(round(rng.uniform(50, 150), 2))))
             for _ in range(37)
         ]
         want = sum(float(t.realized_pnl) for t in trips) / len(trips)
@@ -473,7 +471,7 @@ class TestComputeReport:
         for values in ([100_000.0, 100_000.0, 0.0, 80_000.0, 110_000.0], [100_000.0, -5_000.0, 90_000.0, 95_000.0]):
             report = compute_report(values, [], [0.0] * len(values), initial=100_000.0)
             assert (report.sharpe_daily, report.sharpe_annualized, report.sortino) == (None, None, None)
-            assert sharpe(values) == (None, None) and sortino(values) is None
+            assert sharpe(returns(values)) == (None, None) and sortino(returns(values)) is None
             assert report.roi_pct == pytest.approx(roi(values))
         report = compute_report([100_000.0, 90_000.0, 45_000.0, 0.0], [], [0.0] * 4, initial=100_000.0)
         assert report.sharpe_daily is not None and report.sortino is not None
@@ -515,13 +513,13 @@ class TestSameBitsAsBefore:
 
     @given(values=st.lists(prices, min_size=1, max_size=40), initial=st.floats(1.0, 1e9))
     def test_max_drawdown_and_report(self, values, initial):
-        """The public `max_drawdown` of ints, Decimals and floats, and the
-        report's drawdown, Sharpe and Sortino of their float curve."""
-        assert bits(max_drawdown(values)) == bits(previous_max_drawdown(values))
+        """`max_drawdown` of the float curve of ints, Decimals and floats, and
+        the report's drawdown, Sharpe and Sortino of that curve."""
         floats = [float(v) for v in values]
+        assert bits(max_drawdown(floats)) == bits(previous_max_drawdown(values))
         report = compute_report(floats, [], [0.0] * len(floats), initial)
         assert bits(report.max_drawdown_pct) == bits(previous_max_drawdown([initial, *floats]))
-        rets = daily_returns(floats) if len(floats) >= 3 else []
+        rets = simple_returns(floats) if len(floats) >= 3 else []
         sd = previous_sample_std(rets)
         daily = None if not sd else sum(rets) / len(rets) / sd
         assert bits(report.sharpe_daily) == bits(daily)

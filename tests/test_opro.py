@@ -27,9 +27,11 @@ from tradeloop.opro import (
     validate_candidate,
     window_score,
 )
-from tradeloop.templates import load_asset_text, load_template
+from tradeloop.templates import asset_path, load_template
 
 from conftest import fence_texts
+
+OPTIMIZER_ASSET = asset_path("optimizer").read_text(encoding="utf-8")
 
 
 def make_gateway(script):
@@ -96,7 +98,7 @@ class TestCloseWindow:
         return AdaptiveOpro(
             initial_template=load_template("cta_initial"),
             gateway=Gateway(ScriptedProvider([])),
-            optimizer_asset=load_asset_text("optimizer"),
+            optimizer_asset=OPTIMIZER_ASSET,
             k=k,
             roi_mode=roi_mode,
         )
@@ -203,7 +205,7 @@ class TestHistoryText:
 
     def test_meta_prompt_substitutes_only_history(self):
         records = [PromptRecord(iteration=1, template_text="BODY", score=50.0)]
-        meta = build_meta_prompt(records, load_asset_text("optimizer"))
+        meta = build_meta_prompt(records, OPTIMIZER_ASSET)
         assert "BODY" in meta
         assert "{{ history_text }}" not in meta
         # the preservation warnings keep their literal placeholder examples
@@ -383,7 +385,7 @@ class TestProposeUpdate:
         return AdaptiveOpro(
             initial_template=load_template("cta_initial"),
             gateway=gateway,
-            optimizer_asset=load_asset_text("optimizer"),
+            optimizer_asset=OPTIMIZER_ASSET,
             k=k,
         )
 
@@ -514,7 +516,7 @@ class TestReflect:
         opro = AdaptiveOpro(
             initial_template=load_template("cta_initial"),
             gateway=gateway,
-            optimizer_asset=load_asset_text("optimizer"),
+            optimizer_asset=OPTIMIZER_ASSET,
         )
         before = opro.live_template.body
         reflect(gateway, load_template("reflection"), self._context())

@@ -249,7 +249,7 @@ class TestRunStrategy:
 
         result = run_strategy(StrategyConfig(kind=StrategyKind.BUY_HOLD), series, initial_cash=D(100_000))
         # Exact accounting identity: V_T = shares * C_T with zero cash left.
-        assert result.curve_values[-1] == D(1000) * D(closes[-1])
+        assert result.engine.results[-1].portfolio_value == D(1000) * D(closes[-1])
         c_t, o_1 = float(closes[-1]), 100.0
         assert result.report.roi_pct == pytest.approx((c_t / o_1 - 1) * 100.0, abs=1e-9)
         assert result.report.num_trades == 1
@@ -258,17 +258,17 @@ class TestRunStrategy:
     def test_buy_hold_fills_at_first_open(self):
         series = synthetic_daily(10, seed=1)
         result = run_strategy(StrategyConfig(kind=StrategyKind.BUY_HOLD), series)
-        assert result.trades[0].fill_price == series.bars[0].open
-        assert result.trades[0].executed_at == series.bars[0].session_date
+        assert result.engine.trades[0].fill_price == series.bars[0].open
+        assert result.engine.trades[0].executed_at == series.bars[0].session_date
 
     def test_crossover_fills_next_open(self):
         series = series_from_closes([float(c) for c in RAMP_CLOSES])
         result = run_strategy(StrategyConfig(kind=StrategyKind.SMA, sma_n=5), series)
         # enter signal at index 11 -> fill at index 12's open.
-        assert result.trades[0].executed_at == series.bars[12].session_date
-        assert result.trades[0].fill_price == series.bars[12].open
+        assert result.engine.trades[0].executed_at == series.bars[12].session_date
+        assert result.engine.trades[0].fill_price == series.bars[12].open
         # exit at index 22 -> fill at index 23's open.
-        assert result.trades[1].executed_at == series.bars[23].session_date
+        assert result.engine.trades[1].executed_at == series.bars[23].session_date
 
     def test_constant_series_zero_everything(self):
         series = series_from_closes([50.0] * 40)
@@ -286,7 +286,7 @@ class TestRunStrategy:
 
         long = 0
         cash = D(100_000)
-        for line in result.audit.text().splitlines():
+        for line in result.engine.audit.text().splitlines():
             obj = json.loads(line)
             if obj["type"] == "FILL":
                 qty, price = obj["quantity"], D(obj["price"])
@@ -303,8 +303,8 @@ class TestRunStrategy:
     def test_deterministic_audit_bytes(self):
         series = synthetic_daily(100, seed=13)
         config = StrategyConfig(kind=StrategyKind.SMA, sma_n=10)
-        a = run_strategy(config, series).audit.text()
-        b = run_strategy(config, series).audit.text()
+        a = run_strategy(config, series).engine.audit.text()
+        b = run_strategy(config, series).engine.audit.text()
         assert a == b
 
 
@@ -338,7 +338,7 @@ PINNED_BASELINES = {
 @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
 def test_baseline_matches_pinned_digests(kind):
     result = run_strategy(StrategyConfig(kind=kind), synthetic_daily(300, seed=17))
-    audit = hashlib.sha256(result.audit.text().encode("utf-8")).hexdigest()
+    audit = hashlib.sha256(result.engine.audit.text().encode("utf-8")).hexdigest()
     report = hashlib.sha256(result.report.to_json().encode("utf-8")).hexdigest()
     assert (audit, report) == PINNED_BASELINES[kind]
 
@@ -347,5 +347,5 @@ def test_baseline_matches_pinned_digests(kind):
 def test_fills_are_the_fills_the_audit_records(kind):
     """The fills the metrics count are the fills the audit records."""
     result = run_strategy(StrategyConfig(kind=kind), synthetic_daily(300, seed=17))
-    assert result.trades == trades_from_audit(result.audit)
-    assert result.trades
+    assert result.engine.trades == trades_from_audit(result.engine.audit)
+    assert result.engine.trades
