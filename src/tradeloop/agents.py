@@ -6,8 +6,9 @@ as assistant turns. The market/news/fundamental analysts and the reflection
 baseline just ask; a turn whose reply must parse (the central agent's orders,
 the optimizer's candidate) is re-asked with a reminder a bounded number of
 times. The central agent consumes the analysts' texts plus portfolio state and
-must answer with a bare JSON array of orders — anything off-schema is
-rejected field-by-field, re-asked, and finally treated as "no action".
+must answer with a bare JSON array of orders, which parses straight into the
+engine's `Order`s — anything off-schema is rejected field-by-field,
+re-asked, and finally treated as "no action".
 """
 
 from __future__ import annotations
@@ -46,15 +47,6 @@ class OrderParseError(ValueError):
         self.code = code
         self.path = path
         super().__init__(f"{code} at {path}: {message}")
-
-
-@dataclass(frozen=True)
-class OrderSpec:
-    action: Action
-    order_type: OrderType
-    price: Decimal | None
-    quantity: int
-    explanation: str
 
 
 @dataclass(frozen=True)
@@ -334,8 +326,10 @@ def read_fence(text: str, require_json: bool = False) -> str | None:
     return None
 
 
-def parse_orders(text: str) -> list[OrderSpec]:
-    """Strictly validate an order array (possibly inside a ```json fence).
+def parse_orders(text: str, submitted_at: date, id_prefix: str) -> list[Order]:
+    """Strictly validate an order array (possibly inside a ```json fence)
+    into the orders of the session `submitted_at`, with ids
+    `{id_prefix}-1`, `{id_prefix}-2`, ... in reply order.
 
     Exact enum casing; MARKET orders carry price null; LIMIT/STOP need a
     finite numeric price that is positive at 4 decimals; quantity is a
@@ -352,7 +346,7 @@ def parse_orders(text: str) -> list[OrderSpec]:
     if not isinstance(data, list):
         raise OrderParseError("NOT_JSON_ARRAY", "$", f"expected array, got {type(data).__name__}")
 
-    specs: list[OrderSpec] = []
+    orders: list[Order] = []
     for i, obj in enumerate(data):
         path = f"[{i}]"
         if not isinstance(obj, dict):
@@ -406,36 +400,15 @@ def parse_orders(text: str) -> list[OrderSpec]:
             raise OrderParseError(
                 "SCHEMA_VIOLATION", f"{path}.explanation", "explanation must be a string"
             )
-        specs.append(
-            OrderSpec(
-                action=Action(action),
-                order_type=OrderType(order_type),
-                price=price_dec,
-                quantity=quantity,
-                explanation=explanation,
-            )
+        orders.append(
+            Order(f"{id_prefix}-{i + 1}", Action(action), OrderType(order_type), price_dec, quantity, explanation, submitted_at)
         )
-    return specs
-
-
-def orders_from_specs(specs: Sequence[OrderSpec], submitted_at: date, id_prefix: str) -> list[Order]:
-    return [
-        Order(
-            id=f"{id_prefix}-{i + 1}",
-            action=s.action,
-            order_type=s.order_type,
-            price=s.price,
-            quantity=s.quantity,
-            explanation=s.explanation,
-            submitted_at=submitted_at,
-        )
-        for i, s in enumerate(specs)
-    ]
+    return orders
 
 
 @dataclass
 class DecisionOutcome:
-    specs: list[OrderSpec]
+    orders: list[Order]
     attempts: int
     gave_up: bool  # parse failures exhausted the re-asks -> treated as []
 
@@ -444,12 +417,14 @@ class CentralAgent(ConversationalAgent):
     """The decision maker: parses orders strictly, re-asks on malformed output
     up to MAX_REASKS times, then falls back to []."""
 
-    def decide(self, context: dict, tags=()) -> DecisionOutcome:
+    def decide(self, context: dict, submitted_at: date, id_prefix: str, tags=()) -> DecisionOutcome:
+        """The orders of the session `submitted_at`, with ids from `id_prefix`."""
+        parse = lambda reply: parse_orders(reply, submitted_at, id_prefix)
         try:
-            specs, attempts = self.ask_parsed(self._render(context), parse_orders, _order_reminder, tags)
+            orders, attempts = self.ask_parsed(self._render(context), parse, _order_reminder, tags)
         except OrderParseError:
-            return DecisionOutcome(specs=[], attempts=1 + MAX_REASKS, gave_up=True)
-        return DecisionOutcome(specs=specs, attempts=attempts, gave_up=False)
+            return DecisionOutcome(orders=[], attempts=1 + MAX_REASKS, gave_up=True)
+        return DecisionOutcome(orders=orders, attempts=attempts, gave_up=False)
 
 
 def _order_reminder(error: ValueError) -> str:

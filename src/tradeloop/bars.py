@@ -7,7 +7,8 @@ columns, each converted once per series.
 Each check runs in one place. The parse checks field syntax: a price is any
 text `Decimal` reads as a finite number with at most 4 decimal places as
 written, so "1.00000" is rejected. `Bar` checks the invariants, in one
-comparison chain when they hold, and `BarSeries` the date order. Prices are
+comparison chain when they hold, and `BarSeries` the date order and that
+the first bar is dated no earlier than `EARLIEST_BAR`. Prices are
 below `MAX_PRICE` and volumes below `MAX_VOLUME`, so the analytics' float
 math neither overflows nor rounds a volume.
 
@@ -47,6 +48,9 @@ ACTIONS_CSV_COLUMNS = ("date", "kind", "ratio", "cash")
 # it exactly.
 MAX_PRICE = Decimal(10**15)
 MAX_VOLUME = 2**53
+# The earliest first bar: a run looks back 2 years from a session, and
+# 0003-01-01 is the earliest date from which that stays inside the calendar.
+EARLIEST_BAR = date(3, 1, 1)
 
 _FOUR_DP = Decimal("0.0001")
 
@@ -125,6 +129,11 @@ class BarSeries:
     bars: tuple[Bar, ...]
 
     def __post_init__(self) -> None:
+        if self.bars and self.bars[0].session_date < EARLIEST_BAR:
+            raise BarDataError(
+                f"first bar dated {self.bars[0].session_date.isoformat()}: bars must start on or after "
+                f"{EARLIEST_BAR.isoformat()}, as a run looks back 2 years"
+            )
         for prev, cur in zip(self.bars, self.bars[1:]):
             if cur.session_date == prev.session_date:
                 raise BarDataError(f"duplicate session {cur.session_date.isoformat()}")

@@ -3,16 +3,17 @@
 Three provider kinds: `http` for live runs, `scripted` for tests, and
 `replay`, which re-serves a previously recorded audit log and bridges costly
 live runs into CI. The gateway never mutates prompt text, retries transient
-failures with exponential backoff, and appends every completed exchange to a
-JSONL audit log before returning.
+failures with exponential backoff, and appends every completed exchange to the
+JSONL `AuditLog` it is handed before returning.
 
 Audit timestamps are a deterministic call counter, not wall-clock time:
 byte-identical reruns are part of the contract. A call's audit record holds
 only what the call added to its conversation (one conversation per role tag
-at a time). A `Transcript` encodes each message once, into JSON fragments
-that feed its running request hash and that the gateway's `record_line`
-reuses as the record's messages, so a call's request hash and audit line
-cost what the call added rather than the whole conversation. Each reply is
+at a time). A `Transcript`, the one maker of a `ChatRequest`, encodes each
+message once, into JSON fragments that feed its running request hash and
+that the gateway's `record_line` reuses as the record's messages, so a
+call's request hash and audit line cost what the call added rather than the
+whole conversation. Each reply is
 escaped once too: the gateway writes it into the audit line and hands it
 back as the assistant message's fragment (`ChatResponse.fragment`), which
 the caller appends to its transcript. JSON-escaping a text is escaping each
@@ -38,6 +39,7 @@ from .engine import AuditLog
 from .errors import ProviderError
 
 AUDIT_VERSION = 2  # the `v` of every gateway.jsonl record
+MAX_ATTEMPTS = 3  # provider calls per request, retries of a transient failure included
 DEFAULT_BACKOFF_S = (1.0, 4.0, 16.0)
 RETRYABLE = ("TIMEOUT", "RATE_LIMITED")
 
@@ -56,23 +58,16 @@ class ChatMessage:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One call's conversation. `digest` is its `request_hash`, as a
-    `Transcript` computes it, and `fragments` are the `message_fragment`s of
+    """One call's conversation, as `Transcript.request` makes it. `digest`
+    is its `request_hash`, and `fragments` are the `message_fragment`s of
     its last messages, those its `Transcript` appended since its previous
-    request. A request built without a digest gets both from a `Transcript`
-    of its messages."""
+    request."""
 
     system_text: str
     messages: tuple[ChatMessage, ...]
-    tags: tuple[tuple[str, str], ...] = ()
-    digest: str = field(default="", compare=False, repr=False)
-    fragments: tuple[str, ...] = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.digest:
-            transcript = Transcript(self.system_text, self.messages)
-            object.__setattr__(self, "digest", transcript.digest())
-            object.__setattr__(self, "fragments", tuple(transcript._fresh))
+    tags: tuple[tuple[str, str], ...]
+    digest: str = field(compare=False, repr=False)
+    fragments: tuple[str, ...] = field(compare=False, repr=False)
 
     def tag(self, key: str) -> str | None:
         return dict(self.tags).get(key)
@@ -380,7 +375,8 @@ class RouterProvider:
 
 
 class Gateway:
-    """Retry/timeout/audit wrapper shared by every agent in a run.
+    """Retry/timeout/audit wrapper shared by every agent in a run; its
+    records go to `audit` (memory when None), which its owner closes.
 
     Each audit record states what its call added to its role's conversation:
     `prior` counts the messages that earlier records hold (the last request
@@ -388,23 +384,13 @@ class Gateway:
     with `prior` 0 starts a conversation and holds its `system` text.
     """
 
-    def __init__(
-        self,
-        provider: Provider,
-        audit_sink: Path | str | None = None,
-        max_attempts: int = 3,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, provider: Provider, audit: AuditLog | None = None, sleep: Callable[[float], None] = time.sleep):
         self.provider = provider
-        self.max_attempts = max_attempts
         self.sleep = sleep
-        self.audit = AuditLog(audit_sink)
+        self.audit = audit if audit is not None else AuditLog()
         self._counter = 0
         # Per role tag: the system text and messages its audit records hold.
         self._recorded: dict[str | None, tuple[str, tuple[ChatMessage, ...]]] = {}
-
-    def close(self) -> None:
-        self.audit.close()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if not request.messages:
@@ -416,7 +402,7 @@ class Gateway:
                 response = self.provider.complete(request)
                 break
             except GatewayError as exc:
-                if exc.code in RETRYABLE and attempt < self.max_attempts:
+                if exc.code in RETRYABLE and attempt < MAX_ATTEMPTS:
                     self.sleep(DEFAULT_BACKOFF_S[min(attempt - 1, len(DEFAULT_BACKOFF_S) - 1)])
                     continue
                 raise

@@ -1,7 +1,8 @@
 """Experiment orchestration: config, the session loop, persistence, replay.
 
 Wiring per session: one session context is built, analysts refresh per
-cadence and ablation flags, the context and their reports render into the
+cadence (an analyst whose inputs `load_data` left out for an ablation is
+never built), the context and their reports render into the
 live template, the central agent's orders queue, and the next session's bar
 matches them. The engine keeps each session's result (its bar, the orders
 it matched and their fills) and every fill; the period reviews, the equity
@@ -553,25 +554,21 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> Run
     (run_dir / "config.lock").write_text(lock_text, encoding="utf-8")
 
     with ExitStack() as logs:
-        audit = logs.enter_context(closing(AuditLog(run_dir / "engine.jsonl")))
-        engine = ExecutionEngine(initial_cash=cash, audit=audit)
-        gateway = logs.enter_context(closing(Gateway(router, audit_sink=run_dir / "gateway.jsonl")))
+        log = lambda name: logs.enter_context(closing(AuditLog(run_dir / name)))
+        engine = ExecutionEngine(initial_cash=cash, audit=log("engine.jsonl"))
+        gateway = Gateway(router, log("gateway.jsonl"))
         optimizer = opro.AdaptiveOpro(
-            initial_template=tpl("cta_initial"),
-            gateway=gateway,
-            optimizer_asset=optimizer_asset,
-            k=config.opro_k,
-            roi_mode=config.roi_mode,
-            log_sink=run_dir / "opro.jsonl",
+            tpl("cta_initial"), gateway, optimizer_asset, config.opro_k, config.roi_mode, log("opro.jsonl")
         )
-        logs.enter_context(closing(optimizer.log))
 
-        def analyst(role: str) -> agents.ConversationalAgent | None:
-            if config.ablations.get(f"no_{role}"):
+        def analyst(role: str, inputs) -> agents.ConversationalAgent | None:
+            if inputs is None:  # `load_data` left them out: the analyst is ablated
                 return None
             return agents.ConversationalAgent(role, gateway, tpl(f"{role}_initial"), tpl(f"{role}_followup"))
 
-        market, news, fundamental = analyst("market"), analyst("news"), analyst("fundamental")
+        market = analyst("market", data.market_texts)
+        news = analyst("news", data.news_batches)
+        fundamental = analyst("fundamental", data.fundamental_batches)
         cta = agents.CentralAgent("cta", gateway, optimizer.live_template, tpl("cta_followup"))
         reflection_template = tpl("reflection")
 
@@ -599,9 +596,9 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> Run
                 context = ctx | {"fundamental_data": agents.render_fundamental_data(filings)}
                 reports["fund_analysis"] = fundamental.ask(context, tags)
 
-            outcome = cta.decide(ctx | reports, tags=tags)
+            outcome = cta.decide(ctx | reports, session, f"d{step}", tags=tags)
             decision_fallbacks += outcome.gave_up
-            for order in agents.orders_from_specs(outcome.specs, submitted_at=session, id_prefix=f"d{step}"):
+            for order in outcome.orders:
                 engine.validate_and_queue(order, last_close=bar.close)
 
             # The last window, which may be partial, closes without an update.

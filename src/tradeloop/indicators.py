@@ -33,6 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .bars import BarSeries
 from .errors import ConfigError
+from .metrics import ordered_sum
 
 
 class IndicatorError(ConfigError):
@@ -80,7 +81,7 @@ def _ema(values: Sequence[float], n: int) -> list[float | None]:
     decay = 1.0 - alpha
     out: list[float | None] = [None] * min(n - 1, len(values))
     if len(values) >= n:
-        ema = sum(values[:n]) / n
+        ema = ordered_sum(values[:n]) / n
         out.append(ema)
         out += [(ema := alpha * value + decay * ema) for value in values[n:]]
     return out
@@ -181,8 +182,8 @@ def bollinger_at(series: BarSeries, i: int, n: int = 20, k: float = 2.0) -> dict
     if i < n - 1:
         return None
     window = series.closes[i - n + 1 : i + 1]
-    mean = sum(window) / n
-    var = sum([(x - mean) ** 2 for x in window]) / n
+    mean = ordered_sum(window) / n
+    var = ordered_sum([(x - mean) ** 2 for x in window]) / n
     sigma = var**0.5
     return {"middle": mean, "upper": mean + k * sigma, "lower": mean - k * sigma}
 
@@ -227,7 +228,7 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70, 
 
     target = coverage * total_volume
     start = end = poc_idx
-    while not sum(volumes[start : end + 1]) >= target and (start or end < last):
+    while not ordered_sum(volumes[start : end + 1]) >= target and (start or end < last):
         start, end = max(0, start - 1), min(last, end + 1)
     # Trim to the outermost nonzero bins; the POC's bin holds volume, as the total is not zero.
     while not volumes[start]:
@@ -296,16 +297,17 @@ def _sweep(
         if r < len(resume) and resume[r] == k:
             return starts, clusters, r
         starts.append(k)
-        price, volume = points[k]
-        prices = [price]
-        mean = sum(prices) / len(prices)
+        # The mean is the running total of the prices, added left to right, over their count.
+        mean, volume = points[k]
+        total, touches = mean, 1
         k += 1
         while k < n and mean > 0 and abs(points[k][0] - mean) / mean * 100.0 <= tolerance_pct:
-            prices.append(points[k][0])
+            total += points[k][0]
+            touches += 1
             volume += points[k][1]
-            mean = sum(prices) / len(prices)
+            mean = total / touches
             k += 1
-        clusters.append((mean, len(prices), volume))
+        clusters.append((mean, touches, volume))
     return starts, clusters, len(resume)
 
 

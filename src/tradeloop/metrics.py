@@ -4,7 +4,8 @@ Each metric has one function, which `compute_report` calls on the run's
 float curve, its daily `returns` or its round trips. Undefined metrics stay
 None (serialized as null, rendered "n/a"); they are never coerced to 0
 except win_rate, which reports 0 on an empty trip list. Sample (n-1)
-standard deviation throughout.
+standard deviation throughout. Floats are added left to right
+(`ordered_sum`), so every figure is the same bits on every supported Python.
 """
 
 from __future__ import annotations
@@ -75,8 +76,17 @@ REPORT_COLUMNS = (
 )
 
 
+def ordered_sum(xs: Iterable[float]) -> float:
+    """The sum of `xs` added left to right from 0, as `sum` adds floats up to
+    Python 3.11; from 3.12 on, `sum` compensates the rounding of floats."""
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
 def _mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
+    return ordered_sum(xs) / len(xs)
 
 
 def _sample_std(xs: Sequence[float]) -> float | None:
@@ -84,7 +94,7 @@ def _sample_std(xs: Sequence[float]) -> float | None:
     if n < 2:
         return None
     mu = _mean(xs)
-    return math.sqrt(sum([(x - mu) ** 2 for x in xs]) / (n - 1))
+    return math.sqrt(ordered_sum([(x - mu) ** 2 for x in xs]) / (n - 1))
 
 
 def returns(curve: list[float]) -> list[float]:
@@ -202,7 +212,7 @@ def win_rate(trips: Sequence[RoundTrip]) -> float:
 def profit_per_trade(trips: Sequence[RoundTrip]) -> float | None:
     if not trips:
         return None
-    return float(sum(float(t.realized_pnl) for t in trips)) / len(trips)
+    return float(ordered_sum(float(t.realized_pnl) for t in trips)) / len(trips)
 
 
 def num_trades(trades: Iterable[Fill]) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .agents import ConversationalAgent, read_fence
 from .engine import AuditLog
@@ -173,8 +172,9 @@ class AdaptiveOpro:
 
     `history` holds the templates that went live, the live one last;
     `iteration` numbers the proposals, the initial template being the first.
-    `roi_mode` picks the window signal: "cumulative" (since inception,
-    default) or "windowed" (window-local).
+    A window closes every `k` decision steps; `roi_mode` picks its signal:
+    "cumulative" (since inception) or "windowed" (window-local). The ledger
+    goes to `log` (memory when None), which the owner closes.
     """
 
     def __init__(
@@ -182,9 +182,9 @@ class AdaptiveOpro:
         initial_template: PromptTemplate,
         gateway: Gateway,
         optimizer_asset: str,
-        k: int = 5,
-        roi_mode: str = "cumulative",
-        log_sink: Path | str | None = None,
+        k: int,
+        roi_mode: str,
+        log: AuditLog | None = None,
     ):
         self.k = k
         self.roi_mode = roi_mode
@@ -195,7 +195,7 @@ class AdaptiveOpro:
         self.iteration = 1
         self.history = [PromptRecord(self.iteration, initial_template.body)]
         self.windows: list[ScoringWindow] = []
-        self.log = AuditLog(log_sink)
+        self.log = log if log is not None else AuditLog()
         self._log(None, initial_template.body)
 
     def _log(

@@ -449,14 +449,14 @@ class TestCriterion8EndToEndDeterminism:
 class TestCriterion9OrderParser:
     def test_golden_suite(self):
         started = time.perf_counter()
-        from test_agents import golden_invalid_payloads, golden_valid_payloads
-        from tradeloop.agents import OrderParseError, parse_orders
+        from test_agents import golden_invalid_payloads, golden_valid_payloads, orders_of
+        from tradeloop.agents import OrderParseError
 
         valid = golden_valid_payloads()
         ok = len(valid) == 50
         for payload in valid:
             try:
-                parse_orders(payload)
+                orders_of(payload)
             except OrderParseError:
                 ok = False
         invalid = golden_invalid_payloads()
@@ -464,7 +464,7 @@ class TestCriterion9OrderParser:
         correct_paths = 0
         for payload, want_path in invalid:
             try:
-                parse_orders(payload)
+                orders_of(payload)
                 ok = False
             except OrderParseError as err:
                 if err.path == want_path:

@@ -21,7 +21,6 @@ from tradeloop.agents import (
     OrderParseError,
     compute_ratios,
     dedupe_news,
-    orders_from_specs,
     parse_orders,
     read_fence,
     recent_activity_text,
@@ -29,7 +28,7 @@ from tradeloop.agents import (
     render_news_batch,
 )
 from tradeloop.bars import Bar
-from tradeloop.engine import Action, Fill, OrderType, PortfolioState
+from tradeloop.engine import Action, Fill, Order, OrderType, PortfolioState
 from tradeloop.gateway import ChatRequest, Gateway, ScriptEntry, ScriptedProvider
 from tradeloop.harness import ExperimentConfig, session_context
 from tradeloop.templates import load_template
@@ -68,71 +67,79 @@ def order_json(**overrides) -> str:
     return json.dumps([obj])
 
 
+SESSION = date(2025, 4, 28)
+
+
+def orders_of(text: str) -> list[Order]:
+    """`text` parsed as the orders of the first decision, made at SESSION."""
+    return parse_orders(text, SESSION, "d1")
+
+
 class TestParseOrders:
     def test_single_market_buy(self):
-        specs = parse_orders(order_json())
-        assert len(specs) == 1
-        assert specs[0].action == Action.BUY
-        assert specs[0].order_type == OrderType.MARKET
-        assert specs[0].price is None
-        assert specs[0].quantity == 10
+        orders = orders_of(order_json())
+        assert len(orders) == 1
+        assert orders[0].action == Action.BUY
+        assert orders[0].order_type == OrderType.MARKET
+        assert orders[0].price is None
+        assert orders[0].quantity == 10
 
     def test_empty_array_means_no_action(self):
-        assert parse_orders("[]") == []
+        assert orders_of("[]") == []
 
     def test_fenced_payload_parses_identically(self):
         raw = order_json()
         fenced = f"```json\n{raw}\n```"
-        assert parse_orders(fenced) == parse_orders(raw)
+        assert orders_of(fenced) == orders_of(raw)
 
     def test_lowercase_action_rejected(self):
         with pytest.raises(OrderParseError) as err:
-            parse_orders(order_json(action="buy"))
+            orders_of(order_json(action="buy"))
         assert err.value.path == "[0].action"
 
     def test_negative_limit_price_rejected(self):
         with pytest.raises(OrderParseError) as err:
-            parse_orders(order_json(orderType="LIMIT", price=-5))
+            orders_of(order_json(orderType="LIMIT", price=-5))
         assert err.value.path == "[0].price"
 
     def test_market_with_price_rejected(self):
         with pytest.raises(OrderParseError) as err:
-            parse_orders(order_json(price=10.0))
+            orders_of(order_json(price=10.0))
         assert err.value.path == "[0].price"
 
     def test_extra_field_rejected(self):
         with pytest.raises(OrderParseError) as err:
-            parse_orders(order_json(stopLoss=95))
+            orders_of(order_json(stopLoss=95))
         assert err.value.path == "[0].stopLoss"
 
     def test_missing_field_rejected(self):
         obj = dict(VALID_ORDER)
         del obj["explanation"]
         with pytest.raises(OrderParseError) as err:
-            parse_orders(json.dumps([obj]))
+            orders_of(json.dumps([obj]))
         assert err.value.path == "[0].explanation"
 
     def test_non_integer_quantity_rejected(self):
         for qty in (10.5, 10.0, "10", True, None, 0, -3):
             with pytest.raises(OrderParseError) as err:
-                parse_orders(order_json(quantity=qty))
+                orders_of(order_json(quantity=qty))
             assert err.value.path == "[0].quantity"
 
     def test_not_an_array(self):
         with pytest.raises(OrderParseError) as err:
-            parse_orders(json.dumps(VALID_ORDER))
+            orders_of(json.dumps(VALID_ORDER))
         assert err.value.code == "NOT_JSON_ARRAY"
 
     def test_garbage_text(self):
         with pytest.raises(OrderParseError) as err:
-            parse_orders("I think we should buy some shares")
+            orders_of("I think we should buy some shares")
         assert err.value.code == "NOT_JSON_ARRAY"
 
     def test_second_element_error_path(self):
         good = dict(VALID_ORDER)
         bad = dict(VALID_ORDER, orderType="limit")
         with pytest.raises(OrderParseError) as err:
-            parse_orders(json.dumps([good, bad]))
+            orders_of(json.dumps([good, bad]))
         assert err.value.path == "[1].orderType"
 
 
@@ -284,20 +291,20 @@ class TestParseOrdersGoldenSuite:
         payloads = golden_valid_payloads()
         assert len(payloads) == 50
         for payload in payloads:
-            specs = parse_orders(payload)
-            for spec in specs:
-                assert spec.quantity >= 1
-                if spec.order_type == OrderType.MARKET:
-                    assert spec.price is None
+            orders = orders_of(payload)
+            for order in orders:
+                assert order.quantity >= 1
+                if order.order_type == OrderType.MARKET:
+                    assert order.price is None
                 else:
-                    assert spec.price > 0
+                    assert order.price > 0
 
     def test_hundred_invalid_all_rejected_with_path(self):
         cases = golden_invalid_payloads()
         assert len(cases) >= 100
         for payload, want_path in cases:
             with pytest.raises(OrderParseError) as err:
-                parse_orders(payload)
+                orders_of(payload)
             assert err.value.path == want_path, payload
 
     def test_fuzzed_mutations_revalidate_constraints(self):
@@ -316,24 +323,24 @@ class TestParseOrdersGoldenSuite:
             if rng.random() < 0.2:
                 obj["extra"] = 1
             try:
-                specs = parse_orders(json.dumps([obj]))
+                orders = orders_of(json.dumps([obj]))
             except OrderParseError as err:
                 assert err.path.startswith("[0]") or err.path == "$"
                 continue
-            spec = specs[0]
-            assert spec.action.value in enums["action"][:4]
-            assert isinstance(spec.quantity, int) and spec.quantity >= 1
-            if spec.order_type == OrderType.MARKET:
-                assert spec.price is None
+            order = orders[0]
+            assert order.action.value in enums["action"][:4]
+            assert isinstance(order.quantity, int) and order.quantity >= 1
+            if order.order_type == OrderType.MARKET:
+                assert order.price is None
             else:
-                assert spec.price is not None and spec.price > 0
-            assert isinstance(spec.explanation, str)
+                assert order.price is not None and order.price > 0
+            assert isinstance(order.explanation, str)
 
-    def test_orders_from_specs_assigns_ids(self):
-        specs = parse_orders(order_json())
-        orders = orders_from_specs(specs, submitted_at=date(2025, 4, 28), id_prefix="d1")
-        assert orders[0].id == "d1-1"
-        assert orders[0].submitted_at == date(2025, 4, 28)
+    def test_ids_number_the_orders_in_reply_order(self):
+        reply = json.dumps([VALID_ORDER, dict(VALID_ORDER, action="SELL", quantity=3)])
+        orders = parse_orders(reply, date(2025, 5, 6), "d7")
+        assert [(o.id, o.action, o.quantity) for o in orders] == [("d7-1", Action.BUY, 10), ("d7-2", Action.SELL, 3)]
+        assert {o.submitted_at for o in orders} == {date(2025, 5, 6)}
 
     @given(
         st.lists(
@@ -356,32 +363,32 @@ class TestParseOrdersGoldenSuite:
                 obj["price"] = None
             else:
                 obj["price"] = round(obj["price"], 4)
-        specs = parse_orders(json.dumps(objs))
-        assert len(specs) == len(objs)
-        for spec, obj in zip(specs, objs):
-            assert spec.action.value == obj["action"]
-            assert spec.quantity == obj["quantity"]
+        orders = orders_of(json.dumps(objs))
+        assert len(orders) == len(objs)
+        for order, obj in zip(orders, objs):
+            assert order.action.value == obj["action"]
+            assert order.quantity == obj["quantity"]
 
 
 class TestStripFences:
     """`parse_orders` reads the body of a ``` fence, or the whole text without one."""
 
     def test_plain_passes_through(self):
-        assert parse_orders(order_json())[0].quantity == 10
+        assert orders_of(order_json())[0].quantity == 10
 
     def test_json_fence(self):
         raw = order_json()
-        assert parse_orders(f"```json\n{raw}\n```") == parse_orders(raw)
+        assert orders_of(f"```json\n{raw}\n```") == orders_of(raw)
 
     def test_bare_fence(self):
         raw = order_json()
-        assert parse_orders(f"```\n{raw}\n```") == parse_orders(raw)
+        assert orders_of(f"```\n{raw}\n```") == orders_of(raw)
 
     def test_an_empty_fence_body_is_the_payload(self):
         """The order JSON is the fence's empty body, not the whole text,
         which would fail on its missing comma instead."""
         with pytest.raises(OrderParseError, match="Expecting value"):
-            parse_orders("[1 ```\n```")
+            orders_of("[1 ```\n```")
 
     # The regex `read_fence` replaced, kept as its oracle.
     OLD_FENCE = re.compile(r"```(?:json)?\s*\n(.*?)\n?\s*```", re.DOTALL)
@@ -558,27 +565,35 @@ class TestCentralAgent:
     def test_empty_array_response(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
         agent = make_cta(gateway)
-        outcome = agent.decide(make_decision_context())
-        assert outcome.specs == [] and not outcome.gave_up
+        outcome = agent.decide(make_decision_context(), SESSION, "d1")
+        assert outcome.orders == [] and not outcome.gave_up
 
     def test_valid_order_parsed(self):
         gateway = make_gateway([ScriptEntry(response=order_json(), times=None)])
         agent = make_cta(gateway)
-        outcome = agent.decide(make_decision_context())
-        assert len(outcome.specs) == 1
-        assert outcome.specs[0].price is None
+        outcome = agent.decide(make_decision_context(), SESSION, "d1")
+        assert len(outcome.orders) == 1
+        assert outcome.orders[0].price is None
+
+    def test_orders_are_stamped_with_the_session_and_prefix(self):
+        reply = json.dumps([VALID_ORDER, dict(VALID_ORDER, orderType="LIMIT", price=99.5)])
+        gateway = make_gateway([ScriptEntry(response="garbage", step=1), ScriptEntry(response=reply, step=2)])
+        outcome = make_cta(gateway).decide(make_decision_context(), date(2025, 5, 6), "d7")
+        assert [(o.id, o.submitted_at, o.price) for o in outcome.orders] == [
+            ("d7-1", date(2025, 5, 6), None), ("d7-2", date(2025, 5, 6), Decimal("99.5000"))
+        ]
 
     def test_fenced_response_accepted(self):
         gateway = make_gateway([ScriptEntry(response=f"```json\n{order_json()}\n```", times=None)])
         agent = make_cta(gateway)
-        outcome = agent.decide(make_decision_context())
-        assert len(outcome.specs) == 1
+        outcome = agent.decide(make_decision_context(), SESSION, "d1")
+        assert len(outcome.orders) == 1
 
     def test_retry_then_give_up_yields_empty(self):
         gateway = make_gateway([ScriptEntry(response="sorry, no JSON here", times=None)])
         agent = make_cta(gateway)
-        outcome = agent.decide(make_decision_context())
-        assert outcome.specs == []
+        outcome = agent.decide(make_decision_context(), SESSION, "d1")
+        assert outcome.orders == []
         assert outcome.gave_up
         assert outcome.attempts == 3
 
@@ -587,7 +602,7 @@ class TestCentralAgent:
             [ScriptEntry(response="garbage", step=1), ScriptEntry(response="[]", step=2)]
         )
         agent = make_cta(gateway)
-        outcome = agent.decide(make_decision_context())
+        outcome = agent.decide(make_decision_context(), SESSION, "d1")
         assert outcome.attempts == 2 and not outcome.gave_up
 
     def test_deeply_nested_reply_is_reasked(self):
@@ -595,15 +610,15 @@ class TestCentralAgent:
         reply like any other, not a RecursionError."""
         nested = "[" * 100_000 + "]" * 100_000
         gateway = make_gateway([ScriptEntry(response=nested, step=1), ScriptEntry(response=order_json(), step=2)])
-        outcome = make_cta(gateway).decide(make_decision_context())
-        assert (len(outcome.specs), outcome.attempts) == (1, 2)
+        outcome = make_cta(gateway).decide(make_decision_context(), SESSION, "d1")
+        assert (len(outcome.orders), outcome.attempts) == (1, 2)
         reminder = sent_requests(gateway)[-1].messages[-1].text
         assert reminder.endswith("(parse error: NOT_JSON_ARRAY at $: not parseable JSON: nested too deeply)")
 
     def test_system_role_extracted_once(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
         agent = make_cta(gateway)
-        agent.decide(make_decision_context())
+        agent.decide(make_decision_context(), SESSION, "d1")
         request = sent_requests(gateway)[0]
         assert "elite proprietary trader" in request.system_text
         assert "elite proprietary trader" not in request.messages[0].text
@@ -612,7 +627,7 @@ class TestCentralAgent:
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
         agent = make_cta(gateway)
         ctx = make_decision_context(cash="98989.5", shares_long=12)
-        agent.decide(ctx)
+        agent.decide(ctx, SESSION, "d1")
         sent = sent_requests(gateway)[0].messages[0].text
         assert "$98989.50" in sent  # cash rendered with 2 decimals
         assert "Long 12 |" in sent
@@ -626,7 +641,7 @@ class TestCentralAgent:
         ctx = make_decision_context()
         template = load_template("cta_initial")
         rendered = template.render(ctx)
-        agent.decide(ctx)
+        agent.decide(ctx, SESSION, "d1")
         request = sent_requests(gateway)[0]
         sent_user = request.messages[0].text
         sent_system = request.system_text

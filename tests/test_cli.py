@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,28 @@ def _prompts_with_a_misspelled_asset(tmp_path):
     return str(tmp_path / "prompts")
 
 
+def _early_bars(start):
+    """The path of a new file of 4 bars on the days from `start`: rows of
+    `synthetic_daily` redated, as no `BarSeries` holds such dates."""
+
+    def path(tmp_path):
+        header, *rows = serialize_bars(synthetic_daily(4, seed=4), "csv").splitlines()
+        days = [(start + timedelta(days=n)).isoformat() for n in range(4)]
+        return _file(tmp_path, "bars.csv", "\n".join([header, *(day + row[10:] for day, row in zip(days, rows))]) + "\n")
+
+    return path
+
+
+def _run_early(start):
+    """`run` over 4 bars from `start`, each a session, with a default provider
+    that answers every call."""
+    default = {"kind": "scripted", "strict": False, "default_response": "[]"}
+    return _run_with(
+        "paths.bars", _early_bars(start), "window_start", start.isoformat(), "window_end", "0009-01-01",
+        "providers", {"default": default},
+    )
+
+
 def _bad_metrics(path, value):
     return EXIT_DATA, _tampered("report", "metrics.json", _set(path, value))
 
@@ -535,6 +558,11 @@ NO_TRACEBACK_PROBES = {
             "--actions", _file(tmp_path, "actions.csv", "date,kind,ratio,cash\n2024-06-10,split," + "1" * 131073 + ",\n"),
         ],
     ),
+    "run bars from 0001-01-01": (EXIT_DATA, _run_early(date(1, 1, 1))),
+    "run bars from 0002-01-01": (EXIT_DATA, _run_early(date(2, 1, 1))),
+    "backtest buy_hold bars from 0001-01-01": (
+        EXIT_DATA, lambda tmp_path, run: ["backtest", "--strategy", "buy_hold", "--bars", _early_bars(date(1, 1, 1))(tmp_path)]
+    ),
     "run --config nested": (EXIT_CONFIG, lambda tmp_path, run: ["run", "--config", _file(tmp_path, "config.json", NESTED)]),
     "report metrics.json nested": (EXIT_DATA, _tampered("report", "metrics.json", lambda text: NESTED)),
     "replay config.lock nested": (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: NESTED)),
@@ -583,6 +611,14 @@ PROBE_MESSAGES = {
     **{f"run bars with {case}": (message,) for case, (_, _, message) in OVERSIZED.items()},
     "backtest bollinger bars with prices 1e200": (OVERSIZED["prices 1e200"][2],),
     "backtest buy_hold bars with 400-digit prices": (OVERSIZED["400-digit prices"][2],),
+    **{
+        probe: (f"first bar dated {day}: bars must start on or after 0003-01-01, as a run looks back 2 years\n",)
+        for probe, day in (
+            ("run bars from 0001-01-01", "0001-01-01"),
+            ("run bars from 0002-01-01", "0002-01-01"),
+            ("backtest buy_hold bars from 0001-01-01", "0001-01-01"),
+        )
+    },
     "replay gateway v1 record": ("cannot replay ", "is gateway audit version 1; this build replays version 2"),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
 }

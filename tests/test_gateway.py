@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -25,11 +26,13 @@ from tradeloop.gateway import (
     RouterProvider,
     ScriptEntry,
     ScriptedProvider,
+    Transcript,
     message_fragment,
     record_line,
     request_hash,
     request_payload,
 )
+from tradeloop.engine import AuditLog
 from tradeloop.harness import run_experiment
 from tradeloop.opro import AdaptiveOpro
 from tradeloop.templates import PromptTemplate, asset_path, load_template
@@ -39,8 +42,13 @@ from test_harness import build_workspace
 from test_opro import optimizer_reply
 
 
+def request_of(system: str, messages, tags=()) -> ChatRequest:
+    """The request of a conversation of `messages`, as its `Transcript` makes it."""
+    return Transcript(system, messages).request(tuple(tags))
+
+
 def req(text: str, system: str = "sys", tags=()) -> ChatRequest:
-    return ChatRequest(system_text=system, messages=(ChatMessage(role="user", text=text),), tags=tuple(tags))
+    return request_of(system, (ChatMessage(role="user", text=text),), tags)
 
 
 class TestScriptedProvider:
@@ -75,7 +83,7 @@ class TestScriptedProvider:
                 CountedMessages.iterations += 1
                 return super().__iter__()
 
-        request = ChatRequest("sys", CountedMessages((ChatMessage("user", "x"),)))
+        request = replace(req("x"), messages=CountedMessages((ChatMessage("user", "x"),)))
         CountedMessages.iterations = 0
         provider = ScriptedProvider([ScriptEntry(response=str(n), match=f"absent {n}") for n in range(3)], strict=False)
         provider.complete(request)
@@ -121,12 +129,12 @@ class TestGatewayAudit:
         gateway = Gateway(ScriptedProvider([ScriptEntry(response=f"r{n}", step=n) for n in range(1, 7)]))
         u, a = (lambda text: ChatMessage("user", text)), (lambda text: ChatMessage("assistant", text))
         sent = [
-            ChatRequest("s", (u("q1"),), (("role", "x"),)),
-            ChatRequest("t", (u("p1"),), (("role", "y"),)),
-            ChatRequest("s", (u("q1"), a("r1"), u("q2")), (("role", "x"),)),
-            ChatRequest("s2", (u("q1"), a("r1"), u("q2"), a("r3"), u("q3")), (("role", "x"),)),
-            ChatRequest("t", (u("p1"), a("other"), u("p2")), (("role", "y"),)),
-            ChatRequest("s2", (u("q1"), a("r1"), u("q2"), a("r3"), u("q3"), a("r4"), u("q4")), (("role", "x"),)),
+            request_of("s", (u("q1"),), (("role", "x"),)),
+            request_of("t", (u("p1"),), (("role", "y"),)),
+            request_of("s", (u("q1"), a("r1"), u("q2")), (("role", "x"),)),
+            request_of("s2", (u("q1"), a("r1"), u("q2"), a("r3"), u("q3")), (("role", "x"),)),
+            request_of("t", (u("p1"), a("other"), u("p2")), (("role", "y"),)),
+            request_of("s2", (u("q1"), a("r1"), u("q2"), a("r3"), u("q3"), a("r4"), u("q4")), (("role", "x"),)),
         ]
         for request in sent:
             gateway.complete(request)
@@ -139,14 +147,14 @@ class TestGatewayAudit:
     def test_empty_messages_rejected(self):
         gateway = Gateway(ScriptedProvider([ScriptEntry(response="x")]))
         with pytest.raises(GatewayError):
-            gateway.complete(ChatRequest(system_text="", messages=()))
+            gateway.complete(request_of("", ()))
 
     def test_audit_sink_receives_lines(self, tmp_path):
         sink = tmp_path / "gateway.jsonl"
-        gateway = Gateway(ScriptedProvider([ScriptEntry(response="x")]), audit_sink=sink)
+        gateway = Gateway(ScriptedProvider([ScriptEntry(response="x")]), AuditLog(sink))
         gateway.complete(req("a"))
         assert sink.read_text(encoding="utf-8").count("\n") == 1
-        gateway.close()
+        gateway.audit.close()
 
 
 # Text that JSON escapes: non-ASCII, quotes, backslashes, braces, control
@@ -233,7 +241,7 @@ class TestTranscript:
         twin.replies = [reply for _, reply in provider.exchanges]
         by_hand = Gateway(twin)
         for request, _ in provider.exchanges:
-            by_hand.complete(ChatRequest(request.system_text, request.messages, request.tags))
+            by_hand.complete(request_of(request.system_text, request.messages, request.tags))
         assert [rebuilt for _, rebuilt in rebuilt_requests(by_hand.audit.text())] == [rebuilt for _, rebuilt in pairs]
         assert by_hand.audit.text() == gateway.audit.text()
 
@@ -357,7 +365,7 @@ class TestFragmentReuse:
         self.ask(agent, provider, "q2")
         messages = (*agent.transcript.messages, ChatMessage("user", "by hand"))
         provider.replies.append("re by hand")
-        gateway.complete(ChatRequest("sys", messages, (("role", "market"),)))
+        gateway.complete(request_of("sys", messages, (("role", "market"),)))
         self.ask(agent, provider, "q3")
         assert gateway.audit.text() == generic_log(provider.exchanges)
         assert [r["prior"] for r, _ in rebuilt_requests(gateway.audit.text())] == [0, 2, 4, 0]
@@ -385,7 +393,7 @@ class TestFragmentReuse:
         monkeypatch.setattr(gateway_module, "encode_basestring_ascii", counted)
         current = load_template("cta_initial")
         provider = Recorder()
-        opro = AdaptiveOpro(current, Gateway(provider), asset_path("optimizer").read_text(encoding="utf-8"))
+        opro = AdaptiveOpro(current, Gateway(provider), asset_path("optimizer").read_text(encoding="utf-8"), 5, "cumulative")
         per_proposal = []
         for n in range(1, 31):
             provider.replies.append(optimizer_reply(current.body.replace("Trading Philosophy", f"Philosophy {n:02d}")))
@@ -433,14 +441,14 @@ class TestRetry:
     def test_retries_transient_with_backoff(self):
         sleeps: list[float] = []
         provider = self.Flaky(failures=2)
-        gateway = Gateway(provider, max_attempts=3, sleep=sleeps.append)
+        gateway = Gateway(provider, sleep=sleeps.append)
         assert gateway.complete(req("x")).text == "finally"
         assert sleeps == [1.0, 4.0]
         assert provider.calls == 3
 
     def test_exhausted_retries_raise(self):
         provider = self.Flaky(failures=5)
-        gateway = Gateway(provider, max_attempts=3, sleep=lambda _s: None)
+        gateway = Gateway(provider, sleep=lambda _s: None)
         with pytest.raises(GatewayError):
             gateway.complete(req("x"))
         assert provider.calls == 3
@@ -448,7 +456,7 @@ class TestRetry:
 
     def test_non_retryable_raises_immediately(self):
         provider = self.Flaky(failures=5, code="PROVIDER_ERROR")
-        gateway = Gateway(provider, max_attempts=3, sleep=lambda _s: None)
+        gateway = Gateway(provider, sleep=lambda _s: None)
         with pytest.raises(GatewayError):
             gateway.complete(req("x"))
         assert provider.calls == 1
@@ -460,10 +468,10 @@ class TestReplayProvider:
         provider = ScriptedProvider(
             [ScriptEntry(response="one", step=1), ScriptEntry(response="two", step=2)]
         )
-        gateway = Gateway(provider, audit_sink=audit)
+        gateway = Gateway(provider, AuditLog(audit))
         gateway.complete(req("first"))
         gateway.complete(req("second"))
-        gateway.close()
+        gateway.audit.close()
         return audit
 
     def test_replay_returns_identical_responses(self, tmp_path):
@@ -491,10 +499,10 @@ class TestReplayProvider:
     def test_replayed_session_is_bit_reproducible(self, tmp_path):
         audit = self._record_session(tmp_path)
         second_audit = tmp_path / "gateway2.jsonl"
-        gateway = Gateway(ReplayProvider(audit), audit_sink=second_audit)
+        gateway = Gateway(ReplayProvider(audit), AuditLog(second_audit))
         gateway.complete(req("first"))
         gateway.complete(req("second"))
-        gateway.close()
+        gateway.audit.close()
         assert audit.read_bytes() == second_audit.read_bytes()
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +45,7 @@ from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
 from tradeloop.templates import asset_path, load_template
 
 from conftest import make_bar, rebuilt_requests, synthetic_daily
+from test_strategies import PINNED_BASELINES
 
 WINDOW_SESSIONS = 42
 HISTORY_BARS = 160
@@ -328,18 +331,19 @@ class TestRunExperiment:
         assert artifacts[0].metrics.win_rate_pct in (0.0, 100.0)
         assert artifacts[0].metrics.profit_per_trade is not None
 
-    def test_no_news_ablation_zero_calls_and_elided_block(self, tmp_path):
-        config = build_workspace(tmp_path, ablations={"no_news": True})
-        artifacts, _ = run_experiment(config)
-        roles = gateway_roles(artifacts[0].run_dir)
-        assert roles.count("news") == 0
-        cta_prompts = [request.messages[-1].text for _, request in role_records(artifacts[0].run_dir, "cta")]
-        assert all("### News Analysis" not in p for p in cta_prompts)
-
-    def test_no_market_ablation(self, tmp_path):
-        config = build_workspace(tmp_path, ablations={"no_market": True})
-        artifacts, _ = run_experiment(config)
-        assert gateway_roles(artifacts[0].run_dir).count("market") == 0
+    @pytest.mark.parametrize("ablation", ["no_market", "no_news", "no_fundamental"])
+    def test_ablation_makes_no_calls_and_elides_the_block(self, tmp_path, ablation):
+        """An ablated analyst is never asked, and no trading-agent prompt
+        holds its report's block."""
+        role, heading = {
+            "no_market": ("market", "### Market Analysis"),
+            "no_news": ("news", "### News Analysis"),
+            "no_fundamental": ("fundamental", "### Fundamentals Analysis"),
+        }[ablation]
+        config = build_workspace(tmp_path, ablations={ablation: True})
+        run_dir = run_experiment(config)[0][0].run_dir
+        assert role not in gateway_roles(run_dir)
+        assert all(heading not in request.messages[-1].text for _, request in role_records(run_dir, "cta"))
 
     def test_template_swap_renders_updated_instructions(self, tmp_path):
         config = build_workspace(tmp_path, mode="adaptive_opro")
@@ -522,9 +526,9 @@ class TestDeterminism:
 # SHA-256 of the compared artifacts of one scripted adaptive_opro_with_reflection
 # run over the last 42 of 300 bars (2024-12-27 to 2025-02-24), where SMA 200,
 # the levels and all three timeframes have values. Any change to prompt text,
-# indicator values, fills or artifact formats changes them. Computed on
-# CPython 3.11; from 3.12 on, sum() of floats is compensated, which can move
-# the last digit of an indicator and so these digests.
+# indicator values, fills or artifact formats changes them. They are the same
+# on CPython 3.10 to 3.13: every float sum adds left to right, although from
+# 3.12 on, sum() of floats is compensated.
 GOLDEN_BARS = 300
 GOLDEN_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
@@ -714,6 +718,31 @@ class TestGoldenDigests:
         windows = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))["windows"]
         assert all(w["v_start"] == prev["v_end"] for prev, w in zip(windows, windows[1:]))
         assert self.digests(run_dir) == GOLDEN_WINDOWED_PARSE_ERROR_DIGESTS
+
+    def test_a_compensated_float_sum_moves_no_artifact(self, tmp_path, monkeypatch):
+        """From Python 3.12 on, `sum` of floats is compensated (Neumaier). With
+        `sum` so patched for the length of a run and a baseline, both still
+        write their pinned digests: no float reaches an artifact through `sum`."""
+        real_sum = builtins.sum
+
+        def neumaier_sum(iterable, /, start=0):
+            items = list(iterable)
+            if start != 0 or not items or any(type(x) is not float for x in items):
+                return real_sum(items, start)
+            total = compensation = 0.0
+            for x in items:
+                t = total + x
+                compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + compensation if compensation and math.isfinite(compensation) else total
+
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        run_dir = self.run_dir(tmp_path, "adaptive_opro_with_reflection")
+        result = run_strategy(StrategyConfig(kind=StrategyKind.BOLLINGER), synthetic_daily(300, seed=17))
+        monkeypatch.undo()
+        assert self.digests(run_dir) == GOLDEN_DIGESTS
+        digests = (result.engine.audit.text(), result.report.to_json())
+        assert tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in digests) == PINNED_BASELINES[StrategyKind.BOLLINGER]
 
     def test_every_record_hashes_as_its_rebuilt_request(self, tmp_path):
         """Each record's `request_hash` is the reference hash of the whole

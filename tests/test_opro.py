@@ -196,7 +196,7 @@ class TestHistoryText:
         current = load_template("cta_initial")
         rejected = current.body + "\nWatch {{ sneaky_new_var }}."
         gateway = make_gateway([ScriptEntry(response=optimizer_reply(rejected), times=None)])
-        opro = AdaptiveOpro(current, gateway, "{{ history_text }}")
+        opro = AdaptiveOpro(current, gateway, "{{ history_text }}", 5, "cumulative")
         opro.close_window(5, 100_000.0, 101_000.0)
         assert opro.propose_update() is False
         opro.close_window(10, 100_000.0, 101_000.0)
@@ -387,6 +387,7 @@ class TestProposeUpdate:
             gateway=gateway,
             optimizer_asset=OPTIMIZER_ASSET,
             k=k,
+            roi_mode="cumulative",
         )
 
     def test_accepted_candidate_becomes_live(self):
@@ -517,6 +518,8 @@ class TestReflect:
             initial_template=load_template("cta_initial"),
             gateway=gateway,
             optimizer_asset=OPTIMIZER_ASSET,
+            k=5,
+            roi_mode="cumulative",
         )
         before = opro.live_template.body
         reflect(gateway, load_template("reflection"), self._context())
