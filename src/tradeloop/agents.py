@@ -1,14 +1,15 @@
 """Conversational agents and strict order parsing.
 
 Every model call is a turn of one role's conversation: the first call renders
-the initial asset, later calls the follow-up asset, and responses accumulate
-as assistant turns. The market/news/fundamental analysts and the reflection
-baseline just ask; a turn whose reply must parse (the central agent's orders,
-the optimizer's candidate) is re-asked with a reminder a bounded number of
-times. The central agent consumes the analysts' texts plus portfolio state and
-must answer with a bare JSON array of orders, which parses straight into the
-engine's `Order`s — anything off-schema is rejected field-by-field,
-re-asked, and finally treated as "no action".
+the initial asset, later calls the follow-up asset. A turn appends a user
+`ChatMessage`, which holds its encoding, and the assistant message that
+`Gateway.complete` returns. The market/news/fundamental analysts and the
+reflection baseline just ask; a turn whose reply must parse (the central
+agent's orders, the optimizer's candidate) is re-asked with a reminder a
+bounded number of times. The central agent consumes the analysts' texts
+plus portfolio state and must answer with a bare JSON array of orders, which
+parses straight into the engine's `Order`s — anything off-schema is rejected
+field-by-field, re-asked, and finally treated as "no action".
 """
 
 from __future__ import annotations
@@ -254,31 +255,29 @@ class ConversationalAgent:
         self.transcript = Transcript()
 
     def ask(self, context: dict, tags: tuple[tuple[str, str], ...] = ()) -> str:
-        return self._send(self._render(context), tuple(tags) + (("role", self.role),))
+        return self._send(ChatMessage("user", self._render(context)), tuple(tags) + (("role", self.role),))
 
     def ask_parsed(
         self,
-        user_text: str,
+        message: ChatMessage,
         parse: Callable[[str], T],
         reminder: Callable[[ValueError], str],
         tags: tuple[tuple[str, str], ...] = (),
-        fragment: str | None = None,
     ) -> tuple[T, int]:
-        """Send `user_text` and return `parse` of the reply and the number of
-        attempts. A reply that `parse` rejects with a ValueError is re-asked
-        with `reminder(error)`, at most MAX_REASKS times; after that the last
-        error propagates. `fragment`, when given, is the `message_fragment`
-        of `user_text`'s message, as `Transcript.append` takes it."""
+        """Send the user `message` and return `parse` of the reply and the
+        number of attempts. A reply that `parse` rejects with a ValueError is
+        re-asked with `reminder(error)`, at most MAX_REASKS times; after that
+        the last error propagates."""
         tags = tuple(tags) + (("role", self.role),)
         attempt = 1
         while True:
-            reply = self._send(user_text, tags + (("attempt", str(attempt)),), fragment)
+            reply = self._send(message, tags + (("attempt", str(attempt)),))
             try:
                 return parse(reply), attempt
             except ValueError as exc:
                 if attempt > MAX_REASKS:
                     raise
-                user_text, fragment = reminder(exc), None
+                message = ChatMessage("user", reminder(exc))
                 attempt += 1
 
     @property
@@ -292,11 +291,11 @@ class ConversationalAgent:
             self.transcript.system_text = rendered.system_text
         return rendered.user_text
 
-    def _send(self, user_text: str, tags: tuple[tuple[str, str], ...], fragment: str | None = None) -> str:
-        self.transcript.append(ChatMessage(role="user", text=user_text), fragment)
-        response = self.gateway.complete(self.transcript.request(tags))
-        self.transcript.append(ChatMessage(role="assistant", text=response.text), response.fragment)
-        return response.text
+    def _send(self, message: ChatMessage, tags: tuple[tuple[str, str], ...]) -> str:
+        self.transcript.append(message)
+        reply = self.gateway.complete(self.transcript.request(tags))
+        self.transcript.append(reply)
+        return reply.text
 
 
 # -- order parsing -----------------------------------------------------------
@@ -421,7 +420,7 @@ class CentralAgent(ConversationalAgent):
         """The orders of the session `submitted_at`, with ids from `id_prefix`."""
         parse = lambda reply: parse_orders(reply, submitted_at, id_prefix)
         try:
-            orders, attempts = self.ask_parsed(self._render(context), parse, _order_reminder, tags)
+            orders, attempts = self.ask_parsed(ChatMessage("user", self._render(context)), parse, _order_reminder, tags)
         except OrderParseError:
             return DecisionOutcome(orders=[], attempts=1 + MAX_REASKS, gave_up=True)
         return DecisionOutcome(orders=orders, attempts=attempts, gave_up=False)

@@ -9,18 +9,9 @@ JSONL `AuditLog` it is handed before returning.
 Audit timestamps are a deterministic call counter, not wall-clock time:
 byte-identical reruns are part of the contract. A call's audit record holds
 only what the call added to its conversation (one conversation per role tag
-at a time). A `Transcript`, the one maker of a `ChatRequest`, encodes each
-message once, into JSON fragments that feed its running request hash and
-that the gateway's `record_line` reuses as the record's messages, so a
-call's request hash and audit line cost what the call added rather than the
-whole conversation. Each reply is
-escaped once too: the gateway writes it into the audit line and hands it
-back as the assistant message's fragment (`ChatResponse.fragment`), which
-the caller appends to its transcript. JSON-escaping a text is escaping each
-of its pieces in turn, so a caller whose message is joined from texts it has
-already escaped (`escape`) hands `Transcript.append` the fragment joined
-from those escapes (`escaped_fragment`) instead of having the whole message
-escaped again.
+at a time). A `ChatMessage` holds its one encoding, which both the request
+hash and the audit record reuse; `Gateway.complete` returns the reply as such
+a message.
 """
 
 from __future__ import annotations
@@ -29,7 +20,7 @@ import functools
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,8 +30,7 @@ from .engine import AuditLog
 from .errors import ProviderError
 
 AUDIT_VERSION = 2  # the `v` of every gateway.jsonl record
-MAX_ATTEMPTS = 3  # provider calls per request, retries of a transient failure included
-DEFAULT_BACKOFF_S = (1.0, 4.0, 16.0)
+BACKOFF_S = (1.0, 4.0)  # the sleep before each retry of a transient failure
 RETRYABLE = ("TIMEOUT", "RATE_LIMITED")
 
 
@@ -52,22 +42,28 @@ class GatewayError(ProviderError):
 
 @dataclass(frozen=True)
 class ChatMessage:
+    """One turn of a conversation. `fragment` is its `message_fragment`,
+    made once: the message encodes itself, unless its maker passes in as
+    `encoded` the fragment it joined from escapes (`escaped_fragment`)."""
+
     role: str  # "user" | "assistant"
     text: str
+    encoded: InitVar[str | None] = None
+    fragment: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self, encoded: str | None) -> None:
+        object.__setattr__(self, "fragment", encoded or message_fragment(self))
 
 
 @dataclass(frozen=True)
 class ChatRequest:
     """One call's conversation, as `Transcript.request` makes it. `digest`
-    is its `request_hash`, and `fragments` are the `message_fragment`s of
-    its last messages, those its `Transcript` appended since its previous
-    request."""
+    is its `request_hash`."""
 
     system_text: str
     messages: tuple[ChatMessage, ...]
     tags: tuple[tuple[str, str], ...]
     digest: str = field(compare=False, repr=False)
-    fragments: tuple[str, ...] = field(compare=False, repr=False)
 
     def tag(self, key: str) -> str | None:
         return dict(self.tags).get(key)
@@ -75,14 +71,12 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class ChatResponse:
-    """A provider's reply. `Gateway.complete` sets `fragment` to the
-    `message_fragment` of the assistant message of `text`."""
+    """A provider's reply."""
 
     text: str
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
     latency_s: float = 0.0
-    fragment: str = field(default="", compare=False, repr=False)
 
 
 def request_payload(request: ChatRequest) -> dict:
@@ -127,36 +121,27 @@ def escaped_fragment(role: str, escaped_text: str) -> str:
 
 
 class Transcript:
-    """A conversation's system text and messages, each message encoded once.
+    """A conversation's system text and messages.
 
-    Appending a message encodes its `message_fragment` and feeds it (preceded
-    by a comma after the first) to a running SHA-256 of the payload so far, so
-    `request` gives each call's `request_hash` at the cost of what the call
-    adds. The request also carries the fragments appended since the previous
-    request, and the gateway formats the call's audit line from them; older
-    fragments are not kept. A caller may hand `append` a message's fragment
-    already built, as one joined from escaped pieces; it lives no longer than
-    the fragments the transcript encodes itself.
+    A message holds its encoding, and appending it feeds its `fragment`
+    (preceded by a comma after the first) to a running SHA-256 of the payload
+    so far, so `request` gives each call's `request_hash` at the cost of what
+    the call adds.
     """
 
     def __init__(self, system_text: str = "", messages: Iterable[ChatMessage] = ()):
         self.system_text = system_text
         self.messages: list[ChatMessage] = []
-        self._fresh: list[str] = []  # the fragments appended since the last request
         self._sha = hashlib.sha256(_HEAD)
         self._tail: tuple[str | None, bytes] = (None, b"")  # a system text and its encoded tail
         for message in messages:
             self.append(message)
 
-    def append(self, message: ChatMessage, fragment: str | None = None) -> None:
-        """Add `message`; `fragment`, when given, must be its `message_fragment`."""
-        if fragment is None:
-            fragment = message_fragment(message)
+    def append(self, message: ChatMessage) -> None:
         if self.messages:
             self._sha.update(b",")
-        self._sha.update(fragment.encode())
+        self._sha.update(message.fragment.encode())
         self.messages.append(message)
-        self._fresh.append(fragment)
 
     def digest(self) -> str:
         system_text, tail = self._tail
@@ -168,8 +153,7 @@ class Transcript:
         return sha.hexdigest()
 
     def request(self, tags: tuple[tuple[str, str], ...]) -> ChatRequest:
-        fresh, self._fresh = tuple(self._fresh), []
-        return ChatRequest(self.system_text, tuple(self.messages), tags, self.digest(), fresh)
+        return ChatRequest(self.system_text, tuple(self.messages), tags, self.digest())
 
 
 def record_line(
@@ -392,40 +376,32 @@ class Gateway:
         # Per role tag: the system text and messages its audit records hold.
         self._recorded: dict[str | None, tuple[str, tuple[ChatMessage, ...]]] = {}
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> ChatMessage:
+        """The provider's reply to `request` as the assistant message, once its record is written."""
         if not request.messages:
             raise GatewayError("PROVIDER_ERROR", "empty message list")
-        attempt = 0
-        while True:
-            attempt += 1
+        for delay in (*BACKOFF_S, None):
             try:
                 response = self.provider.complete(request)
                 break
             except GatewayError as exc:
-                if exc.code in RETRYABLE and attempt < MAX_ATTEMPTS:
-                    self.sleep(DEFAULT_BACKOFF_S[min(attempt - 1, len(DEFAULT_BACKOFF_S) - 1)])
-                    continue
-                raise
-        self._audit(request, response)
-        return response
+                if exc.code not in RETRYABLE or delay is None:
+                    raise
+                self.sleep(delay)
+        return self._audit(request, response)
 
-    def _audit(self, request: ChatRequest, response: ChatResponse) -> None:
-        """Write the call's record, and set the response's `fragment` from
-        the same escape of its text. The fragment follows from the text
-        alone, so a provider may hand out one response many times."""
+    def _audit(self, request: ChatRequest, response: ChatResponse) -> ChatMessage:
+        """Write the call's record; the reply message holds the escape of its text that the record does."""
         self._counter += 1
         role = request.tag("role")
         system, recorded = self._recorded.get(role, ("", ()))
         prior = len(recorded) if system == request.system_text and request.messages[: len(recorded)] == recorded else 0
-        # The request's fragments encode its last messages. A new message
-        # before them is encoded here: another conversation of this role tag
-        # came between, or the request's previous call failed.
-        start = len(request.messages) - len(request.fragments)
-        fragments = [*map(message_fragment, request.messages[prior:start]), *request.fragments[max(prior - start, 0) :]]
+        fragments = [m.fragment for m in request.messages[prior:]]
         system_text = None if prior else request.system_text
-        reply = encode_basestring_ascii(response.text)
-        object.__setattr__(response, "fragment", f'{{"role":"assistant","text":{reply}}}')
+        text_json = encode_basestring_ascii(response.text)
+        reply = ChatMessage("assistant", response.text, f'{{"role":"assistant","text":{text_json}}}')
         self.audit.append(
-            record_line(self._counter, request.tags, request.digest, prior, fragments, reply, system_text)
+            record_line(self._counter, request.tags, request.digest, prior, fragments, text_json, system_text)
         )
-        self._recorded[role] = (request.system_text, (*request.messages, ChatMessage("assistant", response.text)))
+        self._recorded[role] = (request.system_text, (*request.messages, reply))
+        return reply

@@ -399,6 +399,8 @@ def build_provider(pconf: ProviderConfig):
         entries = [ScriptEntry(**entry) for entry in pconf.script]
         return ScriptedProvider(entries, strict=pconf.strict, default_response=pconf.default_response)
     if pconf.kind == "http":
+        if any(c in "\r\n" or c > "\xff" for c in os.environ.get(pconf.api_key_env, "")):
+            raise ConfigError(f"the API key in {pconf.api_key_env} cannot go in an HTTP header: it is not latin-1 text or holds CR or LF")
         return HttpProvider(pconf.base_url, pconf.model_id, timeout_s=pconf.timeout_s, api_key_env=pconf.api_key_env)
     return ReplayProvider(pconf.replay_path)
 

@@ -275,12 +275,12 @@ def aggregate_runs(reports: Sequence[MetricReport]) -> dict[str, AggregateField 
     return out
 
 
-def format_cell(agg: AggregateField | None, decimals: int = 2) -> str:
+def format_cell(agg: AggregateField | None) -> str:
     if agg is None:
         return "n/a"
     if agg.std is None:
-        return f"{agg.mean:.{decimals}f}"
-    return f"{agg.mean:.{decimals}f} ± {agg.std:.{decimals}f}"
+        return f"{agg.mean:.2f}"
+    return f"{agg.mean:.2f} ± {agg.std:.2f}"
 
 
 def render_table(rows: dict[str, dict[str, AggregateField | None]]) -> str:

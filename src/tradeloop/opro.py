@@ -8,7 +8,8 @@ replacement template. A candidate goes live only when its placeholder set
 matches the current template exactly; rejected or unparseable candidates
 leave the live template untouched. Every event lands in an append-only JSONL
 evolution log. Each template is JSON-escaped once, when it enters the
-history, and each proposal's message fragment is joined from those escapes.
+history, and each proposal's meta-prompt message is handed the fragment
+joined from those escapes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .agents import ConversationalAgent, read_fence
 from .engine import AuditLog
-from .gateway import Gateway, escape, escaped_fragment
+from .gateway import ChatMessage, Gateway, escape, escaped_fragment
 from .templates import PromptTemplate, TemplateError
 
 HISTORY_MARKER = "{{ history_text }}"  # where the optimizer asset takes the scored history
@@ -270,9 +271,9 @@ class AdaptiveOpro:
 
         optimizer = ConversationalAgent("optimizer", self.gateway, None, None)
         meta = build_meta_prompt(self.history, self.optimizer_asset)
-        fragment = meta_prompt_fragment(self.history, self._asset_pieces)
+        message = ChatMessage("user", meta, meta_prompt_fragment(self.history, self._asset_pieces))
         try:
-            (output, candidate), _ = optimizer.ask_parsed(meta, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags, fragment)
+            (output, candidate), _ = optimizer.ask_parsed(message, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags)
         except OptimizerParseError as exc:
             self._log(live_score, last_candidate, error=exc)
             return False

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import json
 import random
 from datetime import date, timedelta
@@ -36,6 +37,30 @@ fence_texts = st.tuples(
     st.sampled_from(("```", "``", "")),
     _FENCE_TEXT,
 ).map("".join)
+
+
+def sum_left_to_right(xs) -> float:
+    """`xs` added left to right from 0, as `sum` adds floats up to Python
+    3.11; from 3.12 on, `sum` compensates the rounding of floats. The
+    bit-exact references add with this, not with the code they check."""
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
+@pytest.fixture
+def float_sum_raises(monkeypatch):
+    """`sum` raises on a float, whose rounding depends on the Python version."""
+    int_sum = builtins.sum
+
+    def checked(xs, start=0):
+        xs = list(xs)
+        if any(isinstance(x, float) for x in [start, *xs]):
+            raise AssertionError("sum() of floats")
+        return int_sum(xs, start)
+
+    monkeypatch.setattr(builtins, "sum", checked)
 
 
 def q2(x: float) -> Decimal:

@@ -4,7 +4,8 @@ bit: each pass here does the same float operations in the same order, with
 slices, `max`/`min` calls, index arithmetic and a MACD dict at every bar.
 
 RSI, the level clustering (`_Clusters`) and the prompt rendering were not
-rewritten, so these reference passes call the module's own.
+rewritten, so these reference passes call the module's own. Floats are added
+left to right (`sum_left_to_right`), as the passes added them on Python 3.11.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from tradeloop.indicators import (
     format_levels,
     rsi_series,
 )
+
+from conftest import sum_left_to_right
 
 
 def sma_series(series: BarSeries, n: int) -> list[float | None]:
@@ -40,7 +43,7 @@ def ema_series(series: BarSeries, n: int) -> list[float | None]:
     alpha = 2.0 / (n + 1)
     out: list[float | None] = [None] * min(n - 1, len(closes))
     if len(closes) >= n:
-        ema = sum(closes[:n]) / n
+        ema = sum_left_to_right(closes[:n]) / n
         out.append(ema)
         for close in closes[n:]:
             ema = alpha * close + (1.0 - alpha) * ema
@@ -67,7 +70,7 @@ def _macd(fast_line: list[float | None], slow_line: list[float | None], signal: 
             out.append(None)
             continue
         if len(macd_history) == signal:
-            signal_val = sum(macd_history) / signal
+            signal_val = sum_left_to_right(macd_history) / signal
         else:
             signal_val = alpha * macd_line + (1.0 - alpha) * signal_val
         out.append({"macd": macd_line, "signal": signal_val, "histogram": macd_line - signal_val})
@@ -99,8 +102,8 @@ def bollinger_at(series: BarSeries, i: int, n: int = 20, k: float = 2.0) -> dict
     if i < n - 1:
         return None
     window = series.closes[i - n + 1 : i + 1]
-    mean = sum(window) / n
-    var = sum((x - mean) ** 2 for x in window) / n
+    mean = sum_left_to_right(window) / n
+    var = sum_left_to_right((x - mean) ** 2 for x in window) / n
     sigma = var**0.5
     return {"middle": mean, "upper": mean + k * sigma, "lower": mean - k * sigma}
 
@@ -130,7 +133,7 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70, 
     while True:
         start = max(0, poc_idx - radius)
         end = min(n_bins - 1, poc_idx + radius)
-        if sum(volumes[start : end + 1]) >= target or (start == 0 and end == n_bins - 1):
+        if sum_left_to_right(volumes[start : end + 1]) >= target or (start == 0 and end == n_bins - 1):
             break
         radius += 1
     nonzero = [i for i in range(start, end + 1) if volumes[i] > 0]

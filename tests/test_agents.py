@@ -29,7 +29,7 @@ from tradeloop.agents import (
 )
 from tradeloop.bars import Bar
 from tradeloop.engine import Action, Fill, Order, OrderType, PortfolioState
-from tradeloop.gateway import ChatRequest, Gateway, ScriptEntry, ScriptedProvider
+from tradeloop.gateway import ChatMessage, ChatRequest, Gateway, ScriptEntry, ScriptedProvider
 from tradeloop.harness import ExperimentConfig, session_context
 from tradeloop.templates import load_template
 
@@ -535,7 +535,7 @@ class TestAskParsed:
             raise ValueError(f"cannot parse {reply!r}")
 
         with pytest.raises(ValueError, match="cannot parse 'no 3'"):
-            agent.ask_parsed("question", parse, lambda exc: f"again: {exc}", (("step", "1"),))
+            agent.ask_parsed(ChatMessage("user", "question"), parse, lambda exc: f"again: {exc}", (("step", "1"),))
         records = [json.loads(line) for line in gateway.audit.text().splitlines()]
         assert len(records) == 1 + MAX_REASKS
         assert [r["tags"] for r in records] == [
@@ -547,7 +547,7 @@ class TestAskParsed:
 
     def test_returns_parsed_value_and_attempts(self):
         gateway = make_gateway([ScriptEntry(response="x", step=1), ScriptEntry(response="7", step=2)])
-        value, attempts = make_analyst(gateway).ask_parsed("question", int, lambda exc: "digits only")
+        value, attempts = make_analyst(gateway).ask_parsed(ChatMessage("user", "question"), int, lambda exc: "digits only")
         assert (value, attempts) == (7, 2)
 
 

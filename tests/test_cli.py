@@ -624,6 +624,19 @@ PROBE_MESSAGES = {
 }
 
 
+@pytest.mark.parametrize("key", ["clé€", "sk-secret\n"])
+def test_an_api_key_no_http_header_carries_exits_2_unprinted(key, tmp_path, recorded_run, capsys, monkeypatch):
+    """A key that is not latin-1, or that holds LF, is a config error that
+    names its variable, and nothing is written or sent."""
+    monkeypatch.setenv("LLM_API_KEY", key)
+    argv = _run_with("providers.market", _http_provider(60))(tmp_path, recorded_run)
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: the API key in LLM_API_KEY cannot go in an HTTP header")
+    assert key.strip() not in out + err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["baseline", "reflection"])
 def test_only_optimizing_modes_need_the_history_marker(mode, tmp_path, recorded_run):
     """A mode that never proposes runs with an optimizer asset that has no

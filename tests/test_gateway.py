@@ -222,7 +222,7 @@ class TestTranscript:
                 text, replies = args
                 provider.replies = [("ok " if ok else "no ") + reply for ok, reply in replies]
                 try:
-                    agent.ask_parsed(text, _accept_ok, lambda exc: f"again: {exc}")
+                    agent.ask_parsed(ChatMessage("user", text), _accept_ok, lambda exc: f"again: {exc}")
                 except ValueError:
                     pass  # three rejected replies: the conversation goes on
                 provider.replies = []
@@ -314,8 +314,8 @@ class TestAuditRecordLine:
 
 
 class TestFragmentReuse:
-    """The gateway formats each record from the fragments its request
-    carries, encoding a message only when the request carries none for it.
+    """Each message holds its `message_fragment`, made once, and the gateway
+    formats each record from the fragments of the messages its call added.
     Every log is the bytes of `generic_log`."""
 
     @staticmethod
@@ -328,13 +328,67 @@ class TestFragmentReuse:
         provider.replies.append(f"re {text}")
         agent.ask({"system": system, "text": text})
 
-    def test_followup_carries_only_what_came_after_the_last_request(self):
-        provider = Recorder()
-        agent = self.agent(Gateway(provider))
-        for text in ("q1", "q2", "q3"):
-            self.ask(agent, provider, text)
-        assert [len(request.fragments) for request, _ in provider.exchanges] == [1, 2, 2]
-        assert provider.exchanges[-1][0].fragments == tuple(map(message_fragment, agent.transcript.messages[3:5]))
+    def test_a_message_carries_the_fragment_of_its_text(self):
+        """A message encodes itself unless it is handed its fragment, which
+        equality ignores; `replace` encodes the new text."""
+        message = ChatMessage("user", 'q "1"\u2028')
+        assert message.fragment == r'{"role":"user","text":"q \"1\"\u2028"}'
+        handed = ChatMessage("user", message.text, "the maker's fragment")
+        assert handed.fragment == "the maker's fragment" and handed == message
+        assert replace(handed, text="q\ud800").fragment == r'{"role":"user","text":"q\ud800"}'
+
+    def test_each_user_message_is_escaped_once_over_a_run(self, tmp_path, monkeypatch):
+        """Over a run of every agent and the optimizer, every message of a
+        conversation holds its `message_fragment`, and each user message is
+        escaped once, when it is made; a meta-prompt, joined from escapes,
+        never."""
+        encode, encoded = gateway_module.encode_basestring_ascii, Counter()
+
+        def counted(text: str) -> str:
+            encoded[text] += 1
+            return encode(text)
+
+        appended, append = [], Transcript.append
+
+        def kept(transcript: Transcript, message: ChatMessage) -> None:
+            appended.append(message)
+            append(transcript, message)
+
+        monkeypatch.setattr(gateway_module, "encode_basestring_ascii", counted)
+        monkeypatch.setattr(Transcript, "append", kept)
+        artifacts, _ = run_experiment(build_workspace(tmp_path, mode="adaptive_opro_with_reflection"))
+        monkeypatch.undo()
+        records = [json.loads(line) for line in (artifacts[0].run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()]
+        metas = {r["messages"][0]["text"] for r in records if r["tags"]["role"] == "optimizer" and r["tags"]["attempt"] == "1"}
+        users = Counter(m.text for m in appended if m.role == "user")
+        assert metas and len(users) > len(metas)
+        assert {text: encoded[text] for text in users} == {text: 0 if text in metas else n for text, n in users.items()}
+        assert all(m.fragment == message_fragment(m) for m in appended)
+
+    def test_a_failed_call_leaves_its_message_to_the_next_record(self):
+        """A call that fails writes no record, so the next call of the
+        conversation records both user messages."""
+
+        class FailsSecondCall(Recorder):
+            calls = 0
+
+            def complete(self, request: ChatRequest) -> ChatResponse:
+                self.calls += 1
+                if self.calls == 2:
+                    raise GatewayError("PROVIDER_ERROR", "once")
+                return super().complete(request)
+
+        provider = FailsSecondCall()
+        gateway = Gateway(provider)
+        agent = self.agent(gateway)
+        self.ask(agent, provider, "q1")
+        with pytest.raises(GatewayError):
+            agent.ask({"text": "q2"})
+        self.ask(agent, provider, "q3")
+        pairs = rebuilt_requests(gateway.audit.text())
+        assert [(r["prior"], [m["text"] for m in r["messages"]]) for r, _ in pairs] == [(0, ["q1"]), (2, ["q2", "q3"])]
+        assert [rebuilt.digest for _, rebuilt in pairs] == [request.digest for request, _ in provider.exchanges]
+        assert gateway.audit.text() == generic_log(provider.exchanges)
 
     def test_two_conversations_of_one_role_tag_take_turns(self):
         provider = Recorder()
@@ -376,7 +430,7 @@ class TestFragmentReuse:
         agent = self.agent(gateway)
         self.ask(agent, provider, "q1")
         provider.replies = ["no", "no", "ok done"]
-        assert agent.ask_parsed("q2", _accept_ok, lambda exc: f"again: {exc}") == ("ok done", 3)
+        assert agent.ask_parsed(ChatMessage("user", "q2"), _accept_ok, lambda exc: f"again: {exc}") == ("ok done", 3)
         assert gateway.audit.text() == generic_log(provider.exchanges)
         assert [len(r["messages"]) for r, _ in rebuilt_requests(gateway.audit.text())] == [1, 1, 1, 1]
 
