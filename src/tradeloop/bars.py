@@ -36,7 +36,7 @@ from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DataError
 
@@ -369,11 +369,14 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
     return BarSeries(symbol=symbol, resolution=Resolution.DAILY, bars=tuple(bars))
 
 
-def read_bars(path: Path | str, symbol: str = "") -> BarSeries:
-    """The bars file at `path`: JSONL if its name ends in `.jsonl`, else CSV."""
+def read_bars(
+    path: Path | str, symbol: str = "", read: Callable[[Path], str] = lambda path: path.read_text(encoding="utf-8")
+) -> BarSeries:
+    """The bars file at `path`, whose UTF-8 text `read` gives: JSONL if its
+    name ends in `.jsonl`, else CSV."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise BarDataError(f"bars file not found or unreadable: {exc}") from None
     return parse_bars(text, format="jsonl" if path.suffix == ".jsonl" else "csv", symbol=symbol)

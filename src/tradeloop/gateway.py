@@ -11,12 +11,15 @@ byte-identical reruns are part of the contract. A call's audit record holds
 only what the call added to its conversation (one conversation per role tag
 at a time). A `ChatMessage` holds its one encoding, which both the request
 hash and the audit record reuse; `Gateway.complete` returns the reply as such
-a message.
+a message. A message that its maker joined from known texts (the optimizer's
+meta-prompt, from the asset's pieces and the scored templates) holds those
+parts too, and its record lists them: each `SharedText` is written out the
+first time the log uses it and cited by its id after that (audit version 3).
+`rebuilt_requests` is the one reader of a log's records.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -29,7 +32,8 @@ from typing import Callable, Iterable, Protocol
 from .engine import AuditLog
 from .errors import ProviderError
 
-AUDIT_VERSION = 2  # the `v` of every gateway.jsonl record
+AUDIT_VERSION = 3  # the `v` of every gateway.jsonl record this build writes
+READ_VERSIONS = (2, 3)  # the versions it reads and replays; version 2 has no parts
 BACKOFF_S = (1.0, 4.0)  # the sleep before each retry of a transient failure
 RETRYABLE = ("TIMEOUT", "RATE_LIMITED")
 
@@ -40,19 +44,59 @@ class GatewayError(ProviderError):
         super().__init__(f"{code}: {message}" if message else code)
 
 
+def text_id(text: str) -> str:
+    """SHA-256 of `text` as UTF-8; an unpaired surrogate, which model text
+    may carry, encodes as its three bytes instead of failing."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+@dataclass(frozen=True)
+class SharedText:
+    """A text that many messages hold, such as a template: `id` is its
+    `text_id`, `escaped` its `escape`."""
+
+    id: str
+    escaped: str
+
+
+# A message part: the escape of a literal piece of text, or a shared text.
+Part = str | SharedText
+
+
+def text_part(text: str) -> Part:
+    """`text` as a message part: a `SharedText`, or the escape of `text`
+    when it is empty or holds a surrogate. JSON reads the escapes of a high
+    surrogate and a low one back as the one character they pair to, so the
+    id of such a text could not be checked against the text read back."""
+    escaped = escape(text)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:  # a surrogate
+        return escaped
+    return SharedText(hashlib.sha256(data).hexdigest(), escaped) if text else escaped
+
+
 @dataclass(frozen=True)
 class ChatMessage:
     """One turn of a conversation. `fragment` is its `message_fragment`,
-    made once: the message encodes itself, unless its maker passes in as
-    `encoded` the fragment it joined from escapes (`escaped_fragment`)."""
+    made once. A maker that joined the text from parts (`text_part`) hands
+    them in as `joined`: the message keeps them as `parts`, joins its
+    fragment from their escapes, and its audit record lists them in place
+    of the text. `dataclasses.replace` makes a message that encodes itself."""
 
     role: str  # "user" | "assistant"
     text: str
-    encoded: InitVar[str | None] = None
+    joined: InitVar[tuple[Part, ...] | None] = None
+    parts: tuple[Part, ...] | None = field(init=False, compare=False, repr=False)
     fragment: str = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, encoded: str | None) -> None:
-        object.__setattr__(self, "fragment", encoded or message_fragment(self))
+    def __post_init__(self, joined: tuple[Part, ...] | None) -> None:
+        object.__setattr__(self, "parts", joined)
+        if joined is None:
+            fragment = message_fragment(self)
+        else:
+            fragment = escaped_fragment(self.role, "".join(p if isinstance(p, str) else p.escaped for p in joined))
+        object.__setattr__(self, "fragment", fragment)
 
 
 @dataclass(frozen=True)
@@ -161,23 +205,93 @@ def record_line(
     tags: Iterable[tuple[str, str]],
     digest: str,
     prior: int,
-    fragments: Iterable[str],
+    messages: Iterable[str],
     response_json: str,
     system_text: str | None,
 ) -> str:
     """The gateway.jsonl line of call `ts`: its record as compact JSON with
-    sorted keys and `default=str`, whose `messages` are `fragments`, each a
-    `message_fragment`, and whose response text is `response_json`, as
-    `encode_basestring_ascii` writes it. A record with `prior` 0 holds
-    `system_text`, any other has None."""
+    sorted keys and `default=str`, whose `messages` are the JSON objects
+    `messages` (a `message_fragment`, or a message's listed parts), and
+    whose response text is `response_json`, as `encode_basestring_ascii`
+    writes it. A record with `prior` 0 holds `system_text`, any other has
+    None."""
     esc = encode_basestring_ascii
     tag_items = ",".join(f"{esc(key)}:{esc(value)}" for key, value in sorted(dict(tags).items()))
     system = "" if system_text is None else f',"system":{esc(system_text)}'
     return (
-        f'{{"messages":[{",".join(fragments)}],"prior":{prior},"request_hash":{esc(digest)},'
+        f'{{"messages":[{",".join(messages)}],"prior":{prior},"request_hash":{esc(digest)},'
         f'"response":{{"text":{response_json}}}{system},"tags":{{{tag_items}}},'
         f'"ts":"{ts:06d}","v":{AUDIT_VERSION}}}'
     )
+
+
+def _check_version(record: dict, number: int, source) -> int:
+    """The audit version of `record`, the `number`th of `source`: one of
+    `READ_VERSIONS`. Any other, or none (version 1), is refused by name."""
+    version = record.get("v", 1)
+    if version not in READ_VERSIONS:
+        raise GatewayError(
+            "PROVIDER_ERROR",
+            f"record {number} in {source} is gateway audit version {version!r}; this build replays version 2 or 3",
+        )
+    return version
+
+
+def rebuilt_requests(log: str | Path) -> list[tuple[dict, ChatRequest]]:
+    """Each record of a gateway audit log (its text or its path) with the
+    full request it stands for, rebuilt by feeding a `Transcript`: a record
+    with `prior` 0 starts its role tag's conversation from its `system` text,
+    a later one continues it after the last request and reply of that role,
+    which must be `prior` messages. A message's text is its `text`, or, in
+    version 3, its `parts` joined, a shared text cited by id being the text
+    an earlier part defined. The request's tags are the record's.
+
+    A record that cannot be read so raises a GatewayError, which exits 4:
+    among them a record of a version outside `READ_VERSIONS`, a shared text
+    cited before its definition, and a definition whose text does not hash
+    to its id."""
+    source = log if isinstance(log, Path) else "the log"
+    text = log.read_text(encoding="utf-8") if isinstance(log, Path) else log
+    conversations: dict[str | None, Transcript] = {}
+    defined: dict[str, str] = {}  # the shared texts, by id
+    pairs = []
+
+    def refused(number: int, why: str) -> GatewayError:
+        return GatewayError("PROVIDER_ERROR", f"record {number} in {source}: {why}")
+
+    def joined(number: int, parts: list) -> str:
+        texts = []
+        for part in parts:
+            if not isinstance(part, str):
+                if "text" in part:
+                    if (actual := text_id(part["text"])) != part["id"]:
+                        raise refused(number, f"the text defined as {part['id'][:12]} hashes to {actual[:12]}")
+                    defined[part["id"]] = part["text"]
+                elif part["id"] not in defined:
+                    raise refused(number, f"shared text {part['id'][:12]} is cited before its definition")
+                part = defined[part["id"]]
+            texts.append(part)
+        return "".join(texts)
+
+    for number, line in enumerate(text.splitlines(), 1):
+        try:
+            record = json.loads(line)
+            version = _check_version(record, number, source)
+            role = record["tags"].get("role")
+            if record["prior"]:
+                transcript = conversations.get(role)
+                if transcript is None or len(transcript.messages) != record["prior"] or "system" in record:
+                    raise refused(number, f"prior {record['prior']!r} continues no conversation of role tag {role!r}")
+            else:
+                transcript = conversations[role] = Transcript(record["system"])
+            for message in record["messages"]:
+                listed = version > 2 and "parts" in message
+                transcript.append(ChatMessage(message["role"], joined(number, message["parts"]) if listed else message["text"]))
+            pairs.append((record, transcript.request(tuple(record["tags"].items()))))
+            transcript.append(ChatMessage("assistant", record["response"]["text"]))
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+            raise refused(number, repr(exc)) from None
+    return pairs
 
 
 class Provider(Protocol):
@@ -202,15 +316,6 @@ class ScriptEntry:
     def spent(self) -> bool:
         return self.times is not None and self._used >= self.times
 
-    def matches(self, step: int, haystack: Callable[[], str]) -> bool:
-        if self.spent:
-            return False
-        if self.step is not None:
-            return self.step == step
-        if self.match is not None:
-            return self.match in haystack()
-        return True
-
 
 class ScriptedProvider:
     """Deterministic mock; strict mode errors on exhaustion or mismatch."""
@@ -226,13 +331,20 @@ class ScriptedProvider:
         self.calls += 1
         while self._live < len(self.script) and self.script[self._live].spent:
             self._live += 1
-        haystack = functools.cache(
-            lambda: request.system_text + "\n" + "\n".join(m.text for m in request.messages)
-        )
+        haystack = None  # the text a `match` is looked for in, built at the first one
         for entry in islice(self.script, self._live, None):
-            if entry.matches(self.calls, haystack):
-                entry._used += 1
-                return ChatResponse(text=entry.response)
+            if entry.spent:
+                continue
+            if entry.step is not None:
+                if entry.step != self.calls:
+                    continue
+            elif entry.match is not None:
+                if haystack is None:
+                    haystack = request.system_text + "\n" + "\n".join(m.text for m in request.messages)
+                if entry.match not in haystack:
+                    continue
+            entry._used += 1
+            return ChatResponse(text=entry.response)
         if self.strict:
             raise GatewayError("SCRIPT_EXHAUSTED", f"no scripted response for call {self.calls}")
         return ChatResponse(text=self.default_response)
@@ -242,8 +354,8 @@ class ReplayProvider:
     """Re-serves a recorded gateway audit log in call order.
 
     Each replayed call must hash-match the recorded request; any divergence
-    (edited prompts, reordered calls, tampered log, a record of another audit
-    version) fails loudly.
+    (edited prompts, reordered calls, tampered log, a record of an audit
+    version outside `READ_VERSIONS`) fails loudly.
     """
 
     def __init__(self, audit_path: Path | str):
@@ -254,12 +366,7 @@ class ReplayProvider:
                 for line in fh:
                     if line.strip():
                         record = json.loads(line)
-                        if (version := record.get("v", 1)) != AUDIT_VERSION:
-                            raise GatewayError(
-                                "PROVIDER_ERROR",
-                                f"record {len(self.records) + 1} in {audit_path} is gateway audit version "
-                                f"{version!r}; this build replays version {AUDIT_VERSION}",
-                            )
+                        _check_version(record, len(self.records) + 1, audit_path)
                         pair = (record["request_hash"], record["response"]["text"])
                         if not all(isinstance(s, str) for s in pair):
                             raise TypeError(f"request_hash and response text must be strings, got {pair!r}")
@@ -365,7 +472,9 @@ class Gateway:
     Each audit record states what its call added to its role's conversation:
     `prior` counts the messages that earlier records hold (the last request
     of that role tag plus its reply), `messages` holds the rest, and a record
-    with `prior` 0 starts a conversation and holds its `system` text.
+    with `prior` 0 starts a conversation and holds its `system` text. A
+    message with `parts` lists them; a shared text is defined, with its
+    text, only where the log first uses it, and cited by id after that.
     """
 
     def __init__(self, provider: Provider, audit: AuditLog | None = None, sleep: Callable[[float], None] = time.sleep):
@@ -375,6 +484,7 @@ class Gateway:
         self._counter = 0
         # Per role tag: the system text and messages its audit records hold.
         self._recorded: dict[str | None, tuple[str, tuple[ChatMessage, ...]]] = {}
+        self._defined: set[str] = set()  # the ids of the shared texts the log defines
 
     def complete(self, request: ChatRequest) -> ChatMessage:
         """The provider's reply to `request` as the assistant message, once its record is written."""
@@ -396,12 +506,30 @@ class Gateway:
         role = request.tag("role")
         system, recorded = self._recorded.get(role, ("", ()))
         prior = len(recorded) if system == request.system_text and request.messages[: len(recorded)] == recorded else 0
-        fragments = [m.fragment for m in request.messages[prior:]]
+        messages = [m.fragment if m.parts is None else self._listed(m) for m in request.messages[prior:]]
         system_text = None if prior else request.system_text
-        text_json = encode_basestring_ascii(response.text)
-        reply = ChatMessage("assistant", response.text, f'{{"role":"assistant","text":{text_json}}}')
+        reply = ChatMessage("assistant", response.text)
+        text_json = reply.fragment[_REPLY_TEXT_AT:-1]
         self.audit.append(
-            record_line(self._counter, request.tags, request.digest, prior, fragments, text_json, system_text)
+            record_line(self._counter, request.tags, request.digest, prior, messages, text_json, system_text)
         )
         self._recorded[role] = (request.system_text, (*request.messages, reply))
         return reply
+
+    def _listed(self, message: ChatMessage) -> str:
+        """The record item of a message with parts: each literal part as a
+        JSON string, each shared text as its id, with its text the first
+        time the log writes it."""
+        items = []
+        for part in message.parts:
+            if isinstance(part, str):
+                items.append(f'"{part}"')
+            elif part.id in self._defined:
+                items.append(f'{{"id":"{part.id}"}}')
+            else:
+                self._defined.add(part.id)
+                items.append(f'{{"id":"{part.id}","text":"{part.escaped}"}}')
+        return f'{{"parts":[{",".join(items)}],"role":{encode_basestring_ascii(message.role)}}}'
+
+
+_REPLY_TEXT_AT = len('{"role":"assistant","text":')  # where a reply's fragment holds its text's JSON

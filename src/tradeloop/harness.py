@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import filecmp
 import hashlib
+import io
 import json
 import math
 import os
@@ -36,12 +37,32 @@ from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_a
 from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, SessionResult
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError, ReplayMismatch
-from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider
+from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider, rebuilt_requests
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
-from .templates import asset_path, check_override_dir, load_template
+from .templates import PromptTemplate, TemplateError, asset_path, check_override_dir, load_template
 
 PROVIDER_ROLES = ("market", "news", "fundamental", "cta", "optimizer", "reflection")
 ABLATIONS = ("no_news", "no_market", "no_fundamental")
+
+# The values a prompt may name: every prompt the session's (`session_context`),
+# each role's prompts also the role's own. README lists them.
+SESSION_NAMES = frozenset(
+    (
+        "instrument", "action_interval", "has_bar", "session_start", "window_start", "session_end", "window_end",
+        "current_time", "now", "open", "high", "low", "close", "open_price", "high_price", "low_price",
+        "close_price", "volume", "vwap_str", "transactions", "shares_long", "shares_short", "shares_net",
+        "portfolio_cash", "executed_orders",
+    )
+)
+REPORTS = ("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis")  # what the trading agent reads
+ROLE_NAMES = {
+    "market": SESSION_NAMES | {"formatted_indicators", "extended_intervals_analysis"},
+    "news": SESSION_NAMES | {"joined_news"},
+    "fundamental": SESSION_NAMES | {"fundamental_data"},
+    "reflection": SESSION_NAMES | {"reflection_interval", "period_summary", "complete_history"},
+    "cta": SESSION_NAMES | set(REPORTS),
+}
+
 
 def _is_os_string(text: str) -> bool:
     """Whether `text` can name a file or an environment variable."""
@@ -233,7 +254,9 @@ FUNDAMENTAL_FIGURES = tuple(n for n, hint in get_type_hints(agents.FundamentalSn
 class LoadedData:
     """The inputs of every run of an experiment, read and checked once, with
     each session's bar index, the market analyst's indicator and levels text
-    and the other analysts' batches, which depend on the inputs and sessions only."""
+    and the other analysts' batches, which depend on the inputs and sessions
+    only. `inputs` maps each `paths` key whose file was read to the SHA-256
+    of the bytes read."""
 
     bars: BarSeries
     sessions: list[date]  # the sessions of the evaluation window
@@ -242,6 +265,7 @@ class LoadedData:
     news_batches: tuple[tuple[agents.NewsItem, ...], ...] | None  # one per session; None when the news analyst is ablated
     # One per session, None off the event sessions, and None when the fundamental analyst is ablated.
     fundamental_batches: tuple[tuple[agents.FundamentalSnapshot, ...] | None, ...] | None
+    inputs: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def of(
@@ -359,32 +383,42 @@ def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
     return sorted(snapshots, key=lambda snap: snap.filing_date)
 
 
-def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty):
+def _read_input(path: Path, key: str, inputs: dict[str, str]) -> str:
+    """The text of the input file `path`, as `Path.read_text` gives it;
+    `inputs[key]` is set to the SHA-256 of the bytes read."""
+    data = path.read_bytes()
+    inputs[key] = hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty, inputs: dict[str, str]):
     """`parse` of the text of the input file `paths[key]`, or `empty` when it
     names none. Any failure is a DataError that names the file."""
     if not paths.get(key):
         return empty
     try:
-        return parse(Path(paths[key]).read_text(encoding="utf-8"))
+        return parse(_read_input(Path(paths[key]), key, inputs))
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"bad {key} file {paths[key]}: {exc!r}") from None
 
 
 def load_data(config: ExperimentConfig) -> LoadedData:
     """The inputs of every run of `config`, read and checked once."""
-    paths = config.paths
-    series = read_bars(paths["bars"], symbol=config.instrument)
-    actions = _parse_input(paths, "actions", parse_actions_csv, [])
+    paths, inputs = config.paths, {}
+    series = read_bars(paths["bars"], config.instrument, lambda path: _read_input(path, "bars", inputs))
+    actions = _parse_input(paths, "actions", parse_actions_csv, [], inputs)
     series = adjust_for_actions(series, actions)
-    calendar = _parse_input(paths, "calendar", _parse_calendar, None) or SessionCalendar.from_series(series)
-    news = _parse_input(paths, "news", agents.load_news_jsonl, [])
-    fundamentals = _parse_input(paths, "fundamentals", _parse_fundamentals, [])
+    calendar = _parse_input(paths, "calendar", _parse_calendar, None, inputs) or SessionCalendar.from_series(series)
+    news = _parse_input(paths, "news", agents.load_news_jsonl, [], inputs)
+    fundamentals = _parse_input(paths, "fundamentals", _parse_fundamentals, [], inputs)
 
     sessions = calendar.sessions_between(config.window_start, config.window_end)
     market = not config.ablations.get("no_market")
     news = None if config.ablations.get("no_news") else news
     fundamentals = None if config.ablations.get("no_fundamental") else fundamentals
-    return LoadedData.of(series, sessions, market, news, fundamentals, [a.effective_date for a in actions])
+    data = LoadedData.of(series, sessions, market, news, fundamentals, [a.effective_date for a in actions])
+    data.inputs = inputs
+    return data
 
 
 def _config_text(config_json) -> tuple[str, str]:
@@ -527,6 +561,21 @@ def _period_review(results: list[SessionResult], first: int, last: int, inceptio
     return {"reflection_interval": str(last - first), "period_summary": summary, "complete_history": "\n".join(lines)}
 
 
+def load_templates(prompt_dir: str | None) -> dict[str, PromptTemplate]:
+    """Every prompt template of a run by asset name, shipped or overridden
+    in `prompt_dir`. A template that names a value its role's prompts are not
+    given (`ROLE_NAMES`) is a TemplateError (MISSING_KEY) that names its
+    file and role."""
+    templates = {}
+    for role, names in ROLE_NAMES.items():
+        for name in (role,) if role == "reflection" else (f"{role}_initial", f"{role}_followup"):
+            template = templates[name] = load_template(name, override_dir=prompt_dir)
+            if unknown := template.placeholders() - names:
+                path = asset_path(name, prompt_dir)
+                raise TemplateError("MISSING_KEY", f"{', '.join(sorted(unknown))} in {path}: a {role} prompt is given no such value")
+    return templates
+
+
 def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> RunArtifact:
     """One run into `run_dir`. Its config.lock is written before the first
     session, and its logs stream to disk and are closed on every exit, so an
@@ -541,7 +590,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> Run
     prompt_dir = config.prompt_dir or None
     if prompt_dir is not None:
         check_override_dir(prompt_dir)
-    tpl = lambda name: load_template(name, override_dir=prompt_dir)
+    tpl = load_templates(prompt_dir)
     optimizer_path = asset_path("optimizer", prompt_dir)
     optimizer_asset = optimizer_path.read_text(encoding="utf-8")
     if config.uses_opro and opro.HISTORY_MARKER not in optimizer_asset:
@@ -549,10 +598,12 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> Run
     # Built before any log opens: a replay provider reads its whole recording here.
     router = build_router(config)
     run_dir.mkdir(parents=True, exist_ok=True)
-    # The lock is {"config": ..., "hash": ...} as sorted JSON indented by 2:
-    # the config text, indented one level more, and its hash.
+    # The lock is {"config": ..., "hash": ..., "inputs": ...} as sorted JSON
+    # indented by 2: the config text, indented one level more, its hash, and
+    # the SHA-256 of each input file.
     config_text, config_hash = _config_text(config.__dict__)
-    lock_text = '{\n  "config": ' + config_text.replace("\n", "\n  ") + f',\n  "hash": "{config_hash}"\n}}\n'
+    inputs_text = json.dumps(data.inputs, indent=2, sort_keys=True).replace("\n", "\n  ")
+    lock_text = '{\n  "config": ' + config_text.replace("\n", "\n  ") + f',\n  "hash": "{config_hash}",\n  "inputs": {inputs_text}\n}}\n'
     (run_dir / "config.lock").write_text(lock_text, encoding="utf-8")
 
     with ExitStack() as logs:
@@ -560,22 +611,21 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> Run
         engine = ExecutionEngine(initial_cash=cash, audit=log("engine.jsonl"))
         gateway = Gateway(router, log("gateway.jsonl"))
         optimizer = opro.AdaptiveOpro(
-            tpl("cta_initial"), gateway, optimizer_asset, config.opro_k, config.roi_mode, log("opro.jsonl")
+            tpl["cta_initial"], gateway, optimizer_asset, config.opro_k, config.roi_mode, log("opro.jsonl")
         )
 
         def analyst(role: str, inputs) -> agents.ConversationalAgent | None:
             if inputs is None:  # `load_data` left them out: the analyst is ablated
                 return None
-            return agents.ConversationalAgent(role, gateway, tpl(f"{role}_initial"), tpl(f"{role}_followup"))
+            return agents.ConversationalAgent(role, gateway, tpl[f"{role}_initial"], tpl[f"{role}_followup"])
 
         market = analyst("market", data.market_texts)
         news = analyst("news", data.news_batches)
         fundamental = analyst("fundamental", data.fundamental_batches)
-        cta = agents.CentralAgent("cta", gateway, optimizer.live_template, tpl("cta_followup"))
-        reflection_template = tpl("reflection")
+        cta = agents.CentralAgent("cta", gateway, optimizer.live_template, tpl["cta_followup"])
 
         decision_fallbacks = 0  # malformed decisions that exhausted retries -> []
-        reports = dict.fromkeys(("market_analysis", "news_analysis", "fund_analysis", "reflection_analysis"))
+        reports = dict.fromkeys(REPORTS)
 
         for i, (session, bar_index) in enumerate(zip(sessions, data.session_bars)):
             bar = series.bars[bar_index]
@@ -587,7 +637,7 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> Run
             # Reflection happens between decisions, looking back over the period.
             if config.uses_reflection and i > 0 and i % config.reflection_interval == 0:
                 context = ctx | _period_review(engine.results, i - config.reflection_interval, i, cash)
-                reports["reflection_analysis"] = opro.reflect(gateway, reflection_template, context, tags=(("step", str(step)),))
+                reports["reflection_analysis"] = opro.reflect(gateway, tpl["reflection"], context, tags=(("step", str(step)),))
 
             if market is not None:
                 context = ctx | market_context(data, i, market.next_template.placeholders())
@@ -691,9 +741,21 @@ def aggregate_and_report(artifacts: list[RunArtifact], label: str = "experiment"
     }
 
 
+def _calls(gateway_log: Path) -> tuple[set, list[tuple]]:
+    """The audit versions of a gateway log's records, and each call, as the
+    record reader gives it: its `ts`, tags, request hash and reply."""
+    records = [record for record, _ in rebuilt_requests(gateway_log)]
+    return {r["v"] for r in records}, [(r["ts"], r["tags"], r["request_hash"], r["response"]["text"]) for r in records]
+
+
 def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> RunArtifact:
     """Re-execute a recorded run through the replay provider and require
     byte-identical artifacts. Raises ReplayMismatch on any divergence.
+
+    Before any call, each input file must still have the SHA-256 that the
+    lock's `inputs` records (a lock without them, from an older recording,
+    records none). A recording of gateway audit version 2 is replayed into
+    a version-3 log, which must hold the same calls, not the same bytes.
 
     The replay writes into `scratch_dir`, or into a temporary directory that
     is removed on every exit; the returned artifact names the recorded run."""
@@ -703,6 +765,9 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
         recorded = lock["config"]
         if _config_text(recorded)[1] != lock["hash"]:
             raise ReplayMismatch("config.lock hash does not match its config payload")
+        inputs = lock.get("inputs", {})
+        if not (isinstance(inputs, dict) and all(isinstance(v, str) for v in inputs.values())):
+            raise ValueError(f"inputs must map files to SHA-256 digests, got {inputs!r}")
         if isinstance(recorded, dict):
             recorded.pop("seed", None)  # written by earlier versions; nothing read it
         config = ExperimentConfig.from_dict(recorded)
@@ -712,6 +777,10 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
     config.providers = {"default": {"kind": "replay", "replay_path": str(run_dir / "gateway.jsonl")}}
 
     data = load_data(config)
+    for key, digest in sorted(inputs.items()):
+        if data.inputs.get(key) != digest:
+            read = data.inputs.get(key, "no file")
+            raise ReplayMismatch(f"input {config.paths.get(key, key)} changed: sha256 {read[:12]} != recorded {digest[:12]}")
     with ExitStack() as stack:
         # Without a scratch_dir the replay leaves nothing behind, whatever its outcome.
         scratch = Path(scratch_dir) if scratch_dir else Path(stack.enter_context(tempfile.TemporaryDirectory()))
@@ -728,6 +797,13 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
             for name in ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json")
             if not filecmp.cmp(run_dir / name, scratch / name, shallow=False)
         ]
+        if "gateway.jsonl" in mismatched:
+            try:
+                (versions, recorded_calls), (_, calls) = _calls(run_dir / "gateway.jsonl"), _calls(scratch / "gateway.jsonl")
+            except GatewayError as exc:
+                raise ReplayMismatch(f"cannot replay {run_dir}: {exc}") from exc
+            if versions == {2} and recorded_calls == calls:
+                mismatched.remove("gateway.jsonl")
     if mismatched:
         raise ReplayMismatch(f"replay artifacts differ: {', '.join(mismatched)}")
     return replace(artifact, run_dir=run_dir)

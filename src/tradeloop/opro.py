@@ -7,20 +7,20 @@ prompt history goes into a meta-prompt, and an optimizer model proposes a
 replacement template. A candidate goes live only when its placeholder set
 matches the current template exactly; rejected or unparseable candidates
 leave the live template untouched. Every event lands in an append-only JSONL
-evolution log. Each template is JSON-escaped once, when it enters the
-history, and each proposal's meta-prompt message is handed the fragment
-joined from those escapes.
+evolution log. Each template becomes a message part (`gateway.text_part`,
+escaped and hashed) once, when it enters the history, and each proposal's
+meta-prompt message is joined from those parts and the optimizer asset's, so
+its audit record cites every text that an earlier record wrote.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
 from .agents import ConversationalAgent, read_fence
 from .engine import AuditLog
-from .gateway import ChatMessage, Gateway, escape, escaped_fragment
+from .gateway import ChatMessage, Gateway, Part, escape, text_id, text_part
 from .templates import PromptTemplate, TemplateError
 
 HISTORY_MARKER = "{{ history_text }}"  # where the optimizer asset takes the scored history
@@ -58,16 +58,16 @@ class ScoringWindow:
 @dataclass
 class PromptRecord:
     """A template that went live, and the score of the last window it was
-    live for (1 decimal place). `escaped` is the text's `gateway.escape`,
+    live for (1 decimal place). `part` is the text's `gateway.text_part`,
     made once: the text never changes, only the score."""
 
     iteration: int
     template_text: str
     score: float | None = None
-    escaped: str = field(init=False, repr=False, compare=False)
+    part: Part = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.escaped = escape(self.template_text)
+        self.part = text_part(self.template_text)
 
 
 @dataclass(frozen=True)
@@ -148,24 +148,24 @@ def build_meta_prompt(records: list[PromptRecord], optimizer_asset: str) -> str:
     return optimizer_asset.replace(HISTORY_MARKER, build_history_text(records))
 
 
-def escaped_asset(optimizer_asset: str) -> tuple[str, ...]:
-    """The `gateway.escape` of each piece of the optimizer asset around its
-    history markers."""
-    return tuple(map(escape, optimizer_asset.split(HISTORY_MARKER)))
+def asset_parts(optimizer_asset: str) -> tuple[Part, ...]:
+    """The `gateway.text_part` of each piece of the optimizer asset around
+    its history markers."""
+    return tuple(map(text_part, optimizer_asset.split(HISTORY_MARKER)))
 
 
-def meta_prompt_fragment(records: list[PromptRecord], asset_pieces: tuple[str, ...]) -> str:
-    """The `message_fragment` of the user message `build_meta_prompt(records,
-    asset)`, where `asset_pieces` is the `escaped_asset` of `asset`: joined
-    from the records' escapes, with nothing escaped again."""
-    history = _GAP.join(f"{header}{_NL}{r.escaped}" for header, r in _ranked(records))
-    return escaped_fragment("user", history.join(asset_pieces))
-
-
-def template_sha(text: str) -> str:
-    """SHA-256 of `text` as UTF-8; an unpaired surrogate, which model text
-    may carry, encodes as its three bytes instead of failing."""
-    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+def meta_prompt_parts(records: list[PromptRecord], asset: tuple[Part, ...]) -> tuple[Part, ...]:
+    """The parts of the user message `build_meta_prompt(records, text)`,
+    where `asset` is the `asset_parts` of `text`: the asset's pieces and the
+    records' templates, with each header between them a literal part.
+    Nothing is escaped again."""
+    history: list[Part] = []
+    for header, r in _ranked(records):
+        history += (f"{_GAP if history else ''}{header}{_NL}", r.part)
+    parts = [asset[0]]
+    for piece in asset[1:]:
+        parts += (*history, piece)
+    return tuple(filter(None, parts))  # an empty literal adds nothing
 
 
 class AdaptiveOpro:
@@ -191,7 +191,7 @@ class AdaptiveOpro:
         self.roi_mode = roi_mode
         self.gateway = gateway
         self.optimizer_asset = optimizer_asset
-        self._asset_pieces = escaped_asset(optimizer_asset)
+        self._asset_parts = asset_parts(optimizer_asset)
         self.live_template = initial_template
         self.iteration = 1
         self.history = [PromptRecord(self.iteration, initial_template.body)]
@@ -215,7 +215,7 @@ class AdaptiveOpro:
                 "iteration": self.iteration,
                 "reject_reason": error and str(error),
                 "score": score,
-                "template_sha": template_sha(template_text),
+                "template_sha": text_id(template_text),
                 "template_text": template_text,
             }
         )
@@ -271,7 +271,7 @@ class AdaptiveOpro:
 
         optimizer = ConversationalAgent("optimizer", self.gateway, None, None)
         meta = build_meta_prompt(self.history, self.optimizer_asset)
-        message = ChatMessage("user", meta, meta_prompt_fragment(self.history, self._asset_pieces))
+        message = ChatMessage("user", meta, meta_prompt_parts(self.history, self._asset_parts))
         try:
             (output, candidate), _ = optimizer.ask_parsed(message, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags)
         except OptimizerParseError as exc:

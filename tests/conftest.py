@@ -1,20 +1,17 @@
-"""Shared deterministic fixture builders and the gateway audit log reader."""
+"""Shared deterministic fixture builders."""
 
 from __future__ import annotations
 
 import builtins
-import json
 import random
 from datetime import date, timedelta
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from tradeloop.bars import Bar, BarSeries, Resolution
-from tradeloop.gateway import AUDIT_VERSION, ChatMessage, ChatRequest, Transcript
 
 # Every property test draws the same examples on every run, with no example
 # database carried between runs and no per-example time limit.
@@ -153,28 +150,3 @@ def random_series() -> BarSeries:
 @pytest.fixture
 def long_series() -> BarSeries:
     return synthetic_daily(1000, seed=3)
-
-
-def rebuilt_requests(log: str | Path) -> list[tuple[dict, ChatRequest]]:
-    """Each record of a gateway audit log (its text or its path) with the
-    full request it stands for, rebuilt by feeding a `Transcript`: a record
-    with `prior` 0 starts its role tag's conversation from its `system` text,
-    a later one continues it after the last request and reply of that role,
-    which must be `prior` messages. The request's tags are the record's."""
-    text = log.read_text(encoding="utf-8") if isinstance(log, Path) else log
-    conversations: dict[str | None, Transcript] = {}
-    pairs = []
-    for line in text.splitlines():
-        record = json.loads(line)
-        assert record["v"] == AUDIT_VERSION
-        role = record["tags"].get("role")
-        if record["prior"]:
-            transcript = conversations[role]
-            assert len(transcript.messages) == record["prior"] and "system" not in record
-        else:
-            transcript = conversations[role] = Transcript(record["system"])
-        for message in record["messages"]:
-            transcript.append(ChatMessage(message["role"], message["text"]))
-        pairs.append((record, transcript.request(tuple(record["tags"].items()))))
-        transcript.append(ChatMessage("assistant", record["response"]["text"]))
-    return pairs

@@ -29,11 +29,11 @@ from tradeloop.agents import (
 )
 from tradeloop.bars import Bar
 from tradeloop.engine import Action, Fill, Order, OrderType, PortfolioState
-from tradeloop.gateway import ChatMessage, ChatRequest, Gateway, ScriptEntry, ScriptedProvider
+from tradeloop.gateway import ChatMessage, ChatRequest, Gateway, ScriptEntry, ScriptedProvider, rebuilt_requests
 from tradeloop.harness import ExperimentConfig, session_context
 from tradeloop.templates import load_template
 
-from conftest import fence_texts, rebuilt_requests
+from conftest import fence_texts
 
 
 def make_gateway(script):

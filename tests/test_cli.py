@@ -18,6 +18,7 @@ from tradeloop.bars import CSV_COLUMNS, serialize_bars
 from tradeloop import cli
 from tradeloop.cli import main
 from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
+from tradeloop.templates import asset_path
 
 from conftest import synthetic_daily
 from test_harness import build_workspace, order_payload
@@ -470,6 +471,25 @@ def _prompts_with_a_misspelled_asset(tmp_path):
     return str(tmp_path / "prompts")
 
 
+# One prompt of each role: an override of it that names an unknown value is
+# refused before the first model call.
+UNKNOWN_NAME_PROMPTS = {
+    "market": "market_followup", "news": "news_initial", "fundamental": "fundamental_followup",
+    "reflection": "reflection", "cta": "cta_initial",
+}
+
+
+def _prompt_naming_an_unknown_value(name):
+    """A prompt_dir whose asset `name` is the shipped one plus `{{ bogus_name }}`."""
+
+    def prompt_dir(tmp_path):
+        (tmp_path / "prompts").mkdir(exist_ok=True)
+        _file(tmp_path / "prompts", f"{name}.txt", asset_path(name).read_text(encoding="utf-8") + "\n{{ bogus_name }}\n")
+        return str(tmp_path / "prompts")
+
+    return prompt_dir
+
+
 def _early_bars(start):
     """The path of a new file of 4 bars on the days from `start`: rows of
     `synthetic_daily` redated, as no `BarSeries` holds such dates."""
@@ -524,6 +544,10 @@ NO_TRACEBACK_PROBES = {
     "run prompt_dir 5": (EXIT_CONFIG, _run_with("prompt_dir", 5)),
     "run prompt_dir missing": (EXIT_CONFIG, _run_with("prompt_dir", lambda tmp_path: str(tmp_path / "no-such-dir"))),
     "run prompt_dir with a misspelled asset": (EXIT_CONFIG, _run_with("prompt_dir", _prompts_with_a_misspelled_asset)),
+    **{
+        f"run {name} naming an unknown value": (EXIT_CONFIG, _run_with("prompt_dir", _prompt_naming_an_unknown_value(name)))
+        for name in UNKNOWN_NAME_PROMPTS.values()
+    },
     "run paths.bars 5": (EXIT_CONFIG, _run_with("paths.bars", 5)),
     "run paths without bars": (EXIT_CONFIG, _run_with("paths.bars", None)),
     **{
@@ -586,6 +610,12 @@ PROBE_MESSAGES = {
     "run paths without bars": ("paths.bars is required\n",),
     "run prompt_dir missing": ("config error: prompt_dir ", "no-such-dir is not a directory\n"),
     "run prompt_dir with a misspelled asset": ("config error: prompt_dir file ", "market_intial.txt names no prompt asset\n"),
+    **{
+        f"run {name} naming an unknown value": (
+            "config error: MISSING_KEY: bogus_name in ", f"{name}.txt: a {role} prompt is given no such value\n"
+        )
+        for role, name in UNKNOWN_NAME_PROMPTS.items()
+    },
     **{
         f"run http provider timeout_s {timeout!r}": (f"timeout_s must be finite and > 0, got {timeout!r}\n",)
         for timeout in TIMEOUTS

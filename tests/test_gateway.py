@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import pytest
 import requests
@@ -28,16 +29,19 @@ from tradeloop.gateway import (
     ScriptedProvider,
     Transcript,
     message_fragment,
+    rebuilt_requests,
     record_line,
     request_hash,
     request_payload,
+    text_id,
+    text_part,
 )
 from tradeloop.engine import AuditLog
 from tradeloop.harness import run_experiment
 from tradeloop.opro import AdaptiveOpro
 from tradeloop.templates import PromptTemplate, asset_path, load_template
 
-from conftest import rebuilt_requests
+from conftest import synthetic_daily
 from test_harness import build_workspace
 from test_opro import optimizer_reply
 
@@ -329,13 +333,17 @@ class TestFragmentReuse:
         agent.ask({"system": system, "text": text})
 
     def test_a_message_carries_the_fragment_of_its_text(self):
-        """A message encodes itself unless it is handed its fragment, which
-        equality ignores; `replace` encodes the new text."""
+        """A message encodes itself unless it is handed the parts it was
+        joined from, whose escapes its fragment joins unchecked and which
+        equality ignores; `replace` encodes the new text and drops them."""
         message = ChatMessage("user", 'q "1"\u2028')
-        assert message.fragment == r'{"role":"user","text":"q \"1\"\u2028"}'
-        handed = ChatMessage("user", message.text, "the maker's fragment")
-        assert handed.fragment == "the maker's fragment" and handed == message
-        assert replace(handed, text="q\ud800").fragment == r'{"role":"user","text":"q\ud800"}'
+        assert message.fragment == r'{"role":"user","text":"q \"1\"\u2028"}' and message.parts is None
+        parts = ("q ", text_part('"1"'), r"\u2028")
+        handed = ChatMessage("user", message.text, parts)
+        assert handed.fragment == message.fragment and handed.parts == parts and handed == message
+        assert ChatMessage("user", "x", ("the maker's escape",)).fragment == '{"role":"user","text":"the maker\'s escape"}'
+        replaced = replace(handed, text="q\ud800")
+        assert replaced.fragment == r'{"role":"user","text":"q\ud800"}' and replaced.parts is None
 
     def test_each_user_message_is_escaped_once_over_a_run(self, tmp_path, monkeypatch):
         """Over a run of every agent and the optimizer, every message of a
@@ -358,8 +366,8 @@ class TestFragmentReuse:
         monkeypatch.setattr(Transcript, "append", kept)
         artifacts, _ = run_experiment(build_workspace(tmp_path, mode="adaptive_opro_with_reflection"))
         monkeypatch.undo()
-        records = [json.loads(line) for line in (artifacts[0].run_dir / "gateway.jsonl").read_text(encoding="utf-8").splitlines()]
-        metas = {r["messages"][0]["text"] for r in records if r["tags"]["role"] == "optimizer" and r["tags"]["attempt"] == "1"}
+        pairs = rebuilt_requests(artifacts[0].run_dir / "gateway.jsonl")
+        metas = {sent.messages[0].text for r, sent in pairs if r["tags"]["role"] == "optimizer" and r["tags"]["attempt"] == "1"}
         users = Counter(m.text for m in appended if m.role == "user")
         assert metas and len(users) > len(metas)
         assert {text: encoded[text] for text in users} == {text: 0 if text in metas else n for text, n in users.items()}
@@ -477,6 +485,121 @@ class TestFragmentReuse:
         replies = Counter(json.loads(line)["response"]["text"] for line in log.splitlines())
         assert {json.loads(line)["tags"]["role"] for line in log.splitlines()} >= {"market", "news", "cta", "optimizer"}
         assert {text: encoded[text] for text in replies} == replies
+
+
+def written_texts(record: dict) -> list[str]:
+    """Every text a gateway record writes out: its system text, its reply,
+    each message's text, and each literal part and defined text of a
+    message that lists parts."""
+    texts = [record.get("system") or "", record["response"]["text"]]
+    for message in record["messages"]:
+        if "parts" not in message:
+            texts.append(message["text"])
+        texts += [part if isinstance(part, str) else part.get("text", "") for part in message.get("parts", ())]
+    return texts
+
+
+class TestSharedTexts:
+    """A message joined from parts lists them in its record (audit version
+    3): a shared text is defined, with its text, where the log first uses it
+    and cited by id after that."""
+
+    @staticmethod
+    def run_log(tmp_path, sessions: int = 42) -> Path:
+        """The gateway log of a scripted adaptive_opro_with_reflection run
+        over the last `sessions` sessions, each proposal of a new template."""
+        config = build_workspace(tmp_path, mode="adaptive_opro_with_reflection", history_bars=sessions + 20)
+        config.window_start = synthetic_daily(sessions + 20, seed=21).dates()[-sessions]
+        base = load_template("cta_initial").body
+        script = [{"step": n, "response": optimizer_reply(f"{base}\nRefinement {n}.")} for n in range(1, sessions // 5 + 1)]
+        config.providers["optimizer"] = {"kind": "scripted", "script": script}
+        artifacts, _ = run_experiment(config)
+        return artifacts[0].run_dir / "gateway.jsonl"
+
+    def test_each_shared_text_is_defined_once_then_cited(self, tmp_path):
+        """Each shared text is defined at its first use and only there; the
+        shared texts are the optimizer asset's two pieces and every template
+        that was live at a proposal, under the id `opro.jsonl` gives it. Each
+        line is the generic encoding of its record, and each record rebuilds
+        to a request of its `request_hash`."""
+        log = self.run_log(tmp_path)
+        cited = []
+        for line in log.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            assert line == json.dumps(record, separators=(",", ":"), sort_keys=True)
+            for part in (p for m in record["messages"] for p in m.get("parts", ()) if not isinstance(p, str)):
+                assert ("text" in part) == (part["id"] not in cited)
+                cited.append(part["id"])
+        ledger = [json.loads(line)["template_sha"] for line in (log.parent / "opro.jsonl").read_text(encoding="utf-8").splitlines()]
+        pieces = {text_id(piece) for piece in asset_path("optimizer").read_text(encoding="utf-8").split("{{ history_text }}")}
+        assert set(cited) == set(ledger[:-1]) | pieces and len(ledger) == 9  # the last template goes live after the last proposal
+        assert len(cited) > 4 * len(set(cited))
+        assert all(record["request_hash"] == request_hash(sent) == sent.digest for record, sent in rebuilt_requests(log))
+
+    def test_a_500_session_log_writes_each_long_text_once(self, tmp_path):
+        """Over 500 sessions and 99 proposals, each of a new template, no
+        text over 1 KB is written twice, and the optimizer's records, whose
+        meta-prompts hold every template so far, take fewer bytes than the
+        other records: the log grows linearly, not with the square of the
+        proposals."""
+        log = self.run_log(tmp_path, 500)
+        written, size = Counter(), Counter()
+        for line in log.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            size[record["tags"]["role"] == "optimizer"] += len(line) + 1
+            written.update(text for text in written_texts(record) if len(text) > 1024)
+        assert len(written) > 500 and max(written.values()) == 1
+        assert size[True] < size[False]
+
+    @staticmethod
+    def two_calls() -> tuple[Gateway, list[ChatRequest]]:
+        """A gateway's log of two calls, of two role tags, whose messages
+        are joined from the shared texts `a` and `b`: the first defines
+        both, the second cites them."""
+        a, b = text_part("first shared text"), text_part('second "shared" text\n')
+        gateway = Gateway(ScriptedProvider([ScriptEntry(response="ok", times=None)]))
+        sent = []
+        for role, parts in (("x", (a, " and ", b)), ("y", (b, a))):
+            text = "".join(json.loads(f'"{p if isinstance(p, str) else p.escaped}"') for p in parts)
+            sent.append(request_of("sys", (ChatMessage("user", text, parts),), (("role", role),)))
+            gateway.complete(sent[-1])
+        return gateway, sent
+
+    def test_a_log_rebuilds_through_its_citations(self):
+        gateway, sent = self.two_calls()
+        first, second = (json.loads(line)["messages"][0]["parts"] for line in gateway.audit.text().splitlines())
+        assert [sorted(p) if isinstance(p, dict) else p for p in first] == [["id", "text"], " and ", ["id", "text"]]
+        assert second == [{"id": first[2]["id"]}, {"id": first[0]["id"]}]
+        assert [rebuilt for _, rebuilt in rebuilt_requests(gateway.audit.text())] == sent
+
+    @pytest.mark.parametrize(
+        "edit, why",
+        [
+            (lambda lines: lines[::-1], "is cited before its definition"),
+            (lambda lines: [lines[0].replace("first shared", "first shaded"), lines[1]], "hashes to"),
+            (lambda lines: [lines[0].replace('"v":3', '"v":1'), lines[1]], "is gateway audit version 1; this build replays version 2 or 3"),
+        ],
+        ids=["citation-first", "edited-definition", "version-1"],
+    )
+    def test_the_reader_refuses_a_record_it_cannot_rebuild(self, edit, why):
+        """A citation before its definition, a definition whose text does not
+        hash to its id, and a version-1 record exit 4 and say why."""
+        gateway, _ = self.two_calls()
+        with pytest.raises(GatewayError) as err:
+            rebuilt_requests("\n".join(edit(gateway.audit.text().splitlines())))
+        assert err.value.exit_code == 4 and why in str(err.value)
+
+    @pytest.mark.parametrize("text", ["", "a\ud83d\ude00b", "a\udfff"])
+    def test_a_text_whose_id_could_not_be_checked_is_literal(self, text):
+        """An empty text, and one with a surrogate (a high one then a low one
+        JSON reads back as one character), are parts of their own escape."""
+        part = text_part(text)
+        assert part == encode_basestring_ascii(text)[1:-1]
+        gateway = Gateway(ScriptedProvider([ScriptEntry(response="ok")]))
+        sent = request_of("", (ChatMessage("user", f"<{text}>", ("<", part, ">")),))
+        gateway.complete(sent)
+        [(record, rebuilt)] = rebuilt_requests(gateway.audit.text())
+        assert record["messages"][0]["parts"] == logged(["<", text, ">"]) and rebuilt.digest == sent.digest
 
 
 class TestRetry:

@@ -7,6 +7,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -23,18 +25,21 @@ from tradeloop.agents import FundamentalSnapshot, NewsItem
 from tradeloop.bars import Bar, BarSeries, Lookback, Resolution, resample, serialize_bars
 from tradeloop.cli import main
 from tradeloop.engine import Action, ExecutionEngine, Fill, PortfolioState, SessionResult
-from tradeloop.gateway import ChatRequest, request_hash
+from tradeloop.gateway import ChatRequest, rebuilt_requests, request_hash
 from tradeloop.harness import (
     ConfigError,
     DataError,
     ExperimentConfig,
     LoadedData,
+    ROLE_NAMES,
+    SESSION_NAMES,
     ReplayMismatch,
     _fmt_bar_line,
     _period_review,
     aggregate_and_report,
     fundamental_batches,
     load_data,
+    load_templates,
     market_context,
     news_batches,
     replay_run,
@@ -44,11 +49,15 @@ from tradeloop.harness import (
 from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
 from tradeloop.templates import asset_path, load_template
 
-from conftest import make_bar, rebuilt_requests, synthetic_daily
+from conftest import make_bar, synthetic_daily
 from test_strategies import PINNED_BASELINES
 
 WINDOW_SESSIONS = 42
 HISTORY_BARS = 160
+# A recording made before gateway audit version 3, with its inputs: an
+# adaptive_opro_with_reflection run of 11 sessions whose config.lock names
+# its inputs relative to this directory and holds no input digests.
+GATEWAY_V2_RECORDING = Path(__file__).parent / "fixtures" / "gateway_v2"
 
 
 def order_payload(action: str, qty: int) -> str:
@@ -389,7 +398,8 @@ class TestRunExperiment:
     def test_config_lock_is_config_and_hash_as_sorted_json(self, tmp_path):
         """config.lock is encoded once and must equal the encoder's bytes,
         here over an inline script, non-ASCII text, newlines and empty
-        containers."""
+        containers; beside the config and its hash it holds the SHA-256 of
+        each input file the run read."""
         config = build_workspace(tmp_path)
         config.providers = config.providers | {
             "default": {},
@@ -401,7 +411,8 @@ class TestRunExperiment:
         artifacts, _ = run_experiment(config)
         config_json = json.loads(json.dumps(config.__dict__, default=date.isoformat))
         digest = hashlib.sha256(json.dumps(config_json, indent=2, sort_keys=True).encode("utf-8")).hexdigest()
-        want = json.dumps({"config": config_json, "hash": digest}, indent=2, sort_keys=True) + "\n"
+        inputs = {key: hashlib.sha256(Path(config.paths[key]).read_bytes()).hexdigest() for key in ("bars", "fundamentals", "news")}
+        want = json.dumps({"config": config_json, "hash": digest, "inputs": inputs}, indent=2, sort_keys=True) + "\n"
         assert (artifacts[0].run_dir / "config.lock").read_text(encoding="utf-8") == want
         replay_run(artifacts[0].run_dir)
 
@@ -532,7 +543,7 @@ class TestDeterminism:
 GOLDEN_BARS = 300
 GOLDEN_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "4485a9150947f422dcd36d01a10353dfbf683ef454e133d400081d1bdbb74263",
+    "gateway.jsonl": "58654a872ca43cbac23a3392003c2f95635b3754b8417cf9d3206a5ba8015fba",
     "opro.jsonl": "593e21fa9de4584d3c9c33e2f4e4a96a2ce92eaa07e9b3561d16c14753f006e7",
     "metrics.json": "68b85a0dec261ce07128a020752b98f8fde3aa4196a27cbbc09143e5c7470436",
 }
@@ -542,7 +553,7 @@ GOLDEN_DIGESTS = {
 # is never reset, so every decision request carries the whole run so far.
 GOLDEN_REFLECTION_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "3e6bca1e030d0d10acafbd2ce57ee8386102ec75a5ddd4fc6a86aec4cfd46245",
+    "gateway.jsonl": "7c11b445da6b47552428e74cc67806e04a509543e6bc7625db821ec01389b61d",
     "opro.jsonl": "b8b23e2f720bb1d494cdbd9372ee697e8166691e45be114741c067169148e663",
     "metrics.json": "bf5f121ae40ad7fedc3dc5acb9f652ce4ec0bcb652715e290fba0ad634a39445",
 }
@@ -570,7 +581,7 @@ Sessions 2024-12-27 -> 2025-01-02 | portfolio value 100000.00 -> 100103.10 (+0.1
 2025-01-01 (step 4): decided [SELL 10 MARKET] | filled [SELL 10 @ 141.30] | value 100299.00
 2025-01-02 (step 5): decided [SELL 10 MARKET] | filled [SELL 10 @ 139.43] | value 100103.10
 """
-GOLDEN_REVIEW_GATEWAY_DIGEST = "5628ee5eb5dbb122424fc540b3b451fdc16a10cd4c8ce50d4aaf38530b6294c8"
+GOLDEN_REVIEW_GATEWAY_DIGEST = "e7aa1538e1364538604379bc84764ae4ae3142d74498c38a5a9caa78db8de285"
 
 
 # The adaptive_opro_with_reflection inputs with replies that take every re-ask
@@ -581,7 +592,7 @@ GOLDEN_REVIEW_GATEWAY_DIGEST = "5628ee5eb5dbb122424fc540b3b451fdc16a10cd4c8ce50d
 # trading-agent decision that gives up after three malformed replies.
 GOLDEN_REJECTION_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "cf7e3161a26fb45b2b06e37d81477af0193aa4df2d1569d7935bf8a07bcceb17",
+    "gateway.jsonl": "ff67369ed859f83156cd5001705776a1e1e1f88e0c9700b3d09721dad2617b55",
     "opro.jsonl": "c6aab6da829ad18ff44d8e3145d44c371206ac4daa15dd66ba46984767050a8c",
     "metrics.json": "c768b3c56aaf7c10a922c3e26e6975c00ccd3a8ae79ab464b0f7c485563ff0a6",
 }
@@ -627,7 +638,7 @@ def rejection_providers(config: ExperimentConfig, lead: tuple[str, ...] = ()) ->
 # line records the PARSE_ERROR of the last one and keeps that candidate.
 GOLDEN_WINDOWED_PARSE_ERROR_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "98310ad36858dfcb3e186321f62b53182b9725f5d4bc423ab6b6674079748147",
+    "gateway.jsonl": "af00104aff2157d93082c2965d5f0a60d80a5cf8b5c7190e126c6fa858a8bb7d",
     "opro.jsonl": "2b378e5f475504f8d0a6af4fce34aa03ed7ddc7a7ded1215f25da0738c0f3da9",
     "metrics.json": "52faf9797cb69b039a2f76bea49aabc4a543cedd80860747037102c6ffaf1a7f",
 }
@@ -1002,6 +1013,39 @@ class TestSessionContext:
         fills = [Fill(f"d{d}-1", Action.BUY, date(2025, 5, d), Decimal("100.5"), d) for d in (1, 2)]
         assert self.context(fills)["executed_orders"] == "2025-05-01 BUY 1 @ 100.50\n2025-05-02 BUY 2 @ 100.50"
 
+    def test_the_context_gives_the_session_names(self):
+        assert self.context([]).keys() == SESSION_NAMES
+
+
+class TestRoleNames:
+    """`ROLE_NAMES` states the values each role's prompts may name; every
+    prompt is checked against it before the first call."""
+
+    def test_the_market_analyst_and_the_reflection_get_the_values_of_their_table(self):
+        series = synthetic_daily(60)
+        market = market_context(LoadedData.of(series, series.dates()[-5:]), 0, frozenset({"extended_intervals_analysis"}))
+        result = SessionResult(make_bar(date(2025, 1, 6), 10, 10, 10, 10), (), (), (), PortfolioState(Decimal(1), 0, 0))
+        review = _period_review([result] * 3, 0, 2, Decimal(1))
+        assert ROLE_NAMES["market"] == SESSION_NAMES | market.keys()
+        assert ROLE_NAMES["reflection"] == SESSION_NAMES | review.keys()
+
+    def test_readme_lists_each_roles_names(self):
+        """README's list of the session's values and of each role's own is
+        the table."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("may name the session's values:") : readme.index("A report named in any other prompt")]
+        session, roles = section.split("Each role adds its own:")
+        assert set(re.findall(r"`(\w+)`", session)) == SESSION_NAMES
+        listed = {}
+        for item in roles.split("\n- ")[1:]:
+            role, *names = re.findall(r"`(\w+)`", item.split("\n\n")[0])
+            listed[role] = SESSION_NAMES | set(names)
+        assert listed == ROLE_NAMES
+
+    def test_every_shipped_prompt_names_only_its_roles_values(self):
+        templates = load_templates(None)
+        assert len(templates) == 9 and {name: t.name for name, t in templates.items()} == {name: name for name in templates}
+
 
 def with_prompt(tmp_path: Path, name: str, text: str) -> ExperimentConfig:
     """A baseline workspace whose prompt_dir replaces the asset `name` with `text`."""
@@ -1057,10 +1101,13 @@ class TestSessionPrompts:
 
     @pytest.mark.parametrize("name, report", [("market_initial", "news_analysis"), ("news_initial", "market_analysis")])
     def test_analyst_template_naming_a_report_is_missing_key(self, tmp_path, capsys, name, report):
-        """No analyst sees a report, not even one made earlier in its session."""
+        """No analyst sees a report, not even one made earlier in its
+        session; the run stops before its first call."""
         with_prompt(tmp_path, name, "{{ %s }}" % report)
         assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
-        assert capsys.readouterr().err == f"config error: MISSING_KEY: {report}\n"
+        path, role = tmp_path / "prompts" / f"{name}.txt", name.split("_")[0]
+        assert capsys.readouterr().err == f"config error: MISSING_KEY: {report} in {path}: a {role} prompt is given no such value\n"
+        assert not (tmp_path / "runs").exists()
 
 
 class TestReplay:
@@ -1134,6 +1181,54 @@ class TestReplay:
         # The altered reply changes the trading agent's next request.
         with pytest.raises(ReplayMismatch, match="^replay diverged: REPLAY_MISMATCH: call 6: "):
             replay_run(artifacts[0].run_dir)
+
+
+    def test_a_changed_input_is_named_before_any_call(self, tmp_path, monkeypatch):
+        """A bar whose volume is raised by one fails the replay before its
+        first call, naming the file and both digests' prefixes."""
+        config = build_workspace(tmp_path)
+        run_dir = run_experiment(config)[0][0].run_dir
+        bars = Path(config.paths["bars"])
+        recorded = hashlib.sha256(bars.read_bytes()).hexdigest()
+        header, first, *rest = bars.read_text(encoding="utf-8").splitlines()
+        cells = first.split(",")
+        cells[5] = str(int(cells[5]) + 1)
+        bars.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
+        changed = hashlib.sha256(bars.read_bytes()).hexdigest()
+        monkeypatch.setattr(harness, "run_single", lambda *args: pytest.fail("the replay started"))
+        with pytest.raises(ReplayMismatch) as err:
+            replay_run(run_dir)
+        assert str(err.value) == f"input {bars} changed: sha256 {changed[:12]} != recorded {recorded[:12]}"
+        assert bars.name == "bars.csv" and err.value.exit_code == 4
+
+    def test_a_version_2_recording_replays(self, tmp_path, monkeypatch):
+        """A recording made before audit version 3 replays into a version-3
+        log: its engine, ledger and metrics bytes, and its calls through the
+        record reader, are the replay's."""
+        shutil.copytree(GATEWAY_V2_RECORDING, tmp_path / "recording")
+        monkeypatch.chdir(tmp_path / "recording")
+        replayed = replay_run(Path("run-1"), scratch_dir=tmp_path / "replay")
+        assert replayed.run_dir == Path("run-1")
+        recorded, log = Path("run-1/gateway.jsonl"), tmp_path / "replay" / "gateway.jsonl"
+        pairs = [rebuilt_requests(recorded), rebuilt_requests(log)]
+        assert [{r["v"] for r, _ in p} for p in pairs] == [{2}, {3}] and log.stat().st_size < recorded.stat().st_size
+        assert [[sent for _, sent in p] for p in pairs[:1]] == [[sent for _, sent in pairs[1]]]
+        assert {r["tags"]["role"] for r, _ in pairs[0]} == {"market", "news", "reflection", "cta", "optimizer"}
+
+    def test_a_version_2_recording_with_an_edited_call_differs(self, tmp_path, monkeypatch):
+        """The calls of a version-2 recording are compared, not dropped: an
+        edited `ts` fails the replay."""
+        shutil.copytree(GATEWAY_V2_RECORDING, tmp_path / "recording")
+        monkeypatch.chdir(tmp_path / "recording")
+        log = Path("run-1/gateway.jsonl")
+        log.write_text(log.read_text(encoding="utf-8").replace('"ts":"000003"', '"ts":"000033"', 1), encoding="utf-8")
+        with pytest.raises(ReplayMismatch, match="^replay artifacts differ: gateway.jsonl$"):
+            replay_run(Path("run-1"))
+
+    def test_every_version_2_record_hashes_as_its_rebuilt_request(self):
+        pairs = rebuilt_requests(GATEWAY_V2_RECORDING / "run-1" / "gateway.jsonl")
+        assert [record["tags"].get("attempt") for record, _ in pairs if record["tags"]["role"] == "optimizer"] == ["1", "1"]
+        assert all(record["v"] == 2 and record["request_hash"] == request_hash(rebuilt) for record, rebuilt in pairs)
 
 
 class TestProviderFailure:

@@ -19,9 +19,9 @@ from tradeloop.opro import (
     OptimizerParseError,
     PromptRecord,
     build_history_text,
+    asset_parts,
     build_meta_prompt,
-    escaped_asset,
-    meta_prompt_fragment,
+    meta_prompt_parts,
     parse_optimizer_response,
     reflect,
     validate_candidate,
@@ -239,14 +239,15 @@ class TestMetaPromptFragment:
     # No scored history: the asset's pieces around the marker meet.
     @example(texts_scores=[("t", None)], asset_pieces=["\ud83d", "\ude00"], order=random.Random(0))
     def test_joined_fragment_is_the_meta_prompts_fragment(self, texts_scores, asset_pieces, order):
-        """The fragment joined from the records' and the asset's escapes is
-        the meta-prompt's own `message_fragment`, over tied and missing
-        scores and assets with 0, 1 and 2 history markers."""
+        """The fragment that a message joins from the records' and the
+        asset's parts is the meta-prompt's own `message_fragment`, over tied
+        and missing scores and assets with 0, 1 and 2 history markers."""
         records = [PromptRecord(i, text, score) for i, (text, score) in enumerate(texts_scores, start=1)]
         order.shuffle(records)
         asset = HISTORY_MARKER.join(asset_pieces)
         meta = build_meta_prompt(records, asset)
-        assert meta_prompt_fragment(records, escaped_asset(asset)) == message_fragment(ChatMessage("user", meta))
+        joined = ChatMessage("user", meta, meta_prompt_parts(records, asset_parts(asset)))
+        assert joined.fragment == message_fragment(ChatMessage("user", meta))
 
 
 class TestParseOptimizerResponse:
