@@ -1,10 +1,10 @@
 """Provider-agnostic chat-completion boundary.
 
-Three provider kinds: `http` for live runs, `scripted` for tests, and
-`replay`, which re-serves a previously recorded audit log and bridges costly
-live runs into CI. The gateway never mutates prompt text, retries transient
-failures with exponential backoff, and appends every completed exchange to the
-JSONL `AuditLog` it is handed before returning.
+Three provider kinds: `http` for live runs (OpenAI-style, over urllib),
+`scripted` for tests, and `replay`, which re-serves a recorded audit log and
+bridges costly live runs into CI. The gateway never mutates prompt text,
+retries transient failures with exponential backoff, and appends every
+completed exchange to the JSONL `AuditLog` it is handed before returning.
 
 Audit timestamps are a deterministic call counter, not wall-clock time:
 byte-identical reruns are part of the contract. A call's audit record holds
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import InitVar, dataclass, field
 from itertools import islice
@@ -392,54 +393,40 @@ class ReplayProvider:
 class HttpProvider:
     """OpenAI-style chat completions endpoint; API key via environment only."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model_id: str,
-        timeout_s: float = 60.0,
-        api_key_env: str = "LLM_API_KEY",
-        session=None,
-    ):
+    def __init__(self, base_url: str, model_id: str, timeout_s: float = 60.0, api_key_env: str = "LLM_API_KEY"):
         self.base_url = base_url.rstrip("/")
         self.model_id = model_id
         self.timeout_s = timeout_s
         self.api_key_env = api_key_env
-        self._session = session
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        import os
+        from http.client import HTTPException  # imported here: urllib's client costs ~20 ms no other provider needs
+        from urllib.error import HTTPError
+        from urllib.request import HTTPRedirectHandler, Request, build_opener
 
-        import requests
+        class NoRedirect(HTTPRedirectHandler):  # a 3xx stays an HTTPError: urllib would re-send the POST as a GET, to any host
+            def redirect_request(self, *args):
+                return None
 
-        session = self._session or requests
-        messages = []
-        if request.system_text:
-            messages.append({"role": "system", "content": request.system_text})
-        for m in request.messages:
-            messages.append({"role": m.role, "content": m.text})
-        payload = {"model": self.model_id, "messages": messages}
-        headers = {}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
+        messages = [{"role": "system", "content": request.system_text}] if request.system_text else []
+        messages += [{"role": m.role, "content": m.text} for m in request.messages]
+        payload = json.dumps({"model": self.model_id, "messages": messages}).encode()
+        post = Request(f"{self.base_url}/chat/completions", payload, {"Content-Type": "application/json"})
+        if key := os.environ.get(self.api_key_env, ""):
+            post.add_unredirected_header("Authorization", f"Bearer {key}")  # never copied into a redirect
         started = time.monotonic()
         try:
-            resp = session.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-        except requests.Timeout as exc:
-            raise GatewayError("TIMEOUT", str(exc)) from exc
-        except requests.RequestException as exc:
-            raise GatewayError("PROVIDER_ERROR", str(exc)) from exc
-        if resp.status_code == 429:
-            raise GatewayError("RATE_LIMITED", "429")
-        if resp.status_code >= 400:
-            raise GatewayError("PROVIDER_ERROR", f"status {resp.status_code}")
+            with build_opener(NoRedirect).open(post, timeout=self.timeout_s) as resp:
+                raw = resp.read()
+        except HTTPError as exc:  # any status outside 2xx
+            exc.close()  # it holds the response open
+            raise GatewayError("RATE_LIMITED" if exc.code == 429 else "PROVIDER_ERROR", f"status {exc.code}") from None
+        except (OSError, HTTPException) as exc:
+            # A read timeout is a bare TimeoutError; a connect timeout, a URLError whose reason is one.
+            timed_out = isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError)
+            raise GatewayError("TIMEOUT" if timed_out else "PROVIDER_ERROR", str(exc)) from exc
         try:  # a body that is not JSON, or not of this shape, is the provider's fault
-            body = resp.json()
+            body = json.loads(raw)
             text = body["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError(f"content must be a string, got {text!r}")

@@ -31,6 +31,7 @@ from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
 from typing import Annotated, Callable, Literal, Sequence, get_args, get_origin, get_type_hints
+from urllib.parse import urlsplit
 
 from . import agents, indicators, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
@@ -172,6 +173,16 @@ def _is_script_entry(entry) -> bool:
     )
 
 
+def _is_http_url(text: str) -> bool:
+    """An http:// or https:// URL with a host a socket takes; urllib would read a `file:` URL's file as a reply."""
+    try:
+        url = urlsplit(text)
+        url.port  # a port that is no number, or out of range, raises ValueError
+        return url.scheme in ("http", "https") and bool(url.hostname) and bool(url.hostname.encode("idna"))
+    except ValueError:  # also a bad IPv6 literal, or a host label that is empty or too long
+        return False
+
+
 @dataclass
 class ProviderConfig(_Config, what="provider config"):
     kind: Literal["scripted", "http", "replay"] = "scripted"
@@ -192,6 +203,8 @@ class ProviderConfig(_Config, what="provider config"):
             raise ConfigError(f"timeout_s must be at most {int(threading.TIMEOUT_MAX)} s, got {self.timeout_s!r}")
         if self.kind == "http" and not self.base_url:
             raise ConfigError("an http provider needs base_url")
+        if self.kind == "http" and not _is_http_url(self.base_url):
+            raise ConfigError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
         if self.kind == "replay" and not self.replay_path:
             raise ConfigError("a replay provider needs replay_path")
         for n, entry in enumerate(self.script):

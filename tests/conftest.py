@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from tradeloop.bars import Bar, BarSeries, Resolution
 
+from chat_server import ChatServer
+
 # Every property test draws the same examples on every run, with no example
 # database carried between runs and no per-example time limit.
 settings.register_profile("tradeloop", deadline=None, derandomize=True, database=None)
@@ -140,6 +142,26 @@ def synthetic_daily(
         price = float(c)
         d = next_weekday(d + timedelta(days=1))
     return BarSeries(symbol=symbol, resolution=Resolution.DAILY, bars=tuple(bars))
+
+
+@pytest.fixture(scope="module")
+def chat_server_of_module():
+    with ChatServer() as server:
+        yield server
+
+
+@pytest.fixture
+def without_proxy(monkeypatch):
+    """No proxy that urllib would honour between a loopback server and its clients."""
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture
+def chat_server(chat_server_of_module, without_proxy) -> ChatServer:
+    """The test module's one loopback chat server, reset, with no proxy between."""
+    chat_server_of_module.reset()
+    return chat_server_of_module
 
 
 @pytest.fixture

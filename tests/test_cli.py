@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -18,8 +19,10 @@ from tradeloop.bars import CSV_COLUMNS, serialize_bars
 from tradeloop import cli
 from tradeloop.cli import main
 from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
+from tradeloop.harness import PROVIDER_ROLES
 from tradeloop.templates import asset_path
 
+from chat_server import ChatServer
 from conftest import synthetic_daily
 from test_harness import build_workspace, order_payload
 
@@ -175,6 +178,12 @@ class TestRunReportReplay:
         assert "byte-identical" in capsys.readouterr().out
 
 
+def _fresh_python(code: str) -> str:
+    """What `code` prints in a new interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tradeloop.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=60).stdout
+
+
 def test_the_cli_reaches_every_module_of_the_package():
     """Importing the CLI imports every module the package holds, so none is
     left that no run reaches."""
@@ -182,9 +191,30 @@ def test_the_cli_reaches_every_module_of_the_package():
         "import pkgutil, sys, tradeloop, tradeloop.cli\n"
         "print(sorted(m.name for m in pkgutil.iter_modules(tradeloop.__path__) if 'tradeloop.' + m.name not in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(tradeloop.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=60)
-    assert done.stdout == "[]\n"
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_the_cli_leaves_the_http_client_unimported():
+    """urllib's client, with http.client and ssl, costs about 20 ms to
+    import, so only an `http` provider's first call imports it."""
+    code = "import sys, tradeloop.cli\nprint(sorted({'urllib.request', 'http.client', 'ssl'} & sys.modules.keys()))"
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_the_package_needs_only_the_standard_library():
+    """Every module the package imports is in the standard library or the
+    package itself, and pyproject.toml declares no runtime dependency."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    imported = set()
+    for path in Path(tradeloop.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert {name.split(".")[0] for name in imported} - {"tradeloop"} <= sys.stdlib_module_names
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"].get("dependencies", []) == []
 
 
 @pytest.mark.parametrize(
@@ -356,8 +386,11 @@ def _run_with(key, value, *more):
     return argv
 
 
-# Timeouts that requests refuses (0, below 0, NaN) or cannot pass to a socket (infinite).
+# Timeouts that a socket refuses (below 0, NaN, infinite) or takes as "never wait" (0).
 TIMEOUTS = (0, -1.5, math.nan, math.inf)
+# URLs that urllib would read a file from (file:), fetch over another protocol
+# (ftp:), take for a relative path, or find no host in.
+BAD_BASE_URLS = ("file:///tmp/x", "ftp://host/v1", "api.example.com/v1", "http:///v1", "http://a..b/v1")
 
 
 def _http_provider(timeout_s, base_url="http://127.0.0.1:9"):
@@ -557,6 +590,10 @@ NO_TRACEBACK_PROBES = {
     "run http provider timeout_s 1e10": (EXIT_CONFIG, _run_with("providers.market", _http_provider(1e10))),
     "run http provider without base_url": (EXIT_CONFIG, _run_with("providers.market", _http_provider(60, base_url=""))),
     **{
+        f"run http provider base_url {url}": (EXIT_CONFIG, _run_with("providers.market", _http_provider(60, base_url=url)))
+        for url in BAD_BASE_URLS
+    },
+    **{
         f"run {mode} optimizer asset without history": (
             EXIT_CONFIG, _run_with("prompting_mode", mode, "prompt_dir", _prompts_without_history)
         )
@@ -623,6 +660,10 @@ PROBE_MESSAGES = {
     "run http provider timeout_s 1e10": ("timeout_s must be at most 9223372036 s, got 10000000000.0\n",),
     "run http provider without base_url": ("an http provider needs base_url\n",),
     **{
+        f"run http provider base_url {url}": (f"base_url must be an http:// or https:// URL with a host, got {url!r}\n",)
+        for url in BAD_BASE_URLS
+    },
+    **{
         f"run {mode} optimizer asset without history": (
             "config error: optimizer asset ",
             "optimizer.txt has no {{ history_text }}: its meta-prompt would hold no history\n",
@@ -665,6 +706,43 @@ def test_an_api_key_no_http_header_carries_exits_2_unprinted(key, tmp_path, reco
     assert err.startswith("config error: the API key in LLM_API_KEY cannot go in an HTTP header")
     assert key.strip() not in out + err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_live_run_over_http_replays_with_the_server_stopped(tmp_path, without_proxy, monkeypatch, capsys):
+    """`tradeloop run` with every role's provider of kind `http`, pointed at
+    a loopback chat server, exits 0; the API key reaches the server's
+    Authorization header but no file of the experiment and no output; and
+    `tradeloop replay` reproduces the run once the server is stopped."""
+    key = "sk-loopback-0123456789"
+    monkeypatch.setenv("LLM_API_KEY", key)
+    build_workspace(tmp_path, mode="adaptive_opro_with_reflection")
+    config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+    # The request body carries no role tag, so each role is told apart by its
+    # model_id; a role replies as its scripted provider would, but the trading
+    # agent's orders go by the session named in the request's last message.
+    scripts = {role: provider["script"] for role, provider in config["providers"].items()}
+    orders = {f"**Current:** {config['window_start']}": scripts["cta"][0]["response"], scripts["cta"][1]["match"]: scripts["cta"][1]["response"]}
+
+    def reply(payload):
+        last = payload["messages"][-1]["content"]
+        mine = (text for current, text in orders.items() if payload["model"] == "cta" and current in last)
+        return next(mine, scripts[payload["model"]][-1]["response"])
+
+    experiment = tmp_path / "runs" / "exp-adaptive_opro_with_reflection"
+    with ChatServer() as server:  # its own server, stopped before the replay
+        server.reset(reply=reply)
+        config["providers"] = {
+            role: {"kind": "http", "base_url": server.base_url, "model_id": role, "timeout_s": 10} for role in PROVIDER_ROLES
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_OK
+    assert {payload["model"] for _, _, payload in server.seen} == set(PROVIDER_ROLES)
+    assert {headers["Authorization"] for _, headers, _ in server.seen} == {f"Bearer {key}"}
+    assert '"type":"FILL"' in (experiment / "run-1" / "engine.jsonl").read_text(encoding="utf-8")
+    assert not [path for path in experiment.rglob("*") if path.is_file() and key.encode() in path.read_bytes()]
+    assert main(["replay", "--run", str(experiment / "run-1")]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert "replay OK" in out and key not in out + err
 
 
 @pytest.mark.parametrize("mode", ["baseline", "reflection"])

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import socket
 from collections import Counter
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from tradeloop import gateway as gateway_module
 from tradeloop.agents import ConversationalAgent
 from tradeloop.gateway import (
     AUDIT_VERSION,
+    BACKOFF_S,
     ChatMessage,
     ChatRequest,
     ChatResponse,
@@ -41,6 +42,7 @@ from tradeloop.harness import run_experiment
 from tradeloop.opro import AdaptiveOpro
 from tradeloop.templates import PromptTemplate, asset_path, load_template
 
+from chat_server import PATH, ChatServer
 from conftest import synthetic_daily
 from test_harness import build_workspace
 from test_opro import optimizer_reply
@@ -703,44 +705,40 @@ class TestRouter:
 
 
 class TestHttpProvider:
-    class FakeSession:
-        def __init__(self, status=200, body=None):
-            self.status = status
-            self.body = body or {"choices": [{"message": {"content": "hello"}}], "usage": {}}
-            self.seen = None
+    """`HttpProvider` against the loopback chat server, over a real socket."""
 
-        def post(self, url, json=None, headers=None, timeout=None):
-            self.seen = {"url": url, "json": json, "headers": headers}
-
-            class Resp:
-                status_code = self.status
-
-                def json(inner):
-                    return self.body
-
-            return Resp()
-
-    def test_happy_path_maps_openai_shape(self, monkeypatch):
-        session = self.FakeSession()
-        provider = HttpProvider("https://api.example.com/v1", "model-x", session=session)
+    def test_happy_path_maps_openai_shape(self, chat_server, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "secret")
-        response = provider.complete(req("hi", system="be brief"))
-        assert response.text == "hello"
-        assert session.seen["json"]["model"] == "model-x"
-        assert session.seen["json"]["messages"][0] == {"role": "system", "content": "be brief"}
-        assert session.seen["headers"]["Authorization"] == "Bearer secret"
+        response = HttpProvider(chat_server.base_url, "model-x").complete(req("hi", system="be brief"))
+        assert (response.text, response.prompt_tokens, response.completion_tokens) == ("hello", 11, 3)
+        [(path, headers, payload)] = chat_server.seen
+        assert path == PATH
+        assert payload == {
+            "model": "model-x",
+            "messages": [{"role": "system", "content": "be brief"}, {"role": "user", "content": "hi"}],
+        }
+        assert (headers["Authorization"], headers["Content-Type"]) == ("Bearer secret", "application/json")
 
-    def test_rate_limit_maps_to_retryable(self):
-        provider = HttpProvider("https://api.example.com", "m", session=self.FakeSession(status=429))
-        with pytest.raises(GatewayError) as err:
-            provider.complete(req("x"))
-        assert err.value.code == "RATE_LIMITED"
+    def test_no_key_sends_no_authorization_header(self, chat_server, monkeypatch):
+        monkeypatch.delenv("LLM_API_KEY", raising=False)
+        chat_server.reset(reply=lambda payload: payload["messages"][-1]["content"].upper())
+        assert HttpProvider(chat_server.base_url + "/", "m").complete(req("hi", system="")).text == "HI"
+        [(path, headers, payload)] = chat_server.seen
+        assert path == PATH and "Authorization" not in headers
+        assert payload["messages"] == [{"role": "user", "content": "hi"}]
 
-    def test_server_error_maps_to_provider_error(self):
-        provider = HttpProvider("https://api.example.com", "m", session=self.FakeSession(status=500))
+    def complete_with_fault(self, chat_server, fault, timeout_s=5.0):
+        """The code of the error that the call with `fault` raises."""
+        chat_server.reset(faults={1: fault})
         with pytest.raises(GatewayError) as err:
-            provider.complete(req("x"))
-        assert err.value.code == "PROVIDER_ERROR"
+            HttpProvider(chat_server.base_url, "m", timeout_s=timeout_s).complete(req("x"))
+        return err.value.code
+
+    def test_rate_limit_maps_to_retryable(self, chat_server):
+        assert self.complete_with_fault(chat_server, 429) == "RATE_LIMITED"
+
+    def test_server_error_maps_to_provider_error(self, chat_server):
+        assert self.complete_with_fault(chat_server, 500) == "PROVIDER_ERROR"
 
     @pytest.mark.parametrize(
         "content",
@@ -752,17 +750,60 @@ class TestHttpProvider:
         ],
         ids=["not-json", "nested", "null-content", "usage-not-object"],
     )
-    def test_malformed_200_body_is_provider_error(self, content):
+    def test_malformed_200_body_is_provider_error(self, chat_server, content):
         """A 200 response whose body is not the expected JSON is the
         provider's fault, whatever the decoder raises."""
+        assert self.complete_with_fault(chat_server, content) == "PROVIDER_ERROR"
 
-        class RawSession:
-            def post(self, url, **kwargs):
-                resp = requests.Response()
-                resp.status_code, resp._content = 200, content
-                return resp
+    @pytest.mark.parametrize("fault", ["close", "truncate"])
+    def test_a_broken_exchange_is_provider_error(self, chat_server, fault):
+        """A connection closed before the status line (RemoteDisconnected),
+        or a body cut short of its Content-Length (IncompleteRead, which is
+        no OSError), is the provider's fault."""
+        assert self.complete_with_fault(chat_server, fault) == "PROVIDER_ERROR"
 
-        provider = HttpProvider("https://api.example.com", "m", session=RawSession())
-        with pytest.raises(GatewayError) as err:
-            provider.complete(req("x"))
+    @pytest.mark.parametrize("stalls, sleeps", [(1, [1.0]), (3, [1.0, 4.0])], ids=["recovers", "gives-up"])
+    def test_a_read_timeout_is_retried(self, chat_server, stalls, sleeps):
+        """A reply that stalls past `timeout_s` is a TIMEOUT, which the gateway
+        retries after each `BACKOFF_S` delay and raises once they are spent."""
+        chat_server.reset(faults=dict.fromkeys(range(1, stalls + 1), "stall"))
+        slept = []
+        gateway = Gateway(HttpProvider(chat_server.base_url, "m", timeout_s=0.15), sleep=slept.append)
+        if stalls > len(BACKOFF_S):
+            with pytest.raises(GatewayError) as err:
+                gateway.complete(req("x"))
+            assert err.value.code == "TIMEOUT"
+        else:
+            assert gateway.complete(req("x")).text == "hello"
+        assert slept == sleeps and len(chat_server.seen) == min(stalls + 1, len(BACKOFF_S) + 1)
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_a_redirect_is_provider_error_and_takes_no_key_elsewhere(self, chat_server, monkeypatch, status):
+        """No redirect is followed: urllib would re-send the POST as a GET,
+        and the key with it, to whatever host the Location names."""
+        monkeypatch.setenv("LLM_API_KEY", "secret")
+        with ChatServer() as elsewhere:
+            chat_server.reset(faults={1: (status, elsewhere.base_url + "/chat/completions")})
+            with pytest.raises(GatewayError) as err:
+                HttpProvider(chat_server.base_url, "m").complete(req("x"))
+        assert (err.value.code, str(err.value)) == ("PROVIDER_ERROR", f"PROVIDER_ERROR: status {status}")
+        assert chat_server.seen[0][1]["Authorization"] == "Bearer secret" and elsewhere.seen == []
+
+    def test_a_connect_timeout_is_timeout(self):
+        """A port whose accept queue is full drops the connection request, so
+        the connect times out."""
+        with socket.socket() as listener, socket.socket() as queued:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(0)
+            queued.connect(listener.getsockname())  # fills the queue of one
+            url = "http://%s:%d/v1" % listener.getsockname()
+            with pytest.raises(GatewayError) as err:
+                HttpProvider(url, "m", timeout_s=0.15).complete(req("x"))
+        assert err.value.code == "TIMEOUT"
+
+    def test_a_refused_connection_is_provider_error(self):
+        with socket.socket() as bound:  # bound, never listening: a connect is refused
+            bound.bind(("127.0.0.1", 0))
+            with pytest.raises(GatewayError) as err:
+                HttpProvider("http://%s:%d/v1" % bound.getsockname(), "m").complete(req("x"))
         assert err.value.code == "PROVIDER_ERROR"
