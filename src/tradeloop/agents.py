@@ -255,7 +255,7 @@ class ConversationalAgent:
         self.transcript = Transcript()
 
     def ask(self, context: dict, tags: tuple[tuple[str, str], ...] = ()) -> str:
-        return self._send(ChatMessage("user", self._render(context)), tuple(tags) + (("role", self.role),))
+        return self._send(self._render(context), tuple(tags) + (("role", self.role),))
 
     def ask_parsed(
         self,
@@ -285,11 +285,12 @@ class ConversationalAgent:
         """The template the next `ask` renders."""
         return self.initial if self.first_call else self.followup
 
-    def _render(self, context: dict) -> str:
+    def _render(self, context: dict) -> ChatMessage:
+        """The user message of the next template rendered over `context`, with its parts."""
         rendered = self.next_template.render(context)
         if self.first_call and rendered.system_text:
             self.transcript.system_text = rendered.system_text
-        return rendered.user_text
+        return ChatMessage("user", rendered.user_text, rendered.user_parts)
 
     def _send(self, message: ChatMessage, tags: tuple[tuple[str, str], ...]) -> str:
         self.transcript.append(message)
@@ -420,7 +421,7 @@ class CentralAgent(ConversationalAgent):
         """The orders of the session `submitted_at`, with ids from `id_prefix`."""
         parse = lambda reply: parse_orders(reply, submitted_at, id_prefix)
         try:
-            orders, attempts = self.ask_parsed(ChatMessage("user", self._render(context)), parse, _order_reminder, tags)
+            orders, attempts = self.ask_parsed(self._render(context), parse, _order_reminder, tags)
         except OrderParseError:
             return DecisionOutcome(orders=[], attempts=1 + MAX_REASKS, gave_up=True)
         return DecisionOutcome(orders=orders, attempts=attempts, gave_up=False)

@@ -11,16 +11,19 @@ byte-identical reruns are part of the contract. A call's audit record holds
 only what the call added to its conversation (one conversation per role tag
 at a time). A `ChatMessage` holds its one encoding, which both the request
 hash and the audit record reuse; `Gateway.complete` returns the reply as such
-a message. A message that its maker joined from known texts (the optimizer's
-meta-prompt, from the asset's pieces and the scored templates) holds those
-parts too, and its record lists them: each `SharedText` is written out the
-first time the log uses it and cited by its id after that (audit version 3).
-`rebuilt_requests` is the one reader of a log's records.
+a message. A message that its maker joined from known texts holds those parts
+too, and its record lists them: each `SharedText` is written out the first
+time the log uses it and cited by its id after that (audit version 4). The
+makers are a rendered prompt, whose long static runs of its template are
+shared texts, and the optimizer's meta-prompt, from the asset's pieces and
+the scored templates. `rebuilt_requests` is the one reader of a log's
+records, which it streams.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import time
@@ -28,13 +31,13 @@ from dataclasses import InitVar, dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .engine import AuditLog
 from .errors import ProviderError
 
-AUDIT_VERSION = 3  # the `v` of every gateway.jsonl record this build writes
-READ_VERSIONS = (2, 3)  # the versions it reads and replays; version 2 has no parts
+AUDIT_VERSION = 4  # the `v` of every gateway.jsonl record this build writes
+READ_VERSIONS = (2, 3, 4)  # the versions it reads and replays; version 2 has no parts
 BACKOFF_S = (1.0, 4.0)  # the sleep before each retry of a transient failure
 RETRYABLE = ("TIMEOUT", "RATE_LIMITED")
 
@@ -96,7 +99,7 @@ class ChatMessage:
         if joined is None:
             fragment = message_fragment(self)
         else:
-            fragment = escaped_fragment(self.role, "".join(p if isinstance(p, str) else p.escaped for p in joined))
+            fragment = escaped_fragment(self.role, "".join([p if type(p) is str else p.escaped for p in joined]))
         object.__setattr__(self, "fragment", fragment)
 
 
@@ -233,29 +236,28 @@ def _check_version(record: dict, number: int, source) -> int:
     if version not in READ_VERSIONS:
         raise GatewayError(
             "PROVIDER_ERROR",
-            f"record {number} in {source} is gateway audit version {version!r}; this build replays version 2 or 3",
+            f"record {number} in {source} is gateway audit version {version!r}; this build replays version 2, 3 or 4",
         )
     return version
 
 
-def rebuilt_requests(log: str | Path) -> list[tuple[dict, ChatRequest]]:
-    """Each record of a gateway audit log (its text or its path) with the
-    full request it stands for, rebuilt by feeding a `Transcript`: a record
-    with `prior` 0 starts its role tag's conversation from its `system` text,
-    a later one continues it after the last request and reply of that role,
-    which must be `prior` messages. A message's text is its `text`, or, in
-    version 3, its `parts` joined, a shared text cited by id being the text
-    an earlier part defined. The request's tags are the record's.
+def rebuilt_requests(log: str | Path) -> Iterator[tuple[dict, ChatRequest]]:
+    """Each record of a gateway audit log (its text or its path), read line
+    by line, with the full request it stands for, rebuilt by feeding a
+    `Transcript`: a record with `prior` 0 starts its role tag's conversation
+    from its `system` text, a later one continues it after the last request
+    and reply of that role, which must be `prior` messages. A message's text
+    is its `text`, or, from version 3 on, its `parts` joined, a shared text
+    cited by id being the text an earlier part defined. The request's tags
+    are the record's.
 
-    A record that cannot be read so raises a GatewayError, which exits 4:
-    among them a record of a version outside `READ_VERSIONS`, a shared text
-    cited before its definition, and a definition whose text does not hash
-    to its id."""
+    A record that cannot be read so raises a GatewayError, which exits 4,
+    when the reading reaches it: among them a record of a version outside
+    `READ_VERSIONS`, a shared text cited before its definition, and a
+    definition whose text does not hash to its id."""
     source = log if isinstance(log, Path) else "the log"
-    text = log.read_text(encoding="utf-8") if isinstance(log, Path) else log
     conversations: dict[str | None, Transcript] = {}
     defined: dict[str, str] = {}  # the shared texts, by id
-    pairs = []
 
     def refused(number: int, why: str) -> GatewayError:
         return GatewayError("PROVIDER_ERROR", f"record {number} in {source}: {why}")
@@ -274,25 +276,26 @@ def rebuilt_requests(log: str | Path) -> list[tuple[dict, ChatRequest]]:
             texts.append(part)
         return "".join(texts)
 
-    for number, line in enumerate(text.splitlines(), 1):
-        try:
-            record = json.loads(line)
-            version = _check_version(record, number, source)
-            role = record["tags"].get("role")
-            if record["prior"]:
-                transcript = conversations.get(role)
-                if transcript is None or len(transcript.messages) != record["prior"] or "system" in record:
-                    raise refused(number, f"prior {record['prior']!r} continues no conversation of role tag {role!r}")
-            else:
-                transcript = conversations[role] = Transcript(record["system"])
-            for message in record["messages"]:
-                listed = version > 2 and "parts" in message
-                transcript.append(ChatMessage(message["role"], joined(number, message["parts"]) if listed else message["text"]))
-            pairs.append((record, transcript.request(tuple(record["tags"].items()))))
-            transcript.append(ChatMessage("assistant", record["response"]["text"]))
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-            raise refused(number, repr(exc)) from None
-    return pairs
+    with open(log, encoding="utf-8") if isinstance(log, Path) else io.StringIO(log) as lines:
+        for number, line in enumerate(lines, 1):
+            try:
+                record = json.loads(line)
+                version = _check_version(record, number, source)
+                role = record["tags"].get("role")
+                if record["prior"]:
+                    transcript = conversations.get(role)
+                    if transcript is None or len(transcript.messages) != record["prior"] or "system" in record:
+                        raise refused(number, f"prior {record['prior']!r} continues no conversation of role tag {role!r}")
+                else:
+                    transcript = conversations[role] = Transcript(record["system"])
+                for message in record["messages"]:
+                    listed = version > 2 and "parts" in message
+                    transcript.append(ChatMessage(message["role"], joined(number, message["parts"]) if listed else message["text"]))
+                request = transcript.request(tuple(record["tags"].items()))
+                transcript.append(ChatMessage("assistant", record["response"]["text"]))
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                raise refused(number, repr(exc)) from None
+            yield record, request
 
 
 class Provider(Protocol):

@@ -29,6 +29,7 @@ from contextlib import ExitStack, closing
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from datetime import date, timedelta
 from decimal import Decimal
+from itertools import zip_longest
 from pathlib import Path
 from typing import Annotated, Callable, Literal, Sequence, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
@@ -38,7 +39,7 @@ from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_a
 from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, SessionResult
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError, ReplayMismatch
-from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider, rebuilt_requests
+from .gateway import AUDIT_VERSION, ChatRequest, Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider, rebuilt_requests
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import PromptTemplate, TemplateError, asset_path, check_override_dir, load_template
 
@@ -754,11 +755,21 @@ def aggregate_and_report(artifacts: list[RunArtifact], label: str = "experiment"
     }
 
 
-def _calls(gateway_log: Path) -> tuple[set, list[tuple]]:
-    """The audit versions of a gateway log's records, and each call, as the
-    record reader gives it: its `ts`, tags, request hash and reply."""
-    records = [record for record, _ in rebuilt_requests(gateway_log)]
-    return {r["v"] for r in records}, [(r["ts"], r["tags"], r["request_hash"], r["response"]["text"]) for r in records]
+def _call(pair: tuple[dict, ChatRequest]) -> tuple:
+    """A call of a gateway log, as the record reader gives it: its `ts`,
+    tags, request hash, rebuilt request's hash and reply."""
+    record, request = pair
+    return record["ts"], record["tags"], record["request_hash"], request.digest, record["response"]["text"]
+
+
+def _same_older_calls(recorded: Path, replayed: Path) -> bool:
+    """Whether every record of the `recorded` gateway log is of an audit
+    version older than AUDIT_VERSION and holds the call of the `replayed`
+    log's record of the same number. The logs are read side by side."""
+    for old, new in zip_longest(rebuilt_requests(recorded), rebuilt_requests(replayed)):
+        if old is None or new is None or old[0]["v"] >= AUDIT_VERSION or _call(old) != _call(new):
+            return False
+    return True
 
 
 def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> RunArtifact:
@@ -767,8 +778,10 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
 
     Before any call, each input file must still have the SHA-256 that the
     lock's `inputs` records (a lock without them, from an older recording,
-    records none). A recording of gateway audit version 2 is replayed into
-    a version-3 log, which must hold the same calls, not the same bytes.
+    records none). A recording of an older gateway audit version (2 or 3)
+    is replayed into a log of this build's `AUDIT_VERSION`, which must hold
+    the same calls, compared call by call through the record reader, not
+    the same bytes.
 
     The replay writes into `scratch_dir`, or into a temporary directory that
     is removed on every exit; the returned artifact names the recorded run."""
@@ -812,11 +825,10 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
         ]
         if "gateway.jsonl" in mismatched:
             try:
-                (versions, recorded_calls), (_, calls) = _calls(run_dir / "gateway.jsonl"), _calls(scratch / "gateway.jsonl")
+                if _same_older_calls(run_dir / "gateway.jsonl", scratch / "gateway.jsonl"):
+                    mismatched.remove("gateway.jsonl")
             except GatewayError as exc:
                 raise ReplayMismatch(f"cannot replay {run_dir}: {exc}") from exc
-            if versions == {2} and recorded_calls == calls:
-                mismatched.remove("gateway.jsonl")
     if mismatched:
         raise ReplayMismatch(f"replay artifacts differ: {', '.join(mismatched)}")
     return replace(artifact, run_dir=run_dir)

@@ -8,9 +8,11 @@ replacement template. A candidate goes live only when its placeholder set
 matches the current template exactly; rejected or unparseable candidates
 leave the live template untouched. Every event lands in an append-only JSONL
 evolution log. Each template becomes a message part (`gateway.text_part`,
-escaped and hashed) once, when it enters the history, and each proposal's
-meta-prompt message is joined from those parts and the optimizer asset's, so
-its audit record cites every text that an earlier record wrote.
+escaped and hashed) once, when it enters the history, and the ledger takes
+its id from that part. Each proposal's meta-prompt message is joined from
+those parts and the optimizer asset's, as a rendered prompt is joined from
+its template's, so its audit record cites every text that an earlier record
+wrote.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .agents import ConversationalAgent, read_fence
 from .engine import AuditLog
-from .gateway import ChatMessage, Gateway, Part, escape, text_id, text_part
+from .gateway import ChatMessage, Gateway, Part, SharedText, escape, text_id, text_part
 from .templates import PromptTemplate, TemplateError
 
 HISTORY_MARKER = "{{ history_text }}"  # where the optimizer asset takes the scored history
@@ -205,7 +207,10 @@ class AdaptiveOpro:
         """Append the ledger line of proposal `iteration`: the initial
         template, a reply's accepted `output`, or the `error` that rejected
         the proposal, with its last candidate as `template_text`. The keys
-        are written in sorted order."""
+        are written in sorted order. Without an error, `template_text` is
+        the last record's, whose part already holds its id unless it is a
+        literal part."""
+        part = self.history[-1].part if error is None else None
         self.log.append(
             {
                 "accepted": error is None,
@@ -215,7 +220,7 @@ class AdaptiveOpro:
                 "iteration": self.iteration,
                 "reject_reason": error and str(error),
                 "score": score,
-                "template_sha": text_id(template_text),
+                "template_sha": part.id if isinstance(part, SharedText) else text_id(template_text),
                 "template_text": template_text,
             }
         )

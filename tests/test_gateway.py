@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import socket
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,12 +42,13 @@ from tradeloop.gateway import (
 from tradeloop.engine import AuditLog
 from tradeloop.harness import run_experiment
 from tradeloop.opro import AdaptiveOpro
-from tradeloop.templates import PromptTemplate, asset_path, load_template
+from tradeloop.templates import SHARED_MIN, PromptTemplate, asset_path, load_template
 
 from chat_server import PATH, ChatServer
 from conftest import synthetic_daily
 from test_harness import build_workspace
 from test_opro import optimizer_reply
+from test_templates import SHIPPED_TEMPLATES, shared_runs
 
 
 def request_of(system: str, messages, tags=()) -> ChatRequest:
@@ -144,7 +147,7 @@ class TestGatewayAudit:
         ]
         for request in sent:
             gateway.complete(request)
-        pairs = rebuilt_requests(gateway.audit.text())
+        pairs = list(rebuilt_requests(gateway.audit.text()))
         assert [rebuilt for _, rebuilt in pairs] == sent
         assert [(r["prior"], len(r["messages"]), r.get("system")) for r, _ in pairs] == [
             (0, 1, "s"), (0, 1, "t"), (2, 1, None), (0, 5, "s2"), (0, 3, "t"), (6, 1, None)
@@ -233,7 +236,7 @@ class TestTranscript:
                     pass  # three rejected replies: the conversation goes on
                 provider.replies = []
 
-        pairs = rebuilt_requests(gateway.audit.text())
+        pairs = list(rebuilt_requests(gateway.audit.text()))
         assert len(pairs) == len(provider.exchanges)
         for (record, rebuilt), (request, reply) in zip(pairs, provider.exchanges):
             assert request_payload(rebuilt) == logged(request_payload(request))
@@ -350,8 +353,8 @@ class TestFragmentReuse:
     def test_each_user_message_is_escaped_once_over_a_run(self, tmp_path, monkeypatch):
         """Over a run of every agent and the optimizer, every message of a
         conversation holds its `message_fragment`, and each user message is
-        escaped once, when it is made; a meta-prompt, joined from escapes,
-        never."""
+        escaped once, when it is made; one joined from parts (a meta-prompt,
+        a rendered prompt with a shared run), never as a whole."""
         encode, encoded = gateway_module.encode_basestring_ascii, Counter()
 
         def counted(text: str) -> str:
@@ -371,8 +374,9 @@ class TestFragmentReuse:
         pairs = rebuilt_requests(artifacts[0].run_dir / "gateway.jsonl")
         metas = {sent.messages[0].text for r, sent in pairs if r["tags"]["role"] == "optimizer" and r["tags"]["attempt"] == "1"}
         users = Counter(m.text for m in appended if m.role == "user")
-        assert metas and len(users) > len(metas)
-        assert {text: encoded[text] for text in users} == {text: 0 if text in metas else n for text, n in users.items()}
+        joined = {m.text for m in appended if m.role == "user" and m.parts is not None}
+        assert metas and metas < joined
+        assert {text: encoded[text] for text in users} == {text: 0 if text in joined else n for text, n in users.items()}
         assert all(m.fragment == message_fragment(m) for m in appended)
 
     def test_a_failed_call_leaves_its_message_to_the_next_record(self):
@@ -395,7 +399,7 @@ class TestFragmentReuse:
         with pytest.raises(GatewayError):
             agent.ask({"text": "q2"})
         self.ask(agent, provider, "q3")
-        pairs = rebuilt_requests(gateway.audit.text())
+        pairs = list(rebuilt_requests(gateway.audit.text()))
         assert [(r["prior"], [m["text"] for m in r["messages"]]) for r, _ in pairs] == [(0, ["q1"]), (2, ["q2", "q3"])]
         assert [rebuilt.digest for _, rebuilt in pairs] == [request.digest for request, _ in provider.exchanges]
         assert gateway.audit.text() == generic_log(provider.exchanges)
@@ -490,10 +494,11 @@ class TestFragmentReuse:
 
 
 def written_texts(record: dict) -> list[str]:
-    """Every text a gateway record writes out: its system text, its reply,
-    each message's text, and each literal part and defined text of a
-    message that lists parts."""
-    texts = [record.get("system") or "", record["response"]["text"]]
+    """Every text a gateway record writes out but its system text (a plain
+    string, written at the start of each conversation): its reply, each
+    message's text, and each literal part and defined text of a message that
+    lists parts."""
+    texts = [record["response"]["text"]]
     for message in record["messages"]:
         if "parts" not in message:
             texts.append(message["text"])
@@ -520,38 +525,63 @@ class TestSharedTexts:
 
     def test_each_shared_text_is_defined_once_then_cited(self, tmp_path):
         """Each shared text is defined at its first use and only there; the
-        shared texts are the optimizer asset's two pieces and every template
-        that was live at a proposal, under the id `opro.jsonl` gives it. Each
-        line is the generic encoding of its record, and each record rebuilds
-        to a request of its `request_hash`."""
+        shared texts are the optimizer asset's two pieces, every template
+        that was live at a proposal, under the id `opro.jsonl` gives it, and
+        the static runs of at least SHARED_MIN characters of the rendered
+        templates, which no literal part holds. Each line is the generic
+        encoding of its record, and each record rebuilds to a request of its
+        `request_hash`."""
         log = self.run_log(tmp_path)
-        cited = []
+        ledger = [json.loads(line) for line in (log.parent / "opro.jsonl").read_text(encoding="utf-8").splitlines()]
+        templates = [load_template(name) for name in SHIPPED_TEMPLATES] + [PromptTemplate.parse("t", r["template_text"]) for r in ledger]
+        runs = {run.part.id: run.text for t in templates for run in shared_runs(t.nodes)}
+        cited, literals = [], []
         for line in log.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
             assert line == json.dumps(record, separators=(",", ":"), sort_keys=True)
-            for part in (p for m in record["messages"] for p in m.get("parts", ()) if not isinstance(p, str)):
+            for part in (p for m in record["messages"] for p in m.get("parts", ())):
+                if isinstance(part, str):
+                    literals.append(part)
+                    continue
                 assert ("text" in part) == (part["id"] not in cited)
                 cited.append(part["id"])
-        ledger = [json.loads(line)["template_sha"] for line in (log.parent / "opro.jsonl").read_text(encoding="utf-8").splitlines()]
         pieces = {text_id(piece) for piece in asset_path("optimizer").read_text(encoding="utf-8").split("{{ history_text }}")}
-        assert set(cited) == set(ledger[:-1]) | pieces and len(ledger) == 9  # the last template goes live after the last proposal
-        assert len(cited) > 4 * len(set(cited))
+        ledger_ids = [r["template_sha"] for r in ledger]
+        assert set(cited) - runs.keys() == set(ledger_ids[:-1]) | pieces and len(ledger) == 9  # the last template goes live after the last proposal
+        assert not any(text in literal for text in runs.values() for literal in literals)
+        assert len(set(cited) & runs.keys()) > 20 and len(cited) > 4 * len(set(cited))
         assert all(record["request_hash"] == request_hash(sent) == sent.digest for record, sent in rebuilt_requests(log))
 
     def test_a_500_session_log_writes_each_long_text_once(self, tmp_path):
         """Over 500 sessions and 99 proposals, each of a new template, no
-        text over 1 KB is written twice, and the optimizer's records, whose
-        meta-prompts hold every template so far, take fewer bytes than the
-        other records: the log grows linearly, not with the square of the
-        proposals."""
+        text of SHARED_MIN characters or more is written twice, and the
+        optimizer's records, whose meta-prompts hold every template so far,
+        take fewer bytes than the other records: the log grows linearly, not
+        with the square of the proposals."""
         log = self.run_log(tmp_path, 500)
         written, size = Counter(), Counter()
         for line in log.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
             size[record["tags"]["role"] == "optimizer"] += len(line) + 1
-            written.update(text for text in written_texts(record) if len(text) > 1024)
+            written.update(text for text in written_texts(record) if len(text) >= SHARED_MIN)
         assert len(written) > 500 and max(written.values()) == 1
         assert size[True] < size[False]
+
+    def test_the_reader_streams_a_500_session_log(self, tmp_path):
+        """Reading a 500-session log record by record peaks below half of
+        what the list of its records and requests takes: the reader holds
+        each role tag's conversation, not every request."""
+        log = self.run_log(tmp_path, 500)
+
+        def peak(read: Callable[[], object]) -> int:
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: deque(rebuilt_requests(log), maxlen=0)) < peak(lambda: list(rebuilt_requests(log))) / 2
 
     @staticmethod
     def two_calls() -> tuple[Gateway, list[ChatRequest]]:
@@ -579,7 +609,7 @@ class TestSharedTexts:
         [
             (lambda lines: lines[::-1], "is cited before its definition"),
             (lambda lines: [lines[0].replace("first shared", "first shaded"), lines[1]], "hashes to"),
-            (lambda lines: [lines[0].replace('"v":3', '"v":1'), lines[1]], "is gateway audit version 1; this build replays version 2 or 3"),
+            (lambda lines: [lines[0].replace('"v":4', '"v":1'), lines[1]], "is gateway audit version 1; this build replays version 2, 3 or 4"),
         ],
         ids=["citation-first", "edited-definition", "version-1"],
     )
@@ -588,7 +618,7 @@ class TestSharedTexts:
         hash to its id, and a version-1 record exit 4 and say why."""
         gateway, _ = self.two_calls()
         with pytest.raises(GatewayError) as err:
-            rebuilt_requests("\n".join(edit(gateway.audit.text().splitlines())))
+            list(rebuilt_requests("\n".join(edit(gateway.audit.text().splitlines()))))
         assert err.value.exit_code == 4 and why in str(err.value)
 
     @pytest.mark.parametrize("text", ["", "a\ud83d\ude00b", "a\udfff"])

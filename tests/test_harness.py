@@ -25,7 +25,7 @@ from tradeloop.agents import FundamentalSnapshot, NewsItem
 from tradeloop.bars import Bar, BarSeries, Lookback, Resolution, resample, serialize_bars
 from tradeloop.cli import main
 from tradeloop.engine import Action, ExecutionEngine, Fill, PortfolioState, SessionResult
-from tradeloop.gateway import ChatRequest, rebuilt_requests, request_hash
+from tradeloop.gateway import AUDIT_VERSION, ChatRequest, rebuilt_requests, request_hash
 from tradeloop.harness import (
     ConfigError,
     DataError,
@@ -58,6 +58,9 @@ HISTORY_BARS = 160
 # adaptive_opro_with_reflection run of 11 sessions whose config.lock names
 # its inputs relative to this directory and holds no input digests.
 GATEWAY_V2_RECORDING = Path(__file__).parent / "fixtures" / "gateway_v2"
+# The same run recorded at gateway audit version 3, where only the
+# optimizer's meta-prompts list parts; its config.lock holds input digests.
+GATEWAY_V3_RECORDING = Path(__file__).parent / "fixtures" / "gateway_v3"
 
 
 def order_payload(action: str, qty: int) -> str:
@@ -543,7 +546,7 @@ class TestDeterminism:
 GOLDEN_BARS = 300
 GOLDEN_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "58654a872ca43cbac23a3392003c2f95635b3754b8417cf9d3206a5ba8015fba",
+    "gateway.jsonl": "1b5060cfda4bf4879f0ff0770ca7eb5cfc94eedcee142a91659c8a263110c5fb",
     "opro.jsonl": "593e21fa9de4584d3c9c33e2f4e4a96a2ce92eaa07e9b3561d16c14753f006e7",
     "metrics.json": "68b85a0dec261ce07128a020752b98f8fde3aa4196a27cbbc09143e5c7470436",
 }
@@ -553,7 +556,7 @@ GOLDEN_DIGESTS = {
 # is never reset, so every decision request carries the whole run so far.
 GOLDEN_REFLECTION_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "7c11b445da6b47552428e74cc67806e04a509543e6bc7625db821ec01389b61d",
+    "gateway.jsonl": "e2af2e63f05dc26beee04f7d341e0d9fe13cb753f3fd7e2c282fb1d38ad4a4c5",
     "opro.jsonl": "b8b23e2f720bb1d494cdbd9372ee697e8166691e45be114741c067169148e663",
     "metrics.json": "bf5f121ae40ad7fedc3dc5acb9f652ce4ec0bcb652715e290fba0ad634a39445",
 }
@@ -581,7 +584,7 @@ Sessions 2024-12-27 -> 2025-01-02 | portfolio value 100000.00 -> 100103.10 (+0.1
 2025-01-01 (step 4): decided [SELL 10 MARKET] | filled [SELL 10 @ 141.30] | value 100299.00
 2025-01-02 (step 5): decided [SELL 10 MARKET] | filled [SELL 10 @ 139.43] | value 100103.10
 """
-GOLDEN_REVIEW_GATEWAY_DIGEST = "e7aa1538e1364538604379bc84764ae4ae3142d74498c38a5a9caa78db8de285"
+GOLDEN_REVIEW_GATEWAY_DIGEST = "573608a033d3eeb3d8e6fcbf310782446f8572bb10910ce995bb2731a6fac4ba"
 
 
 # The adaptive_opro_with_reflection inputs with replies that take every re-ask
@@ -592,7 +595,7 @@ GOLDEN_REVIEW_GATEWAY_DIGEST = "e7aa1538e1364538604379bc84764ae4ae3142d74498c38a
 # trading-agent decision that gives up after three malformed replies.
 GOLDEN_REJECTION_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "ff67369ed859f83156cd5001705776a1e1e1f88e0c9700b3d09721dad2617b55",
+    "gateway.jsonl": "485209857987d85d0e1bfc7462bfdc938a3598a12a7b7fe95d812e5801eadccd",
     "opro.jsonl": "c6aab6da829ad18ff44d8e3145d44c371206ac4daa15dd66ba46984767050a8c",
     "metrics.json": "c768b3c56aaf7c10a922c3e26e6975c00ccd3a8ae79ab464b0f7c485563ff0a6",
 }
@@ -638,7 +641,7 @@ def rejection_providers(config: ExperimentConfig, lead: tuple[str, ...] = ()) ->
 # line records the PARSE_ERROR of the last one and keeps that candidate.
 GOLDEN_WINDOWED_PARSE_ERROR_DIGESTS = {
     "engine.jsonl": "eb45b6e6e7976d9b493e80d67a7a46c410b7b805be15c3fb517248d46a01ca65",
-    "gateway.jsonl": "af00104aff2157d93082c2965d5f0a60d80a5cf8b5c7190e126c6fa858a8bb7d",
+    "gateway.jsonl": "3a145f25ebe6f2da5aa33e58799387a01b00b8b0d74f74265a2b16351850626b",
     "opro.jsonl": "2b378e5f475504f8d0a6af4fce34aa03ed7ddc7a7ded1215f25da0738c0f3da9",
     "metrics.json": "52faf9797cb69b039a2f76bea49aabc4a543cedd80860747037102c6ffaf1a7f",
 }
@@ -760,7 +763,7 @@ class TestGoldenDigests:
         request it rebuilds to, through proposals accepted and rejected and
         the optimizer's and the trading agent's re-asks."""
         run_dir = self.run_dir(tmp_path, "adaptive_opro_with_reflection", rejections=True)
-        pairs = rebuilt_requests(run_dir / "gateway.jsonl")
+        pairs = list(rebuilt_requests(run_dir / "gateway.jsonl"))
         optimizer = [record["tags"]["attempt"] for record, _ in pairs if record["tags"]["role"] == "optimizer"]
         assert optimizer.count("1") >= 8 and "3" in optimizer
         assert all(record["request_hash"] == request_hash(rebuilt) for record, rebuilt in pairs)
@@ -1202,16 +1205,16 @@ class TestReplay:
         assert bars.name == "bars.csv" and err.value.exit_code == 4
 
     def test_a_version_2_recording_replays(self, tmp_path, monkeypatch):
-        """A recording made before audit version 3 replays into a version-3
-        log: its engine, ledger and metrics bytes, and its calls through the
-        record reader, are the replay's."""
+        """A recording made before audit version 3 replays into a log of
+        this build's version: its engine, ledger and metrics bytes, and its
+        calls through the record reader, are the replay's."""
         shutil.copytree(GATEWAY_V2_RECORDING, tmp_path / "recording")
         monkeypatch.chdir(tmp_path / "recording")
         replayed = replay_run(Path("run-1"), scratch_dir=tmp_path / "replay")
         assert replayed.run_dir == Path("run-1")
         recorded, log = Path("run-1/gateway.jsonl"), tmp_path / "replay" / "gateway.jsonl"
-        pairs = [rebuilt_requests(recorded), rebuilt_requests(log)]
-        assert [{r["v"] for r, _ in p} for p in pairs] == [{2}, {3}] and log.stat().st_size < recorded.stat().st_size
+        pairs = [list(rebuilt_requests(recorded)), list(rebuilt_requests(log))]
+        assert [{r["v"] for r, _ in p} for p in pairs] == [{2}, {AUDIT_VERSION}] and log.stat().st_size < recorded.stat().st_size
         assert [[sent for _, sent in p] for p in pairs[:1]] == [[sent for _, sent in pairs[1]]]
         assert {r["tags"]["role"] for r, _ in pairs[0]} == {"market", "news", "reflection", "cta", "optimizer"}
 
@@ -1226,9 +1229,63 @@ class TestReplay:
             replay_run(Path("run-1"))
 
     def test_every_version_2_record_hashes_as_its_rebuilt_request(self):
-        pairs = rebuilt_requests(GATEWAY_V2_RECORDING / "run-1" / "gateway.jsonl")
+        pairs = list(rebuilt_requests(GATEWAY_V2_RECORDING / "run-1" / "gateway.jsonl"))
         assert [record["tags"].get("attempt") for record, _ in pairs if record["tags"]["role"] == "optimizer"] == ["1", "1"]
         assert all(record["v"] == 2 and record["request_hash"] == request_hash(rebuilt) for record, rebuilt in pairs)
+
+
+    def test_a_version_3_recording_replays(self, tmp_path, monkeypatch):
+        """A recording made before audit version 4 replays into a log of
+        this build's version, which lists the parts of every rendered prompt
+        and is smaller; both logs rebuild to the requests of the version-2
+        recording of the same run."""
+        shutil.copytree(GATEWAY_V3_RECORDING, tmp_path / "recording")
+        monkeypatch.chdir(tmp_path / "recording")
+        replayed = replay_run(Path("run-1"), scratch_dir=tmp_path / "replay")
+        assert replayed.run_dir == Path("run-1")
+        recorded, log = Path("run-1/gateway.jsonl"), tmp_path / "replay" / "gateway.jsonl"
+        pairs = [list(rebuilt_requests(path)) for path in (GATEWAY_V2_RECORDING / "run-1" / "gateway.jsonl", recorded, log)]
+        assert [{r["v"] for r, _ in p} for p in pairs] == [{2}, {3}, {AUDIT_VERSION}] and log.stat().st_size < recorded.stat().st_size
+        assert [[sent for _, sent in p] for p in pairs[1:]] == [[sent for _, sent in pairs[0]]] * 2
+        assert {r["tags"]["role"] for r, _ in pairs[2] if any("parts" in m for m in r["messages"])} == {"market", "news", "reflection", "cta", "optimizer"}
+
+    def test_a_version_3_recording_with_an_edited_call_differs(self, tmp_path, monkeypatch):
+        """The calls of a version-3 recording are compared, not dropped: an
+        edited `ts` fails the replay."""
+        shutil.copytree(GATEWAY_V3_RECORDING, tmp_path / "recording")
+        monkeypatch.chdir(tmp_path / "recording")
+        log = Path("run-1/gateway.jsonl")
+        log.write_text(log.read_text(encoding="utf-8").replace('"ts":"000003"', '"ts":"000033"', 1), encoding="utf-8")
+        with pytest.raises(ReplayMismatch, match="^replay artifacts differ: gateway.jsonl$"):
+            replay_run(Path("run-1"))
+
+    def test_every_version_3_record_hashes_as_its_rebuilt_request(self):
+        pairs = list(rebuilt_requests(GATEWAY_V3_RECORDING / "run-1" / "gateway.jsonl"))
+        assert [record["tags"].get("attempt") for record, _ in pairs if record["tags"]["role"] == "optimizer"] == ["1", "1"]
+        assert all(record["v"] == 3 and record["request_hash"] == request_hash(rebuilt) for record, rebuilt in pairs)
+
+    def test_a_recording_of_this_version_replays_byte_for_byte(self, tmp_path):
+        """A recording of this build's audit version is compared as bytes:
+        a record that rebuilds to the same call but is written otherwise,
+        here with its first citation replaced by the text it cites, fails
+        the replay."""
+        run_dir = run_experiment(build_workspace(tmp_path, mode="adaptive_opro_with_reflection"))[0][0].run_dir
+        replay_run(run_dir)
+        log = run_dir / "gateway.jsonl"
+        calls = [sent for _, sent in rebuilt_requests(log)]
+        lines = log.read_text(encoding="utf-8").splitlines()
+        defined = {}
+        for number, line in enumerate(lines):
+            record = json.loads(line)
+            cited = [p for m in record["messages"] for p in m.get("parts", ()) if isinstance(p, dict) and "text" not in p]
+            defined |= {p["id"]: p["text"] for m in record["messages"] for p in m.get("parts", ()) if isinstance(p, dict) and "text" in p}
+            if cited:
+                lines[number] = line.replace(json.dumps(cited[0], separators=(",", ":")), json.dumps(defined[cited[0]["id"]]), 1)
+                break
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert [sent for _, sent in rebuilt_requests(log)] == calls
+        with pytest.raises(ReplayMismatch, match="^replay artifacts differ: gateway.jsonl$"):
+            replay_run(run_dir)
 
 
 class TestProviderFailure:

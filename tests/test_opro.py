@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradeloop.agents import read_fence
-from tradeloop.gateway import ChatMessage, Gateway, ScriptEntry, ScriptedProvider, message_fragment
+from tradeloop import opro as opro_module
+from tradeloop.gateway import ChatMessage, Gateway, ScriptEntry, ScriptedProvider, message_fragment, text_id
 from tradeloop.opro import (
     HISTORY_MARKER,
     AdaptiveOpro,
@@ -477,6 +478,24 @@ class TestProposeUpdate:
         assert lines[1]["score"] == pytest.approx(55.0)
         assert lines[1]["template_sha"] != lines[0]["template_sha"]
         assert lines[1]["analysis"] == "analysis"
+
+    def test_an_accepted_template_is_hashed_once(self, monkeypatch):
+        """The ledger takes the id of the initial and of an accepted template
+        from its record's part, hashed when the record was made; only a
+        rejected candidate is hashed for its line."""
+        current = load_template("cta_initial")
+        good, bad = current.body + "\nGood edit.", current.body + "\n{{ nope }}"
+        gateway = make_gateway([ScriptEntry(response=optimizer_reply(good), step=1), ScriptEntry(response=optimizer_reply(bad), times=None)])
+        hashed = []
+        monkeypatch.setattr(opro_module, "text_id", lambda text: hashed.append(text) or text_id(text))
+        opro = self._opro(gateway)
+        opro.close_window(5, 100_000.0, 101_000.0)
+        assert opro.propose_update() is True
+        opro.close_window(10, 100_000.0, 102_000.0)
+        assert opro.propose_update() is False
+        lines = [json.loads(line) for line in opro.log.text().splitlines()]
+        assert hashed == [bad] and [line["template_text"] for line in lines] == [current.body, good, bad]
+        assert [line["template_sha"] for line in lines] == [text_id(line["template_text"]) for line in lines]
 
     def test_live_template_always_last_accepted(self):
         current = load_template("cta_initial")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradeloop.agents import NewsItem, render_news_batch
+from tradeloop.gateway import ChatMessage, SharedText, Transcript, escape, request_hash, text_id
 from tradeloop.templates import (
+    MAX_CONDITIONAL_DEPTH,
+    SHARED_MIN,
     PromptTemplate,
     RenderedPrompt,
     TemplateError,
@@ -18,6 +22,7 @@ from tradeloop.templates import (
     _Placeholder,
     _SYSTEM_TAG,
     _TAG,
+    _Shared,
     _Text,
     _tokenize,
     load_template,
@@ -313,6 +318,98 @@ class TestRender:
         rendered = tpl.render(context)
         assert "{{" not in rendered.system_text + rendered.user_text
         assert rendered.system_text  # the CTA asset carries a system block
+
+
+# Static text of the frozen grammar: no `{` (so no construct), but the other
+# characters a construct or a system tag is made of, newlines, a quote and a
+# non-ASCII letter. A long run is at least SHARED_MIN characters before its
+# newlines are cut off at either end, a short one is far from it.
+STATIC_ALPHABET = 'ab \n}%<>/"é'
+SHORT_RUNS = st.text(alphabet=STATIC_ALPHABET, max_size=12)
+LONG_RUNS = st.builds(
+    lambda head, core, tail: head + core + tail,
+    st.sampled_from(["", "\n", "\n\n"]),
+    st.text(alphabet=STATIC_ALPHABET, min_size=SHARED_MIN - 2, max_size=SHARED_MIN + 12),
+    st.sampled_from(["", "\n", " \n"]),
+)
+LEAVES = st.one_of(
+    SHORT_RUNS, LONG_RUNS, st.sampled_from(["{{ x }}", '{{ y | default("d") }}', "<system_role>", "</system_role>"])
+)
+# Values with braces, system tags, newlines at the ends, and lone surrogates
+# (a high one then a low one too, which JSON would read back as one character).
+VALUES = st.lists(
+    st.sampled_from(["{{ x }}", "{%", "}", "<system_role>", "</system_role>", "\n", "a", '"', "\ud800", "\udfff", "\ud83d", "\ude00"]),
+    max_size=5,
+).map("".join)
+
+
+def template_bodies(depth: int = 0) -> st.SearchStrategy[str]:
+    """Template bodies of the frozen grammar, conditionals nested at most
+    MAX_CONDITIONAL_DEPTH deep."""
+    if depth == MAX_CONDITIONAL_DEPTH:
+        items = LEAVES
+    else:
+        inner = template_bodies(depth + 1)
+        conditional = st.builds(
+            lambda name, then, otherwise: f"{{% if {name} %}}{then}{otherwise}{{% endif %}}",
+            st.sampled_from(["x", "c"]),
+            inner,
+            st.one_of(st.just(""), inner.map(lambda body: "{% else %}" + body)),
+        )
+        items = st.one_of(LEAVES, conditional)
+    return st.lists(items, max_size=6).map("".join)
+
+
+class TestUserParts:
+    """The user text's parts: each shared static run once, the rest literal."""
+
+    @given(body=template_bodies(), x=VALUES, y=VALUES, c=VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_the_parts_encode_the_user_text(self, body, x, y, c):
+        """The parts' texts join to the user text; each shared part is a run
+        of the template, hashed as its text; literals never touch and are
+        never empty; and a message holding the parts has the fragment and
+        request hash of one holding only the text."""
+        template = T("t", body)
+        rendered = template.render({"x": x, "y": y, "c": c})
+        parts = rendered.user_parts
+        message = ChatMessage("user", rendered.user_text, parts)
+        plain = ChatMessage("user", rendered.user_text)
+        assert message.fragment == plain.fragment
+        request = Transcript(rendered.system_text, (message,)).request(())
+        assert request.digest == Transcript(rendered.system_text, (plain,)).request(()).digest == request_hash(request)
+        if parts is None:
+            return
+        assert "".join(p if isinstance(p, str) else p.escaped for p in parts) == escape(rendered.user_text)
+        shared = [p for p in parts if isinstance(p, SharedText)]
+        runs = [node.text for node in shared_runs(template.nodes)]
+        assert shared and all(text_id(json.loads(f'"{p.escaped}"')) == p.id for p in shared)
+        assert {json.loads(f'"{p.escaped}"') for p in shared} <= set(runs)
+        assert len(parts) <= 2 * len(shared) + 1
+        assert all(p for p in parts) and not any(isinstance(a, str) and isinstance(b, str) for a, b in zip(parts, parts[1:]))
+
+    @pytest.mark.parametrize("name", SHIPPED_TEMPLATES)
+    def test_a_shipped_template_renders_shared_runs(self, name):
+        """Each shipped template holds static runs of at least SHARED_MIN
+        characters, and its user message lists the ones outside its system
+        block."""
+        template = load_template(name)
+        runs = shared_runs(template.nodes)
+        assert runs and all(len(node.text) >= SHARED_MIN and node.text.strip("\n") == node.text for node in runs)
+        context = {key: "x" for key in template.placeholders()}
+        parts = template.render(context).user_parts
+        assert any(isinstance(p, SharedText) for p in parts)
+
+
+def shared_runs(nodes: tuple) -> list[_Shared]:
+    """Every shared run in a node tree, the branches' too."""
+    runs: list[_Shared] = []
+    for node in nodes:
+        if isinstance(node, _Conditional):
+            runs += shared_runs(node.then) + shared_runs(node.otherwise)
+        elif isinstance(node, _Shared):
+            runs.append(node)
+    return runs
 
 
 class TestGoldenRender:
