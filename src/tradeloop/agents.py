@@ -290,7 +290,7 @@ class ConversationalAgent:
         rendered = self.next_template.render(context)
         if self.first_call and rendered.system_text:
             self.transcript.system_text = rendered.system_text
-        return ChatMessage("user", rendered.user_text, rendered.user_parts)
+        return rendered.user
 
     def _send(self, message: ChatMessage, tags: tuple[tuple[str, str], ...]) -> str:
         self.transcript.append(message)

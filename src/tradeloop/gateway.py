@@ -11,13 +11,14 @@ byte-identical reruns are part of the contract. A call's audit record holds
 only what the call added to its conversation (one conversation per role tag
 at a time). A `ChatMessage` holds its one encoding, which both the request
 hash and the audit record reuse; `Gateway.complete` returns the reply as such
-a message. A message that its maker joined from known texts holds those parts
-too, and its record lists them: each `SharedText` is written out the first
-time the log uses it and cited by its id after that (audit version 4). The
-makers are a rendered prompt, whose long static runs of its template are
-shared texts, and the optimizer's meta-prompt, from the asset's pieces and
-the scored templates. `rebuilt_requests` is the one reader of a log's
-records, which it streams.
+a message. `joined_message` is the one maker of a message joined from parts:
+its makers hand it plain texts and `SharedText`s (a rendered prompt, whose
+long static runs of its template are shared texts, and the optimizer's
+meta-prompt, from the asset's pieces, the score headers and the scored
+templates), and its record lists the parts: each shared text is written out
+the first time the log uses it and cited by its id after that (audit version
+4). `rebuilt_requests` is the one reader of a log's records, which it
+streams; it and `ReplayProvider` read the log's lines through one loop.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import InitVar, dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 from .engine import AuditLog
 from .errors import ProviderError
@@ -40,6 +41,8 @@ AUDIT_VERSION = 4  # the `v` of every gateway.jsonl record this build writes
 READ_VERSIONS = (2, 3, 4)  # the versions it reads and replays; version 2 has no parts
 BACKOFF_S = (1.0, 4.0)  # the sleep before each retry of a transient failure
 RETRYABLE = ("TIMEOUT", "RATE_LIMITED")
+
+T = TypeVar("T")
 
 
 class GatewayError(ProviderError):
@@ -56,51 +59,106 @@ def text_id(text: str) -> str:
 
 @dataclass(frozen=True)
 class SharedText:
-    """A text that many messages hold, such as a template: `id` is its
-    `text_id`, `escaped` its `escape`."""
+    """A text that its maker hands `joined_message` beside its `escape`:
+    one that many messages hold, such as a template, whose `id` is its
+    `text_id`; or, without an id, a literal part of its own, such as an
+    optimizer header."""
 
-    id: str
+    text: str
     escaped: str
+    id: str | None = None
 
 
-# A message part: the escape of a literal piece of text, or a shared text.
+# A message part: the escape of a literal piece of text, or a shared text with its id.
 Part = str | SharedText
 
 
-def text_part(text: str) -> Part:
-    """`text` as a message part: a `SharedText`, or the escape of `text`
-    when it is empty or holds a surrogate. JSON reads the escapes of a high
-    surrogate and a low one back as the one character they pair to, so the
-    id of such a text could not be checked against the text read back."""
+def text_part(text: str) -> SharedText:
+    """`text` with its escape, and its id unless it is empty or holds a
+    surrogate: JSON reads the escapes of a high surrogate and a low one back
+    as the one character they pair to, so the id of such a text could not be
+    checked against the text read back."""
     escaped = escape(text)
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError:  # a surrogate
-        return escaped
-    return SharedText(hashlib.sha256(data).hexdigest(), escaped) if text else escaped
+        return SharedText(text, escaped)
+    return SharedText(text, escaped, hashlib.sha256(data).hexdigest() if text else None)
 
 
 @dataclass(frozen=True)
 class ChatMessage:
     """One turn of a conversation. `fragment` is its `message_fragment`,
-    made once. A maker that joined the text from parts (`text_part`) hands
-    them in as `joined`: the message keeps them as `parts`, joins its
-    fragment from their escapes, and its audit record lists them in place
-    of the text. `dataclasses.replace` makes a message that encodes itself."""
+    made once. `joined_message` hands a message that it joined from parts
+    the escape of its text and the parts (`joined`): the message keeps them
+    as `parts`, its fragment holds that escape, and its audit record lists
+    the parts in place of the text. `dataclasses.replace` makes a message
+    that encodes itself."""
 
     role: str  # "user" | "assistant"
     text: str
-    joined: InitVar[tuple[Part, ...] | None] = None
+    joined: InitVar[tuple[str, tuple[Part, ...]] | None] = None
     parts: tuple[Part, ...] | None = field(init=False, compare=False, repr=False)
     fragment: str = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, joined: tuple[Part, ...] | None) -> None:
-        object.__setattr__(self, "parts", joined)
+    def __post_init__(self, joined: tuple[str, tuple[Part, ...]] | None) -> None:
         if joined is None:
-            fragment = message_fragment(self)
+            object.__setattr__(self, "parts", None)
+            object.__setattr__(self, "fragment", message_fragment(self))
         else:
-            fragment = escaped_fragment(self.role, "".join([p if type(p) is str else p.escaped for p in joined]))
-        object.__setattr__(self, "fragment", fragment)
+            escaped, parts = joined
+            object.__setattr__(self, "parts", parts)
+            object.__setattr__(self, "fragment", f'{{"role":{encode_basestring_ascii(self.role)},"text":"{escaped}"}}')
+
+
+def joined_message(role: str, pieces: Sequence[str | SharedText], strip: bool = False) -> ChatMessage:
+    """The message of `role` whose text is `pieces` joined, stripped of the
+    newlines at its ends when `strip`. Text, parts and fragment are made in
+    one pass: each run of plain texts is one literal part, escaped once; a
+    `SharedText` without an id is a literal part of the escape its maker
+    holds, and one with an id a part of its own; an empty literal is left
+    out. The message lists its parts exactly when a `SharedText` is among
+    `pieces`. The escape maps each code point on its own, so the parts'
+    escapes join to the escape of the text."""
+    if strip:
+        pieces = _stripped(list(pieces))
+    shared = [i for i, piece in enumerate(pieces) if type(piece) is SharedText]
+    if not shared:
+        return ChatMessage(role, "".join(pieces))
+    texts: list[str] = []
+    parts: list[Part] = []
+    start = 0  # where the run of plain texts since the last SharedText starts
+    for i in (*shared, len(pieces)):
+        if start < i:
+            texts.append(text := "".join(pieces[start:i]))
+            if text:
+                parts.append(escape(text))
+        if i < len(pieces):
+            piece = pieces[i]
+            texts.append(piece.text)
+            if piece.escaped:  # a text with an id is never empty
+                parts.append(piece if piece.id else piece.escaped)
+        start = i + 1
+    escaped = "".join([p if type(p) is str else p.escaped for p in parts])
+    return ChatMessage(role, "".join(texts), (escaped, tuple(parts)))
+
+
+def _stripped(pieces: list[str | SharedText]) -> list[str | SharedText]:
+    """`pieces`, whose joined text is cut of its newlines at either end: a
+    piece that the cut shortens stays plain text or, if it was a
+    `SharedText`, becomes a literal one of its own."""
+    ends = ((range(len(pieces)), str.lstrip), (range(len(pieces) - 1, -1, -1), str.rstrip))
+    for order, cut in ends:
+        for i in order:
+            piece = pieces[i]
+            shared = type(piece) is SharedText
+            text = piece.text if shared else piece
+            kept = cut(text, "\n")
+            if len(kept) < len(text):
+                pieces[i] = SharedText(kept, escape(kept)) if shared else kept
+            if kept:
+                break
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -160,12 +218,6 @@ def escape(text: str) -> str:
     maps each code point on its own (an unpaired surrogate too), so the escape
     of a concatenation is the concatenation of the escapes."""
     return encode_basestring_ascii(text)[1:-1]
-
-
-def escaped_fragment(role: str, escaped_text: str) -> str:
-    """The `message_fragment` of a message of `role` whose text's `escape` is
-    `escaped_text`."""
-    return f'{{"role":{encode_basestring_ascii(role)},"text":"{escaped_text}"}}'
 
 
 class Transcript:
@@ -229,16 +281,30 @@ def record_line(
     )
 
 
-def _check_version(record: dict, number: int, source) -> int:
-    """The audit version of `record`, the `number`th of `source`: one of
-    `READ_VERSIONS`. Any other, or none (version 1), is refused by name."""
-    version = record.get("v", 1)
-    if version not in READ_VERSIONS:
-        raise GatewayError(
-            "PROVIDER_ERROR",
-            f"record {number} in {source} is gateway audit version {version!r}; this build replays version 2, 3 or 4",
-        )
-    return version
+class _Unreadable(ValueError):
+    """Why a line of a gateway audit log cannot be read; `_read` names the line."""
+
+
+def _read(log: str | Path, read: Callable[[dict, int], T]) -> Iterator[T]:
+    """`read(record, version)` of each record of a gateway audit log (its
+    text or its path), read line by line. A line that is not a JSON record
+    of a version in `READ_VERSIONS` (a blank line neither), or that `read`
+    cannot take, raises a GatewayError, which exits 4 and names the line."""
+    source = log if isinstance(log, Path) else "the log"
+    with open(log, encoding="utf-8") if isinstance(log, Path) else io.StringIO(log) as lines:
+        for number, line in enumerate(lines, 1):
+            try:
+                record = json.loads(line)
+                version = record.get("v", 1)
+                if version not in READ_VERSIONS:
+                    raise _Unreadable(
+                        f"the record is gateway audit version {version!r}; this build replays version 2, 3 or 4"
+                    )
+                item = read(record, version)
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                why = str(exc) if isinstance(exc, _Unreadable) else repr(exc)
+                raise GatewayError("PROVIDER_ERROR", f"line {number} in {source}: {why}") from None
+            yield item
 
 
 def rebuilt_requests(log: str | Path) -> Iterator[tuple[dict, ChatRequest]]:
@@ -255,47 +321,39 @@ def rebuilt_requests(log: str | Path) -> Iterator[tuple[dict, ChatRequest]]:
     when the reading reaches it: among them a record of a version outside
     `READ_VERSIONS`, a shared text cited before its definition, and a
     definition whose text does not hash to its id."""
-    source = log if isinstance(log, Path) else "the log"
     conversations: dict[str | None, Transcript] = {}
     defined: dict[str, str] = {}  # the shared texts, by id
 
-    def refused(number: int, why: str) -> GatewayError:
-        return GatewayError("PROVIDER_ERROR", f"record {number} in {source}: {why}")
-
-    def joined(number: int, parts: list) -> str:
+    def joined(parts: list) -> str:
         texts = []
         for part in parts:
             if not isinstance(part, str):
                 if "text" in part:
                     if (actual := text_id(part["text"])) != part["id"]:
-                        raise refused(number, f"the text defined as {part['id'][:12]} hashes to {actual[:12]}")
+                        raise _Unreadable(f"the text defined as {part['id'][:12]} hashes to {actual[:12]}")
                     defined[part["id"]] = part["text"]
                 elif part["id"] not in defined:
-                    raise refused(number, f"shared text {part['id'][:12]} is cited before its definition")
+                    raise _Unreadable(f"shared text {part['id'][:12]} is cited before its definition")
                 part = defined[part["id"]]
             texts.append(part)
         return "".join(texts)
 
-    with open(log, encoding="utf-8") if isinstance(log, Path) else io.StringIO(log) as lines:
-        for number, line in enumerate(lines, 1):
-            try:
-                record = json.loads(line)
-                version = _check_version(record, number, source)
-                role = record["tags"].get("role")
-                if record["prior"]:
-                    transcript = conversations.get(role)
-                    if transcript is None or len(transcript.messages) != record["prior"] or "system" in record:
-                        raise refused(number, f"prior {record['prior']!r} continues no conversation of role tag {role!r}")
-                else:
-                    transcript = conversations[role] = Transcript(record["system"])
-                for message in record["messages"]:
-                    listed = version > 2 and "parts" in message
-                    transcript.append(ChatMessage(message["role"], joined(number, message["parts"]) if listed else message["text"]))
-                request = transcript.request(tuple(record["tags"].items()))
-                transcript.append(ChatMessage("assistant", record["response"]["text"]))
-            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-                raise refused(number, repr(exc)) from None
-            yield record, request
+    def rebuilt(record: dict, version: int) -> tuple[dict, ChatRequest]:
+        role = record["tags"].get("role")
+        if record["prior"]:
+            transcript = conversations.get(role)
+            if transcript is None or len(transcript.messages) != record["prior"] or "system" in record:
+                raise _Unreadable(f"prior {record['prior']!r} continues no conversation of role tag {role!r}")
+        else:
+            transcript = conversations[role] = Transcript(record["system"])
+        for message in record["messages"]:
+            listed = version > 2 and "parts" in message
+            transcript.append(ChatMessage(message["role"], joined(message["parts"]) if listed else message["text"]))
+        request = transcript.request(tuple(record["tags"].items()))
+        transcript.append(ChatMessage("assistant", record["response"]["text"]))
+        return record, request
+
+    return _read(log, rebuilt)
 
 
 class Provider(Protocol):
@@ -363,20 +421,14 @@ class ReplayProvider:
     """
 
     def __init__(self, audit_path: Path | str):
-        # Only what replay needs of each record: its request hash and response text.
-        self.records: list[tuple[str, str]] = []
-        try:
-            with open(audit_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        record = json.loads(line)
-                        _check_version(record, len(self.records) + 1, audit_path)
-                        pair = (record["request_hash"], record["response"]["text"])
-                        if not all(isinstance(s, str) for s in pair):
-                            raise TypeError(f"request_hash and response text must be strings, got {pair!r}")
-                        self.records.append(pair)
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-            raise GatewayError("PROVIDER_ERROR", f"bad record {len(self.records) + 1} in {audit_path}: {exc!r}") from None
+        def pair(record: dict, version: int) -> tuple[str, str]:
+            """Only what replay needs of a record: its request hash and response text."""
+            pair = (record["request_hash"], record["response"]["text"])
+            if not all(isinstance(s, str) for s in pair):
+                raise TypeError(f"request_hash and response text must be strings, got {pair!r}")
+            return pair
+
+        self.records = list(_read(Path(audit_path), pair))
         self.cursor = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:

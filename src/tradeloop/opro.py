@@ -7,11 +7,12 @@ prompt history goes into a meta-prompt, and an optimizer model proposes a
 replacement template. A candidate goes live only when its placeholder set
 matches the current template exactly; rejected or unparseable candidates
 leave the live template untouched. Every event lands in an append-only JSONL
-evolution log. Each template becomes a message part (`gateway.text_part`,
-escaped and hashed) once, when it enters the history, and the ledger takes
-its id from that part. Each proposal's meta-prompt message is joined from
-those parts and the optimizer asset's, as a rendered prompt is joined from
-its template's, so its audit record cites every text that an earlier record
+evolution log. Each template becomes a `gateway.SharedText` (escaped and
+hashed) once, when it enters the history, and the ledger takes its id from
+it. Each proposal's meta-prompt message is made by one
+`gateway.joined_message` call from the optimizer asset's pieces, the score
+headers and those shared texts, as a rendered prompt is joined from its
+template's, so its audit record cites every text that an earlier record
 wrote.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .agents import ConversationalAgent, read_fence
 from .engine import AuditLog
-from .gateway import ChatMessage, Gateway, Part, SharedText, escape, text_id, text_part
+from .gateway import ChatMessage, Gateway, SharedText, joined_message, text_id, text_part
 from .templates import PromptTemplate, TemplateError
 
 HISTORY_MARKER = "{{ history_text }}"  # where the optimizer asset takes the scored history
@@ -66,7 +67,7 @@ class PromptRecord:
     iteration: int
     template_text: str
     score: float | None = None
-    part: Part = field(init=False, repr=False, compare=False)
+    part: SharedText = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.part = text_part(self.template_text)
@@ -127,13 +128,9 @@ def validate_candidate(current: PromptTemplate, candidate_text: str) -> PromptTe
 
 def _ranked(records: list[PromptRecord]) -> list[tuple[str, PromptRecord]]:
     """The scored records, ascending by score (ties by iteration), each with
-    its block's header. A header is printable ASCII with no quote or
-    backslash, so it is its own escape."""
+    its block's header."""
     scored = sorted((r for r in records if r.score is not None), key=lambda r: (r.score, r.iteration))
     return [(f"### Prompt {r.iteration} | Score: {r.score:.1f}", r) for r in scored]
-
-
-_NL, _GAP = escape("\n"), escape("\n\n")
 
 
 def build_history_text(records: list[PromptRecord]) -> str:
@@ -150,24 +147,17 @@ def build_meta_prompt(records: list[PromptRecord], optimizer_asset: str) -> str:
     return optimizer_asset.replace(HISTORY_MARKER, build_history_text(records))
 
 
-def asset_parts(optimizer_asset: str) -> tuple[Part, ...]:
-    """The `gateway.text_part` of each piece of the optimizer asset around
-    its history markers."""
-    return tuple(map(text_part, optimizer_asset.split(HISTORY_MARKER)))
-
-
-def meta_prompt_parts(records: list[PromptRecord], asset: tuple[Part, ...]) -> tuple[Part, ...]:
-    """The parts of the user message `build_meta_prompt(records, text)`,
-    where `asset` is the `asset_parts` of `text`: the asset's pieces and the
-    records' templates, with each header between them a literal part.
-    Nothing is escaped again."""
-    history: list[Part] = []
+def meta_prompt(records: list[PromptRecord], pieces: tuple[SharedText, ...]) -> ChatMessage:
+    """The user message `build_meta_prompt(records, asset)`, where `pieces`
+    are the `text_part`s of the asset's pieces around its history markers,
+    joined from those, the records' parts and the headers between them.
+    Nothing is escaped again: a header, printable ASCII with no quote or
+    backslash, is its own escape but for its newlines."""
+    history: list[SharedText] = []
     for header, r in _ranked(records):
-        history += (f"{_GAP if history else ''}{header}{_NL}", r.part)
-    parts = [asset[0]]
-    for piece in asset[1:]:
-        parts += (*history, piece)
-    return tuple(filter(None, parts))  # an empty literal adds nothing
+        block = f"\n\n{header}\n" if history else f"{header}\n"
+        history += (SharedText(block, block.replace("\n", r"\n")), r.part)
+    return joined_message("user", [pieces[0], *(p for piece in pieces[1:] for p in (*history, piece))])
 
 
 class AdaptiveOpro:
@@ -192,8 +182,7 @@ class AdaptiveOpro:
         self.k = k
         self.roi_mode = roi_mode
         self.gateway = gateway
-        self.optimizer_asset = optimizer_asset
-        self._asset_parts = asset_parts(optimizer_asset)
+        self._pieces = tuple(map(text_part, optimizer_asset.split(HISTORY_MARKER)))
         self.live_template = initial_template
         self.iteration = 1
         self.history = [PromptRecord(self.iteration, initial_template.body)]
@@ -208,9 +197,9 @@ class AdaptiveOpro:
         template, a reply's accepted `output`, or the `error` that rejected
         the proposal, with its last candidate as `template_text`. The keys
         are written in sorted order. Without an error, `template_text` is
-        the last record's, whose part already holds its id unless it is a
-        literal part."""
-        part = self.history[-1].part if error is None else None
+        the last record's, whose part already holds its id unless it has
+        none."""
+        known = self.history[-1].part.id if error is None else None
         self.log.append(
             {
                 "accepted": error is None,
@@ -220,7 +209,7 @@ class AdaptiveOpro:
                 "iteration": self.iteration,
                 "reject_reason": error and str(error),
                 "score": score,
-                "template_sha": part.id if isinstance(part, SharedText) else text_id(template_text),
+                "template_sha": known or text_id(template_text),
                 "template_text": template_text,
             }
         )
@@ -275,8 +264,7 @@ class AdaptiveOpro:
             return output, validate_candidate(self.live_template, last_candidate)
 
         optimizer = ConversationalAgent("optimizer", self.gateway, None, None)
-        meta = build_meta_prompt(self.history, self.optimizer_asset)
-        message = ChatMessage("user", meta, meta_prompt_parts(self.history, self._asset_parts))
+        message = meta_prompt(self.history, self._pieces)
         try:
             (output, candidate), _ = optimizer.ask_parsed(message, parse, lambda _: OPTIMIZER_FORMAT_REMINDER, tags)
         except OptimizerParseError as exc:

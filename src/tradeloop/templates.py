@@ -10,23 +10,23 @@ the assets depend on that).
 Text inside a `<system_role>` block that the template writes renders into
 the LLM system message, the rest into the user message; tags in values are text.
 
-The user message is also given as its `gateway` parts. Each static run of at
-least `SHARED_MIN` characters, less its newlines at either end, gets its
-`text_part` when a template that holds it is parsed, so the gateway log
-writes it once and cites it after that; values and shorter runs are literal
-parts, escaped as the template renders.
+Each static run of at least `SHARED_MIN` characters, less its newlines at
+either end, is a `gateway.SharedText` node, made when a template that holds it
+is parsed. `render` hands the user side, values and runs alike, to
+`gateway.joined_message`, so the gateway log writes each such run once and
+cites it after that.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError
-from .gateway import Part, SharedText, escape, text_part
+from .gateway import ChatMessage, SharedText, joined_message, text_part
 
 _PLACEHOLDER = re.compile(
     r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\|\s*default\(\"([^\"]*)\"\)\s*)?\}\}"
@@ -52,13 +52,6 @@ class _Text(NamedTuple):
     text: str
 
 
-class _Shared(NamedTuple):
-    """A static run of at least SHARED_MIN characters, with its `text_part`."""
-
-    text: str
-    part: SharedText
-
-
 class _Placeholder(NamedTuple):
     name: str
     default: str | None
@@ -72,12 +65,14 @@ class _Conditional(NamedTuple):
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """A rendered template. `user_parts` are the `gateway` parts whose texts
-    join to `user_text`, or None when the user text holds no shared run."""
+    """A rendered template: its system text and its user message."""
 
     system_text: str
-    user_text: str
-    user_parts: tuple[Part, ...] | None = field(default=None, compare=False, repr=False)
+    user: ChatMessage
+
+    @property
+    def user_text(self) -> str:
+        return self.user.text
 
 
 def _tokenize(body: str) -> tuple[list, set[str]]:
@@ -165,10 +160,10 @@ def _parse(body: str) -> tuple[tuple, frozenset[str]]:
 
 
 @lru_cache(maxsize=256)
-def _long_run(text: str) -> tuple[_Text | _Shared, ...]:
+def _long_run(text: str) -> tuple[_Text | SharedText, ...]:
     """The nodes of a static run of at least SHARED_MIN characters. When the
     run, less its newlines at either end, is still that long, that core is a
-    `_Shared` node (unless a surrogate makes its part a literal one), and
+    `SharedText` node (unless a surrogate leaves it without an id), and
     the newlines are `_Text` nodes of their own: a shared run neither starts
     nor ends with a newline, so the strip of a rendered user text never
     shortens it. Made once per text: a run is parsed again with every
@@ -176,10 +171,10 @@ def _long_run(text: str) -> tuple[_Text | _Shared, ...]:
     whose runs are mostly the live template's."""
     core = text.strip("\n")
     part = text_part(core) if len(core) >= SHARED_MIN else None
-    if not isinstance(part, SharedText):
+    if part is None or part.id is None:
         return (_Text(text),)
     lead = text.index(core[0])  # the first character that is not a newline
-    nodes = (_Text(text[:lead]), _Shared(core, part), _Text(text[lead + len(core) :]))
+    nodes = (_Text(text[:lead]), part, _Text(text[lead + len(core) :]))
     return tuple(node for node in nodes if node.text)
 
 
@@ -198,8 +193,7 @@ class PromptTemplate:
         return self.names
 
     def render(self, context: Mapping[str, object]) -> RenderedPrompt:
-        """Substitute and split into (system, user) texts, with the user
-        text's parts.
+        """Substitute and split into the system text and the user message.
 
         Every placeholder reached needs a context key (MISSING_KEY otherwise);
         the default filter fires on missing, None, or empty-string values.
@@ -209,33 +203,21 @@ class PromptTemplate:
         as model or news text, are text. The system block runs from the
         template's first `<system_role>` to its next `</system_role>`.
         """
-        out: list[str] = []
+        out: list[str | SharedText] = []
         tags: list[int] = []  # the indices in `out` of the template's tags
-        runs: list[int] = []  # the indices in `out` of the shared runs
-        shared: list[SharedText] = []  # their parts
-        self._render_nodes(self.nodes, context, out, tags, runs, shared)
+        self._render_nodes(self.nodes, context, out, tags)
         start = next((i for i in tags if out[i] == "<system_role>"), len(out))
         end = next((i for i in tags if i > start and out[i] == "</system_role>"), None)
         if end is None:
-            return RenderedPrompt("", "".join(out), _user_parts(out, runs, shared, strip=False))
-        system_text = "".join(out[start + 1 : end]).strip()
-        user, cut = out[:start] + out[end + 1 :], end + 1 - start
-        kept = [k for k, i in enumerate(runs) if not start <= i <= end]  # the runs outside the system block
-        runs = [runs[k] if runs[k] < start else runs[k] - cut for k in kept]
-        shared = [shared[k] for k in kept]
-        return RenderedPrompt(system_text, "".join(user).strip("\n"), _user_parts(user, runs, shared, strip=True))
+            return RenderedPrompt("", joined_message("user", out))
+        system_text = "".join([p.text if type(p) is SharedText else p for p in out[start + 1 : end]]).strip()
+        return RenderedPrompt(system_text, joined_message("user", out[:start] + out[end + 1 :], strip=True))
 
     def _render_nodes(
-        self,
-        nodes: tuple,
-        context: Mapping[str, object],
-        out: list[str],
-        tags: list[int],
-        runs: list[int],
-        shared: list[SharedText],
+        self, nodes: tuple, context: Mapping[str, object], out: list[str | SharedText], tags: list[int]
     ) -> None:
-        # A node is a tuple subclass: an exact type test and one read of each
-        # field keep a node's visit as cheap as it was for a dataclass.
+        # A node is a tuple subclass or a SharedText: an exact type test and
+        # one read of each field keep a node's visit cheap.
         for node in nodes:
             kind = type(node)
             if kind is _Text:
@@ -253,43 +235,13 @@ class PromptTemplate:
                 if not present:
                     raise TemplateError("MISSING_KEY", name)
                 out.append(value if isinstance(value, str) else str(value))
-            elif kind is _Shared:
-                runs.append(len(out))
-                shared.append(node.part)
-                out.append(node.text)
+            elif kind is SharedText:
+                out.append(node)
             else:
                 if node.name not in context:
                     raise TemplateError("MISSING_KEY", node.name)
                 branch = node.then if context[node.name] else node.otherwise
-                self._render_nodes(branch, context, out, tags, runs, shared)
-
-
-def _user_parts(texts: list[str], runs: list[int], shared: list[SharedText], strip: bool) -> tuple[Part, ...] | None:
-    """The parts of the user text that `texts` join to (stripped of newlines
-    at its ends when `strip`), where `runs` gives the index in `texts` of
-    each shared run, in order, and `shared` its part: the text between two
-    such runs is one literal part, and an empty one is left out. None when
-    there is no such run. A shared run neither starts nor ends with a
-    newline (`_long_run`), so the strip only shortens the first and the last
-    literal."""
-    if not runs:
-        return None
-    parts: list[Part] = []
-    prev = 0
-    for i, part in zip(runs, shared):
-        literal = "".join(texts[prev:i])
-        if strip and not prev:
-            literal = literal.lstrip("\n")
-        if literal:
-            parts.append(escape(literal))
-        parts.append(part)
-        prev = i + 1
-    literal = "".join(texts[prev:])
-    if strip:
-        literal = literal.rstrip("\n")
-    if literal:
-        parts.append(escape(literal))
-    return tuple(parts)
+                self._render_nodes(branch, context, out, tags)
 
 
 _PROMPT_DIR = Path(__file__).parent / "prompts"

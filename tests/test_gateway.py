@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import tracemalloc
@@ -30,7 +31,10 @@ from tradeloop.gateway import (
     RouterProvider,
     ScriptEntry,
     ScriptedProvider,
+    SharedText,
     Transcript,
+    escape,
+    joined_message,
     message_fragment,
     rebuilt_requests,
     record_line,
@@ -338,15 +342,15 @@ class TestFragmentReuse:
         agent.ask({"system": system, "text": text})
 
     def test_a_message_carries_the_fragment_of_its_text(self):
-        """A message encodes itself unless it is handed the parts it was
-        joined from, whose escapes its fragment joins unchecked and which
-        equality ignores; `replace` encodes the new text and drops them."""
+        """A message encodes itself unless `joined_message` joined it from
+        parts, whose escapes its fragment joins unchecked and which equality
+        ignores; `replace` encodes the new text and drops them."""
         message = ChatMessage("user", 'q "1"\u2028')
         assert message.fragment == r'{"role":"user","text":"q \"1\"\u2028"}' and message.parts is None
         parts = ("q ", text_part('"1"'), r"\u2028")
-        handed = ChatMessage("user", message.text, parts)
+        handed = joined_message("user", ["q ", text_part('"1"'), "\u2028"])
         assert handed.fragment == message.fragment and handed.parts == parts and handed == message
-        assert ChatMessage("user", "x", ("the maker's escape",)).fragment == '{"role":"user","text":"the maker\'s escape"}'
+        assert joined_message("user", [SharedText("x", "the maker's escape")]).fragment == '{"role":"user","text":"the maker\'s escape"}'
         replaced = replace(handed, text="q\ud800")
         assert replaced.fragment == r'{"role":"user","text":"q\ud800"}' and replaced.parts is None
 
@@ -534,7 +538,7 @@ class TestSharedTexts:
         log = self.run_log(tmp_path)
         ledger = [json.loads(line) for line in (log.parent / "opro.jsonl").read_text(encoding="utf-8").splitlines()]
         templates = [load_template(name) for name in SHIPPED_TEMPLATES] + [PromptTemplate.parse("t", r["template_text"]) for r in ledger]
-        runs = {run.part.id: run.text for t in templates for run in shared_runs(t.nodes)}
+        runs = {run.id: run.text for t in templates for run in shared_runs(t.nodes)}
         cited, literals = [], []
         for line in log.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
@@ -591,9 +595,8 @@ class TestSharedTexts:
         a, b = text_part("first shared text"), text_part('second "shared" text\n')
         gateway = Gateway(ScriptedProvider([ScriptEntry(response="ok", times=None)]))
         sent = []
-        for role, parts in (("x", (a, " and ", b)), ("y", (b, a))):
-            text = "".join(json.loads(f'"{p if isinstance(p, str) else p.escaped}"') for p in parts)
-            sent.append(request_of("sys", (ChatMessage("user", text, parts),), (("role", role),)))
+        for role, pieces in (("x", (a, " and ", b)), ("y", (b, a))):
+            sent.append(request_of("sys", (joined_message("user", pieces),), (("role", role),)))
             gateway.complete(sent[-1])
         return gateway, sent
 
@@ -624,14 +627,142 @@ class TestSharedTexts:
     @pytest.mark.parametrize("text", ["", "a\ud83d\ude00b", "a\udfff"])
     def test_a_text_whose_id_could_not_be_checked_is_literal(self, text):
         """An empty text, and one with a surrogate (a high one then a low one
-        JSON reads back as one character), are parts of their own escape."""
+        JSON reads back as one character), have no id: each is a literal part
+        of its own escape, and an empty one is left out."""
         part = text_part(text)
-        assert part == encode_basestring_ascii(text)[1:-1]
+        assert part == SharedText(text, encode_basestring_ascii(text)[1:-1])
         gateway = Gateway(ScriptedProvider([ScriptEntry(response="ok")]))
-        sent = request_of("", (ChatMessage("user", f"<{text}>", ("<", part, ">")),))
+        sent = request_of("", (joined_message("user", ["<", part, ">"]),))
         gateway.complete(sent)
         [(record, rebuilt)] = rebuilt_requests(gateway.audit.text())
-        assert record["messages"][0]["parts"] == logged(["<", text, ">"]) and rebuilt.digest == sent.digest
+        assert record["messages"][0]["parts"] == logged([p for p in ("<", text, ">") if p]) and rebuilt.digest == sent.digest
+
+
+# Pieces for `joined_message`: plain texts, surrogate halves on their own
+# (so a pair can be split across two pieces), empty texts and newlines at
+# the ends; shared texts with an id, and without one (`text_part` of an empty
+# or surrogate text, or a literal of its maker's escape).
+piece_text = st.sampled_from(["", "\n", "\n\n", "a", '"', "\ud83d", "\ude00", "\ud800"]) | conversation_text
+pieces = st.lists(
+    piece_text
+    | st.builds(text_part, piece_text)
+    | st.builds(lambda text: SharedText(text, escape(text)), piece_text),
+    max_size=8,
+)
+
+
+def expected_parts(pieces: list, strip: bool) -> list | None:
+    """The parts `joined_message` lists for `pieces`: each piece is first
+    cut to the span of the text that the strip keeps (a cut shared text
+    becomes a literal one of its own); then each run of plain texts is one
+    literal, a shared text without an id its escape, one with an id itself,
+    and empty literals are left out. None when no piece is a shared text."""
+    if not any(isinstance(piece, SharedText) for piece in pieces):
+        return None
+    texts = [piece if isinstance(piece, str) else piece.text for piece in pieces]
+    text = "".join(texts)
+    lo, hi = (len(text) - len(text.lstrip("\n")), len(text.rstrip("\n"))) if strip else (0, len(text))
+    parts, run, at = [], [], 0
+    for piece, whole in zip(pieces, texts):
+        start, end = max(at, lo), min(at + len(whole), hi)
+        kept = text[start:end] if start < end else ""
+        at += len(whole)
+        if kept != whole:
+            piece = kept if isinstance(piece, str) else SharedText(kept, escape(kept))
+        if isinstance(piece, str):
+            run.append(piece)
+            continue
+        parts += [escape("".join(run)), piece.escaped if piece.id is None else piece]
+        run = []
+    parts.append(escape("".join(run)))
+    return [part for part in parts if part != ""]
+
+
+class TestJoinedMessage:
+    """`joined_message` is the one maker of a message joined from parts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=pieces, strip=st.booleans())
+    @example(pieces=["a\ud83d", text_part("\ude00b"), "\n"], strip=True)
+    @example(pieces=["\n", text_part("\nshared\n"), "\n\n"], strip=True)
+    @example(pieces=[text_part(""), text_part("")], strip=False)
+    def test_a_joined_message_is_the_plain_message_of_its_text(self, pieces, strip):
+        """The joined message has the fragment and the request hash of the
+        plain message of its text, its logged record rebuilds to a request
+        of that hash, and its parts are the pieces with each run of plain
+        texts one literal and no literal empty."""
+        message = joined_message("user", pieces, strip)
+        text = "".join(piece if isinstance(piece, str) else piece.text for piece in pieces)
+        plain = ChatMessage("user", text.strip("\n") if strip else text)
+        assert message == plain and message.fragment == plain.fragment
+        request = request_of("sys", (message,), (("role", "x"),))
+        assert request.digest == request_of("sys", (plain,), (("role", "x"),)).digest == request_hash(request)
+        expected = expected_parts(pieces, strip)
+        assert message.parts == (None if expected is None else tuple(expected))
+        assert all(part != "" for part in message.parts or ())
+        gateway = Gateway(ScriptedProvider([ScriptEntry(response="ok")]))
+        gateway.complete(request)
+        [(record, rebuilt)] = rebuilt_requests(gateway.audit.text())
+        assert rebuilt.digest == request.digest and [escape(m.text) for m in rebuilt.messages] == [escape(plain.text)]
+        assert ("parts" in record["messages"][0]) == (message.parts is not None)
+
+
+class TestJoinedRecordPins:
+    """Audit lines of messages at the corners of `joined_message`, pinned
+    by the SHA-256 of their log. The digests were computed when templates
+    and the optimizer still listed their own parts, so the one maker writes
+    the bytes they wrote."""
+
+    ASSET = "Scored prompts:\n{{ history_text }}\nWrite a better one."
+
+    @staticmethod
+    def proposals(asset: str, initial: str, candidates: list[str], scored: bool = True) -> str:
+        """The gateway log of an optimizer over `asset` that proposes each of
+        `candidates` in turn, each accepted, after a window that scores the
+        live template unless not `scored`."""
+        provider = ScriptedProvider([ScriptEntry(response=optimizer_reply(c), step=n) for n, c in enumerate(candidates, 1)])
+        gateway = Gateway(provider)
+        opro = AdaptiveOpro(PromptTemplate.parse("cta", initial), gateway, asset, 1, "cumulative")
+        for step, _ in enumerate(candidates, 1):
+            if scored:
+                opro.close_window(step, 100_000.0, 100_000.0 + step)
+            assert opro.propose_update()
+        return gateway.audit.text()
+
+    @staticmethod
+    def pinned(log: str, digest: str) -> list[dict]:
+        """The records of `log`, whose SHA-256 must be `digest` and each of
+        whose records must rebuild to a request of its `request_hash`."""
+        assert hashlib.sha256(log.encode()).hexdigest() == digest
+        assert all(r["request_hash"] == sent.digest for r, sent in rebuilt_requests(log))
+        return [json.loads(line) for line in log.splitlines()]
+
+    def test_a_surrogate_template_and_its_header_are_two_touching_literals(self):
+        log = self.proposals(self.ASSET, "Trade {{ x }} with care.", ["Trade {{ x }} \ud800 boldly.", "Trade {{ x }} calmly."])
+        records = self.pinned(log, "2c8ba22e4e4a6a0830b44effd6925366a3444d463619b88ac4137135f61dc995")
+        parts = records[1]["messages"][0]["parts"]
+        assert parts[3:5] == ["\n\n### Prompt 2 | Score: 50.0\n", logged("Trade {{ x }} \ud800 boldly.")]
+        assert [isinstance(p, str) for p in parts] == [False, True, False, True, True, False]
+
+    def test_a_history_only_asset_without_scores_lists_no_parts(self):
+        log = self.proposals("{{ history_text }}", "Trade {{ x }} with care.", ["Trade {{ x }} calmly."], scored=False)
+        [record] = self.pinned(log, "51207dfbac328da153b4d1e112b0827c3e646b1567e74135fe39ac600a953f60")
+        assert record["messages"] == [{"parts": [], "role": "user"}]
+
+    def test_a_history_only_asset_of_surrogate_templates_lists_literals(self):
+        log = self.proposals("{{ history_text }}", "Trade {{ x }} \udfff.", ["Trade {{ x }} \ud83d!", "Trade {{ x }} \ud83d?"])
+        records = self.pinned(log, "f9e79436207cc3cd40eeb7eafcc42e1809af863ffe20b67a7ae233bc9a657cc5")
+        assert [len(r["messages"][0]["parts"]) for r in records] == [2, 4]
+        assert all(isinstance(p, str) for r in records for p in r["messages"][0]["parts"])
+
+    def test_a_shared_run_inside_the_system_block_leaves_a_plain_message(self):
+        run = "You are a careful analyst of one instrument. " * 4
+        template = PromptTemplate.parse("t", f"<system_role>\n{run}\n</system_role>\n{{{{ x }}}}\n")
+        assert shared_runs(template.nodes)
+        gateway = Gateway(ScriptedProvider([ScriptEntry(response="ok")]))
+        ConversationalAgent("market", gateway, template, template).ask({"x": "v"})
+        [record] = self.pinned(gateway.audit.text(), "2d6d6ee04b5b03b23f9a76db454adf9056e8c7ce02ad7ce73edaf7af5561f447")
+        assert record["messages"] == [{"role": "user", "text": "v"}] and record["system"] == run.strip()
 
 
 class TestRetry:
@@ -704,6 +835,17 @@ class TestReplayProvider:
         with pytest.raises(GatewayError) as err:
             replay.complete(req("third"))
         assert err.value.code == "SCRIPT_EXHAUSTED"
+
+    def test_a_blank_line_is_refused_by_its_number(self, tmp_path):
+        """A blank line between two records is refused by the replay
+        provider and the reader alike, each naming it as line 2."""
+        audit = self._record_session(tmp_path)
+        first, second = audit.read_text(encoding="utf-8").splitlines(keepends=True)
+        audit.write_text(f"{first}\n{second}", encoding="utf-8")
+        for read in (ReplayProvider, lambda path: list(rebuilt_requests(path))):
+            with pytest.raises(GatewayError) as err:
+                read(audit)
+            assert err.value.exit_code == 4 and f"line 2 in {audit}: JSONDecodeError" in str(err.value)
 
     def test_replayed_session_is_bit_reproducible(self, tmp_path):
         audit = self._record_session(tmp_path)

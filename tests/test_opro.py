@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 
 from tradeloop.agents import read_fence
 from tradeloop import opro as opro_module
-from tradeloop.gateway import ChatMessage, Gateway, ScriptEntry, ScriptedProvider, message_fragment, text_id
+from tradeloop.gateway import ChatMessage, Gateway, ScriptEntry, ScriptedProvider, message_fragment, text_id, text_part
 from tradeloop.opro import (
     HISTORY_MARKER,
     AdaptiveOpro,
     OptimizerParseError,
     PromptRecord,
     build_history_text,
-    asset_parts,
     build_meta_prompt,
-    meta_prompt_parts,
+    meta_prompt,
     parse_optimizer_response,
     reflect,
     validate_candidate,
@@ -247,8 +246,8 @@ class TestMetaPromptFragment:
         order.shuffle(records)
         asset = HISTORY_MARKER.join(asset_pieces)
         meta = build_meta_prompt(records, asset)
-        joined = ChatMessage("user", meta, meta_prompt_parts(records, asset_parts(asset)))
-        assert joined.fragment == message_fragment(ChatMessage("user", meta))
+        joined = meta_prompt(records, tuple(map(text_part, asset.split(HISTORY_MARKER))))
+        assert joined == ChatMessage("user", meta) and joined.fragment == message_fragment(ChatMessage("user", meta))
 
 
 class TestParseOptimizerResponse:

@@ -22,7 +22,6 @@ from tradeloop.templates import (
     _Placeholder,
     _SYSTEM_TAG,
     _TAG,
-    _Shared,
     _Text,
     _tokenize,
     load_template,
@@ -306,10 +305,10 @@ class TestRender:
         text = body.replace("{{ x }}", value)
         block = re.search(r"<system_role>(.*?)</system_role>", text, re.DOTALL)
         if block is None:
-            assert rendered == RenderedPrompt(system_text="", user_text=text)
+            assert rendered == RenderedPrompt(system_text="", user=ChatMessage("user", text))
         else:
             user_text = (text[: block.start()] + text[block.end() :]).strip("\n")
-            assert rendered == RenderedPrompt(system_text=block.group(1).strip(), user_text=user_text)
+            assert rendered == RenderedPrompt(system_text=block.group(1).strip(), user=ChatMessage("user", user_text))
 
     def test_render_covering_extracted_set_never_errors(self):
         tpl = load_template("cta_initial")
@@ -372,8 +371,8 @@ class TestUserParts:
         request hash of one holding only the text."""
         template = T("t", body)
         rendered = template.render({"x": x, "y": y, "c": c})
-        parts = rendered.user_parts
-        message = ChatMessage("user", rendered.user_text, parts)
+        message = rendered.user
+        parts = message.parts
         plain = ChatMessage("user", rendered.user_text)
         assert message.fragment == plain.fragment
         request = Transcript(rendered.system_text, (message,)).request(())
@@ -388,6 +387,19 @@ class TestUserParts:
         assert len(parts) <= 2 * len(shared) + 1
         assert all(p for p in parts) and not any(isinstance(a, str) and isinstance(b, str) for a, b in zip(parts, parts[1:]))
 
+    def test_a_value_of_a_str_subclass_is_plain_text(self):
+        """A value whose type subclasses `str` renders as its text, in the
+        system block and beside a shared run alike."""
+
+        class Name(str):
+            pass
+
+        run = "A static run of the template, long enough to be a shared text. " * 3
+        rendered = T("t", f"<system_role>{{{{ x }}}}</system_role>\n{run}\n{{{{ x }}}}").render({"x": Name("v")})
+        assert (rendered.system_text, rendered.user_text) == ("v", f"{run}\nv")
+        shared, literal = rendered.user.parts
+        assert shared.text == run and literal == r"\nv"
+
     @pytest.mark.parametrize("name", SHIPPED_TEMPLATES)
     def test_a_shipped_template_renders_shared_runs(self, name):
         """Each shipped template holds static runs of at least SHARED_MIN
@@ -397,17 +409,17 @@ class TestUserParts:
         runs = shared_runs(template.nodes)
         assert runs and all(len(node.text) >= SHARED_MIN and node.text.strip("\n") == node.text for node in runs)
         context = {key: "x" for key in template.placeholders()}
-        parts = template.render(context).user_parts
+        parts = template.render(context).user.parts
         assert any(isinstance(p, SharedText) for p in parts)
 
 
-def shared_runs(nodes: tuple) -> list[_Shared]:
+def shared_runs(nodes: tuple) -> list[SharedText]:
     """Every shared run in a node tree, the branches' too."""
-    runs: list[_Shared] = []
+    runs: list[SharedText] = []
     for node in nodes:
         if isinstance(node, _Conditional):
             runs += shared_runs(node.then) + shared_runs(node.otherwise)
-        elif isinstance(node, _Shared):
+        elif isinstance(node, SharedText):
             runs.append(node)
     return runs
 
