@@ -377,8 +377,10 @@ def read_bars(
     path = Path(path)
     try:
         text = read(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise BarDataError(f"bars file not found or unreadable: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise BarDataError(f"bars file {path} is not UTF-8: {exc}") from None
     return parse_bars(text, format="jsonl" if path.suffix == ".jsonl" else "csv", symbol=symbol)
 
 

@@ -2,7 +2,8 @@
 README's list of inputs. `cli.main` prints one as `<label>: <message>` and
 exits with its `exit_code`. `AssertionError`, `EngineError` and
 `MetricsError` guard internal invariants and stay outside on purpose: a
-traceback from them is a bug report. This module imports nothing."""
+traceback from them is a bug report. `described` quotes the exception behind
+such an error. This module imports nothing."""
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,3 +33,9 @@ class ProviderError(TradeloopError):  # not a ValueError: `ask_parsed` re-asks o
 
 class ReplayMismatch(ProviderError):
     pass
+
+
+def described(exc: Exception) -> str:
+    """`exc` as an error message quotes it: its repr, but a decode error by
+    its position and reason, as its repr holds every byte being decoded."""
+    return str(exc) if isinstance(exc, UnicodeDecodeError) else repr(exc)

@@ -1,8 +1,9 @@
 """Provider-agnostic chat-completion boundary.
 
-Three provider kinds: `http` for live runs (OpenAI-style, over urllib),
-`scripted` for tests, and `replay`, which re-serves a recorded audit log and
-bridges costly live runs into CI. The gateway never mutates prompt text,
+Two provider kinds: `http` for live runs (OpenAI-style, over urllib) and
+`scripted` for tests. `ReplayProvider` re-serves a recorded audit log, which
+a replay hands its run in place of the config's providers, and bridges costly
+live runs into CI. The gateway never mutates prompt text,
 retries transient failures with exponential backoff, and appends every
 completed exchange to the JSONL `AuditLog` it is handed before returning.
 
@@ -18,7 +19,8 @@ meta-prompt, from the asset's pieces, the score headers and the scored
 templates), and its record lists the parts: each shared text is written out
 the first time the log uses it and cited by its id after that (audit version
 4). `rebuilt_requests` is the one reader of a log's records, which it
-streams; it and `ReplayProvider` read the log's lines through one loop.
+streams; it and `ReplayProvider` read the log's lines through one loop, and
+`same_older_calls` compares an older recording with its replay through it.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ import json
 import os
 import time
 from dataclasses import InitVar, dataclass, field
-from itertools import islice
+from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 from .engine import AuditLog
-from .errors import ProviderError
+from .errors import ProviderError, described
 
 AUDIT_VERSION = 4  # the `v` of every gateway.jsonl record this build writes
 READ_VERSIONS = (2, 3, 4)  # the versions it reads and replays; version 2 has no parts
@@ -285,24 +287,24 @@ class _Unreadable(ValueError):
     """Why a line of a gateway audit log cannot be read; `_read` names the line."""
 
 
-def _read(log: str | Path, read: Callable[[dict, int], T]) -> Iterator[T]:
-    """`read(record, version)` of each record of a gateway audit log (its
-    text or its path), read line by line. A line that is not a JSON record
+def _read(log: str | Path, read: Callable[[dict], T]) -> Iterator[T]:
+    """`read(record)` of each record of a gateway audit log (its text or its
+    path), read line by line. A line that is not UTF-8, or not a JSON record
     of a version in `READ_VERSIONS` (a blank line neither), or that `read`
     cannot take, raises a GatewayError, which exits 4 and names the line."""
     source = log if isinstance(log, Path) else "the log"
-    with open(log, encoding="utf-8") if isinstance(log, Path) else io.StringIO(log) as lines:
+    with open(log, "rb") if isinstance(log, Path) else io.StringIO(log) as lines:
         for number, line in enumerate(lines, 1):
             try:
-                record = json.loads(line)
+                record = json.loads(line if isinstance(line, str) else line.decode("utf-8"))
                 version = record.get("v", 1)
                 if version not in READ_VERSIONS:
                     raise _Unreadable(
                         f"the record is gateway audit version {version!r}; this build replays version 2, 3 or 4"
                     )
-                item = read(record, version)
+                item = read(record)
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-                why = str(exc) if isinstance(exc, _Unreadable) else repr(exc)
+                why = str(exc) if isinstance(exc, _Unreadable) else described(exc)
                 raise GatewayError("PROVIDER_ERROR", f"line {number} in {source}: {why}") from None
             yield item
 
@@ -338,7 +340,7 @@ def rebuilt_requests(log: str | Path) -> Iterator[tuple[dict, ChatRequest]]:
             texts.append(part)
         return "".join(texts)
 
-    def rebuilt(record: dict, version: int) -> tuple[dict, ChatRequest]:
+    def rebuilt(record: dict) -> tuple[dict, ChatRequest]:
         role = record["tags"].get("role")
         if record["prior"]:
             transcript = conversations.get(role)
@@ -347,13 +349,28 @@ def rebuilt_requests(log: str | Path) -> Iterator[tuple[dict, ChatRequest]]:
         else:
             transcript = conversations[role] = Transcript(record["system"])
         for message in record["messages"]:
-            listed = version > 2 and "parts" in message
-            transcript.append(ChatMessage(message["role"], joined(message["parts"]) if listed else message["text"]))
+            transcript.append(ChatMessage(message["role"], joined(message["parts"]) if "parts" in message else message["text"]))
         request = transcript.request(tuple(record["tags"].items()))
         transcript.append(ChatMessage("assistant", record["response"]["text"]))
         return record, request
 
     return _read(log, rebuilt)
+
+
+def same_older_calls(recorded: Path, replayed: Path) -> bool:
+    """Whether every record of the `recorded` gateway log is of an audit
+    version older than AUDIT_VERSION and holds the call of the `replayed`
+    log's record of the same number: the same `ts`, tags, request hash,
+    rebuilt request and reply. The logs are read side by side."""
+
+    def call(pair: tuple[dict, ChatRequest]) -> tuple:
+        record, request = pair
+        return record.get("ts"), record["tags"], record["request_hash"], request.digest, record["response"]["text"]
+
+    for old, new in zip_longest(rebuilt_requests(recorded), rebuilt_requests(replayed)):
+        if old is None or new is None or old[0]["v"] >= AUDIT_VERSION or call(old) != call(new):
+            return False
+    return True
 
 
 class Provider(Protocol):
@@ -421,7 +438,7 @@ class ReplayProvider:
     """
 
     def __init__(self, audit_path: Path | str):
-        def pair(record: dict, version: int) -> tuple[str, str]:
+        def pair(record: dict) -> tuple[str, str]:
             """Only what replay needs of a record: its request hash and response text."""
             pair = (record["request_hash"], record["response"]["text"])
             if not all(isinstance(s, str) for s in pair):
@@ -488,7 +505,7 @@ class HttpProvider:
             usage = body.get("usage") or {}
             tokens = usage.get("prompt_tokens"), usage.get("completion_tokens")
         except (ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:
-            raise GatewayError("PROVIDER_ERROR", f"unexpected response body: {exc!r}") from None
+            raise GatewayError("PROVIDER_ERROR", f"unexpected response body: {described(exc)}") from None
         return ChatResponse(text, *tokens, latency_s=time.monotonic() - started)
 
 

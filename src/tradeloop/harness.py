@@ -29,7 +29,6 @@ from contextlib import ExitStack, closing
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from datetime import date, timedelta
 from decimal import Decimal
-from itertools import zip_longest
 from pathlib import Path
 from typing import Annotated, Callable, Literal, Sequence, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
@@ -38,8 +37,8 @@ from . import agents, indicators, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
 from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, SessionResult
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
-from .errors import ConfigError, DataError, ReplayMismatch
-from .gateway import AUDIT_VERSION, ChatRequest, Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider, rebuilt_requests
+from .errors import ConfigError, DataError, ReplayMismatch, described
+from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider, same_older_calls
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import PromptTemplate, TemplateError, asset_path, check_override_dir, load_template
 
@@ -186,7 +185,7 @@ def _is_http_url(text: str) -> bool:
 
 @dataclass
 class ProviderConfig(_Config, what="provider config"):
-    kind: Literal["scripted", "http", "replay"] = "scripted"
+    kind: Literal["scripted", "http"] = "scripted"
     base_url: str = ""
     model_id: str = ""
     timeout_s: float = 60.0
@@ -194,7 +193,6 @@ class ProviderConfig(_Config, what="provider config"):
     strict: bool = True
     default_response: str = ""
     script: list = field(default_factory=list)
-    replay_path: OsString = ""
 
     def __post_init__(self) -> None:
         self.check_types()
@@ -206,8 +204,6 @@ class ProviderConfig(_Config, what="provider config"):
             raise ConfigError("an http provider needs base_url")
         if self.kind == "http" and not _is_http_url(self.base_url):
             raise ConfigError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
-        if self.kind == "replay" and not self.replay_path:
-            raise ConfigError("a replay provider needs replay_path")
         for n, entry in enumerate(self.script):
             if not _is_script_entry(entry):
                 raise ConfigError(f"bad script entry {n}: {entry!r}")
@@ -413,7 +409,7 @@ def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty, i
     try:
         return parse(_read_input(Path(paths[key]), key, inputs))
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise DataError(f"bad {key} file {paths[key]}: {exc!r}") from None
+        raise DataError(f"bad {key} file {paths[key]}: {described(exc)}") from None
 
 
 def load_data(config: ExperimentConfig) -> LoadedData:
@@ -446,18 +442,16 @@ def build_provider(pconf: ProviderConfig):
     if pconf.kind == "scripted":
         entries = [ScriptEntry(**entry) for entry in pconf.script]
         return ScriptedProvider(entries, strict=pconf.strict, default_response=pconf.default_response)
-    if pconf.kind == "http":
-        if any(c in "\r\n" or c > "\xff" for c in os.environ.get(pconf.api_key_env, "")):
-            raise ConfigError(f"the API key in {pconf.api_key_env} cannot go in an HTTP header: it is not latin-1 text or holds CR or LF")
-        return HttpProvider(pconf.base_url, pconf.model_id, timeout_s=pconf.timeout_s, api_key_env=pconf.api_key_env)
-    return ReplayProvider(pconf.replay_path)
+    if any(c in "\r\n" or c > "\xff" for c in os.environ.get(pconf.api_key_env, "")):
+        raise ConfigError(f"the API key in {pconf.api_key_env} cannot go in an HTTP header: it is not latin-1 text or holds CR or LF")
+    return HttpProvider(pconf.base_url, pconf.model_id, timeout_s=pconf.timeout_s, api_key_env=pconf.api_key_env)
 
 
 def build_router(config: ExperimentConfig):
     """Per-role providers with a single shared default instance.
 
     Roles without their own config all route to the one default provider, so
-    sequential kinds (replay, step-matched scripts) keep a global call order.
+    a step-matched script keeps a global call order.
     """
     providers = {
         role: build_provider(ProviderConfig.from_dict(conf))
@@ -590,10 +584,12 @@ def load_templates(prompt_dir: str | None) -> dict[str, PromptTemplate]:
     return templates
 
 
-def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> RunArtifact:
+def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path, recording: Path | None = None) -> RunArtifact:
     """One run into `run_dir`. Its config.lock is written before the first
     session, and its logs stream to disk and are closed on every exit, so an
-    aborted run leaves its config and the exchanges it completed.
+    aborted run leaves its config and the exchanges it completed. Given a
+    `recording`, a gateway log, its replies serve every call in place of
+    the config's providers.
 
     Each session's context is built once, before any report: the analysts
     and the reflection read it with their own values added, and only the
@@ -609,8 +605,8 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path) -> Run
     optimizer_asset = optimizer_path.read_text(encoding="utf-8")
     if config.uses_opro and opro.HISTORY_MARKER not in optimizer_asset:
         raise ConfigError(f"optimizer asset {optimizer_path} has no {opro.HISTORY_MARKER}: its meta-prompt would hold no history")
-    # Built before any log opens: a replay provider reads its whole recording here.
-    router = build_router(config)
+    # Built before any log opens: a recording is read whole here.
+    router = RouterProvider({}, ReplayProvider(recording)) if recording else build_router(config)
     run_dir.mkdir(parents=True, exist_ok=True)
     # The lock is {"config": ..., "hash": ..., "inputs": ...} as sorted JSON
     # indented by 2: the config text, indented one level more, its hash, and
@@ -717,7 +713,7 @@ def read_run(run_dir: Path) -> RunArtifact:
         if not all(value.is_finite() for _, value in curve):
             raise ValueError("equity values must be finite")
     except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
-        raise DataError(f"bad {path}: {exc!r}") from None
+        raise DataError(f"bad {path}: {described(exc)}") from None
     return RunArtifact(run_dir=run_dir, metrics=MetricReport.from_dict(metrics), equity=curve)
 
 
@@ -755,26 +751,11 @@ def aggregate_and_report(artifacts: list[RunArtifact], label: str = "experiment"
     }
 
 
-def _call(pair: tuple[dict, ChatRequest]) -> tuple:
-    """A call of a gateway log, as the record reader gives it: its `ts`,
-    tags, request hash, rebuilt request's hash and reply."""
-    record, request = pair
-    return record["ts"], record["tags"], record["request_hash"], request.digest, record["response"]["text"]
-
-
-def _same_older_calls(recorded: Path, replayed: Path) -> bool:
-    """Whether every record of the `recorded` gateway log is of an audit
-    version older than AUDIT_VERSION and holds the call of the `replayed`
-    log's record of the same number. The logs are read side by side."""
-    for old, new in zip_longest(rebuilt_requests(recorded), rebuilt_requests(replayed)):
-        if old is None or new is None or old[0]["v"] >= AUDIT_VERSION or _call(old) != _call(new):
-            return False
-    return True
-
-
 def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> RunArtifact:
-    """Re-execute a recorded run through the replay provider and require
-    byte-identical artifacts. Raises ReplayMismatch on any divergence.
+    """Re-execute a recorded run, its `gateway.jsonl` serving every call,
+    and require byte-identical artifacts. Raises ReplayMismatch on any
+    divergence. The lock's providers are not read, so a lock whose provider
+    kind this build no longer has (`replay`) replays too.
 
     Before any call, each input file must still have the SHA-256 that the
     lock's `inputs` records (a lock without them, from an older recording,
@@ -796,11 +777,10 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
             raise ValueError(f"inputs must map files to SHA-256 digests, got {inputs!r}")
         if isinstance(recorded, dict):
             recorded.pop("seed", None)  # written by earlier versions; nothing read it
+            recorded["providers"] = {}  # the recording serves every call
         config = ExperimentConfig.from_dict(recorded)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ReplayMismatch(f"cannot read {run_dir / 'config.lock'}: {exc!r}") from None
-
-    config.providers = {"default": {"kind": "replay", "replay_path": str(run_dir / "gateway.jsonl")}}
+        raise ReplayMismatch(f"cannot read {run_dir / 'config.lock'}: {described(exc)}") from None
 
     data = load_data(config)
     for key, digest in sorted(inputs.items()):
@@ -811,24 +791,20 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
         # Without a scratch_dir the replay leaves nothing behind, whatever its outcome.
         scratch = Path(scratch_dir) if scratch_dir else Path(stack.enter_context(tempfile.TemporaryDirectory()))
         try:
-            artifact = run_single(config, data, scratch)
+            artifact = run_single(config, data, scratch, recording=run_dir / "gateway.jsonl")
+            mismatched = [
+                name
+                for name in ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json")
+                if not filecmp.cmp(run_dir / name, scratch / name, shallow=False)
+            ]
+            if "gateway.jsonl" in mismatched and same_older_calls(run_dir / "gateway.jsonl", scratch / "gateway.jsonl"):
+                mismatched.remove("gateway.jsonl")
         except GatewayError as exc:
             if exc.code in ("REPLAY_MISMATCH", "SCRIPT_EXHAUSTED"):
                 raise ReplayMismatch(f"replay diverged: {exc}") from exc
             # A call that differs from the recording raises one of the two codes
-            # above; any other is a log the replay provider refused to load.
+            # above; any other is a log that the record reader refused.
             raise ReplayMismatch(f"cannot replay {run_dir}: {exc}") from exc
-        mismatched = [
-            name
-            for name in ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json")
-            if not filecmp.cmp(run_dir / name, scratch / name, shallow=False)
-        ]
-        if "gateway.jsonl" in mismatched:
-            try:
-                if _same_older_calls(run_dir / "gateway.jsonl", scratch / "gateway.jsonl"):
-                    mismatched.remove("gateway.jsonl")
-            except GatewayError as exc:
-                raise ReplayMismatch(f"cannot replay {run_dir}: {exc}") from exc
     if mismatched:
         raise ReplayMismatch(f"replay artifacts differ: {', '.join(mismatched)}")
     return replace(artifact, run_dir=run_dir)

@@ -406,12 +406,13 @@ def _file(tmp_path, name, text):
 
 def _tampered(command, name, edit):
     """`command` over a copy of the recorded run whose file `name` is
-    replaced by `edit` of its text."""
+    replaced by `edit` of its text: a text, written as UTF-8, or bytes."""
 
     def argv(tmp_path, run):
         copy = tmp_path / "exp" / run.name
         shutil.copytree(run, copy)
-        (copy / name).write_text(edit((copy / name).read_text(encoding="utf-8")), encoding="utf-8")
+        edited = edit((copy / name).read_text(encoding="utf-8"))
+        (copy / name).write_bytes(edited if isinstance(edited, bytes) else edited.encode("utf-8"))
         return ["replay", "--run", str(copy)] if command == "replay" else ["report", "--runs", str(copy.parent)]
 
     return argv
@@ -423,6 +424,18 @@ def _edit_first_record(edit):
         record = json.loads(first)
         edit(record)
         return json.dumps(record) + "\n" + rest
+
+    return apply
+
+
+def _with_a_bad_byte(number):
+    """An edit of a text that puts the byte 0xff, which no UTF-8 text holds,
+    at position 20 of its line `number` (from 1)."""
+
+    def apply(text):
+        lines = text.encode("utf-8").split(b"\n")
+        lines[number - 1] = lines[number - 1][:20] + b"\xff" + lines[number - 1][20:]
+        return b"\n".join(lines)
 
     return apply
 
@@ -633,6 +646,7 @@ NO_TRACEBACK_PROBES = {
         _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.pop("request_hash"))),
     ),
     "replay gateway line []": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", lambda text: "[]\n" + text)),
+    "replay gateway line not UTF-8": (EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", _with_a_bad_byte(3))),
     "replay gateway v1 record": (
         EXIT_PROVIDER,
         _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.pop("v"))),
@@ -691,8 +705,44 @@ PROBE_MESSAGES = {
         )
     },
     "replay gateway v1 record": ("cannot replay ", "is gateway audit version 1; this build replays version 2"),
+    "replay gateway line not UTF-8": (
+        "provider error: cannot replay ",
+        "gateway.jsonl: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte\n",
+        ": line 3 in ",
+    ),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
 }
+
+
+# A file of 1.2 MB whose one byte that no UTF-8 text holds is at position 600000.
+LARGE_NOT_UTF8 = b"x" * 600_000 + b"\xff" + b"x" * 600_000
+
+
+def _large_file(name):
+    def make(tmp_path):
+        (tmp_path / name).write_bytes(LARGE_NOT_UTF8)
+        return str(tmp_path / name)
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "code, argv, name",
+    [
+        (EXIT_DATA, _run_with("paths.news", _large_file("news.jsonl")), "news.jsonl"),
+        (EXIT_DATA, _run_with("paths.bars", _large_file("bars.csv")), "bars.csv"),
+        (EXIT_DATA, _tampered("report", "metrics.json", lambda text: LARGE_NOT_UTF8), "exp/run-1/metrics.json"),
+        (EXIT_PROVIDER, _tampered("replay", "config.lock", lambda text: LARGE_NOT_UTF8), "exp/run-1/config.lock"),
+    ],
+    ids=["run news", "run bars", "report metrics", "replay lock"],
+)
+def test_a_large_file_that_is_not_utf8_is_named_briefly(code, argv, name, tmp_path, recorded_run, capsys):
+    """A decode error names the file and the byte's position and reason in
+    under 1 KB; the repr of the error would hold every byte decoded."""
+    assert main(argv(tmp_path, recorded_run)) == code
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024 and str(tmp_path / name) in err
+    assert err.endswith(": 'utf-8' codec can't decode byte 0xff in position 600000: invalid start byte\n")
 
 
 @pytest.mark.parametrize("key", ["clé€", "sk-secret\n"])

@@ -40,6 +40,7 @@ from tradeloop.gateway import (
     record_line,
     request_hash,
     request_payload,
+    same_older_calls,
     text_id,
     text_part,
 )
@@ -53,6 +54,9 @@ from conftest import synthetic_daily
 from test_harness import build_workspace
 from test_opro import optimizer_reply
 from test_templates import SHIPPED_TEMPLATES, shared_runs
+
+# The gateway logs of one 11-session run, recorded at audit versions 2, 3 and 4.
+RECORDINGS = {v: Path(__file__).parent / "fixtures" / f"gateway_v{v}" / "run-1" / "gateway.jsonl" for v in (2, 3, 4)}
 
 
 def request_of(system: str, messages, tags=()) -> ChatRequest:
@@ -847,6 +851,18 @@ class TestReplayProvider:
                 read(audit)
             assert err.value.exit_code == 4 and f"line 2 in {audit}: JSONDecodeError" in str(err.value)
 
+    def test_a_line_that_is_not_utf8_is_refused_by_its_number(self, tmp_path):
+        """A byte that no UTF-8 text holds, in the second line, is refused by
+        the replay provider and the reader alike, naming line 2 and the byte."""
+        audit = self._record_session(tmp_path)
+        first, second = audit.read_bytes().splitlines(keepends=True)
+        audit.write_bytes(first + second[:20] + b"\xff" + second[20:])
+        for read in (ReplayProvider, lambda path: list(rebuilt_requests(path))):
+            with pytest.raises(GatewayError) as err:
+                read(audit)
+            message = f"PROVIDER_ERROR: line 2 in {audit}: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
+            assert err.value.exit_code == 4 and str(err.value) == message
+
     def test_replayed_session_is_bit_reproducible(self, tmp_path):
         audit = self._record_session(tmp_path)
         second_audit = tmp_path / "gateway2.jsonl"
@@ -855,6 +871,43 @@ class TestReplayProvider:
         gateway.complete(req("second"))
         gateway.audit.close()
         assert audit.read_bytes() == second_audit.read_bytes()
+
+
+class TestSameOlderCalls:
+    """The comparison of a recording of an older audit version with its
+    replay, over the recordings of one run."""
+
+    @pytest.mark.parametrize("old, new", [(2, 3), (2, 4), (3, 4)])
+    def test_the_recordings_of_one_run_hold_the_same_calls(self, old, new):
+        assert same_older_calls(RECORDINGS[old], RECORDINGS[new])
+
+    def test_a_recording_of_this_version_is_compared_as_bytes(self):
+        """A version-4 log is no older recording, even against itself."""
+        assert AUDIT_VERSION == 4 and not same_older_calls(RECORDINGS[4], RECORDINGS[4])
+
+    @pytest.mark.parametrize("short", ["recorded", "replayed"])
+    def test_a_log_one_record_short_differs(self, tmp_path, short):
+        logs = [RECORDINGS[3], RECORDINGS[4]]
+        index = ["recorded", "replayed"].index(short)
+        cut = tmp_path / "gateway.jsonl"
+        cut.write_bytes(b"".join(logs[index].read_bytes().splitlines(keepends=True)[:-1]))
+        logs[index] = cut
+        assert not same_older_calls(*logs)
+
+    @pytest.mark.parametrize("edit", ["reply", "ts"])
+    def test_an_edited_record_differs(self, tmp_path, edit):
+        """An older record with another reply, or without its `ts`, holds
+        another call; neither raises."""
+        lines = RECORDINGS[3].read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[-1])
+        if edit == "reply":
+            record["response"]["text"] += " edited"
+        else:
+            del record["ts"]
+        lines[-1] = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        (tmp_path / "gateway.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert list(rebuilt_requests(tmp_path / "gateway.jsonl"))  # the reader takes the record
+        assert not same_older_calls(tmp_path / "gateway.jsonl", RECORDINGS[4])
 
 
 class TestRouter:
@@ -926,6 +979,15 @@ class TestHttpProvider:
         """A 200 response whose body is not the expected JSON is the
         provider's fault, whatever the decoder raises."""
         assert self.complete_with_fault(chat_server, content) == "PROVIDER_ERROR"
+
+    def test_a_body_that_is_not_utf8_is_quoted_briefly(self, chat_server):
+        """A 1 MB body with one byte that no UTF-8 text holds is refused by
+        that byte's position, not by a repr that holds the whole body."""
+        chat_server.reset(faults={1: b'{"choices": "' + b"a" * 1_000_000 + b'\xff"}'})
+        with pytest.raises(GatewayError) as err:
+            HttpProvider(chat_server.base_url, "m").complete(req("x"))
+        message = "PROVIDER_ERROR: unexpected response body: 'utf-8' codec can't decode byte 0xff in position 1000013: invalid start byte"
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("fault", ["close", "truncate"])
     def test_a_broken_exchange_is_provider_error(self, chat_server, fault):

@@ -61,6 +61,9 @@ GATEWAY_V2_RECORDING = Path(__file__).parent / "fixtures" / "gateway_v2"
 # The same run recorded at gateway audit version 3, where only the
 # optimizer's meta-prompts list parts; its config.lock holds input digests.
 GATEWAY_V3_RECORDING = Path(__file__).parent / "fixtures" / "gateway_v3"
+# The same run recorded at gateway audit version 4, where every rendered
+# prompt lists its parts; its config.lock is the version-3 recording's.
+GATEWAY_V4_RECORDING = Path(__file__).parent / "fixtures" / "gateway_v4"
 
 
 def order_payload(action: str, qty: int) -> str:
@@ -1264,6 +1267,62 @@ class TestReplay:
         assert [record["tags"].get("attempt") for record, _ in pairs if record["tags"]["role"] == "optimizer"] == ["1", "1"]
         assert all(record["v"] == 3 and record["request_hash"] == request_hash(rebuilt) for record, rebuilt in pairs)
 
+    def test_a_version_3_record_without_its_ts_differs(self, tmp_path, monkeypatch):
+        """A `ts` that only the call-by-call comparison reads is compared,
+        and its absence is a difference, not a KeyError."""
+        shutil.copytree(GATEWAY_V3_RECORDING, tmp_path / "recording")
+        monkeypatch.chdir(tmp_path / "recording")
+        log = Path("run-1/gateway.jsonl")
+        log.write_text(log.read_text(encoding="utf-8").replace('"ts":"000003",', "", 1), encoding="utf-8")
+        with pytest.raises(ReplayMismatch, match="^replay artifacts differ: gateway.jsonl$"):
+            replay_run(Path("run-1"))
+
+    def test_a_version_4_recording_replays_byte_for_byte(self, tmp_path, monkeypatch):
+        """The recording of this run at audit version 4 replays into the
+        same bytes of each compared artifact; its engine, ledger, metrics
+        and config.lock are the version-3 recording's."""
+        shutil.copytree(GATEWAY_V4_RECORDING, tmp_path / "recording")
+        monkeypatch.chdir(tmp_path / "recording")
+        recorded, replayed = Path("run-1"), tmp_path / "replay"
+        assert replay_run(recorded, scratch_dir=replayed).run_dir == recorded
+        for name in ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json"):
+            assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name
+        for name in ("engine.jsonl", "opro.jsonl", "metrics.json", "config.lock"):
+            assert (recorded / name).read_bytes() == (GATEWAY_V3_RECORDING / "run-1" / name).read_bytes(), name
+
+    def test_every_version_4_record_hashes_as_its_rebuilt_request(self):
+        pairs = list(rebuilt_requests(GATEWAY_V4_RECORDING / "run-1" / "gateway.jsonl"))
+        assert all(record["v"] == 4 and record["request_hash"] == request_hash(rebuilt) for record, rebuilt in pairs)
+        older = [rebuilt for _, rebuilt in rebuilt_requests(GATEWAY_V2_RECORDING / "run-1" / "gateway.jsonl")]
+        assert [rebuilt for _, rebuilt in pairs] == older
+
+    def test_a_lock_naming_the_old_replay_provider_replays(self, tmp_path, monkeypatch, capsys):
+        """The lock's providers are not read on replay: a lock whose one
+        provider is of the `replay` kind that earlier builds had replays.
+        A run config with that provider is a config error."""
+        shutil.copytree(GATEWAY_V4_RECORDING, tmp_path / "recording")
+        monkeypatch.chdir(tmp_path / "recording")
+        lock_path = Path("run-1/config.lock")
+        lock = json.loads(lock_path.read_text(encoding="utf-8"))
+        replay = {"kind": "replay", "replay_path": "run-1/gateway.jsonl"}
+        lock["config"]["providers"] = {"default": replay}
+        lock["hash"] = hashlib.sha256(json.dumps(lock["config"], indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+        lock_path.write_text(json.dumps(lock, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        assert main(["replay", "--run", "run-1"]) == 0
+        assert capsys.readouterr().out == "replay OK: run-1 byte-identical\n"
+
+        # A config's unknown keys are named before its values are checked.
+        refusals = {
+            "unknown provider config keys: ['replay_path']": replay,
+            "kind must be 'scripted' | 'http', got 'replay'": {"kind": "replay"},
+        }
+        for message, provider in refusals.items():
+            lock["config"]["providers"] = {"default": provider}
+            Path("config.json").write_text(json.dumps(lock["config"]), encoding="utf-8")
+            assert main(["run", "--config", "config.json"]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not Path("runs").exists()
+
     def test_a_recording_of_this_version_replays_byte_for_byte(self, tmp_path):
         """A recording of this build's audit version is compared as bytes:
         a record that rebuilds to the same call but is written otherwise,
@@ -1404,3 +1463,20 @@ class TestAggregateReport:
     def test_empty_artifacts_rejected(self):
         with pytest.raises(ConfigError):
             aggregate_and_report([])
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_the_recordings_replay_under_another_interpreter(python, tmp_path):
+    """The compared artifacts are the same bytes on Python 3.10 to 3.13: each
+    committed recording replays under `python`, from the source tree, with
+    no pytest. An interpreter that is not on PATH, or does not start, is
+    skipped."""
+    exe = shutil.which(python)
+    if exe is None or subprocess.run([exe, "-c", "import sys"], capture_output=True).returncode != 0:
+        pytest.skip(f"{python} does not run here")
+    env = {**os.environ, "PYTHONPATH": str(Path(tradeloop.__file__).parents[1])}
+    for fixture in (GATEWAY_V2_RECORDING, GATEWAY_V3_RECORDING, GATEWAY_V4_RECORDING):
+        shutil.copytree(fixture, tmp_path / fixture.name)
+        argv = [exe, "-m", "tradeloop.cli", "replay", "--run", "run-1"]
+        done = subprocess.run(argv, cwd=tmp_path / fixture.name, env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (0, "replay OK: run-1 byte-identical\n"), done.stderr
