@@ -36,9 +36,9 @@ from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .errors import DataError
+from .errors import DataError, read_file
 
 CSV_COLUMNS = ("date", "open", "high", "low", "close", "volume", "vwap", "transactions")
 ACTIONS_CSV_COLUMNS = ("date", "kind", "ratio", "cash")
@@ -369,21 +369,6 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
     return BarSeries(symbol=symbol, resolution=Resolution.DAILY, bars=tuple(bars))
 
 
-def read_bars(
-    path: Path | str, symbol: str = "", read: Callable[[Path], str] = lambda path: path.read_text(encoding="utf-8")
-) -> BarSeries:
-    """The bars file at `path`, whose UTF-8 text `read` gives: JSONL if its
-    name ends in `.jsonl`, else CSV."""
-    path = Path(path)
-    try:
-        text = read(path)
-    except OSError as exc:
-        raise BarDataError(f"bars file not found or unreadable: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise BarDataError(f"bars file {path} is not UTF-8: {exc}") from None
-    return parse_bars(text, format="jsonl" if path.suffix == ".jsonl" else "csv", symbol=symbol)
-
-
 def _fmt_opt(value) -> str:
     return "" if value is None else str(value)
 
@@ -461,6 +446,17 @@ def adjust_for_actions(series: BarSeries, actions: Iterable[CorporateAction]) ->
             )
         )
     return replace(series, bars=tuple(adjusted))
+
+
+def load_series(
+    bars: Path | str, actions: Path | str = "", symbol: str = "", inputs: dict[str, str] | None = None
+) -> tuple[BarSeries, list[CorporateAction]]:
+    """The bars file `bars` (JSONL if its name ends in `.jsonl`, else CSV),
+    split-adjusted by the actions CSV `actions` if named, and those actions."""
+    format = "jsonl" if Path(bars).suffix == ".jsonl" else "csv"
+    series = read_file(bars, "bars", lambda text: parse_bars(text, format, symbol), DataError, inputs)
+    corporate = read_file(actions, "actions", parse_actions_csv, DataError, inputs) if actions else []
+    return adjust_for_actions(series, corporate), corporate
 
 
 def _bucket_key(d: date, target: Resolution) -> tuple:

@@ -1,7 +1,7 @@
 """Command-line entry points: run, backtest, report, replay, validate-data.
 
 Exit codes: 0 on success, else the `exit_code` of the error, as listed in
-`tradeloop.errors`; an unreadable file exits 3.
+`tradeloop.errors`; an output file that cannot be written exits 3.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bars import adjust_for_actions, parse_actions_csv, read_bars
+from .bars import load_series
 from .errors import EXIT_DATA, EXIT_OK, ConfigError, DataError, TradeloopError
 from .harness import ExperimentConfig, aggregate_and_report, positive_cash, read_run, replay_run, run_experiment
 from .metrics import aggregate_runs, render_table
@@ -20,10 +20,8 @@ from .strategies import StrategyConfig, StrategyKind, run_strategy
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    overrides = {"runs": args.runs, "prompting_mode": args.mode, "instrument": args.instrument}
-    if args.out_dir:
-        overrides["paths"] = {**config.paths, "out_dir": args.out_dir}
-    config = replace(config, **{k: v for k, v in overrides.items() if v})  # re-validates
+    overrides = {"runs": args.runs, "prompting_mode": args.mode}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})  # re-validates
     artifacts, bundle = run_experiment(config)
     print(bundle["table"], end="")
     print(f"runs: {len(artifacts)} -> {artifacts[0].run_dir.parent}")
@@ -47,10 +45,7 @@ def _cmd_backtest(args) -> int:
             raise ConfigError(f"--{flag.replace('_', '-')} does not apply to --strategy {args.strategy}")
     kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag) is not None}
     config = StrategyConfig(kind=StrategyKind(args.strategy), **kwargs)
-    series = read_bars(args.bars)
-    if args.actions:
-        series = adjust_for_actions(series, parse_actions_csv(Path(args.actions).read_text(encoding="utf-8")))
-    result = run_strategy(config, series, initial_cash=cash)
+    result = run_strategy(config, load_series(args.bars, args.actions)[0], initial_cash=cash)
     print(result.report.to_json())
     aggs = aggregate_runs([result.report])
     print(render_table({args.strategy: aggs}), end="")
@@ -81,13 +76,9 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_validate_data(args) -> int:
-    series = read_bars(args.bars)
-    msg = f"{len(series)} bars, {series.bars[0].session_date} -> {series.bars[-1].session_date}"
-    if args.actions:
-        actions = parse_actions_csv(Path(args.actions).read_text(encoding="utf-8"))
-        adjust_for_actions(series, actions)
-        msg += f", {len(actions)} corporate actions"
-    print(f"OK: {msg}")
+    series, actions = load_series(args.bars, args.actions)
+    counted = f", {len(actions)} corporate actions" if args.actions else ""
+    print(f"OK: {len(series)} bars, {series.bars[0].session_date} -> {series.bars[-1].session_date}{counted}")
     return EXIT_OK
 
 
@@ -97,10 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--runs", type=int, default=0, help="override config.runs")
-    p_run.add_argument("--mode", default="", help="override prompting_mode")
-    p_run.add_argument("--instrument", default="", help="override instrument")
-    p_run.add_argument("--out-dir", default="", dest="out_dir", help="override paths.out_dir")
+    p_run.add_argument("--runs", type=int, help="override config.runs")
+    p_run.add_argument("--mode", help="override prompting_mode")
     p_run.set_defaults(func=_cmd_run)
 
     p_bt = sub.add_parser("backtest", help="run a non-LLM baseline strategy")
@@ -140,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     except TradeloopError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"{DataError.label}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -288,12 +288,16 @@ class _Unreadable(ValueError):
 
 
 def _read(log: str | Path, read: Callable[[dict], T]) -> Iterator[T]:
-    """`read(record)` of each record of a gateway audit log (its text or its
-    path), read line by line. A line that is not UTF-8, or not a JSON record
-    of a version in `READ_VERSIONS` (a blank line neither), or that `read`
-    cannot take, raises a GatewayError, which exits 4 and names the line."""
+    """`read(record)` of each record of a gateway audit log (its text or its path), read
+    line by line. A line that is not UTF-8, or not a JSON record of a version in
+    `READ_VERSIONS` (a blank line neither), or that `read` cannot take, raises a
+    GatewayError, which exits 4 and names the line, as does a log that cannot be opened."""
     source = log if isinstance(log, Path) else "the log"
-    with open(log, "rb") if isinstance(log, Path) else io.StringIO(log) as lines:
+    try:
+        lines = open(log, "rb") if isinstance(log, Path) else io.StringIO(log)
+    except OSError as exc:
+        raise GatewayError("PROVIDER_ERROR", f"cannot open {source}: {described(exc)}") from None
+    with lines:
         for number, line in enumerate(lines, 1):
             try:
                 record = json.loads(line if isinstance(line, str) else line.decode("utf-8"))

@@ -11,14 +11,13 @@ the latest reports and the count of decision fallbacks. Scoring windows
 close per the prompting mode; the window end force-covers shorts.
 Everything an experiment produces is a file under
 runs/<experiment>/<run_id>/, byte-reproducible given the same config, data
-and scripts.
+and scripts; `errors.read_file` reads every file that a run or a replay reads.
 """
 
 from __future__ import annotations
 
 import filecmp
 import hashlib
-import io
 import json
 import math
 import os
@@ -34,10 +33,10 @@ from typing import Annotated, Callable, Literal, Sequence, get_args, get_origin,
 from urllib.parse import urlsplit
 
 from . import agents, indicators, opro
-from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, parse_actions_csv, read_bars, adjust_for_actions, resample, window_slice
+from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, load_series, resample, window_slice
 from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, SessionResult
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
-from .errors import ConfigError, DataError, ReplayMismatch, described
+from .errors import ConfigError, DataError, ReplayMismatch, read_file
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider, same_older_calls
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import PromptTemplate, TemplateError, asset_path, check_override_dir, load_template
@@ -242,11 +241,7 @@ class ExperimentConfig(_Config, what="config"):
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ExperimentConfig":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        return cls.from_dict(obj)
+        return cls.from_dict(read_file(path, "config", json.loads, ConfigError))
 
     @property
     def uses_opro(self) -> bool:
@@ -393,34 +388,14 @@ def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
     return sorted(snapshots, key=lambda snap: snap.filing_date)
 
 
-def _read_input(path: Path, key: str, inputs: dict[str, str]) -> str:
-    """The text of the input file `path`, as `Path.read_text` gives it;
-    `inputs[key]` is set to the SHA-256 of the bytes read."""
-    data = path.read_bytes()
-    inputs[key] = hashlib.sha256(data).hexdigest()
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-
-
-def _parse_input(paths: dict, key: str, parse: Callable[[str], object], empty, inputs: dict[str, str]):
-    """`parse` of the text of the input file `paths[key]`, or `empty` when it
-    names none. Any failure is a DataError that names the file."""
-    if not paths.get(key):
-        return empty
-    try:
-        return parse(_read_input(Path(paths[key]), key, inputs))
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise DataError(f"bad {key} file {paths[key]}: {described(exc)}") from None
-
-
 def load_data(config: ExperimentConfig) -> LoadedData:
     """The inputs of every run of `config`, read and checked once."""
     paths, inputs = config.paths, {}
-    series = read_bars(paths["bars"], config.instrument, lambda path: _read_input(path, "bars", inputs))
-    actions = _parse_input(paths, "actions", parse_actions_csv, [], inputs)
-    series = adjust_for_actions(series, actions)
-    calendar = _parse_input(paths, "calendar", _parse_calendar, None, inputs) or SessionCalendar.from_series(series)
-    news = _parse_input(paths, "news", agents.load_news_jsonl, [], inputs)
-    fundamentals = _parse_input(paths, "fundamentals", _parse_fundamentals, [], inputs)
+    series, actions = load_series(paths["bars"], paths.get("actions", ""), config.instrument, inputs)
+    read = lambda key, parse, empty: read_file(paths[key], key, parse, DataError, inputs) if paths.get(key) else empty
+    calendar = read("calendar", _parse_calendar, None) or SessionCalendar.from_series(series)
+    news = read("news", agents.load_news_jsonl, [])
+    fundamentals = read("fundamentals", _parse_fundamentals, [])
 
     sessions = calendar.sessions_between(config.window_start, config.window_end)
     market = not config.ablations.get("no_market")
@@ -447,11 +422,12 @@ def build_provider(pconf: ProviderConfig):
     return HttpProvider(pconf.base_url, pconf.model_id, timeout_s=pconf.timeout_s, api_key_env=pconf.api_key_env)
 
 
-def build_router(config: ExperimentConfig):
+def build_router(config: ExperimentConfig, data: LoadedData) -> RouterProvider:
     """Per-role providers with a single shared default instance.
 
     Roles without their own config all route to the one default provider, so
-    a step-matched script keeps a global call order.
+    a step-matched script keeps a global call order. Without a default, a
+    role that a run over `data` calls and that has no provider is a ConfigError.
     """
     providers = {
         role: build_provider(ProviderConfig.from_dict(conf))
@@ -459,8 +435,16 @@ def build_router(config: ExperimentConfig):
         if conf or role != "default"  # an empty default config is no default
     }
     default = providers.pop("default", None)
-    if not providers and default is None:
-        raise ConfigError("no providers configured")
+    calls = {
+        "market": data.market_texts is not None,
+        "news": data.news_batches is not None and any(data.news_batches),
+        "fundamental": data.fundamental_batches is not None and any(b is not None for b in data.fundamental_batches),
+        "cta": True,
+        "reflection": config.uses_reflection and len(data.sessions) > config.reflection_interval,
+        "optimizer": config.uses_opro and len(data.sessions) > config.opro_k,
+    }
+    if default is None and (unserved := [role for role, called in calls.items() if called and role not in providers]):
+        raise ConfigError(f"no provider for {', '.join(unserved)}, which this run calls: name one in providers, or a default")
     return RouterProvider(providers, default=default)
 
 
@@ -602,11 +586,11 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path, record
         check_override_dir(prompt_dir)
     tpl = load_templates(prompt_dir)
     optimizer_path = asset_path("optimizer", prompt_dir)
-    optimizer_asset = optimizer_path.read_text(encoding="utf-8")
+    optimizer_asset = read_file(optimizer_path, "prompt", str, ConfigError)
     if config.uses_opro and opro.HISTORY_MARKER not in optimizer_asset:
         raise ConfigError(f"optimizer asset {optimizer_path} has no {opro.HISTORY_MARKER}: its meta-prompt would hold no history")
     # Built before any log opens: a recording is read whole here.
-    router = RouterProvider({}, ReplayProvider(recording)) if recording else build_router(config)
+    router = RouterProvider({}, ReplayProvider(recording)) if recording else build_router(config, data)
     run_dir.mkdir(parents=True, exist_ok=True)
     # The lock is {"config": ..., "hash": ..., "inputs": ...} as sorted JSON
     # indented by 2: the config text, indented one level more, its hash, and
@@ -694,9 +678,8 @@ def read_run(run_dir: Path) -> RunArtifact:
     `num_trades` an integer, and an absent metric is null; the equity curve
     pairs ISO dates one to one with finite decimal strings. Anything else is
     a DataError that names the file."""
-    path = run_dir / "metrics.json"
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+    def parse(text: str) -> tuple[dict, list[tuple[date, Decimal]]]:
+        payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError(f"expected an object, got {type(payload).__name__}")
         metrics, equity = payload["metrics"], payload["equity"]
@@ -712,8 +695,9 @@ def read_run(run_dir: Path) -> RunArtifact:
         curve = [(date.fromisoformat(d), Decimal(v)) for d, v in zip(dates, values, strict=True)]
         if not all(value.is_finite() for _, value in curve):
             raise ValueError("equity values must be finite")
-    except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
-        raise DataError(f"bad {path}: {described(exc)}") from None
+        return metrics, curve
+
+    metrics, curve = read_file(run_dir / "metrics.json", "metrics", parse, DataError)
     return RunArtifact(run_dir=run_dir, metrics=MetricReport.from_dict(metrics), equity=curve)
 
 
@@ -767,21 +751,20 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
     The replay writes into `scratch_dir`, or into a temporary directory that
     is removed on every exit; the returned artifact names the recorded run."""
     run_dir = Path(run_dir)
-    try:
-        lock = json.loads((run_dir / "config.lock").read_text(encoding="utf-8"))
+    def parse_lock(text: str) -> tuple[ExperimentConfig, dict]:
+        lock = json.loads(text)
         recorded = lock["config"]
         if _config_text(recorded)[1] != lock["hash"]:
-            raise ReplayMismatch("config.lock hash does not match its config payload")
+            raise ReplayMismatch("its hash does not match its config payload")
         inputs = lock.get("inputs", {})
         if not (isinstance(inputs, dict) and all(isinstance(v, str) for v in inputs.values())):
             raise ValueError(f"inputs must map files to SHA-256 digests, got {inputs!r}")
         if isinstance(recorded, dict):
             recorded.pop("seed", None)  # written by earlier versions; nothing read it
             recorded["providers"] = {}  # the recording serves every call
-        config = ExperimentConfig.from_dict(recorded)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ReplayMismatch(f"cannot read {run_dir / 'config.lock'}: {described(exc)}") from None
+        return ExperimentConfig.from_dict(recorded), inputs  # a config this build refuses exits 2, as in `run`
 
+    config, inputs = read_file(run_dir / "config.lock", "config.lock", parse_lock, ReplayMismatch)
     data = load_data(config)
     for key, digest in sorted(inputs.items()):
         if data.inputs.get(key) != digest:
@@ -792,11 +775,11 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
         scratch = Path(scratch_dir) if scratch_dir else Path(stack.enter_context(tempfile.TemporaryDirectory()))
         try:
             artifact = run_single(config, data, scratch, recording=run_dir / "gateway.jsonl")
-            mismatched = [
-                name
-                for name in ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json")
-                if not filecmp.cmp(run_dir / name, scratch / name, shallow=False)
-            ]
+            try:  # as bytes: a decoding would hide a \r\n edit
+                compared = ("engine.jsonl", "gateway.jsonl", "opro.jsonl", "metrics.json")
+                mismatched = [name for name in compared if not filecmp.cmp(run_dir / name, scratch / name, shallow=False)]
+            except OSError as exc:  # a recording without a compared artifact
+                raise ReplayMismatch(f"cannot replay {run_dir}: {exc}") from None
             if "gateway.jsonl" in mismatched and same_older_calls(run_dir / "gateway.jsonl", scratch / "gateway.jsonl"):
                 mismatched.remove("gateway.jsonl")
         except GatewayError as exc:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, read_file
 from .gateway import ChatMessage, SharedText, joined_message, text_part
 
 _PLACEHOLDER = re.compile(
@@ -248,7 +248,7 @@ _PROMPT_DIR = Path(__file__).parent / "prompts"
 
 
 def load_template(name: str, override_dir: Path | str | None = None) -> PromptTemplate:
-    return PromptTemplate.parse(name, asset_path(name, override_dir).read_text(encoding="utf-8"))
+    return read_file(asset_path(name, override_dir), "prompt", lambda text: PromptTemplate.parse(name, text), ConfigError)
 
 
 def asset_path(name: str, override_dir: Path | str | None = None) -> Path:

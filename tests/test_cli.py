@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -418,6 +419,18 @@ def _tampered(command, name, edit):
     return argv
 
 
+def _without(name):
+    """`replay` of a copy of the recorded run that lacks its file `name`."""
+
+    def argv(tmp_path, run):
+        copy = tmp_path / "exp" / run.name
+        shutil.copytree(run, copy)
+        (copy / name).unlink()
+        return ["replay", "--run", str(copy)]
+
+    return argv
+
+
 def _edit_first_record(edit):
     def apply(text):
         first, rest = text.split("\n", 1)
@@ -453,6 +466,14 @@ def _set(path, value):
         return json.dumps(payload)
 
     return apply
+
+
+def _refused_lock(text):
+    """A lock whose config sets `runs` to 0, which `run` refuses, hashed as a run hashes it."""
+    lock = json.loads(text)
+    lock["config"]["runs"] = 0
+    lock["hash"] = hashlib.sha256(json.dumps(lock["config"], indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+    return json.dumps(lock)
 
 
 # A bars file whose second data row has a field over the csv module's limit.
@@ -562,6 +583,9 @@ def _bad_metrics(path, value):
     return EXIT_DATA, _tampered("report", "metrics.json", _set(path, value))
 
 
+# The files of a recording that its replay reads.
+RECORDED_FILES = ("config.lock", "gateway.jsonl", "engine.jsonl", "opro.jsonl", "metrics.json")
+
 NO_TRACEBACK_PROBES = {
     "backtest --bars <dir>": (EXIT_DATA, lambda tmp_path, run: ["backtest", "--strategy", "sma", "--bars", str(tmp_path)]),
     "validate-data --bars <dir>": (EXIT_DATA, lambda tmp_path, run: ["validate-data", "--bars", str(tmp_path)]),
@@ -655,6 +679,13 @@ NO_TRACEBACK_PROBES = {
         f"replay {name} edited": (EXIT_PROVIDER, _tampered("replay", name, lambda text: text.replace("0", "1", 1)))
         for name in ("engine.jsonl", "opro.jsonl", "metrics.json")
     },
+    **{f"replay without {name}": (EXIT_PROVIDER, _without(name)) for name in RECORDED_FILES},
+    "replay config.lock with a refused config": (EXIT_CONFIG, _tampered("replay", "config.lock", _refused_lock)),
+    "run without a market provider": (EXIT_CONFIG, _run_with("providers.market", None)),
+    "run reflection without a reflection provider": (
+        EXIT_CONFIG, _run_with("prompting_mode", "reflection", "providers.reflection", None)
+    ),
+    "run --runs 0": (EXIT_CONFIG, lambda tmp_path, run: [*_run_with("runs", 2)(tmp_path, run), "--runs", "0"]),
 }
 # What a probe's error message must say, beyond its label.
 PROBE_MESSAGES = {
@@ -711,6 +742,18 @@ PROBE_MESSAGES = {
         ": line 3 in ",
     ),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
+    "replay config.lock with a refused config": ("config error: bad config.lock file ", "config.lock: runs must be >= 1, got 0\n"),
+    "replay without config.lock": ("provider error: bad config.lock file ", "config.lock: FileNotFoundError(2, "),
+    "replay without gateway.jsonl": (
+        "provider error: cannot replay ", ": PROVIDER_ERROR: cannot open ", "gateway.jsonl: FileNotFoundError(2, "
+    ),
+    **{
+        f"replay without {name}": ("provider error: cannot replay ", "No such file or directory: ", f"{name}'\n")
+        for name in RECORDED_FILES[2:]
+    },
+    "run without a market provider": ("config error: no provider for market, which this run calls",),
+    "run reflection without a reflection provider": ("config error: no provider for reflection, which this run calls",),
+    "run --runs 0": ("config error: runs must be >= 1, got 0\n",),
 }
 
 
@@ -743,6 +786,100 @@ def test_a_large_file_that_is_not_utf8_is_named_briefly(code, argv, name, tmp_pa
     err = capsys.readouterr().err
     assert len(err.encode()) < 1024 and str(tmp_path / name) in err
     assert err.endswith(": 'utf-8' codec can't decode byte 0xff in position 600000: invalid start byte\n")
+
+
+def _run_over(key):
+    """`run` of the recorded workspace with its input `key` read from `path`."""
+    return lambda tmp_path, run, path: _run_with(f"paths.{key}", str(path))(tmp_path, run)
+
+
+def _in_prompt_dir(mode="baseline"):
+    """`run` in `mode` with the file at `path` in its `prompt_dir`."""
+    return lambda tmp_path, run, path: _run_with("prompting_mode", mode, "prompt_dir", str(path.parent))(tmp_path, run)
+
+
+def _bars_command(command, flag):
+    """`command` (`backtest` of buy_hold, or `validate-data`) with its `flag`
+    file at `path`, and 120 bars if that is the actions file."""
+
+    def argv(tmp_path, run, path):
+        files = ["--bars", str(path)] if flag == "--bars" else ["--bars", _bars_file(tmp_path, 120), flag, str(path)]
+        return [command, *(["--strategy", "buy_hold"] if command == "backtest" else []), *files]
+
+    return argv
+
+
+def _in_recording(command):
+    """`command` over a copy of the recorded run without the file named as
+    `path`, which the test then writes as the fault."""
+
+    def argv(tmp_path, run, path):
+        shutil.copytree(run, tmp_path / "exp" / run.name, ignore=lambda _, names: [path.name] if path.name in names else [])
+        return ["replay", "--run", str(path.parent)] if command == "replay" else ["report", "--runs", str(path.parent.parent)]
+
+    return argv
+
+
+# A bars and an actions file that each hold a malformed row.
+BAD_CSV = {"bars": "date,open\n2025-01-02,1\n", "actions": "date,kind,ratio,cash\nnot a date,split,2,\n"}
+
+# Each file a command reads: its exit code when it is unreadable, where it
+# goes, the command that reads it there, and a text it refuses.
+READ_FILES = {
+    "run config": (EXIT_CONFIG, "config.json", lambda tmp_path, run, path: ["run", "--config", str(path)], "{not json"),
+    **{f"run {key}": (EXIT_DATA, f"in/{key}.csv", _run_over(key), BAD_CSV[key]) for key in BAD_CSV},
+    "run calendar": (EXIT_DATA, "in/calendar.txt", _run_over("calendar"), "not a date\n"),
+    "run news": (EXIT_DATA, "in/news.jsonl", _run_over("news"), "{not json\n"),
+    "run fundamentals": (EXIT_DATA, "in/fundamentals.json", _run_over("fundamentals"), "{not json"),
+    **{
+        f"{command} {key}": (EXIT_DATA, f"in/{key}.csv", _bars_command(command, f"--{key}"), BAD_CSV[key])
+        for command in ("backtest", "validate-data")
+        for key in BAD_CSV
+    },
+    "run prompt_dir asset": (EXIT_CONFIG, "prompts/market_initial.txt", _in_prompt_dir(), "{{ unclosed"),
+    "run optimizer asset": (EXIT_CONFIG, "prompts/optimizer.txt", _in_prompt_dir("adaptive_opro"), "Improve the trading prompt.\n"),
+    "report metrics.json": (EXIT_DATA, "exp/run-1/metrics.json", _in_recording("report"), "{not json"),
+    "replay config.lock": (EXIT_PROVIDER, "exp/run-1/config.lock", _in_recording("replay"), "{not json"),
+}
+FILE_FAULTS = ("missing", "a directory", "a byte 0xff", "malformed")
+# A missing prompt asset is no fault (the shipped one serves), and `report`
+# reads only the run directories that hold a metrics.json.
+READ_FAULTS = [
+    (file, fault)
+    for file in READ_FILES
+    for fault in FILE_FAULTS
+    if not (fault == "missing" and file in ("run prompt_dir asset", "run optimizer asset", "report metrics.json"))
+]
+
+
+@pytest.mark.parametrize("file, fault", READ_FAULTS, ids=[f"{file}, {fault}" for file, fault in READ_FAULTS])
+def test_a_file_a_command_cannot_read_is_named_with_its_exit_code(file, fault, tmp_path, recorded_run, capsys):
+    """Each file a command reads, missing, a directory, holding a byte that
+    no UTF-8 text holds, or malformed, ends the command with README's exit
+    code and a message under 1 KB that names the file, with nothing written."""
+    code, name, argv, malformed = READ_FILES[file]
+    path = tmp_path / name
+    args = argv(tmp_path, recorded_run, path)  # a recording is copied without the file
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if fault == "a directory":
+        path.mkdir()
+    elif fault == "a byte 0xff":
+        path.write_bytes(b"date\n\xff\n")
+    elif fault == "malformed":
+        path.write_text(malformed, encoding="utf-8")
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert str(path) in err and len(err.encode()) < 1024 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_role_the_run_never_calls_needs_no_provider(tmp_path, recorded_run):
+    """A baseline run calls neither the reflection nor the optimizer, and no
+    run calls an ablated analyst."""
+    argv = _run_with(
+        "providers.reflection", None, "providers.optimizer", None, "providers.market", None, "ablations", {"no_market": True}
+    )(tmp_path, recorded_run)
+    assert main(argv) == EXIT_OK
 
 
 @pytest.mark.parametrize("key", ["clé€", "sk-secret\n"])

@@ -863,6 +863,15 @@ class TestReplayProvider:
             message = f"PROVIDER_ERROR: line 2 in {audit}: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
             assert err.value.exit_code == 4 and str(err.value) == message
 
+    def test_a_log_that_cannot_be_opened_is_refused_by_its_path(self, tmp_path):
+        """A missing log, and a directory in its place, are refused by the
+        replay provider and the reader alike, naming the path."""
+        for audit in (tmp_path / "missing.jsonl", tmp_path):
+            for read in (ReplayProvider, lambda path: list(rebuilt_requests(path))):
+                with pytest.raises(GatewayError) as err:
+                    read(audit)
+                assert err.value.exit_code == 4 and str(err.value).startswith(f"PROVIDER_ERROR: cannot open {audit}: ")
+
     def test_replayed_session_is_bit_reproducible(self, tmp_path):
         audit = self._record_session(tmp_path)
         second_audit = tmp_path / "gateway2.jsonl"

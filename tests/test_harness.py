@@ -1455,7 +1455,7 @@ class TestDataValidation:
     def test_missing_bars_file(self, tmp_path):
         config = build_workspace(tmp_path)
         config.paths["bars"] = str(tmp_path / "nope.csv")
-        with pytest.raises(DataError, match="not found"):
+        with pytest.raises(DataError, match=r"^bad bars file .*nope\.csv: FileNotFoundError\(2, "):
             load_data(config)
 
 
