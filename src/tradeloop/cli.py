@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
 from .bars import load_series
+from .engine import AuditLog
 from .errors import EXIT_DATA, EXIT_OK, ConfigError, DataError, TradeloopError
 from .harness import ExperimentConfig, aggregate_and_report, positive_cash, read_run, replay_run, run_experiment
 from .metrics import aggregate_runs, render_table
@@ -45,15 +47,18 @@ def _cmd_backtest(args) -> int:
             raise ConfigError(f"--{flag.replace('_', '-')} does not apply to --strategy {args.strategy}")
     kwargs = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag) is not None}
     config = StrategyConfig(kind=StrategyKind(args.strategy), **kwargs)
-    result = run_strategy(config, load_series(args.bars, args.actions)[0], initial_cash=cash)
+    series = load_series(args.bars, args.actions)[0]
+    out = Path(args.out) if args.out else None
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
+    # With --out the audit streams to its file; without, it stays in memory.
+    with closing(AuditLog(out / f"{args.strategy}_audit.jsonl" if out else None)) as audit:
+        result = run_strategy(config, series, initial_cash=cash, audit=audit)
     print(result.report.to_json())
     aggs = aggregate_runs([result.report])
     print(render_table({args.strategy: aggs}), end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / f"{args.strategy}_metrics.json").write_text(result.report.to_json() + "\n", encoding="utf-8")
-        (out / f"{args.strategy}_audit.jsonl").write_text(result.engine.audit.text(), encoding="utf-8")
     return EXIT_OK
 
 

@@ -142,8 +142,10 @@ class AuditLog:
     """Append-only JSONL stream, one compact JSON object per line.
 
     Keys keep the dict's insertion order. Every line goes straight to the
-    sink (a path opens a new file, no path means memory) and is flushed;
-    nothing else is kept: `text()` reads back what was written.
+    sink (a path opens a new file, no path means memory); nothing else is
+    kept: `text()` reads back what was written. A file's lines reach the
+    disk when its owner calls `flush()`, once per unit of work, or when the
+    log is closed; a killed process loses at most what it appended since.
     Values JSON lacks are written as `str()`: a Decimal as its digits, a date
     in ISO form.
 
@@ -162,6 +164,8 @@ class AuditLog:
             event = self._encode(event)
         event += "\n"  # in place, not a copy, when no caller keeps the line
         self._fh.write(event)
+
+    def flush(self) -> None:
         self._fh.flush()
 
     def close(self) -> None:
@@ -170,6 +174,8 @@ class AuditLog:
     def text(self) -> str:
         if self.path is None:
             return self._fh.getvalue()
+        if not self._fh.closed:
+            self._fh.flush()
         return self.path.read_text(encoding="utf-8")
 
 

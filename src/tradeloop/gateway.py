@@ -5,7 +5,9 @@ Two provider kinds: `http` for live runs (OpenAI-style, over urllib) and
 a replay hands its run in place of the config's providers, and bridges costly
 live runs into CI. The gateway never mutates prompt text,
 retries transient failures with exponential backoff, and appends every
-completed exchange to the JSONL `AuditLog` it is handed before returning.
+completed exchange to the JSONL `AuditLog` it is handed, and flushes it,
+before returning: a model call is paid work, so a killed process loses no
+record of one that returned.
 
 Audit timestamps are a deterministic call counter, not wall-clock time:
 byte-identical reruns are part of the contract. A call's audit record holds
@@ -550,7 +552,7 @@ class Gateway:
         self._defined: set[str] = set()  # the ids of the shared texts the log defines
 
     def complete(self, request: ChatRequest) -> ChatMessage:
-        """The provider's reply to `request` as the assistant message, once its record is written."""
+        """The provider's reply to `request` as the assistant message, once its record is flushed."""
         if not request.messages:
             raise GatewayError("PROVIDER_ERROR", "empty message list")
         for delay in (*BACKOFF_S, None):
@@ -576,6 +578,7 @@ class Gateway:
         self.audit.append(
             record_line(self._counter, request.tags, request.digest, prior, messages, text_json, system_text)
         )
+        self.audit.flush()
         self._recorded[role] = (request.system_text, (*request.messages, reply))
         return reply
 

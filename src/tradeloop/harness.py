@@ -571,7 +571,10 @@ def load_templates(prompt_dir: str | None) -> dict[str, PromptTemplate]:
 def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path, recording: Path | None = None) -> RunArtifact:
     """One run into `run_dir`. Its config.lock is written before the first
     session, and its logs stream to disk and are closed on every exit, so an
-    aborted run leaves its config and the exchanges it completed. Given a
+    aborted run leaves its config and every line it appended. The gateway
+    flushes its log after each record, and the engine and optimizer logs are
+    flushed at the end of each session, so a killed run loses at most the
+    running session's engine and optimizer lines. Given a
     `recording`, a gateway log, its replies serve every call in place of
     the config's providers.
 
@@ -654,6 +657,9 @@ def run_single(config: ExperimentConfig, data: LoadedData, run_dir: Path, record
                     optimizer.propose_update(tags=tags)
                     cta.initial = optimizer.live_template
                     cta.reset()
+
+            engine.audit.flush()
+            optimizer.log.flush()
 
         # The cover is a trade of the last session, whose value the engine's results already hold.
         engine.force_cover(bar)

@@ -16,11 +16,12 @@ from pathlib import Path
 import pytest
 
 import tradeloop
-from tradeloop.bars import CSV_COLUMNS, serialize_bars
+from tradeloop.bars import CSV_COLUMNS, load_series, serialize_bars
 from tradeloop import cli
 from tradeloop.cli import main
 from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
 from tradeloop.harness import PROVIDER_ROLES
+from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
 from tradeloop.templates import asset_path
 
 from chat_server import ChatServer
@@ -74,6 +75,15 @@ class TestBacktest:
         main(["backtest", "--strategy", "sma", "--bars", str(bars_csv), "--out", str(out)])
         assert (out / "sma_metrics.json").exists()
         assert (out / "sma_audit.jsonl").exists()
+
+    @pytest.mark.parametrize("strategy", [kind.value for kind in StrategyKind])
+    def test_the_streamed_audit_is_the_in_memory_audit(self, bars_csv, tmp_path, strategy):
+        """`--out` streams the audit to its file, byte for byte the audit a
+        run over the same bars keeps in memory."""
+        out = tmp_path / "artifacts"
+        assert main(["backtest", "--strategy", strategy, "--bars", str(bars_csv), "--out", str(out)]) == EXIT_OK
+        kept = run_strategy(StrategyConfig(kind=StrategyKind(strategy)), load_series(str(bars_csv), "")[0]).engine.audit.text()
+        assert kept and (out / f"{strategy}_audit.jsonl").read_bytes() == kept.encode("utf-8")
 
 
 class TestRunReportReplay:

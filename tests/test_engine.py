@@ -37,6 +37,7 @@ from tradeloop.engine import (
     summary_line,
     trades_from_audit,
 )
+from tradeloop.gateway import ChatMessage, Gateway, ScriptedProvider, ScriptEntry, Transcript
 
 import engine_model
 from conftest import make_bar
@@ -825,17 +826,97 @@ class TestAuditLines:
             }
         )
 
-    def test_every_line_is_on_disk_while_the_log_is_open(self, tmp_path):
-        """A dict event and a pre-formatted line are each flushed as written."""
-        path = tmp_path / "engine.jsonl"
+    LINES = (
+        '{"v":1,"type":"CANCEL","order_id":"o1","reason":"UNFILLED"}\n'
+        '{"v":1,"type":"SESSION_SUMMARY","date":"2025-04-29","cash":"100.5","shares_long":1,'
+        '"shares_short":0,"close":"10","portfolio_value":"110.5"}\n'
+    )
+
+    def appended(self, path: Path) -> AuditLog:
+        """A file-backed log holding a dict event and a pre-formatted line."""
         log = AuditLog(path)
+        log.append({"v": AUDIT_SCHEMA_VERSION, "type": "CANCEL", "order_id": "o1", "reason": "UNFILLED"})
+        log.append(summary_line(NEXT_DAY, D("100.5"), 1, 0, D("10"), D("110.5")))
+        return log
+
+    def test_an_open_log_reads_its_buffered_lines(self, tmp_path):
+        path = tmp_path / "engine.jsonl"
+        log = self.appended(path)
         try:
-            log.append({"v": AUDIT_SCHEMA_VERSION, "type": "CANCEL", "order_id": "o1", "reason": "UNFILLED"})
-            log.append(summary_line(NEXT_DAY, D("100.5"), 1, 0, D("10"), D("110.5")))
-            assert path.read_text(encoding="utf-8") == (
-                '{"v":1,"type":"CANCEL","order_id":"o1","reason":"UNFILLED"}\n'
-                '{"v":1,"type":"SESSION_SUMMARY","date":"2025-04-29","cash":"100.5","shares_long":1,'
-                '"shares_short":0,"close":"10","portfolio_value":"110.5"}\n'
-            )
+            assert path.read_text(encoding="utf-8") == ""  # an append does not flush
+            assert log.text() == self.LINES
+            assert path.read_text(encoding="utf-8") == self.LINES
         finally:
             log.close()
+
+    def test_a_closed_log_reads_its_file(self, tmp_path):
+        log = self.appended(tmp_path / "engine.jsonl")
+        log.close()
+        assert log.text() == self.LINES
+
+    def test_every_line_is_on_disk_at_the_end_of_its_unit_of_work(self, tmp_path, monkeypatch):
+        """Each owner flushes its log once per unit of work: a gateway record
+        is on disk when `complete` returns; at each model call of session k
+        of a run, `engine.jsonl` holds every SESSION_SUMMARY of sessions
+        1..k-1 and `opro.jsonl` every window closed before k; a provider that
+        raises mid-session leaves every line appended before it on disk."""
+        path = tmp_path / "gateway.jsonl"
+        gateway = Gateway(ScriptedProvider([ScriptEntry(response="ok", times=None)]), AuditLog(path))
+        try:
+            for i in range(3):
+                gateway.complete(Transcript("sys", (ChatMessage("user", f"call {i}"),)).request((("role", "cta"),)))
+                on_disk = path.read_text(encoding="utf-8")
+                assert on_disk.count("\n") == i + 1 and on_disk == gateway.audit.text()
+        finally:
+            gateway.audit.close()
+
+        lines: dict[str, list[str]] = {}
+
+        class Kept(AuditLog):
+            """Keeps each line it is handed, as the log encodes it."""
+
+            def append(self, event):
+                lines.setdefault(self.path.name, []).append(event if isinstance(event, str) else self._encode(event))
+                super().append(event)
+
+        run_dir = tmp_path / "run-1"
+        seen: list[tuple[int, str, str]] = []  # (step, engine.jsonl, opro.jsonl) on disk at each model call
+        broken_step = 12  # after the windows closed at steps 5 and 10
+
+        class Watching:
+            def __init__(self, router):
+                self.router = router
+
+            def complete(self, request):
+                step = int(request.tag("step"))
+                seen.append((step, *((run_dir / name).read_text(encoding="utf-8") for name in ("engine.jsonl", "opro.jsonl"))))
+                if step == broken_step and request.tag("role") == "cta":
+                    raise RuntimeError("the provider died")
+                return self.router.complete(request)
+
+        build_router = harness.build_router
+        monkeypatch.setattr(harness, "build_router", lambda *args: Watching(build_router(*args)))
+        monkeypatch.setattr(harness, "AuditLog", Kept)
+        config = build_workspace(tmp_path, mode="adaptive_opro_with_reflection")
+        with pytest.raises(RuntimeError, match="the provider died"):
+            harness.run_single(config, harness.load_data(config), run_dir)
+
+        final = {name: (run_dir / name).read_text(encoding="utf-8") for name in ("engine.jsonl", "opro.jsonl", "gateway.jsonl")}
+        assert final == {name: "".join(f"{line}\n" for line in lines[name]) for name in final}
+
+        def end_of(text: str, lines_wanted) -> int:
+            """Where the last of `lines_wanted` (line numbers, from 0) ends in `text`."""
+            ends = [i + 1 for i, c in enumerate(text) if c == "\n"]
+            return max((ends[n] for n in lines_wanted), default=0)
+
+        engine_lines = final["engine.jsonl"].splitlines()
+        summaries = [n for n, line in enumerate(engine_lines) if '"type":"SESSION_SUMMARY"' in line]
+        assert len(summaries) == broken_step
+        assert sorted({step for step, _, _ in seen}) == list(range(1, broken_step + 1))
+        for step, engine_text, opro_text in seen:
+            assert final["engine.jsonl"].startswith(engine_text) and final["opro.jsonl"].startswith(opro_text)
+            assert len(engine_text) >= end_of(final["engine.jsonl"], summaries[: step - 1]), step
+            # The initial template's line, written before session 1, then one line per window closed.
+            windows = [s for s in range(1, step) if s % config.opro_k == 0]
+            opro_lines = range(1 + len(windows)) if step > 1 else ()
+            assert len(opro_text) >= end_of(final["opro.jsonl"], opro_lines), step
