@@ -394,14 +394,13 @@ def parse_actions_csv(text: str) -> list[CorporateAction]:
     for row_idx, cells in _csv_rows(text, ACTIONS_CSV_COLUMNS):
         day, kind, ratio, cash = cells
         ratio, cash = ratio.strip(), cash.strip()
-        actions.append(
-            CorporateAction(
-                effective_date=_parse_date(day, row_idx),
-                kind=kind.strip(),
-                split_ratio=_parse_price(ratio, "ratio", row_idx) if ratio else None,
-                cash_amount=_parse_price(cash, "cash", row_idx) if cash else None,
-            )
-        )
+        effective_date = _parse_date(day, row_idx)
+        split_ratio = _parse_price(ratio, "ratio", row_idx) if ratio else None
+        cash_amount = _parse_price(cash, "cash", row_idx) if cash else None
+        try:
+            actions.append(CorporateAction(effective_date, kind.strip(), split_ratio, cash_amount))
+        except BarDataError as exc:  # an action's own checks name no row
+            raise BarDataError(str(exc), row_idx) from None
     return actions
 
 

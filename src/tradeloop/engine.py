@@ -169,7 +169,8 @@ class AuditLog:
         self._fh.flush()
 
     def close(self) -> None:
-        self._fh.close()
+        if self.path is not None:  # a memory log keeps its lines for `text()`
+            self._fh.close()
 
     def text(self) -> str:
         if self.path is None:

@@ -241,7 +241,13 @@ class ExperimentConfig(_Config, what="config"):
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ExperimentConfig":
-        return cls.from_dict(read_file(path, "config", json.loads, ConfigError))
+        def parse(text: str) -> dict:
+            obj = json.loads(text)
+            if not isinstance(obj, dict):  # named with its file, as a text that is not JSON is
+                raise ConfigError(f"a config must be an object, got {obj!r}")
+            return obj
+
+        return cls.from_dict(read_file(path, "config", parse, ConfigError))
 
     @property
     def uses_opro(self) -> bool:

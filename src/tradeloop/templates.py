@@ -7,6 +7,10 @@ else is a template error — strictness is what makes candidate validation
 meaningful. Bare braces are literal text (the order-schema JSON examples in
 the assets depend on that).
 
+A template is parsed in one forward scan: one match of `_TOKEN` finds and
+reads each next `{{` or `{%`, text and placeholders go to the innermost open
+block, and a stack holds the open conditionals.
+
 Text inside a `<system_role>` block that the template writes renders into
 the LLM system message, the rest into the user message; tags in values are text.
 
@@ -75,88 +79,59 @@ class RenderedPrompt:
         return self.user.text
 
 
-def _tokenize(body: str) -> tuple[list, set[str]]:
-    """The tokens of `body` in order, text and system tags as `_Text`, and
-    the set of every `{{ }}` and `{% if %}` name. A conditional tag is an
-    ("if" | "else" | "endif", name) pair. One forward scan: one match finds
-    and reads the next `{{` or `{%`. Raises TemplateError on a malformed one."""
-    tokens: list = []
+def _parse(body: str) -> tuple[tuple, frozenset[str]]:
+    """The node tree of `body` and the set of every `{{ }}` and `{% if %}`
+    name. Raises TemplateError outside the frozen grammar: on a malformed
+    `{{` or `{%` first, wherever it is, then on the first misplaced tag."""
+    matches = list(_TOKEN.finditer(body))
+    bad = next((m.start() for m in matches if m.lastindex is None), None)
+    if bad is not None:
+        snippet = body[bad : bad + 30].splitlines()[0]
+        code = "MALFORMED_PLACEHOLDER" if body[bad + 1] == "{" else "UNKNOWN_CONSTRUCT"
+        raise TemplateError(code, f"at {snippet!r}")
     names: set[str] = set()
-    pos = 0
+    nodes: list = []  # the innermost open block
+    stack: list[tuple[str, list, tuple | None]] = []  # per open `if`: name, outer block, then-branch after `else`
 
     def text(chunk: str) -> None:
-        if "system_role>" in chunk:
-            tokens.extend(map(_Text, filter(None, _SYSTEM_TAG.split(chunk))))
-        elif chunk:
-            tokens.append(_Text(chunk))
+        for run in _SYSTEM_TAG.split(chunk) if "system_role>" in chunk else (chunk,):
+            if len(run) >= SHARED_MIN:
+                nodes.extend(_long_run(run))
+            elif run:
+                nodes.append(_Text(run))
 
-    for m in _TOKEN.finditer(body):
-        cut = m.start()
-        text(body[pos:cut])
+    pos = 0
+    for m in matches:
+        text(body[pos : m.start()])
+        pos = m.end()
         name, default, kind, condition = m.groups()
         if name is not None:
-            tokens.append(_Placeholder(name, default))
+            nodes.append(_Placeholder(name, default))
             names.add(name)
-        elif kind is None:
-            snippet = body[cut : cut + 30].splitlines()[0]
-            code = "MALFORMED_PLACEHOLDER" if body[cut + 1] == "{" else "UNKNOWN_CONSTRUCT"
-            raise TemplateError(code, f"at {snippet!r}")
         elif condition is not None:
-            tokens.append(("if", condition))
+            if len(stack) == MAX_CONDITIONAL_DEPTH:
+                raise TemplateError("UNBALANCED_CONDITIONAL", f"conditionals nested beyond depth {MAX_CONDITIONAL_DEPTH}")
             names.add(condition)
+            stack.append((condition, nodes, None))
+            nodes = []
+        elif not stack:
+            where = "outside conditional" if kind == "else" else "without {% if %}"
+            raise TemplateError("UNBALANCED_CONDITIONAL", f"{{% {kind} %}} {where}")
+        elif kind == "else":
+            condition, outer, then = stack[-1]
+            if then is not None:
+                raise TemplateError("UNBALANCED_CONDITIONAL", "duplicate {% else %}")
+            stack[-1] = (condition, outer, tuple(nodes))
+            nodes = []
         else:
-            tokens.append((kind, None))  # "else" or "endif"
-        pos = m.end()
+            condition, outer, then = stack.pop()
+            branches = (tuple(nodes), ()) if then is None else (then, tuple(nodes))
+            outer.append(_Conditional(condition, *branches))
+            nodes = outer
     text(body[pos:])
-    return tokens, names
-
-
-def _parse(body: str) -> tuple[tuple, frozenset[str]]:
-    """Tokenize and build the node tree; also the set of every `{{ }}` and
-    `{% if %}` name. Raises TemplateError on anything outside the frozen
-    grammar."""
-    tokens, names = _tokenize(body)
-
-    def build(idx: int, depth: int) -> tuple[tuple, int, bool]:
-        """Returns (nodes, next index, saw_else). Stops at else/endif."""
-        nodes: list = []
-        while idx < len(tokens):
-            tok = tokens[idx]
-            if isinstance(tok, (_Text, _Placeholder)):
-                if isinstance(tok, _Text) and len(tok.text) >= SHARED_MIN:
-                    nodes += _long_run(tok.text)
-                else:
-                    nodes.append(tok)
-                idx += 1
-                continue
-            kind, name = tok
-            if kind == "if":
-                if depth + 1 > MAX_CONDITIONAL_DEPTH:
-                    raise TemplateError(
-                        "UNBALANCED_CONDITIONAL", f"conditionals nested beyond depth {MAX_CONDITIONAL_DEPTH}"
-                    )
-                then, idx, saw_else = build(idx + 1, depth + 1)
-                otherwise: tuple = ()
-                if saw_else:
-                    otherwise, idx, saw_else2 = build(idx, depth + 1)
-                    if saw_else2:
-                        raise TemplateError("UNBALANCED_CONDITIONAL", "duplicate {% else %}")
-                nodes.append(_Conditional(name, then, otherwise))
-                continue
-            if kind == "else":
-                if depth == 0:
-                    raise TemplateError("UNBALANCED_CONDITIONAL", "{% else %} outside conditional")
-                return tuple(nodes), idx + 1, True
-            if kind == "endif":
-                if depth == 0:
-                    raise TemplateError("UNBALANCED_CONDITIONAL", "{% endif %} without {% if %}")
-                return tuple(nodes), idx + 1, False
-        if depth != 0:
-            raise TemplateError("UNBALANCED_CONDITIONAL", "unclosed {% if %}")
-        return tuple(nodes), idx, False
-
-    nodes, _, _ = build(0, 0)
-    return nodes, frozenset(names)
+    if stack:
+        raise TemplateError("UNBALANCED_CONDITIONAL", "unclosed {% if %}")
+    return tuple(nodes), frozenset(names)
 
 
 @lru_cache(maxsize=256)

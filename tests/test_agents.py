@@ -21,6 +21,7 @@ from tradeloop.agents import (
     OrderParseError,
     compute_ratios,
     dedupe_news,
+    load_news_jsonl,
     parse_orders,
     read_fence,
     recent_activity_text,
@@ -463,8 +464,16 @@ class TestComputeRatios:
         assert "Dividends:" in text
         assert "Net margin 55.9%" in text
 
+    def test_render_includes_the_dividend_yield(self):
+        snap = FundamentalSnapshot(filing_date=date(2025, 1, 1), annual_dividends_per_share=2.0, price=50.0)
+        assert "; Yield 4.00%" in render_fundamental_data([snap])
+
 
 class TestNewsPlumbing:
+    def test_blank_lines_are_skipped(self):
+        lines = ['{"ts": "2025-04-28T12:45:00+00:00", "title": "a"}', "", "  \t", '{"ts": "2025-04-29", "title": "b"}']
+        assert [item.title for item in load_news_jsonl("\n".join(lines) + "\n")] == ["a", "b"]
+
     def test_dedupe_by_title_and_ts(self):
         a = NewsItem(ts="2025-04-28T12:45:00+00:00", title="Same headline", url="u1", summary="s")
         b = NewsItem(ts="2025-04-28T12:45:00+00:00", title="Same headline", url="u2", summary="s")

@@ -480,6 +480,14 @@ class TestAdjustForActions:
         assert adjusted.bars[0].volume == 1000
         assert adjusted.bars[2].close == Decimal("105")  # post-split bar untouched
 
+    def test_split_prices_round_half_even_to_four_places(self):
+        """10 / 3 is 3.3333, 10.0002 / 3 is 3.3334 and 9.9999 / 3 is 3.3333 exactly."""
+        series = parse_bars(f"{CSV_HEADER}\n2025-01-07,10,10.0002,9.9999,10,100,,\n2025-01-08,4,4,4,4,300,,\n")
+        adjusted = adjust_for_actions(series, [CorporateAction(date(2025, 1, 8), "split", split_ratio=Decimal(3))])
+        first = adjusted.bars[0]
+        assert (first.open, first.high, first.low, first.close) == tuple(map(Decimal, ("3.3333", "3.3334", "3.3333", "3.3333")))
+        assert first.volume == 300
+
     def test_empty_actions_identity(self):
         series = self._series()
         assert adjust_for_actions(series, []) is series

@@ -20,7 +20,7 @@ from tradeloop.bars import CSV_COLUMNS, load_series, serialize_bars
 from tradeloop import cli
 from tradeloop.cli import main
 from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
-from tradeloop.harness import PROVIDER_ROLES
+from tradeloop.harness import PROVIDER_ROLES, read_run
 from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
 from tradeloop.templates import asset_path
 
@@ -478,12 +478,20 @@ def _set(path, value):
     return apply
 
 
-def _refused_lock(text):
-    """A lock whose config sets `runs` to 0, which `run` refuses, hashed as a run hashes it."""
-    lock = json.loads(text)
-    lock["config"]["runs"] = 0
-    lock["hash"] = hashlib.sha256(json.dumps(lock["config"], indent=2, sort_keys=True).encode("utf-8")).hexdigest()
-    return json.dumps(lock)
+def _rehashed_lock(edit):
+    """An edit of a lock that replaces its config by `edit` of it, hashed as a run hashes it."""
+
+    def apply(text):
+        lock = json.loads(text)
+        lock["config"] = edit(lock["config"])
+        lock["hash"] = hashlib.sha256(json.dumps(lock["config"], indent=2, sort_keys=True).encode("utf-8")).hexdigest()
+        return json.dumps(lock)
+
+    return apply
+
+
+# A lock whose config sets `runs` to 0, which `run` refuses.
+_refused_lock = _rehashed_lock(lambda config: {**config, "runs": 0})
 
 
 # A bars file whose second data row has a field over the csv module's limit.
@@ -691,11 +699,38 @@ NO_TRACEBACK_PROBES = {
     },
     **{f"replay without {name}": (EXIT_PROVIDER, _without(name)) for name in RECORDED_FILES},
     "replay config.lock with a refused config": (EXIT_CONFIG, _tampered("replay", "config.lock", _refused_lock)),
+    "replay config.lock whose config is not an object": (
+        EXIT_CONFIG, _tampered("replay", "config.lock", _rehashed_lock(lambda config: [1]))
+    ),
     "run without a market provider": (EXIT_CONFIG, _run_with("providers.market", None)),
     "run reflection without a reflection provider": (
         EXIT_CONFIG, _run_with("prompting_mode", "reflection", "providers.reflection", None)
     ),
     "run --runs 0": (EXIT_CONFIG, lambda tmp_path, run: [*_run_with("runs", 2)(tmp_path, run), "--runs", "0"]),
+    "run window_start after window_end": (EXIT_CONFIG, _run_with("window_start", "2100-01-01")),
+    "run without instrument": (EXIT_CONFIG, _run_with("instrument", None)),
+    "run paths.news with an unpaired surrogate": (EXIT_CONFIG, _run_with("paths.news", "news\ud800.jsonl")),
+    "validate-data --actions kind merger": (
+        EXIT_DATA,
+        lambda tmp_path, run: [
+            "validate-data", "--bars", _bars_file(tmp_path, 5),
+            "--actions", _file(tmp_path, "actions.csv", "date,kind,ratio,cash\n2024-06-10,split,2,\n2024-06-11,merger,,\n"),
+        ],
+    ),
+    "replay config.lock inputs not a map of strings": (
+        EXIT_PROVIDER, _tampered("replay", "config.lock", _set(("inputs", "bars"), 1))
+    ),
+    "replay record request_hash not a string": (
+        EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.update(request_hash=1)))
+    ),
+    "replay record response text not a string": (
+        EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record["response"].update(text=None)))
+    ),
+    "replay record prior continuing no conversation": (
+        EXIT_PROVIDER, _tampered("replay", "gateway.jsonl", _edit_first_record(lambda record: record.update(prior=2)))
+    ),
+    "report metrics.json not an object": (EXIT_DATA, _tampered("report", "metrics.json", lambda text: "[]")),
+    "report --runs missing": (EXIT_DATA, lambda tmp_path, run: ["report", "--runs", str(tmp_path / "no-such-dir")]),
 }
 # What a probe's error message must say, beyond its label.
 PROBE_MESSAGES = {
@@ -753,6 +788,9 @@ PROBE_MESSAGES = {
     ),
     **{f"replay {name} edited": (f"replay artifacts differ: {name}\n",) for name in ("engine.jsonl", "opro.jsonl", "metrics.json")},
     "replay config.lock with a refused config": ("config error: bad config.lock file ", "config.lock: runs must be >= 1, got 0\n"),
+    "replay config.lock whose config is not an object": (
+        "config error: bad config.lock file ", "config.lock: a config must be an object, got [1]\n",
+    ),
     "replay without config.lock": ("provider error: bad config.lock file ", "config.lock: FileNotFoundError(2, "),
     "replay without gateway.jsonl": (
         "provider error: cannot replay ", ": PROVIDER_ERROR: cannot open ", "gateway.jsonl: FileNotFoundError(2, "
@@ -764,6 +802,26 @@ PROBE_MESSAGES = {
     "run without a market provider": ("config error: no provider for market, which this run calls",),
     "run reflection without a reflection provider": ("config error: no provider for reflection, which this run calls",),
     "run --runs 0": ("config error: runs must be >= 1, got 0\n",),
+    "run window_start after window_end": ("config error: window_start must precede window_end\n",),
+    "run without instrument": ("config error: missing config keys: ['instrument']\n",),
+    "run paths.news with an unpaired surrogate": ("config error: paths must be dict[", "got {", "'news': 'news\\ud800.jsonl'"),
+    "validate-data --actions kind merger": ("data error: bad actions file ", "actions.csv: unknown action kind 'merger' at row 2\n"),
+    "replay config.lock inputs not a map of strings": (
+        "provider error: bad config.lock file ", "config.lock: ValueError(\"inputs must map files to SHA-256 digests, got {",
+    ),
+    "replay record request_hash not a string": (
+        "provider error: cannot replay ", ": line 1 in ",
+        "gateway.jsonl: TypeError(\"request_hash and response text must be strings, got (1, 'Scripted market analysis.')\")\n",
+    ),
+    "replay record response text not a string": (
+        "provider error: cannot replay ", ": line 1 in ",
+        "gateway.jsonl: TypeError(\"request_hash and response text must be strings, got ('", "', None)\")\n",
+    ),
+    "replay record prior continuing no conversation": (
+        "provider error: cannot replay ", ": line 1 in ", "gateway.jsonl: prior 2 continues no conversation of role tag 'market'\n",
+    ),
+    "report metrics.json not an object": ("data error: bad metrics file ", "metrics.json: ValueError('expected an object, got list')\n"),
+    "report --runs missing": ("data error: [Errno 2] No such file or directory: ", "no-such-dir'\n"),
 }
 
 
@@ -837,6 +895,7 @@ BAD_CSV = {"bars": "date,open\n2025-01-02,1\n", "actions": "date,kind,ratio,cash
 # goes, the command that reads it there, and a text it refuses.
 READ_FILES = {
     "run config": (EXIT_CONFIG, "config.json", lambda tmp_path, run, path: ["run", "--config", str(path)], "{not json"),
+    "run config not an object": (EXIT_CONFIG, "config.json", lambda tmp_path, run, path: ["run", "--config", str(path)], "[1, 2]"),
     **{f"run {key}": (EXIT_DATA, f"in/{key}.csv", _run_over(key), BAD_CSV[key]) for key in BAD_CSV},
     "run calendar": (EXIT_DATA, "in/calendar.txt", _run_over("calendar"), "not a date\n"),
     "run news": (EXIT_DATA, "in/news.jsonl", _run_over("news"), "{not json\n"),
@@ -853,12 +912,14 @@ READ_FILES = {
 }
 FILE_FAULTS = ("missing", "a directory", "a byte 0xff", "malformed")
 # A missing prompt asset is no fault (the shipped one serves), and `report`
-# reads only the run directories that hold a metrics.json.
+# reads only the run directories that hold a metrics.json. The second config
+# row differs from the first only in its malformed text.
 READ_FAULTS = [
     (file, fault)
     for file in READ_FILES
     for fault in FILE_FAULTS
     if not (fault == "missing" and file in ("run prompt_dir asset", "run optimizer asset", "report metrics.json"))
+    and not (fault != "malformed" and file == "run config not an object")
 ]
 
 
@@ -942,6 +1003,13 @@ def test_a_live_run_over_http_replays_with_the_server_stopped(tmp_path, without_
     assert "replay OK" in out and key not in out + err
 
 
+def test_report_writes_its_csv(tmp_path, recorded_run):
+    path = tmp_path / "report.csv"
+    assert main(["report", "--runs", str(recorded_run.parent), "--label", "baseline", "--csv", str(path)]) == EXIT_OK
+    expected = cli.aggregate_and_report([read_run(recorded_run)], label="baseline")["csv"]
+    assert "\nbaseline," in expected and path.read_text(encoding="utf-8") == expected
+
+
 @pytest.mark.parametrize("mode", ["baseline", "reflection"])
 def test_only_optimizing_modes_need_the_history_marker(mode, tmp_path, recorded_run):
     """A mode that never proposes runs with an optimizer asset that has no
@@ -961,3 +1029,31 @@ def test_bad_input_exits_with_its_code(probe, tmp_path, recorded_run, capsys):
     assert err.startswith(("config error: ", "data error: ", "provider error: "))
     assert all(message in err for message in PROBE_MESSAGES.get(probe, ()))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="engine defect (ROADMAP item 1): a short squeezed by a gap is force-covered into negative cash",
+)
+def test_a_squeezed_short_ends_its_run(tmp_path):
+    """A short at 100, then a gap to 250: the agent's cover is cancelled as
+    GAP_REJECT, and the forced cover at the window's end costs more cash
+    than the run holds. The run should still exit 0 and write its metrics."""
+    days = [day for day in (date(2024, 1, 1) + timedelta(days=n) for n in range(19)) if day.weekday() < 5]
+    bars = "\n".join(
+        f"{day.isoformat()},{price},{price},{price},{price},1000,,"
+        for day, price in zip(days, [100] * 12 + [250] * 3)
+    )
+    _file(tmp_path, "bars.csv", ",".join(CSV_COLUMNS) + "\n" + bars + "\n")
+    script = [{"response": order_payload(action, 1000), "times": 1} for action in ("SHORT", "SHORT_COVER")]
+    config = {
+        "experiment": "squeeze", "instrument": "SYNTH", "prompting_mode": "baseline",
+        "window_start": days[-5].isoformat(), "window_end": days[-1].isoformat(),
+        "ablations": {"no_market": True, "no_news": True, "no_fundamental": True},
+        "providers": {"cta": {"kind": "scripted", "script": script, "strict": False, "default_response": "[]"}},
+        "paths": {"bars": str(tmp_path / "bars.csv"), "out_dir": str(tmp_path / "runs")},
+    }
+    _file(tmp_path, "config.json", json.dumps(config))
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--runs", "1"]) == EXIT_OK
+    assert read_run(tmp_path / "runs" / "squeeze" / "run-1").equity

@@ -832,8 +832,8 @@ class TestAuditLines:
         '"shares_short":0,"close":"10","portfolio_value":"110.5"}\n'
     )
 
-    def appended(self, path: Path) -> AuditLog:
-        """A file-backed log holding a dict event and a pre-formatted line."""
+    def appended(self, path: Path | None) -> AuditLog:
+        """A log at `path`, or in memory, holding a dict event and a pre-formatted line."""
         log = AuditLog(path)
         log.append({"v": AUDIT_SCHEMA_VERSION, "type": "CANCEL", "order_id": "o1", "reason": "UNFILLED"})
         log.append(summary_line(NEXT_DAY, D("100.5"), 1, 0, D("10"), D("110.5")))
@@ -851,6 +851,11 @@ class TestAuditLines:
 
     def test_a_closed_log_reads_its_file(self, tmp_path):
         log = self.appended(tmp_path / "engine.jsonl")
+        log.close()
+        assert log.text() == self.LINES
+
+    def test_a_closed_memory_log_reads_its_lines(self):
+        log = self.appended(None)
         log.close()
         assert log.text() == self.LINES
 

@@ -110,6 +110,17 @@ class TestScriptedProvider:
         provider = ScriptedProvider([], strict=False, default_response="[]")
         assert provider.complete(req("x")).text == "[]"
 
+    def test_an_entry_for_a_later_step_or_spent_is_passed_over(self):
+        provider = ScriptedProvider(
+            [
+                ScriptEntry(response="never", match="absent"),
+                ScriptEntry(response="third", step=3),
+                ScriptEntry(response="once"),
+                ScriptEntry(response="rest", times=None),
+            ]
+        )
+        assert [provider.complete(req("x")).text for _ in range(4)] == ["once", "rest", "third", "rest"]
+
     def test_times_budget(self):
         provider = ScriptedProvider(
             [ScriptEntry(response="first", times=2), ScriptEntry(response="rest", times=None)]

@@ -417,6 +417,19 @@ class TestProposeUpdate:
         # 1 initial ask + 2 re-asks
         assert gateway.provider.calls == 3
 
+    def test_a_key_holding_no_string_is_reasked(self):
+        """A reply whose key holds a number is re-asked like any malformed
+        reply, and the ledger names the key (and the code twice, as every
+        parse error's reason does)."""
+        payload = {"performance_analysis": "a", "optimized_prompt": 5, "key_improvements": "k", "expected_impact": "e"}
+        gateway = make_gateway([ScriptEntry(response="```json\n" + json.dumps(payload) + "\n```", times=None)])
+        opro = self._opro(gateway)
+        opro.close_window(5, 100_000.0, 101_000.0)
+        assert opro.propose_update() is False
+        assert gateway.provider.calls == 3  # 1 initial ask + 2 re-asks
+        last = json.loads(opro.log.text().splitlines()[-1])
+        assert (last["accepted"], last["reject_reason"]) == (False, "MISSING_KEY: MISSING_KEY: optimized_prompt must be a string")
+
     def test_parse_failure_then_success_within_retries(self):
         current = load_template("cta_initial")
         improved = current.body + "\nStay disciplined."

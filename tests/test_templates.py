@@ -23,7 +23,8 @@ from tradeloop.templates import (
     _SYSTEM_TAG,
     _TAG,
     _Text,
-    _tokenize,
+    _long_run,
+    _parse,
     load_template,
 )
 
@@ -145,8 +146,9 @@ class TestParseErrors:
 
 
 def old_tokenize(body: str) -> tuple[list, set[str]]:
-    """The tokenizer `_tokenize` replaced, kept as its oracle: two `find`s
-    and their `min` for each token."""
+    """The first pass of the old two-pass parser, kept in `old_parse`: two
+    `find`s and their `min` for each token. A conditional tag is an
+    ("if" | "else" | "endif", name) pair."""
     tokens: list = []
     names: set[str] = set()
     pos = 0
@@ -191,9 +193,56 @@ def old_tokenize(body: str) -> tuple[list, set[str]]:
     return tokens, names
 
 
-def tokens_or_error(tokenize, body: str):
+def old_parse(body: str) -> tuple[tuple, frozenset[str]]:
+    """The parser `_parse` replaced, kept as its oracle: `old_tokenize`'s
+    token list, then a recursive build of the node tree from it."""
+    tokens, names = old_tokenize(body)
+
+    def build(idx: int, depth: int) -> tuple[tuple, int, bool]:
+        """Returns (nodes, next index, saw_else). Stops at else/endif."""
+        nodes: list = []
+        while idx < len(tokens):
+            tok = tokens[idx]
+            if isinstance(tok, (_Text, _Placeholder)):
+                if isinstance(tok, _Text) and len(tok.text) >= SHARED_MIN:
+                    nodes += _long_run(tok.text)
+                else:
+                    nodes.append(tok)
+                idx += 1
+                continue
+            kind, name = tok
+            if kind == "if":
+                if depth + 1 > MAX_CONDITIONAL_DEPTH:
+                    raise TemplateError(
+                        "UNBALANCED_CONDITIONAL", f"conditionals nested beyond depth {MAX_CONDITIONAL_DEPTH}"
+                    )
+                then, idx, saw_else = build(idx + 1, depth + 1)
+                otherwise: tuple = ()
+                if saw_else:
+                    otherwise, idx, saw_else2 = build(idx, depth + 1)
+                    if saw_else2:
+                        raise TemplateError("UNBALANCED_CONDITIONAL", "duplicate {% else %}")
+                nodes.append(_Conditional(name, then, otherwise))
+                continue
+            if kind == "else":
+                if depth == 0:
+                    raise TemplateError("UNBALANCED_CONDITIONAL", "{% else %} outside conditional")
+                return tuple(nodes), idx + 1, True
+            if kind == "endif":
+                if depth == 0:
+                    raise TemplateError("UNBALANCED_CONDITIONAL", "{% endif %} without {% if %}")
+                return tuple(nodes), idx + 1, False
+        if depth != 0:
+            raise TemplateError("UNBALANCED_CONDITIONAL", "unclosed {% if %}")
+        return tuple(nodes), idx, False
+
+    nodes, _, _ = build(0, 0)
+    return nodes, frozenset(names)
+
+
+def parsed_or_error(parse, body: str):
     try:
-        return tokenize(body)
+        return parse(body)
     except TemplateError as exc:
         return exc.code, str(exc)
 
@@ -205,20 +254,32 @@ TEMPLATE_PIECES = (
 )
 
 
+# Static runs of at least `SHARED_MIN` characters, which `_long_run` splits.
+LONG_RUN = "r" * (SHARED_MIN + 2) + "\n"
+LONGER_RUN = "\n" + "s" * (SHARED_MIN + 12)
+
+
 class TestTokenize:
-    @given(st.lists(st.sampled_from(TEMPLATE_PIECES), max_size=16).map("".join))
+    """`_parse` against `old_parse`, the tokenizer and builder it replaced."""
+
+    @given(st.lists(st.sampled_from(TEMPLATE_PIECES + (LONG_RUN, LONGER_RUN)), max_size=16).map("".join))
     @example("{%{{ x }}")
     @example("{{{% if x %}")
     @example("text {{ x }} and {%if y%}{{y|default(\"d\")}}{%endif%} tail")
+    @example("{% endif %}{{ x")
+    @example("{% if x %}{% if y %}{% if x %}{% endif %}{% endif %}{% endif %}")
+    @example("{% if x %}a{% else %}b{% else %}c{% endif %}")
+    @example("{% if x %}{% if y %}a{% else %}b{% endif %}c{% else %}d{% endif %}{% if y %}")
+    @example(f"{LONG_RUN}{{% if x %}}{LONGER_RUN}<system_role>{LONG_RUN}</system_role>{{% else %}}{LONG_RUN}{{% endif %}}")
     @settings(max_examples=500)
     def test_tokens_are_the_old_tokenizers(self, body):
-        """The same tokens and names, or the same error code and message."""
-        assert tokens_or_error(_tokenize, body) == tokens_or_error(old_tokenize, body)
+        """The same nodes and names, or the same error code and message."""
+        assert parsed_or_error(_parse, body) == parsed_or_error(old_parse, body)
 
     @pytest.mark.parametrize("name", SHIPPED_TEMPLATES)
     def test_shipped_assets_tokenize_as_before(self, name):
         body = load_template(name).body
-        assert _tokenize(body) == old_tokenize(body)
+        assert _parse(body) == old_parse(body)
 
 
 class TestRender:
