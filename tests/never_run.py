@@ -1,8 +1,8 @@
 """The lines of `src/tradeloop` that no in-process test runs.
 
-    python tests/never_run.py [pytest arguments]
+    python tests/never_run.py
 
-Runs pytest over `tests/` (or over the arguments given) in this process under
+Runs pytest over `tests/` in this process under
 a `sys.settrace` line tracer, then lists each function-body line of the
 package that never ran, keyed as `<module> :: <function> :: <stripped
 source line>`. The run fails (exit 1) on a never-run line that
@@ -102,9 +102,9 @@ def read_allowed(path: Path) -> Counter:
     return keys
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    code, ran = trace_tests(argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"])
+    code, ran = trace_tests([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"])
     if code != 0:
         print(f"never_run: the tests failed (pytest exit {code}); no lines compared")
         return 2
@@ -128,4 +128,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

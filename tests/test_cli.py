@@ -1055,5 +1055,10 @@ def test_a_squeezed_short_ends_its_run(tmp_path):
         "paths": {"bars": str(tmp_path / "bars.csv"), "out_dir": str(tmp_path / "runs")},
     }
     _file(tmp_path, "config.json", json.dumps(config))
-    assert main(["run", "--config", str(tmp_path / "config.json"), "--runs", "1"]) == EXIT_OK
-    assert read_run(tmp_path / "runs" / "squeeze" / "run-1").equity
+    # Only the engine's own AssertionError may match `raises=`: any other way
+    # this run fails, a config that stops validating included, fails the test.
+    code = main(["run", "--config", str(tmp_path / "config.json"), "--runs", "1"])
+    if code != EXIT_OK:
+        pytest.fail(f"tradeloop run exited {code}, not {EXIT_OK}")
+    if not read_run(tmp_path / "runs" / "squeeze" / "run-1").equity:
+        pytest.fail("the run's metrics.json holds no equity curve")
