@@ -288,8 +288,8 @@ class ConversationalAgent:
     def _render(self, context: dict) -> ChatMessage:
         """The user message of the next template rendered over `context`, with its parts."""
         rendered = self.next_template.render(context)
-        if self.first_call and rendered.system_text:
-            self.transcript.system_text = rendered.system_text
+        if self.first_call:
+            self.transcript = Transcript(rendered.system_text)
         return rendered.user
 
     def _send(self, message: ChatMessage, tags: tuple[tuple[str, str], ...]) -> str:
@@ -343,6 +343,8 @@ def parse_orders(text: str, submitted_at: date, id_prefix: str) -> list[Order]:
         raise OrderParseError("NOT_JSON_ARRAY", "$", f"not parseable JSON: {exc.msg}") from None
     except RecursionError:
         raise OrderParseError("NOT_JSON_ARRAY", "$", "not parseable JSON: nested too deeply") from None
+    except ValueError:  # an integer past CPython's digit limit
+        raise OrderParseError("NOT_JSON_ARRAY", "$", "not parseable JSON: an integer has too many digits") from None
     if not isinstance(data, list):
         raise OrderParseError("NOT_JSON_ARRAY", "$", f"expected array, got {type(data).__name__}")
 

@@ -358,6 +358,8 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
                 raise BarDataError(f"bad json: {exc.msg}", row_idx) from None
             except RecursionError:
                 raise BarDataError("bad json: nested too deeply", row_idx) from None
+            except ValueError:  # an integer past CPython's digit limit
+                raise BarDataError("bad json: an integer has too many digits", row_idx) from None
             if not isinstance(obj, dict):
                 raise BarDataError("expected object", row_idx)
             bars.append(_bar_from_cells(row_idx, *("" if (v := obj.get(k)) is None else str(v) for k in CSV_COLUMNS)))

@@ -15,10 +15,11 @@ only what the call added to its conversation (one conversation per role tag
 at a time). A `ChatMessage` holds its one encoding, which both the request
 hash and the audit record reuse; `Gateway.complete` returns the reply as such
 a message. `joined_message` is the one maker of a message joined from parts:
-its makers hand it plain texts and `SharedText`s (a rendered prompt, whose
-long static runs of its template are shared texts, and the optimizer's
-meta-prompt, from the asset's pieces, the score headers and the scored
-templates), and its record lists the parts: each shared text is written out
+its makers hand it their finished text as plain texts and `SharedText`s (a
+rendered prompt, whose long static runs of its template are shared texts,
+and the optimizer's meta-prompt, from the asset's pieces, the score headers
+and the scored templates), which it joins as they are, and its record lists
+the parts: each shared text is written out
 the first time the log uses it and cited by its id after that (audit version
 4). `rebuilt_requests` is the one reader of a log's records, which it
 streams; it and `ReplayProvider` read the log's lines through one loop, and
@@ -115,17 +116,14 @@ class ChatMessage:
             object.__setattr__(self, "fragment", f'{{"role":{encode_basestring_ascii(self.role)},"text":"{escaped}"}}')
 
 
-def joined_message(role: str, pieces: Sequence[str | SharedText], strip: bool = False) -> ChatMessage:
-    """The message of `role` whose text is `pieces` joined, stripped of the
-    newlines at its ends when `strip`. Text, parts and fragment are made in
-    one pass: each run of plain texts is one literal part, escaped once; a
-    `SharedText` without an id is a literal part of the escape its maker
-    holds, and one with an id a part of its own; an empty literal is left
-    out. The message lists its parts exactly when a `SharedText` is among
-    `pieces`. The escape maps each code point on its own, so the parts'
-    escapes join to the escape of the text."""
-    if strip:
-        pieces = _stripped(list(pieces))
+def joined_message(role: str, pieces: Sequence[str | SharedText]) -> ChatMessage:
+    """The message of `role` whose text is `pieces` joined. Text, parts and
+    fragment are made in one pass: each run of plain texts is one literal
+    part, escaped once; a `SharedText` without an id is a literal part of the
+    escape its maker holds, and one with an id a part of its own; an empty
+    literal is left out. The message lists its parts exactly when a
+    `SharedText` is among `pieces`. The escape maps each code point on its
+    own, so the parts' escapes join to the escape of the text."""
     shared = [i for i, piece in enumerate(pieces) if type(piece) is SharedText]
     if not shared:
         return ChatMessage(role, "".join(pieces))
@@ -145,24 +143,6 @@ def joined_message(role: str, pieces: Sequence[str | SharedText], strip: bool = 
         start = i + 1
     escaped = "".join([p if type(p) is str else p.escaped for p in parts])
     return ChatMessage(role, "".join(texts), (escaped, tuple(parts)))
-
-
-def _stripped(pieces: list[str | SharedText]) -> list[str | SharedText]:
-    """`pieces`, whose joined text is cut of its newlines at either end: a
-    piece that the cut shortens stays plain text or, if it was a
-    `SharedText`, becomes a literal one of its own."""
-    ends = ((range(len(pieces)), str.lstrip), (range(len(pieces) - 1, -1, -1), str.rstrip))
-    for order, cut in ends:
-        for i in order:
-            piece = pieces[i]
-            shared = type(piece) is SharedText
-            text = piece.text if shared else piece
-            kept = cut(text, "\n")
-            if len(kept) < len(text):
-                pieces[i] = SharedText(kept, escape(kept)) if shared else kept
-            if kept:
-                break
-    return pieces
 
 
 @dataclass(frozen=True)
@@ -225,11 +205,12 @@ def escape(text: str) -> str:
 
 
 class Transcript:
-    """A conversation's system text and messages.
+    """A conversation's system text, fixed when it starts, and its messages.
 
     A message holds its encoding, and appending it feeds its `fragment`
     (preceded by a comma after the first) to a running SHA-256 of the payload
-    so far, so `request` gives each call's `request_hash` at the cost of what
+    so far; the encoding of the system text that ends the payload is made
+    once. So `request` gives each call's `request_hash` at the cost of what
     the call adds.
     """
 
@@ -237,7 +218,7 @@ class Transcript:
         self.system_text = system_text
         self.messages: list[ChatMessage] = []
         self._sha = hashlib.sha256(_HEAD)
-        self._tail: tuple[str | None, bytes] = (None, b"")  # a system text and its encoded tail
+        self._tail = f"{_TAIL}{encode_basestring_ascii(system_text)}}}".encode()
         for message in messages:
             self.append(message)
 
@@ -248,12 +229,8 @@ class Transcript:
         self.messages.append(message)
 
     def digest(self) -> str:
-        system_text, tail = self._tail
-        if system_text != self.system_text:
-            tail = f"{_TAIL}{encode_basestring_ascii(self.system_text)}}}".encode()
-            self._tail = (self.system_text, tail)
         sha = self._sha.copy()
-        sha.update(tail)
+        sha.update(self._tail)
         return sha.hexdigest()
 
     def request(self, tags: tuple[tuple[str, str], ...]) -> ChatRequest:

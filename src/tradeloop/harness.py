@@ -346,15 +346,20 @@ def fundamental_batches(
 _is_number = _type_test(float)
 
 
+def _finite(value) -> bool:
+    """Whether `value` is a number, not a bool, that is finite as a float."""
+    try:
+        return _is_number(value) and math.isfinite(float(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _figure(key: str, value) -> float | None:
     """A fundamentals figure: null, or a number that is finite as a float."""
     if value is None:
         return None
-    try:
-        if _is_number(value) and math.isfinite(number := float(value)):
-            return number
-    except OverflowError:  # an integer beyond the float range
-        pass
+    if _finite(value):
+        return float(value)
     raise ValueError(f"{key} must be a finite number or null, got {value!r}")
 
 
@@ -366,9 +371,10 @@ def _parse_calendar(text: str) -> SessionCalendar:
 def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
     """A JSON list of objects, each with an ISO filing_date; period_label is
     a string, the figures are null or numbers finite as floats, read as
-    floats, splits and dividends lists of [date, value] pairs, and every
-    field but filing_date is optional. The snapshots come in filing_date
-    order, equal dates in file order."""
+    floats, splits and dividends lists of [date, value] pairs, each item a
+    string or a number finite as a float, and every field but filing_date is
+    optional. The snapshots come in filing_date order, equal dates in file
+    order."""
     raw = json.loads(text)
     if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
         raise ValueError("expected a list of objects")
@@ -382,6 +388,9 @@ def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
         for key, entries in events.items():
             if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
                 raise ValueError(f"{key} must be a list of [date, value] pairs, got {entries!r}")
+            for item in (item for pair in entries for item in pair):
+                if not (isinstance(item, str) or _finite(item)):
+                    raise ValueError(f"{key} items must be strings or finite numbers, got {item!r}")
         snapshots.append(
             agents.FundamentalSnapshot(
                 filing_date=date.fromisoformat(obj["filing_date"]),

@@ -297,8 +297,12 @@ def render_table(rows: dict[str, dict[str, AggregateField | None]]) -> str:
 
 
 def render_csv(rows: dict[str, dict[str, AggregateField | None]]) -> str:
+    """One row per configuration label, the label quoted as the `csv` module
+    quotes a field: only when it holds a comma, a quote or a line break."""
     lines = ["config," + ",".join(REPORT_COLUMNS)]
     for label, aggs in rows.items():
+        if any(c in label for c in ',"\r\n'):
+            label = '"' + label.replace('"', '""') + '"'
         cells = []
         for c in REPORT_COLUMNS:
             agg = aggs.get(c)

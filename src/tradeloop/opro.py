@@ -98,6 +98,8 @@ def parse_optimizer_response(text: str) -> OptimizerOutput:
         raise OptimizerParseError("NOT_OBJECT", f"fenced payload is not valid JSON: {exc.msg}")
     except RecursionError:
         raise OptimizerParseError("NOT_OBJECT", "fenced payload is nested too deeply") from None
+    except ValueError:  # an integer past CPython's digit limit
+        raise OptimizerParseError("NOT_OBJECT", "fenced payload has an integer with too many digits") from None
     if not isinstance(obj, dict):
         raise OptimizerParseError("NOT_OBJECT", f"expected object, got {type(obj).__name__}")
     for key in OPTIMIZER_KEYS:

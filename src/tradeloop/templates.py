@@ -16,9 +16,10 @@ the LLM system message, the rest into the user message; tags in values are text.
 
 Each static run of at least `SHARED_MIN` characters, less its newlines at
 either end, is a `gateway.SharedText` node, made when a template that holds it
-is parsed. `render` hands the user side, values and runs alike, to
-`gateway.joined_message`, so the gateway log writes each such run once and
-cites it after that.
+is parsed. `render` cuts the newlines at the ends of a user text beside a
+system block from its plain pieces, which alone can hold them, and hands the
+user side, values and runs alike, to `gateway.joined_message`, so the gateway
+log writes each such run once and cites it after that.
 """
 
 from __future__ import annotations
@@ -176,7 +177,9 @@ class PromptTemplate:
         inserted verbatim: the parser already split the template text at
         every '{{', '{%' and system tag, so braces and tags in a value, such
         as model or news text, are text. The system block runs from the
-        template's first `<system_role>` to its next `</system_role>`.
+        template's first `<system_role>` to its next `</system_role>`, and
+        the user text beside it loses its newlines at either end, which only
+        plain pieces hold: a shared run never starts or ends with one.
         """
         out: list[str | SharedText] = []
         tags: list[int] = []  # the indices in `out` of the template's tags
@@ -186,7 +189,15 @@ class PromptTemplate:
         if end is None:
             return RenderedPrompt("", joined_message("user", out))
         system_text = "".join([p.text if type(p) is SharedText else p for p in out[start + 1 : end]]).strip()
-        return RenderedPrompt(system_text, joined_message("user", out[:start] + out[end + 1 :], strip=True))
+        user = out[:start] + out[end + 1 :]
+        for order, cut in ((range(len(user)), str.lstrip), (range(len(user) - 1, -1, -1), str.rstrip)):
+            for i in order:
+                if type(user[i]) is SharedText:
+                    break
+                user[i] = cut(user[i], "\n")
+                if user[i]:
+                    break
+        return RenderedPrompt(system_text, joined_message("user", user))
 
     def _render_nodes(
         self, nodes: tuple, context: Mapping[str, object], out: list[str | SharedText], tags: list[int]

@@ -624,6 +624,17 @@ class TestCentralAgent:
         reminder = sent_requests(gateway)[-1].messages[-1].text
         assert reminder.endswith("(parse error: NOT_JSON_ARRAY at $: not parseable JSON: nested too deeply)")
 
+    def test_an_integer_past_the_digit_limit_is_reasked(self):
+        """`json.loads` raises a bare ValueError for an integer of more than
+        4300 digits: a malformed reply like any other, whose reminder holds
+        no wording of CPython's."""
+        reply = "[1%s]" % ("0" * 4300)
+        gateway = make_gateway([ScriptEntry(response=reply, step=1), ScriptEntry(response=order_json(), step=2)])
+        outcome = make_cta(gateway).decide(make_decision_context(), SESSION, "d1")
+        assert (len(outcome.orders), outcome.attempts) == (1, 2)
+        reminder = sent_requests(gateway)[-1].messages[-1].text
+        assert reminder.endswith("(parse error: NOT_JSON_ARRAY at $: not parseable JSON: an integer has too many digits)")
+
     def test_system_role_extracted_once(self):
         gateway = make_gateway([ScriptEntry(response="[]", times=None)])
         agent = make_cta(gateway)

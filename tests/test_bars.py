@@ -110,6 +110,13 @@ class TestParseBars:
         with pytest.raises(BarDataError, match="at row 2"):
             parse_bars(good + "\nnot json\n", format="jsonl")
 
+    def test_jsonl_line_with_an_integer_past_the_digit_limit_carries_row(self):
+        """`json.loads` raises a bare ValueError for an integer of more than
+        4300 digits; the line is named like any other that is not JSON."""
+        good = '{"date":"2025-04-28","open":"100","high":"110","low":"90","close":"105","volume":1000}'
+        with pytest.raises(BarDataError, match="^bad json: an integer has too many digits at row 2$"):
+            parse_bars(good + '\n{"open": 1%s}\n' % ("0" * 4300), format="jsonl")
+
     def test_crlf_line_endings(self):
         text = f"{CSV_HEADER}\r\n2025-04-28,100,110,90,105,1000,,\r\n"
         series = parse_bars(text)

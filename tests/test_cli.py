@@ -257,6 +257,15 @@ def test_the_package_needs_only_the_standard_library():
         ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": ["2024-06-10 1:10"]}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "WINDOW_START", "dividends": [["2024-01-02"]]}]', EXIT_DATA),
         ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": {"2024-06-10": "1:10"}}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": [[{"a": 1}, null]]}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": [["2024-06-10", [10]]]}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "dividends": [["2024-01-02", true]]}]', EXIT_DATA),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "dividends": [["2024-01-02", NaN]]}]', EXIT_DATA),
+        pytest.param(
+            "fundamentals", '[{"filing_date": "WINDOW_START", "dividends": [["2024-01-02", 1%s]]}]' % ("0" * 400), EXIT_DATA,
+            id="fundamentals-dividend-10**400",
+        ),
+        ("fundamentals", '[{"filing_date": "WINDOW_START", "splits": [[20240610, 0.5]], "dividends": [["2024-01-02", 0.24]]}]', EXIT_OK),
         ("bars", None, EXIT_DATA),
         ("news", None, EXIT_DATA),
         ("bars", b"date,open,high,low,close,volume\n\xff\n", EXIT_DATA),

@@ -171,6 +171,7 @@ def order_reply(price: str, quantity: str) -> str:
 
 
 CTA_INITIAL = load_template("cta_initial").body
+LONG_INT = "1" + "0" * 4300  # past CPython's integer-string digit limit, so `json.loads` raises a bare ValueError
 HOSTILE_REPLIES = [
     NESTED,
     "```json\n" + NESTED + "\n```",
@@ -183,6 +184,8 @@ HOSTILE_REPLIES = [
     order_reply("NaN", "1"),
     order_reply("1e999", "1"),
     order_reply("100", "1" + "0" * 400),
+    order_reply("100", LONG_INT),
+    "```json\n{\"optimized_prompt\": " + LONG_INT + "}\n```",
 ]
 
 
@@ -192,6 +195,8 @@ HOSTILE_REPLIES = [
 @example(role="optimizer", reply=HOSTILE_REPLIES[2])
 @example(role="optimizer", reply=optimizer_payload(CTA_INITIAL).removesuffix("```"))  # the fence never closes
 @example(role="cta", reply="```\u2028\n" + order_reply("100", "1") + "\n```")  # a plain fence, U+2028 before its newline
+@example(role="cta", reply=order_reply("100", LONG_INT))
+@example(role="optimizer", reply=HOSTILE_REPLIES[-1])
 @given(
     role=st.sampled_from(PROVIDER_ROLES),
     reply=st.sampled_from(HOSTILE_REPLIES) | st.text() | st.text().map(optimizer_payload),

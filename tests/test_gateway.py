@@ -666,24 +666,15 @@ pieces = st.lists(
 )
 
 
-def expected_parts(pieces: list, strip: bool) -> list | None:
-    """The parts `joined_message` lists for `pieces`: each piece is first
-    cut to the span of the text that the strip keeps (a cut shared text
-    becomes a literal one of its own); then each run of plain texts is one
-    literal, a shared text without an id its escape, one with an id itself,
-    and empty literals are left out. None when no piece is a shared text."""
+def expected_parts(pieces: list) -> list | None:
+    """The parts `joined_message` lists for `pieces`: each run of plain
+    texts is one literal, a shared text without an id its escape, one with an
+    id itself, and empty literals are left out. None when no piece is a
+    shared text."""
     if not any(isinstance(piece, SharedText) for piece in pieces):
         return None
-    texts = [piece if isinstance(piece, str) else piece.text for piece in pieces]
-    text = "".join(texts)
-    lo, hi = (len(text) - len(text.lstrip("\n")), len(text.rstrip("\n"))) if strip else (0, len(text))
-    parts, run, at = [], [], 0
-    for piece, whole in zip(pieces, texts):
-        start, end = max(at, lo), min(at + len(whole), hi)
-        kept = text[start:end] if start < end else ""
-        at += len(whole)
-        if kept != whole:
-            piece = kept if isinstance(piece, str) else SharedText(kept, escape(kept))
+    parts, run = [], []
+    for piece in pieces:
         if isinstance(piece, str):
             run.append(piece)
             continue
@@ -697,22 +688,21 @@ class TestJoinedMessage:
     """`joined_message` is the one maker of a message joined from parts."""
 
     @settings(max_examples=300, deadline=None)
-    @given(pieces=pieces, strip=st.booleans())
-    @example(pieces=["a\ud83d", text_part("\ude00b"), "\n"], strip=True)
-    @example(pieces=["\n", text_part("\nshared\n"), "\n\n"], strip=True)
-    @example(pieces=[text_part(""), text_part("")], strip=False)
-    def test_a_joined_message_is_the_plain_message_of_its_text(self, pieces, strip):
+    @given(pieces=pieces)
+    @example(pieces=["a\ud83d", text_part("\ude00b"), "\n"])
+    @example(pieces=["\n", text_part("\nshared\n"), "\n\n"])
+    @example(pieces=[text_part(""), text_part("")])
+    def test_a_joined_message_is_the_plain_message_of_its_text(self, pieces):
         """The joined message has the fragment and the request hash of the
         plain message of its text, its logged record rebuilds to a request
         of that hash, and its parts are the pieces with each run of plain
         texts one literal and no literal empty."""
-        message = joined_message("user", pieces, strip)
-        text = "".join(piece if isinstance(piece, str) else piece.text for piece in pieces)
-        plain = ChatMessage("user", text.strip("\n") if strip else text)
+        message = joined_message("user", pieces)
+        plain = ChatMessage("user", "".join(piece if isinstance(piece, str) else piece.text for piece in pieces))
         assert message == plain and message.fragment == plain.fragment
         request = request_of("sys", (message,), (("role", "x"),))
         assert request.digest == request_of("sys", (plain,), (("role", "x"),)).digest == request_hash(request)
-        expected = expected_parts(pieces, strip)
+        expected = expected_parts(pieces)
         assert message.parts == (None if expected is None else tuple(expected))
         assert all(part != "" for part in message.parts or ())
         gateway = Gateway(ScriptedProvider([ScriptEntry(response="ok")]))

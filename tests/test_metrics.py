@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from dataclasses import dataclass, replace
@@ -450,6 +452,17 @@ class TestReportRendering:
         header = csv.splitlines()[0]
         # Tables-first column order: ROI, SR, DD, win rate, trades.
         assert header.startswith("config,roi_pct,sharpe_daily,max_drawdown_pct,win_rate_pct,num_trades")
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "", " spaced ", "baseline"])
+    def test_csv_quotes_a_label_as_the_csv_module_does(self, label):
+        """A label with a comma, a quote or a line break is quoted, so the
+        row keeps its cells; any other label is written as it is."""
+        text = render_csv({label: aggregate_runs([MetricReport(roi_pct=1.0)])})
+        header, row = csv.reader(io.StringIO(text))
+        assert row[0] == label and len(row) == len(header)
+        field = io.StringIO()
+        csv.writer(field).writerow([label, ""])
+        assert text.startswith(",".join(header) + "\n" + field.getvalue().removesuffix(",\r\n") + ",")
 
     def test_report_json_round_trip(self):
         report = MetricReport(roi_pct=1.5, sortino=None, num_trades=2)

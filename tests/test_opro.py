@@ -456,6 +456,21 @@ class TestProposeUpdate:
         with pytest.raises(OptimizerParseError, match="NOT_OBJECT: fenced payload is nested too deeply"):
             parse_optimizer_response(nested)
 
+    def test_an_integer_past_the_digit_limit_is_reasked(self):
+        """`json.loads` raises a bare ValueError for an integer of more than
+        4300 digits: a malformed reply like any other, whose reason holds no
+        wording of CPython's."""
+        current = load_template("cta_initial")
+        improved = current.body + "\nStay disciplined."
+        reply = '```json\n{"optimized_prompt": 1%s}\n```' % ("0" * 4300)
+        gateway = make_gateway([ScriptEntry(response=reply, step=1), ScriptEntry(response=optimizer_reply(improved), step=2)])
+        opro = self._opro(gateway)
+        opro.close_window(5, 100_000.0, 101_000.0)
+        assert opro.propose_update() is True
+        assert opro.live_template.body == improved
+        with pytest.raises(OptimizerParseError, match="^NOT_OBJECT: fenced payload has an integer with too many digits$"):
+            parse_optimizer_response(reply)
+
     def test_candidate_with_unpaired_surrogate_is_logged(self):
         """A candidate may carry the JSON escape of an unpaired surrogate; its
         ledger line is written, accepted or not."""

@@ -282,6 +282,10 @@ class TestTokenize:
         assert _parse(body) == old_parse(body)
 
 
+# A static run long enough to be a shared text.
+LONG_RUN = "r" * SHARED_MIN
+
+
 class TestRender:
     def test_substitutes_value(self):
         assert T("t", "{{ x }}").render({"x": 5}).user_text == "5"
@@ -355,21 +359,29 @@ class TestRender:
         assert rendered.user_text == "head\n\n<system_role>b</system_role> tail"
 
     @given(
-        pieces=st.lists(st.sampled_from(["<system_role>", "</system_role>", "\n", " ", "a", "{{ x }}"]), max_size=12),
+        pieces=st.lists(
+            st.sampled_from(["<system_role>", "</system_role>", "\n", " ", "a", "{{ x }}", LONG_RUN, f"\n{LONG_RUN}\n"]),
+            max_size=12,
+        ),
         value=st.text(alphabet="ab<>/ \n", max_size=6),
     )
+    @example(pieces=["<system_role>", "</system_role>", f"\n{LONG_RUN}\n"], value="")
+    @example(pieces=["{{ x }}", LONG_RUN, "<system_role>", "</system_role>", "\n"], value="\n")
     def test_template_tags_split_as_a_search_of_the_rendered_text(self, pieces, value):
         """With values that hold no tag, the system block is the first
-        `<system_role>...</system_role>` block of the rendered text."""
+        `<system_role>...</system_role>` block of the rendered text, and the
+        user text, the rest less its newlines at either end, may start or
+        end with a shared run."""
         body = "".join(pieces)
         rendered = T("t", body).render({"x": value})
         text = body.replace("{{ x }}", value)
         block = re.search(r"<system_role>(.*?)</system_role>", text, re.DOTALL)
         if block is None:
-            assert rendered == RenderedPrompt(system_text="", user=ChatMessage("user", text))
+            expected = RenderedPrompt(system_text="", user=ChatMessage("user", text))
         else:
             user_text = (text[: block.start()] + text[block.end() :]).strip("\n")
-            assert rendered == RenderedPrompt(system_text=block.group(1).strip(), user=ChatMessage("user", user_text))
+            expected = RenderedPrompt(system_text=block.group(1).strip(), user=ChatMessage("user", user_text))
+        assert rendered == expected and rendered.user.fragment == expected.user.fragment
 
     def test_render_covering_extracted_set_never_errors(self):
         tpl = load_template("cta_initial")
@@ -428,8 +440,9 @@ class TestUserParts:
     def test_the_parts_encode_the_user_text(self, body, x, y, c):
         """The parts' texts join to the user text; each shared part is a run
         of the template, hashed as its text; literals never touch and are
-        never empty; and a message holding the parts has the fragment and
-        request hash of one holding only the text."""
+        never empty; no shared run of the template starts or ends with a
+        newline; and a message holding the parts has the fragment and request
+        hash of one holding only the text."""
         template = T("t", body)
         rendered = template.render({"x": x, "y": y, "c": c})
         message = rendered.user
@@ -438,11 +451,12 @@ class TestUserParts:
         assert message.fragment == plain.fragment
         request = Transcript(rendered.system_text, (message,)).request(())
         assert request.digest == Transcript(rendered.system_text, (plain,)).request(()).digest == request_hash(request)
+        runs = [node.text for node in shared_runs(template.nodes)]
+        assert not any(run.startswith("\n") or run.endswith("\n") for run in runs)  # so `render`'s strip stops at one
         if parts is None:
             return
         assert "".join(p if isinstance(p, str) else p.escaped for p in parts) == escape(rendered.user_text)
         shared = [p for p in parts if isinstance(p, SharedText)]
-        runs = [node.text for node in shared_runs(template.nodes)]
         assert shared and all(text_id(json.loads(f'"{p.escaped}"')) == p.id for p in shared)
         assert {json.loads(f'"{p.escaped}"') for p in shared} <= set(runs)
         assert len(parts) <= 2 * len(shared) + 1
