@@ -38,7 +38,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import DataError, read_file
+from .errors import DataError, quoted, read_file
 
 CSV_COLUMNS = ("date", "open", "high", "low", "close", "volume", "vwap", "transactions")
 ACTIONS_CSV_COLUMNS = ("date", "kind", "ratio", "cash")
@@ -186,7 +186,7 @@ class CorporateAction:
 
     def __post_init__(self) -> None:
         if self.kind not in ("split", "dividend"):
-            raise BarDataError(f"unknown action kind {self.kind!r}")
+            raise BarDataError(f"unknown action kind {quoted(self.kind)}")
         if self.kind == "split" and (self.split_ratio is None or self.split_ratio <= 0):
             raise BarDataError("non-positive split_ratio")
 
@@ -248,7 +248,7 @@ def _parse_price(raw: str, field: str, row: int) -> Decimal:
     try:
         value = Decimal(raw)
     except InvalidOperation:
-        raise BarDataError(f"bad {field} {raw!r}", row) from None
+        raise BarDataError(f"bad {field} {quoted(raw)}", row) from None
     if not value.is_finite():
         raise BarDataError(f"non-finite {field}", row)
     if -value.as_tuple().exponent > 4:
@@ -260,14 +260,14 @@ def _parse_int(raw: str, field: str, row: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise BarDataError(f"bad {field} {raw!r}", row) from None
+        raise BarDataError(f"bad {field} {quoted(raw)}", row) from None
 
 
 def _parse_date(raw: str, row: int | None = None) -> date:
     try:
         return date.fromisoformat(raw)
     except ValueError:
-        raise BarDataError(f"bad date {raw!r}", row) from None
+        raise BarDataError(f"bad date {quoted(raw)}", row) from None
 
 
 def _bar_from_cells(

@@ -63,6 +63,8 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if "\r" in args.label or "\n" in args.label:  # it would break its row of the text table
+        raise ConfigError("--label must be one line")
     run_dirs = [run_dir for run_dir in sorted(Path(args.runs).iterdir()) if (run_dir / "metrics.json").exists()]
     artifacts = [read_run(run_dir) for run_dir in run_dirs]
     if not artifacts:

@@ -2,8 +2,9 @@
 README's list of inputs. `cli.main` prints one as `<label>: <message>` and
 exits with its `exit_code`. `AssertionError`, `EngineError` and
 `MetricsError` guard internal invariants and stay outside on purpose: a
-traceback from them is a bug report. `described` quotes the exception behind
-such an error. `read_file` reads every file a command reads, and names one
+traceback from them is a bug report. `quoted` quotes a value from outside the
+program in a message, and `described` the exception behind such an error.
+`read_file` reads every file a command reads, and names one
 that cannot be read, decoded or parsed. It imports no module of the package."""
 
 import hashlib
@@ -15,6 +16,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_PROVIDER = 4
+
+QUOTED_CHARS = 200  # the most of a value's repr that a message quotes
 
 T = TypeVar("T")
 
@@ -41,6 +44,15 @@ class ProviderError(TradeloopError):  # not a ValueError: `ask_parsed` re-asks o
 
 class ReplayMismatch(ProviderError):
     pass
+
+
+def quoted(value) -> str:
+    """The repr of `value`, cut after QUOTED_CHARS characters and marked as
+    cut, so that a message quoting a large input stays short."""
+    text = repr(value)
+    if len(text) <= QUOTED_CHARS:
+        return text
+    return f"{text[:QUOTED_CHARS]}... ({len(text)} characters)"
 
 
 def described(exc: Exception) -> str:

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 from .engine import AuditLog
-from .errors import ProviderError, described
+from .errors import ProviderError, described, quoted
 
 AUDIT_VERSION = 4  # the `v` of every gateway.jsonl record this build writes
 READ_VERSIONS = (2, 3, 4)  # the versions it reads and replays; version 2 has no parts
@@ -283,7 +283,7 @@ def _read(log: str | Path, read: Callable[[dict], T]) -> Iterator[T]:
                 version = record.get("v", 1)
                 if version not in READ_VERSIONS:
                     raise _Unreadable(
-                        f"the record is gateway audit version {version!r}; this build replays version 2, 3 or 4"
+                        f"the record is gateway audit version {quoted(version)}; this build replays version 2, 3 or 4"
                     )
                 item = read(record)
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
@@ -328,7 +328,7 @@ def rebuilt_requests(log: str | Path) -> Iterator[tuple[dict, ChatRequest]]:
         if record["prior"]:
             transcript = conversations.get(role)
             if transcript is None or len(transcript.messages) != record["prior"] or "system" in record:
-                raise _Unreadable(f"prior {record['prior']!r} continues no conversation of role tag {role!r}")
+                raise _Unreadable(f"prior {quoted(record['prior'])} continues no conversation of role tag {quoted(role)}")
         else:
             transcript = conversations[role] = Transcript(record["system"])
         for message in record["messages"]:
@@ -425,7 +425,7 @@ class ReplayProvider:
             """Only what replay needs of a record: its request hash and response text."""
             pair = (record["request_hash"], record["response"]["text"])
             if not all(isinstance(s, str) for s in pair):
-                raise TypeError(f"request_hash and response text must be strings, got {pair!r}")
+                raise TypeError(f"request_hash and response text must be strings, got {quoted(pair)}")
             return pair
 
         self.records = list(_read(Path(audit_path), pair))
@@ -484,7 +484,7 @@ class HttpProvider:
             body = json.loads(raw)
             text = body["choices"][0]["message"]["content"]
             if not isinstance(text, str):
-                raise TypeError(f"content must be a string, got {text!r}")
+                raise TypeError(f"content must be a string, got {quoted(text)}")
             usage = body.get("usage") or {}
             tokens = usage.get("prompt_tokens"), usage.get("completion_tokens")
         except (ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:

@@ -36,7 +36,7 @@ from . import agents, indicators, opro
 from .bars import Bar, BarSeries, Lookback, Resolution, SessionCalendar, load_series, resample, window_slice
 from .engine import AuditLog, ExecutionEngine, Fill, PortfolioState, SessionResult
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
-from .errors import ConfigError, DataError, ReplayMismatch, read_file
+from .errors import ConfigError, DataError, ReplayMismatch, quoted, read_file
 from .gateway import Gateway, GatewayError, ReplayProvider, RouterProvider, ScriptedProvider, ScriptEntry, HttpProvider, same_older_calls
 from .metrics import METRIC_FIELDS, MetricReport, aggregate_runs, compute_report, render_csv, render_table
 from .templates import PromptTemplate, TemplateError, asset_path, check_override_dir, load_template
@@ -118,7 +118,7 @@ def positive_cash(value, name: str = "initial_cash") -> Decimal:
     except (ArithmeticError, TypeError, ValueError):
         cash = Decimal("NaN")
     if not cash.is_finite() or not 0 < float(cash) < float("inf"):
-        raise ConfigError(f"{name} must be a positive number, got {value!r}")
+        raise ConfigError(f"{name} must be a positive number, got {quoted(value)}")
     return cash
 
 
@@ -136,28 +136,34 @@ class _Config:
         for name, (annotation, test) in self.type_tests.items():
             value = getattr(self, name)
             if not test(value):
-                raise ConfigError(f"{name} must be {annotation}, got {value!r}")
+                raise ConfigError(f"{name} must be {annotation}, got {quoted(value)}")
 
     @classmethod
     def from_dict(cls, obj):
         """`cls` from a JSON object that names every required field and no
         unknown one. A `date` field reads an ISO date string."""
         if not isinstance(obj, dict):
-            raise ConfigError(f"a {cls.what} must be an object, got {obj!r}")
+            raise ConfigError(f"a {cls.what} must be an object, got {quoted(obj)}")
         fields = cls.__dataclass_fields__
         unknown = obj.keys() - fields
         if unknown:
-            raise ConfigError(f"unknown {cls.what} keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown {cls.what} keys: {quoted(sorted(unknown))}")
         missing = [n for n, f in fields.items() if f.default is MISSING and f.default_factory is MISSING and n not in obj]
         if missing:
             raise ConfigError(f"missing {cls.what} keys: {missing}")
         kwargs = dict(obj)
         for name in cls.date_fields:
-            try:
-                kwargs[name] = date.fromisoformat(kwargs[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}") from None
+            kwargs[name] = _iso_date(name, kwargs[name], ConfigError)
         return cls(**kwargs)
+
+
+def _iso_date(name: str, value, error: type[ValueError] = ValueError) -> date:
+    """The date of the ISO date string `value`; anything else is an `error`
+    that names `name` and quotes `value`."""
+    try:
+        return date.fromisoformat(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an ISO date, got {quoted(value)}") from None
 
 
 def _is_script_entry(entry) -> bool:
@@ -202,10 +208,10 @@ class ProviderConfig(_Config, what="provider config"):
         if self.kind == "http" and not self.base_url:
             raise ConfigError("an http provider needs base_url")
         if self.kind == "http" and not _is_http_url(self.base_url):
-            raise ConfigError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
+            raise ConfigError(f"base_url must be an http:// or https:// URL with a host, got {quoted(self.base_url)}")
         for n, entry in enumerate(self.script):
             if not _is_script_entry(entry):
-                raise ConfigError(f"bad script entry {n}: {entry!r}")
+                raise ConfigError(f"bad script entry {n}: {quoted(entry)}")
 
 
 @dataclass
@@ -234,7 +240,7 @@ class ExperimentConfig(_Config, what="config"):
             raise ConfigError("window_start must precede window_end")
         for name in ("runs", "opro_k", "reflection_interval"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be >= 1, got {quoted(getattr(self, name))}")
         positive_cash(self.initial_cash)
         for conf in self.providers.values():
             ProviderConfig.from_dict(conf)
@@ -244,7 +250,7 @@ class ExperimentConfig(_Config, what="config"):
         def parse(text: str) -> dict:
             obj = json.loads(text)
             if not isinstance(obj, dict):  # named with its file, as a text that is not JSON is
-                raise ConfigError(f"a config must be an object, got {obj!r}")
+                raise ConfigError(f"a config must be an object, got {quoted(obj)}")
             return obj
 
         return cls.from_dict(read_file(path, "config", parse, ConfigError))
@@ -360,12 +366,12 @@ def _figure(key: str, value) -> float | None:
         return None
     if _finite(value):
         return float(value)
-    raise ValueError(f"{key} must be a finite number or null, got {value!r}")
+    raise ValueError(f"{key} must be a finite number or null, got {quoted(value)}")
 
 
 def _parse_calendar(text: str) -> SessionCalendar:
     """One ISO date per non-blank line."""
-    return SessionCalendar(tuple(date.fromisoformat(line.strip()) for line in text.splitlines() if line.strip()))
+    return SessionCalendar(tuple(_iso_date("a calendar line", line.strip()) for line in text.splitlines() if line.strip()))
 
 
 def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
@@ -383,17 +389,17 @@ def _parse_fundamentals(text: str) -> list[agents.FundamentalSnapshot]:
         figures = {key: _figure(key, obj.get(key)) for key in FUNDAMENTAL_FIGURES}
         period_label = obj.get("period_label", "")
         if not isinstance(period_label, str):
-            raise ValueError(f"period_label must be a string, got {period_label!r}")
+            raise ValueError(f"period_label must be a string, got {quoted(period_label)}")
         events = {key: obj.get(key, []) for key in ("splits", "dividends")}
         for key, entries in events.items():
             if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
-                raise ValueError(f"{key} must be a list of [date, value] pairs, got {entries!r}")
+                raise ValueError(f"{key} must be a list of [date, value] pairs, got {quoted(entries)}")
             for item in (item for pair in entries for item in pair):
                 if not (isinstance(item, str) or _finite(item)):
-                    raise ValueError(f"{key} items must be strings or finite numbers, got {item!r}")
+                    raise ValueError(f"{key} items must be strings or finite numbers, got {quoted(item)}")
         snapshots.append(
             agents.FundamentalSnapshot(
-                filing_date=date.fromisoformat(obj["filing_date"]),
+                filing_date=_iso_date("filing_date", obj["filing_date"]),
                 period_label=period_label,
                 splits=tuple(map(tuple, events["splits"])),
                 dividends=tuple(map(tuple, events["dividends"])),
@@ -705,15 +711,15 @@ def read_run(run_dir: Path) -> RunArtifact:
             raise ValueError(f"expected an object, got {type(payload).__name__}")
         metrics, equity = payload["metrics"], payload["equity"]
         if not isinstance(metrics, dict):
-            raise ValueError(f"metrics must be an object, got {metrics!r}")
+            raise ValueError(f"metrics must be an object, got {quoted(metrics)}")
         for name in METRIC_FIELDS:
             _figure(f"metrics.{name}", metrics.get(name))
         if not (metrics.get("num_trades") is None or _is_int(metrics["num_trades"])):
-            raise ValueError(f"metrics.num_trades must be an integer or null, got {metrics['num_trades']!r}")
+            raise ValueError(f"metrics.num_trades must be an integer or null, got {quoted(metrics['num_trades'])}")
         dates, values = equity["dates"], equity["values"]
         if not (isinstance(dates, list) and isinstance(values, list) and all(isinstance(v, str) for v in values)):
             raise ValueError("equity must hold a list of dates and a list of decimal strings")
-        curve = [(date.fromisoformat(d), Decimal(v)) for d, v in zip(dates, values, strict=True)]
+        curve = [(_iso_date("equity dates", d), Decimal(v)) for d, v in zip(dates, values, strict=True)]
         if not all(value.is_finite() for _, value in curve):
             raise ValueError("equity values must be finite")
         return metrics, curve
@@ -779,7 +785,7 @@ def replay_run(run_dir: Path | str, scratch_dir: Path | str | None = None) -> Ru
             raise ReplayMismatch("its hash does not match its config payload")
         inputs = lock.get("inputs", {})
         if not (isinstance(inputs, dict) and all(isinstance(v, str) for v in inputs.values())):
-            raise ValueError(f"inputs must map files to SHA-256 digests, got {inputs!r}")
+            raise ValueError(f"inputs must map files to SHA-256 digests, got {quoted(inputs)}")
         if isinstance(recorded, dict):
             recorded.pop("seed", None)  # written by earlier versions; nothing read it
             recorded["providers"] = {}  # the recording serves every call

@@ -1,9 +1,10 @@
 """Performance analytics over equity curves and trade logs.
 
 Each metric has one function, which `compute_report` calls on the run's
-float curve, its daily `returns` or its round trips. Undefined metrics stay
-None (serialized as null, rendered "n/a"); they are never coerced to 0
-except win_rate, which reports 0 on an empty trip list. Sample (n-1)
+float curve, its daily `returns` or the realized P&L of each closing fill
+(`realized_pnls`, FIFO per direction). Undefined metrics stay None
+(serialized as null, rendered "n/a"); they are never coerced to 0 except
+win_rate, which reports 0 when no fill closes a position. Sample (n-1)
 standard deviation throughout. Floats are added left to right
 (`ordered_sum`), so every figure is the same bits on every supported Python.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 from .engine import Action, Fill
@@ -22,20 +24,6 @@ TRADING_DAYS_PER_YEAR = 252
 
 class MetricsError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RoundTrip:
-    direction: str  # "long" | "short"
-    quantity: int
-    entry_cost: object
-    exit_proceeds: object
-
-    @property
-    def realized_pnl(self):
-        if self.direction == "long":
-            return self.exit_proceeds - self.entry_cost
-        return self.entry_cost - self.exit_proceeds
 
 
 @dataclass
@@ -155,64 +143,50 @@ def max_drawdown(curve: list[float]) -> float:
     return worst * 100.0
 
 
-def match_round_trips(trades: Iterable[Fill]) -> list[RoundTrip]:
-    """FIFO lot matching per direction; each closing fill yields one trip.
-    Residual open lots are excluded."""
-    long_lots: list[list] = []  # [qty, price]
-    short_lots: list[list] = []
-    trips: list[RoundTrip] = []
+def realized_pnls(trades: Iterable[Fill]) -> list[Decimal]:
+    """The realized P&L of each closing fill: its proceeds less the cost of the
+    lots it closes, matched FIFO per direction, and the reverse for a short.
+    Lots still open at the end are left out."""
+    lots: dict[str, list[list]] = {"long": [], "short": []}  # open [qty, price] lots
+    pnls: list[Decimal] = []
     for t in trades:
-        if t.action == Action.BUY:
-            long_lots.append([t.quantity, t.fill_price])
-        elif t.action == Action.SHORT:
-            short_lots.append([t.quantity, t.fill_price])
-        elif t.action == Action.SELL:
-            trips.extend(_close(long_lots, t, "long"))
-        else:  # SHORT_COVER
-            trips.extend(_close(short_lots, t, "short"))
-    return trips
+        direction = "long" if t.action in (Action.BUY, Action.SELL) else "short"
+        open_lots = lots[direction]
+        if t.action in (Action.BUY, Action.SHORT):
+            open_lots.append([t.quantity, t.fill_price])
+            continue
+        remaining = t.quantity
+        entry_cost = None
+        while remaining > 0 and open_lots:
+            lot = open_lots[0]
+            take = min(remaining, lot[0])
+            cost = lot[1] * take
+            entry_cost = cost if entry_cost is None else entry_cost + cost
+            lot[0] -= take
+            remaining -= take
+            if lot[0] == 0:
+                open_lots.pop(0)
+        if remaining == t.quantity:
+            raise MetricsError(f"closing fill with no open {direction} lots at {t.executed_at}")
+        if remaining > 0:
+            raise MetricsError(f"closing fill exceeds open {direction} position at {t.executed_at}")
+        proceeds = t.fill_price * t.quantity
+        pnls.append(proceeds - entry_cost if direction == "long" else entry_cost - proceeds)
+    return pnls
 
 
-def _close(lots: list[list], t: Fill, direction: str) -> list[RoundTrip]:
-    remaining = t.quantity
-    entry_cost = None
-    matched = 0
-    while remaining > 0 and lots:
-        lot = lots[0]
-        take = min(remaining, lot[0])
-        cost = lot[1] * take
-        entry_cost = cost if entry_cost is None else entry_cost + cost
-        lot[0] -= take
-        remaining -= take
-        matched += take
-        if lot[0] == 0:
-            lots.pop(0)
-    if matched == 0:
-        raise MetricsError(f"closing fill with no open {direction} lots at {t.executed_at}")
-    if remaining > 0:
-        raise MetricsError(f"closing fill exceeds open {direction} position at {t.executed_at}")
-    return [
-        RoundTrip(
-            direction=direction,
-            quantity=matched,
-            entry_cost=entry_cost,
-            exit_proceeds=t.fill_price * matched,
-        )
-    ]
-
-
-def win_rate(trips: Sequence[RoundTrip]) -> float:
-    """Winners / total * 100; an empty trip list reports 0."""
-    if not trips:
+def win_rate(pnls: Sequence[Decimal]) -> float:
+    """Winners / total * 100; an empty list reports 0."""
+    if not pnls:
         return 0.0
-    winners = sum(1 for t in trips if t.realized_pnl > 0)
-    return winners / len(trips) * 100.0
+    winners = sum(1 for pnl in pnls if pnl > 0)
+    return winners / len(pnls) * 100.0
 
 
-def profit_per_trade(trips: Sequence[RoundTrip]) -> float | None:
-    if not trips:
+def profit_per_trade(pnls: Sequence[Decimal]) -> float | None:
+    if not pnls:
         return None
-    return float(ordered_sum(float(t.realized_pnl) for t in trips)) / len(trips)
+    return ordered_sum(float(pnl) for pnl in pnls) / len(pnls)
 
 
 def num_trades(trades: Iterable[Fill]) -> int:
@@ -236,7 +210,7 @@ def roic(values: Sequence[float], exposures: Sequence[float]) -> float | None:
 
 def compute_report(values: list[float], trades: Sequence[Fill], exposures: Sequence[float], initial: float) -> MetricReport:
     """The report of `values`, one per session; ROI, drawdown and ROIC count from the cash `initial`."""
-    trips = match_round_trips(trades)
+    pnls = realized_pnls(trades)
     curve = [initial, *values]
     rets = returns(values)
     sr_daily, sr_ann = sharpe(rets)
@@ -246,10 +220,10 @@ def compute_report(values: list[float], trades: Sequence[Fill], exposures: Seque
         sharpe_annualized=sr_ann,
         sortino=sortino(rets),
         max_drawdown_pct=max_drawdown(curve),
-        win_rate_pct=win_rate(trips),
+        win_rate_pct=win_rate(pnls),
         num_trades=num_trades(trades),
         roic_pct=roic(curve, exposures),
-        profit_per_trade=profit_per_trade(trips),
+        profit_per_trade=profit_per_trade(pnls),
     )
 
 

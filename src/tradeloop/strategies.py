@@ -19,7 +19,7 @@ from enum import Enum
 from .bars import BarSeries
 from .engine import Action, AuditLog, ExecutionEngine, Order, OrderType, Rejection
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, quoted
 from .indicators import bollinger_series, macd_series, sma_series
 from .metrics import MetricReport, compute_report
 
@@ -68,7 +68,7 @@ class StrategyConfig:
         for name, least in _LEAST_WINDOWS.items():
             value = getattr(self, name)
             if not isinstance(value, int) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+                raise ConfigError(f"{name} must be an integer >= {least}, got {quoted(value)}")
         if not (isinstance(self.bollinger_k, (int, float)) and math.isfinite(self.bollinger_k) and self.bollinger_k > 0):
             raise ConfigError(f"bollinger_k must be finite and > 0, got {self.bollinger_k!r}")
 

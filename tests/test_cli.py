@@ -740,6 +740,14 @@ NO_TRACEBACK_PROBES = {
     ),
     "report metrics.json not an object": (EXIT_DATA, _tampered("report", "metrics.json", lambda text: "[]")),
     "report --runs missing": (EXIT_DATA, lambda tmp_path, run: ["report", "--runs", str(tmp_path / "no-such-dir")]),
+    # Refused before the runs are read: the CR row names no directory.
+    "report --label with LF": (
+        EXIT_CONFIG,
+        lambda tmp_path, run: ["report", "--runs", str(run.parent), "--label", "two\nlines", "--csv", str(tmp_path / "out")],
+    ),
+    "report --label with CR": (
+        EXIT_CONFIG, lambda tmp_path, run: ["report", "--runs", str(tmp_path / "no-such-dir"), "--label", "cr\rlf"],
+    ),
 }
 # What a probe's error message must say, beyond its label.
 PROBE_MESSAGES = {
@@ -831,6 +839,7 @@ PROBE_MESSAGES = {
     ),
     "report metrics.json not an object": ("data error: bad metrics file ", "metrics.json: ValueError('expected an object, got list')\n"),
     "report --runs missing": ("data error: [Errno 2] No such file or directory: ", "no-such-dir'\n"),
+    **{f"report --label with {name}": ("config error: --label must be one line\n",) for name in ("LF", "CR")},
 }
 
 
@@ -863,6 +872,134 @@ def test_a_large_file_that_is_not_utf8_is_named_briefly(code, argv, name, tmp_pa
     err = capsys.readouterr().err
     assert len(err.encode()) < 1024 and str(tmp_path / name) in err
     assert err.endswith(": 'utf-8' codec can't decode byte 0xff in position 600000: invalid start byte\n")
+
+
+# A value from outside the program that an error message would quote whole.
+BIG = "x" * 100_000
+
+
+def _run_over_text(key, name, text):
+    """`run` of the recorded workspace with its input `key` read from a new file `name` holding `text`."""
+    return _run_with(f"paths.{key}", lambda tmp_path: _file(tmp_path, name, text))
+
+
+def _fundamentals(**fields):
+    """`run` over a fundamentals file of one filing with `fields`."""
+    return _run_over_text("fundamentals", "fundamentals.json", json.dumps([{"filing_date": "2025-01-02", **fields}]))
+
+
+def _validate_bars(cell):
+    """`validate-data` of 5 bars whose second row has its `cell` set to BIG."""
+
+    def argv(tmp_path, run):
+        lines = serialize_bars(synthetic_daily(5, seed=4), "csv").split("\n")
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index(cell)] = BIG
+        lines[2] = ",".join(cells)
+        return ["validate-data", "--bars", _file(tmp_path, "bars.csv", "\n".join(lines))]
+
+    return argv
+
+
+def _http_reply_content(content):
+    """`run` whose market analyst is an http provider at `server` that replies with `content`."""
+
+    def argv(tmp_path, run, server):
+        body = {"choices": [{"message": {"role": "assistant", "content": content}}]}
+        server.reset(faults={1: json.dumps(body).encode()})
+        return _run_with("providers.market", _http_provider(10, base_url=server.base_url))(tmp_path, run)
+
+    return argv
+
+
+def _recorded_first_record(edit):
+    """`replay` of a copy of the recorded run whose first gateway record is `edit`ed."""
+    return _tampered("replay", "gateway.jsonl", _edit_first_record(edit))
+
+
+def _pair_with_a_big_response(record):
+    record.update(request_hash=1)
+    record["response"]["text"] = BIG
+
+
+def _big_role_tag(record):
+    record.update(prior=2)
+    record["tags"]["role"] = BIG
+
+
+# Each kind of input an error message quotes: the exit code, the command,
+# and what the message must name. Every value quoted is 100,000 characters
+# or more, but a `--window`, an int that argparse reads only up to 4300
+# digits. The command of an "http" row also takes the loopback chat server.
+LARGE_VALUES = {
+    "fundamentals splits": (
+        EXIT_DATA, _fundamentals(splits=[["2024-06-10", "1:10"]] * 5000 + [[None]]), ("fundamentals.json", "splits must be"),
+    ),
+    "fundamentals splits item": (EXIT_DATA, _fundamentals(splits=[["2024-06-10", [BIG]]]), ("fundamentals.json", "splits items")),
+    "fundamentals period_label": (EXIT_DATA, _fundamentals(period_label=[BIG]), ("fundamentals.json", "period_label must be")),
+    "fundamentals revenue": (EXIT_DATA, _fundamentals(revenue=[BIG]), ("fundamentals.json", "revenue must be")),
+    "fundamentals filing_date": (EXIT_DATA, _fundamentals(filing_date=BIG), ("fundamentals.json", "filing_date must be")),
+    "calendar line": (EXIT_DATA, _run_over_text("calendar", "calendar.txt", BIG + "\n"), ("calendar.txt", "calendar line")),
+    "config script entry": (
+        EXIT_CONFIG, _run_with("providers.cta.script", [{"response": BIG, "times": 0}]), ("bad script entry 0",),
+    ),
+    "config experiment": (EXIT_CONFIG, _run_with("experiment", [BIG]), ("experiment must be",)),
+    "config initial_cash": (EXIT_CONFIG, _run_with("initial_cash", "9" * 100_000), ("initial_cash must be",)),
+    "config unknown key": (EXIT_CONFIG, _run_with(BIG, 1), ("unknown config keys",)),
+    "config window_start": (EXIT_CONFIG, _run_with("window_start", BIG), ("window_start must be an ISO date",)),
+    "config base_url": (
+        EXIT_CONFIG, _run_with("providers.market", _http_provider(60, base_url="ftp://" + BIG)), ("base_url must be",),
+    ),
+    "config not an object": (
+        EXIT_CONFIG,
+        lambda tmp_path, run: ["run", "--config", _file(tmp_path, "config.json", json.dumps([BIG]))],
+        ("config.json", "a config must be an object"),
+    ),
+    "backtest --cash": (EXIT_CONFIG, _backtest("--strategy", "buy_hold", "--cash", "9" * 100_000), ("--cash must be",)),
+    "backtest --window": (EXIT_CONFIG, _backtest("--strategy", "sma", "--window", "-" + "9" * 4300), ("sma_n must be",)),
+    "report metrics": (*_bad_metrics(("metrics",), [BIG]), ("metrics.json", "metrics must be an object")),
+    "report roi_pct": (*_bad_metrics(("metrics", "roi_pct"), BIG), ("metrics.json", "metrics.roi_pct must be")),
+    "report equity date": (*_bad_metrics(("equity", "dates", 0), BIG), ("metrics.json", "equity dates must be")),
+    "replay lock config": (
+        EXIT_CONFIG, _tampered("replay", "config.lock", _rehashed_lock(lambda config: [BIG])), ("config.lock", "must be an object"),
+    ),
+    "replay lock inputs": (
+        EXIT_PROVIDER, _tampered("replay", "config.lock", _set(("inputs", "bars"), [BIG])), ("config.lock", "inputs must map"),
+    ),
+    **{
+        f"bars {cell}": (EXIT_DATA, _validate_bars(cell), ("bars.csv", f"bad {cell}"))
+        for cell in ("date", "open", "volume")
+    },
+    "actions kind": (
+        EXIT_DATA,
+        lambda tmp_path, run: [
+            "validate-data", "--bars", _bars_file(tmp_path, 5),
+            "--actions", _file(tmp_path, "actions.csv", f"date,kind,ratio,cash\n2024-06-10,{BIG},,\n"),
+        ],
+        ("actions.csv", "unknown action kind"),
+    ),
+    "replay record response text": (
+        EXIT_PROVIDER, _recorded_first_record(_pair_with_a_big_response), ("gateway.jsonl", "request_hash and response text"),
+    ),
+    "replay record role tag": (EXIT_PROVIDER, _recorded_first_record(_big_role_tag), ("gateway.jsonl", "role tag")),
+    "replay record version": (
+        EXIT_PROVIDER, _recorded_first_record(lambda record: record.update(v=BIG)), ("gateway.jsonl", "gateway audit version"),
+    ),
+    "http reply content": (EXIT_PROVIDER, _http_reply_content([BIG]), ("content must be a string",)),
+}
+
+
+@pytest.mark.parametrize("kind", LARGE_VALUES)
+def test_a_large_value_is_quoted_briefly(kind, tmp_path, recorded_run, chat_server, capsys):
+    """An error that quotes a value of 100,000 characters from outside the
+    program ends the command with README's exit code and a message under
+    1 KB that names the file or field."""
+    code, argv, named = LARGE_VALUES[kind]
+    args = argv(tmp_path, recorded_run, chat_server) if kind.startswith("http ") else argv(tmp_path, recorded_run)
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024 and "Traceback" not in err
+    assert all(name in err for name in named), err
 
 
 def _run_over(key):

@@ -11,7 +11,7 @@ from datetime import date
 from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tradeloop.engine import Action, Fill
@@ -19,14 +19,13 @@ from tradeloop.metrics import (
     MetricReport,
     _sample_std,
     MetricsError,
-    RoundTrip,
     aggregate_runs,
     compute_report,
     format_cell,
-    match_round_trips,
     max_drawdown,
     num_trades,
     profit_per_trade,
+    realized_pnls,
     render_csv,
     render_table,
     returns,
@@ -245,10 +244,7 @@ class TestMaxDrawdown:
 class TestRoundTrips:
     def test_single_lot_long(self):
         trades = [tf(2, Action.BUY, 10, D(100)), tf(3, Action.SELL, 10, D(110))]
-        trips = match_round_trips(trades)
-        assert len(trips) == 1
-        assert trips[0].realized_pnl == D(100)
-        assert trips[0].direction == "long"
+        assert realized_pnls(trades) == [D(100)]
 
     def test_fifo_partial_exits(self):
         trades = [
@@ -256,19 +252,15 @@ class TestRoundTrips:
             tf(3, Action.SELL, 4, D(110)),
             tf(4, Action.SELL, 6, D(90)),
         ]
-        trips = match_round_trips(trades)
-        assert [t.realized_pnl for t in trips] == [D(40), D(-60)]
+        assert realized_pnls(trades) == [D(40), D(-60)]
 
     def test_short_round_trip(self):
         trades = [tf(2, Action.SHORT, 5, D(100)), tf(3, Action.SHORT_COVER, 5, D(80))]
-        trips = match_round_trips(trades)
-        assert trips[0].realized_pnl == D(100)
-        assert trips[0].direction == "short"
+        assert realized_pnls(trades) == [D(100)]
 
     def test_open_residual_excluded(self):
         trades = [tf(2, Action.BUY, 10, D(100)), tf(3, Action.SELL, 4, D(110))]
-        trips = match_round_trips(trades)
-        assert len(trips) == 1 and trips[0].quantity == 4
+        assert realized_pnls(trades) == [D(40)]
         lots = residual_lots(trades)
         assert len(lots) == 1 and lots[0].quantity == 6
 
@@ -278,21 +270,19 @@ class TestRoundTrips:
             tf(3, Action.BUY, 5, D(110)),
             tf(4, Action.SELL, 8, D(120)),
         ]
-        trips = match_round_trips(trades)
-        assert len(trips) == 1
         # entry = 5*100 + 3*110 = 830; exit = 8*120 = 960.
-        assert trips[0].realized_pnl == D(130)
+        assert realized_pnls(trades) == [D(130)]
 
     def test_close_without_open_lots_rejected(self):
         with pytest.raises(MetricsError, match="no open long"):
-            match_round_trips([tf(2, Action.SELL, 5, D(100))])
+            realized_pnls([tf(2, Action.SELL, 5, D(100))])
         with pytest.raises(MetricsError, match="no open short"):
-            match_round_trips([tf(2, Action.SHORT_COVER, 5, D(100))])
+            realized_pnls([tf(2, Action.SHORT_COVER, 5, D(100))])
 
     def test_close_exceeding_position_rejected(self):
         trades = [tf(2, Action.BUY, 3, D(100)), tf(3, Action.SELL, 5, D(110))]
         with pytest.raises(MetricsError, match="exceeds open long"):
-            match_round_trips(trades)
+            realized_pnls(trades)
 
     def test_accounting_identity_decimal_exact(self):
         rng = random.Random(7)
@@ -325,28 +315,150 @@ class TestRoundTrips:
                 day += 1
             close = D(f"{rng.uniform(50, 150):.2f}")
             final_value = cash + (long - short) * close
-            trips = match_round_trips(trades)
-            realized = sum((t.realized_pnl for t in trips), D(0))
+            realized = sum(realized_pnls(trades), D(0))
             unreal = unrealized_pnl(residual_lots(trades), close)
             assert D(100_000) + realized + unreal == final_value
 
 
+@dataclass(frozen=True)
+class RoundTrip:
+    """One closing fill's trip as `realized_pnls` replaced it, kept with
+    `match_round_trips` and `_close` as their oracle."""
+
+    direction: str  # "long" | "short"
+    quantity: int
+    entry_cost: object
+    exit_proceeds: object
+
+    @property
+    def realized_pnl(self):
+        if self.direction == "long":
+            return self.exit_proceeds - self.entry_cost
+        return self.entry_cost - self.exit_proceeds
+
+
+def match_round_trips(trades) -> list[RoundTrip]:
+    """FIFO lot matching per direction; each closing fill yields one trip.
+    Residual open lots are excluded."""
+    long_lots: list[list] = []  # [qty, price]
+    short_lots: list[list] = []
+    trips: list[RoundTrip] = []
+    for t in trades:
+        if t.action == Action.BUY:
+            long_lots.append([t.quantity, t.fill_price])
+        elif t.action == Action.SHORT:
+            short_lots.append([t.quantity, t.fill_price])
+        elif t.action == Action.SELL:
+            trips.extend(_close(long_lots, t, "long"))
+        else:  # SHORT_COVER
+            trips.extend(_close(short_lots, t, "short"))
+    return trips
+
+
+def _close(lots: list[list], t: Fill, direction: str) -> list[RoundTrip]:
+    remaining = t.quantity
+    entry_cost = None
+    matched = 0
+    while remaining > 0 and lots:
+        lot = lots[0]
+        take = min(remaining, lot[0])
+        cost = lot[1] * take
+        entry_cost = cost if entry_cost is None else entry_cost + cost
+        lot[0] -= take
+        remaining -= take
+        matched += take
+        if lot[0] == 0:
+            lots.pop(0)
+    if matched == 0:
+        raise MetricsError(f"closing fill with no open {direction} lots at {t.executed_at}")
+    if remaining > 0:
+        raise MetricsError(f"closing fill exceeds open {direction} position at {t.executed_at}")
+    return [
+        RoundTrip(
+            direction=direction,
+            quantity=matched,
+            entry_cost=entry_cost,
+            exit_proceeds=t.fill_price * matched,
+        )
+    ]
+
+
+def outcome(match, trades):
+    """`match(trades)`, or the message of the `MetricsError` it raises."""
+    try:
+        return match(trades)
+    except MetricsError as exc:
+        return f"MetricsError: {exc}"
+
+
+# A fill: its action, a quantity of 1-50, a price of up to 4 decimals, and
+# whether it fits: a close is cut to the quantity open in its direction, or
+# opens that direction when nothing is open there.
+fills = st.tuples(
+    st.sampled_from(list(Action)),
+    st.integers(1, 50),
+    st.decimals("0.0001", "10000", places=4) | st.decimals("0.01", "10000", places=2),
+    st.booleans() | st.just(True),
+)
+
+
+def fill_sequence(drawn) -> list[Fill]:
+    """The fills of `drawn`, each one marked to fit made to fit."""
+    trades, open_qty = [], {"long": 0, "short": 0}
+    for i, (action, qty, price, fit) in enumerate(drawn):
+        side = "long" if action in (Action.BUY, Action.SELL) else "short"
+        if fit and action in (Action.SELL, Action.SHORT_COVER):
+            if open_qty[side]:
+                qty = min(qty, open_qty[side])
+            else:
+                action = Action.BUY if side == "long" else Action.SHORT
+        open_qty[side] += qty if action in (Action.BUY, Action.SHORT) else -qty
+        trades.append(tf(2 + i % 27, action, qty, price))
+    return trades
+
+
+class TestRealizedPnls:
+    @given(drawn=st.lists(fills, max_size=30))
+    @example(drawn=[(Action.BUY, 5, D("10.5"), 0), (Action.BUY, 7, D("11.25"), 0), (Action.SELL, 12, D("12.0001"), 0)])
+    @example(drawn=[(Action.SHORT, 3, D("20"), 0), (Action.SHORT, 4, D("19.5"), 0), (Action.SHORT_COVER, 6, D("18.1234"), 0)])
+    @example(drawn=[(Action.SHORT, 3, D("20"), 0), (Action.SHORT_COVER, 4, D("18"), 0)])
+    @example(drawn=[(Action.BUY, 3, D("20"), 0), (Action.SHORT_COVER, 1, D("18"), 0)])
+    def test_the_pnls_are_the_old_trips(self, drawn):
+        """Each closing fill's P&L is its old trip's, the same Decimal digits;
+        a close with no open lots or too few fails with the old message."""
+        trades = fill_sequence(drawn)
+        old = outcome(match_round_trips, trades)
+        if isinstance(old, list):
+            old = [str(trip.realized_pnl) for trip in old]
+        new = outcome(realized_pnls, trades)
+        assert (new if isinstance(new, str) else list(map(str, new))) == old
+
+    def test_a_forced_cover_counts_in_the_pnls_but_not_the_trades(self):
+        """A window-end forced cover realizes its P&L in the win rate and the
+        profit per trade; the trade count leaves it out."""
+        trades = [
+            tf(2, Action.BUY, 10, D(100)),
+            tf(3, Action.SELL, 10, D(90)),
+            tf(4, Action.SHORT, 5, D(100)),
+            tf(5, Action.SHORT_COVER, 5, D(80), forced=True),
+        ]
+        report = compute_report([100_000.0, 99_900.0, 99_900.0, 100_000.0], trades, [0.0] * 4, initial=100_000.0)
+        assert report.win_rate_pct == pytest.approx(50.0)
+        assert report.profit_per_trade == pytest.approx((-100 + 100) / 2)
+        assert report.num_trades == 3
+        unforced = compute_report([100_000.0] * 4, trades[:3], [0.0] * 4, initial=100_000.0)
+        assert (unforced.win_rate_pct, unforced.profit_per_trade) == (0.0, pytest.approx(-100.0))
+
+
 class TestWinRate:
     def test_half_winners(self):
-        trips = [
-            RoundTrip("long", 1, D(100), D(110)),
-            RoundTrip("long", 1, D(100), D(90)),
-            RoundTrip("long", 1, D(100), D(120)),
-            RoundTrip("long", 1, D(100), D(80)),
-        ]
-        assert win_rate(trips) == pytest.approx(50.0)
+        assert win_rate([D(10), D(-10), D(20), D(-20)]) == pytest.approx(50.0)
 
     def test_empty_is_zero(self):
         assert win_rate([]) == 0.0
 
     def test_all_winners(self):
-        trips = [RoundTrip("long", 1, D(100), D(110))] * 3
-        assert win_rate(trips) == pytest.approx(100.0)
+        assert win_rate([D(10)] * 3) == pytest.approx(100.0)
 
 
 class TestRoicAndPT:
@@ -370,24 +482,18 @@ class TestRoicAndPT:
         assert roic(values, [0.0, 1000.0, 0.0, 1100.0]) == roic(values, [1000.0, 1100.0])
 
     def test_profit_per_trade(self):
-        trips = [
-            RoundTrip("long", 1, D(100), D(200)),
-            RoundTrip("long", 1, D(100), D(40)),
-        ]
-        assert profit_per_trade(trips) == pytest.approx(20.0)
-        assert profit_per_trade([trips[0]]) == pytest.approx(100.0)
+        pnls = [D(100), D(-60)]
+        assert profit_per_trade(pnls) == pytest.approx(20.0)
+        assert profit_per_trade([pnls[0]]) == pytest.approx(100.0)
 
     def test_no_trips_undefined(self):
         assert profit_per_trade([]) is None
 
     def test_matches_sum_count_oracle(self):
         rng = random.Random(9)
-        trips = [
-            RoundTrip("long", 1, D(100), D(str(round(rng.uniform(50, 150), 2))))
-            for _ in range(37)
-        ]
-        want = sum(float(t.realized_pnl) for t in trips) / len(trips)
-        assert profit_per_trade(trips) == pytest.approx(want)
+        pnls = [D(str(round(rng.uniform(50, 150), 2))) - D(100) for _ in range(37)]
+        want = sum(float(pnl) for pnl in pnls) / len(pnls)
+        assert profit_per_trade(pnls) == pytest.approx(want)
 
 
 class TestNumTrades:
