@@ -35,6 +35,7 @@ from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -349,7 +350,7 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
         bars = _plain_bars(text)
         if bars is None:
             bars = [_bar_from_cells(row_idx, *cells) for row_idx, cells in _csv_rows(text, CSV_COLUMNS)]
-    elif format == "jsonl":
+    else:
         bars = []
         for row_idx, line in enumerate((ln for ln in text.splitlines() if ln.strip()), start=1):
             try:
@@ -363,8 +364,6 @@ def parse_bars(text: str, format: str = "csv", symbol: str = "") -> BarSeries:
             if not isinstance(obj, dict):
                 raise BarDataError("expected object", row_idx)
             bars.append(_bar_from_cells(row_idx, *("" if (v := obj.get(k)) is None else str(v) for k in CSV_COLUMNS)))
-    else:
-        raise BarDataError(f"unknown format {format!r}")
 
     if not bars:
         raise BarDataError("empty input")
@@ -475,23 +474,10 @@ def resample(series: BarSeries, target: Resolution) -> BarSeries:
     """
     if series.resolution != Resolution.DAILY:
         raise BarDataError("resample requires daily input")
-    if target not in (Resolution.WEEKLY, Resolution.MONTHLY):
-        raise BarDataError(f"bad resample target {target!r}")
-    if not series.bars:
-        raise BarDataError("empty input")
 
-    out: list[Bar] = []
-    group: list[Bar] = []
-    key = None
-    for bar in series.bars:
-        k = _bucket_key(bar.session_date, target)
-        if key is not None and k != key:
-            out.append(_aggregate(group))
-            group = []
-        key = k
-        group.append(bar)
-    out.append(_aggregate(group))
-    return BarSeries(symbol=series.symbol, resolution=target, bars=tuple(out))
+    buckets = groupby(series.bars, lambda bar: _bucket_key(bar.session_date, target))
+    bars = tuple(_aggregate(list(group)) for _, group in buckets)
+    return BarSeries(symbol=series.symbol, resolution=target, bars=bars)
 
 
 def _aggregate(group: list[Bar]) -> Bar:
@@ -511,8 +497,6 @@ def window_slice(series: BarSeries, lookback: Lookback, as_of: date) -> BarSerie
     Missing sessions are simply absent, never interpolated. Lookbacks longer
     than history clamp to the whole series.
     """
-    if not series.bars:
-        raise BarDataError("empty input")
     if as_of < series.bars[0].session_date:
         raise BarDataError(f"as_of {as_of.isoformat()} before first bar")
     start = series.index_after(lookback.before(as_of))

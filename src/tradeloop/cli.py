@@ -1,7 +1,7 @@
 """Command-line entry points: run, backtest, report, replay, validate-data.
 
-Exit codes: 0 on success, else the `exit_code` of the error, as listed in
-`tradeloop.errors`; an output file that cannot be written exits 3.
+Exit codes: 0 on success, else the error's `exit_code` (`tradeloop.errors`);
+an output file that cannot be written 3, a flag argparse refuses 2, Ctrl-C 130.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bars import load_series
 from .engine import AuditLog
-from .errors import EXIT_DATA, EXIT_OK, ConfigError, DataError, TradeloopError
+from .errors import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, ConfigError, DataError, TradeloopError, cut
 from .harness import ExperimentConfig, aggregate_and_report, positive_cash, read_run, replay_run, run_experiment
 from .metrics import aggregate_runs, render_table
 from .strategies import StrategyConfig, StrategyKind, run_strategy
@@ -89,8 +89,15 @@ def _cmd_validate_data(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Cuts argparse's error message, which quotes a refused value whole; `add_subparsers` makes its parsers of this class."""
+
+    def error(self, message: str):
+        super().error(cut(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tradeloop")
+    parser = _Parser(prog="tradeloop")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
@@ -139,6 +146,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"{DataError.label}: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -147,7 +147,7 @@ class AuditLog:
     disk when its owner calls `flush()`, once per unit of work, or when the
     log is closed; a killed process loses at most what it appended since.
     Values JSON lacks are written as `str()`: a Decimal as its digits, a date
-    in ISO form.
+    in ISO form. An `OSError` of a write, flush or close names the file.
 
     An event arrives as a dict, which is encoded here, or as a line already
     formatted (without its newline). A pre-formatted line must be exactly the
@@ -163,14 +163,26 @@ class AuditLog:
         if not isinstance(event, str):
             event = self._encode(event)
         event += "\n"  # in place, not a copy, when no caller keeps the line
-        self._fh.write(event)
+        try:  # free until it raises
+            self._fh.write(event)
+        except OSError as exc:
+            exc.filename = str(self.path)
+            raise
 
     def flush(self) -> None:
-        self._fh.flush()
+        try:
+            self._fh.flush()
+        except OSError as exc:
+            exc.filename = str(self.path)
+            raise
 
     def close(self) -> None:
         if self.path is not None:  # a memory log keeps its lines for `text()`
-            self._fh.close()
+            try:
+                self._fh.close()
+            except OSError as exc:
+                exc.filename = str(self.path)
+                raise
 
     def text(self) -> str:
         if self.path is None:
@@ -186,10 +198,7 @@ class ExecutionEngine:
     order, and `trades` every fill in booking order, forced covers included."""
 
     def __init__(self, initial_cash: Decimal | int | str = 100_000, audit: AuditLog | None = None):
-        cash = Decimal(initial_cash)
-        if cash < 0:
-            raise EngineError("initial cash must be non-negative")
-        self._state = PortfolioState(cash, 0, 0)  # replaced by `_book`, the one place it changes
+        self._state = PortfolioState(Decimal(initial_cash), 0, 0)  # replaced by `_book`, the one place it changes
         self._as_of: date | None = None
         self._queue: list[tuple[Order, int]] = []  # (validated order, submitted qty)
         self.audit = audit if audit is not None else AuditLog()
@@ -212,8 +221,6 @@ class ExecutionEngine:
         SELL / SHORT_COVER clamp to current holdings; a clamp to zero drops
         the order.
         """
-        if last_close <= 0:
-            raise EngineError("last_close must be positive")
         ref = order.price if order.order_type == OrderType.LIMIT else last_close
         self._event("ORDER_SUBMITTED", order=order.__dict__)
         qty = self._held(order.action, order.quantity)

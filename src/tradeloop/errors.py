@@ -3,9 +3,10 @@ README's list of inputs. `cli.main` prints one as `<label>: <message>` and
 exits with its `exit_code`. `AssertionError`, `EngineError` and
 `MetricsError` guard internal invariants and stay outside on purpose: a
 traceback from them is a bug report. `quoted` quotes a value from outside the
-program in a message, and `described` the exception behind such an error.
-`read_file` reads every file a command reads, and names one
-that cannot be read, decoded or parsed. It imports no module of the package."""
+program in a message, `cut` a message that already quotes one whole, and
+`described` the exception behind such an error. `read_file` reads every file a
+command reads, and names one that cannot be read, decoded or parsed. It
+imports no module of the package."""
 
 import hashlib
 import io
@@ -16,6 +17,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_PROVIDER = 4
+EXIT_INTERRUPTED = 130  # Ctrl-C, as a shell reports SIGINT
 
 QUOTED_CHARS = 200  # the most of a value's repr that a message quotes
 
@@ -46,13 +48,16 @@ class ReplayMismatch(ProviderError):
     pass
 
 
-def quoted(value) -> str:
-    """The repr of `value`, cut after QUOTED_CHARS characters and marked as
-    cut, so that a message quoting a large input stays short."""
-    text = repr(value)
+def cut(text: str) -> str:
+    """`text` cut after QUOTED_CHARS characters and marked as cut, so that a message quoting a large input stays short."""
     if len(text) <= QUOTED_CHARS:
         return text
     return f"{text[:QUOTED_CHARS]}... ({len(text)} characters)"
+
+
+def quoted(value) -> str:
+    """The repr of `value`, cut."""
+    return cut(repr(value))
 
 
 def described(exc: Exception) -> str:

@@ -24,7 +24,6 @@ replaced, so its values are the same bits.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count
@@ -90,8 +89,6 @@ def _ema(values: Sequence[float], n: int) -> list[float | None]:
 def ema_series(series: BarSeries, n: int) -> list[float | None]:
     """EMA_t = a*P_t + (1-a)*EMA_{t-1} with a = 2/(n+1), seeded by the SMA of
     the first n closes (value at the seed bar is the seed itself)."""
-    if n < 1:
-        raise IndicatorError("n must be >= 1")
     return _ema(series.closes, n)
 
 
@@ -99,8 +96,6 @@ def rsi_series(series: BarSeries, n: int = 14) -> list[float | None]:
     """Wilder RSI: 100 - 100/(1+RS), first averages are simple means of the
     first n gains/losses, then G_t = ((n-1)*G_{t-1} + g_t)/n and likewise for
     losses. Zero average loss maps to 100, zero average gain to 0."""
-    if n < 1:
-        raise IndicatorError("n must be >= 1")
     closes = series.closes
     out: list[float | None] = [None] * min(n, len(closes))
     avg_gain = avg_loss = 0.0
@@ -167,8 +162,6 @@ def true_ranges(series: BarSeries) -> list[float]:
 
 def atr_series(series: BarSeries, n: int = 14) -> list[float | None]:
     """Simple n-mean of true ranges. Needs at least two bars regardless of n."""
-    if n < 1:
-        raise IndicatorError("n must be >= 1")
     out = _rolling_mean(true_ranges(series), n)
     if n == 1 and out:
         out[0] = None
@@ -192,8 +185,6 @@ def bollinger_series(series: BarSeries, n: int = 20, k: float = 2.0) -> list[dic
     """`bollinger_at` at every bar."""
     if n < 2:
         raise IndicatorError("n must be >= 2")
-    if not (math.isfinite(k) and k > 0):
-        raise IndicatorError(f"k must be finite and > 0, got {k!r}")
     return [bollinger_at(series, i, n, k) for i in range(len(series.bars))]
 
 
@@ -204,8 +195,6 @@ def volume_profile(series: BarSeries, n_bins: int = 24, coverage: float = 0.70, 
     expands symmetrically around the POC until it holds at least `coverage`
     of total volume, then trims to its outermost nonzero bins.
     """
-    if n_bins < 1:
-        raise IndicatorError("n_bins must be >= 1")
     closes, bar_volumes = series.closes[window], series.volumes[window]
     if not closes:
         raise IndicatorError("empty window")

@@ -17,7 +17,7 @@ from decimal import Decimal
 from enum import Enum
 
 from .bars import BarSeries
-from .engine import Action, AuditLog, ExecutionEngine, Order, OrderType, Rejection
+from .engine import Action, AuditLog, ExecutionEngine, Order, OrderType
 from .engine import trades_from_audit  # not called: perfbench/spans.py wraps this module's name
 from .errors import ConfigError, DataError, quoted
 from .indicators import bollinger_series, macd_series, sma_series
@@ -177,9 +177,7 @@ def run_strategy(
             explanation=f"{config.kind.value} {action.value.lower()} signal",
             submitted_at=submitted,
         )
-        outcome = engine.validate_and_queue(order, last_close=ref_close)
-        if isinstance(outcome, Rejection):
-            raise StrategyError(f"order rejected: {outcome.reason.value} ({outcome.detail})")
+        engine.validate_and_queue(order, last_close=ref_close)
 
     if config.kind == StrategyKind.BUY_HOLD:
         first = series.bars[0]

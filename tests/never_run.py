@@ -4,12 +4,10 @@
 
 Runs pytest over `tests/` in this process under
 a `sys.settrace` line tracer, then lists each function-body line of the
-package that never ran, keyed as `<module> :: <function> :: <stripped
-source line>`. The run fails (exit 1) on a never-run line that
-`tests/never_run_allowed.txt` does not list, and on a listed line that now
-runs; it exits 2 when the tests themselves fail. Each entry of that file is a
-key followed by ` :: <why the line stays unrun>`. Keys carry no line
-numbers, so an edit elsewhere in a module moves no entry.
+package that never ran, as `<file>:<line>: <function> :: <stripped source
+line>`. The run fails (exit 1) on any never-run line: there is no
+list of exceptions, so a line no test reaches gets a test or goes. It exits 2
+when the tests themselves fail.
 
 Lines that only a child process reaches, such as a `tradeloop` command a
 test starts with `subprocess`, count as never run: the tracer sees this
@@ -21,15 +19,12 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from collections import Counter
 from pathlib import Path
 from types import CodeType
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tradeloop"
-ALLOWED = Path(__file__).with_name("never_run_allowed.txt")
-SEP = " :: "
 
 
 def body_lines(path: Path) -> dict[int, str]:
@@ -89,26 +84,13 @@ def trace_tests(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     return int(code), ran
 
 
-def read_allowed(path: Path) -> Counter:
-    """The keys that `path` lists; each line is a key and its reason."""
-    keys: Counter = Counter()
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        key, sep, reason = line.rpartition(SEP)
-        if not sep or key.count(SEP) < 2 or not reason.strip():
-            raise SystemExit(f"{path}:{number}: not `<module> :: <function> :: <line> :: <reason>`")
-        keys[key] += 1
-    return keys
-
-
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     code, ran = trace_tests([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"])
     if code != 0:
         print(f"never_run: the tests failed (pytest exit {code}); no lines compared")
         return 2
-    never: Counter = Counter()
+    never: list[str] = []
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = body_lines(path)
@@ -116,15 +98,11 @@ def main() -> int:
         source = path.read_text(encoding="utf-8").splitlines()
         done = ran[os.path.realpath(path)]
         for line in sorted(set(lines) - done):
-            never[SEP.join((f"tradeloop.{path.stem}", lines[line], source[line - 1].strip()))] += 1
-    allowed = read_allowed(ALLOWED)
-    unlisted, ran_now = never - allowed, allowed - never
-    print(f"never_run: {sum(never.values())} of {total} function-body lines never ran; {sum(allowed.values())} listed")
-    for key in sorted(unlisted.elements()):
-        print(f"never run, not listed: {key}")
-    for key in sorted(ran_now.elements()):
-        print(f"listed, but ran: {key}")
-    return 1 if unlisted or ran_now else 0
+            never.append(f"{path.relative_to(ROOT)}:{line}: {lines[line]} :: {source[line - 1].strip()}")
+    print(f"never_run: {len(never)} of {total} function-body lines never ran")
+    for key in never:
+        print(f"never run: {key}")
+    return 1 if never else 0
 
 
 if __name__ == "__main__":

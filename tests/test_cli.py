@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 from datetime import date, timedelta
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,9 @@ import tradeloop
 from tradeloop.bars import CSV_COLUMNS, load_series, serialize_bars
 from tradeloop import cli
 from tradeloop.cli import main
-from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER
+from tradeloop.engine import AuditLog
+from tradeloop.errors import EXIT_CONFIG, EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_PROVIDER
+from tradeloop.gateway import ScriptedProvider
 from tradeloop.harness import PROVIDER_ROLES, read_run
 from tradeloop.strategies import StrategyConfig, StrategyKind, run_strategy
 from tradeloop.templates import asset_path
@@ -513,18 +516,20 @@ def _oversize_bars(tmp_path):
     return _file(tmp_path, "bars.csv", OVERSIZE_BARS)
 
 
-# Row 110 of a bars file with prices or a volume past what float math takes:
-# the cells edited, their new text, and the message that names the row.
-OVERSIZED = {
+# Row 110 of a bars file with prices or a volume past what float math takes,
+# or a price that is not positive (every reference price the engine takes is
+# a bar's): the cells edited, their new text, and the message that names the row.
+BAD_ROWS = {
     "prices 1e200": (("open", "high", "close"), "1" + "0" * 200, "high too large: prices must be below 10**15 at row 110\n"),
     "400-digit prices": (("open", "high", "close"), "9" * 400, "high too large: prices must be below 10**15 at row 110\n"),
     "400-digit volume": (("volume",), "9" * 400, "volume too large: volumes must be below 2**53 at row 110\n"),
+    "close 0": (("close",), "0", "non-positive close at row 110\n"),
 }
 
 
-def _oversized(text, case):
-    """The bars CSV `text` with row 110 edited as OVERSIZED[case] says."""
-    names, value, _ = OVERSIZED[case]
+def _with_bad_row(text, case):
+    """The bars CSV `text` with row 110 edited as BAD_ROWS[case] says."""
+    names, value, _ = BAD_ROWS[case]
     lines = text.split("\n")
     cells = lines[110].split(",")
     for name in names:
@@ -533,22 +538,42 @@ def _oversized(text, case):
     return "\n".join(lines)
 
 
-def _run_oversized(case):
+def _run_bad_row(case):
     """`run` over the recorded workspace with its bars edited."""
 
     def argv(tmp_path, run):
         text = (run.parents[2] / "bars.csv").read_text(encoding="utf-8")
-        return _run_with("paths.bars", _file(tmp_path, "bars.csv", _oversized(text, case)))(tmp_path, run)
+        return _run_with("paths.bars", _file(tmp_path, "bars.csv", _with_bad_row(text, case)))(tmp_path, run)
 
     return argv
 
 
-def _backtest_oversized(strategy, case):
+def _backtest_bad_row(strategy, case):
     def argv(tmp_path, run):
-        text = _oversized(serialize_bars(synthetic_daily(120, seed=4), "csv"), case)
+        text = _with_bad_row(serialize_bars(synthetic_daily(120, seed=4), "csv"), case)
         return ["backtest", "--strategy", strategy, "--bars", _file(tmp_path, "bars.csv", text)]
 
     return argv
+
+
+def _bars_with_no_bar(command):
+    """`command` over a bars file of its header alone."""
+
+    def argv(tmp_path, run):
+        bars = _file(tmp_path, "bars.csv", ",".join(CSV_COLUMNS) + "\n")
+        if command == "run":
+            return _run_with("paths.bars", bars)(tmp_path, run)
+        return [command, "--bars", bars, *(["--strategy", "buy_hold"] if command == "backtest" else [])]
+
+    return argv
+
+
+def _run_without_a_session_bar(tmp_path, run):
+    """`run` over the recorded workspace whose calendar holds the date of
+    every bar, with the last bar, a session's, taken out of the bars file."""
+    lines = (run.parents[2] / "bars.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    calendar = _file(tmp_path, "calendar.txt", "".join(line.split(",")[0] + "\n" for line in lines[1:]))
+    return _run_with("paths.bars", _file(tmp_path, "bars.csv", "".join(lines[:-1])), "paths.calendar", calendar)(tmp_path, run)
 
 
 def _prompts_without_history(tmp_path):
@@ -673,9 +698,15 @@ NO_TRACEBACK_PROBES = {
         EXIT_DATA, lambda tmp_path, run: ["backtest", "--strategy", "buy_hold", "--bars", _oversize_bars(tmp_path)]
     ),
     "run oversize field": (EXIT_DATA, _run_with("paths.bars", _oversize_bars)),
-    **{f"run bars with {case}": (EXIT_DATA, _run_oversized(case)) for case in OVERSIZED},
-    "backtest bollinger bars with prices 1e200": (EXIT_DATA, _backtest_oversized("bollinger", "prices 1e200")),
-    "backtest buy_hold bars with 400-digit prices": (EXIT_DATA, _backtest_oversized("buy_hold", "400-digit prices")),
+    **{f"run bars with {case}": (EXIT_DATA, _run_bad_row(case)) for case in BAD_ROWS},
+    "backtest bollinger bars with prices 1e200": (EXIT_DATA, _backtest_bad_row("bollinger", "prices 1e200")),
+    "backtest buy_hold bars with 400-digit prices": (EXIT_DATA, _backtest_bad_row("buy_hold", "400-digit prices")),
+    "backtest buy_hold bars with close 0": (EXIT_DATA, _backtest_bad_row("buy_hold", "close 0")),
+    **{
+        f"{command} bars with no bar": (EXIT_DATA, _bars_with_no_bar(command))
+        for command in ("run", "backtest", "validate-data")
+    },
+    "run bars without a session's bar": (EXIT_DATA, _run_without_a_session_bar),
     "validate-data --actions oversize field": (
         EXIT_DATA,
         lambda tmp_path, run: [
@@ -786,9 +817,12 @@ PROBE_MESSAGES = {
         for probe in ("validate-data oversize field", "backtest oversize field", "run oversize field")
     },
     "validate-data --actions oversize field": ("unreadable csv: field larger than field limit (131072) at row 1\n",),
-    **{f"run bars with {case}": (message,) for case, (_, _, message) in OVERSIZED.items()},
-    "backtest bollinger bars with prices 1e200": (OVERSIZED["prices 1e200"][2],),
-    "backtest buy_hold bars with 400-digit prices": (OVERSIZED["400-digit prices"][2],),
+    **{f"run bars with {case}": (message,) for case, (_, _, message) in BAD_ROWS.items()},
+    "backtest bollinger bars with prices 1e200": (BAD_ROWS["prices 1e200"][2],),
+    "backtest buy_hold bars with 400-digit prices": (BAD_ROWS["400-digit prices"][2],),
+    "backtest buy_hold bars with close 0": (BAD_ROWS["close 0"][2],),
+    **{f"{command} bars with no bar": ("bars.csv: empty input\n",) for command in ("run", "backtest", "validate-data")},
+    "run bars without a session's bar": ("missing bars for sessions: ",),
     **{
         probe: (f"first bar dated {day}: bars must start on or after 0003-01-01, as a run looks back 2 years\n",)
         for probe, day in (
@@ -1002,6 +1036,32 @@ def test_a_large_value_is_quoted_briefly(kind, tmp_path, recorded_run, chat_serv
     assert all(name in err for name in named), err
 
 
+# Each value of 100,000 characters that argparse refuses before a command
+# runs: the arguments, and the start of the error line, which names the flag.
+REFUSED_FLAGS = {
+    "backtest --window": (["backtest", "--strategy", "sma", "--bars", "b.csv", "--window", "9" * 100_000], "argument --window:"),
+    "backtest --long-window": (
+        ["backtest", "--strategy", "slma", "--bars", "b.csv", "--long-window", BIG], "argument --long-window:",
+    ),
+    "backtest --k": (["backtest", "--strategy", "bollinger", "--bars", "b.csv", "--k", BIG], "argument --k:"),
+    "backtest --strategy": (["backtest", "--strategy", BIG, "--bars", "b.csv"], "argument --strategy: invalid choice"),
+    "run --runs": (["run", "--config", "c.json", "--runs", "9" * 100_000], "argument --runs:"),
+    "unrecognized arguments": (["validate-data", "--bars", "b.csv", BIG], "unrecognized arguments:"),
+}
+
+
+@pytest.mark.parametrize("kind", REFUSED_FLAGS)
+def test_a_value_argparse_refuses_is_quoted_briefly(kind, capsys):
+    """argparse's refusal exits 2 with its usage and an error line under 1 KB
+    in all, which names the flag; argparse itself would quote the value whole."""
+    argv, named = REFUSED_FLAGS[kind]
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024 and f"error: {named}" in err, err
+
+
 def _run_over(key):
     """`run` of the recorded workspace with its input `key` read from `path`."""
     return lambda tmp_path, run, path: _run_with(f"paths.{key}", str(path))(tmp_path, run)
@@ -1208,3 +1268,50 @@ def test_a_squeezed_short_ends_its_run(tmp_path):
         pytest.fail(f"tradeloop run exited {code}, not {EXIT_OK}")
     if not read_run(tmp_path / "runs" / "squeeze" / "run-1").equity:
         pytest.fail("the run's metrics.json holds no equity curve")
+
+
+def test_ctrl_c_ends_a_run_with_one_line(tmp_path, monkeypatch, capsys):
+    """Ctrl-C during the fifth model call exits 130 with one line and no
+    traceback. The run leaves its config.lock and its three logs, closed on
+    whole lines, and no metrics.json."""
+    build_workspace(tmp_path, mode="adaptive_opro")
+    calls, complete = count(1), ScriptedProvider.complete
+    logs, opened = [], AuditLog.__init__
+
+    def interrupted(self, request):
+        if next(calls) == 5:
+            raise KeyboardInterrupt
+        return complete(self, request)
+
+    def kept(self, sink=None):
+        opened(self, sink)
+        logs.append(self)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", interrupted)
+    monkeypatch.setattr(AuditLog, "__init__", kept)
+    try:  # one that escapes would end the test session
+        code = main(["run", "--config", str(tmp_path / "config.json")])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "interrupted\n"
+    run_dir = tmp_path / "runs" / "exp-adaptive_opro" / "run-1"
+    assert (run_dir / "config.lock").exists() and not (run_dir / "metrics.json").exists()
+    files = [log for log in logs if log.path is not None]
+    assert sorted(log.path.name for log in files) == ["engine.jsonl", "gateway.jsonl", "opro.jsonl"]
+    for log in files:
+        assert log._fh.closed
+        assert log.path.read_text(encoding="utf-8").endswith("\n"), log.path.name
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that refuses every write")
+@pytest.mark.parametrize("name", ["engine.jsonl", "gateway.jsonl", "opro.jsonl"])
+def test_a_log_that_cannot_be_written_is_named(name, tmp_path, capsys):
+    """A run whose log is a full device exits 3 with one line naming that log."""
+    build_workspace(tmp_path, mode="adaptive_opro")
+    log = tmp_path / "runs" / "exp-adaptive_opro" / "run-1" / name
+    log.parent.mkdir(parents=True)
+    log.symlink_to("/dev/full")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.endswith(f"{str(log)!r}\n") and err.count("\n") == 1, err

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradeloop.bars import BarSeries, Resolution
 from tradeloop.engine import trades_from_audit
+from tradeloop.errors import ConfigError
 from tradeloop.strategies import (
     Signal,
     Stance,
@@ -349,3 +352,44 @@ def test_fills_are_the_fills_the_audit_records(kind):
     result = run_strategy(StrategyConfig(kind=kind), synthetic_daily(300, seed=17))
     assert result.engine.trades == trades_from_audit(result.engine.audit)
     assert result.engine.trades
+
+
+# Each window of a StrategyConfig and its least value. The indicators take a
+# window as given: `ema_series`, say, reads MACD's windows unchecked.
+LEAST_WINDOWS = {
+    "sma_n": 1, "slma_short": 1, "slma_long": 1, "macd_fast": 1, "macd_slow": 1, "macd_signal": 1, "bollinger_n": 2,
+}
+
+
+@pytest.mark.parametrize("name", LEAST_WINDOWS)
+def test_a_window_below_its_least_is_refused(name):
+    least = LEAST_WINDOWS[name]
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= {least}, got {least - 1}"):
+        StrategyConfig(kind=StrategyKind.MACD, **{name: least - 1})
+
+
+# A daily random walk in cents: each bar is dated 1 to 10 days after the one
+# before, opens up to 50% away from its close and closes up to 10% from its open.
+GAPPED_WALKS = st.lists(st.tuples(st.integers(1, 10), st.integers(-50, 50), st.integers(-10, 10)), min_size=40, max_size=120)
+
+
+def gapped_walk(steps) -> BarSeries:
+    day, close, bars = date(2024, 1, 1), 10_000, []
+    for days, gap, move in steps:
+        day += timedelta(days=days)
+        open_ = max(1, close * (100 + gap) // 100)
+        close = max(1, open_ * (100 + move) // 100)
+        bars.append(make_bar(day, open_ / D(100), max(open_, close) / D(100), min(open_, close) / D(100), close / D(100)))
+    return BarSeries("SYNTH", Resolution.DAILY, tuple(bars))
+
+
+@settings(max_examples=50)
+@given(GAPPED_WALKS)
+def test_a_baseline_places_no_order_the_engine_refuses(steps):
+    """A baseline buys what its cash pays for at the open it fills at, and
+    sells what it holds, so over any walk, gaps in dates and prices included,
+    the engine neither rejects nor cancels one of its orders."""
+    series = gapped_walk(steps)
+    for kind in StrategyKind:
+        audit = run_strategy(StrategyConfig(kind=kind), series).engine.audit.text()
+        assert '"ORDER_REJECTED"' not in audit and '"CANCEL"' not in audit, kind
